@@ -260,59 +260,64 @@ def shard_pairs(pairs, per_config_seconds, jobs):
 def _run_plan_chunk(handle, chunk, workload):
     """Worker: attach the shared plan and run one chunk of configs.
 
-    The compiled kernel (or the NumPy fallback engine) reads its
-    columns straight out of the shared mapping — the only pickles per
-    task are the machine configs in and the results out.
+    The compiled kernel reads its columns straight out of the shared
+    mapping — the only pickles per task are the machine configs in and
+    the results out.
     """
     from repro.analysis.shm import attach_plan
-    from repro.core.batched import simulate_plan
-    from repro.core.ckernel import kernel_available, run_plan
+    from repro.core import ckernel
 
     attached = attach_plan(handle)
     try:
-        if kernel_available():
-            return run_plan(attached.plan, chunk, workload)
-        return {
-            label: simulate_plan(attached.plan, machine, workload)
-            for label, machine in chunk
-        }
+        return ckernel.run_plan(attached.plan, chunk, workload)
     finally:
         attached.close()
 
 
 def batched_parallel_sweep(annotated, pairs, workload, progress, jobs,
                            journal=None, seed=None, trace_len=None):
-    """Zero-copy parallel sweep of batched-eligible *pairs*.
+    """Zero-copy parallel sweep of *pairs* on the compiled kernel.
 
     The parent builds one columnar plan per event-mask group, publishes
     each through :mod:`repro.analysis.shm`, measures the per-config
     kernel cost on the first config, shards the rest into chunks of
     roughly :data:`CHUNK_TARGET_SECONDS`, and fans the chunks out to a
-    worker pool.  Chunk results are flushed through *journal* (a
-    :class:`~repro.robustness.journal.SweepJournal`) as they arrive, so
-    a crash loses at most one chunk of work.
+    worker pool.  Configs outside the kernel's envelope (runahead) run
+    on the scalar engine in the parent.  Chunk results are flushed
+    through *journal* (a :class:`~repro.robustness.journal.SweepJournal`)
+    as they arrive, so a crash loses at most one chunk of work.
 
     Returns ``{label: MLPResult}`` in grid order, or ``None`` when no
-    pool can be created (callers fall back to the serial batched path).
-    Progress callbacks fire in grid order once all results are in —
-    the same order the serial backend reports.  Shared segments are
-    unlinked in ``finally``, whether the sweep succeeded, raised, or
-    lost workers.
+    config can use the kernel or no pool can be created (callers fall
+    back to the serial batched path).  Progress callbacks fire in grid
+    order once all results are in — the same order the serial backend
+    reports.  Shared segments are unlinked in ``finally``, whether the
+    sweep succeeded, raised, or lost workers.
     """
     from repro.analysis.shm import publish_plan, unpublish_plan
-    from repro.core.batched import simulate_batched
+    from repro.core.batched import batched_supported, simulate_batched
     from repro.core.columnar import mask_key, plan_for
+    from repro.core.mlpsim import simulate
 
     groups = {}
+    scalar_pairs = []
     for label, machine in pairs:
-        groups.setdefault(mask_key(machine), []).append((label, machine))
+        if batched_supported(machine):
+            groups.setdefault(mask_key(machine), []).append((label, machine))
+        else:
+            scalar_pairs.append((label, machine))
+    if not groups:
+        return None
 
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
         ctx = multiprocessing.get_context("spawn")
 
-    results = {}
+    results = {
+        label: simulate(annotated, machine, workload=workload)
+        for label, machine in scalar_pairs
+    }
     started = time.monotonic()
     # Measure the per-config cost on the first config of the first
     # group; the result is kept, so calibration is free work.
@@ -389,24 +394,25 @@ def batched_parallel_sweep(annotated, pairs, workload, progress, jobs,
 def _run_cycle_chunk(handle, chunk, workload):
     """Worker: attach the shared cycle plan and run one config chunk.
 
-    The compiled cyclesim kernel (or the interpreter tier) reads the
-    per-instruction tables straight out of the shared mapping — the
-    only pickles per task are the pipeline configs in and the
+    The compiled cyclesim kernel reads the per-instruction tables
+    straight out of the shared mapping — the only pickles per task are
+    the pipeline configs in and the
     :class:`~repro.cyclesim.metrics.CycleMetrics` out.
     """
     from repro.analysis.shm import attach_plan
-    from repro.cyclesim.simulator import run_cycle_pairs
+    from repro.cyclesim import ckernel
 
     attached = attach_plan(handle)
     try:
-        return run_cycle_pairs(attached.plan, chunk, workload)
+        return ckernel.run_cycle_plan(attached.plan, chunk, workload)
     finally:
         attached.close()
 
 
 def cyclesim_parallel_sweep(annotated, pairs, workload, progress, jobs,
                             journal=None, seed=None, trace_len=None):
-    """Zero-copy parallel sweep of cyclesim ``(label, config)`` *pairs*.
+    """Zero-copy parallel sweep of cyclesim ``(label, config)`` *pairs*
+    on the compiled kernel (callers check it is available).
 
     The cyclesim twin of :func:`batched_parallel_sweep`, one notch
     simpler: the cycle plan never depends on the configuration (no

@@ -132,7 +132,8 @@ def sweep(annotated, machines, workload=None, progress=None, jobs=None,
     back per-config to the scalar engine for machines outside the
     batched envelope; ``"batched"`` does the same (it is the explicit
     spelling); ``"scalar"`` forces the one-instruction-at-a-time
-    interpreter everywhere.
+    interpreter everywhere.  Without the compiled kernel every engine
+    runs the scalar interpreter.
 
     *supervise* routes the sweep through the crash-safe supervisor
     (:func:`repro.robustness.supervisor.supervised_sweep`): pass
@@ -171,10 +172,12 @@ def sweep(annotated, machines, workload=None, progress=None, jobs=None,
         serial_cutover,
         serial_sweep_results,
     )
+    from repro.core import ckernel
 
     n_jobs = resolve_jobs(jobs)
 
-    if engine != "scalar" and pairs and _batched_usable(pairs):
+    if (engine != "scalar" and pairs and _batched_usable(pairs)
+            and ckernel.kernel_available()):
         return _sweep_batched(annotated, pairs, name, progress, n_jobs)
 
     if n_jobs > 1 and len(pairs) > 1:
@@ -212,7 +215,9 @@ def sweep_cyclesim(annotated, configs, workload=None, progress=None,
     (:func:`repro.analysis.parallel.cyclesim_parallel_sweep`).  *jobs*
     and the serial cutover behave exactly as in :func:`sweep`; serial
     runs still amortise the plan and the compiled kernel across the
-    grid via :func:`repro.cyclesim.simulator.run_cycle_pairs`.
+    grid in one :func:`repro.cyclesim.ckernel.run_cycle_plan` call.
+    Without the compiled kernel the grid runs serially on the frozen
+    reference simulator.
 
     *supervise* routes the grid through the same crash-safe supervisor
     MLPsim sweeps use — journalled, resumable, retried, quarantined —
@@ -238,19 +243,30 @@ def sweep_cyclesim(annotated, configs, workload=None, progress=None,
         resolve_jobs,
         serial_cutover,
     )
+    from repro.cyclesim import ckernel
     from repro.cyclesim.plan import cycle_plan_for
-    from repro.cyclesim.simulator import run_cycle_pairs
+    from repro.cyclesim.simulator import run_cyclesim
 
     n_jobs = resolve_jobs(jobs)
+    kernel = ckernel.kernel_available()
 
-    if pairs and n_jobs > 1 and not serial_cutover(n_jobs, len(pairs)):
+    if (kernel and pairs and n_jobs > 1
+            and not serial_cutover(n_jobs, len(pairs))):
         results = cyclesim_parallel_sweep(
             annotated, pairs, name, progress, min(n_jobs, len(pairs))
         )
         if results is not None:
             return SweepResult(workload=name, results=results)
 
-    results = run_cycle_pairs(cycle_plan_for(annotated), pairs, name)
+    if kernel:
+        results = ckernel.run_cycle_plan(
+            cycle_plan_for(annotated), pairs, name
+        )
+    else:
+        results = {
+            label: run_cyclesim(annotated, config, workload=name)
+            for label, config in pairs
+        }
     if progress is not None:
         for label in results:
             progress(label)

@@ -1,0 +1,192 @@
+"""Build and load the compiled simulator kernels.
+
+Both simulators run their grids through a C kernel (``_mlpsim_kernel.c``
+and ``_cyclesim_kernel.c``) compiled on demand with the system C
+compiler and loaded through :mod:`ctypes`, with no third-party build
+dependency.  This module is the one place that knows how:
+
+* the object is keyed on the SHA-1 of the C source, so an edited
+  source triggers a rebuild instead of loading a stale object;
+* the build is atomic (temp file + ``os.replace``), so concurrent sweep
+  workers race benignly;
+* ``REPRO_KERNEL_DIR`` overrides the build directory (created if
+  missing); setting it to an empty string disables both kernels;
+* each kernel is probed once per process, and a failure is cached and
+  reported by :meth:`KernelLoader.error` rather than raised.
+
+Without a kernel the callers fall back to the scalar MLPsim engine and
+the frozen cyclesim reference; see ``docs/PERFORMANCE.md``.
+"""
+
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+
+import numpy as np
+
+from repro.isa.opclass import OpClass
+from repro.robustness.errors import InternalError
+
+#: Opcode values both C sources were written against.
+_EXPECTED_OPS = {
+    "ALU": 0, "LOAD": 1, "STORE": 2, "BRANCH": 3, "PREFETCH": 4,
+    "CAS": 5, "LDSTUB": 6, "MEMBAR": 7, "NOP": 8,
+}
+
+
+def verify_opcodes(source_name):
+    """Refuse to load *source_name* if :class:`OpClass` has drifted."""
+    for name, value in _EXPECTED_OPS.items():
+        if int(OpClass[name]) != value:
+            raise InternalError(
+                f"OpClass.{name} = {int(OpClass[name])} but the compiled"
+                f" kernel was written for {value}; rebuild {source_name}"
+            )
+
+
+def c_column(array, dtype):
+    """The column as a C-contiguous array of *dtype* without copying
+    when the layout already matches (bool columns reinterpret as u8)."""
+    if array.dtype == np.bool_ and dtype == np.uint8:
+        array = array.view(np.uint8)
+    return np.ascontiguousarray(array, dtype=dtype)
+
+
+def _build_dir():
+    """The directory the compiled objects live in.
+
+    Raises
+    ------
+    repro.robustness.errors.InternalError
+        If ``REPRO_KERNEL_DIR`` is empty (kernels disabled), names a
+        directory that cannot be created, or no default candidate is
+        writable.
+    """
+    override = os.environ.get("REPRO_KERNEL_DIR")
+    if override is not None:
+        if not override.strip():
+            raise InternalError(
+                "compiled kernels disabled (REPRO_KERNEL_DIR is empty)"
+            )
+        try:
+            os.makedirs(override, exist_ok=True)
+        except OSError as error:
+            raise InternalError(
+                f"cannot create REPRO_KERNEL_DIR {override!r}: {error}"
+            ) from error
+        return override
+    candidates = [
+        os.path.join(os.path.dirname(__file__), "_build"),
+        os.path.join(tempfile.gettempdir(), "repro-kernel"),
+    ]
+    for candidate in candidates:
+        try:
+            os.makedirs(candidate, exist_ok=True)
+            probe = os.path.join(candidate, f".probe-{os.getpid()}")
+            with open(probe, "w"):  # reprolint: disable=atomic-writes
+                pass  # an empty writability probe, not a data write
+            os.unlink(probe)
+            return candidate
+        except OSError:
+            continue
+    raise InternalError("no writable directory for the kernel object")
+
+
+def _compiler():
+    return os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
+
+
+def _compile(source_path):
+    """Compile *source_path* (unless already built); return the ``.so`` path.
+
+    Raises
+    ------
+    repro.robustness.errors.InternalError
+        If there is no compiler or build directory, or compilation fails.
+    """
+    cc = _compiler()
+    if cc is None:
+        raise InternalError("no C compiler found (set CC or install cc)")
+    directory = _build_dir()
+    with open(source_path, "rb") as fh:
+        digest = hashlib.sha1(fh.read()).hexdigest()[:16]
+    stem = os.path.splitext(os.path.basename(source_path))[0]
+    so_path = os.path.join(directory, f"{stem}-{digest}.so")
+    if os.path.exists(so_path):
+        return so_path
+    tmp_path = os.path.join(directory, f".{os.getpid()}-{digest}.so.tmp")
+    try:
+        subprocess.run(
+            [cc, "-O2", "-fPIC", "-shared", "-o", tmp_path, source_path],
+            check=True,
+            capture_output=True,
+            text=True,
+        )
+        os.replace(tmp_path, so_path)  # atomic: workers race benignly
+    except subprocess.CalledProcessError as error:
+        raise InternalError(
+            f"kernel compilation failed: {error.stderr}"
+        ) from error
+    finally:
+        if os.path.exists(tmp_path):
+            try:
+                os.unlink(tmp_path)
+            except OSError:
+                pass
+    return so_path
+
+
+class KernelLoader:
+    """One C kernel, built and bound on first use, probed once per process.
+
+    *bind* receives the loaded :class:`ctypes.CDLL` and returns the
+    wired entry point; *verify* runs before the build and raises on any
+    constant the C source hard-codes that Python no longer agrees with.
+    """
+
+    def __init__(self, name, source_path, bind, verify):
+        self.name = name
+        self.source_path = source_path
+        self._bind = bind
+        self._verify = verify
+        self.probed = False
+        self.function = None
+        self.failure = None
+
+    def available(self):
+        """Can the kernel be used in this process?  Probes (and builds)
+        on the first call; the outcome is cached either way."""
+        if not self.probed:
+            self.probed = True
+            try:
+                self._verify()
+                self.function = self._bind(
+                    ctypes.CDLL(_compile(self.source_path))
+                )
+            except Exception as error:  # fail-soft: callers fall back
+                self.function = None
+                self.failure = error
+        return self.function is not None
+
+    def error(self):
+        """Why the kernel is unavailable (``None`` when it loaded fine)."""
+        self.available()
+        return self.failure
+
+    def require(self):
+        """The bound entry point.
+
+        Raises
+        ------
+        repro.robustness.errors.InternalError
+            If the kernel is unavailable; callers must check
+            :meth:`available` first.
+        """
+        if not self.available():
+            raise InternalError(
+                f"compiled {self.name} kernel unavailable: {self.failure}"
+            )
+        return self.function

@@ -8,9 +8,9 @@
  * reference engine (mlpsim_reference.simulate_reference); any change
  * here must keep that property.
  *
- * Compiled on demand by repro.core.ckernel with the system C compiler;
- * when no compiler is available the pure-NumPy engine in
- * repro.core.batched takes over.  No libc beyond malloc/free/memcpy.
+ * Compiled on demand by repro.cbuild with the system C compiler; when
+ * no compiler is available repro.core.batched runs the scalar engine
+ * instead.  No libc beyond malloc/free/memcpy.
  *
  * Layout contract (see ColumnarPlan):
  *   - producer columns are region-relative int32 with sentinel n

@@ -1,96 +1,34 @@
-"""Batched MLPsim: the epoch model over columnar traces.
+"""Batched MLPsim: many machine configurations per pass over one trace.
 
 This engine produces :class:`~repro.core.results.MLPResult`s that are
 **bit-identical** to :func:`repro.core.mlpsim.simulate` (and therefore
-to the frozen reference interpreter) while replacing most per-
-instruction Python interpretation with vectorised NumPy passes over a
-:class:`~repro.core.columnar.ColumnarPlan`.
+to the frozen reference interpreter).  Configurations whose perfect-*
+and value-prediction switches agree share one
+:class:`~repro.core.columnar.ColumnarPlan` and one call of the compiled
+kernel (:mod:`repro.core.ckernel`), which simulates the whole group in
+C.
 
-The key observation: between two *scalar positions* (off-chip events,
-serializing instructions, result-less ops that name a destination — see
-``ColumnarPlan.scalar_mask``) an instruction can only
-
-* execute immediately (``res_data = epoch``), or
-* defer, because a producer is unavailable or an in-order issue
-  cascade (policy A/B loads, in-order branches) blocks it, or
-* — for a mispredicted branch that defers — terminate the epoch.
-
-No counters, MSHR/store-buffer occupancy, triggers or events other than
-``MISPRED_BR`` can change inside such a stretch, so the whole stretch
-is resolved with a handful of array operations:
-
-1. Tentatively mark the stretch executed (``res_data[span] = epoch``).
-2. Gather each instruction's producer availability through the
-   sentineled producer columns; a gather above ``epoch`` defers.
-3. Apply the issue-policy cascades (all loads after the first
-   dependence-deferred memop under policy A; after the first
-   address-deferred store under policy B; all branches after the first
-   deferred branch when branches issue in order).
-4. Deferred lanes revert to ``NOT_EXECUTED``; repeat from 2 until the
-   defer set stops growing.  Dependences point strictly backwards, so
-   this optimistic iteration converges to exactly the program-order
-   scan result; the rare deep-chain stretch that exceeds
-   :data:`FIXPOINT_CAP` iterations falls back to the scalar
-   interpreter for that stretch only.
-
-Window termination (ROB / issue-window exhaustion) is applied in closed
-form from the defer positions, and the first non-predictor-saved
-mispredicted deferring branch truncates the stretch exactly where the
-scalar scan would have stopped.  Scalar positions, the deferred-rescan
-entries that carry events, and the fetch-buffer run-on keep the
-one-instruction-at-a-time interpreter, which mirrors
-``mlpsim._simulate_ooo`` branch for branch.
-
-Configurations outside the vectorised envelope — runahead machines,
-value prediction / perfect value (whose split data/valid availability
-needs per-lane validity propagation), and ``record_sets`` runs — are
-delegated to the scalar engine, which the equivalence suite already
-pins to the reference.  For everything else ``res_valid`` provably
-equals ``res_data`` (a missing load's result is both usable and
-validated in the next epoch), so the batched engine tracks a single
-availability array.
+Runahead machines and ``record_sets`` runs are outside the kernel's
+envelope, and without a C compiler there is no kernel at all; those
+configurations go to the scalar engine, which the equivalence suite
+already pins to the reference.  Every machine config is accepted.
 """
 
-import numpy as np
-
-from repro.core.columnar import plan_for
-from repro.core.config import (
-    BranchPolicy,
-    LoadPolicy,
-    SerializePolicy,
-)
-from repro.core.mlpsim import NOT_EXECUTED, simulate
-from repro.core.results import MLPResult
-from repro.core.termination import Inhibitor, InhibitorCounts
-from repro.core.epoch import TriggerKind
-from repro.isa.opclass import OpClass
-from repro.robustness.errors import InternalError, SimulationError
-
-#: Stretches shorter than this are interpreted scalar — below it the
-#: fixed cost of the NumPy pass exceeds the interpreter loop.
-VECTOR_MIN = 32
-
-#: Iteration cap of the defer-closure fixpoint.  Each iteration extends
-#: deferral one level down the in-stretch dependence chains; stretches
-#: with deeper chains (rare) are handed to the scalar interpreter.
-FIXPOINT_CAP = 24
+from repro.core.columnar import mask_key, plan_for
+from repro.core.mlpsim import simulate
 
 
 def batched_supported(machine, record_sets=False):
-    """Can *machine* run on the batched engine (vs scalar fallback)?
+    """Will *machine* run on the compiled kernel (vs the scalar engine)?
 
-    The compiled kernel models the split data/valid availability of
-    value prediction, so with a working C toolchain only runahead
-    machines and ``record_sets`` runs need the scalar engine; on the
-    pure-NumPy fallback the value-prediction family is excluded too.
+    True when the kernel is available and the run is neither a runahead
+    machine nor a ``record_sets`` run.
     """
     if machine.runahead or record_sets:
         return False
-    from repro.core.ckernel import kernel_available
+    from repro.core import ckernel
 
-    if kernel_available():
-        return True
-    return not (machine.perfect_value or machine.value_prediction)
+    return ckernel.kernel_available()
 
 
 def simulate_batched(annotated, machine, start=None, stop=None,
@@ -98,8 +36,7 @@ def simulate_batched(annotated, machine, start=None, stop=None,
     """Drop-in :func:`repro.core.mlpsim.simulate` on the batched engine.
 
     Returns a bit-identical :class:`MLPResult`; configurations the
-    vectorised engine does not cover are silently delegated to the
-    scalar engine, so every machine config is accepted.
+    kernel does not cover are silently delegated to the scalar engine.
     """
     if _validate:
         from repro.robustness.validate import validate_annotated
@@ -110,10 +47,11 @@ def simulate_batched(annotated, machine, start=None, stop=None,
             annotated, machine, start=start, stop=stop,
             workload=workload, record_sets=record_sets,
         )
+    from repro.core import ckernel
+
     plan = plan_for(annotated, machine, start, stop)
-    return simulate_plan(
-        plan, machine, workload=workload or annotated.trace.name
-    )
+    name = workload or annotated.trace.name
+    return ckernel.run_plan(plan, [("_", machine)], name)["_"]
 
 
 def simulate_batch(annotated, machines, start=None, stop=None,
@@ -121,13 +59,12 @@ def simulate_batch(annotated, machines, start=None, stop=None,
     """Run a config grid over one trace; returns ``{label: MLPResult}``.
 
     *machines* is an iterable of ``(label, machine)`` pairs (an ordered
-    mapping also works).  Configurations are processed in grid order,
-    but all configs sharing an event-mask key reuse one columnar plan,
-    so the per-trace preparation cost is paid once per mask group
-    rather than once per config.  *progress* is called with each label
-    as it completes.
+    mapping also works).  Every config whose event-mask key matches
+    shares one columnar plan and one kernel call, so the per-trace
+    preparation cost is paid once per mask group rather than once per
+    config.  *progress* is called with each label as it completes.
     """
-    from repro.core.ckernel import kernel_available
+    from repro.core import ckernel
     from repro.robustness.validate import validate_annotated
 
     validate_annotated(annotated, check_events=False)
@@ -135,787 +72,25 @@ def simulate_batch(annotated, machines, start=None, stop=None,
         machines = machines.items()
     pairs = list(machines)
     name = workload or annotated.trace.name
+
+    groups = {}
+    for label, machine in pairs:
+        if batched_supported(machine):
+            groups.setdefault(mask_key(machine), []).append((label, machine))
     results = {}
-
-    if kernel_available():
-        # One kernel call per mask group: every config whose perfect-*
-        # and value-prediction switches agree shares one columnar plan
-        # and one compiled pass over it.
-        from repro.core.columnar import mask_key
-
-        groups = {}
-        for label, machine in pairs:
-            if batched_supported(machine):
-                groups.setdefault(
-                    mask_key(machine), []
-                ).append((label, machine))
-        for group in groups.values():
-            plan = plan_for(annotated, group[0][1], start, stop)
-            from repro.core.ckernel import run_plan
-
-            for label, result in run_plan(plan, group, name).items():
-                results[label] = result
-                if progress is not None:
-                    progress(label)
+    for group in groups.values():
+        plan = plan_for(annotated, group[0][1], start, stop)
+        for label, result in ckernel.run_plan(plan, group, name).items():
+            results[label] = result
+            if progress is not None:
+                progress(label)
 
     for label, machine in pairs:
         if label in results:
             continue
-        results[label] = simulate_batched(
-            annotated, machine, start=start, stop=stop,
-            workload=workload, _validate=False,
+        results[label] = simulate(
+            annotated, machine, start=start, stop=stop, workload=workload,
         )
         if progress is not None:
             progress(label)
     return {label: results[label] for label, _ in pairs}
-
-
-def simulate_plan(plan, machine, workload):
-    """Run one supported config against a pre-built columnar plan.
-
-    This is the worker-side entry point of zero-copy sweeps: the plan
-    may be attached from shared memory with no annotated trace in the
-    process at all.
-
-    Raises
-    ------
-    repro.robustness.errors.SimulationError
-        If *machine* is outside the vectorised envelope (those configs
-        need the annotated trace for the scalar engine).
-    """
-    if not batched_supported(machine):
-        raise SimulationError(
-            f"machine {machine.label!r} is outside the batched engine's"
-            " envelope (runahead/value prediction need the scalar engine)",
-            field=machine.label,
-        )
-    from repro.core.ckernel import kernel_available, run_plan
-
-    if kernel_available():
-        return run_plan(plan, [("_", machine)], workload)["_"]
-    return _simulate_columnar(plan, machine, workload)
-
-
-def _simulate_columnar(plan, machine, workload):
-    n = len(plan)
-    runtime = plan.runtime()
-
-    ops = runtime.ops_l
-    prod1 = runtime.prod1_l
-    prod2 = runtime.prod2_l
-    prod3 = runtime.prod3_l
-    memdep = runtime.memdep_l
-    dmiss = runtime.dmiss_l
-    mispred = runtime.mispred_l
-    pmiss = runtime.pmiss_l
-    pfuseful = runtime.pfuseful_l
-    smiss = runtime.smiss_l
-    scalar_mask = runtime.scalar_mask_l
-    imiss = plan.imiss.tolist()  # mutated as fetch misses are serviced
-
-    vprod_all = runtime.vprod_all
-    is_load_c = plan.is_load
-    is_store_c = plan.is_store
-    is_branch_c = plan.is_branch
-    is_memop_c = plan.is_memop
-    mispred_c = plan.mispred
-    scalar_pos = runtime.scalar_pos_l
-
-    ALU = int(OpClass.ALU)
-    LOAD = int(OpClass.LOAD)
-    STORE = int(OpClass.STORE)
-    PREFETCH = int(OpClass.PREFETCH)
-    MEMBAR = int(OpClass.MEMBAR)
-    NOP = int(OpClass.NOP)
-    BRANCH = int(OpClass.BRANCH)
-
-    serializing = machine.issue.serialize_policy == SerializePolicy.SERIALIZING
-    load_in_order = machine.issue.load_policy == LoadPolicy.IN_ORDER
-    load_wait_staddr = machine.issue.load_policy == LoadPolicy.WAIT_STORE_ADDR
-    branch_in_order = machine.issue.branch_policy == BranchPolicy.IN_ORDER
-    iw_size = machine.issue_window
-    rob_size = machine.rob
-    fetch_buffer = machine.fetch_buffer
-    mshr_cap = machine.max_outstanding or (1 << 30)
-    sb_cap = (
-        machine.store_buffer if machine.store_buffer is not None else (1 << 30)
-    )
-    slow_bp = machine.slow_branch_predictor
-    slow_bp_threshold = int(machine.slow_bp_accuracy * 1024)
-
-    ne32 = np.int32(NOT_EXECUTED)
-
-    # Result availability, epoch units; slot n is the gather sentinel
-    # ("no producer": available since epoch 0).  res_valid is omitted:
-    # without value prediction it provably equals res_data.
-    rd = np.full(n + 1, NOT_EXECUTED, dtype=np.int32)
-    rd[n] = 0
-
-    arange_n = np.arange(n, dtype=np.int64)
-
-    deferred = []  # indices fetched but not executed, program order
-    fetch_pos = 0
-    sp_idx = 0  # cursor into scalar_pos (fetch_pos is monotone)
-    force_scalar_until = 0  # scalar-interpret up to here (fixpoint bail)
-    epoch = 0
-
-    epochs_recorded = 0
-    total_accesses = 0
-    dmiss_accesses = 0
-    imiss_accesses = 0
-    prefetch_accesses = 0
-    store_accesses = 0
-    store_epochs = 0
-    inhibitors = InhibitorCounts()
-
-    # ---- per-epoch scan state (rebound at the top of every epoch) ------
-    accesses = 0
-    e_dmiss = 0
-    e_imiss = 0
-    e_pmiss = 0
-    e_smiss = 0
-    inflight = 0
-    trigger_idx = None
-    trigger_kind = None
-    first_miss_idx = None
-    blocked_memop = False
-    blocked_staddr = False
-    blocked_branch = False
-    events = []
-    new_deferred = []
-    progress = False
-
-    def slow_bp_saves(i):
-        """Deterministic per-instance slow-predictor outcome (reproducible)."""
-        return slow_bp and ((i * 2654435761) >> 7) % 1024 < slow_bp_threshold
-
-    def execute_scalar(i):
-        """One-instruction interpreter, mirroring ``mlpsim.execute``.
-
-        ``res_valid`` handling is dropped (identically ``res_data`` for
-        the configs this engine accepts); everything else — the gate
-        order, the events, the blocking flags — matches branch for
-        branch.
-        """
-        nonlocal accesses, e_dmiss, e_pmiss, e_smiss, inflight
-        nonlocal trigger_idx, trigger_kind
-        nonlocal blocked_memop, blocked_staddr, blocked_branch
-        nonlocal first_miss_idx, progress
-
-        op = ops[i]
-
-        if op == ALU:
-            de = rd[prod1[i]]
-            d = rd[prod2[i]]
-            if d > de:
-                de = d
-            if de > epoch:
-                return "defer"
-            progress = True
-            rd[i] = epoch
-            return "done"
-
-        if op == BRANCH:
-            de = rd[prod1[i]]
-            d = rd[prod2[i]]
-            if d > de:
-                de = d
-            if de <= epoch and not (branch_in_order and blocked_branch):
-                progress = True
-                return "done"
-            blocked_branch = True
-            if mispred[i]:
-                if slow_bp_saves(i):
-                    return "defer"
-                events.append(Inhibitor.MISPRED_BR)
-                return "stop-defer"
-            return "defer"
-
-        if op == LOAD:
-            de = rd[prod1[i]]
-            d = rd[prod2[i]]
-            if d > de:
-                de = d
-            d = rd[memdep[i]]
-            if d > de:
-                de = d
-            if de > epoch:
-                blocked_memop = True
-                return "defer"
-            if load_in_order and blocked_memop:
-                if dmiss[i]:
-                    events.append(Inhibitor.MISSING_LOAD)
-                return "defer"
-            if load_wait_staddr and blocked_staddr:
-                if dmiss[i]:
-                    events.append(Inhibitor.DEP_STORE)
-                return "defer"
-            if dmiss[i] and inflight >= mshr_cap:
-                events.append(Inhibitor.MSHR_LIMIT)
-                blocked_memop = True
-                return "defer"
-            progress = True
-            if dmiss[i]:
-                accesses += 1
-                e_dmiss += 1
-                inflight += 1
-                if trigger_idx is None:
-                    trigger_idx = i
-                    trigger_kind = TriggerKind.DMISS
-                if first_miss_idx is None:
-                    first_miss_idx = i
-                rd[i] = epoch + 1
-            else:
-                rd[i] = epoch
-            return "done"
-
-        if op == STORE:
-            ade = rd[prod1[i]]
-            d = rd[prod2[i]]
-            if d > ade:
-                ade = d
-            de = ade
-            d = rd[prod3[i]]
-            if d > de:
-                de = d
-            if de > epoch:
-                blocked_memop = True
-                if ade > epoch:
-                    blocked_staddr = True
-                return "defer"
-            if smiss[i]:
-                if e_smiss >= sb_cap:
-                    events.append(Inhibitor.STORE_BUFFER)
-                    blocked_memop = True
-                    return "defer"
-                if inflight >= mshr_cap:
-                    events.append(Inhibitor.MSHR_LIMIT)
-                    blocked_memop = True
-                    return "defer"
-                e_smiss += 1
-                inflight += 1
-            progress = True
-            rd[i] = epoch
-            return "done"
-
-        if op == PREFETCH:
-            de = rd[prod1[i]]
-            d = rd[prod2[i]]
-            if d > de:
-                de = d
-            if de > epoch:
-                return "defer"
-            if pmiss[i] and inflight >= mshr_cap:
-                events.append(Inhibitor.MSHR_LIMIT)
-                return "defer"
-            progress = True
-            if pmiss[i]:
-                inflight += 1
-            if pmiss[i] and pfuseful[i]:
-                accesses += 1
-                e_pmiss += 1
-                if trigger_idx is None:
-                    trigger_idx = i
-                    trigger_kind = TriggerKind.PMISS
-            return "done"
-
-        if op == NOP:
-            progress = True
-            return "done"
-
-        # Serializing instructions: CAS / LDSTUB / MEMBAR.
-        de = rd[prod1[i]]
-        d = rd[prod2[i]]
-        if d > de:
-            de = d
-        d = rd[prod3[i]]
-        if d > de:
-            de = d
-        if op != MEMBAR:
-            d = rd[memdep[i]]
-            if d > de:
-                de = d
-
-        if serializing:
-            outstanding = bool(new_deferred) or trigger_idx is not None
-            if outstanding or de > epoch:
-                events.append(Inhibitor.SERIALIZE)
-                if op == MEMBAR:
-                    progress = True
-                    rd[i] = epoch + 1
-                    return "stop-done"
-                blocked_memop = True
-                return "stop-defer"
-            progress = True
-            if op == MEMBAR:
-                rd[i] = epoch
-                return "done"
-            return execute_atomic(i)
-
-        if op == MEMBAR:
-            progress = True
-            rd[i] = epoch
-            return "done"
-        if de > epoch:
-            blocked_memop = True
-            return "defer"
-        progress = True
-        return execute_atomic(i)
-
-    def execute_atomic(i):
-        """Issue an executing CAS/LDSTUB (register + memory results)."""
-        nonlocal accesses, e_dmiss, trigger_idx, trigger_kind
-        nonlocal first_miss_idx, inflight
-        if dmiss[i]:
-            accesses += 1
-            e_dmiss += 1
-            inflight += 1
-            if trigger_idx is None:
-                trigger_idx = i
-                trigger_kind = TriggerKind.DMISS
-            if first_miss_idx is None:
-                first_miss_idx = i
-            rd[i] = epoch + 1
-        else:
-            rd[i] = epoch
-        if serializing and dmiss[i]:
-            events.append(Inhibitor.SERIALIZE)
-            return "stop-done"
-        return "done"
-
-    EMPTY = ()  # vector_segment marker: every lane executed, no defers
-
-    def vector_segment(sel, length):
-        """Resolve one vectorisable stretch, tentatively executed.
-
-        *sel* is a slice (fetch span) or an int index array (deferred
-        run); *length* is its element count.  Returns
-
-        * ``EMPTY`` — every lane executed (``rd[sel]`` = ``epoch``);
-          the common case, resolved with a single stacked gather;
-        * ``(defer, dep, dep12, ld, st, br)`` — the defer mask, the
-          dependence-defer mask, the address-source defer mask and the
-          opclass masks, aligned with *sel*, with ``rd[sel]`` already
-          holding ``epoch`` on executing lanes and ``NOT_EXECUTED`` on
-          deferring lanes;
-        * ``None`` — the defer closure exceeded :data:`FIXPOINT_CAP`
-          iterations (``rd[sel]`` fully reverted; caller interprets).
-        """
-        seg = vprod_all[:, sel]
-        rd[sel] = ep32
-        g = rd[seg] > epoch
-        cascading = (
-            (load_in_order and blocked_memop)
-            or (load_wait_staddr and blocked_staddr)
-            or (branch_in_order and blocked_branch)
-        )
-        if not cascading and not g.any():
-            return EMPTY
-
-        ld = is_load_c[sel]
-        st = is_store_c[sel]
-        br = is_branch_c[sel]
-        mo = is_memop_c[sel]
-        pos = arange_n[:length]
-        defer = None
-        for _ in range(FIXPOINT_CAP):
-            dep12 = g[0] | g[1]
-            dep = dep12 | g[2] | g[3]
-            new = dep
-            if load_in_order:
-                if blocked_memop:
-                    new = new | ld
-                else:
-                    md = mo & dep
-                    if md.any():
-                        new = new | (ld & (pos > int(md.argmax())))
-            elif load_wait_staddr:
-                if blocked_staddr:
-                    new = new | ld
-                else:
-                    sd = st & dep12
-                    if sd.any():
-                        new = new | (ld & (pos > int(sd.argmax())))
-            if branch_in_order:
-                if blocked_branch:
-                    new = new | br
-                else:
-                    bd = br & new
-                    if bd.any():
-                        new = new | (br & (pos > int(bd.argmax())))
-            if defer is None:
-                if not new.any():
-                    return EMPTY
-            elif np.array_equal(new, defer):
-                return defer, dep, dep12, ld, st, br
-            defer = new
-            rd[sel] = np.where(defer, ne32, ep32)
-            g = rd[seg] > epoch
-        rd[sel] = ne32
-        return None
-
-    def finish_segment(indices, defer, dep, dep12, ld, st, br, length):
-        """Commit the first *length* lanes of a resolved stretch.
-
-        *indices* maps lanes to absolute instruction positions (an
-        int array for deferred runs, ``None`` + *base* handled by the
-        caller for contiguous spans is not needed — spans pass their
-        absolute index array too).  Updates the deferral list, the
-        blocking flags and ``progress``; returns the executed count.
-        """
-        nonlocal blocked_memop, blocked_staddr, blocked_branch, progress
-        d = defer[:length]
-        dep = dep[:length]
-        dep12 = dep12[:length]
-        if d.any():
-            new_deferred.extend(indices[:length][d].tolist())
-            executed = length - int(d.sum())
-        else:
-            executed = length
-        if executed:
-            progress = True
-        if not blocked_memop and (is_memop_seg(ld, st, length) & dep).any():
-            blocked_memop = True
-        if not blocked_staddr and (st[:length] & dep12).any():
-            blocked_staddr = True
-        if not blocked_branch and (br[:length] & d).any():
-            blocked_branch = True
-        return executed
-
-    def is_memop_seg(ld, st, length):
-        return ld[:length] | st[:length]
-
-    def first_branch_stop(indices, defer, br, length):
-        """First mispredicted deferring branch the predictor cannot save.
-
-        Returns its lane index, or ``-1``.  *indices* are absolute
-        positions (for the slow-predictor hash); only the first
-        *length* lanes are considered.
-        """
-        cand = np.flatnonzero(
-            br[:length] & defer[:length] & mispred_c[indices[:length]]
-        )
-        for c in cand:
-            if slow_bp and slow_bp_saves(int(indices[int(c)])):
-                continue
-            return int(c)
-        return -1
-
-    while fetch_pos < n or deferred:
-        epoch += 1
-        ep32 = np.int32(epoch)
-        accesses = 0
-        e_dmiss = 0
-        e_imiss = 0
-        e_pmiss = 0
-        e_smiss = 0
-        inflight = 0
-        trigger_idx = None
-        trigger_kind = None
-        first_miss_idx = None
-
-        blocked_memop = False
-        blocked_staddr = False
-        blocked_branch = False
-        events = []
-        new_deferred = []
-        progress = False
-
-        stop_scan = False
-        fetch_stop = None  # None / "hard" / "soft" ("soft" allows buffering)
-
-        # ---- phase 1: deferred instructions, in program order ----------
-        # Runs of non-scalar entries between event-carrying ones are
-        # resolved vectorised; scalar entries and short runs take the
-        # interpreter.  Entry order (= program order: the deferral list
-        # is built in scan order every epoch) is preserved throughout.
-        if deferred:
-            d_arr = np.fromiter(deferred, dtype=np.int64, count=len(deferred))
-            d_scal = np.flatnonzero(plan.scalar_mask[d_arr])
-            nd_total = len(deferred)
-            seg_start = 0
-            si = 0
-            while seg_start < nd_total:
-                run_end = int(d_scal[si]) if si < len(d_scal) else nd_total
-                if run_end - seg_start >= VECTOR_MIN:
-                    run = d_arr[seg_start:run_end]
-                    res = vector_segment(run, len(run))
-                else:
-                    run = None
-                    res = None
-                if res is EMPTY:
-                    progress = True
-                    seg_start = run_end
-                elif res is not None:
-                    defer, dep, dep12, ld, st, br = res
-                    bstop = first_branch_stop(run, defer, br, len(run))
-                    length = len(run) if bstop < 0 else bstop + 1
-                    if length < len(run):
-                        rd[run[length:]] = ne32
-                    finish_segment(
-                        run, defer, dep, dep12, ld, st, br, length
-                    )
-                    if bstop >= 0:
-                        events.append(Inhibitor.MISPRED_BR)
-                        new_deferred.extend(deferred[seg_start + length:])
-                        stop_scan = True
-                        break
-                    seg_start = run_end
-                else:
-                    # Scalar interpretation: a short run, a run whose
-                    # defer closure did not converge, or nothing (the
-                    # next entry is itself scalar).
-                    scan_end = run_end if run_end > seg_start else run_end + 1
-                    stopped_status = None
-                    for di in range(seg_start, min(scan_end, nd_total)):
-                        i = deferred[di]
-                        status = execute_scalar(i)
-                        if status == "defer":
-                            new_deferred.append(i)
-                        elif status == "stop-defer":
-                            new_deferred.append(i)
-                            stopped_status = status
-                        elif status == "stop-done":
-                            stopped_status = status
-                        if stopped_status is not None:
-                            new_deferred.extend(deferred[di + 1:])
-                            stop_scan = True
-                            break
-                    if stop_scan:
-                        last_event = events[-1] if events else None
-                        if (stopped_status == "stop-done"
-                                or last_event is Inhibitor.SERIALIZE):
-                            fetch_stop = "soft"
-                        break
-                    seg_start = min(scan_end, nd_total)
-                    if run_end < nd_total and seg_start > run_end:
-                        si += 1
-                continue
-
-        # ---- phase 2: fetch — vector spans between scalar positions ----
-        if not stop_scan and fetch_stop is None:
-            while fetch_pos < n:
-                # Window constraints bind whenever older work is
-                # uncompleted (a deferral or an outstanding data miss).
-                oldest = new_deferred[0] if new_deferred else None
-                if first_miss_idx is not None and (
-                    oldest is None or first_miss_idx < oldest
-                ):
-                    oldest = first_miss_idx
-                if oldest is not None and fetch_pos - oldest >= rob_size:
-                    events.append(Inhibitor.MAXWIN)
-                    fetch_stop = "soft"
-                    break
-                if len(new_deferred) >= iw_size:
-                    events.append(Inhibitor.MAXWIN)
-                    fetch_stop = "soft"
-                    break
-
-                i = fetch_pos
-                while scalar_pos[sp_idx] < i:
-                    sp_idx += 1
-                span_end = scalar_pos[sp_idx]
-
-                if span_end == i:  # a scalar position
-                    if imiss[i]:
-                        if inflight >= mshr_cap:
-                            events.append(Inhibitor.MSHR_LIMIT)
-                            fetch_stop = "hard"
-                            break
-                        accesses += 1
-                        e_imiss += 1
-                        inflight += 1
-                        imiss[i] = False  # the line arrives; don't recount
-                        if trigger_idx is None:
-                            trigger_idx = i
-                            trigger_kind = TriggerKind.IMISS
-                            events.append(Inhibitor.IMISS_START)
-                        else:
-                            events.append(Inhibitor.IMISS_END)
-                        new_deferred.append(i)
-                        fetch_pos += 1
-                        progress = True
-                        fetch_stop = "hard"
-                        break
-                    status = execute_scalar(i)
-                    fetch_pos += 1
-                    if status == "defer":
-                        new_deferred.append(i)
-                    elif status == "stop-defer":
-                        new_deferred.append(i)
-                        last_event = events[-1] if events else None
-                        fetch_stop = (
-                            "soft" if last_event is Inhibitor.SERIALIZE
-                            else "hard"
-                        )
-                        break
-                    elif status == "stop-done":
-                        fetch_stop = "soft"
-                        break
-                    continue
-
-                if (not new_deferred and first_miss_idx is None
-                        and not (blocked_memop or blocked_staddr
-                                 or blocked_branch)):
-                    # Clean machine state: nothing deferred, no miss in
-                    # flight, no policy cascade armed.  Every producer
-                    # of every instruction in [i, span_end) already has
-                    # rd <= epoch, the window cannot bind, and spans
-                    # contain no event positions — the whole stretch
-                    # executes as one slice fill.
-                    rd[i:span_end] = ep32
-                    progress = True
-                    fetch_pos = span_end
-                    continue
-
-                # Pre-truncate the span at the ROB limit when the base
-                # is already pinned by older work: instructions past it
-                # can never fetch this scan, so don't pay for them.
-                span_cap = span_end
-                if oldest is not None:
-                    span_cap = min(span_cap, oldest + rob_size)
-
-                if span_cap - i < VECTOR_MIN or i < force_scalar_until:
-                    # Short stretch (or a convergence bail-out): the
-                    # one-instruction interpreter, window checks at the
-                    # loop top as usual.
-                    status = execute_scalar(i)
-                    fetch_pos += 1
-                    if status == "defer":
-                        new_deferred.append(i)
-                    elif status == "stop-defer":
-                        new_deferred.append(i)
-                        last_event = events[-1] if events else None
-                        fetch_stop = (
-                            "soft" if last_event is Inhibitor.SERIALIZE
-                            else "hard"
-                        )
-                        break
-                    elif status == "stop-done":
-                        fetch_stop = "soft"
-                        break
-                    continue
-
-                # -- vectorised span [i, span_cap) ----------------------
-                m = span_cap - i
-                res = vector_segment(slice(i, span_cap), m)
-                if res is None:
-                    force_scalar_until = span_cap
-                    continue
-                if res is EMPTY:
-                    # Nothing deferred: the span executed whole.  If the
-                    # ROB pre-truncation cut it short the loop-top check
-                    # emits MAXWIN exactly as the scalar scan would.
-                    progress = True
-                    fetch_pos = span_cap
-                    continue
-                defer, dep, dep12, ld, st, br = res
-                dpos = np.flatnonzero(defer)
-
-                # Closed-form window stops: the scalar scan re-checks
-                # ROB/IW before every fetch, but inside a span the
-                # inputs only change at defer positions.  (The oldest
-                # != None ROB case is already folded into span_cap.)
-                limit = span_cap
-                if oldest is None and dpos.size:
-                    limit = min(limit, i + int(dpos[0]) + rob_size)
-                room = iw_size - len(new_deferred)
-                if dpos.size >= room:
-                    limit = min(limit, i + int(dpos[room - 1]) + 1)
-
-                indices = arange_n[i:span_cap]
-                bstop = first_branch_stop(indices, defer, br, limit - i)
-                if bstop >= 0:
-                    length = bstop + 1
-                    rd[i + length:span_cap] = ne32
-                    finish_segment(
-                        indices, defer, dep, dep12, ld, st, br, length
-                    )
-                    fetch_pos = i + length
-                    events.append(Inhibitor.MISPRED_BR)
-                    fetch_stop = "hard"
-                    break
-                if limit < span_cap:
-                    length = limit - i
-                    rd[limit:span_cap] = ne32
-                    finish_segment(
-                        indices, defer, dep, dep12, ld, st, br, length
-                    )
-                    fetch_pos = limit
-                else:
-                    finish_segment(indices, defer, dep, dep12, ld, st, br, m)
-                    fetch_pos = span_cap
-                # A window stop (IW full, or ROB pinned by the span's
-                # own first deferral or by older work) fires at the
-                # loop-top checks on the next iteration, which see the
-                # updated new_deferred — identical to the scalar scan.
-
-        # ---- phase 3: fetch-buffer run-on past a dispatch-side stall ---
-        if fetch_stop == "soft":
-            buffered = 0
-            while fetch_pos < n and buffered < fetch_buffer:
-                i = fetch_pos
-                if imiss[i]:
-                    if inflight >= mshr_cap:
-                        break
-                    accesses += 1
-                    e_imiss += 1
-                    inflight += 1
-                    imiss[i] = False
-                    events.append(Inhibitor.IMISS_END)
-                    new_deferred.append(i)
-                    fetch_pos += 1
-                    progress = True
-                    break
-                new_deferred.append(i)
-                fetch_pos += 1
-                buffered += 1
-                if mispred[i]:
-                    # Fetch past an (unexecuted) mispredicted branch is
-                    # on the wrong path: nothing beyond it may be
-                    # buffered or counted.
-                    break
-
-        deferred = new_deferred
-
-        store_accesses += e_smiss
-        if e_smiss:
-            store_epochs += 1
-
-        if accesses == 0 and e_smiss:
-            continue
-        if accesses == 0:
-            if not progress:
-                where = (
-                    deferred[0] + plan.start if deferred
-                    else fetch_pos + plan.start
-                )
-                raise InternalError(
-                    f"batched MLPsim made no progress in an epoch at"
-                    f" instruction {where}"
-                )
-            continue  # pure on-chip stretch: not an epoch
-
-        epochs_recorded += 1
-        total_accesses += accesses
-        dmiss_accesses += e_dmiss
-        imiss_accesses += e_imiss
-        prefetch_accesses += e_pmiss
-
-        inhibitor = events[0] if events else Inhibitor.END_OF_TRACE
-        inhibitors.record(inhibitor)
-
-    return MLPResult(
-        workload=workload,
-        machine_label=machine.label,
-        instructions=n,
-        accesses=total_accesses,
-        epochs=epochs_recorded,
-        dmiss_accesses=dmiss_accesses,
-        imiss_accesses=imiss_accesses,
-        prefetch_accesses=prefetch_accesses,
-        store_accesses=store_accesses,
-        store_epochs=store_epochs,
-        inhibitors=inhibitors,
-        epoch_records=None,
-    )

@@ -1,35 +1,27 @@
-"""Compiled MLPsim kernel: build, load and drive ``_mlpsim_kernel.c``.
+"""Compiled MLPsim kernel: bind and drive ``_mlpsim_kernel.c``.
 
 The batched engine's hot path is a C translation of the Python epoch
-scan (see ``_mlpsim_kernel.c``), compiled on demand with the system C
-compiler and loaded through :mod:`ctypes` — no third-party build
-dependency.  One :func:`run_plan` call simulates **many machine
-configurations against one shared columnar plan**, which is what makes
-full-grid sweeps cheap: the trace columns are prepared once and the
-per-config cost collapses to a few milliseconds of compiled scanning.
+scan (see ``_mlpsim_kernel.c``), built and loaded by :mod:`repro.cbuild`.
+One :func:`run_plan` call simulates **many machine configurations
+against one shared columnar plan**, which is what makes full-grid
+sweeps cheap: the trace columns are prepared once and the per-config
+cost collapses to a few milliseconds of compiled scanning.
 
 Everything here is fail-soft: a missing compiler, an unwritable build
 directory or a failed compilation simply mark the kernel unavailable
-(:func:`kernel_available` returns ``False``) and the pure-NumPy engine
-in :mod:`repro.core.batched` takes over.  The build is atomic
-(temp file + ``os.replace``) and keyed on the SHA-1 of the C source,
-so concurrent sweep workers race benignly and edits to the source
-trigger a rebuild instead of loading a stale object.
+(:func:`kernel_available` returns ``False``) and
+:mod:`repro.core.batched` sends every config to the scalar engine.
 """
 
 import ctypes
-import hashlib
 import os
-import shutil
-import subprocess
-import tempfile
 
 import numpy as np
 
+from repro.cbuild import KernelLoader, c_column, verify_opcodes
 from repro.core.columnar import validate_plan_contract
 from repro.core.results import MLPResult
 from repro.core.termination import Inhibitor, InhibitorCounts
-from repro.isa.opclass import OpClass
 from repro.robustness.errors import InternalError
 
 #: Inhibitor indices of the C kernel, in order.  Must match the INH_*
@@ -47,13 +39,6 @@ INHIBITOR_ORDER = (
     Inhibitor.STORE_BUFFER,
     Inhibitor.END_OF_TRACE,
 )
-
-#: Opcode values the C source was written against.  Verified against
-#: :class:`repro.isa.opclass.OpClass` before the kernel is ever used.
-_EXPECTED_OPS = {
-    "ALU": 0, "LOAD": 1, "STORE": 2, "BRANCH": 3, "PREFETCH": 4,
-    "CAS": 5, "LDSTUB": 6, "MEMBAR": 7, "NOP": 8,
-}
 
 #: ``execute()`` status codes of the C kernel, keyed by the ``ST_*``
 #: suffix.  The Python engines speak strings ("done", "defer",
@@ -99,50 +84,9 @@ class _KernelResult(ctypes.Structure):
     ]
 
 
-_kernel = None
-_kernel_error = None
-_probed = False
-
-
-def _build_dir():
-    """First writable directory for the compiled object, or ``None``.
-
-    ``REPRO_KERNEL_DIR`` overrides; setting it to an empty string
-    disables the compiled kernel entirely (tests use this to pin the
-    NumPy fallback).
-    """
-    override = os.environ.get("REPRO_KERNEL_DIR")
-    if override is not None:
-        return override if override.strip() else None
-    candidates = [
-        os.path.join(os.path.dirname(_SOURCE_PATH), "_build"),
-        os.path.join(tempfile.gettempdir(), "repro-kernel"),
-    ]
-    for candidate in candidates:
-        try:
-            os.makedirs(candidate, exist_ok=True)
-            probe = os.path.join(candidate, f".probe-{os.getpid()}")
-            with open(probe, "w"):  # reprolint: disable=atomic-writes
-                pass  # an empty writability probe, not a data write
-            os.unlink(probe)
-            return candidate
-        except OSError:
-            continue
-    return None
-
-
-def _compiler():
-    return os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
-
-
 def _verify_constants():
     """The C source hard-codes enum values; refuse to load on any skew."""
-    for name, value in _EXPECTED_OPS.items():
-        if int(OpClass[name]) != value:
-            raise InternalError(
-                f"OpClass.{name} = {int(OpClass[name])} but the compiled"
-                f" kernel was written for {value}; rebuild _mlpsim_kernel.c"
-            )
+    verify_opcodes("_mlpsim_kernel.c")
     if len(INHIBITOR_ORDER) != len(Inhibitor):
         raise InternalError(
             "Inhibitor enum and the compiled kernel's INH_* table"
@@ -150,43 +94,7 @@ def _verify_constants():
         )
 
 
-def _load_kernel():
-    """Compile (if needed) and bind the kernel; raises on any failure."""
-    _verify_constants()
-    cc = _compiler()
-    if cc is None:
-        raise InternalError("no C compiler found (set CC or install cc)")
-    directory = _build_dir()
-    if directory is None:
-        raise InternalError("no writable directory for the kernel object")
-    with open(_SOURCE_PATH, "rb") as fh:
-        source = fh.read()
-    digest = hashlib.sha1(source).hexdigest()[:16]
-    so_path = os.path.join(directory, f"_mlpsim_kernel-{digest}.so")
-    if not os.path.exists(so_path):
-        tmp_path = os.path.join(
-            directory, f".{os.getpid()}-{digest}.so.tmp"
-        )
-        try:
-            subprocess.run(
-                [cc, "-O2", "-fPIC", "-shared", "-o", tmp_path,
-                 _SOURCE_PATH],
-                check=True,
-                capture_output=True,
-                text=True,
-            )
-            os.replace(tmp_path, so_path)  # atomic: workers race benignly
-        except subprocess.CalledProcessError as error:
-            raise InternalError(
-                f"kernel compilation failed: {error.stderr}"
-            ) from error
-        finally:
-            if os.path.exists(tmp_path):
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-    lib = ctypes.CDLL(so_path)
+def _bind(lib):
     fn = lib.mlpsim_batch
     fn.restype = ctypes.c_int
     fn.argtypes = [
@@ -205,27 +113,21 @@ def _load_kernel():
     return fn
 
 
+_loader = KernelLoader("MLPsim", _SOURCE_PATH, _bind, _verify_constants)
+
+
 def kernel_available():
     """Can the compiled kernel be used in this process?
 
     The first call probes (compiling if necessary); the outcome is
     cached for the life of the process either way.
     """
-    global _kernel, _kernel_error, _probed
-    if not _probed:
-        _probed = True
-        try:
-            _kernel = _load_kernel()
-        except Exception as error:  # fail-soft: NumPy engine takes over
-            _kernel = None
-            _kernel_error = error
-    return _kernel is not None
+    return _loader.available()
 
 
 def kernel_error():
     """Why the kernel is unavailable (``None`` when it loaded fine)."""
-    kernel_available()
-    return _kernel_error
+    return _loader.error()
 
 
 def _config_struct(machine):
@@ -252,14 +154,6 @@ def _config_struct(machine):
     )
 
 
-def _column(array, dtype):
-    """The column as a C-contiguous array of *dtype* without copying
-    when the layout already matches (bool columns reinterpret as u8)."""
-    if array.dtype == np.bool_ and dtype == np.uint8:
-        array = array.view(np.uint8)
-    return np.ascontiguousarray(array, dtype=dtype)
-
-
 def run_plan(plan, machines, workload):
     """Simulate every ``(label, machine)`` pair against *plan* in C.
 
@@ -274,26 +168,23 @@ def run_plan(plan, machines, workload):
         :func:`kernel_available` first) or a config made no progress —
         the same condition, same message, as the Python engines.
     """
-    if not kernel_available():
-        raise InternalError(
-            f"compiled MLPsim kernel unavailable: {_kernel_error}"
-        )
+    _kernel = _loader.require()
     pairs = list(machines)
     n = len(plan)
 
-    ops = _column(plan.ops, np.int8)
-    prod1 = _column(plan.prod1, np.int32)
-    prod2 = _column(plan.prod2, np.int32)
-    prod3 = _column(plan.prod3, np.int32)
-    memdep = _column(plan.memdep, np.int32)
-    dmiss = _column(plan.dmiss, np.uint8)
-    imiss = _column(plan.imiss, np.uint8)
-    mispred = _column(plan.mispred, np.uint8)
-    pmiss = _column(plan.pmiss, np.uint8)
-    pfuseful = _column(plan.pfuseful, np.uint8)
-    vp_ok = _column(plan.vp_ok, np.uint8)
-    smiss = _column(plan.smiss, np.uint8)
-    scalar_mask = _column(plan.scalar_mask, np.uint8)
+    ops = c_column(plan.ops, np.int8)
+    prod1 = c_column(plan.prod1, np.int32)
+    prod2 = c_column(plan.prod2, np.int32)
+    prod3 = c_column(plan.prod3, np.int32)
+    memdep = c_column(plan.memdep, np.int32)
+    dmiss = c_column(plan.dmiss, np.uint8)
+    imiss = c_column(plan.imiss, np.uint8)
+    mispred = c_column(plan.mispred, np.uint8)
+    pmiss = c_column(plan.pmiss, np.uint8)
+    pfuseful = c_column(plan.pfuseful, np.uint8)
+    vp_ok = c_column(plan.vp_ok, np.uint8)
+    smiss = c_column(plan.smiss, np.uint8)
+    scalar_mask = c_column(plan.scalar_mask, np.uint8)
 
     configs = (_KernelConfig * len(pairs))(
         *[_config_struct(machine) for _, machine in pairs]

@@ -1,11 +1,11 @@
 """Columnar simulation plans: the trace recast as NumPy structure-of-arrays.
 
 The scalar engine (:mod:`repro.core.mlpsim`) interprets one instruction
-at a time from flat Python lists.  The batched engine
-(:mod:`repro.core.batched`) instead executes *stretches* of instructions
-with vectorised NumPy operations, which needs the trace, its dependence
-graph and its event masks laid out as aligned int32/bool columns with
-gather-friendly sentinels.  That layout is a :class:`ColumnarPlan`.
+at a time from flat Python lists.  The compiled batch kernel
+(:mod:`repro.core.ckernel`) instead reads the trace, its dependence
+graph and its event masks as aligned int8/int32/bool columns with
+gather-friendly sentinels, straight from C.  That layout is a
+:class:`ColumnarPlan`.
 
 A plan is built once per ``(region, mask-key)`` and shared by **every
 machine configuration** whose perfect-* and value-prediction switches
@@ -22,21 +22,16 @@ Layout conventions
 
 * Producer columns (``prod1``, ``prod2``, ``prod3``, ``memdep``) are
   region-relative ``int32`` indices with the *sentinel* ``n`` (one past
-  the region) instead of ``-1`` for "no producer": the engines allocate
+  the region) instead of ``-1`` for "no producer": the kernel allocates
   result arrays of length ``n + 1`` whose last slot holds epoch 0
   ("always available"), so availability gathers need no mask.
 * Event columns are ``bool`` with the machine's perfect-* switches
   already applied, exactly as :func:`repro.core.mlpsim._event_arrays`
   computes them.
-* ``scalar_mask`` marks the positions the batched engine must hand to
-  the scalar interpreter (misses, serializing instructions,
-  result-less ops that name a destination); everything between two
-  scalar positions is eligible for vectorised execution.
-* The payload carries the dependence graph verbatim; the *vector*
-  producer columns — where a slot an opcode never reads (a NOP's
-  registers, a non-store's ``prod3``, a non-load's ``memdep``) is
-  forced to the sentinel — are derived locally by :meth:`runtime`,
-  together with the flat Python lists the scalar interpreter indexes.
+* ``scalar_mask`` marks the positions the kernel must interpret one at
+  a time (misses, serializing instructions, result-less ops that name
+  a destination); everything between two scalar positions is resolved
+  in bulk.
 
 Bump :data:`COLUMNAR_SCHEMA_VERSION` whenever the set or meaning of the
 columns changes: the disk annotation cache keys its entries on it, and
@@ -56,7 +51,7 @@ from repro.robustness.errors import InternalError, TraceFormatError
 
 #: Version of the columnar plan layout.  Annotation cache entries are
 #: keyed on it so pre-columnar archives cannot be misread as current.
-COLUMNAR_SCHEMA_VERSION = 1
+COLUMNAR_SCHEMA_VERSION = 2
 
 #: Columns a spilled plan payload must carry, with dtypes.
 PLAN_COLUMNS = (
@@ -72,10 +67,6 @@ PLAN_COLUMNS = (
     ("pfuseful", np.bool_),
     ("vp_ok", np.bool_),
     ("smiss", np.bool_),
-    ("is_load", np.bool_),
-    ("is_store", np.bool_),
-    ("is_branch", np.bool_),
-    ("is_memop", np.bool_),
     ("scalar_mask", np.bool_),
 )
 
@@ -185,41 +176,11 @@ def mask_key(machine):
 
 
 @dataclasses.dataclass
-class _PlanRuntime:
-    """Derived, process-local artifacts of a plan.
-
-    ``vprod_all`` stacks the four producer columns — with never-read
-    slots (a NOP's registers, a non-store's ``prod3``, a non-load's
-    ``memdep``) forced to the sentinel — into one ``(4, n)`` matrix, so
-    a single fancy gather resolves every in-span availability check.
-    The ``*_l`` members are flat Python lists
-    (the fastest random-access structure in the interpreter) for the
-    scalar positions the batched engine still interprets one at a time.
-    """
-
-    vprod_all: np.ndarray  # (4, n): vprod1 / vprod2 / vprod3 / vmem stacked
-    ops_l: list
-    prod1_l: list
-    prod2_l: list
-    prod3_l: list
-    memdep_l: list
-    dmiss_l: list
-    mispred_l: list
-    pmiss_l: list
-    pfuseful_l: list
-    smiss_l: list
-    scalar_mask_l: list
-    scalar_pos_l: list
-
-
-@dataclasses.dataclass
 class ColumnarPlan:
     """Structure-of-arrays input of the batched engine for one region.
 
     All columns have length ``n = stop - start``; producer columns use
-    the sentinel ``n`` for "no producer in region".  ``scalar_pos`` is
-    the sorted scalar positions followed by the sentinel ``n``, so
-    forward scans never fall off the end.
+    the sentinel ``n`` for "no producer in region".
     """
 
     start: int
@@ -236,54 +197,14 @@ class ColumnarPlan:
     pfuseful: np.ndarray
     vp_ok: np.ndarray
     smiss: np.ndarray
-    is_load: np.ndarray     # LOAD only (policy-A/B in-order load cascades)
-    is_store: np.ndarray    # STORE only
-    is_branch: np.ndarray   # BRANCH only (in-order branch cascades)
-    is_memop: np.ndarray    # LOAD | STORE (blocked_memop sources)
     scalar_mask: np.ndarray
-    scalar_pos: np.ndarray  # sorted scalar positions + sentinel n
 
     def __len__(self):
         return self.stop - self.start
 
     def nbytes(self):
         """Total payload size of the numpy columns, in bytes."""
-        total = self.scalar_pos.nbytes
-        for name, _ in PLAN_COLUMNS:
-            total += getattr(self, name).nbytes
-        return total
-
-    def runtime(self):
-        """Derived vector columns and scalar lists, built once per plan."""
-        cached = getattr(self, "_runtime", None)
-        if cached is not None:
-            return cached
-        n = len(self)
-        sentinel = np.int32(n)
-        is_nop = self.ops == int(OpClass.NOP)
-        vprod_all = np.ascontiguousarray(np.stack([
-            np.where(is_nop, sentinel, self.prod1),
-            np.where(is_nop, sentinel, self.prod2),
-            np.where(self.is_store, self.prod3, sentinel),
-            np.where(self.is_load, self.memdep, sentinel),
-        ]))
-        runtime = _PlanRuntime(
-            vprod_all=vprod_all,
-            ops_l=self.ops.tolist(),
-            prod1_l=self.prod1.tolist(),
-            prod2_l=self.prod2.tolist(),
-            prod3_l=self.prod3.tolist(),
-            memdep_l=self.memdep.tolist(),
-            dmiss_l=self.dmiss.tolist(),
-            mispred_l=self.mispred.tolist(),
-            pmiss_l=self.pmiss.tolist(),
-            pfuseful_l=self.pfuseful.tolist(),
-            smiss_l=self.smiss.tolist(),
-            scalar_mask_l=self.scalar_mask.tolist(),
-            scalar_pos_l=self.scalar_pos.tolist(),
-        )
-        self._runtime = runtime
-        return runtime
+        return sum(getattr(self, name).nbytes for name, _ in PLAN_COLUMNS)
 
 
 def _plan_cache(annotated):
@@ -339,11 +260,7 @@ def build_plan(annotated, machine, start, stop):
     prod3 = _sentineled(graph.prod3, n)
     memdep = _sentineled(graph.memdep, n)
 
-    is_load = ops == int(OpClass.LOAD)
-    is_store = ops == int(OpClass.STORE)
     is_branch = ops == int(OpClass.BRANCH)
-    is_memop = is_load | is_store
-
     serialize_ops = (
         (ops == int(OpClass.CAS))
         | (ops == int(OpClass.LDSTUB))
@@ -370,16 +287,8 @@ def build_plan(annotated, machine, start, stop):
         prod1=prod1, prod2=prod2, prod3=prod3, memdep=memdep,
         dmiss=dmiss, imiss=imiss, mispred=mispred,
         pmiss=pmiss, pfuseful=pfuseful, vp_ok=vp_ok, smiss=smiss,
-        is_load=is_load, is_store=is_store, is_branch=is_branch,
-        is_memop=is_memop,
         scalar_mask=scalar_mask,
-        scalar_pos=_scalar_pos(scalar_mask, n),
     )
-
-
-def _scalar_pos(scalar_mask, n):
-    positions = np.flatnonzero(scalar_mask).astype(np.int64)
-    return np.append(positions, n)
 
 
 def _sentineled(producers, n):
@@ -451,8 +360,4 @@ def plan_from_payload(payload, path=None):
                 path=path, field=name,
             )
         columns[name] = array
-    return ColumnarPlan(
-        start=start, stop=stop,
-        scalar_pos=_scalar_pos(columns["scalar_mask"], n),
-        **columns,
-    )
+    return ColumnarPlan(start=start, stop=stop, **columns)

@@ -1,15 +1,15 @@
 /* Compiled cycle-accurate pipeline kernel.
  *
- * A direct C translation of the interpreter tier in
- * repro/cyclesim/simulator.py, which is itself held bit-identical to
- * the frozen oracle repro/cyclesim/simulator_reference.py by
+ * An event-driven C translation of the frozen oracle
+ * repro/cyclesim/simulator_reference.py, held bit-identical to it by
  * tests/test_cyclesim_equivalence.py.  One cyclesim_batch() call runs
  * MANY pipeline configurations against one shared cycle plan: the
  * per-instruction tables are read-only and shared, the per-config
  * scratch (ready/complete/wake times, ROB, issue window, MSHR) is
  * allocated once and reset between configs.
  *
- * Structural notes, mirroring the Python tier:
+ * Structural notes (where this departs from the reference's data
+ * structures without changing any observable):
  *
  *  - MSHR completions form a FIFO, not a heap: every entry completes
  *    exactly miss_penalty cycles after allocation and the clock never

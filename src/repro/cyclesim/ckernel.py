@@ -1,13 +1,8 @@
-"""Compiled cyclesim kernel: build, load and drive ``_cyclesim_kernel.c``.
+"""Compiled cyclesim kernel: bind and drive ``_cyclesim_kernel.c``.
 
-The cycle simulator's fast tier is a C translation of the interpreter
-in :mod:`repro.cyclesim.simulator`, compiled on demand with the system
-C compiler and loaded through :mod:`ctypes` — the same zero-dependency
-build protocol as the MLPsim kernel (:mod:`repro.core.ckernel`): the
-object is keyed on the SHA-1 of the source, written atomically so
-concurrent sweep workers race benignly, and ``REPRO_KERNEL_DIR``
-overrides the build directory (empty string disables the kernel —
-tests use this to pin the interpreter tier).
+The cycle simulator's fast path is a C kernel held bit-identical to the
+frozen reference (:mod:`repro.cyclesim.simulator_reference`), built and
+loaded by :mod:`repro.cbuild` exactly like the MLPsim kernel.
 
 One :func:`run_cycle_plan` call simulates **many pipeline
 configurations against one shared cycle plan**: the per-instruction
@@ -17,30 +12,20 @@ configs per workload) cheap.
 
 Everything is fail-soft: a missing compiler or unwritable build
 directory marks the kernel unavailable (:func:`kernel_available`
-returns ``False``) and the pure-Python interpreter takes over.
+returns ``False``) and :mod:`repro.cyclesim.simulator` runs the
+reference simulator instead.
 """
 
 import ctypes
-import hashlib
 import os
-import shutil
-import subprocess
-import tempfile
 
 import numpy as np
 
+from repro.cbuild import KernelLoader, c_column, verify_opcodes
 from repro.core.config import BranchPolicy, LoadPolicy, SerializePolicy
 from repro.cyclesim.metrics import STALL_CATEGORIES, CycleMetrics
 from repro.cyclesim.plan import validate_cycle_plan_contract
-from repro.isa.opclass import OpClass
 from repro.robustness.errors import InternalError
-
-#: Opcode values the C source was written against.  Verified against
-#: :class:`repro.isa.opclass.OpClass` before the kernel is ever used.
-_EXPECTED_OPS = {
-    "ALU": 0, "LOAD": 1, "STORE": 2, "BRANCH": 3, "PREFETCH": 4,
-    "CAS": 5, "LDSTUB": 6, "MEMBAR": 7, "NOP": 8,
-}
 
 #: Per-config status codes of the C kernel (``ST_*`` defines).
 _ST_OK = 0
@@ -90,90 +75,12 @@ class _KernelResult(ctypes.Structure):
     ]
 
 
-_kernel = None
-_kernel_error = None
-_probed = False
-
-
-def _build_dir():
-    """First writable directory for the compiled object, or ``None``.
-
-    ``REPRO_KERNEL_DIR`` overrides; setting it to an empty string
-    disables the compiled kernel entirely (tests use this to pin the
-    interpreter tier).
-    """
-    override = os.environ.get("REPRO_KERNEL_DIR")
-    if override is not None:
-        return override if override.strip() else None
-    candidates = [
-        os.path.join(os.path.dirname(_SOURCE_PATH), "_build"),
-        os.path.join(tempfile.gettempdir(), "repro-kernel"),
-    ]
-    for candidate in candidates:
-        try:
-            os.makedirs(candidate, exist_ok=True)
-            probe = os.path.join(candidate, f".probe-{os.getpid()}")
-            with open(probe, "w"):  # reprolint: disable=atomic-writes
-                pass  # an empty writability probe, not a data write
-            os.unlink(probe)
-            return candidate
-        except OSError:
-            continue
-    return None
-
-
-def _compiler():
-    return os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
-
-
 def _verify_constants():
     """The C source hard-codes enum values; refuse to load on any skew."""
-    for name, value in _EXPECTED_OPS.items():
-        if int(OpClass[name]) != value:
-            raise InternalError(
-                f"OpClass.{name} = {int(OpClass[name])} but the compiled"
-                f" kernel was written for {value};"
-                " rebuild _cyclesim_kernel.c"
-            )
+    verify_opcodes("_cyclesim_kernel.c")
 
 
-def _load_kernel():
-    """Compile (if needed) and bind the kernel; raises on any failure."""
-    _verify_constants()
-    cc = _compiler()
-    if cc is None:
-        raise InternalError("no C compiler found (set CC or install cc)")
-    directory = _build_dir()
-    if directory is None:
-        raise InternalError("no writable directory for the kernel object")
-    with open(_SOURCE_PATH, "rb") as fh:
-        source = fh.read()
-    digest = hashlib.sha1(source).hexdigest()[:16]
-    so_path = os.path.join(directory, f"_cyclesim_kernel-{digest}.so")
-    if not os.path.exists(so_path):
-        tmp_path = os.path.join(
-            directory, f".{os.getpid()}-{digest}.so.tmp"
-        )
-        try:
-            subprocess.run(
-                [cc, "-O2", "-fPIC", "-shared", "-o", tmp_path,
-                 _SOURCE_PATH],
-                check=True,
-                capture_output=True,
-                text=True,
-            )
-            os.replace(tmp_path, so_path)  # atomic: workers race benignly
-        except subprocess.CalledProcessError as error:
-            raise InternalError(
-                f"kernel compilation failed: {error.stderr}"
-            ) from error
-        finally:
-            if os.path.exists(tmp_path):
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-    lib = ctypes.CDLL(so_path)
+def _bind(lib):
     fn = lib.cyclesim_batch
     fn.restype = ctypes.c_int
     fn.argtypes = [
@@ -192,27 +99,21 @@ def _load_kernel():
     return fn
 
 
+_loader = KernelLoader("cyclesim", _SOURCE_PATH, _bind, _verify_constants)
+
+
 def kernel_available():
     """Can the compiled cyclesim kernel be used in this process?
 
     The first call probes (compiling if necessary); the outcome is
     cached for the life of the process either way.
     """
-    global _kernel, _kernel_error, _probed
-    if not _probed:
-        _probed = True
-        try:
-            _kernel = _load_kernel()
-        except Exception as error:  # fail-soft: interpreter takes over
-            _kernel = None
-            _kernel_error = error
-    return _kernel is not None
+    return _loader.available()
 
 
 def kernel_error():
     """Why the kernel is unavailable (``None`` when it loaded fine)."""
-    kernel_available()
-    return _kernel_error
+    return _loader.error()
 
 
 def _config_struct(config):
@@ -241,48 +142,37 @@ def _config_struct(config):
     )
 
 
-def _column(array, dtype):
-    """The column as a C-contiguous array of *dtype* without copying
-    when the layout already matches (bool columns reinterpret as u8)."""
-    if array.dtype == np.bool_ and dtype == np.uint8:
-        array = array.view(np.uint8)
-    return np.ascontiguousarray(array, dtype=dtype)
-
-
 def run_cycle_plan(plan, pairs, workload):
     """Simulate every ``(label, config)`` pair against *plan* in C.
 
     One kernel call covers the whole batch: the columns are shared,
     the per-config scratch buffers are reused inside the kernel.
     Returns ``{label: CycleMetrics}`` in input order, bit-identical to
-    the interpreter (and hence the frozen reference).
+    the frozen reference.
 
     Raises
     ------
     repro.robustness.errors.InternalError
         If the kernel is unavailable (callers must check
         :func:`kernel_available` first) or a config deadlocked — the
-        same condition, same message, as the Python tiers.
+        same condition, same message, as the reference.
     """
-    if not kernel_available():
-        raise InternalError(
-            f"compiled cyclesim kernel unavailable: {_kernel_error}"
-        )
+    _kernel = _loader.require()
     pairs = list(pairs)
     n = len(plan)
 
-    ops = _column(plan.ops, np.int8)
-    prod1 = _column(plan.prod1, np.int32)
-    prod2 = _column(plan.prod2, np.int32)
-    prod3 = _column(plan.prod3, np.int32)
-    memdep = _column(plan.memdep, np.int32)
-    addr_line = _column(plan.addr_line, np.int64)
-    pc_line = _column(plan.pc_line, np.int64)
-    dmiss = _column(plan.dmiss, np.uint8)
-    imiss = _column(plan.imiss, np.uint8)
-    mispred = _column(plan.mispred, np.uint8)
-    pmiss = _column(plan.pmiss, np.uint8)
-    pfuseful = _column(plan.pfuseful, np.uint8)
+    ops = c_column(plan.ops, np.int8)
+    prod1 = c_column(plan.prod1, np.int32)
+    prod2 = c_column(plan.prod2, np.int32)
+    prod3 = c_column(plan.prod3, np.int32)
+    memdep = c_column(plan.memdep, np.int32)
+    addr_line = c_column(plan.addr_line, np.int64)
+    pc_line = c_column(plan.pc_line, np.int64)
+    dmiss = c_column(plan.dmiss, np.uint8)
+    imiss = c_column(plan.imiss, np.uint8)
+    mispred = c_column(plan.mispred, np.uint8)
+    pmiss = c_column(plan.pmiss, np.uint8)
+    pfuseful = c_column(plan.pfuseful, np.uint8)
 
     configs = (_KernelConfig * len(pairs))(
         *[_config_struct(config) for _, config in pairs]

@@ -48,14 +48,14 @@ CYCLESIM_ORACLE_SHA256 = (
 PAYLOAD_SCHEMA_PATH = "src/repro/core/columnar.py"
 
 #: The COLUMNAR_SCHEMA_VERSION the fingerprint below was pinned at.
-PAYLOAD_SCHEMA_VERSION = 1
+PAYLOAD_SCHEMA_VERSION = 2
 
 #: SHA-256 fingerprint of the plan_payload column set: one
 #: ``name:dtype`` line per PLAN_COLUMNS entry in order, then one
 #: ``+key`` line per extra payload record (see
 #: ``repro.lint.clang_parity.pyextract.schema_fingerprint``).
 PAYLOAD_SCHEMA_SHA256 = (
-    "a87855d9fd2a0280ba265a04dd00f87ee187e4dad46f929142ccfbbf17c5d3ca"
+    "80c5b32d539281e6c6ef8cdc1150cd827f2ca94a48b3068bb7ed99b2336575b6"
 )
 
 #: ``facts_fingerprint`` pins of the Python plan-contract literals the

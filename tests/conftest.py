@@ -11,6 +11,7 @@ import os
 import pytest
 
 from repro.core.config import MachineConfig
+from repro.robustness.errors import InternalError
 from repro.trace.annotate import annotate
 from repro.workloads import generate_trace
 
@@ -53,3 +54,29 @@ def all_annotated(database_annotated, specjbb_annotated, specweb_annotated):
 @pytest.fixture
 def default_machine():
     return MachineConfig()  # the paper's 64C machine
+
+
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """Both compiled kernels unavailable, as on a host without ``cc``.
+
+    The kernel entry points and the shared-memory plan path are patched
+    to raise, so a no-kernel route that still reaches them fails.
+    """
+    import repro.analysis.shm as shm
+    from repro.core import ckernel
+    from repro.cyclesim import ckernel as cycle_ckernel
+
+    def forbidden(*args, **kwargs):
+        raise InternalError("kernel-only path reached without a kernel")
+
+    for module in (ckernel, cycle_ckernel):
+        monkeypatch.setattr(module._loader, "probed", True)
+        monkeypatch.setattr(module._loader, "function", None)
+        monkeypatch.setattr(
+            module._loader, "failure",
+            InternalError("kernel disabled for test"),
+        )
+    monkeypatch.setattr(ckernel, "run_plan", forbidden)
+    monkeypatch.setattr(cycle_ckernel, "run_cycle_plan", forbidden)
+    monkeypatch.setattr(shm, "publish_plan", forbidden)

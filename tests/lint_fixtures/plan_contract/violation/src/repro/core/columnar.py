@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.robustness.errors import InternalError
 
-COLUMNAR_SCHEMA_VERSION = 1
+COLUMNAR_SCHEMA_VERSION = 2
 
 PLAN_COLUMNS = (
     ("ops", np.int8),
@@ -26,10 +26,6 @@ PLAN_COLUMNS = (
     ("pfuseful", np.bool_),
     ("vp_ok", np.bool_),
     ("smiss", np.bool_),
-    ("is_load", np.bool_),
-    ("is_store", np.bool_),
-    ("is_branch", np.bool_),
-    ("is_memop", np.bool_),
     ("scalar_mask", np.bool_),
 )
 

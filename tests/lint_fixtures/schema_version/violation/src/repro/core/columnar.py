@@ -8,7 +8,7 @@ real module's column set exactly, so the fingerprint the
 
 import numpy as np
 
-COLUMNAR_SCHEMA_VERSION = 1
+COLUMNAR_SCHEMA_VERSION = 2
 
 PLAN_COLUMNS = (
     ("ops", np.int8),
@@ -21,11 +21,7 @@ PLAN_COLUMNS = (
     ("mispred", np.bool_),
     ("pmiss", np.bool_),
     ("pfuseful", np.bool_),
-    ("vp_ok", np.bool_),
     ("smiss", np.bool_),
-    ("is_load", np.bool_),
-    ("is_store", np.bool_),
-    ("is_branch", np.bool_),
     ("scalar_mask", np.bool_),
 )
 

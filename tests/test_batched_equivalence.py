@@ -1,18 +1,17 @@
 """Config-batched columnar engine vs. the frozen reference interpreter.
 
-The batched engine (:mod:`repro.core.batched`) — compiled kernel when a
-C toolchain is present, vectorised NumPy fallback otherwise — replaces
-N scalar replays of a sweep with one pass per event-mask group over a
-shared columnar plan.  The refactor is only admissible if every result
-is **bit-identical** to ``mlpsim_reference.simulate_reference``, the
-verbatim pre-optimization oracle, across the paper's whole grid axis:
-window sizes x issue policies A-E x perfect-* switches, plus the
+The batched engine (:mod:`repro.core.batched`) replaces N scalar
+replays of a sweep with one compiled-kernel pass per event-mask group
+over a shared columnar plan.  The refactor is only admissible if every
+result is **bit-identical** to ``mlpsim_reference.simulate_reference``,
+the verbatim pre-optimization oracle, across the paper's whole grid
+axis: window sizes x issue policies A-E x perfect-* switches, plus the
 structure-limit families (MSHRs, store buffer, slow branch predictor,
 value prediction).
 
-Both engine tiers are pinned: the suite runs once against whatever tier
-the host resolves (kernel, normally) and once with the kernel forcibly
-disabled so the NumPy fallback's own envelope is exercised.
+Both routes are pinned: the suite runs once against the compiled kernel
+and once with the kernel forcibly disabled, where every config must
+reach the scalar engine without touching a kernel-only path.
 """
 
 import dataclasses
@@ -72,17 +71,6 @@ def _machine(label, overrides=None):
     return MachineConfig.named(base, **(overrides or {}))
 
 
-@pytest.fixture
-def no_kernel(monkeypatch):
-    """Pin the NumPy fallback tier (as if no C toolchain existed)."""
-    monkeypatch.setattr(ckernel, "_probed", True)
-    monkeypatch.setattr(ckernel, "_kernel", None)
-    monkeypatch.setattr(
-        ckernel, "_kernel_error",
-        RuntimeError("kernel disabled for test"),  # reprolint: disable=error-hierarchy
-    )
-
-
 class TestFullGridKernel:
     def test_window_policy_grid_bit_identical(self, specjbb_annotated):
         """All 30 window x policy configs, one batch vs. the oracle."""
@@ -131,8 +119,8 @@ class TestFullGridKernel:
                     (name, label)
 
 
-class TestNumpyFallback:
-    """The vectorised NumPy tier must hold the same oracle contract."""
+class TestNoKernelFallback:
+    """Without a compiler every config must still match the oracle."""
 
     def test_grid_bit_identical_without_kernel(self, specjbb_annotated,
                                                no_kernel):
@@ -149,8 +137,8 @@ class TestNumpyFallback:
 
     def test_value_prediction_delegates_cleanly(self, specjbb_annotated,
                                                 no_kernel):
-        """Outside the fallback envelope the scalar engine takes over
-        and the result still matches the oracle bit for bit."""
+        """Without the kernel the scalar engine takes over and the
+        result still matches the oracle bit for bit."""
         machine = MachineConfig.named("64C", value_prediction=True)
         assert not batched_supported(machine)
         fast = simulate_batched(specjbb_annotated, machine,
@@ -160,25 +148,39 @@ class TestNumpyFallback:
         assert _result_fields(fast) == _result_fields(oracle)
 
     def test_kernel_vs_fallback_same_results(self, database_annotated,
-                                             monkeypatch):
-        """Both tiers agree with each other, not just with the oracle
-        (guards against the suite accidentally testing one tier twice).
+                                             request):
+        """Both routes agree with each other, not just with the oracle
+        (guards against the suite accidentally testing one route twice).
         """
         if not ckernel.kernel_available():
-            pytest.skip("no C toolchain: only one tier exists here")
+            pytest.skip(f"no compiled kernel: {ckernel.kernel_error()}")
         grid = [(label, _machine(label)) for label in ("32A", "64C", "128E")]
         with_kernel = simulate_batch(database_annotated, grid,
                                      workload="database")
-        monkeypatch.setattr(ckernel, "_kernel", None)
-        monkeypatch.setattr(
-            ckernel, "_kernel_error",
-            RuntimeError("kernel disabled for test"),  # reprolint: disable=error-hierarchy
-        )
+        request.getfixturevalue("no_kernel")
         without = simulate_batch(database_annotated, grid,
                                  workload="database")
         for label, _ in grid:
             assert _result_fields(with_kernel[label]) == \
                 _result_fields(without[label]), label
+
+    def test_parallel_sweep_without_kernel(self, specweb_annotated,
+                                           no_kernel, monkeypatch):
+        """``sweep(jobs=2)`` takes the scalar pool, never the plan path."""
+        import repro.analysis.parallel as parallel
+        from repro.analysis.sweep import sweep
+
+        monkeypatch.setattr(parallel, "effective_cpus", lambda: 2)
+        grid = [(label, _machine(label))
+                for label in ("32A", "64C", "128E", "64D")]
+        swept = sweep(specweb_annotated, grid, workload="specweb99",
+                      jobs=2)
+        assert list(swept.results) == [label for label, _ in grid]
+        for label, machine in grid:
+            oracle = simulate_reference(specweb_annotated, machine,
+                                        workload="specweb99")
+            assert _result_fields(swept.results[label]) == \
+                _result_fields(oracle), label
 
 
 class TestEngineSelection:

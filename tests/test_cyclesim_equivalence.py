@@ -1,14 +1,15 @@
-"""Optimized cycle simulator vs. the frozen reference simulator.
+"""Compiled cycle simulator vs. the frozen reference simulator.
 
-``repro.cyclesim.simulator`` gained an event-driven fast path (wakeup
-memoisation, a FIFO completion wheel, precomputed per-instruction
-tables, a compiled batch kernel); ``repro.cyclesim.simulator_reference``
+``repro.cyclesim.simulator`` runs a compiled batch kernel over
+precomputed per-instruction tables; ``repro.cyclesim.simulator_reference``
 is the verbatim pre-optimization simulator kept as the correctness
-oracle, SHA-pinned in the reprolint manifest.  Every optimization must
-be behaviour-preserving: full :class:`CycleMetrics` equality — cycles,
+oracle, SHA-pinned in the reprolint manifest.  The kernel must be
+behaviour-preserving: full :class:`CycleMetrics` equality — cycles,
 access counters, MLP integrals and the whole CPI stack — across the
 paper's validation grid (Table 3: ROB {32,64,128} x policies A-C x
-latencies {200,500,1000}) on every workload.
+latencies {200,500,1000}) on every workload.  Without a compiler,
+``run_cyclesim`` and ``sweep_cyclesim`` fall back to the reference,
+and that route is pinned here too.
 """
 
 import dataclasses
@@ -17,13 +18,11 @@ import pytest
 
 from repro.core.config import MachineConfig
 from repro.cyclesim import CycleSimConfig, run_cyclesim
-from repro.cyclesim.ckernel import kernel_available
+from repro.cyclesim.ckernel import kernel_available, run_cycle_plan
 from repro.cyclesim.plan import cycle_plan_for
-from repro.cyclesim.simulator import run_cycle_pairs
 from repro.cyclesim.simulator_reference import (
     run_cyclesim as run_cyclesim_reference,
 )
-from repro.robustness.errors import ConfigError
 
 #: Instructions per equivalence run: long enough to exercise deep MSHR
 #: merging, redirects and serializing drains on every workload, short
@@ -51,17 +50,16 @@ def _fields(metrics):
 
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("letter", POLICIES)
-def test_grid_bit_identical_interpreter(all_annotated, size, letter):
-    """The pure-Python tier matches the oracle on the full Table 3 grid."""
+def test_grid_bit_identical_interpreter(all_annotated, size, letter,
+                                       no_kernel):
+    """Without the kernel the full Table 3 grid matches the oracle."""
     machine = MachineConfig.named(f"{size}{letter}")
     for latency in LATENCIES:
         config = CycleSimConfig.from_machine(machine, miss_penalty=latency)
         for name, annotated in all_annotated.items():
             stop = min(annotated.measure_start + REGION,
                        len(annotated.trace))
-            fast = run_cyclesim(
-                annotated, config, stop=stop, engine="python"
-            )
+            fast = run_cyclesim(annotated, config, stop=stop)
             oracle = run_cyclesim_reference(annotated, config, stop=stop)
             assert _fields(fast) == _fields(oracle), (name, size, letter,
                                                       latency)
@@ -77,7 +75,7 @@ def test_grid_bit_identical_kernel(all_annotated):
         stop = min(annotated.measure_start + REGION,
                    len(annotated.trace))
         plan = cycle_plan_for(annotated, None, stop)
-        batch = run_cycle_pairs(plan, pairs, name)
+        batch = run_cycle_plan(plan, pairs, name)
         for label, config in pairs:
             oracle = run_cyclesim_reference(
                 annotated, config, stop=stop, workload=name
@@ -85,26 +83,52 @@ def test_grid_bit_identical_kernel(all_annotated):
             assert _fields(batch[label]) == _fields(oracle), (name, label)
 
 
-def test_perfect_l2_and_event_skip_tiers(database_annotated):
-    """The off-grid knobs (perfect L2, cycle-by-cycle clock) match too."""
+def test_perfect_l2_and_event_skip_tiers(database_annotated, request):
+    """The off-grid knobs (perfect L2, cycle-by-cycle clock) match too,
+    with the kernel and then without it."""
     stop = min(database_annotated.measure_start + 8000,
                len(database_annotated.trace))
     machine = MachineConfig.named("64C")
-    for overrides in (
-        {"perfect_l2": True},
-        {"event_skip": False},
-        {"perfect_l2": True, "event_skip": False},
-    ):
-        config = CycleSimConfig.from_machine(
-            machine, miss_penalty=500, **overrides
+    configs = [
+        CycleSimConfig.from_machine(machine, miss_penalty=500, **overrides)
+        for overrides in (
+            {"perfect_l2": True},
+            {"event_skip": False},
+            {"perfect_l2": True, "event_skip": False},
         )
+    ]
+    oracles = [
+        run_cyclesim_reference(database_annotated, config, stop=stop)
+        for config in configs
+    ]
+    for route in ("kernel", "no kernel"):
+        if route == "no kernel":
+            request.getfixturevalue("no_kernel")
+        for config, oracle in zip(configs, oracles):
+            fast = run_cyclesim(database_annotated, config, stop=stop)
+            assert _fields(fast) == _fields(oracle), (config, route)
+
+
+def test_parallel_sweep_without_kernel(database_annotated, no_kernel,
+                                       monkeypatch):
+    """``sweep_cyclesim(jobs=2)`` without a kernel runs the reference
+    and never enters the shared-memory plan path."""
+    import repro.analysis.parallel as parallel
+    from repro.analysis.sweep import sweep_cyclesim
+
+    monkeypatch.setattr(parallel, "effective_cpus", lambda: 2)
+    pairs = [
+        (f"{size}C", CycleSimConfig.from_machine(
+            MachineConfig.named(f"{size}C"), miss_penalty=200))
+        for size in (32, 64)
+    ]
+    swept = sweep_cyclesim(database_annotated, pairs, workload="database",
+                           jobs=2)
+    assert list(swept.results) == [label for label, _ in pairs]
+    for label, config in pairs:
         oracle = run_cyclesim_reference(database_annotated, config,
-                                        stop=stop)
-        for engine in ("python", "auto"):
-            fast = run_cyclesim(
-                database_annotated, config, stop=stop, engine=engine
-            )
-            assert _fields(fast) == _fields(oracle), (overrides, engine)
+                                        workload="database")
+        assert _fields(swept.results[label]) == _fields(oracle), label
 
 
 def test_labels_match_reference(database_annotated):
@@ -119,9 +143,3 @@ def test_labels_match_reference(database_annotated):
     assert fast.label == oracle.label
     assert fast.workload == oracle.workload
 
-
-def test_unknown_engine_rejected(database_annotated):
-    with pytest.raises(ConfigError):
-        run_cyclesim(
-            database_annotated, CycleSimConfig(), engine="vectorized"
-        )

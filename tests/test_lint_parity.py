@@ -100,7 +100,7 @@ class TestParityFixtures:
             select=["schema-version"],
         )
         assert len(findings) == 1
-        assert "COLUMNAR_SCHEMA_VERSION is still 1" in findings[0].message
+        assert "COLUMNAR_SCHEMA_VERSION is still 2" in findings[0].message
 
 
 def _real_tree(tmp_path):
@@ -152,20 +152,20 @@ class TestRealTreeMutations:
 
     def test_dropped_payload_column_without_bump(self, tmp_path):
         root = _real_tree(tmp_path)
-        _edit(root, PAYLOAD_SCHEMA_PATH, '    ("is_memop", np.bool_),\n', "")
+        _edit(root, PAYLOAD_SCHEMA_PATH, '    ("vp_ok", np.bool_),\n', "")
         findings = run_lint(root, select=self.SELECT)
         assert len(findings) == 1
         assert findings[0].pass_id == "schema-version"
-        assert "COLUMNAR_SCHEMA_VERSION is still 1" in findings[0].message
+        assert "COLUMNAR_SCHEMA_VERSION is still 2" in findings[0].message
 
     def test_version_bump_without_regeneration(self, tmp_path):
         root = _real_tree(tmp_path)
         _edit(root, PAYLOAD_SCHEMA_PATH,
-              "COLUMNAR_SCHEMA_VERSION = 1", "COLUMNAR_SCHEMA_VERSION = 2")
+              "COLUMNAR_SCHEMA_VERSION = 2", "COLUMNAR_SCHEMA_VERSION = 3")
         findings = run_lint(root, select=self.SELECT)
         assert len(findings) == 1
         assert findings[0].pass_id == "schema-version"
-        assert "manifest pins 1" in findings[0].message
+        assert "manifest pins 2" in findings[0].message
 
 
 def _git(root, *args):
@@ -235,7 +235,7 @@ class TestManifestUpdate:
     def test_schema_edit_plus_manifest_is_allowed_dirty(self, tmp_path):
         root = _git_tree(tmp_path)
         _edit(root, PAYLOAD_SCHEMA_PATH,
-              '    ("is_memop", np.bool_),\n', "")
+              '    ("vp_ok", np.bool_),\n', "")
         result = update_manifest(root)
         assert result["changed"] is True
         assert result["payload_schema_sha256"] != PAYLOAD_SCHEMA_SHA256

@@ -49,6 +49,21 @@ class TestSerialParallelEquivalence:
         assert seen == list(GRID_SPECS)
         assert result.labels() == list(GRID_SPECS)
 
+    def test_runahead_config_in_parallel_grid(self, database_annotated,
+                                              monkeypatch):
+        """A runahead machine mid-grid runs on the scalar engine, not
+        the kernel (which has no runahead mode)."""
+        from repro.core.mlpsim import simulate
+
+        monkeypatch.setattr(parallel, "effective_cpus", lambda: 2)
+        grid = _grid()
+        grid.insert(2, ("64D-ra", MachineConfig.named("64D", runahead=True)))
+        swept = sweep(database_annotated, grid, jobs=2)
+        assert swept.labels() == [label for label, _ in grid]
+        for label, machine in grid:
+            assert _result_fields(swept.results[label]) == \
+                _result_fields(simulate(database_annotated, machine)), label
+
     def test_env_var_selects_parallel_backend(self, specjbb_annotated,
                                               monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "2")
