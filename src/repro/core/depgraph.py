@@ -98,16 +98,19 @@ def build_depgraph(trace, start, stop):
 def depgraph_for(annotated, start, stop):
     """Return the (memoised) dependence graph for a region of *annotated*.
 
-    The graph is cached on the annotated trace object because sweeps
-    simulate the same region under many machine configurations.
+    The graph depends only on the trace, so it is cached on
+    ``annotated.trace``, keyed by region: sweeps simulate the same
+    region under many machine configurations, and every annotation of
+    one trace (Figure 7's L2 sizes) shares one graph.
     """
-    cache = getattr(annotated, "_depgraph_cache", None)
+    trace = annotated.trace
+    cache = getattr(trace, "_depgraph_cache", None)
     if cache is None:
         cache = {}
-        annotated._depgraph_cache = cache
+        trace._depgraph_cache = cache
     key = (start, stop)
     graph = cache.get(key)
     if graph is None:
-        graph = build_depgraph(annotated.trace, start, stop)
+        graph = build_depgraph(trace, start, stop)
         cache[key] = graph
     return graph

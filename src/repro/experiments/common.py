@@ -2,14 +2,16 @@
 
 Traces and annotations are expensive relative to MLPsim runs, so they
 are memoised per (workload, length, L2 size, seed) and shared between
-exhibits within a process.  The memo is additionally disk-backed: an
-annotation that was generated once is spilled to
+exhibits within a process; every annotation of one trace shares that
+trace.  The memo is additionally disk-backed under
 ``benchmarks/results/.cache/`` (override with ``REPRO_CACHE_DIR``;
-set it to an empty string to disable) as a versioned ``.npz`` archive,
-so repeated ``repro exhibit`` invocations and sweep worker pools stop
+set it to an empty string to disable), in the same split: one
+versioned trace archive per (workload, length, seed) and one
+masks-only archive per L2 size (see :func:`cache_archives`), so
+repeated ``repro exhibit`` invocations and sweep worker pools stop
 regenerating identical traces.  The disk layer is fail-soft in both
-directions — an unreadable or corrupt archive falls back to
-regeneration, an unwritable directory skips the spill.
+directions — an unreadable or corrupt archive is quarantined on its own
+and regenerated, an unwritable directory skips the spill.
 
 The trace length defaults to ``REPRO_TRACE_LEN`` (environment
 variable) or 400,000 instructions — far below the paper's 150M, which
@@ -25,6 +27,7 @@ from repro.analysis.tables import format_table
 from repro.memory.hierarchy import HierarchyConfig
 from repro.robustness.errors import ConfigError
 from repro.trace.annotate import AnnotationConfig, annotate
+from repro.trace.io import load_masks, load_trace, save_masks, save_trace
 from repro.workloads import generate_trace
 
 #: Workloads in the paper's presentation order.
@@ -71,57 +74,80 @@ def cache_dir():
     return os.path.join(repo_root, "benchmarks", "results", ".cache")
 
 
-def _cache_path(name, trace_len, l2_bytes, seed):
-    """Disk-cache archive path for one annotation key, or ``None``."""
+#: Disk-cache archive kinds: one ``trace`` archive per (workload,
+#: length, seed) and one ``masks`` archive per L2 size on top of it.
+CACHE_KINDS = ("trace", "masks")
+
+
+def _schema_tag():
+    """File-name tag of the current cache schema (``c<V>``)."""
+    from repro.core.columnar import COLUMNAR_SCHEMA_VERSION
+
+    return f"c{COLUMNAR_SCHEMA_VERSION}"
+
+
+def cache_archives(directory, kind=None):
+    """Sorted paths of the disk-cache archives in *directory*, by kind.
+
+    *kind* is one of :data:`CACHE_KINDS` (archives of that kind written
+    under the current schema), ``"stale"`` (archives no current loader
+    reads: other schema versions, and the whole-annotation
+    ``annotated-*`` archives of the earlier one-archive-per-annotation
+    layout), or ``None`` for every archive of every kind.
+    """
+    try:
+        entries = sorted(os.listdir(directory))
+    except OSError:
+        return []
+    tag = _schema_tag()
+    found = []
+    for entry in entries:
+        prefix, _, rest = entry.partition("-")
+        if not entry.endswith(".npz") or \
+                prefix not in CACHE_KINDS + ("annotated",):
+            continue
+        current = prefix in CACHE_KINDS and rest.startswith(f"{tag}-")
+        if kind is None or kind == (prefix if current else "stale"):
+            found.append(os.path.join(directory, entry))
+    return found
+
+
+def _cache_path(kind, key):
+    """Disk-cache archive path of *kind* for *key*, or ``None``."""
     directory = cache_dir()
     if directory is None:
         return None
     from repro.trace.io import FORMAT_VERSION
 
-    from repro.core.columnar import COLUMNAR_SCHEMA_VERSION
-
     _quarantine_stale_entries(directory)
+    tag = _schema_tag()
+    fields = ":".join(str(field) for field in key)
     digest = hashlib.sha1(
-        f"v{FORMAT_VERSION}:c{COLUMNAR_SCHEMA_VERSION}:"
-        f"{name}:{trace_len}:{l2_bytes}:{seed}".encode()
+        f"v{FORMAT_VERSION}:{tag}:{kind}:{fields}".encode()
     ).hexdigest()
-    return os.path.join(
-        directory,
-        f"annotated-c{COLUMNAR_SCHEMA_VERSION}-{digest}.npz",
-    )
+    return os.path.join(directory, f"{kind}-{tag}-{digest}.npz")
 
 
 _stale_scan_done = set()
 
 
 def _quarantine_stale_entries(directory):
-    """Quarantine cache entries from older columnar schema versions.
+    """Quarantine cache archives that no current loader reads.
 
-    Entry filenames carry the :data:`COLUMNAR_SCHEMA_VERSION` they were
-    written under (``annotated-c<V>-<digest>.npz``); anything else —
-    including pre-columnar ``annotated-<digest>.npz`` archives — can
-    never be loaded again and would otherwise rot in the cache forever.
-    They are moved to the quarantine directory (same path corrupt
-    entries take) so a schema bump leaves an inspectable trail instead
-    of silent disk growth.  Scans once per directory per process.
+    Archive filenames carry the :data:`COLUMNAR_SCHEMA_VERSION` they
+    were written under (``<kind>-c<V>-<digest>.npz``); archives of
+    another version, and the whole-annotation ``annotated-*`` archives
+    of the earlier layout, can never be loaded again and would
+    otherwise rot in the cache forever.  They are moved to the
+    quarantine directory (same path corrupt entries take) so a schema
+    change leaves an inspectable trail instead of silent disk growth.
+    Scans once per directory per process.
     """
     if directory in _stale_scan_done:
         return
     _stale_scan_done.add(directory)
-    from repro.core.columnar import COLUMNAR_SCHEMA_VERSION
-
-    current = f"annotated-c{COLUMNAR_SCHEMA_VERSION}-"
-    try:
-        entries = os.listdir(directory)
-    except OSError:
-        return
-    for entry in entries:
-        if (entry.startswith("annotated-") and entry.endswith(".npz")
-                and not entry.startswith(current)):
-            _quarantine_cache_entry(
-                os.path.join(directory, entry),
-                "columnar schema version skew",
-            )
+    for path in cache_archives(directory, "stale"):
+        _quarantine_cache_entry(path, "stale cache schema")
 
 
 def _quarantine_cache_entry(path, error):
@@ -153,40 +179,41 @@ def _quarantine_cache_entry(path, error):
     )
 
 
-def _load_cached_annotation(path):
-    """Load a disk-cached annotation, or ``None`` on any failure.
+def _load_cached(path, loader, *args):
+    """Load one disk-cache archive with *loader*, or ``None`` on failure.
 
     Corrupt, truncated, or version-skewed archives must regenerate,
     not crash: the cache is an accelerator, never a source of truth.
-    The damaged file is quarantined (see :func:`_quarantine_cache_entry`)
-    so recurring corruption stays visible.
+    Only the damaged archive is quarantined (see
+    :func:`_quarantine_cache_entry`), so recurring corruption stays
+    visible and a bad trace archive costs its masks archives nothing.
     """
     if path is None or not os.path.exists(path):
         return None
-    from repro.trace.io import load_annotated
-
     try:
-        return load_annotated(path)
+        return loader(path, *args)
     except Exception as error:
         _quarantine_cache_entry(path, error)
         return None
 
 
-def _store_cached_annotation(path, annotated):
-    """Spill an annotation to the disk cache, fail-soft."""
+def _store_cached(path, saver, value):
+    """Spill one archive to the disk cache with *saver*, fail-soft."""
     if path is None:
         return
-    from repro.trace.io import save_annotated
-
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        save_annotated(annotated, path)
+        saver(value, path)
     except Exception:
         pass  # unwritable cache dir: keep going without the disk layer
 
 
 def get_annotated(name, trace_len=None, l2_bytes=None, seed=DEFAULT_SEED):
     """Return the (memoised) annotated trace for one workload.
+
+    Every annotation of one (workload, length, seed) shares one trace,
+    in memory and on disk; ``l2_bytes`` equal to the default L2
+    capacity is the default annotation.
 
     Raises
     ------
@@ -203,19 +230,22 @@ def get_annotated(name, trace_len=None, l2_bytes=None, seed=DEFAULT_SEED):
             f"trace_len must be a positive integer, got {trace_len!r}",
             field="trace_len",
         )
+    hierarchy = HierarchyConfig()
+    if l2_bytes == hierarchy.l2.size_bytes:
+        l2_bytes = None
     key = (name, trace_len, l2_bytes, seed)
     cached = _annotation_cache.get(key)
     if cached is not None:
         return cached
-    disk_path = _cache_path(name, trace_len, l2_bytes, seed)
-    annotated = _load_cached_annotation(disk_path)
+    if l2_bytes is not None:
+        hierarchy = hierarchy.with_l2_size(l2_bytes)
+    config = AnnotationConfig(hierarchy=hierarchy)
+    trace = _get_trace(name, trace_len, seed)
+    path = _cache_path("masks", key)
+    annotated = _load_cached(path, load_masks, trace, config)
     if annotated is None:
-        trace = _get_trace(name, trace_len, seed)
-        hierarchy = HierarchyConfig()
-        if l2_bytes is not None:
-            hierarchy = hierarchy.with_l2_size(l2_bytes)
-        annotated = annotate(trace, AnnotationConfig(hierarchy=hierarchy))
-        _store_cached_annotation(disk_path, annotated)
+        annotated = annotate(trace, config)
+        _store_cached(path, save_masks, annotated)
     _annotation_cache[key] = annotated
     return annotated
 
@@ -224,10 +254,15 @@ _trace_cache = {}
 
 
 def _get_trace(name, trace_len, seed):
+    """Return the (memoised, disk-cached) trace for one workload."""
     key = (name, trace_len, seed)
     cached = _trace_cache.get(key)
     if cached is None:
-        cached = generate_trace(name, trace_len, seed=seed)
+        path = _cache_path("trace", key)
+        cached = _load_cached(path, load_trace)
+        if cached is None:
+            cached = generate_trace(name, trace_len, seed=seed)
+            _store_cached(path, save_trace, cached)
         _trace_cache[key] = cached
     return cached
 
@@ -235,20 +270,18 @@ def _get_trace(name, trace_len, seed):
 def clear_caches(disk=False):
     """Drop all memoised traces/annotations (tests use this).
 
-    With ``disk=True`` the on-disk annotation archives are deleted as
-    well; by default only the in-process memo is cleared.
+    With ``disk=True`` the on-disk archives are deleted as well; by
+    default only the in-process memo is cleared.
     """
     _annotation_cache.clear()
     _trace_cache.clear()
     if disk:
         directory = cache_dir()
-        if directory and os.path.isdir(directory):
-            for entry in os.listdir(directory):
-                if entry.startswith("annotated-") and entry.endswith(".npz"):
-                    try:
-                        os.unlink(os.path.join(directory, entry))
-                    except OSError:
-                        pass
+        for path in cache_archives(directory) if directory else ():
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
 
 
 @dataclasses.dataclass

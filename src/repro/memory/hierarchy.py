@@ -2,9 +2,11 @@
 
 Composes L1I + L1D + shared L2 (+ TLB) and classifies every reference by
 the furthest level it had to reach.  A reference that misses the L2 is an
-*off-chip access* — the unit of MLP.  The hierarchy is shared between the
-annotation pipeline (which marks trace instructions with their miss
-behaviour) and the cycle-accurate simulator.
+*off-chip access* — the unit of MLP.  The prefetcher study drives this
+composed hierarchy.  The annotation pipeline (:mod:`repro.trace.annotate`)
+runs the same cache levels as separate layers, L1s first and the L2 over
+the L1-miss stream; that is exact because there is no back-invalidation:
+nothing the L2 does changes what the L1s hold.
 """
 
 import dataclasses

@@ -304,19 +304,18 @@ def tear_journal(path, drop_bytes=16):
         handle.write(raw[:keep])
 
 
-def corrupt_cache_entries(directory, fault="truncate"):
-    """Apply *fault* to every annotation archive in a disk cache dir.
+def corrupt_cache_entries(directory, fault="truncate", kind=None):
+    """Apply *fault* to every disk-cache archive of *kind* in *directory*.
 
+    *kind* is as for :func:`repro.experiments.common.cache_archives`
+    (``"trace"``, ``"masks"``, ``"stale"``, or ``None`` for all).
     Returns the paths corrupted.  The chaos suite uses this to prove
     the annotation cache quarantines damage and regenerates instead of
     crashing or silently reusing bad data.
     """
-    corrupted = []
-    if not os.path.isdir(directory):
-        return corrupted
-    for entry in sorted(os.listdir(directory)):
-        if entry.startswith("annotated-") and entry.endswith(".npz"):
-            path = os.path.join(directory, entry)
-            inject_fault(path, fault)
-            corrupted.append(path)
+    from repro.experiments.common import cache_archives
+
+    corrupted = cache_archives(directory, kind)
+    for path in corrupted:
+        inject_fault(path, fault)
     return corrupted

@@ -19,6 +19,21 @@ fetches, loads and prefetches, and explicitly defers "store MLP" to
 future work — which the ``smiss`` mask and the finite-store-buffer
 machine extension implement.
 
+Annotation runs in two layers.  The hierarchy has no back-invalidation,
+so the L2 never changes what the L1s hold, and only the L2 lookup, the
+value-predictor observations on missing loads and the prefetch
+bookkeeping depend on the L2's size:
+
+* :func:`front_pass` filters the trace through the L1s and runs the
+  gshare/BTB/RAS front end.  It emits ``mispred`` plus, in trace order,
+  every L1 miss and every L1-hit demand access to a line that some
+  prefetch touches.  It is memoised on the trace.
+* :func:`back_pass` replays that short stream through the L2 and then
+  runs the last-value predictor over the missing loads.
+
+Figure 7 annotates each trace at five L2 sizes; the front pass runs
+once per trace, not once per size.
+
 The pipeline mirrors the paper's methodology of warming the caches on a
 prefix of the trace (Section 4.2): annotations are produced for the whole
 trace and :attr:`AnnotatedTrace.measure_start` marks where statistics
@@ -31,7 +46,8 @@ import numpy as np
 
 from repro.branch.frontend import BranchPredictor
 from repro.isa.opclass import OpClass
-from repro.memory.hierarchy import AccessLevel, Hierarchy, HierarchyConfig
+from repro.memory.cache import Cache
+from repro.memory.hierarchy import HierarchyConfig
 from repro.vpred.last_value import LastValuePredictor
 
 _VP_NA = -1
@@ -171,6 +187,10 @@ def manual_annotation(trace, dmiss_at=(), imiss_at=(), mispred_at=(),
 def annotate(trace, config=None, value_predictor=None, branch_predictor=None):
     """Run the memory hierarchy and predictors over *trace*.
 
+    Runs the two layers in order: :func:`front_pass` (memoised on
+    *trace*, so annotating one trace at several L2 sizes runs it once)
+    and :func:`back_pass`.
+
     Parameters
     ----------
     trace:
@@ -196,22 +216,70 @@ def annotate(trace, config=None, value_predictor=None, branch_predictor=None):
 
     validate_trace(trace)
     config = config or AnnotationConfig()
-    hierarchy = Hierarchy(config.hierarchy)
-    branch_pred = branch_predictor or BranchPredictor(
-        gshare_entries=config.gshare_entries,
-        btb_entries=config.btb_entries,
-        ras_depth=config.ras_depth,
-    )
-    value_pred = value_predictor or LastValuePredictor(entries=config.vp_entries)
+    front = front_pass(trace, config, branch_predictor)
+    return back_pass(trace, front, config, value_predictor)
 
-    n = len(trace)
-    dmiss = np.zeros(n, dtype=bool)
-    pmiss = np.zeros(n, dtype=bool)
-    pfuseful = np.zeros(n, dtype=bool)
-    imiss = np.zeros(n, dtype=bool)
-    mispred = np.zeros(n, dtype=bool)
-    vp_outcome = np.full(n, _VP_NA, dtype=np.int8)
-    smiss = np.zeros(n, dtype=bool)
+
+#: Kinds of the front pass's access stream.  The first four are L1
+#: misses, which the back pass sends to the L2.  The last two are L1 hits
+#: of demand accesses, which can only consume a prefetched line.
+FETCH_MISS, LOAD_MISS, STORE_MISS, PREFETCH_MISS, FETCH_HIT, LOAD_HIT = range(6)
+
+
+@dataclasses.dataclass(frozen=True)
+class FrontPass:
+    """The L2-independent layer of an annotation.
+
+    ``mispred`` is the trace-length branch mask.  ``position`` (int32),
+    ``kind`` (int8, one of the stream kinds above) and ``addr`` (int64:
+    the fetch PC or data address) list, in trace order, every access
+    the L2 layer needs.
+    """
+
+    mispred: np.ndarray
+    position: np.ndarray
+    kind: np.ndarray
+    addr: np.ndarray
+
+
+def front_pass(trace, config, branch_predictor=None):
+    """Return the (memoised) L2-independent layer of annotating *trace*.
+
+    The hierarchy has no back-invalidation, so no L2 changes what the
+    L1s hold, and the branch predictor never sees the caches.  The pass
+    is cached on *trace*, like the dependence graph, keyed by what it
+    depends on: the L1 geometries, the L2 line size (which defines fetch
+    lines and prefetched lines) and the branch predictor sizes.  An
+    injected *branch_predictor* carries state that key cannot name, so
+    it gets a fresh pass that is not memoised.
+    """
+    if branch_predictor is not None:
+        return _run_front_pass(trace, config, branch_predictor)
+    cache = getattr(trace, "_front_pass_cache", None)
+    if cache is None:
+        cache = {}
+        trace._front_pass_cache = cache
+    hierarchy = config.hierarchy
+    key = (hierarchy.l1i, hierarchy.l1d, hierarchy.l2.line_bytes,
+           config.gshare_entries, config.btb_entries, config.ras_depth)
+    front = cache.get(key)
+    if front is None:
+        front = _run_front_pass(trace, config, BranchPredictor(
+            gshare_entries=config.gshare_entries,
+            btb_entries=config.btb_entries,
+            ras_depth=config.ras_depth,
+        ))
+        cache[key] = front
+    return front
+
+
+def _run_front_pass(trace, config, branch_pred):
+    """Filter *trace* through the L1s and predict its branches."""
+    hierarchy = config.hierarchy
+    fetch = Cache(hierarchy.l1i, name="L1I").access
+    touch = Cache(hierarchy.l1d, name="L1D").access
+    observe_branch = branch_pred.observe
+    line_shift = hierarchy.l2.line_shift
 
     # Bind columns to fast local lists.
     ops = trace.op.tolist()
@@ -219,16 +287,8 @@ def annotate(trace, config=None, value_predictor=None, branch_predictor=None):
     addrs = trace.addr.tolist()
     takens = trace.taken.tolist()
     targets = trace.target.tolist()
-    values = trace.value.tolist()
     src1s = trace.src1.tolist()
     src2s = trace.src2.tolist()
-
-    line_shift = config.hierarchy.l2.line_shift
-    access_insn = hierarchy.access_instruction
-    access_data = hierarchy.access_data
-    observe_branch = branch_pred.observe
-    observe_value = value_pred.observe
-    offchip = AccessLevel.OFFCHIP
 
     LOAD = int(OpClass.LOAD)
     STORE = int(OpClass.STORE)
@@ -238,41 +298,43 @@ def annotate(trace, config=None, value_predictor=None, branch_predictor=None):
     LDSTUB = int(OpClass.LDSTUB)
     load_like = {LOAD, CAS, LDSTUB}
 
-    # Lines brought on chip by an off-chip prefetch, awaiting a demand
-    # consumer: line -> index of the prefetch instruction.
-    prefetched_lines = {}
+    # Only a line some prefetch touches can be awaiting a consumer, so
+    # demand hits on any other line stay out of the stream.
+    prefetch_lines = set(
+        (trace.addr[trace.op == PREFETCH] >> line_shift).tolist()
+    )
+
+    n = len(trace)
+    mispred = np.zeros(n, dtype=bool)
+    stream = []
+    emit = stream.append
 
     previous_fetch_line = None
     for i in range(n):
         pc = pcs[i]
         fetch_line = pc >> line_shift
         if fetch_line != previous_fetch_line:
-            if access_insn(pc) == offchip:
-                imiss[i] = True
-                prefetched_lines.pop(fetch_line, None)
-            elif fetch_line in prefetched_lines:
-                pfuseful[prefetched_lines.pop(fetch_line)] = True
+            if not fetch(pc):
+                emit((i, FETCH_MISS, pc))
+            elif fetch_line in prefetch_lines:
+                emit((i, FETCH_HIT, pc))
             previous_fetch_line = fetch_line
 
         op = ops[i]
         if op in load_like:
             addr = addrs[i]
-            if access_data(addr) == offchip:
-                dmiss[i] = True
-                prefetched_lines.pop(addr >> line_shift, None)
-                vp_outcome[i] = VP_OUTCOME_CODES[observe_value(pc, values[i])]
-            else:
-                data_line = addr >> line_shift
-                if data_line in prefetched_lines:
-                    pfuseful[prefetched_lines.pop(data_line)] = True
+            if not touch(addr):
+                emit((i, LOAD_MISS, addr))
+            elif addr >> line_shift in prefetch_lines:
+                emit((i, LOAD_HIT, addr))
         elif op == STORE:
-            if access_data(addrs[i], is_write=True) == offchip:
-                smiss[i] = True
+            addr = addrs[i]
+            if not touch(addr):
+                emit((i, STORE_MISS, addr))
         elif op == PREFETCH:
             addr = addrs[i]
-            if access_data(addr) == offchip:
-                pmiss[i] = True
-                prefetched_lines[addr >> line_shift] = i
+            if not touch(addr):
+                emit((i, PREFETCH_MISS, addr))
         elif op == BRANCH:
             if src1s[i] >= 0 or src2s[i] >= 0:
                 mispred[i] = observe_branch(pc, takens[i], targets[i])
@@ -282,16 +344,76 @@ def annotate(trace, config=None, value_predictor=None, branch_predictor=None):
             # express control randomness, which must not be charged to
             # the branch predictor.
 
-    measure_start = int(n * config.warmup_fraction)
+    position, kind, addr = zip(*stream) if stream else ((), (), ())
+    return FrontPass(
+        mispred=mispred,
+        position=np.asarray(position, dtype=np.int32),
+        kind=np.asarray(kind, dtype=np.int8),
+        addr=np.asarray(addr, dtype=np.int64),
+    )
+
+
+def back_pass(trace, front, config, value_predictor=None):
+    """Replay *front*'s access stream through the L2; return the annotation.
+
+    Sets the off-chip masks and prefetch usefulness, then runs the
+    last-value predictor over the missing loads in trace order (the
+    order a single pass over the whole hierarchy would observe them in).
+    """
+    n = len(trace)
+    dmiss = np.zeros(n, dtype=bool)
+    pmiss = np.zeros(n, dtype=bool)
+    pfuseful = np.zeros(n, dtype=bool)
+    imiss = np.zeros(n, dtype=bool)
+    smiss = np.zeros(n, dtype=bool)
+
+    access = Cache(config.hierarchy.l2, name="L2").access
+    line_shift = config.hierarchy.l2.line_shift
+
+    # Lines brought on chip by an off-chip prefetch, awaiting a demand
+    # consumer: line -> index of the prefetch instruction.
+    prefetched_lines = {}
+
+    for i, kind, addr in zip(front.position.tolist(), front.kind.tolist(),
+                             front.addr.tolist()):
+        line = addr >> line_shift
+        if kind == STORE_MISS:
+            if not access(addr):
+                smiss[i] = True
+        elif kind == PREFETCH_MISS:
+            if not access(addr):
+                pmiss[i] = True
+                prefetched_lines[line] = i
+        elif kind < FETCH_HIT and not access(addr):
+            if kind == FETCH_MISS:
+                imiss[i] = True
+            else:
+                dmiss[i] = True
+            prefetched_lines.pop(line, None)
+        elif line in prefetched_lines:
+            # A demand access that stayed on chip consumes the line.
+            pfuseful[prefetched_lines.pop(line)] = True
+
+    vp_outcome = np.full(n, _VP_NA, dtype=np.int8)
+    observe_value = (
+        value_predictor or LastValuePredictor(entries=config.vp_entries)
+    ).observe
+    misses = np.flatnonzero(dmiss)
+    vp_outcome[misses] = [
+        VP_OUTCOME_CODES[observe_value(pc, value)]
+        for pc, value in zip(trace.pc[misses].tolist(),
+                             trace.value[misses].tolist())
+    ]
+
     return AnnotatedTrace(
         trace=trace,
         dmiss=dmiss,
         pmiss=pmiss,
         pfuseful=pfuseful,
         imiss=imiss,
-        mispred=mispred,
+        mispred=front.mispred.copy(),
         vp_outcome=vp_outcome,
         smiss=smiss,
-        measure_start=measure_start,
+        measure_start=int(n * config.warmup_fraction),
         config=config,
     )

@@ -3,8 +3,10 @@
 Traces round-trip through numpy ``.npz`` archives: one array per column
 plus a small metadata record.  Annotated traces (trace + event masks)
 round-trip the same way, so the expensive cache/predictor pass can be
-done once and shared.  Both formats are versioned so stale cached files
-are rejected rather than silently misread.
+done once and shared.  A masks-only archive (:func:`save_masks`) holds
+one annotation without its trace, so several annotations of one trace
+share a single trace archive.  All formats are versioned so stale
+cached files are rejected rather than silently misread.
 
 Robustness contract (see ``docs/ROBUSTNESS.md``):
 
@@ -106,6 +108,60 @@ def load_trace(path):
     return validate_trace(trace, path=path)
 
 
+def _masks_payload(annotated):
+    """The archive entries of an annotation's event masks."""
+    payload = {
+        f"ann_{field}": getattr(annotated, field)
+        for field in ANNOTATION_FIELDS
+    }
+    payload["ann_measure_start"] = np.asarray(
+        [annotated.measure_start], dtype=np.int64
+    )
+    payload["__version__"] = np.asarray([FORMAT_VERSION], dtype=np.int64)
+    return payload
+
+
+def _read_masks_archive(path, kind, trace_columns):
+    """Read and check an archive holding event masks.
+
+    Returns the payload and its non-metadata columns, after the version
+    record, the measure-start record and the column set, dtypes and
+    lengths have been checked.
+    """
+    payload = _read_archive(path, kind)
+    _check_version(payload, path, kind)
+    if "ann_measure_start" not in payload:
+        raise TraceFormatError(
+            f"not a repro {kind} archive (no measure-start record)",
+            path=path, field="ann_measure_start",
+        )
+    columns = {
+        key: value
+        for key, value in payload.items()
+        if key not in _METADATA_KEYS
+    }
+    validate_archive_columns(
+        columns,
+        path=path,
+        annotation_fields=tuple(f"ann_{f}" for f in ANNOTATION_FIELDS),
+        trace_columns=trace_columns,
+    )
+    return payload, columns
+
+
+def _attach_masks(trace, payload, columns, path, config=None):
+    """Build the :class:`AnnotatedTrace` of *trace* from checked masks."""
+    from repro.trace.annotate import AnnotatedTrace, AnnotationConfig
+
+    annotated = AnnotatedTrace(
+        trace=trace,
+        measure_start=int(payload["ann_measure_start"][0]),
+        config=config or AnnotationConfig(),
+        **{field: columns[f"ann_{field}"] for field in ANNOTATION_FIELDS},
+    )
+    return validate_annotated(annotated, path=path, check_events=True)
+
+
 def save_annotated(annotated, path):
     """Atomically write an :class:`AnnotatedTrace` to *path*.
 
@@ -114,12 +170,7 @@ def save_annotated(annotated, path):
     :class:`AnnotationConfig` as a placeholder.
     """
     payload = {name: getattr(annotated.trace, name) for name, _ in COLUMNS}
-    for field in ANNOTATION_FIELDS:
-        payload[f"ann_{field}"] = getattr(annotated, field)
-    payload["ann_measure_start"] = np.asarray(
-        [annotated.measure_start], dtype=np.int64
-    )
-    payload["__version__"] = np.asarray([FORMAT_VERSION], dtype=np.int64)
+    payload.update(_masks_payload(annotated))
     payload["__name__"] = np.asarray([annotated.trace.name], dtype=np.str_)
     atomic_savez(path, **payload)
 
@@ -136,35 +187,40 @@ def load_annotated(path):
         miss on an ALU op) is rejected rather than silently skewing
         MLP results.
     """
-    from repro.trace.annotate import AnnotatedTrace, AnnotationConfig
-
-    payload = _read_archive(path, "annotated-trace")
-    _check_version(payload, path, "annotated-trace")
-    if "ann_measure_start" not in payload:
-        raise TraceFormatError(
-            "not a repro annotated-trace archive (no measure-start record)",
-            path=path, field="ann_measure_start",
-        )
-    name = str(payload["__name__"][0]) if "__name__" in payload else "trace"
-    columns = {
-        key: value
-        for key, value in payload.items()
-        if key not in _METADATA_KEYS
-    }
-    validate_archive_columns(
-        columns,
-        path=path,
-        annotation_fields=tuple(f"ann_{f}" for f in ANNOTATION_FIELDS),
+    payload, columns = _read_masks_archive(
+        path, "annotated-trace", trace_columns=True
     )
+    name = str(payload["__name__"][0]) if "__name__" in payload else "trace"
     trace = Trace({col: columns[col] for col, _ in COLUMNS}, name=name)
     validate_trace(trace, path=path)
-    fields = {
-        field: columns[f"ann_{field}"] for field in ANNOTATION_FIELDS
-    }
-    annotated = AnnotatedTrace(
-        trace=trace,
-        measure_start=int(payload["ann_measure_start"][0]),
-        config=AnnotationConfig(),
-        **fields,
+    return _attach_masks(trace, payload, columns, path)
+
+
+def save_masks(annotated, path):
+    """Atomically write only the event masks of *annotated* to *path*.
+
+    The trace is not stored: every annotation of one trace (one per L2
+    size) shares a single trace archive written by :func:`save_trace`.
+    """
+    atomic_savez(path, **_masks_payload(annotated))
+
+
+def load_masks(path, trace, config=None):
+    """Read masks written by :func:`save_masks` as an annotation of *trace*.
+
+    *config* is the :class:`AnnotationConfig` the masks were made under
+    (default: the paper's machine); it is not stored in the archive.
+
+    Raises
+    ------
+    TraceFormatError
+        If the archive is unreadable, has a different format version,
+        lacks its measure-start record, is missing a mask or holds an
+        unknown one, has a wrong mask dtype, masks of unequal length or
+        of another length than *trace*, or marks events inconsistent
+        with *trace* (as :func:`load_annotated` checks).
+    """
+    payload, columns = _read_masks_archive(
+        path, "annotation-masks", trace_columns=False
     )
-    return validate_annotated(annotated, path=path, check_events=True)
+    return _attach_masks(trace, payload, columns, path, config)

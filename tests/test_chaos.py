@@ -18,6 +18,7 @@ import dataclasses
 import logging
 import os
 
+import numpy as np
 import pytest
 
 from repro.analysis.sweep import sweep
@@ -202,37 +203,51 @@ class TestCrashResumeEquivalence:
 
 
 class TestCacheCorruption:
-    def test_corrupt_cache_entry_quarantined_and_regenerated(
-            self, tmp_path, monkeypatch, caplog):
-        """A damaged disk-cache archive must be moved to quarantine/
-        with a logged warning, then transparently regenerated."""
+    """The disk cache holds one trace archive per trace and one masks
+    archive per L2 size.  A damaged archive must be moved to
+    quarantine/ on its own, with a logged warning, and the annotation
+    regenerated mask for mask."""
+
+    MASKS = ("dmiss", "pmiss", "pfuseful", "imiss", "mispred",
+             "vp_outcome", "smiss")
+
+    def _corrupt_one_archive(self, kind, tmp_path, monkeypatch, caplog):
         from repro.experiments import common
 
         cache = tmp_path / "cache"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
         common.clear_caches()
         first = common.get_annotated("specjbb2000", trace_len=8_000)
-        archives = [
-            entry for entry in os.listdir(cache)
-            if entry.startswith("annotated-")
-        ]
-        assert archives, "sweep should have spilled a cache entry"
+        assert len(common.cache_archives(str(cache))) == 2
 
-        corrupted = corrupt_cache_entries(str(cache), fault="truncate")
-        assert corrupted
+        corrupted = corrupt_cache_entries(str(cache), fault="truncate",
+                                          kind=kind)
+        assert len(corrupted) == 1
         common.clear_caches()  # force the disk-cache read path
         with caplog.at_level(logging.WARNING, logger="repro.cache"):
             again = common.get_annotated("specjbb2000", trace_len=8_000)
-
-        # Regenerated, not crashed — and identical to the original.
-        assert (again.trace.addr == first.trace.addr).all()
-        # The damaged file moved to the quarantine dir (the fresh
-        # regeneration then re-spills a clean archive at the old path).
-        quarantine = cache / common.QUARANTINE_DIRNAME
-        assert quarantine.is_dir()
-        assert archives[0] in os.listdir(quarantine)
-        assert any(
-            "corrupt annotation cache entry" in record.message
-            for record in caplog.records
-        )
         common.clear_caches()
+
+        quarantine = cache / common.QUARANTINE_DIRNAME
+        assert os.listdir(quarantine) == [os.path.basename(corrupted[0])]
+        warnings = [
+            record.getMessage() for record in caplog.records
+            if "corrupt annotation cache entry" in record.getMessage()
+        ]
+        assert len(warnings) == 1 and corrupted[0] in warnings[0]
+        # Regenerated, not crashed — identical to the original, and
+        # re-spilled as a clean archive at the old path.
+        assert again.trace == first.trace
+        for name in self.MASKS:
+            assert np.array_equal(getattr(again, name),
+                                  getattr(first, name)), name
+        assert again.measure_start == first.measure_start
+        assert os.path.exists(corrupted[0])
+
+    def test_corrupt_trace_archive_is_quarantined_alone(
+            self, tmp_path, monkeypatch, caplog):
+        self._corrupt_one_archive("trace", tmp_path, monkeypatch, caplog)
+
+    def test_corrupt_masks_archive_is_quarantined_alone(
+            self, tmp_path, monkeypatch, caplog):
+        self._corrupt_one_archive("masks", tmp_path, monkeypatch, caplog)

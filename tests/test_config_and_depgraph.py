@@ -143,3 +143,12 @@ class TestDepGraph:
         assert g1 is g2
         g3 = depgraph_for(ann, 1, len(trace))
         assert g3 is not g1
+
+    def test_annotations_of_one_trace_share_the_graph(self):
+        trace = self.build()
+        first = manual_annotation(trace)
+        second = manual_annotation(trace, dmiss_at=[1])
+        graph = depgraph_for(first, 0, len(trace))
+        assert depgraph_for(second, 0, len(trace)) is graph
+        other = manual_annotation(self.build())
+        assert depgraph_for(other, 0, len(trace)) is not graph

@@ -6,16 +6,21 @@ paper-shape assertions on calibrated traces live in
 ``test_integration.py``; the full-size runs live in ``benchmarks/``.
 """
 
+import os
+
 import pytest
 
 from repro.experiments import EXHIBITS, run_exhibit
 from repro.experiments.common import (
+    QUARANTINE_DIRNAME,
     Exhibit,
     WORKLOAD_NAMES,
+    cache_archives,
     clear_caches,
     default_trace_len,
     get_annotated,
 )
+from repro.robustness.atomic import atomic_write_text
 
 SMALL = 30000
 
@@ -41,6 +46,31 @@ class TestCommon:
         a = get_annotated("specjbb2000", SMALL)
         b = get_annotated("specjbb2000", SMALL, l2_bytes=512 * 1024)
         assert a is not b
+        assert a.trace is b.trace
+
+    def test_default_l2_size_is_the_default_annotation(self):
+        a = get_annotated("specjbb2000", SMALL)
+        assert get_annotated("specjbb2000", SMALL,
+                             l2_bytes=2 * 1024 * 1024) is a
+
+    def test_disk_cache_kinds_and_stale_scan(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        stale = ["annotated-c2-0a.npz", "masks-c1-0b.npz", "trace-c0-0c.npz"]
+        for name in stale + ["notes.txt"]:
+            atomic_write_text(tmp_path / name, "old")
+        assert cache_archives(str(tmp_path), "stale") == [
+            str(tmp_path / name) for name in sorted(stale)
+        ]
+        clear_caches()
+        for l2_bytes in (None, 512 * 1024):
+            get_annotated("specweb99", 2_000, l2_bytes=l2_bytes)
+        assert sorted(os.listdir(tmp_path / QUARANTINE_DIRNAME)) == stale
+        counts = {kind: len(cache_archives(str(tmp_path), kind))
+                  for kind in ("trace", "masks", "stale")}
+        assert counts == {"trace": 1, "masks": 2, "stale": 0}
+        clear_caches(disk=True)
+        assert cache_archives(str(tmp_path)) == []
+        assert (tmp_path / "notes.txt").exists()
 
     def test_exhibit_formatting(self):
         ex = Exhibit(
