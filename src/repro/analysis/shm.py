@@ -19,11 +19,15 @@ through the task pickle.
 
 Lifecycle is **parent-owned**: the process that called
 :func:`publish_plan` must call :func:`unpublish_plan` when the sweep is
-over — on success, on failure, and after killed workers alike (workers
-never unlink, and attaching deliberately unregisters the segment from
-their ``resource_tracker`` so a dying worker cannot tear the segment
-out from under its siblings).  ``tests/test_shared_memory.py`` pins
-this contract, including the SIGKILL case.
+over — on success, on failure, and after killed workers alike.  Workers
+never unlink.  Attaching registers the segment with the
+``resource_tracker`` process, but fork and spawn workers share their
+publisher's tracker, which already holds the name (a repeat
+registration is a no-op) and unlinks leftovers only when it shuts down
+with the publisher, so a dying worker cannot tear the segment out from
+under its siblings; the publisher's unlink unregisters it.
+``tests/test_shared_memory.py`` pins this contract, including the
+SIGKILL case.
 """
 
 import dataclasses
@@ -215,15 +219,6 @@ def attach_plan(handle):
                 f"shared plan segment {handle.name!r} is gone: {error}",
                 path=handle.name, field="shm",
             ) from error
-        # The publisher owns the segment's lifetime.  Python's
-        # resource_tracker would unlink it when *this* process exits,
-        # yanking it away from sibling workers — unregister our side.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:
-            pass
         buffer = segment.buf
     elif handle.kind == "file":
         try:
@@ -281,12 +276,6 @@ def plan_is_published(handle):
             segment = shared_memory.SharedMemory(name=handle.name)
         except (OSError, ValueError):
             return False
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:
-            pass
         segment.close()
         return True
     return os.path.exists(handle.name)

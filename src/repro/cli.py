@@ -229,31 +229,13 @@ def cmd_sweep(args):
             "--resume needs --journal PATH to resume from",
             field="resume",
         )
-    grid = _sweep_grid(args)
-    annotated = _load_annotated(args)
-    if args.engine != "scalar":
-        if args.journal or args.resume:
-            raise ConfigError(
-                "--engine batched/auto is the unsupervised fast path;"
-                " journalled/resumable sweeps use --engine scalar",
-                field="engine",
-            )
-        from repro.analysis.sweep import sweep as run_sweep
-
-        result = run_sweep(
-            annotated, grid, jobs=args.jobs, engine=args.engine,
-            progress=lambda label: print(f"  done: {label}"),
-        )
-        print(f"== sweep: {result.workload} ({len(grid)} configs)"
-              f" [{args.engine} engine] ==")
-        for label, config_result in result.results.items():
-            print(f"  {label:<24} MLP={config_result.mlp:.3f}")
-        return 0
     policy = SupervisorPolicy(
         max_retries=args.max_retries,
         config_timeout=args.config_timeout,
         backoff_base=args.backoff,
     )
+    grid = _sweep_grid(args)
+    annotated = _load_annotated(args)
     result = supervised_sweep(
         annotated,
         grid,
@@ -263,8 +245,10 @@ def cmd_sweep(args):
         resume=args.resume,
         policy=policy,
         progress=lambda label: print(f"  done: {label}"),
+        engine=args.engine,
     )
-    print(f"== sweep: {result.workload} ({len(grid)} configs) ==")
+    print(f"== sweep: {result.workload} ({len(grid)} configs)"
+          f" [{args.engine} engine] ==")
     for label, config_result in result.results.items():
         print(f"  {label:<24} MLP={config_result.mlp:.3f}")
     if result.resumed:
@@ -588,13 +572,15 @@ def build_parser():
     p.add_argument("--backoff", type=float, default=0.5,
                    help="base seconds for exponential retry backoff"
                    " (default 0.5)")
-    p.add_argument("--engine", choices=("scalar", "auto", "batched"),
-                   default="scalar",
-                   help="simulation backend: 'scalar' (default) runs"
-                   " the supervised per-config interpreter;"
-                   " 'auto'/'batched' run the config-batched columnar"
-                   " engine — bit-identical results, ~10x faster on"
-                   " full grids, but without journal/retry supervision")
+    p.add_argument("--engine", choices=("auto", "batched", "scalar"),
+                   default="auto",
+                   help="simulation backend: 'auto' (default) and"
+                   " 'batched' run each event-mask group as"
+                   " compiled-kernel chunks, with runahead machines on"
+                   " the scalar engine; 'scalar' runs every config on"
+                   " the per-instruction interpreter.  Results are"
+                   " bit-identical; journalling, timeouts, retry and"
+                   " quarantine apply either way")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("exhibit", help="regenerate paper tables/figures")

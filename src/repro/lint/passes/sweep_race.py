@@ -1,25 +1,27 @@
-"""sweep-race: process-pool workers must not mutate shared state.
+"""sweep-race: worker processes must not mutate shared state.
 
-The parallel sweep backend (PR 2) forks workers that inherit the
-parent's modules copy-on-write.  A worker that stores to a module
-global, a class attribute or a closed-over mutable *appears* to work —
-each forked child updates its own copy — but the parent never sees the
-writes, so the "shared" accumulator is silently empty (and under the
-``spawn`` start method the same code races or pickles stale state).
-The only safe protocol is the one ``repro.analysis.parallel`` uses:
-workers receive arguments, return results, and the parent aggregates.
+The sweep executor forks workers that inherit the parent's modules
+copy-on-write.  A worker that stores to a module global, a class
+attribute or a closed-over mutable *appears* to work — each forked
+child updates its own copy — but the parent never sees the writes, so
+the "shared" accumulator is silently empty (and under the ``spawn``
+start method the same code races or pickles stale state).  The only
+safe protocol is the one ``repro.robustness.supervisor`` uses: workers
+receive arguments, return results, and the parent aggregates.
 
-This pass finds every function submitted to a pool — the first
-argument of ``.submit(f, ...)`` / ``.map(f, ...)`` / ``.starmap`` /
-``.imap`` / ``.apply_async`` calls — and checks, through the module
-call graph, that neither the worker nor any helper it transitively
-calls stores outside its local scope: no ``global`` assignment, no
-``STATE[...] = ...`` / ``STATE.attr = ...`` on a module-level name, no
-``SomeClass.attr = ...``, no ``shared.append(...)``-style in-place
-mutation of a closed-over or global container.
+This pass finds every function run on a worker — the first argument
+of ``.submit(f, ...)`` / ``.map(f, ...)`` / ``.starmap`` / ``.imap`` /
+``.apply_async`` calls, and the ``target=`` of any ``Process(...)``
+call (the sweep executor's own workers) — and checks, through the
+module call graph, that neither the worker nor any helper it
+transitively calls stores outside its local scope: no ``global``
+assignment, no ``STATE[...] = ...`` / ``STATE.attr = ...`` on a
+module-level name, no ``SomeClass.attr = ...``, no
+``shared.append(...)``-style in-place mutation of a closed-over or
+global container.
 
-Pool *initializers* (``ProcessPoolExecutor(initializer=...)``) are
-deliberately exempt: priming per-worker module state is their job.
+Pool *initializers* (an executor's ``initializer=``) are deliberately
+exempt: priming per-worker module state is their job.
 """
 
 import ast
@@ -33,18 +35,28 @@ _SUBMIT_METHODS = frozenset({
 })
 
 
+def _worker_target(call):
+    """The worker expression of *call*, or ``None`` if it starts none."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else \
+        getattr(func, "id", None)
+    if name == "Process":
+        return next(
+            (kw.value for kw in call.keywords if kw.arg == "target"), None
+        )
+    if isinstance(func, ast.Attribute) and name in _SUBMIT_METHODS \
+            and call.args:
+        return call.args[0]
+    return None
+
+
 def _submitted_functions(tree):
-    """``{function_name: first submit line}`` for pool-submitted names."""
+    """``{function_name: first submit line}`` for worker-run names."""
     submitted = {}
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            continue
-        if func.attr not in _SUBMIT_METHODS or not node.args:
-            continue
-        target = node.args[0]
+        target = _worker_target(node)
         if isinstance(target, ast.Name):
             submitted.setdefault(target.id, node.lineno)
     return submitted
@@ -54,7 +66,7 @@ def _submitted_functions(tree):
 class SweepRacePass(LintPass):
     id = "sweep-race"
     description = (
-        "functions submitted to a process pool must not store to"
+        "functions run on worker processes must not store to"
         " module globals, class attributes or closed-over mutables"
     )
 
@@ -80,9 +92,9 @@ class SweepRacePass(LintPass):
                 yield self.finding(
                     module, mutation.lineno,
                     f"{mutation.func}() stores to"
-                    f" {mutation.describe()} but {worker}() is"
-                    f" submitted to a process pool at line"
-                    f" {submit_line}{route}; forked workers mutate a"
+                    f" {mutation.describe()} but {worker}() runs on"
+                    f" worker processes (started at line"
+                    f" {submit_line}){route}; forked workers mutate a"
                     " copy the parent never sees — return results"
                     " instead",
                 )

@@ -1,38 +1,66 @@
-"""Crash-safe supervised sweep execution.
+"""The one sweep executor, and crash-safe supervision on top of it.
 
-``repro.analysis.parallel`` (PR 2) made sweeps fast; this module makes
-them survivable.  A supervised sweep wraps both sweep backends — the
-serial loop and a self-managed worker pool — in a supervision layer
-that assumes *everything* can fail mid-flight:
+Every sweep — :func:`repro.analysis.sweep.sweep` and
+:func:`~repro.analysis.sweep.sweep_cyclesim`, serial or ``jobs=N``,
+supervised or not — runs here.  The executor's task is a *chunk*: a
+run of grid points that share one *route*.  A route is either one
+compiled-kernel plan (an MLPsim mask group's columnar plan, or the
+cycle plan), so a chunk is one kernel call, or the scalar route (the
+scalar MLPsim engine or the frozen cyclesim reference), whose chunks
+hold one config each.  Runahead machines, ``engine="scalar"``, test
+stand-in configs and hosts without ``cc`` take the scalar route.
+
+* **Serial** (``jobs=1``, the unsupervised serial cutover, or a pool
+  that degraded): each kernel route runs as one chunk — the same kernel
+  calls as :func:`repro.core.batched.simulate_batch` and
+  :func:`repro.cyclesim.ckernel.run_cycle_plan` — and each scalar
+  config as its own.
+* **Pool** (``jobs>1``): each kernel route's plan is published once
+  through :mod:`repro.analysis.shm`
+  (:func:`repro.analysis.parallel.batched_parallel_sweep`).  Until a
+  route's per-config cost is known its grid points go out one per task;
+  the first such task's wall time in the worker is the measurement, and
+  :func:`repro.analysis.parallel.shard_pairs` cuts the route's
+  remaining configs from it.  The parent simulates nothing while the
+  pool is up.
+
+The pool is deliberately not the standard library's executor pool,
+which cannot kill a single hung worker without abandoning the whole
+pool and discards every queued task once one worker dies.  The executor
+manages ``multiprocessing`` processes directly — one chunk in flight
+per worker, one duplex pipe per worker for chunks out and results
+back — which is exactly the control needed to time out, kill and
+replace one worker while the rest keep simulating.  The annotated trace reaches workers
+through :func:`repro.analysis.parallel.share_annotated` (fork inherits
+it copy-on-write; spawn platforms load a one-time ``.npz`` spill).
+
+Unsupervised sweeps get no journal, no timeout and no retry: the first
+failure shuts the pool down and raises
+:class:`~repro.robustness.errors.SimulationError` naming the failed
+label(s), the attempt and the elapsed time.
+
+:func:`supervised_sweep` assumes *everything* can fail mid-flight:
 
 * every dispatch and completion is journalled (append-only, fsynced —
   :mod:`repro.robustness.journal`), so an interrupted sweep resumes
   re-executing only configurations the journal marks unfinished;
-* each configuration attempt runs under an optional wall-clock budget;
-  a hung config is SIGKILLed out of its worker (pool) or SIGALRMed
-  (serial) and retried with bounded exponential backoff;
-* a worker killed from outside (SIGKILL, the OOM killer) is detected,
-  its in-flight configuration re-queued, and a replacement spawned —
-  the grid keeps draining;
+* each chunk runs under a wall-clock budget of ``config_timeout`` per
+  config; a hung chunk is SIGKILLed out of its worker (pool) or
+  SIGALRMed (serial);
+* a chunk that raises, hangs or loses its worker (SIGKILL, the OOM
+  killer) charges each of its configs one attempt; those with attempts
+  left are requeued as single-config tasks after bounded exponential
+  backoff, which isolates a poison config in one step, and a
+  replacement worker is spawned — the grid keeps draining;
 * a configuration that keeps failing is moved to a dead-letter
   *quarantine* after ``max_retries`` retries and reported at the end,
   fail-soft — one poison config cannot sink the campaign;
 * a pool that keeps collapsing (too many worker replacements) degrades
-  to the serial backend for the remaining work.
+  to the serial loop for the remaining work.
 
-The pool here is deliberately *not* ``ProcessPoolExecutor``: the
-executor cannot kill a single hung worker without abandoning the whole
-pool, and a ``BrokenProcessPool`` discards every queued future.  The
-supervisor manages ``multiprocessing`` processes directly — one task
-in flight per worker, a shared result queue, per-worker task queues —
-which is exactly the control needed to time out, kill and replace one
-worker while the rest keep simulating.  Trace sharing reuses the PR 2
-protocol (:func:`repro.analysis.parallel.share_annotated`): fork
-inherits the annotated trace copy-on-write; spawn platforms load a
-one-time ``.npz`` spill.
-
-Determinism: MLPsim is a pure function of ``(annotated, machine)``, so
-retries, worker replacement, resume-from-journal and serial
+Determinism: both simulators are pure functions of ``(annotated,
+config)``, and every route is bit-identical to its frozen oracle, so
+chunking, retries, worker replacement, resume-from-journal and serial
 degradation all produce results bit-identical to a clean serial sweep
 — ``tests/test_chaos.py`` proves it under injected process faults.
 """
@@ -40,19 +68,21 @@ degradation all produce results bit-identical to a clean serial sweep
 import collections
 import contextlib
 import dataclasses
+import math
+import multiprocessing.connection
 import os
-import queue as queue_module
 import signal
 import threading
 import time
 
-from repro.analysis.parallel import (
-    resolve_jobs,
-    share_annotated,
-    unshare_annotated,
+from repro.analysis import parallel
+from repro.analysis.sweep import SweepResult, check_engine
+from repro.robustness.errors import (
+    ConfigError,
+    ExhibitTimeout,
+    SimulationError,
+    SweepTimeout,
 )
-from repro.analysis.sweep import SweepResult
-from repro.robustness.errors import ConfigError, SweepTimeout
 from repro.robustness.faults import ProcessFaultPlan
 from repro.robustness.journal import (
     SweepJournal,
@@ -60,7 +90,7 @@ from repro.robustness.journal import (
     result_from_payload,
 )
 
-#: How long the pool loop blocks on the result queue per iteration;
+#: How long the pool loop waits for worker results per iteration;
 #: also the granularity of deadline/death checks.
 _POLL_SECONDS = 0.05
 
@@ -103,6 +133,19 @@ def wall_clock_deadline(seconds, make_error):
             signal.setitimer(signal.ITIMER_REAL, max(resumed, 1e-6))
 
 
+def _check_field(name, value, types, what, positive=False,
+                 ceiling=math.inf):
+    """Raise :class:`ConfigError` unless *value* is a finite,
+    non-negative (or, with *positive*, positive) instance of *types*
+    no larger than *ceiling*; bools are never numbers here."""
+    if (isinstance(value, bool) or not isinstance(value, types)
+            or (isinstance(value, float) and not math.isfinite(value))
+            or value < 0 or (positive and value == 0)
+            or value > ceiling):
+        raise ConfigError(f"{name} must be {what}, got {value!r}",
+                          field=name)
+
+
 @dataclasses.dataclass(frozen=True)
 class SupervisorPolicy:
     """Retry, timeout and degradation policy for one supervised sweep.
@@ -110,13 +153,16 @@ class SupervisorPolicy:
     ``max_retries`` is the number of *re*-executions after the first
     attempt, so a config runs at most ``max_retries + 1`` times before
     quarantine.  ``config_timeout`` bounds one attempt's wall-clock
-    seconds (``None`` = unbounded: hangs are then unrecoverable, so
-    long campaigns should always set one).  Backoff before retry *n*
-    is ``min(backoff_cap, backoff_base * 2**(n-1))`` seconds —
+    seconds per config — a chunk of *n* configs gets *n* times that
+    (``None`` = unbounded: hangs are then unrecoverable, so long
+    campaigns should always set one).  The serial loop arms it with
+    ``setitimer``, which cannot hold more than
+    ``threading.TIMEOUT_MAX`` seconds.  Backoff before retry *n* is
+    ``min(backoff_cap, backoff_base * 2**(n-1))`` seconds —
     deterministic, no jitter, keeping chaos runs reproducible.
     ``pool_failure_limit`` is how many worker replacements (deaths or
     timeout kills) the pool tolerates before degrading the remaining
-    grid to the serial backend.
+    grid to the serial loop.
     """
 
     max_retries: int = 2
@@ -126,30 +172,17 @@ class SupervisorPolicy:
     pool_failure_limit: int = 16
 
     def __post_init__(self):
-        if not isinstance(self.max_retries, int) \
-                or isinstance(self.max_retries, bool) or self.max_retries < 0:
-            raise ConfigError(
-                f"max_retries must be a non-negative integer,"
-                f" got {self.max_retries!r}",
-                field="max_retries",
-            )
-        if self.config_timeout is not None and not self.config_timeout > 0:
-            raise ConfigError(
-                f"config_timeout must be positive or None,"
-                f" got {self.config_timeout!r}",
-                field="config_timeout",
-            )
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ConfigError(
-                "backoff_base and backoff_cap must be non-negative",
-                field="backoff_base",
-            )
-        if not isinstance(self.pool_failure_limit, int) \
-                or self.pool_failure_limit < 0:
-            raise ConfigError(
-                f"pool_failure_limit must be a non-negative integer,"
-                f" got {self.pool_failure_limit!r}",
-                field="pool_failure_limit",
+        for name in ("max_retries", "pool_failure_limit"):
+            _check_field(name, getattr(self, name), int,
+                         "a non-negative integer")
+        for name in ("backoff_base", "backoff_cap"):
+            _check_field(name, getattr(self, name), (int, float),
+                         "a non-negative finite number")
+        if self.config_timeout is not None:
+            _check_field(
+                "config_timeout", self.config_timeout, (int, float),
+                f"positive seconds up to {threading.TIMEOUT_MAX:g},"
+                " or None", positive=True, ceiling=threading.TIMEOUT_MAX,
             )
 
     @property
@@ -208,13 +241,27 @@ class SupervisedSweepResult(SweepResult):
         return "\n".join(q.describe() for q in self.quarantined)
 
 
+class _Route:
+    """One compiled-kernel plan and its measured per-config cost."""
+
+    __slots__ = ("plan", "cost")
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.cost = None  # seconds per config, once a worker measured it
+
+
 class _Task:
-    """Parent-side bookkeeping for one grid point."""
+    """Parent-side bookkeeping for one grid point.
+
+    ``route`` is the task's :class:`_Route`, or ``None`` for the scalar
+    route.
+    """
 
     __slots__ = ("index", "label", "machine", "key", "attempts",
-                 "not_before", "last_error")
+                 "not_before", "last_error", "route", "finished")
 
-    def __init__(self, index, label, machine, key, attempts=0):
+    def __init__(self, index, label, machine, key=None, attempts=0):
         self.index = index
         self.label = label
         self.machine = machine
@@ -222,181 +269,320 @@ class _Task:
         self.attempts = attempts
         self.not_before = 0.0
         self.last_error = None
+        self.route = None
+        self.finished = False
 
 
 class _Worker:
-    """Parent-side handle for one pool worker process."""
+    """Parent-side handle for one pool worker process.
 
-    __slots__ = ("id", "process", "task_queue", "task", "deadline",
-                 "started")
+    ``conn`` is the parent's end of the worker's duplex pipe: chunks go
+    out on it and results come back on it.
+    """
 
-    def __init__(self, worker_id, process, task_queue):
-        self.id = worker_id
+    __slots__ = ("process", "conn", "chunk", "deadline", "started")
+
+    def __init__(self, process, conn):
         self.process = process
-        self.task_queue = task_queue
-        self.task = None
+        self.conn = conn
+        self.chunk = None
         self.deadline = None
         self.started = None
 
 
-def _simulate_config(annotated, machine, workload):
-    """Run one grid point, dispatching on the config's engine family.
+def _assign_routes(annotated, tasks, engine):
+    """Give every task its route; returns the kernel routes in grid order.
 
-    A supervised sweep carries either MLPsim
-    :class:`~repro.core.config.MachineConfig` entries or cyclesim
-    :class:`~repro.cyclesim.config.CycleSimConfig` entries; both ride
-    the same journal, retry and quarantine machinery.
+    A ``MachineConfig`` the MLPsim kernel accepts (built, not runahead,
+    ``engine`` not ``"scalar"``) shares its mask group's columnar plan;
+    a ``CycleSimConfig`` shares the cycle plan when the cyclesim kernel
+    is built.  Everything else stays on the scalar route.  The trace is
+    validated once, before the first plan is built from it.
     """
-    from repro.core.mlpsim import simulate
+    from repro.core.batched import batched_supported
+    from repro.core.columnar import mask_key, plan_for
+    from repro.core.config import MachineConfig
+    from repro.cyclesim import ckernel as cycle_ckernel
     from repro.cyclesim.config import CycleSimConfig
-    from repro.cyclesim.simulator import run_cyclesim
+    from repro.cyclesim.plan import cycle_plan_for
+    from repro.robustness.validate import validate_annotated
 
-    if isinstance(machine, CycleSimConfig):
-        return run_cyclesim(annotated, machine, workload=workload)
-    return simulate(annotated, machine, workload=workload)
+    routes = {}
+    for task in tasks:
+        machine = task.machine
+        if isinstance(machine, CycleSimConfig):
+            if not cycle_ckernel.kernel_available():
+                continue
+            key = "cyclesim"
+        elif (isinstance(machine, MachineConfig) and engine != "scalar"
+                and batched_supported(machine)):
+            key = mask_key(machine)
+        else:
+            continue
+        if key not in routes:
+            if not routes:
+                validate_annotated(annotated, check_events=False)
+            routes[key] = _Route(
+                cycle_plan_for(annotated) if key == "cyclesim"
+                else plan_for(annotated, machine)
+            )
+        task.route = routes[key]
+    return list(routes.values())
 
 
-def _worker_main(worker_id, task_queue, result_queue, spill_path,
-                 fault_spec, workload):
-    """Sweep worker loop: take a task, simulate, return the result.
+def _run_chunk(annotated, plan, pairs, workload):
+    """Simulate one chunk of ``(label, config)`` *pairs*.
 
-    Runs in a child process.  The annotated trace arrives either
-    copy-on-write through the module global (fork) or from the spilled
-    archive (spawn).  The fault plan re-parses from its spec string so
-    chaos schedules survive any start method.  A ``None`` task is the
-    shutdown sentinel.
+    With a kernel *plan* the chunk is one kernel call; with ``None`` it
+    is one config on the scalar route.  Returns ``{label: result}``.
     """
-    from repro.analysis import parallel
+    if plan is None:
+        from repro.core.mlpsim import simulate
+        from repro.cyclesim.config import CycleSimConfig
+        from repro.cyclesim.simulator import run_cyclesim
 
+        (label, config), = pairs
+        if isinstance(config, CycleSimConfig):
+            return {label: run_cyclesim(annotated, config, workload=workload)}
+        return {label: simulate(annotated, config, workload=workload)}
+    from repro.cyclesim.plan import CyclePlan
+
+    if isinstance(plan, CyclePlan):
+        from repro.cyclesim.ckernel import run_cycle_plan
+
+        return run_cycle_plan(plan, pairs, workload)
+    from repro.core.ckernel import run_plan
+
+    return run_plan(plan, pairs, workload)
+
+
+def _attach_and_run(annotated, handle, pairs, workload):
+    """Worker side of :func:`_run_chunk`: attach the published plan."""
+    if handle is None:
+        return _run_chunk(annotated, None, pairs, workload)
+    from repro.analysis.shm import attach_plan
+
+    attached = attach_plan(handle)
+    try:
+        return _run_chunk(annotated, attached.plan, pairs, workload)
+    finally:
+        attached.close()
+
+
+def _worker_main(conn, spill_path, fault_spec, workload):
+    """Pool worker loop: take a chunk, simulate it, return the results.
+
+    Runs in a child process and talks to the parent over *conn*.  The
+    annotated trace arrives either copy-on-write through the module
+    global (fork) or from the spilled archive (spawn).  The fault plan
+    re-parses from its spec string so chaos schedules survive any start
+    method.  A ``None`` task is the shutdown sentinel.  Each result
+    carries the chunk's simulation seconds, the executor's per-config
+    cost measurement.
+    """
     if spill_path is not None:
         from repro.trace.io import load_annotated
 
         annotated = load_annotated(spill_path)
     else:
         annotated = parallel._WORKER_ANNOTATED
-    plan = ProcessFaultPlan.parse(fault_spec)
+    faults = ProcessFaultPlan.parse(fault_spec)
     while True:
-        item = task_queue.get()
+        item = conn.recv()
         if item is None:
             return
-        task_index, label, machine, attempt = item
+        handle, chunk = item
         try:
-            plan.apply_in_worker(label, attempt)
-            result = _simulate_config(annotated, machine, workload)
-        except Exception as exc:
-            result_queue.put(
-                (worker_id, task_index, False,
-                 f"{type(exc).__name__}: {exc}")
+            for label, _, attempt in chunk:
+                faults.apply_in_worker(label, attempt)
+            started = time.monotonic()
+            results = _attach_and_run(
+                annotated, handle,
+                [(label, config) for label, config, _ in chunk], workload,
             )
+            seconds = time.monotonic() - started
+        except Exception as exc:
+            conn.send((False, f"{type(exc).__name__}: {exc}", 0.0))
         else:
-            result_queue.put((worker_id, task_index, True, result))
+            conn.send((True, results, seconds))
 
 
 class _SweepState:
-    """Mutable run state shared by the pool and serial executors."""
+    """Run state of one sweep, shared by the pool and the serial loop.
 
-    def __init__(self, policy, plan, journal, progress, workload):
-        self.policy = policy
-        self.plan = plan
-        self.journal = journal
-        self.progress = progress
+    ``policy`` is ``None`` for an unsupervised sweep: no journal, no
+    timeout, no retry — :meth:`fail` raises.  *tasks* are the grid
+    points this run executes, in grid order.
+    """
+
+    def __init__(self, tasks, workload, progress, policy=None,
+                 faults=None, journal=None):
+        self.tasks = tasks
         self.workload = workload
-        self.results = {}          # label -> MLPResult (executed this run)
+        self.progress = progress
+        self.policy = policy
+        self.faults = faults if faults is not None else ProcessFaultPlan()
+        self.journal = journal
+        self.results = {}          # label -> result (executed this run)
         self.quarantined = []      # QuarantinedConfig
         self.worker_replacements = 0
+        self.started = time.monotonic()
+        self._reported = 0         # tasks[:_reported] are finished
 
-    def journal_attempt(self, task):
-        if self.journal is not None:
-            self.journal.record_attempt(task.key, task.label, task.attempts)
+    def budget(self, chunk):
+        """Wall-clock seconds *chunk* may take, or ``None``."""
+        if self.policy is None or self.policy.config_timeout is None:
+            return None
+        # A chunk's budget may exceed what setitimer can arm.
+        return min(self.policy.config_timeout * len(chunk),
+                   threading.TIMEOUT_MAX)
 
-    def complete(self, task, result, elapsed):
-        if self.journal is not None:
-            self.journal.record_result(
-                task.key, task.label, task.attempts, round(elapsed, 3),
-                result,
-            )
-        self.results[task.label] = result
-        if self.progress is not None:
-            self.progress(task.label)
+    def pool_exhausted(self):
+        """Has the pool replaced more workers than the policy allows?"""
+        return (self.policy is not None
+                and self.worker_replacements
+                > self.policy.pool_failure_limit)
 
-    def fail(self, task, error, elapsed):
-        """Record one failed attempt; True when the task may retry."""
-        message = (
-            f"{error} (config {task.label!r}, attempt {task.attempts}"
-            f" of {self.policy.attempts_allowed},"
-            f" after {elapsed:.1f}s)"
-        )
-        task.last_error = message
-        if self.journal is not None:
-            self.journal.record_failure(
-                task.key, task.label, task.attempts, round(elapsed, 3),
-                message,
-            )
-        if task.attempts >= self.policy.attempts_allowed:
-            if self.journal is not None:
-                self.journal.record_quarantine(
-                    task.key, task.label, task.attempts, message
-                )
-            self.quarantined.append(QuarantinedConfig(
-                label=task.label, key=task.key, attempts=task.attempts,
-                error=message,
-            ))
-            return False
-        task.not_before = (
-            time.monotonic() + self.policy.backoff_delay(task.attempts)
-        )
-        return True
-
-
-def _run_serial(annotated, tasks, state):
-    """Drain *tasks* in grid order on the serial backend."""
-    policy = state.policy
-    for task in tasks:
-        while True:
-            delay = task.not_before - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
+    def dispatch(self, chunk):
+        """Count and journal one attempt of every config in *chunk*."""
+        for task in chunk:
             task.attempts += 1
-            state.journal_attempt(task)
-            started = time.monotonic()
-            try:
-                with wall_clock_deadline(
-                    policy.config_timeout,
-                    lambda seconds, label=task.label: SweepTimeout(
-                        f"config exceeded its {seconds:g}s attempt"
-                        " budget",
-                        field=label,
-                    ),
-                ):
-                    # Inside the deadline: a fault-injected hang models
-                    # the simulation hanging, so SIGALRM must cover it.
-                    state.plan.apply_serial(task.label, task.attempts)
-                    result = _simulate_config(
-                        annotated, task.machine, state.workload
+            if self.journal is not None:
+                self.journal.record_attempt(
+                    task.key, task.label, task.attempts
+                )
+
+    def complete(self, chunk, results, elapsed):
+        share = round(elapsed / len(chunk), 3)
+        for task in chunk:
+            result = results[task.label]
+            if self.journal is not None:
+                self.journal.record_result(
+                    task.key, task.label, task.attempts, share, result
+                )
+            self.results[task.label] = result
+            task.finished = True
+        self._report()
+
+    def fail(self, chunk, error, elapsed):
+        """Charge every config of *chunk* one failed attempt.
+
+        Returns the configs that may retry, each as its own
+        single-config chunk.  Unsupervised sweeps raise instead.
+        """
+        if self.policy is None:
+            labels = ", ".join(task.label for task in chunk)
+            raise SimulationError(
+                f"sweep config(s) [{labels}] failed (attempt"
+                f" {chunk[0].attempts}, after"
+                f" {time.monotonic() - self.started:.1f}s): {error}",
+                field=chunk[0].label,
+            )
+        retries = []
+        for task in chunk:
+            message = (
+                f"{error} (config {task.label!r}, attempt {task.attempts}"
+                f" of {self.policy.attempts_allowed},"
+                f" after {elapsed:.1f}s)"
+            )
+            task.last_error = message
+            if self.journal is not None:
+                self.journal.record_failure(
+                    task.key, task.label, task.attempts, round(elapsed, 3),
+                    message,
+                )
+            if task.attempts >= self.policy.attempts_allowed:
+                if self.journal is not None:
+                    self.journal.record_quarantine(
+                        task.key, task.label, task.attempts, message
                     )
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
-                elapsed = time.monotonic() - started
-                if not state.fail(
-                    task, f"{type(exc).__name__}: {exc}", elapsed
-                ):
-                    break
+                self.quarantined.append(QuarantinedConfig(
+                    label=task.label, key=task.key, attempts=task.attempts,
+                    error=message,
+                ))
+                task.finished = True
             else:
-                state.complete(task, result, time.monotonic() - started)
-                break
+                task.not_before = (
+                    time.monotonic()
+                    + self.policy.backoff_delay(task.attempts)
+                )
+                retries.append([task])
+        self._report()
+        return retries
+
+    def _report(self):
+        """Fire progress for newly finished grid points, in grid order."""
+        while self._reported < len(self.tasks) \
+                and self.tasks[self._reported].finished:
+            label = self.tasks[self._reported].label
+            if self.progress is not None and label in self.results:
+                self.progress(label)
+            self._reported += 1
 
 
-def _spawn_worker(ctx, worker_id, result_queue, spill_path, state):
-    task_queue = ctx.SimpleQueue()
+def _serial_chunks(tasks):
+    """One chunk per kernel route plus one per scalar config, ordered
+    by their first grid point."""
+    chunks = {}
+    for task in sorted(tasks, key=lambda task: task.index):
+        # A scalar task keys its own chunk.
+        chunks.setdefault(task.route or task, []).append(task)
+    return list(chunks.values())
+
+
+def _drain_serial(annotated, chunks, state):
+    """Drain *chunks* in this process; retries run next, in grid order."""
+    waiting = collections.deque(chunks)
+    while waiting:
+        chunk = waiting.popleft()
+        delay = max(task.not_before for task in chunk) - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)
+        state.dispatch(chunk)
+        route = chunk[0].route
+        started = time.monotonic()
+        try:
+            with wall_clock_deadline(
+                state.budget(chunk),
+                lambda seconds, chunk=chunk: SweepTimeout(
+                    f"chunk of {len(chunk)} config(s) exceeded its"
+                    f" {seconds:g}s attempt budget",
+                    field=chunk[0].label,
+                ),
+            ):
+                # Inside the deadline: a fault-injected hang models
+                # the simulation hanging, so SIGALRM must cover it.
+                for task in chunk:
+                    state.faults.apply_serial(task.label, task.attempts)
+                results = _run_chunk(
+                    annotated, route.plan if route is not None else None,
+                    [(task.label, task.machine) for task in chunk],
+                    state.workload,
+                )
+        except (KeyboardInterrupt, SystemExit, ExhibitTimeout):
+            raise  # an exhibit's deadline ends the sweep, not the chunk
+        except Exception as exc:
+            retries = state.fail(
+                chunk, f"{type(exc).__name__}: {exc}",
+                time.monotonic() - started,
+            )
+            waiting.extendleft(reversed(retries))
+        else:
+            state.complete(chunk, results, time.monotonic() - started)
+
+
+def _spawn_worker(ctx, spill_path, state):
+    conn, worker_end = ctx.Pipe()
     process = ctx.Process(
         target=_worker_main,
-        args=(worker_id, task_queue, result_queue, spill_path,
-              state.plan.spec, state.workload),
+        args=(worker_end, spill_path, state.faults.spec, state.workload),
         daemon=True,
     )
-    process.start()
-    return _Worker(worker_id, process, task_queue)
+    try:
+        process.start()
+    finally:
+        worker_end.close()  # the worker holds its own copy
+    return _Worker(process, conn)
 
 
 def _shutdown_pool(workers):
@@ -404,7 +590,7 @@ def _shutdown_pool(workers):
     for worker in workers.values():
         if worker.process.is_alive():
             try:
-                worker.task_queue.put(None)
+                worker.conn.send(None)
             except (OSError, ValueError):
                 pass
     for worker in workers.values():
@@ -412,150 +598,188 @@ def _shutdown_pool(workers):
         if worker.process.is_alive():
             worker.process.kill()
             worker.process.join(timeout=_KILL_JOIN_SECONDS)
+        worker.conn.close()
 
 
-def _run_pool(annotated, tasks, state, n_jobs):
-    """Drain *tasks* on a supervised worker pool.
+def _next_ready(waiting, now):
+    """Pop the first chunk in *waiting* that is not backing off."""
+    for position, chunk in enumerate(waiting):
+        if max(task.not_before for task in chunk) <= now:
+            del waiting[position]
+            return chunk
+    return None
 
-    Returns the tasks still unfinished when the pool degrades (too
-    many worker replacements) or cannot be built at all; the caller
-    finishes them serially.  An empty return means the pool drained
-    everything (completions and quarantines both count as finished).
+
+def _shard(waiting, route, n_jobs):
+    """Re-cut *route*'s waiting configs by its newly measured cost.
+
+    Only configs that have not failed this run are merged into chunks;
+    retries stay single-config tasks.
     """
-    policy = state.policy
-    ctx, spill_path = share_annotated(annotated)
+    def mergeable(chunk):
+        return chunk[0].route is route and chunk[0].last_error is None
+
+    fresh = [chunk[0] for chunk in waiting if mergeable(chunk)]
+    chunks = [chunk for chunk in waiting if not mergeable(chunk)]
+    chunks += parallel.shard_pairs(fresh, route.cost, n_jobs)
+    return collections.deque(sorted(chunks, key=lambda c: c[0].index))
+
+
+def _unfinished(waiting, workers):
+    """Every task still waiting or in flight."""
+    tasks = [task for chunk in waiting for task in chunk]
+    for worker in workers.values():
+        tasks.extend(worker.chunk or ())
+    return tasks
+
+
+def _drain_pool(annotated, tasks, state, n_jobs, handles):
+    """Drain *tasks* on the worker pool.
+
+    *handles* maps each kernel route to its published plan.  Returns
+    the tasks still unfinished when the pool degrades (too many worker
+    replacements) or cannot be built at all; the caller finishes them
+    serially.  An empty return means the pool drained everything
+    (completions and quarantines both count as finished).
+    """
+    ctx, spill_path = parallel.share_annotated(annotated)
     if ctx is None:
         return tasks
-    result_queue = ctx.Queue()
-    workers = {}
-    next_worker_id = 0
-    waiting = collections.deque(tasks)
-    inflight = {}  # task.index -> _Task
+    workers = {}  # parent pipe end -> _Worker
+    waiting = collections.deque([task] for task in tasks)
     try:
-        try:
-            for _ in range(min(n_jobs, len(tasks))):
-                workers[next_worker_id] = _spawn_worker(
-                    ctx, next_worker_id, result_queue, spill_path, state
-                )
-                next_worker_id += 1
-        except OSError:
-            return list(waiting)
-
-        def _recover(worker, error, elapsed):
-            """Handle a dead/hung worker: requeue or quarantine its task."""
-            task = worker.task
-            worker.task = None
-            state.worker_replacements += 1
-            del workers[worker.id]
-            if task is not None:
-                inflight.pop(task.index, None)
-                if state.fail(task, error, elapsed):
-                    waiting.append(task)
-
-        while waiting or inflight:
+        while waiting or any(w.chunk for w in workers.values()):
+            # Top up the pool while work remains.
+            busy = sum(1 for w in workers.values() if w.chunk)
+            while len(workers) < min(n_jobs, len(waiting) + busy):
+                try:
+                    worker = _spawn_worker(ctx, spill_path, state)
+                except OSError:
+                    return _unfinished(waiting, workers)
+                workers[worker.conn] = worker
+            # Dispatch ready chunks to idle workers, grid order first.
             now = time.monotonic()
-            # Dispatch ready tasks to idle workers, grid order first.
-            idle = [w for w in workers.values() if w.task is None]
-            for worker in idle:
-                task = None
-                for _ in range(len(waiting)):
-                    candidate = waiting.popleft()
-                    if candidate.not_before <= now:
-                        task = candidate
-                        break
-                    waiting.append(candidate)  # still backing off
-                if task is None:
+            for worker in workers.values():
+                if worker.chunk is not None:
+                    continue
+                chunk = _next_ready(waiting, now)
+                if chunk is None:
                     break
-                task.attempts += 1
-                state.journal_attempt(task)
-                worker.task = task
+                state.dispatch(chunk)
+                budget = state.budget(chunk)
+                worker.chunk = chunk
                 worker.started = now
-                worker.deadline = (
-                    now + policy.config_timeout
-                    if policy.config_timeout is not None else None
-                )
-                inflight[task.index] = task
-                worker.task_queue.put(
-                    (task.index, task.label, task.machine, task.attempts)
-                )
-            # Collect one completion (or time out and police the pool).
-            try:
-                worker_id, task_index, ok, payload = result_queue.get(
-                    timeout=_POLL_SECONDS
-                )
-            except queue_module.Empty:
-                pass
-            else:
-                task = inflight.pop(task_index, None)
-                worker = workers.get(worker_id)
-                if worker is not None and worker.task is not None \
-                        and worker.task.index == task_index:
-                    elapsed = time.monotonic() - worker.started
-                    worker.task = None
-                    worker.deadline = None
+                worker.deadline = now + budget if budget else None
+                worker.conn.send((
+                    handles.get(chunk[0].route),
+                    [(task.label, task.machine, task.attempts)
+                     for task in chunk],
+                ))
+            # Collect finished chunks (or time out and police the pool).
+            for conn in multiprocessing.connection.wait(
+                list(workers), timeout=_POLL_SECONDS
+            ):
+                worker = workers[conn]
+                try:
+                    ok, payload, seconds = conn.recv()
+                except (EOFError, OSError):
+                    continue  # the worker died; policing recovers it
+                chunk, worker.chunk = worker.chunk, None
+                worker.deadline = None
+                elapsed = time.monotonic() - worker.started
+                route = chunk[0].route
+                if not ok:
+                    waiting.extend(state.fail(chunk, payload, elapsed))
                 else:
-                    elapsed = 0.0
-                if task is not None:
-                    if ok:
-                        state.complete(task, payload, elapsed)
-                    elif state.fail(task, payload, elapsed):
-                        waiting.append(task)
+                    state.complete(chunk, payload, elapsed)
+                    if route is not None and route.cost is None:
+                        route.cost = seconds / len(chunk)
+                        waiting = _shard(waiting, route, n_jobs)
             # Police the pool: dead workers and blown deadlines.
             now = time.monotonic()
             for worker in list(workers.values()):
                 if not worker.process.is_alive():
-                    elapsed = now - worker.started if worker.started else 0.0
-                    exitcode = worker.process.exitcode
-                    _recover(
-                        worker,
-                        f"worker process died (exit code {exitcode})",
-                        elapsed,
-                    )
+                    error = (f"worker process died (exit code"
+                             f" {worker.process.exitcode})")
                 elif worker.deadline is not None and now > worker.deadline:
                     worker.process.kill()
                     worker.process.join(timeout=_KILL_JOIN_SECONDS)
-                    _recover(
-                        worker,
-                        f"SweepTimeout: config exceeded its"
-                        f" {policy.config_timeout:g}s attempt budget"
-                        " (worker killed)",
-                        now - worker.started,
-                    )
-            if state.worker_replacements > policy.pool_failure_limit:
+                    error = (f"SweepTimeout: chunk of {len(worker.chunk)}"
+                             f" config(s) exceeded its"
+                             f" {state.budget(worker.chunk):g}s attempt"
+                             " budget (worker killed)")
+                else:
+                    continue
+                del workers[worker.conn]
+                worker.conn.close()
+                state.worker_replacements += 1
+                if worker.chunk is not None:
+                    waiting.extend(state.fail(
+                        worker.chunk, error, now - worker.started
+                    ))
+            if state.pool_exhausted():
                 # The pool keeps dying; hand the rest to the serial
-                # backend rather than thrash respawning workers.
-                remaining = list(waiting) + list(inflight.values())
-                waiting.clear()
-                inflight.clear()
-                return remaining
-            # Respawn up to the worker budget while work remains.
-            while len(workers) < min(n_jobs, len(waiting) + len(inflight)):
-                try:
-                    workers[next_worker_id] = _spawn_worker(
-                        ctx, next_worker_id, result_queue, spill_path,
-                        state,
-                    )
-                    next_worker_id += 1
-                except OSError:
-                    remaining = list(waiting) + list(inflight.values())
-                    waiting.clear()
-                    inflight.clear()
-                    return remaining
+                # loop rather than thrash respawning workers.
+                return _unfinished(waiting, workers)
         return []
     finally:
         _shutdown_pool(workers)
-        result_queue.close()
-        result_queue.join_thread()
-        unshare_annotated(spill_path)
+        parallel.unshare_annotated(spill_path)
+
+
+def _execute(annotated, tasks, state, jobs, engine):
+    """Run *tasks* to the end on the one executor.
+
+    Returns True when the sweep used a pool and had to finish serially
+    (the pool degraded or could not be built).
+    """
+    n_jobs = min(parallel.resolve_jobs(jobs), len(tasks))
+    if not tasks:
+        return False
+    routes = _assign_routes(annotated, tasks, engine)
+    if state.policy is None:
+        pooled = not parallel.serial_cutover(n_jobs, len(tasks))
+    else:
+        pooled = n_jobs > 1  # the pool is supervision's isolation boundary
+    leftover = tasks
+    if pooled:
+        leftover = parallel.batched_parallel_sweep(
+            [route.plan for route in routes],
+            lambda handles: _drain_pool(
+                annotated, tasks, state, n_jobs,
+                dict(zip(routes, handles)),
+            ),
+        )
+    _drain_serial(annotated, _serial_chunks(leftover), state)
+    return pooled and bool(leftover)
+
+
+def sweep_results(annotated, pairs, workload, jobs=None, progress=None,
+                  engine="auto"):
+    """Run ``(label, config)`` *pairs* unsupervised on the executor.
+
+    Returns ``{label: result}`` in grid order.  *progress* fires once
+    per completed config, in grid order.  The first failure shuts the
+    pool down and raises :class:`SimulationError` naming the failed
+    label(s), the attempt and the elapsed time.
+    """
+    tasks = [
+        _Task(index, label, machine)
+        for index, (label, machine) in enumerate(pairs)
+    ]
+    state = _SweepState(tasks, workload, progress)
+    _execute(annotated, tasks, state, jobs, engine)
+    return {task.label: state.results[task.label] for task in tasks}
 
 
 def supervised_sweep(annotated, machines, workload=None, seed=None,
                      trace_len=None, jobs=None, journal_path=None,
                      resume=False, policy=None, progress=None,
-                     fault_plan=None):
+                     fault_plan=None, engine="auto"):
     """Run a machine grid under crash-safe supervision.
 
-    Parameters mirror :func:`repro.analysis.sweep.sweep` plus:
+    Parameters mirror :func:`repro.analysis.sweep.sweep` (including
+    ``engine``) plus:
 
     seed, trace_len:
         Workload identity folded into each config's journal key
@@ -577,11 +801,12 @@ def supervised_sweep(annotated, machines, workload=None, seed=None,
 
     Returns a :class:`SupervisedSweepResult`; quarantined configs are
     reported there, fail-soft, rather than raised.  ``progress`` fires
-    per completed label — in grid order on the serial backend, in
-    completion order on the pool.
+    once per completed config, in grid order.  With ``jobs > 1`` the
+    sweep always runs on the pool, which is its isolation boundary.
     """
+    check_engine(engine)
     policy = policy if policy is not None else SupervisorPolicy()
-    plan = fault_plan if fault_plan is not None \
+    faults = fault_plan if fault_plan is not None \
         else ProcessFaultPlan.from_env()
     if hasattr(machines, "items"):
         machines = machines.items()
@@ -607,10 +832,10 @@ def supervised_sweep(annotated, machines, workload=None, seed=None,
     prior_quarantine = []
     if journal_path is not None:
         journal = SweepJournal(journal_path)
-        if plan is not None and not plan.empty:
+        if not faults.empty:
             journal.tear_hook = (
                 lambda record: record.get("type") == "result"
-                and plan.should_crash_journal(
+                and faults.should_crash_journal(
                     record.get("label"), record.get("attempt")
                 )
             )
@@ -635,20 +860,9 @@ def supervised_sweep(annotated, machines, workload=None, seed=None,
     finished_labels.update(q.label for q in prior_quarantine)
     pending = [t for t in tasks if t.label not in finished_labels]
 
-    state = _SweepState(policy, plan, journal, progress, name)
+    state = _SweepState(pending, name, progress, policy, faults, journal)
     state.quarantined.extend(prior_quarantine)
-
-    degraded = False
-    if pending:
-        n_jobs = min(resolve_jobs(jobs), len(pending))
-        if n_jobs > 1:
-            leftover = _run_pool(annotated, pending, state, n_jobs)
-            if leftover:
-                degraded = True
-                leftover.sort(key=lambda task: task.index)
-                _run_serial(annotated, leftover, state)
-        else:
-            _run_serial(annotated, pending, state)
+    degraded = _execute(annotated, pending, state, jobs, engine)
 
     ordered = {}
     for task in tasks:

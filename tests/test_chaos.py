@@ -251,3 +251,108 @@ class TestCacheCorruption:
     def test_corrupt_masks_archive_is_quarantined_alone(
             self, tmp_path, monkeypatch, caplog):
         self._corrupt_one_archive("masks", tmp_path, monkeypatch, caplog)
+
+
+#: The paper's 30-config window x policy grid: one event-mask group, so
+#: at jobs=2 a supervised sweep sends two single-config measurement
+#: tasks and then cuts the other 28 configs into multi-config chunks.
+PAPER_GRID_SPECS = tuple(
+    f"{window}{policy}" for window in (16, 32, 64, 128, 256, 512)
+    for policy in "ABCDE"
+)
+
+
+def _paper_grid():
+    return [(spec, MachineConfig.named(spec)) for spec in PAPER_GRID_SPECS]
+
+
+@pytest.fixture(scope="module")
+def paper_oracle(chaos_annotated):
+    """The frozen oracle's result for every paper-grid config."""
+    from repro.core.mlpsim_reference import simulate_reference
+
+    return {
+        label: simulate_reference(chaos_annotated, machine,
+                                  workload="specjbb2000")
+        for label, machine in _paper_grid()
+    }
+
+
+def _journal_attempts(journal_path):
+    """``{label: highest attempt journalled}``."""
+    from repro.robustness.journal import SweepJournal
+
+    state = SweepJournal(journal_path).replay()
+    return {state.labels[key]: n for key, n in state.attempts.items()}
+
+
+class TestKernelChunks:
+    """Supervised jobs=2 sweeps run kernel chunks; faults charge a
+    whole chunk, and its configs retry alone."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_kernel(self):
+        from repro.core import ckernel
+
+        if not ckernel.kernel_available():
+            pytest.skip(f"no compiled kernel: {ckernel.kernel_error()}")
+
+    def test_poison_config_in_a_chunk_is_quarantined_alone(
+            self, chaos_annotated, paper_oracle, journal_dir):
+        journal_path = os.path.join(journal_dir, "chunk-poison.jsonl")
+        result = supervised_sweep(
+            chaos_annotated, _paper_grid(), seed=1234, jobs=2,
+            journal_path=journal_path, policy=POLICY,
+            fault_plan=ProcessFaultPlan.parse("kill:64A"),
+        )
+        assert [q.label for q in result.quarantined] == ["64A"]
+        assert result.worker_replacements == POLICY.attempts_allowed
+        survivors = [s for s in PAPER_GRID_SPECS if s != "64A"]
+        assert result.labels() == survivors
+        for label in survivors:
+            assert _result_fields(result.results[label]) == \
+                _result_fields(paper_oracle[label]), label
+        attempts = _journal_attempts(journal_path)
+        assert attempts.pop("64A") == POLICY.attempts_allowed
+        # The chunk the poison killed charged each of its configs one
+        # attempt; they then succeeded alone.  No other config retried.
+        chunk_mates = [label for label, n in attempts.items() if n == 2]
+        assert len(chunk_mates) >= 2
+        assert all(n in (1, 2) for n in attempts.values())
+
+    def test_crash_mid_chunk_resumes_only_lost_configs(
+            self, chaos_annotated, paper_oracle, journal_dir, monkeypatch):
+        import repro.analysis.shm as shm
+        from repro.robustness.journal import SweepJournal
+
+        published = []
+        real_publish = shm.publish_plan
+
+        def recording_publish(plan):
+            published.append(plan)
+            return real_publish(plan)
+
+        monkeypatch.setattr(shm, "publish_plan", recording_publish)
+        journal_path = os.path.join(journal_dir, "chunk-crash.jsonl")
+        with pytest.raises(InjectedCrash):
+            supervised_sweep(
+                chaos_annotated, _paper_grid(), seed=1234, jobs=2,
+                journal_path=journal_path, policy=POLICY,
+                fault_plan=ProcessFaultPlan.parse("crash-journal:64A@1"),
+            )
+        assert len(published) == 1  # one plan, shared by every chunk
+        state = SweepJournal(journal_path).replay()
+        durable = {state.labels[key] for key in state.results}
+        assert state.torn_tail and "64A" not in durable
+
+        resumed = supervised_sweep(
+            chaos_annotated, _paper_grid(), seed=1234, jobs=2,
+            journal_path=journal_path, resume=True, policy=POLICY,
+        )
+        assert resumed.complete
+        assert resumed.resumed == len(durable)
+        assert resumed.executed == len(PAPER_GRID_SPECS) - len(durable)
+        assert resumed.labels() == list(PAPER_GRID_SPECS)
+        for label in PAPER_GRID_SPECS:
+            assert _result_fields(resumed.results[label]) == \
+                _result_fields(paper_oracle[label]), label

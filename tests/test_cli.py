@@ -185,6 +185,18 @@ class TestSweepCommand:
             main(["sweep", *self.WORKLOAD_ARGS, "--windows", "16,huge"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("timeout", ["1e12", "inf"])
+    def test_unarmable_config_timeout_exits_2(self, timeout, capsys):
+        """A budget setitimer cannot arm is a usage error, not a reason
+        to quarantine healthy configs."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", *self.WORKLOAD_ARGS, "-m", "16A", "-m", "64C",
+                  "--config-timeout", timeout, "--backoff", "0.01"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "config_timeout" in err
+
     def test_quarantine_reported_and_exit_1(self, monkeypatch, capsys):
         """A poison config leaves the sweep fail-soft: results print,
         the quarantine is reported, and the exit code flags it."""

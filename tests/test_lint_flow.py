@@ -377,6 +377,32 @@ class TestSweepRaceRegression:
         assert "ACCUMULATOR" in finding.message
         assert "line 12" in finding.message
 
+    def test_process_target_worker_is_caught(self, tmp_path):
+        """The same race through ``Process(target=...)``, the sweep
+        executor's way of starting workers."""
+        target = tmp_path / "src" / "repro" / "racy.py"
+        target.parent.mkdir(parents=True)
+        source = textwrap.dedent('''
+            import multiprocessing
+
+            ACCUMULATOR = []
+
+            def worker(item):
+                ACCUMULATOR.append(item * 2)
+
+            def sweep(item):
+                ctx = multiprocessing.get_context("fork")
+                process = ctx.Process(target=worker, args=(item,))
+                process.start()
+                process.join()
+        ''')
+        target.write_text(source)  # reprolint: disable=atomic-writes
+        findings = run_lint(tmp_path, select=["sweep-race"])
+        assert len(findings) == 1
+        assert findings[0].line == 7
+        assert "ACCUMULATOR" in findings[0].message
+        assert "line 11" in findings[0].message
+
     def test_parent_side_aggregation_is_clean(self, tmp_path):
         target = tmp_path / "src" / "repro" / "clean.py"
         target.parent.mkdir(parents=True)

@@ -98,6 +98,21 @@ class TestWorkerFailure:
         assert "attempt 1" in str(excinfo.value)
         assert "after " in str(excinfo.value)
 
+    @pytest.mark.parametrize("supervise", [None, True])
+    def test_exhibit_deadline_is_not_a_config_failure(
+            self, specjbb_annotated, monkeypatch, supervise):
+        """An exhibit's deadline expiring mid-sweep ends the sweep as
+        itself; it is neither wrapped nor retried as a chunk failure."""
+        import repro.robustness.supervisor as supervisor
+        from repro.robustness.errors import ExhibitTimeout
+
+        def expired(*args):
+            raise ExhibitTimeout("exhibit exceeded its budget", field="x")
+
+        monkeypatch.setattr(supervisor, "_run_chunk", expired)
+        with pytest.raises(ExhibitTimeout):
+            sweep(specjbb_annotated, _grid(), jobs=1, supervise=supervise)
+
     def test_spawn_spill_path(self, specjbb_annotated, monkeypatch):
         """Forkless platforms spill the trace to a .npz the workers
         load; the results must still match serial (regression: the
@@ -125,13 +140,61 @@ class TestWorkerFailure:
     def test_serial_fallback_when_no_pool(self, specjbb_annotated,
                                           monkeypatch):
         """If no pool can be created the sweep silently runs serially."""
-        monkeypatch.setattr(parallel, "_make_pool",
-                            lambda annotated, jobs: (None, None))
+        asked = []
+
+        def no_context(annotated):
+            asked.append(annotated)
+            return None, None
+
+        monkeypatch.setattr(parallel, "effective_cpus", lambda: 4)
+        monkeypatch.setattr(parallel, "share_annotated", no_context)
         serial = sweep(specjbb_annotated, _grid(), jobs=1)
         fallback = sweep(specjbb_annotated, _grid(), jobs=4)
+        assert len(asked) == 1  # the jobs=4 sweep tried for a pool
         for label in serial.labels():
             assert _result_fields(fallback.results[label]) == \
                 _result_fields(serial.results[label])
+
+
+class TestSupervisedCyclesimPool:
+    def test_publishes_one_cycle_plan_and_matches_reference(
+            self, monkeypatch):
+        """A supervised jobs=2 cyclesim grid runs on one published
+        cycle plan, bit-identical to the frozen reference."""
+        import repro.analysis.shm as shm
+        from repro.analysis.sweep import sweep_cyclesim
+        from repro.cyclesim import CycleSimConfig
+        from repro.cyclesim import ckernel as cycle_ckernel
+        from repro.cyclesim.plan import CyclePlan
+        from repro.cyclesim.simulator_reference import run_cyclesim
+        from repro.trace.annotate import annotate
+        from repro.workloads import generate_trace
+
+        if not cycle_ckernel.kernel_available():
+            pytest.skip(f"no cyclesim kernel: {cycle_ckernel.kernel_error()}")
+        published = []
+        real_publish = shm.publish_plan
+
+        def recording_publish(plan):
+            published.append(plan)
+            return real_publish(plan)
+
+        monkeypatch.setattr(shm, "publish_plan", recording_publish)
+        annotated = annotate(generate_trace("database", 8_000))
+        pairs = [
+            (f"{size}{policy}", CycleSimConfig.from_machine(
+                MachineConfig.named(f"{size}{policy}"), miss_penalty=200))
+            for size in (32, 64) for policy in "AC"
+        ]
+        swept = sweep_cyclesim(annotated, pairs, workload="database",
+                               jobs=2, supervise={"seed": 7})
+        assert swept.complete
+        assert len(published) == 1 and isinstance(published[0], CyclePlan)
+        assert swept.labels() == [label for label, _ in pairs]
+        for label, config in pairs:
+            oracle = run_cyclesim(annotated, config, workload="database")
+            assert dataclasses.asdict(swept.results[label]) == \
+                dataclasses.asdict(oracle), label
 
 
 class TestResolveJobs:

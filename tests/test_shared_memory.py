@@ -19,6 +19,8 @@ import pytest
 
 import repro.analysis.parallel as parallel
 import repro.analysis.shm as shm
+import repro.robustness.supervisor as supervisor
+from repro.analysis.sweep import sweep
 from repro.core.columnar import PLAN_COLUMNS, plan_for
 from repro.core.config import MachineConfig
 from repro.robustness.errors import SimulationError, TraceFormatError
@@ -110,7 +112,8 @@ def _attach_and_die(handle, barrier):
 class TestWorkerDeath:
     def test_sigkilled_worker_does_not_unlink(self, plan):
         """A worker that dies mid-attach must not tear the segment
-        down (resource-tracker unregistration) — and the parent's
+        down (it shares the publisher's resource tracker, which unlinks
+        nothing while the publisher lives) — and the parent's
         ``unpublish_plan`` afterwards must."""
         handle = shm.publish_plan(plan)
         try:
@@ -130,6 +133,48 @@ class TestWorkerDeath:
         assert not shm.plan_is_published(handle)
 
 
+#: Twenty pooled kernel sweeps of the paper's 30-config grid, run in a
+#: fresh interpreter so its resource tracker's stderr is observable.
+_TRACKER_SCRIPT = """
+import repro.analysis.parallel as parallel
+from repro.analysis.sweep import sweep
+from repro.core.config import MachineConfig
+from repro.trace.annotate import annotate
+from repro.workloads import generate_trace
+
+parallel.effective_cpus = lambda: 2
+annotated = annotate(generate_trace("specjbb2000", 20000))
+grid = [(f"{w}{p}", MachineConfig.named(f"{w}{p}"))
+        for w in (16, 32, 64, 128, 256, 512) for p in "ABCDE"]
+for _ in range(20):
+    sweep(annotated, grid, jobs=2)
+"""
+
+
+class TestResourceTracker:
+    def test_pooled_sweeps_leave_stderr_empty(self):
+        """Workers share their publisher's resource tracker; attaching
+        must not unregister segments behind the publisher's back (the
+        tracker then prints KeyError tracebacks on stderr)."""
+        import pathlib
+        import subprocess
+        import sys
+
+        from repro.core import ckernel
+
+        if not ckernel.kernel_available():
+            pytest.skip(f"no compiled kernel: {ckernel.kernel_error()}")
+        src_root = str(pathlib.Path(parallel.__file__).resolve().parents[2])
+        paths = [src_root, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        child = subprocess.run(
+            [sys.executable, "-c", _TRACKER_SCRIPT], env=env,
+            capture_output=True, text=True, timeout=600,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stderr == ""
+
+
 def _published_handles(monkeypatch):
     """Record every handle the sweep publishes (without disturbing it)."""
     handles = []
@@ -144,35 +189,35 @@ def _published_handles(monkeypatch):
     return handles
 
 
-def _failing_chunk(handle, chunk, workload):
+def _failing_chunk(annotated, plan, pairs, workload):
     raise RuntimeError("worker exploded")  # reprolint: disable=error-hierarchy
 
 
-def _suicidal_chunk(handle, chunk, workload):
+def _suicidal_chunk(annotated, plan, pairs, workload):
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _pooled_sweep(annotated, monkeypatch):
+    """A ``jobs=2`` sweep that takes the pool even on a one-CPU host."""
+    monkeypatch.setattr(parallel, "effective_cpus", lambda: 2)
+    return sweep(annotated, _grid(), workload="specjbb2000", jobs=2)
 
 
 class TestSweepLifecycle:
     def test_success_path_unlinks_everything(self, specjbb_annotated,
                                              monkeypatch):
         handles = _published_handles(monkeypatch)
-        results = parallel.batched_parallel_sweep(
-            specjbb_annotated, _grid(), "specjbb2000",
-            progress=None, jobs=2,
-        )
-        assert results is not None and len(results) == len(_grid())
-        assert handles, "sweep should have published at least one plan"
+        results = _pooled_sweep(specjbb_annotated, monkeypatch).results
+        assert len(results) == len(_grid())
+        assert len(handles) == 2, "one plan per event-mask group"
         assert all(not shm.plan_is_published(h) for h in handles)
 
     def test_failure_path_unlinks_everything(self, specjbb_annotated,
                                              monkeypatch):
         handles = _published_handles(monkeypatch)
-        monkeypatch.setattr(parallel, "_run_plan_chunk", _failing_chunk)
+        monkeypatch.setattr(supervisor, "_run_chunk", _failing_chunk)
         with pytest.raises(SimulationError) as excinfo:
-            parallel.batched_parallel_sweep(
-                specjbb_annotated, _grid(), "specjbb2000",
-                progress=None, jobs=2,
-            )
+            _pooled_sweep(specjbb_annotated, monkeypatch)
         assert "worker exploded" in str(excinfo.value)
         assert handles
         assert all(not shm.plan_is_published(h) for h in handles)
@@ -180,12 +225,9 @@ class TestSweepLifecycle:
     def test_sigkilled_worker_path_unlinks_everything(
             self, specjbb_annotated, monkeypatch):
         handles = _published_handles(monkeypatch)
-        monkeypatch.setattr(parallel, "_run_plan_chunk", _suicidal_chunk)
+        monkeypatch.setattr(supervisor, "_run_chunk", _suicidal_chunk)
         with pytest.raises(SimulationError):
-            parallel.batched_parallel_sweep(
-                specjbb_annotated, _grid(), "specjbb2000",
-                progress=None, jobs=2,
-            )
+            _pooled_sweep(specjbb_annotated, monkeypatch)
         assert handles
         assert all(not shm.plan_is_published(h) for h in handles)
 
@@ -203,18 +245,20 @@ class TestSharding:
         assert parallel.shard_pairs([], 0.1, jobs=4) == []
 
     def test_journal_receives_incremental_results(self, specjbb_annotated,
-                                                  tmp_path):
-        from repro.robustness.journal import SweepJournal
+                                                  monkeypatch, tmp_path):
+        """A supervised jobs=2 sweep runs on the published plans and
+        journals one result record per config."""
+        from repro.robustness.journal import SweepJournal, config_key
 
+        handles = _published_handles(monkeypatch)
         journal_path = tmp_path / "sweep.jsonl"
-        journal = SweepJournal(str(journal_path))
-        journal.initialize("specjbb2000", 1234, None)
-        parallel.batched_parallel_sweep(
-            specjbb_annotated, _grid(), "specjbb2000",
-            progress=None, jobs=2, journal=journal, seed=1234,
+        result = supervisor.supervised_sweep(
+            specjbb_annotated, _grid(), workload="specjbb2000", seed=1234,
+            jobs=2, journal_path=journal_path,
         )
-        contents = journal_path.read_text()
-        # Every config the pool ran (all but the calibration one, which
-        # the parent measures in-process) was flushed as it completed.
-        for label, _ in _grid()[1:]:
-            assert label in contents
+        assert result.complete and len(handles) == 2
+        state = SweepJournal(journal_path).replay()
+        trace_len = len(specjbb_annotated.trace)
+        for label, machine in _grid():
+            key = config_key("specjbb2000", 1234, trace_len, machine)
+            assert key in state.results, label

@@ -213,6 +213,12 @@ class TestSupervisorPolicy:
         {"config_timeout": -2.0},
         {"backoff_base": -0.1},
         {"pool_failure_limit": -1},
+        {"config_timeout": True},
+        {"config_timeout": float("inf")},
+        {"config_timeout": 1e12},  # beyond what setitimer can arm
+        {"pool_failure_limit": True},
+        {"backoff_cap": float("nan")},
+        {"backoff_base": "x"},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
