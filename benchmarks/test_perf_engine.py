@@ -1,7 +1,8 @@
 """Perf-regression harness for the simulation engines and sweep backend.
 
 Times (a) single `simulate` runs against the frozen reference
-interpreter (`repro.core.mlpsim_reference`), (b) an 8-config sweep
+interpreter (`repro.core.mlpsim_reference`) and runahead grids on the
+compiled kernel against the runahead oracle, (b) an 8-config sweep
 serial vs. on a 4-worker pool, and (c) the cycle-accurate simulator —
 single runs and the Table 3 grid through the supervised sweep backend
 — against its own frozen reference
@@ -298,6 +299,75 @@ def test_batched_grid_speedup(results_dir):
     if not kernel_available():
         pytest.skip(f"no compiled MLPsim kernel: {kernel_error()}")
     assert speedup > 1.0
+
+
+def test_runahead_grid_speedup(results_dir):
+    """Runahead machines on the compiled kernel vs the runahead oracle.
+
+    Figure 10's five RAE configs plus Figure 9's RAE+VP and a shorter
+    runahead distance, one ``simulate_batch`` per workload against
+    per-config :func:`repro.core.runahead.simulate_runahead` replays
+    (kind "runahead_grid").  Results must be bit-identical, and the
+    kernel must hold 5x even on CI smoke traces.
+    """
+    import dataclasses
+
+    from repro.core.batched import simulate_batch
+    from repro.core.ckernel import kernel_available, kernel_error
+    from repro.core.config import MachineConfig
+    from repro.core.limits import limit_configs
+    from repro.core.runahead import simulate_runahead
+
+    if not kernel_available():
+        pytest.skip(f"no compiled MLPsim kernel: {kernel_error()}")
+    grid = limit_configs(runahead=True) + [
+        ("RAE+VP", MachineConfig.runahead_machine(value_prediction=True)),
+        ("RAE(512)", MachineConfig.runahead_machine(max_runahead=512)),
+    ]
+    per_workload = {}
+    total_scalar = 0.0
+    total_kernel = 0.0
+    for name, annotated in _fixed_workloads():
+        batch = simulate_batch(annotated, grid, workload=name)  # warm
+        for label, machine in grid:
+            oracle = simulate_runahead(annotated, machine, workload=name)
+            want = dataclasses.asdict(oracle)
+            want["inhibitors"] = oracle.inhibitors.as_dict()
+            got = dataclasses.asdict(batch[label])
+            got["inhibitors"] = batch[label].inhibitors.as_dict()
+            assert got == want, (name, label)
+
+        def scalar_grid(annotated=annotated, name=name):
+            for _, machine in grid:
+                simulate_runahead(annotated, machine, workload=name)
+
+        t_scalar = _best_of(scalar_grid, reps=2)
+        t_kernel = _best_of(simulate_batch, annotated, grid,
+                            workload=name, reps=3)
+        per_workload[name] = {
+            "seconds": round(t_kernel, 6),
+            "scalar_seconds": round(t_scalar, 6),
+            "speedup": round(t_scalar / t_kernel, 3),
+            "per_config_ms": round(1000 * t_kernel / len(grid), 3),
+        }
+        total_scalar += t_scalar
+        total_kernel += t_kernel
+    speedup = total_scalar / total_kernel
+    _append_record("runahead_grid", {
+        "trace_len": len(_fixed_workloads()[0][1].trace),
+        "configs": len(grid),
+        "seed": PERF_SEED,
+        "cpu_count": os.cpu_count() or 1,
+        "workloads": per_workload,
+        "scalar_total_seconds": round(total_scalar, 6),
+        "kernel_total_seconds": round(total_kernel, 6),
+        "speedup_vs_scalar": round(speedup, 3),
+        "per_config_seconds": round(total_kernel / (3 * len(grid)), 6),
+    })
+    print(f"\nrunahead grid ({len(grid)} configs): {speedup:.2f}x vs"
+          f" simulate_runahead ({1000 * total_kernel / (3 * len(grid)):.2f}"
+          " ms/config)")
+    assert speedup >= 5.0
 
 
 def test_sweep_scaling_curve(results_dir):

@@ -99,13 +99,15 @@ def sweep(annotated, machines, workload=None, progress=None, jobs=None,
     :class:`~repro.robustness.errors.SimulationError` naming its label.
 
     *engine* picks the simulation backend: ``"auto"`` (default) runs
-    each event-mask group of the grid as compiled-kernel calls over one
-    columnar plan (:mod:`repro.core.batched`) — bit-identical to the
-    scalar engine and roughly an order of magnitude faster on full
-    grids — and runahead machines on the scalar engine; ``"batched"``
-    does the same (it is the explicit spelling); ``"scalar"`` forces
-    the one-instruction-at-a-time interpreter everywhere.  Without the
-    compiled kernel every engine runs the scalar interpreter.
+    each event-mask group of the grid, runahead machines included, as
+    compiled-kernel calls over one columnar plan
+    (:mod:`repro.core.batched`) — bit-identical to the scalar engines
+    and roughly an order of magnitude faster on full grids — and only
+    machines outside the kernel's contracted ranges on the scalar
+    engine; ``"batched"`` does the same (it is the explicit spelling);
+    ``"scalar"`` forces the one-instruction-at-a-time interpreters
+    everywhere.  Without the compiled kernel every engine runs the
+    scalar interpreters.
 
     *supervise* routes the sweep through the crash-safe supervisor
     (:func:`repro.robustness.supervisor.supervised_sweep`): pass

@@ -163,11 +163,11 @@ def cmd_calibrate(args):
 
 def cmd_simulate(args):
     """``repro simulate``: MLPsim / in-order machines over a trace."""
+    from repro.core.batched import simulate_batch
     from repro.core.inorder import (
         simulate_stall_on_miss,
         simulate_stall_on_use,
     )
-    from repro.core.mlpsim import simulate
 
     annotated = _load_annotated(args)
     results = []
@@ -175,8 +175,9 @@ def cmd_simulate(args):
         results.append(simulate_stall_on_miss(annotated))
     if args.in_order in ("stall-on-use", "both"):
         results.append(simulate_stall_on_use(annotated))
-    for spec in args.machine or (["64C"] if not args.in_order else []):
-        results.append(simulate(annotated, _parse_machine(spec)))
+    specs = args.machine or (["64C"] if not args.in_order else [])
+    machines = [_parse_machine(spec) for spec in specs]
+    results += simulate_batch(annotated, list(enumerate(machines))).values()
     for result in results:
         print(result.summary())
         if args.inhibitors:
@@ -575,10 +576,10 @@ def build_parser():
     p.add_argument("--engine", choices=("auto", "batched", "scalar"),
                    default="auto",
                    help="simulation backend: 'auto' (default) and"
-                   " 'batched' run each event-mask group as"
-                   " compiled-kernel chunks, with runahead machines on"
-                   " the scalar engine; 'scalar' runs every config on"
-                   " the per-instruction interpreter.  Results are"
+                   " 'batched' run each event-mask group, runahead"
+                   " machines included, as compiled-kernel chunks;"
+                   " 'scalar' runs every config on the per-instruction"
+                   " interpreters.  Results are"
                    " bit-identical; journalling, timeouts, retry and"
                    " quarantine apply either way")
     p.set_defaults(func=cmd_sweep)

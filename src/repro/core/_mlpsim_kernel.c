@@ -1,16 +1,20 @@
 /* MLPsim epoch-model kernel: the batched engine's compiled interpreter.
  *
- * This is a line-for-line translation of the Python engine's
- * `_simulate_ooo` scan (src/repro/core/mlpsim.py) over the columnar
- * plan of src/repro/core/columnar.py, run for MANY machine
- * configurations against ONE shared set of trace columns per call.
- * The equivalence suite holds every result bit-for-bit to the frozen
- * reference engine (mlpsim_reference.simulate_reference); any change
- * here must keep that property.
+ * Two line-for-line translations of the Python engines over the
+ * columnar plan of src/repro/core/columnar.py, run for MANY machine
+ * configurations against ONE shared set of trace columns per call:
+ *   - simulate_ooo: the out-of-order scan `_simulate_ooo`
+ *     (src/repro/core/mlpsim.py);
+ *   - simulate_runahead: the runahead scan `simulate_runahead`
+ *     (src/repro/core/runahead.py).
+ * Each config's `runahead` field picks its scan.  The equivalence
+ * suites hold every result bit-for-bit to the frozen reference engine
+ * (mlpsim_reference.simulate_reference) and to simulate_runahead, the
+ * runahead oracle; any change here must keep that property.
  *
  * Compiled on demand by repro.cbuild with the system C compiler; when
- * no compiler is available repro.core.batched runs the scalar engine
- * instead.  No libc beyond malloc/free/memcpy.
+ * no compiler is available repro.core.batched runs the scalar engines
+ * instead.  No libc beyond malloc/free/memcpy/memset.
  *
  * Layout contract (see ColumnarPlan):
  *   - producer columns are region-relative int32 with sentinel n
@@ -71,6 +75,8 @@ typedef struct {
     int64_t sb_cap;
     int64_t slow_bp;
     int64_t slow_bp_threshold;
+    int64_t runahead;
+    int64_t max_runahead;
 } KernelConfig;
 
 typedef struct {
@@ -101,10 +107,19 @@ typedef struct {
     const uint8_t *smiss;
     const uint8_t *scalar_mask; /* "interesting" positions: see plan */
     uint8_t *imiss; /* per-config copy: serviced lines are cleared */
+    uint8_t *live_dmiss; /* runahead's per-config copies of dmiss and */
+    uint8_t *live_pmiss; /* pmiss: serviced accesses are cleared */
     int32_t *res_data;  /* n+1 slots, slot n == 0 */
     int32_t *res_valid; /* n+1 slots, slot n == 0 */
     int32_t *deferred;
     int32_t *new_deferred;
+    /* Runahead's per-period sets, n+1 slots each: slot k belongs to a
+     * set while it holds the current period's stamp.  Slot n, the "no
+     * producer" sentinel, is never stamped. */
+    int32_t *poisoned;
+    int32_t *unvalidated;
+    int32_t *dead_store;
+    int32_t *pending_pf; /* useful prefetches awaiting an epoch */
 } Trace;
 
 /* Per-epoch scan state (the Python engine's nonlocal block). */
@@ -410,12 +425,26 @@ static int execute(const Trace *t, const KernelConfig *c, Scan *s, int64_t i)
     return execute_atomic(t, c, s, i, ve);
 }
 
+/* Charge one epoch to the run totals: its accesses, and the epoch to
+ * one inhibitor. */
+/* certify: requires inhibitor >= 0 && inhibitor <= INH_COUNT - 1 */
+static void record_epoch(KernelResult *r, const Scan *s, int inhibitor)
+{
+    r->epochs++;
+    r->accesses += s->accesses;
+    r->dmiss_accesses += s->e_dmiss;
+    r->imiss_accesses += s->e_imiss;
+    r->prefetch_accesses += s->e_pmiss;
+    r->inhibitors[inhibitor]++;
+}
+
 #define FS_NONE 0
 #define FS_HARD 1
 #define FS_SOFT 2
 
+/* The Python engine's _simulate_ooo: one out-of-order machine. */
 /* certify: buffer imiss_src length n content 0 .. 1 */
-static void simulate_one(Trace *t, const KernelConfig *c, KernelResult *r,
+static void simulate_ooo(Trace *t, const KernelConfig *c, KernelResult *r,
                          const uint8_t *imiss_src)
 {
     const int64_t n = t->n;
@@ -640,15 +669,234 @@ static void simulate_one(Trace *t, const KernelConfig *c, KernelResult *r,
             continue; /* pure on-chip stretch: not an epoch */
         }
 
-        r->epochs++;
-        r->accesses += s.accesses;
-        r->dmiss_accesses += s.e_dmiss;
-        r->imiss_accesses += s.e_imiss;
-        r->prefetch_accesses += s.e_pmiss;
         /* reprolint: disable=kernel-bounds -- emit() sets ev_first in [0, INH_COUNT) whenever ev_count > 0; the interval domain cannot couple the two fields */
-        r->inhibitors[s.ev_count ? s.ev_first
-                                 : INH_END_OF_TRACE]++;
+        record_epoch(r, &s, s.ev_count ? s.ev_first : INH_END_OF_TRACE);
     }
+}
+
+/* ---- runahead execution: repro.core.runahead.simulate_runahead ----
+ *
+ * A missing load at the head of the ROB starts a runahead period that
+ * scans up to max_runahead instructions ahead, turning every reachable
+ * miss into a prefetch.  The Python scan keeps three index sets per
+ * period (poisoned, unvalidated, dead_stores) and tests a producer p
+ * with "p >= i and p in set".  Here a set is the slots holding the
+ * period's stamp, its trigger index + 1: a trigger's dmiss flag is
+ * cleared, so no two periods share a stamp, and a period stamps only
+ * slots i .. limit - 1, so a matching stamp means exactly that test.
+ */
+
+/* The Python flush_stale_prefetches: pending prefetches more than a
+ * runahead window older than horizon form prefetch-only epochs, a new
+ * one every max_runahead instructions; the fresh rest join the epoch
+ * *s.  The caller empties the pending list afterwards. */
+/* certify: requires pending_len >= 0 && pending_len <= n */
+/* certify: requires horizon >= 0 && horizon <= (1 << 28) */
+static void flush_stale_prefetches(const Trace *t, const KernelConfig *c,
+                                   KernelResult *r, Scan *s,
+                                   int64_t pending_len, int64_t horizon)
+{
+    Scan group;
+    int64_t first = 0;
+    int64_t k;
+
+    group.accesses = 0;
+    group.e_dmiss = 0;
+    group.e_imiss = 0;
+    group.e_pmiss = 0;
+    for (k = 0; k < pending_len; k++) {
+        int64_t idx = t->pending_pf[k];
+        if (idx >= horizon - c->max_runahead) {
+            s->accesses++;
+            s->e_pmiss++;
+        } else if (group.accesses && idx - first >= c->max_runahead) {
+            record_epoch(r, &group, INH_RUNAHEAD_LIMIT);
+            first = idx;
+            group.accesses = 1;
+            group.e_pmiss = 1;
+        } else {
+            if (!group.accesses)
+                first = idx;
+            group.accesses++;
+            group.e_pmiss++;
+        }
+    }
+    if (group.accesses)
+        record_epoch(r, &group, INH_RUNAHEAD_LIMIT);
+}
+
+/* One instruction j of the runahead period stamped stamp: returns -1
+ * to run on, or the inhibitor that ends the period. */
+/* certify: requires j >= 0 && j <= n - 1 */
+/* certify: requires stamp >= 1 && stamp <= n */
+/* certify: returns -1 .. INH_COUNT - 1 */
+static int runahead_step(Trace *t, const KernelConfig *c, Scan *s,
+                         int64_t j, int32_t stamp)
+{
+    const int op = t->ops[j];
+    int32_t *poisoned = t->poisoned;
+    int32_t *dead = t->dead_store;
+
+    if (t->imiss[j]) {
+        if (s->accesses >= c->mshr_cap) {
+            /* No MSHR for the line fetch: runahead stalls here and
+             * the fetch miss waits for the next epoch. */
+            return INH_MSHR_LIMIT;
+        }
+        t->imiss[j] = 0;
+        s->accesses++;
+        s->e_imiss++;
+        return INH_IMISS_END;
+    }
+
+    if (op == OP_ALU) {
+        if (poisoned[t->prod1[j]] == stamp || poisoned[t->prod2[j]] == stamp)
+            poisoned[j] = stamp;
+    } else if (op == OP_LOAD || op == OP_CAS || op == OP_LDSTUB) {
+        if (poisoned[t->prod1[j]] == stamp
+            || poisoned[t->prod2[j]] == stamp) {
+            poisoned[j] = stamp;
+            if (op != OP_LOAD)
+                dead[j] = stamp;
+        } else {
+            const int32_t m = t->memdep[j];
+            const int stale = dead[m] == stamp || poisoned[m] == stamp;
+            if (t->live_dmiss[j] && s->accesses < c->mshr_cap) {
+                t->live_dmiss[j] = 0;
+                s->accesses++;
+                s->e_dmiss++;
+                if (t->vp_ok[j])
+                    t->unvalidated[j] = stamp;
+                else
+                    poisoned[j] = stamp;
+            } else if (t->live_dmiss[j]) {
+                /* MSHRs full: the miss cannot be prefetched; it stays
+                 * live and triggers a later epoch. */
+                poisoned[j] = stamp;
+                if (op != OP_LOAD)
+                    dead[j] = stamp;
+            } else if (stale) {
+                poisoned[j] = stamp;
+            }
+            if (op != OP_LOAD && poisoned[t->prod3[j]] == stamp)
+                dead[j] = stamp;
+        }
+    } else if (op == OP_STORE) {
+        if (poisoned[t->prod1[j]] == stamp || poisoned[t->prod2[j]] == stamp
+            || poisoned[t->prod3[j]] == stamp)
+            dead[j] = stamp;
+    } else if (op == OP_BRANCH) {
+        const int32_t p1 = t->prod1[j];
+        const int32_t p2 = t->prod2[j];
+        const int unsettled =
+            poisoned[p1] == stamp || t->unvalidated[p1] == stamp
+            || poisoned[p2] == stamp || t->unvalidated[p2] == stamp;
+        if (unsettled && t->mispred[j] && !slow_bp_saves(c, j))
+            return INH_MISPRED_BR;
+    } else if (op == OP_PREFETCH) {
+        if (poisoned[t->prod1[j]] != stamp && t->live_pmiss[j]
+            && t->pfuseful[j] && s->accesses < c->mshr_cap) {
+            t->live_pmiss[j] = 0;
+            s->accesses++;
+            s->e_pmiss++;
+        }
+    }
+    /* MEMBAR: no constraint during runahead (purely speculative). */
+    return -1;
+}
+
+/* Normal mode skips from one live off-chip event to the next; a
+ * missing load starts a runahead period.  fetch_pos never decreases
+ * and event flags are only ever cleared, so a forward scan of the live
+ * masks finds the event the Python engine's bisect finds. */
+/* certify: buffer imiss_src length n content 0 .. 1 */
+static void simulate_runahead(Trace *t, const KernelConfig *c,
+                              KernelResult *r, const uint8_t *imiss_src)
+{
+    const int64_t n = t->n;
+    int64_t fetch_pos = 0;
+    int64_t pending_len = 0;
+    int64_t i, j, limit;
+    int inhibitor;
+    Scan s;
+
+    memcpy(t->imiss, imiss_src, (size_t)n);
+    memcpy(t->live_dmiss, t->dmiss, (size_t)n);
+    memcpy(t->live_pmiss, t->pmiss, (size_t)n);
+    memset(t->poisoned, 0, sizeof(int32_t) * (size_t)(n + 1));
+    memset(t->unvalidated, 0, sizeof(int32_t) * (size_t)(n + 1));
+    memset(t->dead_store, 0, sizeof(int32_t) * (size_t)(n + 1));
+    memset(r, 0, sizeof(*r));
+    r->error_index = -1;
+
+    for (;;) {
+        /* ---- normal mode: skip to the next live off-chip event ---- */
+        i = fetch_pos;
+        while (i < n && !t->imiss[i] && !t->live_dmiss[i]
+               && !(t->live_pmiss[i] && t->pfuseful[i]))
+            i++;
+        if (i >= n)
+            break; /* no further events: the tail is on-chip execution */
+
+        s.accesses = 1; /* the trigger's own access */
+        s.e_dmiss = 0;
+        s.e_imiss = 0;
+        s.e_pmiss = 0;
+        if (t->imiss[i]) {
+            /* Fetch is blocking: a missing instruction fetch cannot be
+             * run ahead of.  It forms its own epoch (plus any
+             * prefetches still in flight). */
+            t->imiss[i] = 0;
+            s.e_imiss = 1;
+            flush_stale_prefetches(t, c, r, &s, pending_len, i);
+            pending_len = 0;
+            record_epoch(r, &s, INH_IMISS_START);
+            fetch_pos = i; /* the instruction executes after the fetch */
+            continue;
+        }
+        if (t->live_pmiss[i]) {
+            /* A useful off-chip software prefetch does not stall; it
+             * joins the next epoch if one begins within a runahead
+             * window. */
+            t->live_pmiss[i] = 0;
+            /* certify: assume pending_len <= i -- the list holds
+             * distinct prefetch indices below i: each joins once, when
+             * fetch passes it, and its pmiss flag is cleared */
+            t->pending_pf[pending_len++] = (int32_t)i;
+            fetch_pos = i + 1;
+            continue;
+        }
+
+        /* ---- runahead period, triggered by the missing load at i ---- */
+        t->live_dmiss[i] = 0;
+        s.e_dmiss = 1;
+        flush_stale_prefetches(t, c, r, &s, pending_len, i);
+        pending_len = 0;
+        const int32_t stamp = (int32_t)(i + 1);
+        /* Value-predicted results are usable for dataflow but remain
+         * unvalidated until the real data returns. */
+        if (t->vp_ok[i])
+            t->unvalidated[i] = stamp;
+        else
+            t->poisoned[i] = stamp;
+
+        limit = i + c->max_runahead;
+        if (limit > n)
+            limit = n;
+        inhibitor = -1;
+        for (j = i + 1; j < limit; j++) {
+            inhibitor = runahead_step(t, c, &s, j, stamp);
+            if (inhibitor >= 0)
+                break;
+        }
+        if (inhibitor < 0)
+            inhibitor = j >= n ? INH_END_OF_TRACE : INH_RUNAHEAD_LIMIT;
+        record_epoch(r, &s, inhibitor);
+        fetch_pos = i + 1; /* flush and restart after the trigger */
+    }
+
+    flush_stale_prefetches(t, c, r, &s, pending_len,
+                           n + 2 * c->max_runahead);
 }
 
 /* Entry point: simulate every config against the shared columns.
@@ -667,6 +915,7 @@ int mlpsim_batch(int64_t n,
 {
     Trace t;
     int64_t k;
+    int status = -1;
 
     t.n = n;
     t.ops = ops;
@@ -687,23 +936,34 @@ int mlpsim_batch(int64_t n,
     t.res_valid = (int32_t *)malloc(sizeof(int32_t) * (size_t)(n + 1));
     t.deferred = (int32_t *)malloc(sizeof(int32_t) * (size_t)(n + 1));
     t.new_deferred = (int32_t *)malloc(sizeof(int32_t) * (size_t)(n + 1));
-    if (!t.imiss || !t.res_data || !t.res_valid || !t.deferred
-        || !t.new_deferred) {
-        free(t.imiss);
-        free(t.res_data);
-        free(t.res_valid);
-        free(t.deferred);
-        free(t.new_deferred);
-        return -1;
+    t.live_dmiss = (uint8_t *)malloc((size_t)n ? (size_t)n : 1);
+    t.live_pmiss = (uint8_t *)malloc((size_t)n ? (size_t)n : 1);
+    t.poisoned = (int32_t *)malloc(sizeof(int32_t) * (size_t)(n + 1));
+    t.unvalidated = (int32_t *)malloc(sizeof(int32_t) * (size_t)(n + 1));
+    t.dead_store = (int32_t *)malloc(sizeof(int32_t) * (size_t)(n + 1));
+    t.pending_pf = (int32_t *)malloc(sizeof(int32_t) * (size_t)(n + 1));
+    if (t.imiss && t.res_data && t.res_valid && t.deferred
+        && t.new_deferred && t.live_dmiss && t.live_pmiss && t.poisoned
+        && t.unvalidated && t.dead_store && t.pending_pf) {
+        for (k = 0; k < nconfigs; k++) {
+            if (configs[k].runahead)
+                simulate_runahead(&t, &configs[k], &results[k], imiss);
+            else
+                simulate_ooo(&t, &configs[k], &results[k], imiss);
+        }
+        status = 0;
     }
-
-    for (k = 0; k < nconfigs; k++)
-        simulate_one(&t, &configs[k], &results[k], imiss);
 
     free(t.imiss);
     free(t.res_data);
     free(t.res_valid);
     free(t.deferred);
     free(t.new_deferred);
-    return 0;
+    free(t.live_dmiss);
+    free(t.live_pmiss);
+    free(t.poisoned);
+    free(t.unvalidated);
+    free(t.dead_store);
+    free(t.pending_pf);
+    return status;
 }

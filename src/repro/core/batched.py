@@ -2,16 +2,17 @@
 
 This engine produces :class:`~repro.core.results.MLPResult`s that are
 **bit-identical** to :func:`repro.core.mlpsim.simulate` (and therefore
-to the frozen reference interpreter).  Configurations whose perfect-*
-and value-prediction switches agree share one
-:class:`~repro.core.columnar.ColumnarPlan` and one call of the compiled
-kernel (:mod:`repro.core.ckernel`), which simulates the whole group in
-C.
+to the frozen reference interpreter and the runahead oracle).
+Configurations whose perfect-* and value-prediction switches agree
+share one :class:`~repro.core.columnar.ColumnarPlan` and one call of
+the compiled kernel (:mod:`repro.core.ckernel`), which simulates the
+whole group in C, out-of-order and runahead machines alike.
 
-Runahead machines and ``record_sets`` runs are outside the kernel's
-envelope, and without a C compiler there is no kernel at all; those
-configurations go to the scalar engine, which the equivalence suite
-already pins to the reference.  Every machine config is accepted.
+``record_sets`` runs and machines whose kernel config exceeds the
+contracted ranges are outside the kernel's envelope, and without a C
+compiler there is no kernel at all; those configurations go to the
+scalar engines, which the equivalence suites already pin to the
+oracles.  Every machine config is accepted.
 """
 
 from repro.core.columnar import mask_key, plan_for
@@ -21,14 +22,15 @@ from repro.core.mlpsim import simulate
 def batched_supported(machine, record_sets=False):
     """Will *machine* run on the compiled kernel (vs the scalar engine)?
 
-    True when the kernel is available and the run is neither a runahead
-    machine nor a ``record_sets`` run.
+    True when the kernel is available, the run does not record epoch
+    sets, and the machine's kernel config lies inside the contracted
+    ranges (:func:`repro.core.ckernel.in_contract`).
     """
-    if machine.runahead or record_sets:
+    if record_sets:
         return False
     from repro.core import ckernel
 
-    return ckernel.kernel_available()
+    return ckernel.kernel_available() and ckernel.in_contract(machine)
 
 
 def simulate_batched(annotated, machine, start=None, stop=None,

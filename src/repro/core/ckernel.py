@@ -1,11 +1,13 @@
 """Compiled MLPsim kernel: bind and drive ``_mlpsim_kernel.c``.
 
 The batched engine's hot path is a C translation of the Python epoch
-scan (see ``_mlpsim_kernel.c``), built and loaded by :mod:`repro.cbuild`.
-One :func:`run_plan` call simulates **many machine configurations
-against one shared columnar plan**, which is what makes full-grid
-sweeps cheap: the trace columns are prepared once and the per-config
-cost collapses to a few milliseconds of compiled scanning.
+scans, out-of-order and runahead (see ``_mlpsim_kernel.c``), built and
+loaded by :mod:`repro.cbuild`.  One :func:`run_plan` call simulates
+**many machine configurations against one shared columnar plan**,
+which is what makes full-grid sweeps cheap: the trace columns are
+prepared once and the per-config cost collapses to a few milliseconds
+of compiled scanning.  Each config's ``runahead`` field selects its
+scan inside the one call.
 
 Everything here is fail-soft: a missing compiler, an unwritable build
 directory or a failed compilation simply mark the kernel unavailable
@@ -19,7 +21,11 @@ import os
 import numpy as np
 
 from repro.cbuild import KernelLoader, c_column, verify_opcodes
-from repro.core.columnar import validate_plan_contract
+from repro.core.columnar import (
+    PLAN_CONTRACT,
+    config_violation,
+    validate_plan_contract,
+)
 from repro.core.results import MLPResult
 from repro.core.termination import Inhibitor, InhibitorCounts
 from repro.robustness.errors import InternalError
@@ -53,6 +59,11 @@ _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_mlpsim_kernel.c")
 
 _UNBOUNDED = 1 << 30
 
+#: A runahead period never scans past the end of the region, so a
+#: ``max_runahead`` beyond the longest certified region behaves exactly
+#: like this cap.
+_RUNAHEAD_CAP = PLAN_CONTRACT["n_max"] + 1
+
 
 class _KernelConfig(ctypes.Structure):
     _fields_ = [
@@ -67,6 +78,8 @@ class _KernelConfig(ctypes.Structure):
         ("sb_cap", ctypes.c_int64),
         ("slow_bp", ctypes.c_int64),
         ("slow_bp_threshold", ctypes.c_int64),
+        ("runahead", ctypes.c_int64),
+        ("max_runahead", ctypes.c_int64),
     ]
 
 
@@ -151,7 +164,19 @@ def _config_struct(machine):
                 if machine.store_buffer is not None else _UNBOUNDED),
         slow_bp=machine.slow_branch_predictor,
         slow_bp_threshold=int(machine.slow_bp_accuracy * 1024),
+        runahead=machine.runahead,
+        max_runahead=min(machine.max_runahead, _RUNAHEAD_CAP),
     )
+
+
+def in_contract(machine):
+    """Do *machine*'s kernel config fields lie inside the contracted ranges?
+
+    A valid machine can exceed them (a ROB above 2**24, an MSHR file
+    above 2**30); the kernel is not certified for it, so it runs on the
+    scalar engine instead.
+    """
+    return config_violation(_config_struct(machine)) is None
 
 
 def run_plan(plan, machines, workload):

@@ -110,6 +110,8 @@ PLAN_CONTRACT = {
         "sb_cap": [0, 1 << 30],
         "slow_bp": [0, 1],
         "slow_bp_threshold": [0, 1 << 20],
+        "runahead": [0, 1],
+        "max_runahead": [1, (1 << 26) + 1],
     },
 }
 
@@ -155,14 +157,27 @@ def validate_plan_contract(plan, configs):
                     f" the kernel contract requires [{lo_v}, {hi_v}]"
                 )
     for config in configs:
-        for field, (lo, hi) in PLAN_CONTRACT["config"].items():
-            value = int(getattr(config, field))
-            lo_v, hi_v = contract_bound(lo, n), contract_bound(hi, n)
-            if value < lo_v or value > hi_v:
-                raise InternalError(
-                    f"kernel config field {field!r} = {value} outside"
-                    f" the contracted range [{lo_v}, {hi_v}]"
-                )
+        violation = config_violation(config)
+        if violation is not None:
+            raise InternalError(violation)
+
+
+def config_violation(config):
+    """Why kernel *config* lies outside ``PLAN_CONTRACT["config"]``, or None.
+
+    The config ranges are constants, so no plan is needed:
+    :func:`repro.core.batched.batched_supported` uses this check to keep
+    such machines on the scalar engine, and
+    :func:`validate_plan_contract` to refuse them at the kernel call.
+    """
+    for field, (lo, hi) in PLAN_CONTRACT["config"].items():
+        value = int(getattr(config, field))
+        if value < lo or value > hi:
+            return (
+                f"kernel config field {field!r} = {value} outside"
+                f" the contracted range [{lo}, {hi}]"
+            )
+    return None
 
 
 def mask_key(machine):
@@ -239,7 +254,6 @@ def build_plan(annotated, machine, start, stop):
     and structure limits are applied by the engine at run time, which is
     what makes the plan shareable across a config grid.
     """
-    n = stop - start
     trace = annotated.trace
 
     (dmiss, imiss, mispred, pmiss, pfuseful, vp_ok) = _event_arrays(
@@ -254,11 +268,7 @@ def build_plan(annotated, machine, start, stop):
     smiss = np.ascontiguousarray(np.asarray(annotated.smiss[start:stop]))
     ops = np.ascontiguousarray(trace.op[start:stop])
 
-    graph = depgraph_for(annotated, start, stop)
-    prod1 = _sentineled(graph.prod1, n)
-    prod2 = _sentineled(graph.prod2, n)
-    prod3 = _sentineled(graph.prod3, n)
-    memdep = _sentineled(graph.memdep, n)
+    prod1, prod2, prod3, memdep = producer_columns(annotated, start, stop)
 
     is_branch = ops == int(OpClass.BRANCH)
     serialize_ops = (
@@ -289,6 +299,34 @@ def build_plan(annotated, machine, start, stop):
         pmiss=pmiss, pfuseful=pfuseful, vp_ok=vp_ok, smiss=smiss,
         scalar_mask=scalar_mask,
     )
+
+
+def producer_columns(annotated, start, stop):
+    """The region's ``(prod1, prod2, prod3, memdep)`` plan columns.
+
+    Like the dependence graph they are built from, they depend only on
+    the trace, so they are memoised on ``annotated.trace`` by region:
+    every mask group's plan and every annotation of one trace (Figure
+    7's L2 sizes) share one read-only copy.
+    """
+    trace = annotated.trace
+    cache = getattr(trace, "_producer_columns_cache", None)
+    if cache is None:
+        cache = {}
+        trace._producer_columns_cache = cache
+    columns = cache.get((start, stop))
+    if columns is None:
+        graph = depgraph_for(annotated, start, stop)
+        n = stop - start
+        columns = tuple(
+            _sentineled(producers, n)
+            for producers in (graph.prod1, graph.prod2, graph.prod3,
+                              graph.memdep)
+        )
+        for column in columns:
+            column.flags.writeable = False
+        cache[(start, stop)] = columns
+    return columns
 
 
 def _sentineled(producers, n):

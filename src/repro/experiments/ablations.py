@@ -20,8 +20,8 @@ as future work:
 
 import dataclasses
 
+from repro.analysis.sweep import sweep
 from repro.core.config import MachineConfig
-from repro.core.mlpsim import simulate
 from repro.core.termination import Inhibitor
 from repro.experiments.common import (
     DISPLAY_NAMES,
@@ -47,14 +47,24 @@ def ablation_mshr(trace_len=None, sizes=MSHR_SIZES):
     notes = []
     for name in WORKLOAD_NAMES:
         annotated = get_annotated(name, trace_len)
-        for base_label, base in (
+        bases = (
             ("64C", MachineConfig.named("64C")),
             ("RAE", MachineConfig.runahead_machine()),
-        ):
+        )
+        grid = sweep(
+            annotated,
+            [
+                (f"{base_label}/{_size_label(cap)}",
+                 dataclasses.replace(base, max_outstanding=cap))
+                for base_label, base in bases
+                for cap in sizes
+            ],
+            workload=name,
+        )
+        for base_label, _ in bases:
             row = [DISPLAY_NAMES[name], base_label]
             for cap in sizes:
-                machine = dataclasses.replace(base, max_outstanding=cap)
-                row.append(simulate(annotated, machine).mlp)
+                row.append(grid.mlp(f"{base_label}/{_size_label(cap)}"))
             rows.append(row)
             knee = next(
                 (
@@ -85,10 +95,17 @@ def ablation_store_buffer(trace_len=None, sizes=STORE_BUFFER_SIZES):
     notes = []
     for name in WORKLOAD_NAMES:
         annotated = get_annotated(name, trace_len)
+        grid = sweep(
+            annotated,
+            [
+                (_size_label(cap), MachineConfig.named("64C", store_buffer=cap))
+                for cap in sizes
+            ],
+            workload=name,
+        )
         rows = []
         for cap in sizes:
-            machine = MachineConfig.named("64C", store_buffer=cap)
-            result = simulate(annotated, machine)
+            result = grid.results[_size_label(cap)]
             rows.append(
                 [
                     _size_label(cap),
@@ -130,17 +147,24 @@ def ablation_slow_bp(trace_len=None, accuracies=SLOW_BP_ACCURACIES):
     for name in WORKLOAD_NAMES:
         annotated = get_annotated(name, trace_len)
         base = MachineConfig.runahead_machine()
-        row = [DISPLAY_NAMES[name]]
-        for accuracy in accuracies:
-            machine = dataclasses.replace(
-                base,
-                slow_branch_predictor=accuracy > 0,
-                slow_bp_accuracy=accuracy,
+        pairs = [
+            (
+                f"acc={accuracy}",
+                dataclasses.replace(
+                    base,
+                    slow_branch_predictor=accuracy > 0,
+                    slow_bp_accuracy=accuracy,
+                ),
             )
-            row.append(simulate(annotated, machine).mlp)
-        perfect = simulate(
-            annotated, dataclasses.replace(base, perfect_branch=True)
-        ).mlp
+            for accuracy in accuracies
+        ]
+        pairs.append(
+            ("perfect", dataclasses.replace(base, perfect_branch=True))
+        )
+        grid = sweep(annotated, pairs, workload=name)
+        row = [DISPLAY_NAMES[name]]
+        row += [grid.mlp(f"acc={accuracy}") for accuracy in accuracies]
+        perfect = grid.mlp("perfect")
         row.append(perfect)
         rows.append(row)
         captured = (
@@ -172,10 +196,17 @@ def ablation_runahead_distance(trace_len=None, distances=RUNAHEAD_DISTANCES):
     notes = []
     for name in WORKLOAD_NAMES:
         annotated = get_annotated(name, trace_len)
+        grid = sweep(
+            annotated,
+            [
+                (str(distance),
+                 MachineConfig.runahead_machine(max_runahead=distance))
+                for distance in distances
+            ],
+            workload=name,
+        )
         row = [DISPLAY_NAMES[name]]
-        for distance in distances:
-            machine = MachineConfig.runahead_machine(max_runahead=distance)
-            row.append(simulate(annotated, machine).mlp)
+        row += [grid.mlp(str(distance)) for distance in distances]
         rows.append(row)
         saturation = next(
             (
@@ -300,8 +331,15 @@ def ablation_intro_contrast(trace_len=None):
         annotated = annotate(trace)
         study = run_prefetch_study(trace, StridePrefetcher(degree=4))
         sou = simulate_stall_on_use(annotated).mlp
-        ooo = simulate(annotated, MachineConfig.named("64C")).mlp
-        rae = simulate(annotated, MachineConfig.runahead_machine()).mlp
+        grid = sweep(
+            annotated,
+            [
+                ("64C", MachineConfig.named("64C")),
+                ("RAE", MachineConfig.runahead_machine()),
+            ],
+            workload=name,
+        )
+        ooo, rae = grid.mlp("64C"), grid.mlp("RAE")
         rows.append(
             [
                 DISPLAY_NAMES.get(name, name),

@@ -20,8 +20,8 @@ sit; at reproduction scale the magnitudes are small and the note lines
 report whatever direction was measured.
 """
 
+from repro.analysis.sweep import sweep
 from repro.core.config import MachineConfig
-from repro.core.mlpsim import simulate
 from repro.experiments.common import (
     DISPLAY_NAMES,
     Exhibit,
@@ -54,8 +54,8 @@ def run(trace_len=None, l2_sizes=L2_SIZES, machine=None):
         rates = []
         for l2 in l2_sizes:
             annotated = get_annotated(name, trace_len, l2_bytes=l2)
-            result = simulate(annotated, machine)
-            mlps.append(result.mlp)
+            grid = sweep(annotated, [(machine.label, machine)], workload=name)
+            mlps.append(grid.mlp(machine.label))
             rates.append(annotated.l2_load_miss_rate_per_100())
         rows.append([DISPLAY_NAMES[name], "MLP"] + mlps)
         rows.append([DISPLAY_NAMES[name], "miss/100"] + rates)

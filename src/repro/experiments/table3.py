@@ -8,9 +8,8 @@ the paper's evidence that the epoch model and its window-termination
 rules are complete.
 """
 
-from repro.analysis.sweep import sweep_cyclesim
+from repro.analysis.sweep import sweep, sweep_cyclesim
 from repro.core.config import MachineConfig
-from repro.core.mlpsim import simulate
 from repro.cyclesim import CycleSimConfig
 from repro.experiments.common import (
     DISPLAY_NAMES,
@@ -43,10 +42,18 @@ def run(trace_len=None, sizes=(32, 64, 128), configs="ABC",
             for latency in latencies
         ]
         grid = sweep_cyclesim(annotated, pairs, workload=name).results
+        mlpsim_grid = sweep(
+            annotated,
+            [
+                (f"{size}{letter}", MachineConfig.named(f"{size}{letter}"))
+                for size in sizes
+                for letter in configs
+            ],
+            workload=name,
+        )
         for size in sizes:
             for letter in configs:
-                machine = MachineConfig.named(f"{size}{letter}")
-                mlpsim = simulate(annotated, machine).mlp
+                mlpsim = mlpsim_grid.mlp(f"{size}{letter}")
                 row = [DISPLAY_NAMES[name], size, letter]
                 for latency in latencies:
                     row.append(grid[f"{size}{letter}/p{latency}"].mlp)

@@ -9,9 +9,8 @@ cycle simulator does not implement).  The paper's claim to reproduce:
 all estimates land within 2% of the measured CPI.
 """
 
-from repro.analysis.sweep import sweep_cyclesim
+from repro.analysis.sweep import sweep, sweep_cyclesim
 from repro.core.config import MachineConfig
-from repro.core.mlpsim import simulate
 from repro.cyclesim import CycleSimConfig
 from repro.experiments.common import (
     DISPLAY_NAMES,
@@ -46,14 +45,19 @@ def run(trace_len=None, size=64, configs="ABC", miss_penalty=1000):
                 ),
             ))
         grid = sweep_cyclesim(annotated, pairs, workload=name).results
+        mlpsim_grid = sweep(
+            annotated,
+            [(letter, MachineConfig.named(f"{size}{letter}"))
+             for letter in configs],
+            workload=name,
+        ).results
         measured = {}
         anchors = {}  # config letter -> (cpi_perf, overlap_cm)
         mlpsim = {}
         for letter in configs:
-            machine = MachineConfig.named(f"{size}{letter}")
             real = grid[f"{size}{letter}/p{miss_penalty}"]
             perfect = grid[f"{size}{letter}/p{miss_penalty}/perfL2"]
-            result = simulate(annotated, machine)
+            result = mlpsim_grid[letter]
             miss_rate = result.accesses / result.instructions
             overlap = derive_overlap_cm(
                 real.cpi, perfect.cpi, miss_rate, miss_penalty, result.mlp

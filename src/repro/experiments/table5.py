@@ -7,9 +7,9 @@ machine improves MLP over in-order stall-on-use by ~30% (database),
 noticeably above 1.0 because of its useful software prefetches.
 """
 
+from repro.analysis.sweep import sweep
 from repro.core.config import MachineConfig
 from repro.core.inorder import simulate_stall_on_miss, simulate_stall_on_use
-from repro.core.mlpsim import simulate
 from repro.experiments.common import (
     DISPLAY_NAMES,
     Exhibit,
@@ -26,7 +26,9 @@ def run(trace_len=None):
         annotated = get_annotated(name, trace_len)
         som = simulate_stall_on_miss(annotated)
         sou = simulate_stall_on_use(annotated)
-        ooo = simulate(annotated, MachineConfig.named("64C"))
+        ooo = sweep(
+            annotated, [("64C", MachineConfig.named("64C"))], workload=name
+        ).results["64C"]
         rows.append([DISPLAY_NAMES[name], som.mlp, sou.mlp, ooo.mlp])
         if sou.mlp:
             notes.append(

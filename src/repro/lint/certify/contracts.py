@@ -186,6 +186,8 @@ MLPSIM_PLAN_FACTS = {
         "sb_cap": [0, 1 << 30],
         "slow_bp": [0, 1],
         "slow_bp_threshold": [0, 1 << 20],
+        "runahead": [0, 1],
+        "max_runahead": [1, (1 << 26) + 1],
     },
 }
 
@@ -201,8 +203,10 @@ _MLPSIM_ELEMS = {
 #: deadlock guard enforces), so epoch <= 2n + 2 < 2^28 at n <= 2^26.
 _EPOCH_REASON = ("every epoch retires or defers at least one"
                  " instruction, so epoch <= 2n + 2 < 2^28")
-#: Per-epoch counters count instructions scanned in one epoch.
-_PER_EPOCH = ("counts instructions scanned in one epoch, <= n + 1")
+#: Per-epoch counters count instructions scanned in one epoch; a
+#: runahead epoch adds the pending prefetches that join it.
+_PER_EPOCH = ("counts instructions scanned in one epoch plus the"
+              " prefetches joining it, <= 2n + 1")
 #: Whole-run counters are bounded by epochs * per-epoch work.
 _RUN_TOTAL = ("bounded by epochs * per-epoch accesses <= 2^54")
 
@@ -270,6 +274,12 @@ _MLPSIM_BUFFERS = {
     ("Trace", "res_valid"): Buf("n + 1", "int32_t", "0", "(1 << 30)"),
     ("Trace", "deferred"): Buf("n + 1", "int32_t", "0", "n - 1"),
     ("Trace", "new_deferred"): Buf("n + 1", "int32_t", "0", "n - 1"),
+    ("Trace", "live_dmiss"): Buf("n", "uint8_t", "0", "1"),
+    ("Trace", "live_pmiss"): Buf("n", "uint8_t", "0", "1"),
+    ("Trace", "poisoned"): Buf("n + 1", "int32_t", "0", "n"),
+    ("Trace", "unvalidated"): Buf("n + 1", "int32_t", "0", "n"),
+    ("Trace", "dead_store"): Buf("n + 1", "int32_t", "0", "n"),
+    ("Trace", "pending_pf"): Buf("n + 1", "int32_t", "0", "n - 1"),
     ("KernelResult", "inhibitors"): Buf(
         "INH_COUNT", "int64_t", "0", "(1 << 54)", trusted=True,
         reason="per-epoch counters: at most one increment per epoch"),

@@ -63,7 +63,7 @@ PAYLOAD_SCHEMA_SHA256 = (
 #: ``repro.lint.certify.contracts``).
 PLAN_CONTRACT_FINGERPRINTS = {
     "PLAN_CONTRACT": (
-        "34257d537596cc03008579da5ce61e21dd8d9cf80df7da5c01dcd9f3657bca5b"
+        "d55cb6d22ee20f115bb1de49d5267139ccd59311e5aa62ef4b1864058d99a154"
     ),
     "CYCLE_PLAN_CONTRACT": (
         "e62d25af0454fc9bcd749c8394f6347c34b0402899d6d4fbce2d8b7769bcd296"

@@ -7,8 +7,9 @@ run of grid points that share one *route*.  A route is either one
 compiled-kernel plan (an MLPsim mask group's columnar plan, or the
 cycle plan), so a chunk is one kernel call, or the scalar route (the
 scalar MLPsim engine or the frozen cyclesim reference), whose chunks
-hold one config each.  Runahead machines, ``engine="scalar"``, test
-stand-in configs and hosts without ``cc`` take the scalar route.
+hold one config each.  ``engine="scalar"``, machines outside the
+kernel's contracted ranges, test stand-in configs and hosts without
+``cc`` take the scalar route.
 
 * **Serial** (``jobs=1``, the unsupervised serial cutover, or a pool
   that degraded): each kernel route runs as one chunk — the same kernel
@@ -293,8 +294,9 @@ class _Worker:
 def _assign_routes(annotated, tasks, engine):
     """Give every task its route; returns the kernel routes in grid order.
 
-    A ``MachineConfig`` the MLPsim kernel accepts (built, not runahead,
-    ``engine`` not ``"scalar"``) shares its mask group's columnar plan;
+    A ``MachineConfig`` the MLPsim kernel accepts (built, config inside
+    the contracted ranges, ``engine`` not ``"scalar"``), runahead or
+    not, shares its mask group's columnar plan;
     a ``CycleSimConfig`` shares the cycle plan when the cyclesim kernel
     is built.  Everything else stays on the scalar route.  The trace is
     validated once, before the first plan is built from it.

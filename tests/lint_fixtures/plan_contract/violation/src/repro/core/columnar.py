@@ -58,6 +58,8 @@ PLAN_CONTRACT = {
         "sb_cap": [0, 1 << 30],
         "slow_bp": [0, 1],
         "slow_bp_threshold": [0, 1 << 20],
+        "runahead": [0, 1],
+        "max_runahead": [1, (1 << 26) + 1],
     },
 }
 

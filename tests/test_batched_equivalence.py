@@ -184,9 +184,12 @@ class TestNoKernelFallback:
 
 
 class TestEngineSelection:
-    def test_runahead_rejected_from_batched_envelope(self):
+    def test_runahead_inside_batched_envelope(self):
+        """Runahead machines run on the kernel whenever it is built;
+        only ``record_sets`` runs stay outside."""
         machine = MachineConfig.named("64C", runahead=True)
-        assert not batched_supported(machine)
+        assert batched_supported(machine) == ckernel.kernel_available()
+        assert not batched_supported(machine, record_sets=True)
 
     def test_record_sets_rejected(self):
         assert not batched_supported(MachineConfig.named("64C"),

@@ -210,6 +210,15 @@ class TestSweepCommand:
         assert "quarantined" in out
         assert "64C" in out  # the healthy config still completed
 
+    def test_machine_beyond_kernel_contract_runs(self, capsys):
+        """A valid machine whose ROB exceeds the kernel's contracted
+        range runs on the scalar engine instead of being quarantined."""
+        code = main(["sweep", "specjbb2000", "-n", "20000",
+                     "-m", "64C:rob=33554432"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "MLP=" in out and "quarantined" not in out
+
 
 class TestInspect:
     def test_inspect_prints_epochs(self, capsys):

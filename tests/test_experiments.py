@@ -6,6 +6,7 @@ paper-shape assertions on calibrated traces live in
 ``test_integration.py``; the full-size runs live in ``benchmarks/``.
 """
 
+import importlib
 import os
 
 import pytest
@@ -223,3 +224,48 @@ class TestExhibitStructure:
         for row in rows:
             assert row[1 + rae_index - 0] == row[headers.index("RAE")]
             assert row[headers.index("RAE")] > -0.5
+
+
+#: Every exhibit that runs MLPsim.
+MLPSIM_EXHIBITS = (
+    "table3", "table4", "table5", "figure7", "figure8", "figure9_table6",
+    "figure10", "figure11",
+)
+
+ROUTE_LEN = 20000
+
+
+class TestMLPsimRoutes:
+    """With the kernel built, every MLPsim run of an exhibit is a kernel
+    call; without it, the scalar engines print the same text."""
+
+    def test_exhibits_never_reach_the_scalar_engines(self, monkeypatch):
+        from repro.core import batched, ckernel, mlpsim, runahead
+
+        if not ckernel.kernel_available():
+            pytest.skip(f"no compiled kernel: {ckernel.kernel_error()}")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scalar MLPsim engine reached")
+
+        # Import first, so no module binds the stand-in for good.
+        for name in MLPSIM_EXHIBITS:
+            importlib.import_module(EXHIBITS[name])
+        # The engine bodies too, so a caller that bound ``simulate`` at
+        # import time is caught as well.
+        monkeypatch.setattr(mlpsim, "simulate", forbidden)
+        monkeypatch.setattr(mlpsim, "_simulate_ooo", forbidden)
+        monkeypatch.setattr(batched, "simulate", forbidden)
+        monkeypatch.setattr(runahead, "simulate_runahead", forbidden)
+        for name in MLPSIM_EXHIBITS:
+            run_exhibit(name, trace_len=ROUTE_LEN)
+
+    def test_no_kernel_text_is_byte_identical(self, request):
+        with_kernel = {
+            name: run_exhibit(name, trace_len=ROUTE_LEN).format()
+            for name in MLPSIM_EXHIBITS
+        }
+        request.getfixturevalue("no_kernel")
+        for name in MLPSIM_EXHIBITS:
+            text = run_exhibit(name, trace_len=ROUTE_LEN).format()
+            assert text == with_kernel[name], name

@@ -128,6 +128,19 @@ class TestRealTreeMutations:
         assert "index in [0, 32768]" in findings[0].message
         assert "length 32768" in findings[0].message
 
+    def test_runahead_scan_bound(self, tmp_path):
+        """Widening the runahead period's loop bound un-proves exactly
+        the precondition of its per-instruction step: the runahead scan
+        is certified, not skipped."""
+        root = _real_tree(tmp_path)
+        _edit(root, MLPSIM_KERNEL, "j < limit", "j <= limit")
+        findings = run_lint(root, select=self.SELECT)
+        assert len(findings) == 1
+        assert findings[0].pass_id == "kernel-bounds"
+        assert findings[0].path == MLPSIM_KERNEL
+        assert "runahead_step" in findings[0].message
+        assert "j <= n - 1" in findings[0].message
+
     def test_narrowed_accumulator_width(self, tmp_path):
         """Retyping one int64 result counter as int32 un-proves the
         width of exactly its increment."""

@@ -51,8 +51,8 @@ class TestSerialParallelEquivalence:
 
     def test_runahead_config_in_parallel_grid(self, database_annotated,
                                               monkeypatch):
-        """A runahead machine mid-grid runs on the scalar engine, not
-        the kernel (which has no runahead mode)."""
+        """A runahead machine mid-grid joins its mask group's kernel
+        chunks and matches the scalar engine."""
         from repro.core.mlpsim import simulate
 
         monkeypatch.setattr(parallel, "effective_cpus", lambda: 2)
