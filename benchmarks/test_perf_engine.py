@@ -3,10 +3,11 @@
 Times (a) single `simulate` runs against the frozen reference
 interpreter (`repro.core.mlpsim_reference`) and runahead grids on the
 compiled kernel against the runahead oracle, (b) an 8-config sweep
-serial vs. on a 4-worker pool, and (c) the cycle-accurate simulator —
+serial vs. on a 4-worker pool, (c) the cycle-accurate simulator —
 single runs and the Table 3 grid through the supervised sweep backend
 — against its own frozen reference
-(`repro.cyclesim.simulator_reference`), then appends one record per
+(`repro.cyclesim.simulator_reference`), and (d) trace annotation on
+its compiled kernel against the Python loops, then appends one record per
 invocation to ``benchmarks/results/BENCH_perf.json`` via the atomic
 writer so a performance trajectory accumulates across PRs.
 
@@ -367,6 +368,83 @@ def test_runahead_grid_speedup(results_dir):
     print(f"\nrunahead grid ({len(grid)} configs): {speedup:.2f}x vs"
           f" simulate_runahead ({1000 * total_kernel / (3 * len(grid)):.2f}"
           " ms/config)")
+    assert speedup >= 5.0
+
+
+def test_annotate_speedup(results_dir):
+    """The annotation layers on the compiled kernel vs the Python loops.
+
+    Per fixed workload, one front pass plus five back passes (Figure
+    7's L2 sizes) on each route, the last-value predictor left out: it
+    runs in Python on both (kind "annotate").  Results must be
+    bit-identical, and the kernel must hold 5x even on CI smoke traces.
+    """
+    import importlib
+
+    import numpy as np
+
+    from repro.branch.frontend import BranchPredictor
+    from repro.experiments.figure7 import L2_SIZES
+    from repro.memory.hierarchy import HierarchyConfig
+    from repro.trace import ckernel
+    from repro.trace.annotate import AnnotationConfig
+
+    # The package re-exports the annotate() function over the module.
+    layers = importlib.import_module("repro.trace.annotate")
+    if not ckernel.kernel_available():
+        pytest.skip(f"no compiled annotation kernel: {ckernel.kernel_error()}")
+    configs = [
+        AnnotationConfig(hierarchy=HierarchyConfig().with_l2_size(size))
+        for size in L2_SIZES
+    ]
+
+    def kernel_layers(trace):
+        front = layers.FrontPass(*ckernel.run_front_pass(trace, configs[0]))
+        return front, [ckernel.run_back_pass(trace, front, config)
+                       for config in configs]
+
+    def python_layers(trace):
+        front = layers._run_front_pass(trace, configs[0], BranchPredictor())
+        return front, [layers._replay_l2(len(trace), front, config)
+                       for config in configs]
+
+    per_workload = {}
+    total_python = 0.0
+    total_kernel = 0.0
+    for name, annotated in _fixed_workloads():
+        trace = annotated.trace
+        (got_front, got_masks), (want_front, want_masks) = (
+            kernel_layers(trace), python_layers(trace))
+        for field in ("mispred", "position", "kind", "addr"):
+            got, want = getattr(got_front, field), getattr(want_front, field)
+            assert got.dtype == want.dtype, (name, field)
+            assert np.array_equal(got, want), (name, field)
+        for got, want in zip(got_masks, want_masks):
+            for got_mask, want_mask in zip(got, want):
+                assert np.array_equal(got_mask, want_mask), name
+        t_python = _best_of(python_layers, trace, reps=2)
+        t_kernel = _best_of(kernel_layers, trace, reps=3)
+        per_workload[name] = {
+            "seconds": round(t_kernel, 6),
+            "python_seconds": round(t_python, 6),
+            "speedup": round(t_python / t_kernel, 3),
+            "stream_length": len(got_front.position),
+        }
+        total_python += t_python
+        total_kernel += t_kernel
+    speedup = total_python / total_kernel
+    _append_record("annotate", {
+        "trace_len": len(_fixed_workloads()[0][1].trace),
+        "back_passes": len(configs),
+        "seed": PERF_SEED,
+        "cpu_count": os.cpu_count() or 1,
+        "workloads": per_workload,
+        "python_total_seconds": round(total_python, 6),
+        "kernel_total_seconds": round(total_kernel, 6),
+        "speedup_vs_python": round(speedup, 3),
+    })
+    print(f"\nannotation (1 front + {len(configs)} back passes):"
+          f" {speedup:.2f}x vs the Python loops")
     assert speedup >= 5.0
 
 

@@ -1,21 +1,24 @@
-"""Build and load the compiled simulator kernels.
+"""Build and load the compiled kernels.
 
 Both simulators run their grids through a C kernel (``_mlpsim_kernel.c``
-and ``_cyclesim_kernel.c``) compiled on demand with the system C
-compiler and loaded through :mod:`ctypes`, with no third-party build
-dependency.  This module is the one place that knows how:
+and ``_cyclesim_kernel.c``), and trace annotation runs its two layers
+through a third (``_annotate_kernel.c``).  Each is compiled on demand
+with the system C compiler and loaded through :mod:`ctypes`, with no
+third-party build dependency.  This module is the one place that knows
+how:
 
 * the object is keyed on the SHA-1 of the C source, so an edited
   source triggers a rebuild instead of loading a stale object;
 * the build is atomic (temp file + ``os.replace``), so concurrent sweep
   workers race benignly;
 * ``REPRO_KERNEL_DIR`` overrides the build directory (created if
-  missing); setting it to an empty string disables both kernels;
+  missing); setting it to an empty string disables all three kernels;
 * each kernel is probed once per process, and a failure is cached and
   reported by :meth:`KernelLoader.error` rather than raised.
 
-Without a kernel the callers fall back to the scalar MLPsim engine and
-the frozen cyclesim reference; see ``docs/PERFORMANCE.md``.
+Without a kernel the callers fall back to the scalar MLPsim engine, the
+frozen cyclesim reference and the Python annotation loops; see
+``docs/PERFORMANCE.md``.
 """
 
 import ctypes
@@ -30,7 +33,7 @@ import numpy as np
 from repro.isa.opclass import OpClass
 from repro.robustness.errors import InternalError
 
-#: Opcode values both C sources were written against.
+#: Opcode values the C sources were written against.
 _EXPECTED_OPS = {
     "ALU": 0, "LOAD": 1, "STORE": 2, "BRANCH": 3, "PREFETCH": 4,
     "CAS": 5, "LDSTUB": 6, "MEMBAR": 7, "NOP": 8,

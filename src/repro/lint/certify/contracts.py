@@ -14,12 +14,16 @@ A kernel contract has four ingredients:
   rests on a counting argument, not on any single store) is assumed
   both ways and must carry a documented reason;
 * **python facts** — the literal ``PLAN_CONTRACT`` /
-  ``CYCLE_PLAN_CONTRACT`` dict the runtime validators in
-  :mod:`repro.core.columnar` and :mod:`repro.cyclesim.plan` enforce.
-  The ``plan-contract`` pass checks those literals match the copies
-  here and that the validators dominate the kernel calls, so the
-  boxes and element ranges this module assumes are themselves
-  machine-checked rather than trusted.
+  ``CYCLE_PLAN_CONTRACT`` / ``ANNOTATE_CONTRACT`` dict the runtime
+  validators in :mod:`repro.core.columnar`, :mod:`repro.cyclesim.plan`
+  and :mod:`repro.trace.ckernel` enforce.  The ``plan-contract`` pass
+  checks those literals match the copies here and that the validators
+  dominate the kernel calls, so the boxes and element ranges this
+  module assumes are themselves machine-checked rather than trusted.
+
+A kernel may have several entry functions (the annotation kernel has
+one per layer); each entry declares its own parameters, and each
+entry's Python driver must call the validator before the kernel.
 
 Bounds that feed the C proof are plain strings parsed by the same C
 expression parser the interpreter uses; bounds inside the python-facts
@@ -89,28 +93,27 @@ class Sym:
 
 
 class KernelContract:
-    """Everything the certifier assumes about one C kernel: the entry
-    function, its symbol/buffer/field invariants, and where the
+    """Everything the certifier assumes about one C kernel: its entry
+    functions, their symbol/buffer/field invariants, and where the
     matching Python contract literal and runtime validator live."""
 
-    __slots__ = ("path", "entry", "symbols", "buffers", "fields",
-                 "entry_params", "python_path", "python_name",
-                 "python_facts", "driver_path", "driver_name")
+    __slots__ = ("path", "entries", "symbols", "buffers", "fields",
+                 "python_path", "python_name", "python_facts",
+                 "driver_path", "drivers")
 
-    def __init__(self, path, entry, symbols, buffers, fields,
-                 entry_params, python_path, python_name, python_facts,
-                 driver_path, driver_name):
+    def __init__(self, path, entries, symbols, buffers, fields,
+                 python_path, python_name, python_facts, driver_path,
+                 drivers):
         self.path = path
-        self.entry = entry
+        self.entries = entries          # entry -> {param: Sym|Buf|StructElem}
         self.symbols = symbols
         self.buffers = buffers          # (owner, field) -> Buf|StructElem
         self.fields = fields            # (struct, field) -> Inv
-        self.entry_params = entry_params  # name -> Sym|Buf|StructElem
         self.python_path = python_path
         self.python_name = python_name
         self.python_facts = python_facts
         self.driver_path = driver_path    # module calling the kernel
-        self.driver_name = driver_name    # function wrapping the call
+        self.drivers = drivers            # functions wrapping the calls
 
     @property
     def validator_name(self):
@@ -298,16 +301,15 @@ _MLPSIM_ENTRY = {
 
 MLPSIM_CONTRACT = KernelContract(
     path="src/repro/core/_mlpsim_kernel.c",
-    entry="mlpsim_batch",
+    entries={"mlpsim_batch": _MLPSIM_ENTRY},
     symbols={"n": (0, 1 << 26), "nconfigs": (0, 1 << 20)},
     buffers=_MLPSIM_BUFFERS,
     fields={**_MLPSIM_FIELDS, **_MLPSIM_CONFIG_FIELDS},
-    entry_params=_MLPSIM_ENTRY,
     python_path="src/repro/core/columnar.py",
     python_name="PLAN_CONTRACT",
     python_facts=MLPSIM_PLAN_FACTS,
     driver_path="src/repro/core/ckernel.py",
-    driver_name="run_plan",
+    drivers=("run_plan",),
 )
 
 
@@ -456,7 +458,7 @@ _CYCLESIM_ENTRY = {
 
 CYCLESIM_CONTRACT = KernelContract(
     path="src/repro/cyclesim/_cyclesim_kernel.c",
-    entry="cyclesim_batch",
+    entries={"cyclesim_batch": _CYCLESIM_ENTRY},
     symbols={
         "n": (0, 1 << 26),
         "nconfigs": (0, 1 << 20),
@@ -466,15 +468,143 @@ CYCLESIM_CONTRACT = KernelContract(
     },
     buffers=_CYCLESIM_BUFFERS,
     fields={**_CYCLESIM_FIELDS, **_CYCLESIM_CONFIG_FIELDS},
-    entry_params=_CYCLESIM_ENTRY,
     python_path="src/repro/cyclesim/plan.py",
     python_name="CYCLE_PLAN_CONTRACT",
     python_facts=CYCLESIM_PLAN_FACTS,
     driver_path="src/repro/cyclesim/ckernel.py",
-    driver_name="run_cycle_plan",
+    drivers=("run_cycle_plan",),
+)
+
+
+# ------------------------------------------------------------- annotation
+
+#: The literal ``repro.trace.ckernel.ANNOTATE_CONTRACT`` must equal
+#: this.  Each column is ``[length symbol, lo, hi]``: the front pass
+#: reads the first group (one entry per instruction; ``addr`` only
+#: through its lines ``dline``), the back pass the stream (at most two
+#: entries per instruction) and the owner table.  Symbols not in the
+#: column ranges are the scratch-table sizes.
+ANNOTATE_FACTS = {
+    "symbols": {
+        "n": [0, 1 << 26],
+        "m": [0, 1 << 27],
+        "nlines": [0, 1 << 27],
+        "sets": [1, 1 << 16],
+        "assoc": [1, 16],
+        "gshare": [1, 1 << 24],
+        "btb_sets": [1, 1 << 16],
+    },
+    "columns": {
+        "ops": ["n", 0, 8],
+        "pc": ["n", 0, 1 << 62],
+        "addr": ["n", 0, 1 << 62],
+        "target": ["n", 0, 1 << 62],
+        "taken": ["n", 0, 1],
+        "cond": ["n", 0, 1],
+        "fetch_line": ["n", 0, 1 << 62],
+        "iline": ["n", 0, 1 << 62],
+        "dline": ["n", 0, 1 << 62],
+        "pf_fetch": ["n", 0, 1],
+        "pf_data": ["n", 0, 1],
+        "position": ["m", 0, ["n", -1]],
+        "kind": ["m", 0, 5],
+        "line": ["m", 0, 1 << 62],
+        "line_id": ["m", 0, ["nlines", -1]],
+        "owner": ["nlines", -1, ["n", -1]],
+    },
+    "geometry": {
+        "l1i_sets": [1, 1 << 16],
+        "l1i_assoc": [1, 16],
+        "l1d_sets": [1, 1 << 16],
+        "l1d_assoc": [1, 16],
+    },
+}
+
+_ANNOTATE_ELEMS = {
+    "ops": "int8_t", "pc": "int64_t", "addr": "int64_t",
+    "target": "int64_t", "taken": "uint8_t", "cond": "uint8_t",
+    "fetch_line": "int64_t", "iline": "int64_t", "dline": "int64_t",
+    "pf_fetch": "uint8_t", "pf_data": "uint8_t", "position": "int32_t",
+    "kind": "int8_t", "line": "int64_t", "line_id": "int32_t",
+    "owner": "int32_t",
+}
+
+_ANNOTATE_COLUMNS = {
+    name: Buf(length, _ANNOTATE_ELEMS[name], _bound_text(lo),
+              _bound_text(hi))
+    for name, (length, lo, hi) in ANNOTATE_FACTS["columns"].items()
+}
+
+#: The front pass writes at most one fetch-line entry and one data
+#: entry per instruction, so the stream buffers hold 2n.
+_STREAM_BUFFERS = {
+    "pos": Buf("2 * n", "int32_t", "0", "n - 1"),
+    "kind": Buf("2 * n", "int8_t", "0", "5"),
+}
+
+_MASK = Buf("n", "uint8_t", "0", "1")
+
+_ANNOTATE_BUFFERS = {
+    ("Cache", "tags"): Buf("WAYS * sets", "int64_t"),
+    ("Cache", "ages"): Buf("WAYS * sets", "int64_t"),
+    ("Predictor", "counters"): Buf("gshare", "uint8_t", "0", "3"),
+    ("Predictor", "btb_tag"): Buf("BTB_WAYS * btb_sets", "int64_t"),
+    ("Predictor", "btb_target"): Buf("BTB_WAYS * btb_sets", "int64_t"),
+    ("Predictor", "btb_age"): Buf("BTB_WAYS * btb_sets", "int64_t"),
+    **{("Stream", name): buf for name, buf in _STREAM_BUFFERS.items()},
+}
+
+_ANNOTATE_FIELDS = {
+    ("Cache", "mask"): Inv("0", "sets - 1"),
+    ("Cache", "assoc"): Inv("1", "WAYS"),
+    ("Predictor", "g_mask"): Inv("0", "gshare - 1"),
+    ("Predictor", "b_mask"): Inv("0", "btb_sets - 1"),
+    ("Predictor", "history"): Inv("0", "(1 << 24) - 1"),
+    ("Stream", "m"): Inv("0", "2 * n"),
+    **{
+        ("Geometry", name): Inv(
+            _bound_text(lo), _bound_text(hi), trusted=True,
+            reason="validated by validate_annotate_contract before the"
+                   " call",
+        )
+        for name, (lo, hi) in ANNOTATE_FACTS["geometry"].items()
+    },
+}
+
+_FRONT_COLUMNS = ("ops", "pc", "target", "taken", "cond", "fetch_line",
+                  "iline", "dline", "pf_fetch", "pf_data")
+_BACK_COLUMNS = ("position", "kind", "line", "line_id", "owner")
+
+ANNOTATE_CONTRACT = KernelContract(
+    path="src/repro/trace/_annotate_kernel.c",
+    entries={
+        "annotate_front": {
+            **{name: Sym(name) for name in ("n", "sets", "gshare",
+                                            "btb_sets")},
+            **{name: _ANNOTATE_COLUMNS[name] for name in _FRONT_COLUMNS},
+            "mispred": _MASK,
+            **{f"out_{name}": buf for name, buf in _STREAM_BUFFERS.items()},
+        },
+        "annotate_back": {
+            **{name: Sym(name) for name in ("n", "m", "nlines", "sets",
+                                            "assoc")},
+            **{name: _ANNOTATE_COLUMNS[name] for name in _BACK_COLUMNS},
+            **{name: _MASK for name in ("dmiss", "pmiss", "pfuseful",
+                                        "imiss", "smiss")},
+        },
+    },
+    symbols={name: tuple(box)
+             for name, box in ANNOTATE_FACTS["symbols"].items()},
+    buffers=_ANNOTATE_BUFFERS,
+    fields=_ANNOTATE_FIELDS,
+    python_path="src/repro/trace/ckernel.py",
+    python_name="ANNOTATE_CONTRACT",
+    python_facts=ANNOTATE_FACTS,
+    driver_path="src/repro/trace/ckernel.py",
+    drivers=("run_front_pass", "run_back_pass"),
 )
 
 
 def kernel_contracts():
     """All declared kernel contracts, in certification order."""
-    return (MLPSIM_CONTRACT, CYCLESIM_CONTRACT)
+    return (MLPSIM_CONTRACT, CYCLESIM_CONTRACT, ANNOTATE_CONTRACT)

@@ -32,7 +32,7 @@ checked); everything else, including ``requires`` at call sites and
 from collections import deque
 
 from repro.lint.certify import intervals as iv
-from repro.lint.certify.contracts import Buf, Inv, StructElem, Sym
+from repro.lint.certify.contracts import Buf, StructElem, Sym
 from repro.lint.clang_parity import cparse
 from repro.lint.clang_parity.cextract import extract_c
 
@@ -190,15 +190,10 @@ class _Env:
         for (owner, field), inv in contract.fields.items():
             self.fields[(owner, field)] = (
                 self._interval_of(inv.lo, inv.hi), inv.trusted)
-        self.entry_params = {}
-        for name, spec in contract.entry_params.items():
-            if isinstance(spec, Sym):
-                self.entry_params[name] = spec
-            elif isinstance(spec, Buf):
-                self.entry_params[name] = self._resolve_buf(name, spec)
-            elif isinstance(spec, StructElem):
-                self.entry_params[name] = _ElemSpec(
-                    self._affine_text(spec.length), spec.struct)
+        self.entries = {
+            entry: self._resolve_params(params)
+            for entry, params in contract.entries.items()
+        }
         # Function-level ``certify: buffer`` annotations.
         self.ann_buffers = {}
         for fn in self.unit.functions.values():
@@ -208,6 +203,18 @@ class _Env:
         self.ann_cache = {}
         self.ann_errors = []       # (lineno, message)
         self._returns_cache = {}
+
+    def _resolve_params(self, params):
+        resolved = {}
+        for name, spec in params.items():
+            if isinstance(spec, Sym):
+                resolved[name] = spec
+            elif isinstance(spec, Buf):
+                resolved[name] = self._resolve_buf(name, spec)
+            elif isinstance(spec, StructElem):
+                resolved[name] = _ElemSpec(
+                    self._affine_text(spec.length), spec.struct)
+        return resolved
 
     def parse_annotation(self, ann):
         """Parsed condition of an assume/requires; None on bad text."""
@@ -889,7 +896,8 @@ class _FnCore:
         self.summaries = summaries
         self.sink = sink       # (kind, lineno, message) -> ok
         self.box = env.box
-        self.is_entry = fn.name == env.contract.entry
+        self.entry_params = env.entries.get(fn.name)
+        self.is_entry = self.entry_params is not None
         self.var_types = {name: (base, ptr)
                           for name, base, ptr in fn.params}
         for stmt in cparse._walk_statements(fn.body):
@@ -942,7 +950,7 @@ class _FnCore:
         state = _State()
         if self.is_entry:
             for pname, ptype, pptr in self.fn.params:
-                spec = self.env.entry_params.get(pname)
+                spec = self.entry_params.get(pname)
                 if isinstance(spec, Sym) and pptr == 0:
                     ct = self.env.width_of(ptype) or (64, True)
                     self._note_key(pname, ct, None)
@@ -1120,7 +1128,7 @@ class _FnEval:
 
     def _pointer_value(self, name, base, ptr, state):
         if self.is_entry:
-            spec = self.env.entry_params.get(name)
+            spec = self.entry_params.get(name)
             if isinstance(spec, (_BufSpec, _ElemSpec)):
                 return _Value(ct=None, ref=spec, key=name)
         ref = state.ptrs.get(name)
@@ -2352,10 +2360,11 @@ def analyse_kernel(source, contract, extract=None):
             report.issues.append(
                 (sup.lineno,
                  "C suppression without a '-- reason' justification"))
-    if contract.entry not in env.unit.functions:
-        report.error = (0, f"entry function {contract.entry!r} not "
-                           f"found in {contract.path}")
-        return report
+    for entry in contract.entries:
+        if entry not in env.unit.functions:
+            report.error = (0, f"entry function {entry!r} not "
+                               f"found in {contract.path}")
+            return report
     summaries = _summaries(env.unit)
     sink = {}
     for fn in env.unit.functions.values():

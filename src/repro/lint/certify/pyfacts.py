@@ -7,7 +7,8 @@ are only sound if the Python side actually establishes them, so this
 module closes the loop statically:
 
 * :func:`extract_contract_literal` folds the ``PLAN_CONTRACT`` /
-  ``CYCLE_PLAN_CONTRACT`` dict literal out of the builder module's AST
+  ``CYCLE_PLAN_CONTRACT`` / ``ANNOTATE_CONTRACT`` dict literal out of
+  the builder module's AST
   (constant-folding ``1 << 26``-style bound expressions), so the copy
   in :mod:`.contracts` can be compared against the literal the runtime
   validator enforces;
@@ -17,7 +18,7 @@ module closes the loop statically:
   pin in :mod:`repro.lint.manifest` (contract drift without a
   ``repro lint --manifest-update`` regen is a finding), the runtime
   validator is defined next to the literal, and the validator call
-  *dominates* the kernel invocation in the driver (an unconditional
+  *dominates* the kernel invocation in every driver (an unconditional
   top-level statement of the driver function, lexically before the
   ``_kernel(...)`` call — every path that reaches the kernel passes
   through the validator first).
@@ -113,8 +114,8 @@ def _calls_name(node, name):
     return False
 
 
-def _dominance_finding(module, contract):
-    """Check the validator call dominates the kernel call in the driver.
+def _dominance_finding(module, contract, driver_name):
+    """Check the validator call dominates the kernel call in a driver.
 
     The driver function's top-level statement list is scanned in
     order: the first statement that (anywhere inside it) calls
@@ -123,9 +124,9 @@ def _dominance_finding(module, contract):
     statement — not nested under an ``if``/``for``/``try``, where some
     path could skip it.  Returns ``(lineno, message)`` or ``None``.
     """
-    driver = _function_def(module.tree, contract.driver_name)
+    driver = _function_def(module.tree, driver_name)
     if driver is None:
-        return (1, f"driver function {contract.driver_name!r} not found"
+        return (1, f"driver function {driver_name!r} not found"
                    f" in {contract.driver_path}; the kernel call site"
                    " the contract names does not exist")
     kernel_index = None
@@ -136,7 +137,7 @@ def _dominance_finding(module, contract):
             break
     if kernel_index is None:
         return (driver.lineno,
-                f"{contract.driver_name} never calls _kernel; the"
+                f"{driver_name} never calls _kernel; the"
                 " contract names a kernel invocation that is gone")
     for stmt in driver.body[:kernel_index]:
         if (isinstance(stmt, ast.Expr)
@@ -145,7 +146,7 @@ def _dominance_finding(module, contract):
                 and stmt.value.func.id == contract.validator_name):
             return None
     return (kernel_line,
-            f"the kernel call in {contract.driver_name} is not"
+            f"the kernel call in {driver_name} is not"
             f" dominated by {contract.validator_name}(): the validator"
             " must run unconditionally (top-level statement, before"
             " the _kernel call) so the certified input ranges hold on"
@@ -209,9 +210,11 @@ def contract_findings(project, contract, pinned_fingerprint):
     driver = project.module(contract.driver_path)
     if driver is None or driver.tree is None:
         return
-    dominance = _dominance_finding(driver, contract)
-    if dominance is not None:
-        yield (contract.driver_path, dominance[0], dominance[1])
+    for driver_name in contract.drivers:
+        dominance = _dominance_finding(driver, contract, driver_name)
+        if dominance is not None:
+            yield (contract.driver_path, dominance[0], dominance[1])
+            return
 
 
 def _first_drift(found, expected, prefix=""):

@@ -18,9 +18,10 @@ version without regenerating this manifest) fails the build.
 
 The kernel certification (PR 10) pins the plan contracts the same
 way: the ``plan-contract`` pass fingerprints the ``PLAN_CONTRACT`` /
-``CYCLE_PLAN_CONTRACT`` literals the runtime validators enforce and
-compares them against the pins below, so changing a contracted range
-without regenerating this manifest fails the build.
+``CYCLE_PLAN_CONTRACT`` / ``ANNOTATE_CONTRACT`` literals the runtime
+validators enforce and compares them against the pins below, so
+changing a contracted range without regenerating this manifest fails
+the build.
 
 Hashes are computed over text with ``\\r\\n`` normalised to ``\\n``, so
 checkouts with translated line endings still verify.  Regenerate this
@@ -67,5 +68,8 @@ PLAN_CONTRACT_FINGERPRINTS = {
     ),
     "CYCLE_PLAN_CONTRACT": (
         "e62d25af0454fc9bcd749c8394f6347c34b0402899d6d4fbce2d8b7769bcd296"
+    ),
+    "ANNOTATE_CONTRACT": (
+        "95df31e348cbceb9b8893a40ffac990d00eef41000e74f197b89beba8265ddfd"
     ),
 }

@@ -6,19 +6,21 @@ for every plan column, every config field and the region length.
 Those facts are only sound if the Python side establishes them, so
 this pass closes the loop:
 
-* the ``PLAN_CONTRACT`` / ``CYCLE_PLAN_CONTRACT`` module-level literal
-  exists, constant-folds, and is token-for-token equal to the facts
+* the ``PLAN_CONTRACT`` / ``CYCLE_PLAN_CONTRACT`` /
+  ``ANNOTATE_CONTRACT`` module-level literal exists, constant-folds, and is token-for-token equal to the facts
   the certifier assumed (:mod:`repro.lint.certify.contracts`);
 * its SHA-256 fingerprint matches the pin in
   :mod:`repro.lint.manifest` — changing a contracted range without
   ``repro lint --manifest-update`` (a reviewed manifest regen) is a
   finding;
 * the runtime validator (``validate_plan_contract`` /
-  ``validate_cycle_plan_contract``) is defined next to the literal;
+  ``validate_cycle_plan_contract`` / ``validate_annotate_contract``)
+  is defined next to the literal;
 * the validator call *dominates* the ``_kernel(...)`` invocation in
-  the ctypes driver: an unconditional top-level statement of the
-  driver function, lexically before the kernel call, so every path
-  that reaches the kernel has checked the certified input ranges.
+  every ctypes driver of the kernel: an unconditional top-level
+  statement of the driver function, lexically before the kernel call,
+  so every path that reaches the kernel has checked the certified
+  input ranges.
 
 The checks short-circuit per contract, so a single-site edit yields
 exactly one finding.  Fixture trees that lack the C kernel (or the

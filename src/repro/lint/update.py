@@ -17,9 +17,9 @@ Two interlocks keep the update an explicit, reviewable act:
   tell which edit the new fingerprint blesses) is refused;
 * **extraction refusal** — if ``PLAN_COLUMNS``,
   ``COLUMNAR_SCHEMA_VERSION`` or a plan-contract literal
-  (``PLAN_CONTRACT`` / ``CYCLE_PLAN_CONTRACT``) cannot be statically
-  extracted, the update fails rather than pinning a fingerprint of
-  nothing.
+  (``PLAN_CONTRACT`` / ``CYCLE_PLAN_CONTRACT`` /
+  ``ANNOTATE_CONTRACT``) cannot be statically extracted, the update
+  fails rather than pinning a fingerprint of nothing.
 
 See the "bumping the schema" section of ``docs/STATIC_ANALYSIS.md``.
 """
@@ -31,6 +31,7 @@ import subprocess
 import tempfile
 
 from repro.lint import manifest
+from repro.lint.certify.contracts import kernel_contracts
 from repro.lint.clang_parity.pyextract import (
     int_constant,
     payload_extras,
@@ -44,8 +45,8 @@ MANIFEST_PATH = "src/repro/lint/manifest.py"
 #: Root-relative paths of the modules whose plan-contract literals are
 #: fingerprinted, keyed by literal name.
 _CONTRACT_SOURCES = {
-    "PLAN_CONTRACT": "src/repro/core/columnar.py",
-    "CYCLE_PLAN_CONTRACT": "src/repro/cyclesim/plan.py",
+    contract.python_name: contract.python_path
+    for contract in kernel_contracts()
 }
 
 #: Files allowed to carry uncommitted changes during an update: the
@@ -79,9 +80,10 @@ version without regenerating this manifest) fails the build.
 
 The kernel certification (PR 10) pins the plan contracts the same
 way: the ``plan-contract`` pass fingerprints the ``PLAN_CONTRACT`` /
-``CYCLE_PLAN_CONTRACT`` literals the runtime validators enforce and
-compares them against the pins below, so changing a contracted range
-without regenerating this manifest fails the build.
+``CYCLE_PLAN_CONTRACT`` / ``ANNOTATE_CONTRACT`` literals the runtime
+validators enforce and compares them against the pins below, so
+changing a contracted range without regenerating this manifest fails
+the build.
 
 Hashes are computed over text with ``\\\\r\\\\n`` normalised to ``\\\\n``, so
 checkouts with translated line endings still verify.  Regenerate this
@@ -123,13 +125,7 @@ PAYLOAD_SCHEMA_SHA256 = (
 #: kernel certification assumes, keyed by literal name (see
 #: ``repro.lint.certify.contracts``).
 PLAN_CONTRACT_FINGERPRINTS = {{
-    "PLAN_CONTRACT": (
-        "{plan_contract_sha256}"
-    ),
-    "CYCLE_PLAN_CONTRACT": (
-        "{cycle_plan_contract_sha256}"
-    ),
-}}
+{contract_pins}}}
 '''
 
 
@@ -247,8 +243,10 @@ def update_manifest(root="."):
         payload_schema_path=manifest.PAYLOAD_SCHEMA_PATH,
         payload_schema_version=version[0],
         payload_schema_sha256=fingerprint,
-        plan_contract_sha256=contract_pins["PLAN_CONTRACT"],
-        cycle_plan_contract_sha256=contract_pins["CYCLE_PLAN_CONTRACT"],
+        contract_pins="".join(
+            f'    "{name}": (\n        "{pin}"\n    ),\n'
+            for name, pin in contract_pins.items()
+        ),
     )
 
     target = os.path.join(root, MANIFEST_PATH)

@@ -11,6 +11,7 @@ its previous content or receives the complete new content.
 import contextlib
 import os
 import tempfile
+import zipfile
 
 import numpy as np
 
@@ -50,9 +51,19 @@ def atomic_write_text(path, text):
 def atomic_savez(path, **arrays):
     """Atomically write a compressed ``.npz`` archive of *arrays*.
 
-    Writing through a file handle (not a path) keeps numpy from
-    appending its own ``.npz`` suffix to the temporary name, so the
-    rename target is exact.
+    The archive is the one :func:`numpy.savez_compressed` writes (one
+    ``<name>.npy`` member per array, no pickles), deflated at level 1
+    instead of zlib's default 6: much faster to write, somewhat larger
+    (measured in ``docs/PERFORMANCE.md``).  :func:`numpy.load` reads
+    either level.  Writing through a file handle (not a path) keeps the
+    temporary name exact for the rename.
     """
     with atomic_write(path, "wb") as handle:
-        np.savez_compressed(handle, **arrays)
+        with zipfile.ZipFile(handle, "w", zipfile.ZIP_DEFLATED,
+                             compresslevel=1, allowZip64=True) as archive:
+            for name, array in arrays.items():
+                with archive.open(f"{name}.npy", "w",
+                                  force_zip64=True) as member:
+                    np.lib.format.write_array(
+                        member, np.asanyarray(array), allow_pickle=False
+                    )

@@ -34,6 +34,13 @@ bookkeeping depend on the L2's size:
 Figure 7 annotates each trace at five L2 sizes; the front pass runs
 once per trace, not once per size.
 
+Both layers run in C (:mod:`repro.trace.ckernel`) when the compiled
+kernel is available and the trace lies inside its contract.  The
+Python loops below are the oracle and the fallback route: for an
+injected branch predictor, for traces outside the contract, and on
+hosts without a C compiler.  The last-value predictor runs in Python
+on both routes.
+
 The pipeline mirrors the paper's methodology of warming the caches on a
 prefix of the trace (Section 4.2): annotations are produced for the whole
 trace and :attr:`AnnotatedTrace.measure_start` marks where statistics
@@ -48,6 +55,7 @@ from repro.branch.frontend import BranchPredictor
 from repro.isa.opclass import OpClass
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import HierarchyConfig
+from repro.trace import ckernel
 from repro.vpred.last_value import LastValuePredictor
 
 _VP_NA = -1
@@ -251,7 +259,7 @@ def front_pass(trace, config, branch_predictor=None):
     depends on: the L1 geometries, the L2 line size (which defines fetch
     lines and prefetched lines) and the branch predictor sizes.  An
     injected *branch_predictor* carries state that key cannot name, so
-    it gets a fresh pass that is not memoised.
+    it gets a fresh pass that is not memoised, on the Python route.
     """
     if branch_predictor is not None:
         return _run_front_pass(trace, config, branch_predictor)
@@ -264,13 +272,22 @@ def front_pass(trace, config, branch_predictor=None):
            config.gshare_entries, config.btb_entries, config.ras_depth)
     front = cache.get(key)
     if front is None:
-        front = _run_front_pass(trace, config, BranchPredictor(
-            gshare_entries=config.gshare_entries,
-            btb_entries=config.btb_entries,
-            ras_depth=config.ras_depth,
-        ))
+        if _kernel_route(trace, config):
+            front = FrontPass(*ckernel.run_front_pass(trace, config))
+        else:
+            front = _run_front_pass(trace, config, BranchPredictor(
+                gshare_entries=config.gshare_entries,
+                btb_entries=config.btb_entries,
+                ras_depth=config.ras_depth,
+            ))
         cache[key] = front
     return front
+
+
+def _kernel_route(trace, config):
+    """Can the compiled kernel annotate *trace* under *config*?"""
+    return (ckernel.kernel_available()
+            and ckernel.contract_violation(trace, config) is None)
 
 
 def _run_front_pass(trace, config, branch_pred):
@@ -361,6 +378,42 @@ def back_pass(trace, front, config, value_predictor=None):
     order a single pass over the whole hierarchy would observe them in).
     """
     n = len(trace)
+    if _kernel_route(trace, config):
+        replayed = ckernel.run_back_pass(trace, front, config)
+    else:
+        replayed = _replay_l2(n, front, config)
+    dmiss, pmiss, pfuseful, imiss, smiss = replayed
+
+    vp_outcome = np.full(n, _VP_NA, dtype=np.int8)
+    observe_value = (
+        value_predictor or LastValuePredictor(entries=config.vp_entries)
+    ).observe
+    misses = np.flatnonzero(dmiss)
+    vp_outcome[misses] = [
+        VP_OUTCOME_CODES[observe_value(pc, value)]
+        for pc, value in zip(trace.pc[misses].tolist(),
+                             trace.value[misses].tolist())
+    ]
+
+    return AnnotatedTrace(
+        trace=trace,
+        dmiss=dmiss,
+        pmiss=pmiss,
+        pfuseful=pfuseful,
+        imiss=imiss,
+        mispred=front.mispred.copy(),
+        vp_outcome=vp_outcome,
+        smiss=smiss,
+        measure_start=int(n * config.warmup_fraction),
+        config=config,
+    )
+
+
+def _replay_l2(n, front, config):
+    """Replay *front*'s access stream through the L2 in Python.
+
+    Returns the ``(dmiss, pmiss, pfuseful, imiss, smiss)`` masks.
+    """
     dmiss = np.zeros(n, dtype=bool)
     pmiss = np.zeros(n, dtype=bool)
     pfuseful = np.zeros(n, dtype=bool)
@@ -394,26 +447,4 @@ def back_pass(trace, front, config, value_predictor=None):
             # A demand access that stayed on chip consumes the line.
             pfuseful[prefetched_lines.pop(line)] = True
 
-    vp_outcome = np.full(n, _VP_NA, dtype=np.int8)
-    observe_value = (
-        value_predictor or LastValuePredictor(entries=config.vp_entries)
-    ).observe
-    misses = np.flatnonzero(dmiss)
-    vp_outcome[misses] = [
-        VP_OUTCOME_CODES[observe_value(pc, value)]
-        for pc, value in zip(trace.pc[misses].tolist(),
-                             trace.value[misses].tolist())
-    ]
-
-    return AnnotatedTrace(
-        trace=trace,
-        dmiss=dmiss,
-        pmiss=pmiss,
-        pfuseful=pfuseful,
-        imiss=imiss,
-        mispred=front.mispred.copy(),
-        vp_outcome=vp_outcome,
-        smiss=smiss,
-        measure_start=int(n * config.warmup_fraction),
-        config=config,
-    )
+    return dmiss, pmiss, pfuseful, imiss, smiss

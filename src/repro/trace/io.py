@@ -46,7 +46,12 @@ _METADATA_KEYS = ("__version__", "__name__", "ann_measure_start")
 
 
 def save_trace(trace, path):
-    """Atomically write *trace* to *path* as a compressed ``.npz``."""
+    """Atomically write *trace* to *path* as a compressed ``.npz``.
+
+    The archive is deflated at level 1 (see
+    :func:`repro.robustness.atomic.atomic_savez`); :func:`load_trace`
+    reads archives written at any level.
+    """
     payload = {name: getattr(trace, name) for name, _ in COLUMNS}
     payload["__version__"] = np.asarray([FORMAT_VERSION], dtype=np.int64)
     payload["__name__"] = np.asarray([trace.name], dtype=np.str_)

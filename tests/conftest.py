@@ -56,9 +56,9 @@ def default_machine():
     return MachineConfig()  # the paper's 64C machine
 
 
-@pytest.fixture
-def no_kernel(monkeypatch):
-    """Both compiled kernels unavailable, as on a host without ``cc``.
+def disable_kernels(monkeypatch):
+    """Make all three compiled kernels unavailable, as on a host without
+    ``cc``.
 
     The kernel entry points and the shared-memory plan path are patched
     to raise, so a no-kernel route that still reaches them fails.
@@ -66,11 +66,12 @@ def no_kernel(monkeypatch):
     import repro.analysis.shm as shm
     from repro.core import ckernel
     from repro.cyclesim import ckernel as cycle_ckernel
+    from repro.trace import ckernel as annotate_ckernel
 
     def forbidden(*args, **kwargs):
         raise InternalError("kernel-only path reached without a kernel")
 
-    for module in (ckernel, cycle_ckernel):
+    for module in (ckernel, cycle_ckernel, annotate_ckernel):
         monkeypatch.setattr(module._loader, "probed", True)
         monkeypatch.setattr(module._loader, "function", None)
         monkeypatch.setattr(
@@ -79,4 +80,12 @@ def no_kernel(monkeypatch):
         )
     monkeypatch.setattr(ckernel, "run_plan", forbidden)
     monkeypatch.setattr(cycle_ckernel, "run_cycle_plan", forbidden)
+    monkeypatch.setattr(annotate_ckernel, "run_front_pass", forbidden)
+    monkeypatch.setattr(annotate_ckernel, "run_back_pass", forbidden)
     monkeypatch.setattr(shm, "publish_plan", forbidden)
+
+
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """All three compiled kernels unavailable (see :func:`disable_kernels`)."""
+    disable_kernels(monkeypatch)

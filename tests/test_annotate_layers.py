@@ -8,13 +8,18 @@ back pass) must reproduce all seven masks and ``measure_start`` bit for
 bit: on every workload at several seeds and L2 sizes, on random traces
 whose prefetches, code fetches and data accesses share lines, and with
 injected predictors.
+
+Every check runs on both routes: the compiled kernel
+(:mod:`repro.trace.ckernel`, when it builds) and the Python loops with
+every kernel disabled, as under the ``no_kernel`` fixture.
 """
 
+import contextlib
 import importlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.branch.frontend import BranchPredictor
@@ -23,6 +28,7 @@ from repro.isa.opclass import OpClass
 from repro.isa.registers import NUM_REGS, REG_NONE
 from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import AccessLevel, Hierarchy, HierarchyConfig
+from repro.robustness.errors import InternalError
 from repro.trace.annotate import (
     FETCH_HIT,
     LOAD_HIT,
@@ -32,9 +38,11 @@ from repro.trace.annotate import (
     annotate,
     front_pass,
 )
+from repro.trace import ckernel
 from repro.trace.trace import Trace
 from repro.vpred.last_value import LastValuePredictor
 from repro.workloads import WORKLOADS, generate_trace
+from tests.conftest import disable_kernels
 
 #: The module itself; the package re-exports ``annotate`` over its name.
 layers = importlib.import_module("repro.trace.annotate")
@@ -196,31 +204,51 @@ def l2_config(l2_bytes):
     return AnnotationConfig(hierarchy=hierarchy)
 
 
+def routes():
+    """The annotation routes this host can run: the compiled kernel
+    when it builds, and always the Python loops."""
+    if ckernel.kernel_available():
+        return ("kernel", "python")
+    return ("python",)
+
+
+@contextlib.contextmanager
+def on_route(route):
+    """Annotate on *route*; ``"python"`` disables every kernel."""
+    with pytest.MonkeyPatch.context() as patch:
+        if route == "python":
+            disable_kernels(patch)
+        yield
+
+
+def fresh(trace):
+    """A copy of *trace* with a cold front-pass memo, so that each route
+    computes its own front pass."""
+    return Trace(trace.columns(), name=trace.name)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_workloads_match_the_oracle_at_every_l2_size(workload, seed):
     trace = generate_trace(workload, LENGTH, seed=seed)
-    for l2_bytes in L2_BYTES:
-        config = l2_config(l2_bytes)
-        assert_same_annotation(
-            annotate(trace, config), annotate_oracle(trace, config)
-        )
+    configs = [l2_config(l2_bytes) for l2_bytes in L2_BYTES]
+    oracles = [annotate_oracle(trace, config) for config in configs]
+    for route in routes():
+        routed = fresh(trace)
+        with on_route(route):
+            for config, oracle in zip(configs, oracles):
+                assert_same_annotation(annotate(routed, config), oracle)
 
 
 def test_five_l2_sizes_run_the_front_pass_once(monkeypatch):
     runs = []
-    run_front_pass = layers._run_front_pass
+    for owner, name in ((layers, "_run_front_pass"),
+                        (ckernel, "run_front_pass")):
+        def counting(*args, run=getattr(owner, name)):
+            runs.append(args)
+            return run(*args)
 
-    def counting(*args):
-        runs.append(args)
-        return run_front_pass(*args)
-
-    monkeypatch.setattr(layers, "_run_front_pass", counting)
-    trace = generate_trace("specweb99", 8_000)
-    annotations = [annotate(trace, l2_config(size)) for size in L2_SIZES]
-    assert len(runs) == 1
-    assert len({id(a.mispred) for a in annotations}) == len(L2_SIZES)
-
+        monkeypatch.setattr(owner, name, counting)
     # The L1 geometry and the L2 line size are part of the memo key.
     smaller_l1 = HierarchyConfig(
         l1d=CacheConfig(size_bytes=8 * 1024, associativity=4)
@@ -229,11 +257,19 @@ def test_five_l2_sizes_run_the_front_pass_once(monkeypatch):
         l2=CacheConfig(size_bytes=512 * 1024, associativity=4,
                        line_bytes=128)
     )
-    for hierarchy in (smaller_l1, wider_l2_lines):
-        config = AnnotationConfig(hierarchy=hierarchy)
-        assert_same_annotation(annotate(trace, config),
-                               annotate_oracle(trace, config))
-    assert len(runs) == 3
+    for route in routes():
+        runs.clear()
+        trace = generate_trace("specweb99", 8_000)
+        with on_route(route):
+            annotations = [annotate(trace, l2_config(size))
+                           for size in L2_SIZES]
+            assert len(runs) == 1, route
+            assert len({id(a.mispred) for a in annotations}) == len(L2_SIZES)
+            for hierarchy in (smaller_l1, wider_l2_lines):
+                config = AnnotationConfig(hierarchy=hierarchy)
+                assert_same_annotation(annotate(trace, config),
+                                       annotate_oracle(trace, config))
+            assert len(runs) == 3, route
 
 
 def test_injected_predictors_match_the_oracle():
@@ -245,21 +281,27 @@ def test_injected_predictors_match_the_oracle():
                 BranchPredictor(gshare_entries=256, btb_entries=32,
                                 ras_depth=4))
 
-    value_pred, branch_pred = predictors()
-    layered = annotate(trace, config, value_predictor=value_pred,
-                       branch_predictor=branch_pred)
     oracle_value, oracle_branch = predictors()
     oracle = annotate_oracle(trace, config, value_predictor=oracle_value,
                              branch_predictor=oracle_branch)
-    assert_same_annotation(layered, oracle)
-    assert branch_pred.stats == oracle_branch.stats
-    assert value_pred.stats == oracle_value.stats
-    # The default predictors give different masks, so the injected ones
-    # really ran; and an injected front pass is never memoised.
-    assert not np.array_equal(layered.mispred, annotate(trace, config).mispred)
-    again = front_pass(trace, config, BranchPredictor(gshare_entries=256))
-    assert again is not front_pass(trace, config, BranchPredictor())
-    assert len(trace._front_pass_cache) == 1
+    for route in routes():
+        routed = fresh(trace)
+        value_pred, branch_pred = predictors()
+        with on_route(route):
+            layered = annotate(routed, config, value_predictor=value_pred,
+                               branch_predictor=branch_pred)
+            assert_same_annotation(layered, oracle)
+            assert branch_pred.stats == oracle_branch.stats
+            assert value_pred.stats == oracle_value.stats
+            # The default predictors give different masks, so the
+            # injected ones really ran; and an injected front pass is
+            # never memoised.
+            default = annotate(routed, config)
+            assert not np.array_equal(layered.mispred, default.mispred)
+            again = front_pass(routed, config,
+                               BranchPredictor(gshare_entries=256))
+            assert again is not front_pass(routed, config, BranchPredictor())
+            assert len(routed._front_pass_cache) == 1
 
 
 SMALL_L1 = CacheConfig(size_bytes=2 * 1024, associativity=2)
@@ -324,25 +366,84 @@ def shared_line_config(l2_bytes, l2_line, warmup):
     l2_line=st.sampled_from((64, 128)),
     warmup=st.sampled_from((0.0, 0.33, 1.0)),
 )
+# Eight lines of code keep the 16-set BTB full, so its LRU order (which a
+# lookup hit refreshes) decides later target hits.
+@example(seed=1, length=2000, lines=8, l2_bytes=8 * 1024, l2_line=64,
+         warmup=0.33)
 def test_random_shared_line_traces_match_the_oracle(
         seed, length, lines, l2_bytes, l2_line, warmup):
     trace = shared_line_trace(seed, length, lines)
     config = shared_line_config(l2_bytes, l2_line, warmup)
-    assert_same_annotation(annotate(trace, config),
-                           annotate_oracle(trace, config))
+    oracle = annotate_oracle(trace, config)
+    for route in routes():
+        with on_route(route):
+            assert_same_annotation(annotate(fresh(trace), config), oracle)
 
 
 def test_shared_line_traces_exercise_prefetch_consumers():
     """The random traces above are not vacuous: L1-hit demand accesses
     enter the stream, and prefetches turn out both useful and useless."""
-    useful = useless = hits = 0
-    for seed in range(20):
-        trace = shared_line_trace(seed, 1500, 256)
-        config = shared_line_config(8 * 1024, 64, 0.33)
-        annotated = annotate(trace, config)
-        assert_same_annotation(annotated, annotate_oracle(trace, config))
-        kinds = front_pass(trace, config).kind
-        hits += int(np.isin(kinds, (FETCH_HIT, LOAD_HIT)).sum())
-        useful += int(annotated.pfuseful.sum())
-        useless += int((annotated.pmiss & ~annotated.pfuseful).sum())
-    assert hits > 0 and useful > 0 and useless > 0
+    for route in routes():
+        useful = useless = hits = 0
+        with on_route(route):
+            for seed in range(20):
+                trace = shared_line_trace(seed, 1500, 256)
+                config = shared_line_config(8 * 1024, 64, 0.33)
+                annotated = annotate(trace, config)
+                assert_same_annotation(annotated,
+                                       annotate_oracle(trace, config))
+                kinds = front_pass(trace, config).kind
+                hits += int(np.isin(kinds, (FETCH_HIT, LOAD_HIT)).sum())
+                useful += int(annotated.pfuseful.sum())
+                useless += int((annotated.pmiss & ~annotated.pfuseful).sum())
+        assert hits > 0 and useful > 0 and useless > 0, route
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("the compiled annotation kernel was called")
+
+
+def test_default_annotation_runs_in_the_kernel(monkeypatch):
+    """Pin the route: with the kernel built, the memoised front pass and
+    every back pass run in C, never in the Python loops."""
+    if not ckernel.kernel_available():
+        pytest.skip(f"no compiled annotation kernel: {ckernel.kernel_error()}")
+    calls = []
+    for name in ("run_front_pass", "run_back_pass"):
+        def counting(*args, run=getattr(ckernel, name), name=name):
+            calls.append(name)
+            return run(*args)
+
+        monkeypatch.setattr(ckernel, name, counting)
+    monkeypatch.setattr(layers, "_run_front_pass", forbidden)
+    monkeypatch.setattr(layers, "_replay_l2", forbidden)
+    trace = generate_trace("database", 8_000, seed=7)
+    for size in L2_SIZES[:2]:
+        config = l2_config(size)
+        assert_same_annotation(annotate(trace, config),
+                               annotate_oracle(trace, config))
+    assert calls == ["run_front_pass", "run_back_pass", "run_back_pass"]
+
+
+def test_out_of_contract_traces_take_the_python_route(monkeypatch):
+    """A negative address or a pc above 2**62 is outside the kernel
+    contract: annotation falls back to the Python loops, matches the
+    oracle, and never raises.  Called directly, the kernel driver's
+    validator refuses such a trace."""
+    base = shared_line_trace(3, 2000, 64)
+    config = shared_line_config(8 * 1024, 64, 0.33)
+    traces = []
+    for column, shift in (("addr", -(1 << 40)), ("pc", 1 << 62)):
+        columns = base.columns()
+        columns[column] = columns[column] + shift
+        traces.append(Trace(columns, name=f"out-of-contract {column}"))
+    for trace in traces:
+        assert ckernel.contract_violation(trace, config) is not None
+        if ckernel.kernel_available():
+            with pytest.raises(InternalError, match="outside its contract"):
+                ckernel.run_front_pass(trace, config)
+    monkeypatch.setattr(ckernel, "run_front_pass", forbidden)
+    monkeypatch.setattr(ckernel, "run_back_pass", forbidden)
+    for trace in traces:
+        assert_same_annotation(annotate(trace, config),
+                               annotate_oracle(trace, config))

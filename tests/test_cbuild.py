@@ -5,6 +5,10 @@ import pytest
 from repro import cbuild
 from repro.core import ckernel
 from repro.cyclesim import ckernel as cycle_ckernel
+from repro.trace import ckernel as annotate_ckernel
+
+#: The three kernel loaders: MLPsim, cyclesim and annotation.
+KERNELS = (ckernel, cycle_ckernel, annotate_ckernel)
 
 needs_cc = pytest.mark.skipif(
     cbuild._compiler() is None, reason="no C compiler"
@@ -19,7 +23,7 @@ def _reprobe(monkeypatch, module):
 
 
 @needs_cc
-@pytest.mark.parametrize("module", [ckernel, cycle_ckernel])
+@pytest.mark.parametrize("module", KERNELS)
 def test_missing_kernel_dir_is_created(tmp_path, monkeypatch, module):
     target = tmp_path / "a" / "b"
     monkeypatch.setenv("REPRO_KERNEL_DIR", str(target))
@@ -41,7 +45,7 @@ def test_uncreatable_kernel_dir_is_named(tmp_path, monkeypatch):
 
 def test_empty_kernel_dir_disables_kernels(monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL_DIR", "")
-    for module in (ckernel, cycle_ckernel):
+    for module in KERNELS:
         _reprobe(monkeypatch, module)
         assert not module.kernel_available()
         assert "REPRO_KERNEL_DIR" in str(module.kernel_error())

@@ -12,7 +12,6 @@ destination) and the fail-soft exhibit runner (one failing exhibit does
 not sink the batch).
 """
 
-import numpy as np
 import pytest
 
 from repro.robustness import faults
@@ -177,12 +176,12 @@ class TestAtomicSaves:
 
         path = tmp_path / "trace.npz"
 
-        def exploding_savez(handle, **arrays):
-            handle.write(b"PK\x03\x04 partial zip header")
+        def exploding_write(member, array, **kwargs):
+            member.write(b"\x93NUMPY partial array header")
             raise OSError("disk full")  # reprolint: disable=error-hierarchy
 
         monkeypatch.setattr(
-            atomic_module.np, "savez_compressed", exploding_savez
+            atomic_module.np.lib.format, "write_array", exploding_write
         )
         with pytest.raises(OSError, match="disk full"):
             save_trace(_trace(), path)
@@ -197,11 +196,11 @@ class TestAtomicSaves:
 
         before = trace_path.read_bytes()
 
-        def exploding_savez(handle, **arrays):
+        def exploding_write(member, array, **kwargs):
             raise OSError("disk full")  # reprolint: disable=error-hierarchy
 
         monkeypatch.setattr(
-            atomic_module.np, "savez_compressed", exploding_savez
+            atomic_module.np.lib.format, "write_array", exploding_write
         )
         with pytest.raises(OSError):
             save_trace(_trace(), trace_path)
