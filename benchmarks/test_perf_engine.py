@@ -1,9 +1,10 @@
 """Perf-regression harness for the simulation engines and sweep backend.
 
-Times (a) single `simulate` runs against the frozen reference
-interpreter (`repro.core.mlpsim_reference`) and runahead grids on the
-compiled kernel against the runahead oracle, (b) an 8-config sweep
-serial vs. on a 4-worker pool, (c) the cycle-accurate simulator —
+Times (a) the paper's window x policy grid and runahead grids on the
+compiled MLPsim kernel against per-config replays of their oracles
+(`repro.core.mlpsim_reference`, `repro.core.runahead`), (b) an
+8-config sweep serial vs. on a 4-worker pool, (c) the cycle-accurate
+simulator —
 single runs and the Table 3 grid through the supervised sweep backend
 — against its own frozen reference
 (`repro.cyclesim.simulator_reference`), and (d) trace annotation on
@@ -127,70 +128,6 @@ def _append_record(kind, record):
     atomic_write_text(BENCH_PATH, json.dumps(history, indent=2) + "\n")
 
 
-def test_engine_single_run_speed(results_dir):
-    """Time optimized vs. reference engine on the default machine."""
-    from repro.cli import _parse_machine
-    from repro.core.mlpsim import simulate
-    from repro.core.mlpsim_reference import simulate_reference
-
-    machine = _parse_machine("64C")
-    per_workload = {}
-    total_new = 0.0
-    total_ref = 0.0
-    total_insts = 0
-    for name, annotated in _fixed_workloads():
-        result = simulate(annotated, machine)  # warm caches + sanity
-        t_new = _best_of(simulate, annotated, machine)
-        t_ref = _best_of(simulate_reference, annotated, machine)
-        per_workload[name] = {
-            "instructions": result.instructions,
-            "seconds": round(t_new, 6),
-            "reference_seconds": round(t_ref, 6),
-            "speedup": round(t_ref / t_new, 3),
-            "insts_per_sec": round(result.instructions / t_new),
-        }
-        total_new += t_new
-        total_ref += t_ref
-        total_insts += result.instructions
-    speedup = total_ref / total_new
-    _append_record("engine", {
-        "trace_len": len(_fixed_workloads()[0][1].trace),
-        "machine": "64C",
-        "seed": PERF_SEED,
-        "cpu_count": os.cpu_count() or 1,
-        "workloads": per_workload,
-        "total_seconds": round(total_new, 6),
-        "reference_total_seconds": round(total_ref, 6),
-        "speedup": round(speedup, 3),
-        "insts_per_sec": round(total_insts / total_new),
-    })
-    print(f"\nengine speedup vs reference: {speedup:.2f}x "
-          f"({total_insts / total_new:,.0f} insts/sec)")
-    # Conservative floor: the optimized engine must never lose to the
-    # reference interpreter.  The >=3x target at the default 400k trace
-    # length is recorded in the JSON trajectory.
-    assert speedup > 1.0
-
-
-def test_engine_results_match_reference():
-    """The timed configurations must stay bit-identical to the oracle."""
-    import dataclasses
-
-    from repro.cli import _parse_machine
-    from repro.core.mlpsim import simulate
-    from repro.core.mlpsim_reference import simulate_reference
-
-    machine = _parse_machine("64C")
-    for name, annotated in _fixed_workloads():
-        fast = simulate(annotated, machine)
-        oracle = simulate_reference(annotated, machine)
-        fast_dict = dataclasses.asdict(fast)
-        fast_dict["inhibitors"] = fast.inhibitors.as_dict()
-        oracle_dict = dataclasses.asdict(oracle)
-        oracle_dict["inhibitors"] = oracle.inhibitors.as_dict()
-        assert fast_dict == oracle_dict, name
-
-
 def test_sweep_scaling(results_dir):
     """Time the 8-config sweep serial vs. a 4-worker pool."""
     from repro.analysis.sweep import sweep
@@ -231,21 +168,20 @@ def test_sweep_scaling(results_dir):
 
 
 def test_batched_grid_speedup(results_dir):
-    """The config-batched engine vs. N scalar replays on the full grid.
+    """The config-batched engine vs. N oracle replays on the full grid.
 
-    This is the tentpole measurement: 30 window x policy configs over
-    one columnar trace, one batch per event-mask group (a single
-    compiled pass when a C toolchain is present).  Results must be
-    bit-identical to the scalar engine — which the equivalence suite
-    already pins to the frozen reference — and the batch must never be
-    slower than the scalar loop, even on CI smoke traces.
+    30 window x policy configs over one columnar trace, one batch per
+    event-mask group (a single compiled pass when a C toolchain is
+    present), against one frozen-reference run per config.  Results
+    must be bit-identical to the oracle, and the batch must never be
+    slower than the replays, even on CI smoke traces.
     """
     import dataclasses
 
     from repro.core.batched import simulate_batch
     from repro.core.ckernel import kernel_available, kernel_error
     from repro.core.config import MachineConfig
-    from repro.core.mlpsim import simulate
+    from repro.core.mlpsim_reference import simulate_reference
 
     grid = [(spec, MachineConfig.named(spec)) for spec in GRID_SPECS]
     per_workload = {}
@@ -254,7 +190,8 @@ def test_batched_grid_speedup(results_dir):
     for name, annotated in _fixed_workloads():
         batch = simulate_batch(annotated, grid, workload=name)  # warm
         for label, machine in grid:
-            scalar_result = simulate(annotated, machine, workload=name)
+            scalar_result = simulate_reference(annotated, machine,
+                                               workload=name)
             want = dataclasses.asdict(scalar_result)
             want["inhibitors"] = scalar_result.inhibitors.as_dict()
             got = dataclasses.asdict(batch[label])
@@ -263,7 +200,7 @@ def test_batched_grid_speedup(results_dir):
 
         def scalar_grid(annotated=annotated, name=name):
             for _, machine in grid:
-                simulate(annotated, machine, workload=name)
+                simulate_reference(annotated, machine, workload=name)
 
         t_scalar = _best_of(scalar_grid, reps=2)
         t_batched = _best_of(simulate_batch, annotated, grid,
@@ -283,6 +220,7 @@ def test_batched_grid_speedup(results_dir):
         "seed": PERF_SEED,
         "cpu_count": os.cpu_count() or 1,
         "compiled_kernel": kernel_available(),
+        "baseline": "simulate_reference",
         "workloads": per_workload,
         "scalar_total_seconds": round(total_scalar, 6),
         "batched_total_seconds": round(total_batched, 6),
@@ -290,13 +228,13 @@ def test_batched_grid_speedup(results_dir):
         "per_config_seconds": round(total_batched / (3 * len(grid)), 6),
     })
     print(f"\nbatched grid ({len(grid)} configs): {speedup:.2f}x vs"
-          f" scalar ({1000 * total_batched / (3 * len(grid)):.2f}"
+          f" the oracle ({1000 * total_batched / (3 * len(grid)):.2f}"
           f" ms/config)")
-    # The batched backend must never lose to the scalar loop — this is
-    # the CI smoke gate; the >=10x full-trace target lives in the JSON
+    # The batched backend must never lose to the oracle replays — this
+    # is the CI smoke gate; the full-trace figures live in the JSON
     # trajectory (compare per_config_seconds across runs).  Without a
-    # compiled kernel every config runs the scalar engine, so there is
-    # no speedup to gate.
+    # compiled kernel every config runs on the oracle, so there is no
+    # speedup to gate.
     if not kernel_available():
         pytest.skip(f"no compiled MLPsim kernel: {kernel_error()}")
     assert speedup > 1.0

@@ -10,7 +10,7 @@ instead of hoping.
 import dataclasses
 import math
 
-from repro.core.batched import simulate_batched
+from repro.core.mlpsim import simulate
 from repro.trace.annotate import annotate
 from repro.workloads import generate_trace
 from repro.robustness.errors import ConfigError
@@ -81,7 +81,7 @@ def mlp_seed_sweep(workload, machine, seeds=(1234, 2024, 7, 99, 5150),
 
     def metric(seed):
         annotated = annotate(generate_trace(workload, trace_len, seed=seed))
-        return simulate_batched(annotated, machine).mlp
+        return simulate(annotated, machine).mlp
 
     return seed_sweep(
         metric, seeds, label=f"{workload}/{machine.label}/MLP"

@@ -16,9 +16,9 @@ how:
 * each kernel is probed once per process, and a failure is cached and
   reported by :meth:`KernelLoader.error` rather than raised.
 
-Without a kernel the callers fall back to the scalar MLPsim engine, the
-frozen cyclesim reference and the Python annotation loops; see
-``docs/PERFORMANCE.md``.
+Without a kernel the callers fall back to the MLPsim oracles (the
+frozen reference and the runahead oracle), the frozen cyclesim
+reference and the Python annotation loops; see ``docs/PERFORMANCE.md``.
 """
 
 import ctypes

@@ -31,11 +31,7 @@ from repro.core.inorder import (
     simulate_stall_on_miss,
     simulate_stall_on_use,
 )
-from repro.core.batched import (
-    batched_supported,
-    simulate_batch,
-    simulate_batched,
-)
+from repro.core.batched import batched_supported, simulate_batch
 from repro.core.columnar import COLUMNAR_SCHEMA_VERSION, ColumnarPlan, plan_for
 from repro.core.limits import limit_configs, perfect_variant
 from repro.core.smt import (
@@ -63,7 +59,6 @@ __all__ = [
     "simulate_stall_on_use",
     "batched_supported",
     "simulate_batch",
-    "simulate_batched",
     "COLUMNAR_SCHEMA_VERSION",
     "ColumnarPlan",
     "plan_for",

@@ -1,20 +1,21 @@
-/* MLPsim epoch-model kernel: the batched engine's compiled interpreter.
+/* MLPsim epoch-model kernel: the one compiled engine beside the oracles.
  *
- * Two line-for-line translations of the Python engines over the
- * columnar plan of src/repro/core/columnar.py, run for MANY machine
- * configurations against ONE shared set of trace columns per call:
- *   - simulate_ooo: the out-of-order scan `_simulate_ooo`
- *     (src/repro/core/mlpsim.py);
+ * Translations of the two Python oracles over the columnar plan of
+ * src/repro/core/columnar.py, run for MANY machine configurations
+ * against ONE shared set of trace columns per call:
+ *   - simulate_ooo: the out-of-order scan of the frozen oracle
+ *     `simulate_reference` (src/repro/core/mlpsim_reference.py), plus
+ *     a bulk skip over on-chip stretches (phase 2a);
  *   - simulate_runahead: the runahead scan `simulate_runahead`
  *     (src/repro/core/runahead.py).
  * Each config's `runahead` field picks its scan.  The equivalence
- * suites hold every result bit-for-bit to the frozen reference engine
- * (mlpsim_reference.simulate_reference) and to simulate_runahead, the
- * runahead oracle; any change here must keep that property.
+ * suites hold every result bit-for-bit to those two oracles; any change
+ * here must keep that property.
  *
  * Compiled on demand by repro.cbuild with the system C compiler; when
- * no compiler is available repro.core.batched runs the scalar engines
- * instead.  No libc beyond malloc/free/memcpy/memset.
+ * no compiler is available repro.core.mlpsim.simulate and
+ * repro.core.batched run the oracles instead.  No libc beyond
+ * malloc/free/memcpy/memset.
  *
  * Layout contract (see ColumnarPlan):
  *   - producer columns are region-relative int32 with sentinel n
@@ -122,7 +123,7 @@ typedef struct {
     int32_t *pending_pf; /* useful prefetches awaiting an epoch */
 } Trace;
 
-/* Per-epoch scan state (the Python engine's nonlocal block). */
+/* Per-epoch scan state (the oracle's per-epoch locals). */
 typedef struct {
     int32_t epoch;
     int64_t accesses;
@@ -187,7 +188,7 @@ static inline int execute_atomic(const Trace *t, const KernelConfig *c,
     return ST_DONE;
 }
 
-/* Mirror of the Python engine's execute(i), status for status. */
+/* Mirror of the oracle's execute(i), status for status. */
 /* certify: requires i >= 0 && i <= n - 1 */
 static int execute(const Trace *t, const KernelConfig *c, Scan *s, int64_t i)
 {
@@ -442,7 +443,7 @@ static void record_epoch(KernelResult *r, const Scan *s, int inhibitor)
 #define FS_HARD 1
 #define FS_SOFT 2
 
-/* The Python engine's _simulate_ooo: one out-of-order machine. */
+/* The oracle's simulate_reference: one out-of-order machine. */
 /* certify: buffer imiss_src length n content 0 .. 1 */
 static void simulate_ooo(Trace *t, const KernelConfig *c, KernelResult *r,
                          const uint8_t *imiss_src)
@@ -523,7 +524,8 @@ static void simulate_ooo(Trace *t, const KernelConfig *c, KernelResult *r,
          * has been recorded, every instruction up to the next
          * interesting position (scalar_mask) executes immediately and
          * the window constraints cannot bind; cleanliness is monotone
-         * within an epoch.  Mirrors the Python engine's 2a. ---- */
+         * within an epoch.  The oracle interprets the same stretch
+         * one instruction at a time, to the same result. ---- */
         if (!stop_scan && fetch_stop == FS_NONE) {
             while (fetch_pos < n
                    && !(s.nd_len || s.ev_count || s.inflight || s.e_smiss
@@ -808,7 +810,7 @@ static int runahead_step(Trace *t, const KernelConfig *c, Scan *s,
 /* Normal mode skips from one live off-chip event to the next; a
  * missing load starts a runahead period.  fetch_pos never decreases
  * and event flags are only ever cleared, so a forward scan of the live
- * masks finds the event the Python engine's bisect finds. */
+ * masks finds the event the runahead oracle's bisect finds. */
 /* certify: buffer imiss_src length n content 0 .. 1 */
 static void simulate_runahead(Trace *t, const KernelConfig *c,
                               KernelResult *r, const uint8_t *imiss_src)

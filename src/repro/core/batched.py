@@ -1,26 +1,27 @@
 """Batched MLPsim: many machine configurations per pass over one trace.
 
 This engine produces :class:`~repro.core.results.MLPResult`s that are
-**bit-identical** to :func:`repro.core.mlpsim.simulate` (and therefore
-to the frozen reference interpreter and the runahead oracle).
-Configurations whose perfect-* and value-prediction switches agree
-share one :class:`~repro.core.columnar.ColumnarPlan` and one call of
-the compiled kernel (:mod:`repro.core.ckernel`), which simulates the
-whole group in C, out-of-order and runahead machines alike.
+**bit-identical** to the oracles behind
+:func:`repro.core.mlpsim.simulate_oracle` (the frozen reference
+interpreter and the runahead oracle).  Configurations whose perfect-*
+and value-prediction switches agree share one
+:class:`~repro.core.columnar.ColumnarPlan` and one call of the
+compiled kernel (:mod:`repro.core.ckernel`), which simulates the whole
+group in C, out-of-order and runahead machines alike.
 
 ``record_sets`` runs and machines whose kernel config exceeds the
 contracted ranges are outside the kernel's envelope, and without a C
-compiler there is no kernel at all; those configurations go to the
-scalar engines, which the equivalence suites already pin to the
-oracles.  Every machine config is accepted.
+compiler there is no kernel at all; those configurations run on the
+oracles.  Every machine config is accepted.  A single config takes the
+same route through :func:`repro.core.mlpsim.simulate`.
 """
 
 from repro.core.columnar import mask_key, plan_for
-from repro.core.mlpsim import simulate
+from repro.core.mlpsim import simulate_oracle
 
 
 def batched_supported(machine, record_sets=False):
-    """Will *machine* run on the compiled kernel (vs the scalar engine)?
+    """Will *machine* run on the compiled kernel (vs the oracles)?
 
     True when the kernel is available, the run does not record epoch
     sets, and the machine's kernel config lies inside the contracted
@@ -31,29 +32,6 @@ def batched_supported(machine, record_sets=False):
     from repro.core import ckernel
 
     return ckernel.kernel_available() and ckernel.in_contract(machine)
-
-
-def simulate_batched(annotated, machine, start=None, stop=None,
-                     workload=None, record_sets=False, _validate=True):
-    """Drop-in :func:`repro.core.mlpsim.simulate` on the batched engine.
-
-    Returns a bit-identical :class:`MLPResult`; configurations the
-    kernel does not cover are silently delegated to the scalar engine.
-    """
-    if _validate:
-        from repro.robustness.validate import validate_annotated
-
-        validate_annotated(annotated, check_events=False)
-    if not batched_supported(machine, record_sets):
-        return simulate(
-            annotated, machine, start=start, stop=stop,
-            workload=workload, record_sets=record_sets,
-        )
-    from repro.core import ckernel
-
-    plan = plan_for(annotated, machine, start, stop)
-    name = workload or annotated.trace.name
-    return ckernel.run_plan(plan, [("_", machine)], name)["_"]
 
 
 def simulate_batch(annotated, machines, start=None, stop=None,
@@ -90,7 +68,7 @@ def simulate_batch(annotated, machines, start=None, stop=None,
     for label, machine in pairs:
         if label in results:
             continue
-        results[label] = simulate(
+        results[label] = simulate_oracle(
             annotated, machine, start=start, stop=stop, workload=workload,
         )
         if progress is not None:

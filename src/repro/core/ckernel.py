@@ -1,6 +1,6 @@
 """Compiled MLPsim kernel: bind and drive ``_mlpsim_kernel.c``.
 
-The batched engine's hot path is a C translation of the Python epoch
+MLPsim's compiled engine is a C translation of the oracles' epoch
 scans, out-of-order and runahead (see ``_mlpsim_kernel.c``), built and
 loaded by :mod:`repro.cbuild`.  One :func:`run_plan` call simulates
 **many machine configurations against one shared columnar plan**,
@@ -11,8 +11,9 @@ scan inside the one call.
 
 Everything here is fail-soft: a missing compiler, an unwritable build
 directory or a failed compilation simply mark the kernel unavailable
-(:func:`kernel_available` returns ``False``) and
-:mod:`repro.core.batched` sends every config to the scalar engine.
+(:func:`kernel_available` returns ``False``), and
+:func:`repro.core.mlpsim.simulate` and :mod:`repro.core.batched` send
+every config to the oracles.
 """
 
 import ctypes
@@ -174,7 +175,7 @@ def in_contract(machine):
 
     A valid machine can exceed them (a ROB above 2**24, an MSHR file
     above 2**30); the kernel is not certified for it, so it runs on the
-    scalar engine instead.
+    oracles instead.
     """
     return config_violation(_config_struct(machine)) is None
 

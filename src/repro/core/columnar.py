@@ -1,7 +1,8 @@
 """Columnar simulation plans: the trace recast as NumPy structure-of-arrays.
 
-The scalar engine (:mod:`repro.core.mlpsim`) interprets one instruction
-at a time from flat Python lists.  The compiled batch kernel
+The oracles (:mod:`repro.core.mlpsim_reference`,
+:mod:`repro.core.runahead`) interpret one instruction at a time from
+flat Python lists.  The compiled batch kernel
 (:mod:`repro.core.ckernel`) instead reads the trace, its dependence
 graph and its event masks as aligned int8/int32/bool columns with
 gather-friendly sentinels, straight from C.  That layout is a
@@ -12,10 +13,9 @@ machine configuration** whose perfect-* and value-prediction switches
 produce the same event masks — the config grid of a sweep typically
 collapses to a handful of mask groups, so the per-trace preparation cost
 is amortised across the whole grid.  Plans are memoised on the annotated
-trace object (like the dependence graph and the interpreter tables) and
-their raw columns can be spilled to / restored from flat array payloads
-for zero-copy hand-off to sweep worker processes (see
-:mod:`repro.analysis.shm`).
+trace object (like the dependence graph) and their raw columns can be
+spilled to / restored from flat array payloads for zero-copy hand-off
+to sweep worker processes (see :mod:`repro.analysis.shm`).
 
 Layout conventions
 ------------------
@@ -167,7 +167,7 @@ def config_violation(config):
 
     The config ranges are constants, so no plan is needed:
     :func:`repro.core.batched.batched_supported` uses this check to keep
-    such machines on the scalar engine, and
+    such machines on the oracles, and
     :func:`validate_plan_contract` to refuse them at the kernel call.
     """
     for field, (lo, hi) in PLAN_CONTRACT["config"].items():

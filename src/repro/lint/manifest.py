@@ -34,7 +34,7 @@ ORACLE_PATH = "src/repro/core/mlpsim_reference.py"
 
 #: SHA-256 of the oracle's (newline-normalised) content.
 ORACLE_SHA256 = (
-    "b2188eacade21d0d3b056dbe43b99a7ff76fe5d4eee82013fa085dcc6443e961"
+    "99f790e0548ba80015582b1e26fe3cd056fe32ad5e1113a129e487c86cfa366d"
 )
 
 #: Root-relative path of the frozen cycle-simulator reference.

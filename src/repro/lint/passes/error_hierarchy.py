@@ -9,8 +9,6 @@ Exemptions:
 
 * ``src/repro/robustness/`` — the hierarchy's own home (its tests and
   fault harness raise bare exceptions on purpose);
-* ``src/repro/core/mlpsim_reference.py`` — the frozen oracle may not
-  be edited (the ``frozen-oracle`` pass pins its content hash);
 * ``NotImplementedError`` / ``StopIteration`` and re-raises
   (``raise`` with no expression) — standard Python idioms, not
   rejections.
@@ -39,7 +37,6 @@ BARE_EXCEPTIONS = frozenset({
 })
 
 EXEMPT_PREFIXES = ("src/repro/robustness/",)
-EXEMPT_FILES = ("src/repro/core/mlpsim_reference.py",)
 
 
 @register
@@ -52,8 +49,6 @@ class ErrorHierarchyPass(LintPass):
 
     def check_module(self, module, project):
         if module.relpath.startswith(EXEMPT_PREFIXES):
-            return
-        if module.relpath in EXEMPT_FILES:
             return
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Raise) or node.exc is None:

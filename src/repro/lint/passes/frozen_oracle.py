@@ -1,14 +1,15 @@
 """frozen-oracle: reference engines are immutable and self-contained.
 
-PR 2 held the optimized MLPsim engine bit-identical to the frozen
-pre-optimization engine ``repro.core.mlpsim_reference``; the cyclesim
-performance overhaul froze the cycle-accurate pipeline simulator as
+The frozen MLPsim interpreter ``repro.core.mlpsim_reference`` is the
+oracle of the compiled MLPsim kernel, which ``repro.core.mlpsim``
+routes runs to; the cyclesim performance overhaul froze the
+cycle-accurate pipeline simulator as
 ``repro.cyclesim.simulator_reference`` under the same protocol.  The
 equivalence suites derive all their power from those files never
 changing.  Two statically checkable properties protect each oracle:
 
 * the oracle may not import the engine under test: a whole-module
-  import of the optimized engine, or a ``from``-import of anything
+  import of the engine module, or a ``from``-import of anything
   beyond the shared trace-plumbing helpers the frozen file has always
   used, would let the oracle delegate to the code it is supposed to
   validate, which proves nothing;
@@ -34,8 +35,8 @@ CYCLESIM_ENGINE_PATH = "src/repro/cyclesim/simulator.py"
 #: spellings under which that engine can be imported, the package a
 #: ``from <package> import <name>`` re-export would come from, and the
 #: shared trace-plumbing names the oracle has always legitimately
-#: imported from the engine module (anything else — ``simulate``, the
-#: interpreter tables, ``*`` — is delegation).
+#: imported from the engine module (anything else — ``simulate``,
+#: ``simulate_oracle``, ``*`` — is delegation).
 _ORACLE_SPECS = (
     {
         "oracle_path": manifest.ORACLE_PATH,

@@ -6,8 +6,8 @@ supervised or not — runs here.  The executor's task is a *chunk*: a
 run of grid points that share one *route*.  A route is either one
 compiled-kernel plan (an MLPsim mask group's columnar plan, or the
 cycle plan), so a chunk is one kernel call, or the scalar route (the
-scalar MLPsim engine or the frozen cyclesim reference), whose chunks
-hold one config each.  ``engine="scalar"``, machines outside the
+MLPsim oracles or the frozen cyclesim reference), whose chunks hold
+one config each.  ``engine="scalar"``, machines outside the
 kernel's contracted ranges, test stand-in configs and hosts without
 ``cc`` take the scalar route.
 
@@ -339,14 +339,14 @@ def _run_chunk(annotated, plan, pairs, workload):
     is one config on the scalar route.  Returns ``{label: result}``.
     """
     if plan is None:
-        from repro.core.mlpsim import simulate
+        from repro.core.mlpsim import simulate_oracle
         from repro.cyclesim.config import CycleSimConfig
         from repro.cyclesim.simulator import run_cyclesim
 
         (label, config), = pairs
         if isinstance(config, CycleSimConfig):
             return {label: run_cyclesim(annotated, config, workload=workload)}
-        return {label: simulate(annotated, config, workload=workload)}
+        return {label: simulate_oracle(annotated, config, workload=workload)}
     from repro.cyclesim.plan import CyclePlan
 
     if isinstance(plan, CyclePlan):

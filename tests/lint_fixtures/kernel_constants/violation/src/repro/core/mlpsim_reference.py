@@ -1,22 +1,21 @@
 """Frozen reference implementation of the out-of-order epoch engine.
 
-This is the straight-line per-instruction interpreter that
-:mod:`repro.core.mlpsim` shipped with before its hot path was
-restructured for speed (closure hoisting, inlined dependence checks and
-bulk skipping of on-chip stretches).  It is kept verbatim for two jobs:
+This is the straight-line per-instruction interpreter MLPsim was first
+written as.  It is kept frozen for two jobs:
 
-* **Correctness oracle** — the equivalence tests assert that the
-  optimized engine returns bit-identical :class:`MLPResult`s on every
-  workload and machine configuration, so any future hot-path change
-  that drifts semantically is caught immediately.
-* **Performance baseline** — the perf-regression harness
-  (``benchmarks/test_perf_engine.py``) measures the optimized engine's
-  speedup against this implementation and records it in
-  ``benchmarks/results/BENCH_perf.json``.
+* **Oracle of the compiled kernel** — the equivalence suites assert
+  that :mod:`repro.core.ckernel` returns bit-identical
+  :class:`MLPResult`s on every workload and machine configuration, and
+  the perf harness (``benchmarks/test_perf_engine.py``) times the
+  kernel against it.
+* **The route the kernel does not take** —
+  :func:`repro.core.mlpsim.simulate` runs this interpreter for
+  ``record_sets`` runs, for machines outside the kernel's contracted
+  ranges and on hosts without a C compiler.
 
 Do not optimize this module; that is the whole point.  It models only
-the conventional out-of-order machine (runahead has its own engine in
-:mod:`repro.core.runahead`, which the optimization PR did not touch).
+the conventional out-of-order machine (runahead has its own oracle in
+:mod:`repro.core.runahead`).
 """
 
 from repro.core.config import BranchPolicy, LoadPolicy, SerializePolicy
@@ -40,8 +39,10 @@ def simulate_reference(annotated, machine, start=None, stop=None,
         If *machine* is a runahead configuration (the reference covers
         only the conventional out-of-order engine) or the region is
         invalid.
+    repro.robustness.errors.InternalError
+        If an epoch makes no progress, as with ``store_buffer=0``.
     """
-    from repro.robustness.errors import SimulationError
+    from repro.robustness.errors import InternalError, SimulationError
     from repro.robustness.validate import validate_annotated
 
     validate_annotated(annotated, check_events=False)
@@ -480,6 +481,9 @@ def simulate_reference(annotated, machine, start=None, stop=None,
                     e_imiss += 1
                     inflight += 1
                     imiss[i] = False
+                    if trigger_idx is None:
+                        trigger_idx = i
+                        trigger_kind = TriggerKind.IMISS
                     events.append(Inhibitor.IMISS_END)
                     new_deferred.append(i)
                     fetch_pos += 1
@@ -508,7 +512,7 @@ def simulate_reference(annotated, machine, start=None, stop=None,
         if accesses == 0:
             if not progress:
                 where = deferred[0] + start if deferred else fetch_pos + start
-                raise RuntimeError(
+                raise InternalError(
                     f"MLPsim made no progress in an epoch at instruction {where}"
                 )
             continue  # pure on-chip stretch: not an epoch

@@ -1,17 +1,18 @@
-"""Config-batched columnar engine vs. the frozen reference interpreter.
+"""The compiled MLPsim kernel vs. the frozen reference interpreter.
 
-The batched engine (:mod:`repro.core.batched`) replaces N scalar
+The batched engine (:mod:`repro.core.batched`) replaces N oracle
 replays of a sweep with one compiled-kernel pass per event-mask group
-over a shared columnar plan.  The refactor is only admissible if every
-result is **bit-identical** to ``mlpsim_reference.simulate_reference``,
-the verbatim pre-optimization oracle, across the paper's whole grid
-axis: window sizes x issue policies A-E x perfect-* switches, plus the
-structure-limit families (MSHRs, store buffer, slow branch predictor,
-value prediction).
+over a shared columnar plan, and :func:`repro.core.mlpsim.simulate`
+runs a single config through the same kernel.  Both are only
+admissible if every result is **bit-identical** to
+``mlpsim_reference.simulate_reference``, the frozen oracle, across the
+paper's whole grid axis: window sizes x issue policies A-E x perfect-*
+switches, plus the structure-limit families (MSHRs, store buffer, slow
+branch predictor, value prediction).
 
 Both routes are pinned: the suite runs once against the compiled kernel
 and once with the kernel forcibly disabled, where every config must
-reach the scalar engine without touching a kernel-only path.
+reach the oracles without touching a kernel-only path.
 """
 
 import dataclasses
@@ -19,13 +20,12 @@ import dataclasses
 import pytest
 
 import repro.core.ckernel as ckernel
-from repro.core.batched import (
-    batched_supported,
-    simulate_batch,
-    simulate_batched,
-)
+from repro.cli import _parse_machine
+from repro.core.batched import batched_supported, simulate_batch
 from repro.core.config import MachineConfig
+from repro.core.mlpsim import simulate
 from repro.core.mlpsim_reference import simulate_reference
+from repro.robustness.errors import InternalError
 
 #: The paper's grid axis: every window size crossed with every Table 2
 #: issue policy.
@@ -112,11 +112,100 @@ class TestFullGridKernel:
         for label in ("16A", "64C", "256E", "64B"):
             machine = _machine(label)
             for name, annotated in all_annotated.items():
-                fast = simulate_batched(annotated, machine, workload=name)
+                fast = simulate(annotated, machine, workload=name)
                 oracle = simulate_reference(annotated, machine,
                                             workload=name)
                 assert _result_fields(fast) == _result_fields(oracle), \
                     (name, label)
+
+
+#: Machine specs :func:`simulate` is checked on, one config per call.
+SIMULATE_SPECS = (
+    "16A",
+    "64A",
+    "64B",
+    "64C",
+    "64D",
+    "64E",
+    "256E",
+    "64C:store_buffer=2",
+    "64C:max_outstanding=4",
+    "64D:slow_branch_predictor=true",
+    "64C:value_prediction=true",
+    "64C:perfect_branch=true",
+    "64C:perfect_ifetch=true",
+    "64C:perfect_value=true",
+)
+
+
+@pytest.mark.skipif(
+    not ckernel.kernel_available(),
+    reason="without the kernel simulate runs the oracle itself",
+)
+class TestSimulateRoute:
+    """One :func:`simulate` call runs one config on the kernel."""
+
+    @pytest.mark.parametrize("spec", SIMULATE_SPECS)
+    def test_results_bit_identical(self, all_annotated, spec):
+        """Every MLPResult field matches the oracle on every workload."""
+        machine = _parse_machine(spec)
+        for name, annotated in all_annotated.items():
+            fast = simulate(annotated, machine)
+            oracle = simulate_reference(annotated, machine)
+            assert _result_fields(fast) == _result_fields(oracle), \
+                (name, spec)
+
+    def test_subregion_results_identical(self, database_annotated):
+        """Explicit (start, stop) windows agree with the oracle too."""
+        machine = _parse_machine("64C")
+        start = database_annotated.measure_start
+        for stop in (start + 5_000, start + 20_000):
+            fast = simulate(database_annotated, machine, start=start,
+                            stop=stop)
+            oracle = simulate_reference(database_annotated, machine,
+                                        start=start, stop=stop)
+            assert _result_fields(fast) == _result_fields(oracle), stop
+
+    def test_repeated_runs_are_stable(self, specweb_annotated):
+        """Runs share the memoised plan; none may leak state into it."""
+        machine = _parse_machine("64C")
+        first = simulate(specweb_annotated, machine)
+        second = simulate(specweb_annotated, machine)
+        assert _result_fields(first) == _result_fields(second)
+
+    def test_zero_store_buffer_parity(self, database_annotated):
+        """``store_buffer=0`` can never retire a missing store; the
+        kernel must fail exactly like the oracle (same error, same
+        instruction) rather than silently diverge."""
+        machine = _parse_machine("64C:store_buffer=0")
+        with pytest.raises(InternalError) as fast:
+            simulate(database_annotated, machine)
+        with pytest.raises(InternalError) as oracle:
+            simulate_reference(database_annotated, machine)
+        assert str(fast.value) == str(oracle.value)
+        assert "made no progress" in str(fast.value)
+
+    def test_one_kernel_call_per_simulate(self, specweb_annotated,
+                                          monkeypatch):
+        """With the kernel, ``simulate`` is one ``run_plan`` call;
+        ``record_sets`` runs never reach the kernel."""
+        calls = []
+        real = ckernel.run_plan
+
+        def counting(plan, pairs, workload):
+            calls.append([label for label, _ in pairs])
+            return real(plan, pairs, workload)
+
+        monkeypatch.setattr(ckernel, "run_plan", counting)
+        for machine in (MachineConfig.named("64C"),
+                        MachineConfig.runahead_machine()):
+            calls.clear()
+            simulate(specweb_annotated, machine)
+            assert len(calls) == 1 and len(calls[0]) == 1, machine.label
+            calls.clear()
+            result = simulate(specweb_annotated, machine, record_sets=True)
+            assert calls == [], machine.label
+            assert result.epoch_records
 
 
 class TestNoKernelFallback:
@@ -137,12 +226,11 @@ class TestNoKernelFallback:
 
     def test_value_prediction_delegates_cleanly(self, specjbb_annotated,
                                                 no_kernel):
-        """Without the kernel the scalar engine takes over and the
-        result still matches the oracle bit for bit."""
+        """Without the kernel the oracle takes over and the result
+        still matches it bit for bit."""
         machine = MachineConfig.named("64C", value_prediction=True)
         assert not batched_supported(machine)
-        fast = simulate_batched(specjbb_annotated, machine,
-                                workload="specjbb2000")
+        fast = simulate(specjbb_annotated, machine, workload="specjbb2000")
         oracle = simulate_reference(specjbb_annotated, machine,
                                     workload="specjbb2000")
         assert _result_fields(fast) == _result_fields(oracle)
@@ -166,7 +254,7 @@ class TestNoKernelFallback:
 
     def test_parallel_sweep_without_kernel(self, specweb_annotated,
                                            no_kernel, monkeypatch):
-        """``sweep(jobs=2)`` takes the scalar pool, never the plan path."""
+        """``sweep(jobs=2)`` takes the scalar route, never the plan path."""
         import repro.analysis.parallel as parallel
         from repro.analysis.sweep import sweep
 

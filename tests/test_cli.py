@@ -245,3 +245,22 @@ class TestInspect:
         )
         assert code == 0
         assert "16A" in capsys.readouterr().out
+
+    def test_inspect_runon_imiss_epoch(self, capsys):
+        """A store-buffer stall whose run-on fetches an I-miss records
+        that I-miss as the epoch trigger instead of crashing."""
+        code = main(["inspect", "database", "-n", "100000",
+                     "-m", "32C:store_buffer=1", "--window", "100000"])
+        assert code == 0
+        assert "32C.sb1" in capsys.readouterr().out
+
+    def test_inspect_no_progress_exits_2(self, capsys):
+        """``store_buffer=0`` can never drain a missing store: one
+        ``error:`` line and exit code 2, not a traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["inspect", "database", "-n", "60000",
+                  "-m", "64C:store_buffer=0", "--window", "20000"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "made no progress" in err

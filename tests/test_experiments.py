@@ -237,10 +237,16 @@ ROUTE_LEN = 20000
 
 class TestMLPsimRoutes:
     """With the kernel built, every MLPsim run of an exhibit is a kernel
-    call; without it, the scalar engines print the same text."""
+    call; without it, the oracles print the same text."""
 
     def test_exhibits_never_reach_the_scalar_engines(self, monkeypatch):
-        from repro.core import batched, ckernel, mlpsim, runahead
+        from repro.core import (
+            batched,
+            ckernel,
+            mlpsim,
+            mlpsim_reference,
+            runahead,
+        )
 
         if not ckernel.kernel_available():
             pytest.skip(f"no compiled kernel: {ckernel.kernel_error()}")
@@ -251,11 +257,13 @@ class TestMLPsimRoutes:
         # Import first, so no module binds the stand-in for good.
         for name in MLPSIM_EXHIBITS:
             importlib.import_module(EXHIBITS[name])
-        # The engine bodies too, so a caller that bound ``simulate`` at
+        # The oracles too, so a caller that bound ``simulate_oracle`` at
         # import time is caught as well.
         monkeypatch.setattr(mlpsim, "simulate", forbidden)
-        monkeypatch.setattr(mlpsim, "_simulate_ooo", forbidden)
-        monkeypatch.setattr(batched, "simulate", forbidden)
+        monkeypatch.setattr(mlpsim, "simulate_oracle", forbidden)
+        monkeypatch.setattr(batched, "simulate_oracle", forbidden)
+        monkeypatch.setattr(mlpsim_reference, "simulate_reference",
+                            forbidden)
         monkeypatch.setattr(runahead, "simulate_runahead", forbidden)
         for name in MLPSIM_EXHIBITS:
             run_exhibit(name, trace_len=ROUTE_LEN)

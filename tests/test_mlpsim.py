@@ -398,3 +398,35 @@ class TestFetchRunOnParity:
         assert result.imiss_accesses == 1
         assert result.epochs == 2
         assert result.mlp == pytest.approx(1.5)
+
+
+class TestRunOnTrigger:
+    """An I-miss reached in the fetch-buffer run-on past a store-buffer
+    stall can be the epoch's only useful access; it is then the epoch's
+    trigger.
+
+    Regression test: the run-on counted the access but never set the
+    trigger, so ``record_sets`` runs crashed building the epoch record.
+    """
+
+    def test_runon_imiss_alone_triggers_its_epoch(self):
+        b = TraceBuilder("runon-trigger")
+        pc = 0x100
+        for addr in (0x8000, 0x9000):
+            b.add_store(pc, addr=addr, data_src=1)  # i0, i1: miss
+            pc += 4
+        for _ in range(22):
+            b.add_alu(pc, dst=9, src1=8)            # i18: I-fetch miss
+            pc += 4
+        ann = manual_annotation(b.build(), imiss_at=[18], smiss_at=[0, 1])
+        recorded = run(ann, "16C", store_buffer=1)
+        (epoch,) = recorded.epoch_records
+        assert epoch.trigger == 18
+        assert epoch.trigger_kind is TriggerKind.IMISS
+        assert epoch.inhibitor is Inhibitor.STORE_BUFFER
+        counted = run(ann, "16C", record=False, store_buffer=1)
+        assert counted.epoch_records is None
+        for field in ("accesses", "epochs", "imiss_accesses",
+                      "store_accesses", "store_epochs"):
+            assert getattr(recorded, field) == getattr(counted, field), field
+        assert recorded.inhibitors.as_dict() == counted.inhibitors.as_dict()

@@ -52,8 +52,8 @@ class TestSerialParallelEquivalence:
     def test_runahead_config_in_parallel_grid(self, database_annotated,
                                               monkeypatch):
         """A runahead machine mid-grid joins its mask group's kernel
-        chunks and matches the scalar engine."""
-        from repro.core.mlpsim import simulate
+        chunks and matches the oracles."""
+        from repro.core.mlpsim import simulate_oracle
 
         monkeypatch.setattr(parallel, "effective_cpus", lambda: 2)
         grid = _grid()
@@ -62,7 +62,8 @@ class TestSerialParallelEquivalence:
         assert swept.labels() == [label for label, _ in grid]
         for label, machine in grid:
             assert _result_fields(swept.results[label]) == \
-                _result_fields(simulate(database_annotated, machine)), label
+                _result_fields(simulate_oracle(database_annotated,
+                                               machine)), label
 
     def test_env_var_selects_parallel_backend(self, specjbb_annotated,
                                               monkeypatch):

@@ -8,7 +8,7 @@ oracle's in every :class:`MLPResult` field.
 
 The file also pins the kernel envelope: machines whose kernel config
 falls outside the contracted ranges (valid machines can exceed them)
-run on the scalar engine instead of failing, on every sweep route.
+run on the oracles instead of failing, on every sweep route.
 """
 
 import dataclasses
@@ -21,16 +21,12 @@ from hypothesis import strategies as st
 import repro.analysis.parallel as parallel
 from repro.analysis.sweep import sweep
 from repro.core import ckernel
-from repro.core.batched import (
-    batched_supported,
-    simulate_batch,
-    simulate_batched,
-)
+from repro.core.batched import batched_supported, simulate_batch
 from repro.core.columnar import plan_for, plan_payload
 from repro.core.config import MachineConfig
 from repro.core.depgraph import depgraph_for
 from repro.core.limits import limit_configs
-from repro.core.mlpsim import simulate
+from repro.core.mlpsim import simulate, simulate_oracle
 from repro.core.runahead import simulate_runahead
 from repro.experiments.common import clear_caches, get_annotated
 from tests.test_mlpsim_properties import random_annotated_trace
@@ -71,10 +67,11 @@ def _result_fields(result):
     return fields
 
 
-def _assert_matches_simulate(annotated, results, grid):
+def _assert_matches_oracle(annotated, results, grid):
     assert list(results) == [label for label, _ in grid]
     for label, machine in grid:
-        want = simulate(annotated, machine, workload=results[label].workload)
+        want = simulate_oracle(annotated, machine,
+                               workload=results[label].workload)
         assert _result_fields(results[label]) == _result_fields(want), label
 
 
@@ -100,8 +97,8 @@ class TestRunaheadEquivalence:
         start = specjbb_annotated.measure_start + 5_000
         stop = start + 30_000
         for label, machine in RUNAHEAD_GRID:
-            fast = simulate_batched(specjbb_annotated, machine,
-                                    start=start, stop=stop)
+            fast = simulate(specjbb_annotated, machine, start=start,
+                            stop=stop)
             oracle = simulate_runahead(specjbb_annotated, machine,
                                        start=start, stop=stop)
             assert _result_fields(fast) == _result_fields(oracle), label
@@ -111,8 +108,8 @@ class TestRunaheadEquivalence:
         a value that behaves identically."""
         machine = RAE(max_runahead=10**12)
         assert batched_supported(machine)
-        assert _result_fields(simulate_batched(specweb_annotated, machine)) \
-            == _result_fields(simulate_runahead(specweb_annotated, machine))
+        assert _result_fields(simulate(specweb_annotated, machine)) == \
+            _result_fields(simulate_runahead(specweb_annotated, machine))
 
 
 @settings(max_examples=150, deadline=None)
@@ -138,7 +135,7 @@ def test_fuzzed_knobs_match_oracle(ann, max_runahead, max_outstanding,
         perfect_branch=perfect_branch,
         perfect_ifetch=perfect_ifetch,
     )
-    assert _result_fields(simulate_batched(ann, machine)) == \
+    assert _result_fields(simulate(ann, machine)) == \
         _result_fields(simulate_runahead(ann, machine))
 
 
@@ -166,7 +163,7 @@ class TestMixedGrids:
         monkeypatch.setattr(ckernel, "run_plan", counting)
         results = simulate_batch(database_annotated, self.GRID)
         assert calls == [len(self.GRID)]
-        _assert_matches_simulate(database_annotated, results, self.GRID)
+        _assert_matches_oracle(database_annotated, results, self.GRID)
 
     def test_supervised_parallel_sweep(self, specweb_annotated, two_cpus,
                                        tmp_path):
@@ -175,13 +172,13 @@ class TestMixedGrids:
             supervise={"journal_path": str(tmp_path / "sweep.journal")},
         )
         assert swept.quarantined == []
-        _assert_matches_simulate(specweb_annotated, swept.results,
-                                 self.GRID)
+        _assert_matches_oracle(specweb_annotated, swept.results,
+                               self.GRID)
 
 
 class TestContractEnvelope:
-    """Machines outside the kernel's contracted ranges take the scalar
-    engine instead of failing the kernel's contract check."""
+    """Machines outside the kernel's contracted ranges run on the
+    oracles instead of failing the kernel's contract check."""
 
     GRID = OUT_OF_CONTRACT + [("RAE(1e12)", RAE(max_runahead=10**12))]
 
@@ -196,16 +193,16 @@ class TestContractEnvelope:
             assert not batched_supported(machine), label
 
     def test_sweep(self, annotated):
-        _assert_matches_simulate(
+        _assert_matches_oracle(
             annotated, sweep(annotated, self.GRID).results, self.GRID)
 
     def test_parallel_sweep(self, annotated, two_cpus):
-        _assert_matches_simulate(
+        _assert_matches_oracle(
             annotated, sweep(annotated, self.GRID, jobs=2).results,
             self.GRID)
 
     def test_simulate_batch(self, annotated):
-        _assert_matches_simulate(
+        _assert_matches_oracle(
             annotated, simulate_batch(annotated, self.GRID), self.GRID)
 
 
