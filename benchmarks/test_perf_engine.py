@@ -7,9 +7,10 @@ compiled MLPsim kernel against per-config replays of their oracles
 simulator —
 single runs and the Table 3 grid through the supervised sweep backend
 — against its own frozen reference
-(`repro.cyclesim.simulator_reference`), and (d) trace annotation on
-its compiled kernel against the Python loops, then appends one record per
-invocation to ``benchmarks/results/BENCH_perf.json`` via the atomic
+(`repro.cyclesim.simulator_reference`), (d) trace annotation on
+its compiled kernel against the Python loops, and (e) both kernel
+drivers on one thread against every usable CPU, then appends one record
+per invocation to ``benchmarks/results/BENCH_perf.json`` via the atomic
 writer so a performance trajectory accumulates across PRs.
 
 Trace length follows ``REPRO_TRACE_LEN`` (default 400,000
@@ -579,6 +580,93 @@ def test_cyclesim_grid_supervised_speedup(results_dir, tmp_path):
     if not compiled:
         pytest.skip(f"no compiled cyclesim kernel: {kernel_error()}")
     assert speedup >= 3.0
+
+
+#: Calls per side of the kernel-thread gate; the best one counts.
+#: Single samples of Table 3's grid at 100k on a shared 2-vCPU host
+#: ranged 1.37x-2.23x.
+THREAD_REPS = 5
+
+#: The cyclesim grid must gain this much on two or more usable CPUs.
+THREAD_FLOOR = 1.3
+
+
+def _comparable(results):
+    """``{label: fields}`` of a driver's results, inhibitors included."""
+    import dataclasses
+
+    out = {}
+    for label, result in results.items():
+        fields = dataclasses.asdict(result)
+        if hasattr(result, "inhibitors"):
+            fields["inhibitors"] = result.inhibitors.as_dict()
+        out[label] = fields
+    return out
+
+
+def test_kernel_threads(results_dir, monkeypatch):
+    """Both kernel drivers on one thread vs. on every usable CPU.
+
+    Table 3's cyclesim grid (``CYCLESIM_GRID``) and the paper's
+    30-config MLPsim grid (``GRID_SPECS``: one mask group, one
+    ``run_plan`` call) on the fixed database trace, the two sides
+    alternating, best of ``THREAD_REPS`` calls each (kind
+    "kernel_threads").  Results must be bit-identical and in label
+    order, and with two or more usable CPUs the cyclesim grid must gain
+    ``THREAD_FLOOR``.
+    """
+    import repro.cbuild as cbuild
+    from repro.core import ckernel
+    from repro.core.columnar import plan_for
+    from repro.core.config import MachineConfig
+    from repro.cyclesim import ckernel as cycle_ckernel
+    from repro.cyclesim.plan import cycle_plan_for
+
+    for kernel in (ckernel, cycle_ckernel):
+        if not kernel.kernel_available():
+            pytest.skip(f"no compiled kernel: {kernel.kernel_error()}")
+    cpus = cbuild.effective_cpus()
+    if cpus < 2:
+        pytest.skip("one usable CPU: a batch has nothing to split across")
+    name, annotated = _fixed_workloads()[0]
+    grid = [(spec, MachineConfig.named(spec)) for spec in GRID_SPECS]
+    batches = {
+        "cyclesim": (cycle_ckernel.run_cycle_plan,
+                     cycle_plan_for(annotated), _cyclesim_pairs()),
+        "mlpsim": (ckernel.run_plan, plan_for(annotated, grid[0][1]), grid),
+    }
+    record = {
+        "trace_len": len(annotated.trace),
+        "workload": name,
+        "seed": PERF_SEED,
+        "usable_cpus": cpus,
+        "cpu_count": os.cpu_count() or 1,
+        "reps": THREAD_REPS,
+    }
+    for kind, (driver, plan, pairs) in batches.items():
+        best = {}
+        results = {}
+        for _ in range(THREAD_REPS):
+            for threads in (1, cpus):
+                monkeypatch.setattr(cbuild, "effective_cpus",
+                                    lambda threads=threads: threads)
+                started = time.perf_counter()
+                results[threads] = driver(plan, pairs, name)
+                elapsed = time.perf_counter() - started
+                best[threads] = min(best.get(threads, elapsed), elapsed)
+        assert list(results[cpus]) == [label for label, _ in pairs]
+        assert _comparable(results[cpus]) == _comparable(results[1]), kind
+        record[kind] = {
+            "configs": len(pairs),
+            "one_thread_seconds": round(best[1], 6),
+            "threaded_seconds": round(best[cpus], 6),
+            "speedup": round(best[1] / best[cpus], 3),
+        }
+    _append_record("kernel_threads", record)
+    print(f"\nkernel threads on {cpus} usable cpus: cyclesim"
+          f" {record['cyclesim']['speedup']:.2f}x, mlpsim"
+          f" {record['mlpsim']['speedup']:.2f}x")
+    assert record["cyclesim"]["speedup"] >= THREAD_FLOOR, record
 
 
 def test_bench_history_is_readable(bench_history):

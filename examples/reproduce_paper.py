@@ -34,7 +34,7 @@ def main(argv=None):
         type=int,
         default=None,
         help="worker processes for the configuration sweeps"
-        " (sets REPRO_JOBS; 0 = one per CPU, default serial)",
+        " (sets REPRO_JOBS; 0 = one per usable CPU, default serial)",
     )
     args = parser.parse_args(argv)
     if args.jobs is not None:

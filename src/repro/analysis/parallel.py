@@ -6,7 +6,8 @@ executor consults:
 
 * :func:`resolve_jobs` turns an explicit argument or the ``REPRO_JOBS``
   environment variable into a worker count (``0`` means "one worker
-  per CPU");
+  per usable CPU", the affinity-aware
+  :func:`repro.cbuild.effective_cpus`);
 * :func:`serial_cutover` decides when an unsupervised ``jobs=N`` sweep
   should not start a pool at all;
 * :func:`share_annotated` hands the annotated trace to workers: on
@@ -25,6 +26,7 @@ import multiprocessing
 import os
 import tempfile
 
+from repro.cbuild import effective_cpus
 from repro.robustness.errors import ConfigError
 
 #: Target wall-clock per sharded chunk of a kernel route.  Chunks much
@@ -43,7 +45,8 @@ def resolve_jobs(jobs=None):
     """Resolve a worker count from *jobs* or the ``REPRO_JOBS`` env var.
 
     ``None`` falls back to ``REPRO_JOBS`` (absent or empty means serial,
-    i.e. 1).  ``0`` means one worker per available CPU.  Anything that
+    i.e. 1).  ``0`` means one worker per usable CPU: the affinity
+    mask, so ``taskset`` and cpusets count.  Anything that
     is not a non-negative integer raises
     :class:`~repro.robustness.errors.ConfigError`.
     """
@@ -67,7 +70,7 @@ def resolve_jobs(jobs=None):
             f"jobs must be non-negative, got {jobs}", field="jobs"
         )
     if jobs == 0:
-        jobs = os.cpu_count() or 1
+        jobs = effective_cpus()
     return jobs
 
 
@@ -120,22 +123,16 @@ def unshare_annotated(spill_path):
             pass
 
 
-def effective_cpus():
-    """CPUs the scheduler will actually give us (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
 def serial_cutover(n_jobs, n_pairs):
     """Should an unsupervised ``jobs=N`` sweep skip the pool?
 
-    The cutover triggers when parallelism cannot pay for its own
-    overhead: a single effective CPU (process pools only add IPC to
-    CPU-bound simulation) or a grid smaller than two configs.  This is
-    what keeps ``jobs=4`` from ever being slower than ``jobs=1`` on
-    small grids and keeps single-core scaling at ~1.0.
+    The cutover triggers when a pool cannot help at all: a single
+    effective CPU (process pools only add IPC to CPU-bound simulation)
+    or a grid smaller than two configs.  It keeps single-core scaling
+    at ~1.0.  It does not make ``jobs=N`` safe on small grids: with two
+    or more CPUs a grid whose configs cost milliseconds still pays pool
+    start-up, and ``jobs=1`` already runs each kernel batch on every
+    usable CPU (:func:`repro.cbuild.run_slices`).
     """
     return n_jobs <= 1 or n_pairs <= 1 or effective_cpus() <= 1
 

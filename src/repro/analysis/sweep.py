@@ -88,15 +88,16 @@ def sweep(annotated, machines, workload=None, progress=None, jobs=None,
 
     *jobs* selects the number of worker processes: ``None`` defers to
     the ``REPRO_JOBS`` environment variable (defaulting to serial),
-    ``1`` runs serially, ``0`` means one worker per CPU.  Parallel runs
-    produce results identical to serial ones and preserve label order;
-    if no worker pool can be created the sweep silently runs serially.
-    An automatic serial cutover (see
-    :func:`repro.analysis.parallel.serial_cutover`) keeps an
-    unsupervised ``jobs=N`` from ever paying pool overhead a grid cannot
-    amortise — on a single-core machine or a tiny grid, ``jobs=4``
-    simply runs serially.  A failed config raises
-    :class:`~repro.robustness.errors.SimulationError` naming its label.
+    ``1`` runs serially, ``0`` means one worker per usable CPU.
+    Parallel runs produce results identical to serial ones and preserve
+    label order; if no worker pool can be created the sweep silently
+    runs serially.  An automatic serial cutover (see
+    :func:`repro.analysis.parallel.serial_cutover`) runs an unsupervised
+    ``jobs=N`` serially on a single-CPU machine or a one-config grid.
+    A serial sweep already runs each kernel batch on every usable CPU,
+    so on small grids ``jobs=1`` can beat a pool.  A failed config
+    raises :class:`~repro.robustness.errors.SimulationError` naming its
+    label.
 
     *engine* picks the simulation backend: ``"auto"`` (default) runs
     each event-mask group of the grid, runahead machines included, as

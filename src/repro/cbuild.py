@@ -16,17 +16,26 @@ how:
 * each kernel is probed once per process, and a failure is cached and
   reported by :meth:`KernelLoader.error` rather than raised.
 
+It also holds the process's one CPU count, :func:`effective_cpus`,
+which the simulator drivers use to cut a multi-config batch into one
+slice per usable CPU (:func:`run_slices`): a ctypes call releases the
+GIL, so the slices' kernel calls run at the same time.  Pool workers
+call :func:`pin_kernel_threads`, because the pool already runs one
+process per job.
+
 Without a kernel the callers fall back to the MLPsim oracles (the
 frozen reference and the runahead oracle), the frozen cyclesim
 reference and the Python annotation loops; see ``docs/PERFORMANCE.md``.
 """
 
+import contextlib
 import ctypes
 import hashlib
 import os
 import shutil
 import subprocess
 import tempfile
+import threading
 
 import numpy as np
 
@@ -48,6 +57,128 @@ def verify_opcodes(source_name):
                 f"OpClass.{name} = {int(OpClass[name])} but the compiled"
                 f" kernel was written for {value}; rebuild {source_name}"
             )
+
+
+#: Set by :func:`pin_kernel_threads`: this process's kernel calls stay
+#: on the calling thread.
+_pinned = False
+
+
+def _affinity():
+    """The CPUs the calling thread may run on, in order, or ``None``
+    where the platform has no affinity mask."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return None
+
+
+def effective_cpus():
+    """CPUs the scheduler will actually give us (affinity-aware)."""
+    cpus = _affinity()
+    return len(cpus) if cpus else os.cpu_count() or 1
+
+
+def pin_kernel_threads():
+    """Run every later kernel batch of this process on the calling thread.
+
+    Pool workers call this: the pool already runs one process per job.
+    """
+    global _pinned
+    _pinned = True
+
+
+def run_slices(run, count):
+    """Call ``run(lo, hi)`` on one contiguous slice of ``range(count)``
+    per usable CPU, at the same time; returns their values in slice order.
+
+    ``min(effective_cpus(), count)`` slices (one when pinned): the
+    calling thread runs the first and helper threads the rest, each
+    held on its own CPU of the affinity mask while its slice runs (left
+    alone, the scheduler can keep two new threads on one CPU for a
+    whole batch).  Every helper is joined before this returns or
+    raises, so no thread outlives the call; a helper's exception is
+    re-raised after the joins.
+    """
+    threads = min(count, 1 if _pinned else effective_cpus())
+    if threads <= 1:
+        return [run(0, count)] if count else []
+    bounds = [(count * i // threads, count * (i + 1) // threads)
+              for i in range(threads)]
+    cpus = _affinity()
+    values = [None] * threads
+    errors = []
+
+    def run_held(index):
+        with _held_on(cpus[index % len(cpus)] if cpus else None):
+            values[index] = run(*bounds[index])
+
+    def helper(index, done):
+        try:
+            run_held(index)
+        except BaseException as error:  # re-raised in the calling thread
+            errors.append(error)
+        finally:
+            done.set()
+
+    helpers = []
+    try:
+        for index in range(1, threads):
+            done = threading.Event()
+            thread = threading.Thread(target=helper, args=(index, done))
+            # Listed before it starts: a signal handler can raise
+            # inside start() once the thread already runs.
+            helpers.append((thread, done))
+            try:
+                thread.start()
+            except RuntimeError:  # no thread was created
+                helpers.pop()
+                raise
+        run_held(0)
+    finally:
+        _join_all(helpers)
+    if errors:
+        raise errors[0]
+    return values
+
+
+@contextlib.contextmanager
+def _held_on(cpu):
+    """Hold the calling thread on *cpu* for the body, then give it its
+    mask back.  Best effort: with ``None`` or a refused mask the body
+    runs wherever the scheduler puts it."""
+    saved = _affinity() if cpu is not None else None
+    try:
+        if saved:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, {cpu})
+        yield
+    finally:
+        if saved:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, saved)
+
+
+def _join_all(helpers):
+    """Join every ``(thread, done)`` helper, even when a signal handler
+    raises meanwhile (a SIGALRM deadline); the first such exception is
+    re-raised once all of them have finished.
+
+    The wait is on each helper's *done* event, which a retry can wait
+    on again: an interrupted ``Thread.join`` can mark a thread that is
+    still running as stopped (CPython 3.11).
+    """
+    pending = None
+    for _, done in helpers:
+        while not done.is_set():
+            try:
+                done.wait()
+            except BaseException as error:  # re-raised below
+                pending = pending or error
+    for thread, _ in helpers:
+        thread.join()  # its slice is done; this only waits for its exit
+    if pending is not None:
+        raise pending
 
 
 def c_column(array, dtype):

@@ -556,8 +556,8 @@ def build_parser():
                    help="comma-separated Table 2 issue policies for the"
                    " default grid (default A,B,C,D,E)")
     p.add_argument("-j", "--jobs", type=int, default=None,
-                   help="worker processes (0 = one per CPU; default"
-                   " REPRO_JOBS or serial)")
+                   help="worker processes (0 = one per usable CPU;"
+                   " default REPRO_JOBS or serial)")
     p.add_argument("--journal",
                    help="JSON-lines sweep journal path; enables"
                    " checkpointing and --resume")
@@ -595,7 +595,8 @@ def build_parser():
                    " the batch continues")
     p.add_argument("-j", "--jobs", type=int, default=None,
                    help="worker processes for configuration sweeps"
-                   " (sets REPRO_JOBS; 0 = one per CPU, default serial)")
+                   " (sets REPRO_JOBS; 0 = one per usable CPU, default"
+                   " serial)")
     p.set_defaults(func=cmd_exhibit)
 
     p = sub.add_parser("inspect", help="print the first epochs of a run")

@@ -40,7 +40,7 @@ def simulate_batch(annotated, machines, start=None, stop=None,
 
     *machines* is an iterable of ``(label, machine)`` pairs (an ordered
     mapping also works).  Every config whose event-mask key matches
-    shares one columnar plan and one kernel call, so the per-trace
+    shares one columnar plan and one ``run_plan`` call, so the per-trace
     preparation cost is paid once per mask group rather than once per
     config.  *progress* is called with each label as it completes.
     """

@@ -6,8 +6,10 @@ loaded by :mod:`repro.cbuild`.  One :func:`run_plan` call simulates
 **many machine configurations against one shared columnar plan**,
 which is what makes full-grid sweeps cheap: the trace columns are
 prepared once and the per-config cost collapses to a few milliseconds
-of compiled scanning.  Each config's ``runahead`` field selects its
-scan inside the one call.
+of compiled scanning.  The batch is cut into one slice per usable CPU
+(:func:`repro.cbuild.run_slices`), each slice one kernel call on its
+own thread.  Each config's ``runahead`` field selects its scan inside
+its slice's call.
 
 Everything here is fail-soft: a missing compiler, an unwritable build
 directory or a failed compilation simply mark the kernel unavailable
@@ -21,7 +23,7 @@ import os
 
 import numpy as np
 
-from repro.cbuild import KernelLoader, c_column, verify_opcodes
+from repro.cbuild import KernelLoader, c_column, run_slices, verify_opcodes
 from repro.core.columnar import (
     PLAN_CONTRACT,
     config_violation,
@@ -183,9 +185,12 @@ def in_contract(machine):
 def run_plan(plan, machines, workload):
     """Simulate every ``(label, machine)`` pair against *plan* in C.
 
-    One kernel call covers the whole batch: the columns are shared,
-    the per-config scratch buffers are reused inside the kernel.
-    Returns ``{label: MLPResult}`` in input order.
+    The batch runs as one kernel call per slice of configs, one slice
+    per usable CPU, at the same time: the slices share the columns
+    read-only and each call reuses its own scratch buffers across its
+    configs.  Statuses are checked once every slice has finished, in
+    grid order.  Returns ``{label: MLPResult}`` in input order,
+    bit-identical whatever the number of slices.
 
     Raises
     ------
@@ -223,16 +228,18 @@ def run_plan(plan, machines, workload):
     # kernel invocation).
     validate_plan_contract(plan, configs)
 
-    status = _kernel(
-        n,
-        ops.ctypes.data, prod1.ctypes.data, prod2.ctypes.data,
-        prod3.ctypes.data, memdep.ctypes.data,
-        dmiss.ctypes.data, imiss.ctypes.data, mispred.ctypes.data,
-        pmiss.ctypes.data, pfuseful.ctypes.data, vp_ok.ctypes.data,
-        smiss.ctypes.data, scalar_mask.ctypes.data,
-        configs, len(pairs), results,
-    )
-    if status != 0:
+    def run_slice(lo, hi):
+        return _kernel(
+            n,
+            ops.ctypes.data, prod1.ctypes.data, prod2.ctypes.data,
+            prod3.ctypes.data, memdep.ctypes.data,
+            dmiss.ctypes.data, imiss.ctypes.data, mispred.ctypes.data,
+            pmiss.ctypes.data, pfuseful.ctypes.data, vp_ok.ctypes.data,
+            smiss.ctypes.data, scalar_mask.ctypes.data,
+            ctypes.byref(configs[lo]), hi - lo, ctypes.byref(results[lo]),
+        )
+
+    if any(run_slices(run_slice, len(pairs))):
         raise InternalError("compiled MLPsim kernel ran out of memory")
 
     out = {}

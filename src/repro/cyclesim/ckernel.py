@@ -6,9 +6,11 @@ loaded by :mod:`repro.cbuild` exactly like the MLPsim kernel.
 
 One :func:`run_cycle_plan` call simulates **many pipeline
 configurations against one shared cycle plan**: the per-instruction
-tables cross the ctypes boundary once and the per-config cost is a
-compiled pipeline walk, which is what makes the Table 3 grid (27
-configs per workload) cheap.
+tables are prepared once and the per-config cost is a compiled pipeline
+walk, which is what makes the Table 3 grid (27 configs per workload)
+cheap.  The batch is cut into one slice per usable CPU
+(:func:`repro.cbuild.run_slices`), each slice one kernel call on its
+own thread.
 
 Everything is fail-soft: a missing compiler or unwritable build
 directory marks the kernel unavailable (:func:`kernel_available`
@@ -21,7 +23,7 @@ import os
 
 import numpy as np
 
-from repro.cbuild import KernelLoader, c_column, verify_opcodes
+from repro.cbuild import KernelLoader, c_column, run_slices, verify_opcodes
 from repro.core.config import BranchPolicy, LoadPolicy, SerializePolicy
 from repro.cyclesim.metrics import STALL_CATEGORIES, CycleMetrics
 from repro.cyclesim.plan import validate_cycle_plan_contract
@@ -145,10 +147,13 @@ def _config_struct(config):
 def run_cycle_plan(plan, pairs, workload):
     """Simulate every ``(label, config)`` pair against *plan* in C.
 
-    One kernel call covers the whole batch: the columns are shared,
-    the per-config scratch buffers are reused inside the kernel.
-    Returns ``{label: CycleMetrics}`` in input order, bit-identical to
-    the frozen reference.
+    The batch runs as one kernel call per slice of configs, one slice
+    per usable CPU, at the same time: the slices share the columns
+    read-only and each call reuses its own scratch buffers across its
+    configs.  Statuses are checked once every slice has finished, in
+    grid order.  Returns ``{label: CycleMetrics}`` in input order,
+    bit-identical to the frozen reference whatever the number of
+    slices.
 
     Raises
     ------
@@ -185,16 +190,18 @@ def run_cycle_plan(plan, pairs, workload):
     # dominates the kernel invocation).
     validate_cycle_plan_contract(plan, configs)
 
-    status = _kernel(
-        n,
-        ops.ctypes.data, prod1.ctypes.data, prod2.ctypes.data,
-        prod3.ctypes.data, memdep.ctypes.data,
-        addr_line.ctypes.data, pc_line.ctypes.data,
-        dmiss.ctypes.data, imiss.ctypes.data, mispred.ctypes.data,
-        pmiss.ctypes.data, pfuseful.ctypes.data,
-        configs, len(pairs), results,
-    )
-    if status != 0:
+    def run_slice(lo, hi):
+        return _kernel(
+            n,
+            ops.ctypes.data, prod1.ctypes.data, prod2.ctypes.data,
+            prod3.ctypes.data, memdep.ctypes.data,
+            addr_line.ctypes.data, pc_line.ctypes.data,
+            dmiss.ctypes.data, imiss.ctypes.data, mispred.ctypes.data,
+            pmiss.ctypes.data, pfuseful.ctypes.data,
+            ctypes.byref(configs[lo]), hi - lo, ctypes.byref(results[lo]),
+        )
+
+    if any(run_slices(run_slice, len(pairs))):
         raise InternalError("compiled cyclesim kernel ran out of memory")
 
     out = {}

@@ -12,9 +12,9 @@ prediction by ~174%/103%/21%.
 
 import dataclasses
 
-from repro.analysis.sweep import sweep
+from repro.analysis.sweep import sweep, sweep_cyclesim
 from repro.core.config import MachineConfig
-from repro.cyclesim import CycleSimConfig, run_cyclesim
+from repro.cyclesim import CycleSimConfig
 from repro.experiments.common import (
     DISPLAY_NAMES,
     Exhibit,
@@ -53,18 +53,16 @@ def run(trace_len=None, miss_penalty=MISS_PENALTY):
     for name in WORKLOAD_NAMES:
         annotated = get_annotated(name, trace_len)
 
-        # Anchor measurements on the 64D baseline.
+        # Anchor measurements on the 64D baseline, real and perfect L2,
+        # in one sweep-backend call.
         anchor = MachineConfig.named("64D")
-        real = run_cyclesim(
-            annotated,
-            CycleSimConfig.from_machine(anchor, miss_penalty=miss_penalty),
-        )
-        perfect = run_cyclesim(
-            annotated,
-            CycleSimConfig.from_machine(
-                anchor, miss_penalty=miss_penalty, perfect_l2=True
-            ),
-        )
+        anchors = sweep_cyclesim(annotated, [
+            ("real", CycleSimConfig.from_machine(
+                anchor, miss_penalty=miss_penalty)),
+            ("perfect", CycleSimConfig.from_machine(
+                anchor, miss_penalty=miss_penalty, perfect_l2=True)),
+        ], workload=name).results
+        real, perfect = anchors["real"], anchors["perfect"]
         result = sweep(annotated, grid)
         base = result.results["64D"]
         base_rate = base.accesses / base.instructions

@@ -77,7 +77,7 @@ def run_exhibits(names=None, timeout=None, progress=None, jobs=None,
         it completes (the CLI prints the exhibit or the error here).
     jobs:
         Optional worker-process count for the configuration sweeps
-        inside each exhibit (``0`` = one per CPU).  Exported as
+        inside each exhibit (``0`` = one per usable CPU).  Exported as
         ``REPRO_JOBS`` for the duration of the batch so every nested
         :func:`repro.analysis.sweep.sweep` call picks it up; the
         previous value is restored afterwards.

@@ -5,17 +5,18 @@ Every sweep — :func:`repro.analysis.sweep.sweep` and
 supervised or not — runs here.  The executor's task is a *chunk*: a
 run of grid points that share one *route*.  A route is either one
 compiled-kernel plan (an MLPsim mask group's columnar plan, or the
-cycle plan), so a chunk is one kernel call, or the scalar route (the
+cycle plan), so a chunk is one kernel-driver call, or the scalar route (the
 MLPsim oracles or the frozen cyclesim reference), whose chunks hold
 one config each.  ``engine="scalar"``, machines outside the
 kernel's contracted ranges, test stand-in configs and hosts without
 ``cc`` take the scalar route.
 
 * **Serial** (``jobs=1``, the unsupervised serial cutover, or a pool
-  that degraded): each kernel route runs as one chunk — the same kernel
+  that degraded): each kernel route runs as one chunk — the same driver
   calls as :func:`repro.core.batched.simulate_batch` and
-  :func:`repro.cyclesim.ckernel.run_cycle_plan` — and each scalar
-  config as its own.
+  :func:`repro.cyclesim.ckernel.run_cycle_plan`, which split it into
+  one kernel call per usable CPU on threads of this process — and each
+  scalar config as its own.
 * **Pool** (``jobs>1``): each kernel route's plan is published once
   through :mod:`repro.analysis.shm`
   (:func:`repro.analysis.parallel.batched_parallel_sweep`).  Until a
@@ -23,7 +24,8 @@ kernel's contracted ranges, test stand-in configs and hosts without
   the first such task's wall time in the worker is the measurement, and
   :func:`repro.analysis.parallel.shard_pairs` cuts the route's
   remaining configs from it.  The parent simulates nothing while the
-  pool is up.
+  pool is up, and each worker runs a chunk as one kernel call on its
+  own thread.
 
 The pool is deliberately not the standard library's executor pool,
 which cannot kill a single hung worker without abandoning the whole
@@ -78,6 +80,7 @@ import time
 
 from repro.analysis import parallel
 from repro.analysis.sweep import SweepResult, check_engine
+from repro.cbuild import pin_kernel_threads
 from repro.robustness.errors import (
     ConfigError,
     ExhibitTimeout,
@@ -335,8 +338,9 @@ def _assign_routes(annotated, tasks, engine):
 def _run_chunk(annotated, plan, pairs, workload):
     """Simulate one chunk of ``(label, config)`` *pairs*.
 
-    With a kernel *plan* the chunk is one kernel call; with ``None`` it
-    is one config on the scalar route.  Returns ``{label: result}``.
+    With a kernel *plan* the chunk is one kernel-driver call; with
+    ``None`` it is one config on the scalar route.  Returns
+    ``{label: result}``.
     """
     if plan is None:
         from repro.core.mlpsim import simulate_oracle
@@ -380,8 +384,10 @@ def _worker_main(conn, spill_path, fault_spec, workload):
     re-parses from its spec string so chaos schedules survive any start
     method.  A ``None`` task is the shutdown sentinel.  Each result
     carries the chunk's simulation seconds, the executor's per-config
-    cost measurement.
+    cost measurement.  The pool already runs one process per job, so
+    each chunk is one kernel call on this worker's thread.
     """
+    pin_kernel_threads()
     if spill_path is not None:
         from repro.trace.io import load_annotated
 

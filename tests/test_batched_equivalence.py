@@ -16,12 +16,16 @@ reach the oracles without touching a kernel-only path.
 """
 
 import dataclasses
+import sys
+import threading
 
 import pytest
 
+import repro.cbuild as cbuild
 import repro.core.ckernel as ckernel
 from repro.cli import _parse_machine
 from repro.core.batched import batched_supported, simulate_batch
+from repro.core.columnar import plan_for
 from repro.core.config import MachineConfig
 from repro.core.mlpsim import simulate
 from repro.core.mlpsim_reference import simulate_reference
@@ -206,6 +210,76 @@ class TestSimulateRoute:
             result = simulate(specweb_annotated, machine, record_sets=True)
             assert calls == [], machine.label
             assert result.epoch_records
+
+
+def _thread_grid():
+    """27 configs of one mask group: seven runahead machines interleaved
+    with the first out-of-order ones, so slices mix both scans."""
+    ooo = [(f"{window}{policy}", MachineConfig.named(f"{window}{policy}"))
+           for window in (32, 64, 128, 256) for policy in "ABCDE"]
+    rae = [(f"RAE({distance})",
+            MachineConfig.runahead_machine(max_runahead=distance))
+           for distance in (64, 128, 256, 512, 1024, 2048)]
+    rae.append(("RAE/mshr16",
+                MachineConfig.runahead_machine(max_outstanding=16)))
+    mixed = [pair for both in zip(ooo, rae) for pair in both]
+    return mixed + ooo[len(rae):]
+
+
+@pytest.mark.skipif(
+    not ckernel.kernel_available(),
+    reason="the threaded driver needs the compiled kernel",
+)
+class TestThreadedDriver:
+    """``run_plan`` cuts a batch into one kernel call per usable CPU.
+
+    The CPU count is forced through :func:`repro.cbuild.effective_cpus`,
+    so these tests do not depend on the host.
+    """
+
+    @staticmethod
+    def _run(monkeypatch, threads, plan, grid):
+        monkeypatch.setattr(cbuild, "effective_cpus", lambda: threads)
+        return ckernel.run_plan(plan, grid, "specjbb2000")
+
+    @pytest.mark.parametrize("size", (1, 2, 27))
+    def test_slices_bit_identical_in_label_order(self, specjbb_annotated,
+                                                 monkeypatch, size):
+        grid = _thread_grid()[:size]
+        plan = plan_for(specjbb_annotated, grid[0][1])
+        want = [(label, _result_fields(result)) for label, result
+                in self._run(monkeypatch, 1, plan, grid).items()]
+        assert [label for label, _ in want] == [label for label, _ in grid]
+        # Switch threads as often as possible: a result written to the
+        # wrong index, or lost, breaks the equality.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (2, 3, 64):
+                got = self._run(monkeypatch, threads, plan, grid)
+                assert [(label, _result_fields(result))
+                        for label, result in got.items()] == want, threads
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("threads", (2, 3, 64))
+    def test_failure_in_last_slice_raises_like_one_thread(
+            self, specjbb_annotated, monkeypatch, threads):
+        """A config that makes no progress, last in the grid, raises the
+        one-thread run's error once every slice is done, and leaves no
+        helper thread behind."""
+        grid = _thread_grid()[:26] + [
+            ("64C:sb0", _parse_machine("64C:store_buffer=0")),
+        ]
+        plan = plan_for(specjbb_annotated, grid[0][1])
+        with pytest.raises(InternalError) as one:
+            self._run(monkeypatch, 1, plan, grid)
+        before = threading.active_count()
+        with pytest.raises(InternalError) as sliced:
+            self._run(monkeypatch, threads, plan, grid)
+        assert str(sliced.value) == str(one.value)
+        assert "made no progress" in str(one.value)
+        assert threading.active_count() == before
 
 
 class TestNoKernelFallback:

@@ -1,10 +1,14 @@
-"""The shared kernel loader (:mod:`repro.cbuild`) and ``REPRO_KERNEL_DIR``."""
+"""The shared kernel loader (:mod:`repro.cbuild`), ``REPRO_KERNEL_DIR``
+and the slice runner the kernel drivers share."""
+
+import threading
 
 import pytest
 
 from repro import cbuild
 from repro.core import ckernel
 from repro.cyclesim import ckernel as cycle_ckernel
+from repro.robustness.errors import SimulationError
 from repro.trace import ckernel as annotate_ckernel
 
 #: The three kernel loaders: MLPsim, cyclesim and annotation.
@@ -49,3 +53,37 @@ def test_empty_kernel_dir_disables_kernels(monkeypatch):
         _reprobe(monkeypatch, module)
         assert not module.kernel_available()
         assert "REPRO_KERNEL_DIR" in str(module.kernel_error())
+
+
+@pytest.mark.parametrize("cpus, count, pinned, slices", [
+    (3, 7, False, [(0, 2), (2, 4), (4, 7)]),
+    (4, 2, False, [(0, 1), (1, 2)]),
+    (4, 7, True, [(0, 7)]),
+    (2, 0, False, []),
+])
+def test_run_slices_cuts_one_slice_per_cpu(monkeypatch, cpus, count,
+                                           pinned, slices):
+    """``min(usable CPUs, count)`` contiguous slices, values in slice
+    order; one slice in a pinned process."""
+    monkeypatch.setattr(cbuild, "effective_cpus", lambda: cpus)
+    monkeypatch.setattr(cbuild, "_pinned", pinned)
+    assert cbuild.run_slices(lambda lo, hi: (lo, hi), count) == slices
+
+
+def test_run_slices_reraises_a_helper_failure(monkeypatch):
+    """A slice that fails on a helper thread fails the call once every
+    slice has run, and leaves no thread behind."""
+    monkeypatch.setattr(cbuild, "effective_cpus", lambda: 3)
+    ran = []
+
+    def run(lo, hi):
+        ran.append((lo, hi))
+        if lo:
+            raise SimulationError(f"slice at {lo}")
+        return hi - lo
+
+    before = threading.active_count()
+    with pytest.raises(SimulationError, match="slice at"):
+        cbuild.run_slices(run, 6)
+    assert sorted(ran) == [(0, 2), (2, 4), (4, 6)]
+    assert threading.active_count() == before

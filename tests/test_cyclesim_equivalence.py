@@ -13,11 +13,14 @@ and that route is pinned here too.
 """
 
 import dataclasses
+import multiprocessing
+import threading
 
 import pytest
 
+import repro.cbuild as cbuild
 from repro.core.config import MachineConfig
-from repro.cyclesim import CycleSimConfig, run_cyclesim
+from repro.cyclesim import CycleSimConfig, ckernel, run_cyclesim
 from repro.cyclesim.ckernel import kernel_available, run_cycle_plan
 from repro.cyclesim.plan import cycle_plan_for
 from repro.cyclesim.simulator_reference import (
@@ -143,3 +146,134 @@ def test_labels_match_reference(database_annotated):
     assert fast.label == oracle.label
     assert fast.workload == oracle.workload
 
+
+
+def _table3_batch(annotated, size):
+    """The first *size* Table 3 configs and the cycle plan they share."""
+    stop = min(annotated.measure_start + REGION, len(annotated.trace))
+    pairs = [(f"cfg{i}", config) for i, config in enumerate(_grid())]
+    return cycle_plan_for(annotated, None, stop), pairs[:size]
+
+
+def _recording_kernel(monkeypatch):
+    """Wrap the bound kernel; returns the ``(thread, configs)`` of each
+    call."""
+    calls = []
+    real = ckernel._loader.require()
+
+    def recording(*args):
+        calls.append((threading.get_ident(), args[-2]))
+        return real(*args)
+
+    monkeypatch.setattr(ckernel._loader, "function", recording)
+    return calls
+
+
+@pytest.mark.skipif(
+    not kernel_available(), reason="no C compiler for the cyclesim kernel"
+)
+@pytest.mark.parametrize("size", (1, 2, 27))
+def test_threaded_slices_bit_identical(database_annotated, monkeypatch,
+                                       size):
+    """Any thread count gives the one-thread results in label order
+    (the CPU count is forced, so the host does not matter)."""
+    plan, pairs = _table3_batch(database_annotated, size)
+    monkeypatch.setattr(cbuild, "effective_cpus", lambda: 1)
+    want = [(label, _fields(metrics)) for label, metrics
+            in run_cycle_plan(plan, pairs, "database").items()]
+    assert [label for label, _ in want] == [label for label, _ in pairs]
+    for threads in (2, 3, 64):
+        monkeypatch.setattr(cbuild, "effective_cpus",
+                            lambda threads=threads: threads)
+        got = run_cycle_plan(plan, pairs, "database")
+        assert [(label, _fields(metrics))
+                for label, metrics in got.items()] == want, threads
+
+
+@pytest.mark.skipif(
+    not kernel_available(), reason="no C compiler for the cyclesim kernel"
+)
+def test_two_cpus_split_a_batch_across_two_threads(database_annotated,
+                                                   monkeypatch):
+    """With two usable CPUs one 27-config batch is two kernel calls,
+    made from two threads."""
+    plan, pairs = _table3_batch(database_annotated, 27)
+    calls = _recording_kernel(monkeypatch)
+    monkeypatch.setattr(cbuild, "effective_cpus", lambda: 2)
+    run_cycle_plan(plan, pairs, "database")
+    assert sorted(configs for _, configs in calls) == [13, 14]
+    assert len({thread for thread, _ in calls}) == 2
+
+
+@pytest.mark.skipif(
+    not kernel_available(), reason="no C compiler for the cyclesim kernel"
+)
+def test_pool_worker_runs_a_chunk_as_one_call(database_annotated,
+                                              monkeypatch):
+    """The pool already runs one process per job, so a worker runs each
+    chunk as one kernel call on its own thread, whatever the CPUs."""
+    import repro.analysis.parallel as parallel
+    from repro.analysis.shm import publish_plan, unpublish_plan
+    from repro.robustness.supervisor import _worker_main
+
+    plan, pairs = _table3_batch(database_annotated, 9)
+    calls = _recording_kernel(monkeypatch)
+    monkeypatch.setattr(cbuild, "effective_cpus", lambda: 4)
+    # The worker pins the process it runs in; restore it afterwards.
+    monkeypatch.setattr(cbuild, "_pinned", False)
+    monkeypatch.setattr(parallel, "_WORKER_ANNOTATED", database_annotated)
+    parent, worker = multiprocessing.Pipe()
+    handle = publish_plan(plan)
+    try:
+        parent.send((handle, [(label, config, 1) for label, config in pairs]))
+        parent.send(None)
+        _worker_main(worker, None, "", "database")
+        ok, results, _ = parent.recv()
+    finally:
+        unpublish_plan(handle)
+        parent.close()
+        worker.close()
+    assert ok, results
+    assert list(results) == [label for label, _ in pairs]
+    assert calls == [(threading.get_ident(), len(pairs))]
+
+
+@pytest.mark.skipif(
+    not kernel_available(), reason="no C compiler for the cyclesim kernel"
+)
+@pytest.mark.parametrize("slow", ("calling", "helper"))
+def test_deadline_inside_a_threaded_batch(database_annotated, monkeypatch,
+                                          slow):
+    """A SIGALRM deadline that expires during a threaded batch, while the
+    calling thread runs its own slice or while it waits for a helper,
+    raises once every helper is joined, and the calling thread gets its
+    CPU mask back."""
+    import os
+    import time
+
+    from repro.robustness.supervisor import wall_clock_deadline
+
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("no CPU affinity mask on this platform")
+
+    class Expired(Exception):
+        pass
+
+    real = ckernel._loader.require()
+    calling = threading.get_ident()
+
+    def slow_kernel(*args):
+        status = real(*args)
+        if (threading.get_ident() == calling) == (slow == "calling"):
+            time.sleep(0.5)  # the deadline expires in here
+        return status
+
+    monkeypatch.setattr(ckernel._loader, "function", slow_kernel)
+    monkeypatch.setattr(cbuild, "effective_cpus", lambda: 2)
+    plan, pairs = _table3_batch(database_annotated, 4)
+    threads, mask = threading.active_count(), os.sched_getaffinity(0)
+    with pytest.raises(Expired):
+        with wall_clock_deadline(0.1, Expired):
+            run_cycle_plan(plan, pairs, "database")
+    assert threading.active_count() == threads
+    assert os.sched_getaffinity(0) == mask

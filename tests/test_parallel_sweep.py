@@ -217,10 +217,21 @@ class TestResolveJobs:
         assert resolve_jobs() == 1
 
     def test_zero_means_cpu_count(self, monkeypatch):
+        from repro.cbuild import effective_cpus
+
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert resolve_jobs(0) == effective_cpus()
+
+    def test_zero_honours_the_affinity_mask(self, monkeypatch):
+        """``--jobs 0`` counts the CPUs this process may use: one under
+        ``taskset -c 0`` on a four-CPU machine."""
         import os
 
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs(0) == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert resolve_jobs(0) == 1
 
     def test_junk_env_var_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "many")
