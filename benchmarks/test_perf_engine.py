@@ -8,8 +8,10 @@ simulator —
 single runs and the Table 3 grid through the supervised sweep backend
 — against its own frozen reference
 (`repro.cyclesim.simulator_reference`), (d) trace annotation on
-its compiled kernel against the Python loops, and (e) both kernel
-drivers on one thread against every usable CPU, then appends one record
+its compiled kernel against the Python loops, (e) both kernel
+drivers on one thread against every usable CPU, and (f) trace
+generation on its compiled kernel against the Python generators, then
+appends one record
 per invocation to ``benchmarks/results/BENCH_perf.json`` via the atomic
 writer so a performance trajectory accumulates across PRs.
 
@@ -23,6 +25,7 @@ import json
 import os
 import pathlib
 import subprocess
+import sys
 import time
 
 import pytest
@@ -384,6 +387,104 @@ def test_annotate_speedup(results_dir):
     })
     print(f"\nannotation (1 front + {len(configs)} back passes):"
           f" {speedup:.2f}x vs the Python loops")
+    assert speedup >= 5.0
+
+
+#: Generates the three paper traces in a fresh interpreter and prints
+#: the peak-RSS growth (KiB) that generation caused.  Linux's VmHWM
+#: starts afresh at exec; ru_maxrss would start at the parent's peak.
+_RSS_PROBE = """
+import resource, sys
+from repro.workloads import PAPER_WORKLOADS, ckernel, generate_trace
+
+def peak():
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+ckernel.kernel_available()
+before = peak()
+traces = [generate_trace(name, int(sys.argv[1]), seed=int(sys.argv[2]))
+          for name in PAPER_WORKLOADS]
+print(peak() - before)
+"""
+
+
+def _generation_rss_growth_mb(length, python_route):
+    """Peak RSS growth of generating the three paper traces in a fresh
+    process, on the kernel or (kernels disabled) the Python route."""
+    env = dict(os.environ)
+    if python_route:
+        env["REPRO_KERNEL_DIR"] = ""
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE, str(length), str(PERF_SEED)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return round(int(proc.stdout.split()[-1]) / 1024, 1)
+
+
+def test_generate_speedup(results_dir, monkeypatch):
+    """Trace generation on the compiled kernel vs the Python generators.
+
+    The three paper traces at ``REPRO_TRACE_LEN`` on each route must be
+    byte-identical, and the kernel must hold 5x even on CI smoke
+    traces (kind "generate").  Peak RSS growth is read in fresh
+    processes, one per route.
+    """
+    from repro.trace.trace import COLUMNS
+    from repro.workloads import PAPER_WORKLOADS, ckernel, generate_trace
+
+    if not ckernel.kernel_available():
+        pytest.skip(f"no compiled generation kernel: {ckernel.kernel_error()}")
+    length = int(os.environ.get("REPRO_TRACE_LEN", "400000"))
+
+    def on_kernel(name):
+        return generate_trace(name, length, seed=PERF_SEED)
+
+    def on_python(name):
+        with monkeypatch.context() as patch:
+            patch.setattr(ckernel, "generate", lambda *args: None)
+            return generate_trace(name, length, seed=PERF_SEED)
+
+    per_workload = {}
+    total_python = 0.0
+    total_kernel = 0.0
+    for name in PAPER_WORKLOADS:
+        got, want = on_kernel(name), on_python(name)
+        for column, _ in COLUMNS:
+            assert getattr(got, column).dtype == getattr(want, column).dtype
+            assert (getattr(got, column).tobytes()
+                    == getattr(want, column).tobytes()), (name, column)
+        t_python = _best_of(on_python, name, reps=2)
+        t_kernel = _best_of(on_kernel, name, reps=3)
+        per_workload[name] = {
+            "seconds": round(t_kernel, 6),
+            "python_seconds": round(t_python, 6),
+            "speedup": round(t_python / t_kernel, 3),
+        }
+        total_python += t_python
+        total_kernel += t_kernel
+    speedup = total_python / total_kernel
+    _append_record("generate", {
+        "trace_len": length,
+        "seed": PERF_SEED,
+        "cpu_count": os.cpu_count() or 1,
+        "workloads": per_workload,
+        "python_total_seconds": round(total_python, 6),
+        "kernel_total_seconds": round(total_kernel, 6),
+        "speedup_vs_python": round(speedup, 3),
+        "peak_rss_growth_mb": {
+            "kernel": _generation_rss_growth_mb(length, python_route=False),
+            "python": _generation_rss_growth_mb(length, python_route=True),
+        },
+    })
+    print(f"\ntrace generation (3 paper traces): {speedup:.2f}x vs the"
+          " Python generators")
     assert speedup >= 5.0
 
 

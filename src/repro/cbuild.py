@@ -1,8 +1,10 @@
 """Build and load the compiled kernels.
 
 Both simulators run their grids through a C kernel (``_mlpsim_kernel.c``
-and ``_cyclesim_kernel.c``), and trace annotation runs its two layers
-through a third (``_annotate_kernel.c``).  Each is compiled on demand
+and ``_cyclesim_kernel.c``), trace annotation runs its two layers
+through a third (``_annotate_kernel.c``), and the three paper workloads
+generate their traces through a fourth (``_generate_kernel.c``).  Each
+is compiled on demand
 with the system C compiler and loaded through :mod:`ctypes`, with no
 third-party build dependency.  This module is the one place that knows
 how:
@@ -12,7 +14,7 @@ how:
 * the build is atomic (temp file + ``os.replace``), so concurrent sweep
   workers race benignly;
 * ``REPRO_KERNEL_DIR`` overrides the build directory (created if
-  missing); setting it to an empty string disables all three kernels;
+  missing); setting it to an empty string disables all four kernels;
 * each kernel is probed once per process, and a failure is cached and
   reported by :meth:`KernelLoader.error` rather than raised.
 
@@ -25,7 +27,8 @@ process per job.
 
 Without a kernel the callers fall back to the MLPsim oracles (the
 frozen reference and the runahead oracle), the frozen cyclesim
-reference and the Python annotation loops; see ``docs/PERFORMANCE.md``.
+reference, the Python annotation loops and the Python generators; see
+``docs/PERFORMANCE.md``.
 """
 
 import contextlib
@@ -279,6 +282,8 @@ class KernelLoader:
     *bind* receives the loaded :class:`ctypes.CDLL` and returns the
     wired entry point; *verify* runs before the build and raises on any
     constant the C source hard-codes that Python no longer agrees with.
+    The probe is safe for concurrent first use: a thread that arrives
+    during another's build waits for its outcome.
     """
 
     def __init__(self, name, source_path, bind, verify):
@@ -286,6 +291,7 @@ class KernelLoader:
         self.source_path = source_path
         self._bind = bind
         self._verify = verify
+        self._lock = threading.Lock()
         self.probed = False
         self.function = None
         self.failure = None
@@ -294,15 +300,17 @@ class KernelLoader:
         """Can the kernel be used in this process?  Probes (and builds)
         on the first call; the outcome is cached either way."""
         if not self.probed:
-            self.probed = True
-            try:
-                self._verify()
-                self.function = self._bind(
-                    ctypes.CDLL(_compile(self.source_path))
-                )
-            except Exception as error:  # fail-soft: callers fall back
-                self.function = None
-                self.failure = error
+            with self._lock:
+                if not self.probed:
+                    try:
+                        self._verify()
+                        self.function = self._bind(
+                            ctypes.CDLL(_compile(self.source_path))
+                        )
+                    except Exception as error:  # fail-soft: callers fall back
+                        self.function = None
+                        self.failure = error
+                    self.probed = True  # published last, once settled
         return self.function is not None
 
     def error(self):

@@ -3,15 +3,15 @@
 Traces and annotations are expensive relative to MLPsim runs, so they
 are memoised per (workload, length, L2 size, seed) and shared between
 exhibits within a process; every annotation of one trace shares that
-trace.  The memo is additionally disk-backed under
+trace.  Annotations are additionally disk-backed under
 ``benchmarks/results/.cache/`` (override with ``REPRO_CACHE_DIR``;
-set it to an empty string to disable), in the same split: one
-versioned trace archive per (workload, length, seed) and one
-masks-only archive per L2 size (see :func:`cache_archives`), so
-repeated ``repro exhibit`` invocations and sweep worker pools stop
-regenerating identical traces.  The disk layer is fail-soft in both
-directions — an unreadable or corrupt archive is quarantined on its own
-and regenerated, an unwritable directory skips the spill.
+set it to an empty string to disable): one masks-only archive per L2
+size (see :func:`cache_archives`), so repeated ``repro exhibit``
+invocations stop re-annotating identical traces.  Traces are not
+archived: the compiled generator (:mod:`repro.workloads.ckernel`)
+makes one faster than reading it back.  The disk layer is fail-soft in
+both directions — an unreadable or corrupt archive is quarantined on
+its own and regenerated, an unwritable directory skips the spill.
 
 The trace length defaults to ``REPRO_TRACE_LEN`` (environment
 variable) or 400,000 instructions — far below the paper's 150M, which
@@ -27,7 +27,7 @@ from repro.analysis.tables import format_table
 from repro.memory.hierarchy import HierarchyConfig
 from repro.robustness.errors import ConfigError
 from repro.trace.annotate import AnnotationConfig, annotate
-from repro.trace.io import load_masks, load_trace, save_masks, save_trace
+from repro.trace.io import load_masks, save_masks
 from repro.workloads import generate_trace
 
 #: Workloads in the paper's presentation order.
@@ -74,9 +74,13 @@ def cache_dir():
     return os.path.join(repo_root, "benchmarks", "results", ".cache")
 
 
-#: Disk-cache archive kinds: one ``trace`` archive per (workload,
-#: length, seed) and one ``masks`` archive per L2 size on top of it.
-CACHE_KINDS = ("trace", "masks")
+#: Disk-cache archive kinds: one ``masks`` archive per (workload,
+#: length, seed, L2 size).
+CACHE_KINDS = ("masks",)
+
+#: Archive kinds of earlier layouts, which no current loader reads: the
+#: whole-annotation ``annotated`` archives and the ``trace`` archives.
+RETIRED_KINDS = ("annotated", "trace")
 
 
 def _schema_tag():
@@ -91,9 +95,9 @@ def cache_archives(directory, kind=None):
 
     *kind* is one of :data:`CACHE_KINDS` (archives of that kind written
     under the current schema), ``"stale"`` (archives no current loader
-    reads: other schema versions, and the whole-annotation
-    ``annotated-*`` archives of the earlier one-archive-per-annotation
-    layout), or ``None`` for every archive of every kind.
+    reads: other schema versions, and every archive of the
+    :data:`RETIRED_KINDS`), or ``None`` for every archive of every
+    kind.
     """
     try:
         entries = sorted(os.listdir(directory))
@@ -104,7 +108,7 @@ def cache_archives(directory, kind=None):
     for entry in entries:
         prefix, _, rest = entry.partition("-")
         if not entry.endswith(".npz") or \
-                prefix not in CACHE_KINDS + ("annotated",):
+                prefix not in CACHE_KINDS + RETIRED_KINDS:
             continue
         current = prefix in CACHE_KINDS and rest.startswith(f"{tag}-")
         if kind is None or kind == (prefix if current else "stale"):
@@ -136,11 +140,11 @@ def _quarantine_stale_entries(directory):
 
     Archive filenames carry the :data:`COLUMNAR_SCHEMA_VERSION` they
     were written under (``<kind>-c<V>-<digest>.npz``); archives of
-    another version, and the whole-annotation ``annotated-*`` archives
-    of the earlier layout, can never be loaded again and would
-    otherwise rot in the cache forever.  They are moved to the
-    quarantine directory (same path corrupt entries take) so a schema
-    change leaves an inspectable trail instead of silent disk growth.
+    another version, and those of the :data:`RETIRED_KINDS`, can never
+    be loaded again and would otherwise rot in the cache forever.  They
+    are moved to the quarantine directory (same path corrupt entries
+    take) so a schema change leaves an inspectable trail instead of
+    silent disk growth.
     Scans once per directory per process.
     """
     if directory in _stale_scan_done:
@@ -186,7 +190,7 @@ def _load_cached(path, loader, *args):
     not crash: the cache is an accelerator, never a source of truth.
     Only the damaged archive is quarantined (see
     :func:`_quarantine_cache_entry`), so recurring corruption stays
-    visible and a bad trace archive costs its masks archives nothing.
+    visible and a bad archive costs the other L2 sizes nothing.
     """
     if path is None or not os.path.exists(path):
         return None
@@ -211,9 +215,9 @@ def _store_cached(path, saver, value):
 def get_annotated(name, trace_len=None, l2_bytes=None, seed=DEFAULT_SEED):
     """Return the (memoised) annotated trace for one workload.
 
-    Every annotation of one (workload, length, seed) shares one trace,
-    in memory and on disk; ``l2_bytes`` equal to the default L2
-    capacity is the default annotation.
+    Every annotation of one (workload, length, seed) shares one
+    in-memory trace; ``l2_bytes`` equal to the default L2 capacity is
+    the default annotation.
 
     Raises
     ------
@@ -254,15 +258,11 @@ _trace_cache = {}
 
 
 def _get_trace(name, trace_len, seed):
-    """Return the (memoised, disk-cached) trace for one workload."""
+    """Return the (memoised) trace for one workload."""
     key = (name, trace_len, seed)
     cached = _trace_cache.get(key)
     if cached is None:
-        path = _cache_path("trace", key)
-        cached = _load_cached(path, load_trace)
-        if cached is None:
-            cached = generate_trace(name, trace_len, seed=seed)
-            _store_cached(path, save_trace, cached)
+        cached = generate_trace(name, trace_len, seed=seed)
         _trace_cache[key] = cached
     return cached
 

@@ -14,9 +14,11 @@ A kernel contract has four ingredients:
   rests on a counting argument, not on any single store) is assumed
   both ways and must carry a documented reason;
 * **python facts** — the literal ``PLAN_CONTRACT`` /
-  ``CYCLE_PLAN_CONTRACT`` / ``ANNOTATE_CONTRACT`` dict the runtime
-  validators in :mod:`repro.core.columnar`, :mod:`repro.cyclesim.plan`
-  and :mod:`repro.trace.ckernel` enforce.  The ``plan-contract`` pass
+  ``CYCLE_PLAN_CONTRACT`` / ``ANNOTATE_CONTRACT`` /
+  ``GENERATE_CONTRACT`` dict the runtime validators in
+  :mod:`repro.core.columnar`, :mod:`repro.cyclesim.plan`,
+  :mod:`repro.trace.ckernel` and :mod:`repro.workloads.ckernel`
+  enforce.  The ``plan-contract`` pass
   checks those literals match the copies here and that the validators
   dominate the kernel calls, so the boxes and element ranges this
   module assumes are themselves machine-checked rather than trusted.
@@ -605,6 +607,176 @@ ANNOTATE_CONTRACT = KernelContract(
 )
 
 
+# ------------------------------------------------------------- generation
+
+#: The literal ``repro.workloads.ckernel.GENERATE_CONTRACT`` must equal
+#: this.  Program tables are ``[length, lo, hi]``; ``params`` groups
+#: the ``Params`` scalars by range, and ``region`` bounds each field of
+#: every ``Region`` member.
+GENERATE_FACTS = {
+    "symbols": {
+        "n": [1, 1 << 26],
+        "nflat": [1, 1 << 26],
+        "nfuncs": [1, 1 << 20],
+        "pool": [1, 1 << 26],
+    },
+    "columns": {
+        "mt": [624, 0, (1 << 32) - 1],
+        "t_kind": ["nflat", 0, 4],
+        "t_a": ["nflat", -1, 63],
+        "t_b": ["nflat", -1, 63],
+        "t_c": ["nflat", -1, 63],
+        "t_arg": ["nflat", 0, 1 << 16],
+        "f_start": ["nfuncs", 0, ["nflat", 0]],
+        "f_end": ["nfuncs", 0, ["nflat", 0]],
+        "f_pc": ["nfuncs", 0, 1 << 40],
+        "zipf": ["nfuncs", 0, 1 << 53],
+    },
+    "params": [
+        [[0, 624], ["mt_index"]],
+        [[0, 2], ["script"]],
+        [[0, 1 << 40], [
+            "start_pc", "fresh_base", "txn_base", "descent_base",
+            "rows_base", "lock_base", "object_base", "alloc_base",
+            "burst_base", "lookup_base",
+        ]],
+        [[0, 1 << 16], [
+            "fresh_stride", "calls_lo", "descent_lo", "rows_lo",
+            "row_spacing", "log_words_lo", "fields_lo", "objects_lo",
+            "alloc_words_lo", "segments_lo", "extra_lo",
+        ]],
+        [[1, (1 << 32) - 1], [
+            "calls_span", "descent_span", "rows_span", "log_words_span",
+            "fields_span", "objects_span", "alloc_words_span",
+            "segments_span", "extra_span",
+        ]],
+        [[0, 1 << 53], [
+            "value_repeat", "chase_repeat", "predictable", "taken_side",
+            "strong", "strong_not", "weak", "weak_not", "second_descent",
+            "lock", "reuse", "data_bias", "second_field", "cold_object",
+            "alloc", "recent_object", "second_line", "object_bias",
+            "prefetch", "burst", "independent", "cold_lookup",
+            "recent_file",
+        ]],
+        [[0, 1 << 32], [
+            "descent_stride", "row_stride", "object_stride",
+            "segment_stride", "descriptor_stride",
+        ]],
+        [[1, ["pool", 0]], ["pool_a_cap", "pool_b_cap"]],
+    ],
+    "region": {
+        "base": [0, 1 << 40],
+        "slots": [1, (1 << 32) - 1],
+        "word": [1, 1 << 8],
+        "lines": [1, (1 << 32) - 1],
+        "line_bytes": [1, 1 << 8],
+        "cursor": [0, (1 << 32) - 2],
+    },
+}
+
+_GENERATE_ELEMS = {
+    "mt": "uint32_t", "t_kind": "int8_t", "t_a": "int16_t",
+    "t_b": "int16_t", "t_c": "int16_t", "t_arg": "int32_t",
+    "f_start": "int64_t", "f_end": "int64_t", "f_pc": "int64_t",
+    "zipf": "int64_t",
+}
+
+_VALIDATED = "validated by validate_generate_contract before the call"
+
+_GENERATE_TABLES = {
+    name: Buf("MT_N" if name == "mt" else length, _GENERATE_ELEMS[name],
+              _bound_text(lo), _bound_text(hi))
+    for name, (length, lo, hi) in GENERATE_FACTS["columns"].items()
+}
+
+#: The ten trace columns the kernel writes, by entry parameter name.
+#: A PC is a motif block or function base (below 2^40) plus an offset;
+#: branch targets and addresses add at most one more such offset.
+_TRACE_BUFFERS = {
+    "op": Buf("n", "int8_t", "0", "8"),
+    "pc": Buf("n", "int64_t", "0", "(1 << 41)"),
+    "dst": Buf("n", "int16_t", "-1", "63"),
+    "src1": Buf("n", "int16_t", "-1", "63"),
+    "src2": Buf("n", "int16_t", "-1", "63"),
+    "src3": Buf("n", "int16_t", "-1", "63"),
+    "addr": Buf("n", "int64_t", "0", "(1 << 42)"),
+    "taken": Buf("n", "uint8_t", "0", "1"),
+    "target": Buf("n", "int64_t", "0", "(1 << 42)"),
+    "value": Buf("n", "int64_t", "0", "(1 << 52)"),
+}
+
+_GENERATE_BUFFERS = {
+    **{("Gen", name): buf for name, buf in _GENERATE_TABLES.items()},
+    **{("Gen", "pcs" if name == "pc" else name): buf
+       for name, buf in _TRACE_BUFFERS.items()},
+    ("Gen", "last"): Buf("nflat + MOTIF_SITES", "int64_t", "-1",
+                         "(1 << 52)"),
+    ("Gen", "bias"): Buf("nflat", "int64_t", "-1", "(1 << 53)"),
+    ("Pool", "lines"): Buf("pool", "int64_t", "0", "(1 << 41)"),
+}
+
+_GENERATE_FIELDS = {
+    ("Gen", "mti"): Inv("0", "MT_N"),
+    ("Gen", "pc"): Inv(
+        "0", "(1 << 41)", trusted=True,
+        reason="every PC is a motif block or function base (below"
+               " 2^40) plus an offset below 2^30: a template op's"
+               " offset is below 4 * nflat, and a motif adds at most"
+               " 4 * (row_spacing + 16)"),
+    ("Gen", "row"): Inv("0", "n"),
+    ("Gen", "length"): Inv("n", "n"),
+    ("Gen", "nflat"): Inv("nflat", "nflat"),
+    ("Gen", "nfuncs"): Inv("nfuncs", "nfuncs"),
+    ("Gen", "fresh_stride"): Inv("0", "(1 << 16)"),
+    ("Values", "repeat"): Inv("0", "(1 << 53)"),
+    ("Values", "fresh"): Inv(
+        "0", "(1 << 52)", trusted=True,
+        reason="grows by fresh_stride (at most 2^16) per fresh value,"
+               " one per load emitted: fewer than 2^35 loads, since"
+               " the contract caps the rows and every count a"
+               " transaction draws"),
+    ("Pool", "cap"): Inv("1", "pool"),
+    ("Pool", "len"): Inv("0", "pool"),
+    ("Pool", "cursor"): Inv("0", "pool - 1"),
+    **{
+        ("Params", name): Inv(_bound_text(lo), _bound_text(hi),
+                              trusted=True, reason=_VALIDATED)
+        for (lo, hi), names in GENERATE_FACTS["params"]
+        for name in names
+    },
+    **{
+        ("Region", name): Inv(_bound_text(lo), _bound_text(hi),
+                              trusted=True, reason=_VALIDATED)
+        for name, (lo, hi) in GENERATE_FACTS["region"].items()
+        if name != "cursor"
+    },
+    ("Region", "cursor"): Inv(
+        *map(_bound_text, GENERATE_FACTS["region"]["cursor"])),
+}
+
+GENERATE_CONTRACT = KernelContract(
+    path="src/repro/workloads/_generate_kernel.c",
+    entries={
+        "generate": {
+            **{name: Sym(name) for name in ("n", "nflat", "nfuncs",
+                                            "pool")},
+            **_GENERATE_TABLES,
+            **_TRACE_BUFFERS,
+        },
+    },
+    symbols={name: tuple(box)
+             for name, box in GENERATE_FACTS["symbols"].items()},
+    buffers=_GENERATE_BUFFERS,
+    fields=_GENERATE_FIELDS,
+    python_path="src/repro/workloads/ckernel.py",
+    python_name="GENERATE_CONTRACT",
+    python_facts=GENERATE_FACTS,
+    driver_path="src/repro/workloads/ckernel.py",
+    drivers=("run_program",),
+)
+
+
 def kernel_contracts():
     """All declared kernel contracts, in certification order."""
-    return (MLPSIM_CONTRACT, CYCLESIM_CONTRACT, ANNOTATE_CONTRACT)
+    return (MLPSIM_CONTRACT, CYCLESIM_CONTRACT, ANNOTATE_CONTRACT,
+            GENERATE_CONTRACT)

@@ -396,17 +396,18 @@ def _trunc_div(x, k):
 
 
 def mod(a, b, box):
-    """C ``%`` by a positive constant: ``[0, k-1]`` for a non-negative
-    dividend, symmetric about zero otherwise."""
+    """C ``%`` by a positive divisor: ``[0, hi(b) - 1]`` for a
+    non-negative dividend, symmetric about zero otherwise."""
     if a.is_bottom or b.is_bottom:
         return BOTTOM
-    k = _const_of(b, box)
-    if k is None or k <= 0:
+    blo = bound_num_min(b.lo, box)
+    if blo is None or blo <= 0 or isinstance(b.hi, Inf):
         return TOP
+    top = b.hi.shift(-1)
     alo, _ = _numeric(a, box)
     if alo is not None and alo >= 0:
-        return Interval(Affine(0), Affine(k - 1))
-    return Interval(Affine(-(k - 1)), Affine(k - 1))
+        return Interval(Affine(0), top)
+    return Interval(top.scale(-1), top)
 
 
 def shl(a, b, box):

@@ -72,4 +72,7 @@ PLAN_CONTRACT_FINGERPRINTS = {
     "ANNOTATE_CONTRACT": (
         "95df31e348cbceb9b8893a40ffac990d00eef41000e74f197b89beba8265ddfd"
     ),
+    "GENERATE_CONTRACT": (
+        "a17b75aa43d1f15d57ab506bd15f5f076a45fd3ee633bb84aeddde04e5b717d3"
+    ),
 }

@@ -308,7 +308,7 @@ def corrupt_cache_entries(directory, fault="truncate", kind=None):
     """Apply *fault* to every disk-cache archive of *kind* in *directory*.
 
     *kind* is as for :func:`repro.experiments.common.cache_archives`
-    (``"trace"``, ``"masks"``, ``"stale"``, or ``None`` for all).
+    (``"masks"``, ``"stale"``, or ``None`` for all).
     Returns the paths corrupted.  The chaos suite uses this to prove
     the annotation cache quarantines damage and regenerates instead of
     crashing or silently reusing bad data.

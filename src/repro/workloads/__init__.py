@@ -11,7 +11,9 @@ argument).
 
 Use :func:`get_workload` / :func:`generate_trace` for the standard
 three, or instantiate the generator classes directly to explore
-parameter variations.
+parameter variations.  The standard three generate through a compiled
+kernel (:mod:`repro.workloads.ckernel`) that emits the same traces as
+their Python generators, byte for byte.
 """
 
 from repro.workloads.base import Emitter, SyntheticWorkload

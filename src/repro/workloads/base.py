@@ -18,11 +18,14 @@ from repro.isa.registers import REG_NONE
 from repro.trace.builder import TraceBuilder
 from repro.robustness.errors import ConfigError
 
+#: PC of the first instruction a generator emits.
+START_PC = 0x0040_0000
+
 
 class Emitter:
     """A PC-tracking assembler over a trace builder."""
 
-    def __init__(self, builder, start_pc=0x0040_0000):
+    def __init__(self, builder, start_pc=START_PC):
         self.builder = builder
         self.pc = start_pc
 
@@ -134,12 +137,23 @@ class SyntheticWorkload:
         """Generate a trace of exactly *length* dynamic instructions.
 
         Generation is deterministic in ``(seed, length)``: a fresh RNG is
-        used for every call.
+        used for every call.  The three paper workloads run their
+        transactions in the compiled generator
+        (:mod:`repro.workloads.ckernel`) when it can; every other
+        workload, and every input outside its contract, runs
+        :meth:`emit_transaction` here.  Both routes give byte-identical
+        traces.
         """
         if length <= 0:
             raise ConfigError("trace length must be positive")
         rng = random.Random(self.seed)
         self.setup(rng)
+        # Deferred: ckernel imports the workload subclasses.
+        from repro.workloads import ckernel
+
+        trace = ckernel.generate(self, rng, length)
+        if trace is not None:
+            return trace
         builder = TraceBuilder(name=self.name)
         em = Emitter(builder)
         while len(builder) < length:

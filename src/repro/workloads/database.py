@@ -43,6 +43,16 @@ _LOCK = 14  # lock word
 _LOGV = 15  # value being logged
 _CTR = 5  # loop counters (on-chip, never miss-dependent)
 
+# Motif constants.  The compiled generator (repro.workloads.ckernel)
+# reads these too, so a recalibration edits them here only.
+#: Lines between successive fresh B-tree nodes and fresh rows.
+DESCENT_STRIDE_LINES = 97
+ROW_STRIDE_LINES = 131
+#: Chance that a row burst reads the row's second line.
+SECOND_FIELD_PROBABILITY = 0.3
+#: Words per log record (inclusive range).
+LOG_WORDS = (2, 4)
+
 
 class DatabaseWorkload(SyntheticWorkload):
     """OLTP-style trace generator (the paper's "Database" workload)."""
@@ -130,7 +140,7 @@ class DatabaseWorkload(SyntheticWorkload):
             if rng.random() < self.reuse_fraction:
                 node = self.recent_nodes.sample(rng)
             if node is None:
-                node = self.index.next_line(stride_lines=97)
+                node = self.index.next_line(stride_lines=DESCENT_STRIDE_LINES)
                 self.recent_nodes.insert(node)
             em.load(_CHASE, node, src1=_CHASE,
                     value=self.chase_values.value(rng, em.pc))
@@ -158,12 +168,12 @@ class DatabaseWorkload(SyntheticWorkload):
             if rng.random() < self.reuse_fraction:
                 row = self.recent_rows.sample(rng)
             if row is None:
-                row = self.rows.next_line(stride_lines=131)
+                row = self.rows.next_line(stride_lines=ROW_STRIDE_LINES)
                 self.recent_rows.insert(row)
             em.load(_FIELD0, row, src1=_ROWBASE,
                     value=self.values.value(rng, em.pc))
             em.alu(_LOGV, _FIELD0, _LOGV)
-            second = rng.random() < 0.3
+            second = rng.random() < SECOND_FIELD_PROBABILITY
             em.branch(not second, em.pc + 8, src1=_CTR)
             if second:
                 em.load(_FIELD1, row + 64, src1=_ROWBASE,
@@ -220,7 +230,7 @@ class DatabaseWorkload(SyntheticWorkload):
 
         # Log write.
         em.pc = base + 36
-        words = rng.randint(2, 4)
+        words = rng.randint(*LOG_WORDS)
         log_line = self.log.next_line()
         for w in range(words):
             em.pc = base + 36

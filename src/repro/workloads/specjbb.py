@@ -37,6 +37,19 @@ _LOCK = 14
 _ALLOC = 15
 _CTR = 5  # loop counters (on-chip)
 
+# Motif constants.  The compiled generator (repro.workloads.ckernel)
+# reads these too, so a recalibration edits them here only.
+#: Lines between successive fresh old-generation objects.
+OBJECT_STRIDE_LINES = 61
+#: Chance that a cold object is a recently touched one.
+RECENT_OBJECT_PROBABILITY = 0.45
+#: Chance that a four-field object spills onto a second line.
+SECOND_LINE_PROBABILITY = 0.45
+#: Taken bias of the branch on the fetched object fields.
+OBJECT_BRANCH_BIAS = 0.78
+#: Words stored per young-generation allocation (inclusive range).
+ALLOC_WORDS = (3, 6)
+
 
 class SpecJBBWorkload(SyntheticWorkload):
     """SPECjbb2000-style trace generator."""
@@ -108,17 +121,17 @@ class SpecJBBWorkload(SyntheticWorkload):
         # Field reads: a small burst across the object's lines.
         if cold:
             obj = None
-            if rng.random() < 0.45:
+            if rng.random() < RECENT_OBJECT_PROBABILITY:
                 obj = self.recent_objects.sample(rng)
             if obj is None:
-                obj = self.heap.next_line(stride_lines=61)
+                obj = self.heap.next_line(stride_lines=OBJECT_STRIDE_LINES)
                 self.recent_objects.insert(obj)
         else:
             obj = self.warm.line_of(self.warm.random_addr(rng))
         fields = rng.randint(*self.fields_per_object)
         # Large objects occasionally spill onto a second line, which is
         # the only intra-object miss overlap a conventional window sees.
-        second_line = fields == 4 and rng.random() < 0.45
+        second_line = fields == 4 and rng.random() < SECOND_LINE_PROBABILITY
         head = em.pc
         for f in range(fields):
             em.pc = head
@@ -132,7 +145,7 @@ class SpecJBBWorkload(SyntheticWorkload):
         # mispredicts it is unresolvable — the condition the paper's
         # perfect-BP limit study removes (Figure 10).
         branch_site = em.pc
-        self.branches.force_bias(branch_site, 0.78)
+        self.branches.force_bias(branch_site, OBJECT_BRANCH_BIAS)
         taken = self.branches.outcome(rng, branch_site)
         em.branch(taken, branch_site + 12, src1=_FIELD)
         if not taken:
@@ -149,7 +162,7 @@ class SpecJBBWorkload(SyntheticWorkload):
         ret = em.call_block(self.alloc_base)
         line = self.young.next_line()
         em.alu(_ALLOC, 3, 7)
-        words = rng.randint(3, 6)
+        words = rng.randint(*ALLOC_WORDS)
         head = em.pc
         for w in range(words):
             em.pc = head

@@ -31,6 +31,14 @@ _CHK = 10  # checksum accumulator
 _DESC = 12  # file descriptor fields
 _CTR = 5  # loop counters (on-chip)
 
+# Motif constants.  The compiled generator (repro.workloads.ckernel)
+# reads these too, so a recalibration edits them here only.
+#: Lines between successive fresh burst segments and fresh descriptors.
+SEGMENT_STRIDE_LINES = 83
+DESCRIPTOR_STRIDE_LINES = 41
+#: Chance that a cold lookup re-reads a recently served descriptor.
+RECENT_FILE_PROBABILITY = 0.55
+
 
 class SpecWebWorkload(SyntheticWorkload):
     """SPECweb99-style trace generator."""
@@ -110,7 +118,7 @@ class SpecWebWorkload(SyntheticWorkload):
         head = em.pc
         for k in range(segments):
             em.pc = head
-            seg = self.files.next_line(stride_lines=83)
+            seg = self.files.next_line(stride_lines=SEGMENT_STRIDE_LINES)
             if independent:
                 # Flat copy: the "header" address is on-chip data too.
                 em.alu(_BUF, 3, 7)
@@ -160,10 +168,11 @@ class SpecWebWorkload(SyntheticWorkload):
         em.branch(not cold, em.pc + 8, src1=_CTR)
         if cold:
             line = None
-            if rng.random() < 0.55:
+            if rng.random() < RECENT_FILE_PROBABILITY:
                 line = self.recent_files.sample(rng)
             if line is None:
-                line = self.files.next_line(stride_lines=41)
+                line = self.files.next_line(
+                    stride_lines=DESCRIPTOR_STRIDE_LINES)
                 self.recent_files.insert(line)
             em.load(_DESC, line, src1=_DESC,
                     value=self.values.value(rng, em.pc))

@@ -17,7 +17,22 @@
 
 import bisect
 import itertools
+
+import numpy as np
+
 from repro.robustness.errors import ConfigError
+
+#: Default alignment of :meth:`Region.random_addr` (one 8-byte word).
+WORD_BYTES = 8
+
+#: First value a :class:`ValueSites` stream hands out, and the step
+#: between its successive fresh values.
+FRESH_VALUE_BASE = 0x1000_0000
+FRESH_VALUE_STRIDE = 17
+
+#: Chance that a newly assigned :class:`BranchSites` bias leans taken
+#: rather than not-taken.
+TAKEN_SIDE_PROBABILITY = 0.5
 
 
 class Region:
@@ -43,7 +58,7 @@ class Region:
         """True if *addr* lies inside the region."""
         return self.base <= addr < self.end
 
-    def random_addr(self, rng, align=8):
+    def random_addr(self, rng, align=WORD_BYTES):
         """A uniformly random *align*-aligned address inside the region."""
         slots = self.size // align
         return self.base + rng.randrange(slots) * align
@@ -156,6 +171,35 @@ class ZipfSampler:
         point = rng.random() * self._total
         return bisect.bisect_left(self._cumulative, point)
 
+    def draw_thresholds(self):
+        """:meth:`sample` as integer thresholds on the draw.
+
+        ``rng.random()`` is a numerator ``m < 2**53`` over ``2**53``.
+        Entry *i* is the smallest ``m`` whose point lies past
+        ``cumulative[i]`` (``2**53`` when none does), so ``sample``
+        returns the number of entries at or below ``m``.  Returns an
+        int64 array of ``n`` non-decreasing entries.
+        """
+        cumulative = np.asarray(self._cumulative, dtype=np.float64)
+        scale = 2.0 ** 53
+
+        def past(m):
+            return (m / scale) * self._total > cumulative
+
+        m = np.minimum(np.floor(cumulative / self._total * scale), scale)
+        # The estimate is a few draws off at most; walk it to the edge.
+        while True:
+            down = (m > 0) & past(m - 1)
+            if not down.any():
+                break
+            m[down] -= 1
+        while True:
+            up = (m < scale) & ~past(m)
+            if not up.any():
+                break
+            m[up] += 1
+        return m.astype(np.int64)
+
 
 class ValueSites:
     """Last-value streams for static load sites.
@@ -170,7 +214,7 @@ class ValueSites:
     def __init__(self, repeat_prob):
         self.repeat_prob = repeat_prob
         self._last = {}
-        self._fresh = itertools.count(0x1000_0000, 17)
+        self._fresh = itertools.count(FRESH_VALUE_BASE, FRESH_VALUE_STRIDE)
 
     def value(self, rng, site):
         """Produce the next value loaded by the static *site*."""
@@ -203,13 +247,11 @@ class BranchSites:
         bias = self._bias.get(site)
         if bias is None:
             if rng.random() < self.predictable_fraction:
-                bias = self.strong_bias if rng.random() < 0.5 else (
-                    1.0 - self.strong_bias
-                )
+                bias = self.strong_bias
             else:
-                bias = self.weak_bias if rng.random() < 0.5 else (
-                    1.0 - self.weak_bias
-                )
+                bias = self.weak_bias
+            if rng.random() >= TAKEN_SIDE_PROBABILITY:
+                bias = 1.0 - bias
             self._bias[site] = bias
         return rng.random() < bias
 

@@ -57,7 +57,7 @@ def default_machine():
 
 
 def disable_kernels(monkeypatch):
-    """Make all three compiled kernels unavailable, as on a host without
+    """Make all four compiled kernels unavailable, as on a host without
     ``cc``.
 
     The kernel entry points and the shared-memory plan path are patched
@@ -67,11 +67,13 @@ def disable_kernels(monkeypatch):
     from repro.core import ckernel
     from repro.cyclesim import ckernel as cycle_ckernel
     from repro.trace import ckernel as annotate_ckernel
+    from repro.workloads import ckernel as generate_ckernel
 
     def forbidden(*args, **kwargs):
         raise InternalError("kernel-only path reached without a kernel")
 
-    for module in (ckernel, cycle_ckernel, annotate_ckernel):
+    for module in (ckernel, cycle_ckernel, annotate_ckernel,
+                   generate_ckernel):
         monkeypatch.setattr(module._loader, "probed", True)
         monkeypatch.setattr(module._loader, "function", None)
         monkeypatch.setattr(
@@ -82,10 +84,11 @@ def disable_kernels(monkeypatch):
     monkeypatch.setattr(cycle_ckernel, "run_cycle_plan", forbidden)
     monkeypatch.setattr(annotate_ckernel, "run_front_pass", forbidden)
     monkeypatch.setattr(annotate_ckernel, "run_back_pass", forbidden)
+    monkeypatch.setattr(generate_ckernel, "run_program", forbidden)
     monkeypatch.setattr(shm, "publish_plan", forbidden)
 
 
 @pytest.fixture
 def no_kernel(monkeypatch):
-    """All three compiled kernels unavailable (see :func:`disable_kernels`)."""
+    """All four compiled kernels unavailable (see :func:`disable_kernels`)."""
     disable_kernels(monkeypatch)

@@ -10,9 +10,10 @@ from repro.core import ckernel
 from repro.cyclesim import ckernel as cycle_ckernel
 from repro.robustness.errors import SimulationError
 from repro.trace import ckernel as annotate_ckernel
+from repro.workloads import ckernel as generate_ckernel
 
-#: The three kernel loaders: MLPsim, cyclesim and annotation.
-KERNELS = (ckernel, cycle_ckernel, annotate_ckernel)
+#: The four kernel loaders: MLPsim, cyclesim, annotation and generation.
+KERNELS = (ckernel, cycle_ckernel, annotate_ckernel, generate_ckernel)
 
 needs_cc = pytest.mark.skipif(
     cbuild._compiler() is None, reason="no C compiler"
@@ -87,3 +88,37 @@ def test_run_slices_reraises_a_helper_failure(monkeypatch):
         cbuild.run_slices(run, 6)
     assert sorted(ran) == [(0, 2), (2, 4), (4, 6)]
     assert threading.active_count() == before
+
+
+def test_concurrent_first_use_waits_for_the_build(monkeypatch):
+    """A thread that calls a kernel while another thread is still
+    building and binding it waits for that outcome instead of reading
+    "unavailable"."""
+    monkeypatch.setattr(cbuild, "_compile", lambda path: path)
+    monkeypatch.setattr(cbuild.ctypes, "CDLL", lambda path: path)
+    binding = threading.Event()
+    release = threading.Event()
+
+    def bind(lib):
+        binding.set()
+        release.wait(timeout=30)
+        return lib
+
+    loader = cbuild.KernelLoader("test", "kernel.c", bind, lambda: None)
+    seen = []
+
+    def first_use():
+        seen.append(loader.available())
+
+    builder = threading.Thread(target=first_use)
+    builder.start()
+    assert binding.wait(timeout=30)
+    waiter = threading.Thread(target=first_use)
+    waiter.start()
+    waiter.join(timeout=0.2)  # a racing probe would have answered by now
+    release.set()
+    builder.join(timeout=30)
+    waiter.join(timeout=30)
+    assert not builder.is_alive() and not waiter.is_alive()
+    assert seen == [True, True]
+    assert loader.require() == "kernel.c"

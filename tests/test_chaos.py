@@ -203,25 +203,25 @@ class TestCrashResumeEquivalence:
 
 
 class TestCacheCorruption:
-    """The disk cache holds one trace archive per trace and one masks
-    archive per L2 size.  A damaged archive must be moved to
-    quarantine/ on its own, with a logged warning, and the annotation
-    regenerated mask for mask."""
+    """The disk cache holds one masks archive per L2 size.  A damaged
+    archive must be moved to quarantine/ on its own, with a logged
+    warning, and the annotation regenerated mask for mask."""
 
     MASKS = ("dmiss", "pmiss", "pfuseful", "imiss", "mispred",
              "vp_outcome", "smiss")
 
-    def _corrupt_one_archive(self, kind, tmp_path, monkeypatch, caplog):
+    def test_corrupt_masks_archive_is_quarantined_alone(
+            self, tmp_path, monkeypatch, caplog):
         from repro.experiments import common
 
         cache = tmp_path / "cache"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
         common.clear_caches()
         first = common.get_annotated("specjbb2000", trace_len=8_000)
-        assert len(common.cache_archives(str(cache))) == 2
+        assert len(common.cache_archives(str(cache))) == 1
 
         corrupted = corrupt_cache_entries(str(cache), fault="truncate",
-                                          kind=kind)
+                                          kind="masks")
         assert len(corrupted) == 1
         common.clear_caches()  # force the disk-cache read path
         with caplog.at_level(logging.WARNING, logger="repro.cache"):
@@ -243,14 +243,6 @@ class TestCacheCorruption:
                                   getattr(first, name)), name
         assert again.measure_start == first.measure_start
         assert os.path.exists(corrupted[0])
-
-    def test_corrupt_trace_archive_is_quarantined_alone(
-            self, tmp_path, monkeypatch, caplog):
-        self._corrupt_one_archive("trace", tmp_path, monkeypatch, caplog)
-
-    def test_corrupt_masks_archive_is_quarantined_alone(
-            self, tmp_path, monkeypatch, caplog):
-        self._corrupt_one_archive("masks", tmp_path, monkeypatch, caplog)
 
 
 #: The paper's 30-config window x policy grid: one event-mask group, so

@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro.core.columnar import COLUMNAR_SCHEMA_VERSION
 from repro.experiments import EXHIBITS, run_exhibit
 from repro.experiments.common import (
     QUARANTINE_DIRNAME,
@@ -55,8 +56,11 @@ class TestCommon:
                              l2_bytes=2 * 1024 * 1024) is a
 
     def test_disk_cache_kinds_and_stale_scan(self, tmp_path, monkeypatch):
+        """Only masks archives are written; trace archives, of any
+        schema, are stale and quarantined with the rest."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        stale = ["annotated-c2-0a.npz", "masks-c1-0b.npz", "trace-c0-0c.npz"]
+        stale = ["annotated-c2-0a.npz", "masks-c1-0b.npz", "trace-c0-0c.npz",
+                 f"trace-c{COLUMNAR_SCHEMA_VERSION}-0d.npz"]
         for name in stale + ["notes.txt"]:
             atomic_write_text(tmp_path / name, "old")
         assert cache_archives(str(tmp_path), "stale") == [
@@ -67,8 +71,9 @@ class TestCommon:
             get_annotated("specweb99", 2_000, l2_bytes=l2_bytes)
         assert sorted(os.listdir(tmp_path / QUARANTINE_DIRNAME)) == stale
         counts = {kind: len(cache_archives(str(tmp_path), kind))
-                  for kind in ("trace", "masks", "stale")}
-        assert counts == {"trace": 1, "masks": 2, "stale": 0}
+                  for kind in ("masks", "stale")}
+        assert counts == {"masks": 2, "stale": 0}
+        assert len(cache_archives(str(tmp_path))) == 2
         clear_caches(disk=True)
         assert cache_archives(str(tmp_path)) == []
         assert (tmp_path / "notes.txt").exists()

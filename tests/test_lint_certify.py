@@ -182,3 +182,20 @@ class TestRealTreeMutations:
         assert findings[0].path == "src/repro/core/ckernel.py"
         assert "not" in findings[0].message
         assert "dominated" in findings[0].message
+
+
+def test_modulo_by_a_positive_variable_divisor():
+    """``a % b`` with ``a >= 0`` and ``b`` in ``[1, hi]`` lies in
+    ``[0, hi - 1]``, for a symbolic ``hi`` too; a divisor that may be
+    zero proves nothing."""
+    from repro.lint.certify import intervals as iv
+
+    box = {"pool": (1, 1 << 26)}
+    dividend = iv.Interval(iv.Affine(0), iv.Affine(1 << 40))
+    pool = iv.Interval(iv.Affine(1), iv.Affine(0, {"pool": 1}))
+    assert repr(iv.mod(dividend, pool, box)) == "[0, pool - 1]"
+    assert repr(iv.mod(dividend, iv.const_interval(8), box)) == "[0, 7]"
+    signed = iv.Interval(iv.Affine(-5), iv.Affine(5))
+    assert repr(iv.mod(signed, iv.const_interval(8), box)) == "[-7, 7]"
+    maybe_zero = iv.Interval(iv.Affine(0), iv.Affine(8))
+    assert iv.mod(dividend, maybe_zero, box) is iv.TOP

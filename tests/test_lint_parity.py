@@ -53,6 +53,7 @@ _PARITY_SOURCES = (
     "src/repro/core/mlpsim.py",
     "src/repro/cyclesim/plan.py",  # CYCLE_PLAN_CONTRACT fingerprint pin
     "src/repro/trace/ckernel.py",  # ANNOTATE_CONTRACT fingerprint pin
+    "src/repro/workloads/ckernel.py",  # GENERATE_CONTRACT fingerprint pin
     PAYLOAD_SCHEMA_PATH,
     ORACLE_PATH,
     CYCLESIM_ORACLE_PATH,

@@ -3,7 +3,9 @@
 The generators expose many tuning knobs; whatever a user sets them to,
 the resulting trace must stay structurally valid: exact length, fixed
 static code (stable PC -> opcode mapping), events only where they can
-occur, and the whole simulation pipeline must run on it.
+occur, and the whole simulation pipeline must run on it.  For the three
+paper workloads the compiled generator's trace must also equal the
+Python route's byte for byte.
 """
 
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from repro.workloads.database import DatabaseWorkload
 from repro.workloads.specjbb import SpecJBBWorkload
 from repro.workloads.specweb import SpecWebWorkload
 from repro.workloads.streaming import StreamingWorkload
+from tests.test_generate_kernel import assert_identical, python_route
 
 
 def _assert_structurally_valid(trace, length):
@@ -23,6 +26,11 @@ def _assert_structurally_valid(trace, length):
     mapping = {}
     for pc, op in zip(trace.pc.tolist(), trace.op.tolist()):
         assert mapping.setdefault(pc, op) == op, hex(pc)
+
+
+def _assert_routes_agree(workload, trace):
+    with python_route():
+        assert_identical(trace, workload.generate(len(trace)))
 
 
 def _assert_simulates(trace):
@@ -52,6 +60,7 @@ def test_database_generator_robust(seed, calls, depth, rows, lock_p, spacing):
     )
     trace = workload.generate(4000)
     _assert_structurally_valid(trace, 4000)
+    _assert_routes_agree(workload, trace)
     _assert_simulates(trace)
 
 
@@ -73,6 +82,7 @@ def test_specjbb_generator_robust(seed, cold_p, fields, objects, alloc_p):
     )
     trace = workload.generate(4000)
     _assert_structurally_valid(trace, 4000)
+    _assert_routes_agree(workload, trace)
     _assert_simulates(trace)
 
 
@@ -97,6 +107,7 @@ def test_specweb_generator_robust(seed, burst_p, segments, extra, pf,
     )
     trace = workload.generate(4000)
     _assert_structurally_valid(trace, 4000)
+    _assert_routes_agree(workload, trace)
     _assert_simulates(trace)
 
 
