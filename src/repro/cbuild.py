@@ -9,8 +9,13 @@ with the system C compiler and loaded through :mod:`ctypes`, with no
 third-party build dependency.  This module is the one place that knows
 how:
 
-* the object is keyed on the SHA-1 of the C source, so an edited
-  source triggers a rebuild instead of loading a stale object;
+* every fact a kernel shares with Python (an opcode, an enum index, a
+  struct layout) reaches it through a header rendered here from the
+  Python definitions (:func:`render_header`), so no ``.c`` file keeps
+  a copy that could drift;
+* the object is keyed on the SHA-1 of the whole translation unit, the
+  header and the source, so an edit on either side triggers a rebuild
+  instead of loading a stale object;
 * the build is atomic (temp file + ``os.replace``), so concurrent sweep
   workers race benignly;
 * ``REPRO_KERNEL_DIR`` overrides the build directory (created if
@@ -45,21 +50,66 @@ import numpy as np
 from repro.isa.opclass import OpClass
 from repro.robustness.errors import InternalError
 
-#: Opcode values the C sources were written against.
-_EXPECTED_OPS = {
-    "ALU": 0, "LOAD": 1, "STORE": 2, "BRANCH": 3, "PREFETCH": 4,
-    "CAS": 5, "LDSTUB": 6, "MEMBAR": 7, "NOP": 8,
-}
+#: C spellings of the ctypes scalar types a rendered struct may hold.
+_C_TYPES = {ctypes.c_int64: "int64_t"}
 
 
-def verify_opcodes(source_name):
-    """Refuse to load *source_name* if :class:`OpClass` has drifted."""
-    for name, value in _EXPECTED_OPS.items():
-        if int(OpClass[name]) != value:
-            raise InternalError(
-                f"OpClass.{name} = {int(OpClass[name])} but the compiled"
-                f" kernel was written for {value}; rebuild {source_name}"
-            )
+def opcode_defines():
+    """``OP_<name>`` for every :class:`OpClass`, as :func:`render_header`
+    takes its defines."""
+    return {f"OP_{op.name}": int(op) for op in OpClass}
+
+
+def render_header(defines, structs):
+    """The C header a kernel compiles against: *defines* (``{name:
+    int}``) as ``#define`` lines, then each of *structs* (``{C name:
+    ctypes.Structure subclass}``, in declaration order) as a ``typedef
+    struct`` with the same fields in the same order.
+
+    A pure function of its arguments: it builds and imports nothing.
+
+    Raises
+    ------
+    repro.robustness.errors.InternalError
+        If a field has a type with no C spelling here.
+    """
+    names = {struct: name for name, struct in structs.items()}
+    lines = ["#include <stdint.h>", ""]
+    lines += [f"#define {name} {value}" for name, value in defines.items()]
+    for name, struct in structs.items():
+        lines += ["", "typedef struct {"]
+        lines += [f"    {_c_declaration(field, ctype, names)};"
+                  for field, ctype in struct._fields_]
+        lines.append(f"}} {name};")
+    return "\n".join(lines) + "\n"
+
+
+def _c_declaration(name, ctype, structs):
+    """The C declaration of a field *name* of ctypes type *ctype*."""
+    if issubclass(ctype, ctypes.Array):
+        return _c_declaration(f"{name}[{ctype._length_}]", ctype._type_,
+                              structs)
+    spelling = structs.get(ctype) or _C_TYPES.get(ctype)
+    if spelling is None:
+        raise InternalError(f"field {name!r}: no C spelling for {ctype}")
+    return f"{spelling} {name}"
+
+
+def contract_bound(form, symbols):
+    """Evaluate a kernel-contract bound, an ``int`` or a ``[symbol,
+    offset]`` pair, over *symbols* (``{name: int}``).
+
+    Raises
+    ------
+    repro.robustness.errors.InternalError
+        If the bound names a symbol *symbols* lacks.
+    """
+    if isinstance(form, int):
+        return form
+    symbol, offset = form
+    if symbol not in symbols:
+        raise InternalError(f"unknown contract bound symbol {symbol!r}")
+    return symbols[symbol] + offset
 
 
 #: Set by :func:`pin_kernel_threads`: this process's kernel calls stay
@@ -236,8 +286,17 @@ def _compiler():
     return os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
 
 
-def _compile(source_path):
-    """Compile *source_path* (unless already built); return the ``.so`` path.
+def translation_unit(source_path, header):
+    """The C text a kernel compiles as: its rendered *header*, then the
+    source at *source_path*, whose lines keep their own numbers in
+    compiler diagnostics."""
+    with open(source_path) as fh:
+        return f'{header}#line 1 "{source_path}"\n{fh.read()}'
+
+
+def _compile(source_path, header):
+    """Compile *header* and *source_path* as one translation unit
+    (unless already built); return the ``.so`` path.
 
     Raises
     ------
@@ -248,8 +307,8 @@ def _compile(source_path):
     if cc is None:
         raise InternalError("no C compiler found (set CC or install cc)")
     directory = _build_dir()
-    with open(source_path, "rb") as fh:
-        digest = hashlib.sha1(fh.read()).hexdigest()[:16]
+    unit = translation_unit(source_path, header)
+    digest = hashlib.sha1(unit.encode()).hexdigest()[:16]
     stem = os.path.splitext(os.path.basename(source_path))[0]
     so_path = os.path.join(directory, f"{stem}-{digest}.so")
     if os.path.exists(so_path):
@@ -257,7 +316,8 @@ def _compile(source_path):
     tmp_path = os.path.join(directory, f".{os.getpid()}-{digest}.so.tmp")
     try:
         subprocess.run(
-            [cc, "-O2", "-fPIC", "-shared", "-o", tmp_path, source_path],
+            [cc, "-O2", "-fPIC", "-shared", "-o", tmp_path, "-x", "c", "-"],
+            input=unit,
             check=True,
             capture_output=True,
             text=True,
@@ -279,18 +339,18 @@ def _compile(source_path):
 class KernelLoader:
     """One C kernel, built and bound on first use, probed once per process.
 
-    *bind* receives the loaded :class:`ctypes.CDLL` and returns the
-    wired entry point; *verify* runs before the build and raises on any
-    constant the C source hard-codes that Python no longer agrees with.
-    The probe is safe for concurrent first use: a thread that arrives
-    during another's build waits for its outcome.
+    *header* returns the kernel's rendered header (see
+    :func:`render_header`), which the build compiles ahead of the
+    source; *bind* receives the loaded :class:`ctypes.CDLL` and returns
+    the wired entry point.  The probe is safe for concurrent first use:
+    a thread that arrives during another's build waits for its outcome.
     """
 
-    def __init__(self, name, source_path, bind, verify):
+    def __init__(self, name, source_path, bind, header):
         self.name = name
         self.source_path = source_path
         self._bind = bind
-        self._verify = verify
+        self.header = header
         self._lock = threading.Lock()
         self.probed = False
         self.function = None
@@ -303,10 +363,9 @@ class KernelLoader:
             with self._lock:
                 if not self.probed:
                     try:
-                        self._verify()
-                        self.function = self._bind(
-                            ctypes.CDLL(_compile(self.source_path))
-                        )
+                        self.function = self._bind(ctypes.CDLL(
+                            _compile(self.source_path, self.header())
+                        ))
                     except Exception as error:  # fail-soft: callers fall back
                         self.function = None
                         self.failure = error

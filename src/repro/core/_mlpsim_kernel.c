@@ -23,74 +23,22 @@
  *     so availability reads never branch.
  *   - event columns are uint8 (0/1) with the machine's perfect-*
  *     switches already applied by the plan builder.
- *   - opcode values mirror repro.isa.opclass.OpClass and are verified
- *     against it at load time by ckernel.py.
+ *
+ * Shared names: the OP_* opcodes, the INH_* inhibitor indices (with
+ * INH_COUNT), NOT_EXECUTED and the KernelConfig/KernelResult structs
+ * come from the header repro.cbuild renders from the Python
+ * definitions (repro/core/ckernel.py) and compiles ahead of this file.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-#define OP_ALU 0
-#define OP_LOAD 1
-#define OP_STORE 2
-#define OP_BRANCH 3
-#define OP_PREFETCH 4
-#define OP_CAS 5
-#define OP_LDSTUB 6
-#define OP_MEMBAR 7
-#define OP_NOP 8
-
-/* Inhibitor indices: must match the order ckernel.py derives from
- * repro.core.termination.Inhibitor (verified at load time). */
-#define INH_IMISS_START 0
-#define INH_MAXWIN 1
-#define INH_MISPRED_BR 2
-#define INH_IMISS_END 3
-#define INH_MISSING_LOAD 4
-#define INH_DEP_STORE 5
-#define INH_SERIALIZE 6
-#define INH_RUNAHEAD_LIMIT 7
-#define INH_MSHR_LIMIT 8
-#define INH_STORE_BUFFER 9
-#define INH_END_OF_TRACE 10
-#define INH_COUNT 11
-
-#define NOT_EXECUTED (1 << 30)
-
 /* execute() statuses */
 #define ST_DONE 0
 #define ST_DEFER 1
 #define ST_STOP_DONE 2
 #define ST_STOP_DEFER 3
-
-typedef struct {
-    int64_t rob;
-    int64_t iw;
-    int64_t fetch_buffer;
-    int64_t serializing;
-    int64_t load_in_order;
-    int64_t load_wait_staddr;
-    int64_t branch_in_order;
-    int64_t mshr_cap;
-    int64_t sb_cap;
-    int64_t slow_bp;
-    int64_t slow_bp_threshold;
-    int64_t runahead;
-    int64_t max_runahead;
-} KernelConfig;
-
-typedef struct {
-    int64_t epochs;
-    int64_t accesses;
-    int64_t dmiss_accesses;
-    int64_t imiss_accesses;
-    int64_t prefetch_accesses;
-    int64_t store_accesses;
-    int64_t store_epochs;
-    int64_t inhibitors[INH_COUNT];
-    int64_t error_index; /* -1 = ok; else the no-progress instruction */
-} KernelResult;
 
 /* Shared trace columns plus the per-config scratch buffers. */
 typedef struct {

@@ -23,40 +23,22 @@ import os
 
 import numpy as np
 
-from repro.cbuild import KernelLoader, c_column, run_slices, verify_opcodes
+from repro.cbuild import (
+    KernelLoader,
+    c_column,
+    opcode_defines,
+    render_header,
+    run_slices,
+)
 from repro.core.columnar import (
     PLAN_CONTRACT,
     config_violation,
     validate_plan_contract,
 )
+from repro.core.mlpsim import NOT_EXECUTED
 from repro.core.results import MLPResult
 from repro.core.termination import Inhibitor, InhibitorCounts
 from repro.robustness.errors import InternalError
-
-#: Inhibitor indices of the C kernel, in order.  Must match the INH_*
-#: defines in ``_mlpsim_kernel.c``.
-INHIBITOR_ORDER = (
-    Inhibitor.IMISS_START,
-    Inhibitor.MAXWIN,
-    Inhibitor.MISPRED_BR,
-    Inhibitor.IMISS_END,
-    Inhibitor.MISSING_LOAD,
-    Inhibitor.DEP_STORE,
-    Inhibitor.SERIALIZE,
-    Inhibitor.RUNAHEAD_LIMIT,
-    Inhibitor.MSHR_LIMIT,
-    Inhibitor.STORE_BUFFER,
-    Inhibitor.END_OF_TRACE,
-)
-
-#: ``execute()`` status codes of the C kernel, keyed by the ``ST_*``
-#: suffix.  The Python engines speak strings ("done", "defer",
-#: "stop-done", "stop-defer"); the C scan encodes the same four
-#: outcomes as these integers, and the ``kernel-constants`` lint pass
-#: holds the ``ST_*`` defines in ``_mlpsim_kernel.c`` to this table.
-_EXPECTED_STATUSES = {
-    "DONE": 0, "DEFER": 1, "STOP_DONE": 2, "STOP_DEFER": 3,
-}
 
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_mlpsim_kernel.c")
 
@@ -95,19 +77,25 @@ class _KernelResult(ctypes.Structure):
         ("prefetch_accesses", ctypes.c_int64),
         ("store_accesses", ctypes.c_int64),
         ("store_epochs", ctypes.c_int64),
-        ("inhibitors", ctypes.c_int64 * len(INHIBITOR_ORDER)),
-        ("error_index", ctypes.c_int64),
+        ("inhibitors", ctypes.c_int64 * len(Inhibitor)),  # INH_* order
+        ("error_index", ctypes.c_int64),  # -1, or the no-progress index
     ]
 
 
-def _verify_constants():
-    """The C source hard-codes enum values; refuse to load on any skew."""
-    verify_opcodes("_mlpsim_kernel.c")
-    if len(INHIBITOR_ORDER) != len(Inhibitor):
-        raise InternalError(
-            "Inhibitor enum and the compiled kernel's INH_* table"
-            " disagree; update _mlpsim_kernel.c and INHIBITOR_ORDER"
-        )
+def _header():
+    """``_mlpsim_kernel.c``'s header: the opcodes, an ``INH_*`` index
+    per :class:`Inhibitor` in definition order, ``NOT_EXECUTED`` and
+    the two structs."""
+    return render_header(
+        {
+            **opcode_defines(),
+            **{f"INH_{inhibitor.name}": index
+               for index, inhibitor in enumerate(Inhibitor)},
+            "INH_COUNT": len(Inhibitor),
+            "NOT_EXECUTED": NOT_EXECUTED,
+        },
+        {"KernelConfig": _KernelConfig, "KernelResult": _KernelResult},
+    )
 
 
 def _bind(lib):
@@ -129,7 +117,7 @@ def _bind(lib):
     return fn
 
 
-_loader = KernelLoader("MLPsim", _SOURCE_PATH, _bind, _verify_constants)
+_loader = KernelLoader("MLPsim", _SOURCE_PATH, _bind, _header)
 
 
 def kernel_available():
@@ -250,7 +238,7 @@ def run_plan(plan, machines, workload):
                 f" {raw.error_index + plan.start}"
             )
         counts = InhibitorCounts.from_dict(
-            dict(zip(INHIBITOR_ORDER, raw.inhibitors))
+            dict(zip(Inhibitor, raw.inhibitors))
         )
         out[label] = MLPResult(
             workload=workload,

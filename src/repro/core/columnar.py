@@ -43,6 +43,7 @@ import dataclasses
 
 import numpy as np
 
+from repro.cbuild import contract_bound
 from repro.core.depgraph import depgraph_for
 from repro.core.mlpsim import _event_arrays, resolve_region
 from repro.isa.opclass import OpClass
@@ -75,12 +76,13 @@ PLAN_COLUMNS = (
 #: the compiled kernel.  Every bound is an ``int`` or a
 #: ``[symbol, offset]`` pair over the region length ``n``; column
 #: entries bound the values inside each array the kernel receives,
-#: ``config`` entries bound the ``_KernelConfig`` fields.  The
-#: ``plan-contract`` lint pass requires this literal to equal
-#: ``repro.lint.certify.contracts.MLPSIM_PLAN_FACTS`` (the facts the
-#: C bounds/overflow proof assumes) and to be enforced by
-#: :func:`validate_plan_contract` before every kernel call, so edits
-#: here without a matching contract + manifest update fail the build.
+#: ``config`` entries bound the ``_KernelConfig`` fields.  The C
+#: bounds/overflow proof assumes these ranges
+#: (:mod:`repro.lint.certify.contracts` builds its facts from this
+#: literal), and the ``plan-contract`` lint pass requires it to be
+#: enforced by :func:`validate_plan_contract` before every kernel call
+#: and pinned in the manifest, so edits here without a manifest update
+#: fail the build.
 PLAN_CONTRACT = {
     "n_max": 1 << 26,
     "columns": {
@@ -116,16 +118,6 @@ PLAN_CONTRACT = {
 }
 
 
-def contract_bound(form, n):
-    """Evaluate a contract bound (``int`` or ``[symbol, offset]``) at *n*."""
-    if isinstance(form, int):
-        return form
-    sym, offset = form
-    if sym != "n":
-        raise InternalError(f"unknown contract bound symbol {sym!r}")
-    return n + offset
-
-
 def validate_plan_contract(plan, configs):
     """Enforce :data:`PLAN_CONTRACT` on what is about to cross into C.
 
@@ -147,10 +139,12 @@ def validate_plan_contract(plan, configs):
             f" certified for at most {PLAN_CONTRACT['n_max']}"
         )
     if n:
+        symbols = {"n": n}
         for name, (lo, hi) in PLAN_CONTRACT["columns"].items():
             column = getattr(plan, name)
             vmin, vmax = int(column.min()), int(column.max())
-            lo_v, hi_v = contract_bound(lo, n), contract_bound(hi, n)
+            lo_v = contract_bound(lo, symbols)
+            hi_v = contract_bound(hi, symbols)
             if vmin < lo_v or vmax > hi_v:
                 raise InternalError(
                     f"plan column {name!r} spans [{vmin}, {vmax}] but"

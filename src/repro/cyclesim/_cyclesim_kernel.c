@@ -24,41 +24,19 @@
  *    next event (completion, wakeup, fetch restart, drain release) and
  *    the skipped span is charged to the stall category of the cycle.
  *
- * The opcode values are pinned to repro.isa.opclass.OpClass and
- * verified by ckernel.py before the kernel is ever called; the stall
- * category indices are pinned to repro.cyclesim.metrics.STALL_CATEGORIES.
+ * Shared names: the OP_* opcodes, the CAT_* stall-category indices
+ * (STALL_CATEGORIES order, with N_CATEGORIES), the ST_* statuses and
+ * the CycleConfig/CycleResult structs come from the header
+ * repro.cbuild renders from the Python definitions
+ * (repro/cyclesim/ckernel.py) and compiles ahead of this file.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-#define OP_ALU 0
-#define OP_LOAD 1
-#define OP_STORE 2
-#define OP_BRANCH 3
-#define OP_PREFETCH 4
-#define OP_CAS 5
-#define OP_LDSTUB 6
-#define OP_MEMBAR 7
-#define OP_NOP 8
-
 /* Matches _NEVER in the Python simulator. */
 #define NEVER (1LL << 60)
-
-/* Stall-category indices: STALL_CATEGORIES order in metrics.py. */
-#define CAT_COMMIT 0
-#define CAT_MEMORY 1
-#define CAT_IFETCH 2
-#define CAT_BRANCH 3
-#define CAT_DRAIN 4
-#define CAT_BACKEND 5
-#define CAT_FRONTEND 6
-#define N_CATEGORIES 7
-
-/* Per-config status codes. */
-#define ST_OK 0
-#define ST_DEADLOCK 1
 
 /* Access kinds, matching the Python access() closure. */
 #define KIND_DMISS 0
@@ -67,43 +45,6 @@
 
 #define HASH_BITS 15
 #define HASH_SIZE (1 << HASH_BITS)
-
-typedef struct {
-    int64_t rob;
-    int64_t issue_window;
-    int64_t fetch_buffer;
-    int64_t fetch_width;
-    int64_t dispatch_width;
-    int64_t issue_width;
-    int64_t commit_width;
-    int64_t frontend_depth;
-    int64_t alu_latency;
-    int64_t branch_latency;
-    int64_t l1_latency;
-    int64_t l2_latency;
-    int64_t miss_penalty;
-    int64_t redirect_penalty;
-    int64_t load_in_order;
-    int64_t load_wait_staddr;
-    int64_t branch_in_order;
-    int64_t serializing;
-    int64_t perfect_l2;
-    int64_t event_skip;
-} CycleConfig;
-
-typedef struct {
-    int64_t cycles;
-    int64_t offchip_accesses;
-    int64_t dmiss_accesses;
-    int64_t imiss_accesses;
-    int64_t prefetch_accesses;
-    int64_t nonzero_cycles;
-    int64_t outstanding_integral;
-    int64_t stalls[N_CATEGORIES];
-    int64_t status;
-    int64_t error_cycle;
-    int64_t error_committed;
-} CycleResult;
 
 /* The outstanding-access tracker, bit-for-bit the Python
  * OutstandingTracker: integral/nonzero only advance over spans where

@@ -23,13 +23,19 @@ import os
 
 import numpy as np
 
-from repro.cbuild import KernelLoader, c_column, run_slices, verify_opcodes
+from repro.cbuild import (
+    KernelLoader,
+    c_column,
+    opcode_defines,
+    render_header,
+    run_slices,
+)
 from repro.core.config import BranchPolicy, LoadPolicy, SerializePolicy
 from repro.cyclesim.metrics import STALL_CATEGORIES, CycleMetrics
 from repro.cyclesim.plan import validate_cycle_plan_contract
 from repro.robustness.errors import InternalError
 
-#: Per-config status codes of the C kernel (``ST_*`` defines).
+#: Per-config status codes of the C kernel (its ``ST_*`` names).
 _ST_OK = 0
 _ST_DEADLOCK = 1
 
@@ -77,9 +83,21 @@ class _KernelResult(ctypes.Structure):
     ]
 
 
-def _verify_constants():
-    """The C source hard-codes enum values; refuse to load on any skew."""
-    verify_opcodes("_cyclesim_kernel.c")
+def _header():
+    """``_cyclesim_kernel.c``'s header: the opcodes, a ``CAT_*`` index
+    per stall category in :data:`STALL_CATEGORIES` order, the status
+    codes and the two structs."""
+    return render_header(
+        {
+            **opcode_defines(),
+            **{f"CAT_{category.upper()}": index
+               for index, category in enumerate(STALL_CATEGORIES)},
+            "N_CATEGORIES": len(STALL_CATEGORIES),
+            "ST_OK": _ST_OK,
+            "ST_DEADLOCK": _ST_DEADLOCK,
+        },
+        {"CycleConfig": _KernelConfig, "CycleResult": _KernelResult},
+    )
 
 
 def _bind(lib):
@@ -101,7 +119,7 @@ def _bind(lib):
     return fn
 
 
-_loader = KernelLoader("cyclesim", _SOURCE_PATH, _bind, _verify_constants)
+_loader = KernelLoader("cyclesim", _SOURCE_PATH, _bind, _header)
 
 
 def kernel_available():

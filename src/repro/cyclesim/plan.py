@@ -20,6 +20,7 @@ import dataclasses
 
 import numpy as np
 
+from repro.cbuild import contract_bound
 from repro.core.depgraph import depgraph_for
 from repro.core.mlpsim import _event_arrays, resolve_region
 from repro.robustness.errors import InternalError, TraceFormatError
@@ -55,10 +56,11 @@ CYCLE_META_KEY = "cycle_meta"
 #: and the compiled kernel.  Bounds are ``int`` or ``[symbol, offset]``
 #: over the region length ``n``; producer columns keep the depgraph's
 #: ``-1`` sentinel (unlike MLPsim plans, which rewrite it to ``n``).
-#: The ``plan-contract`` lint pass requires this literal to equal
-#: ``repro.lint.certify.contracts.CYCLESIM_PLAN_FACTS`` and to be
-#: enforced by :func:`validate_cycle_plan_contract` before every
-#: kernel call, so edits here without a matching contract + manifest
+#: The C bounds/overflow proof assumes these ranges
+#: (:mod:`repro.lint.certify.contracts` builds its facts from this
+#: literal), and the ``plan-contract`` lint pass requires it to be
+#: enforced by :func:`validate_cycle_plan_contract` before every kernel
+#: call and pinned in the manifest, so edits here without a manifest
 #: update fail the build.
 CYCLE_PLAN_CONTRACT = {
     "n_max": 1 << 26,
@@ -101,16 +103,6 @@ CYCLE_PLAN_CONTRACT = {
 }
 
 
-def _contract_bound(form, n):
-    """Evaluate a contract bound (``int`` or ``[symbol, offset]``) at *n*."""
-    if isinstance(form, int):
-        return form
-    sym, offset = form
-    if sym != "n":
-        raise InternalError(f"unknown contract bound symbol {sym!r}")
-    return n + offset
-
-
 def validate_cycle_plan_contract(plan, configs):
     """Enforce :data:`CYCLE_PLAN_CONTRACT` before the C kernel runs.
 
@@ -131,11 +123,13 @@ def validate_cycle_plan_contract(plan, configs):
             " kernel is certified for at most"
             f" {CYCLE_PLAN_CONTRACT['n_max']}"
         )
+    symbols = {"n": n}
     if n:
         for name, (lo, hi) in CYCLE_PLAN_CONTRACT["columns"].items():
             column = getattr(plan, name)
             vmin, vmax = int(column.min()), int(column.max())
-            lo_v, hi_v = _contract_bound(lo, n), _contract_bound(hi, n)
+            lo_v = contract_bound(lo, symbols)
+            hi_v = contract_bound(hi, symbols)
             if vmin < lo_v or vmax > hi_v:
                 raise InternalError(
                     f"cycle plan column {name!r} spans [{vmin}, {vmax}]"
@@ -144,7 +138,8 @@ def validate_cycle_plan_contract(plan, configs):
     for config in configs:
         for field, (lo, hi) in CYCLE_PLAN_CONTRACT["config"].items():
             value = int(getattr(config, field))
-            lo_v, hi_v = _contract_bound(lo, n), _contract_bound(hi, n)
+            lo_v = contract_bound(lo, symbols)
+            hi_v = contract_bound(hi, symbols)
             if value < lo_v or value > hi_v:
                 raise InternalError(
                     f"cycle kernel config field {field!r} = {value}"

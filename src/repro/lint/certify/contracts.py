@@ -13,13 +13,13 @@ A kernel contract has four ingredients:
   at every load; a ``trusted`` one (monotone counters whose bound
   rests on a counting argument, not on any single store) is assumed
   both ways and must carry a documented reason;
-* **python facts** — the literal ``PLAN_CONTRACT`` /
-  ``CYCLE_PLAN_CONTRACT`` / ``ANNOTATE_CONTRACT`` /
-  ``GENERATE_CONTRACT`` dict the runtime validators in
-  :mod:`repro.core.columnar`, :mod:`repro.cyclesim.plan`,
+* **python facts** — the ``PLAN_CONTRACT`` / ``CYCLE_PLAN_CONTRACT``
+  / ``ANNOTATE_CONTRACT`` / ``GENERATE_CONTRACT`` dict the runtime
+  validators in :mod:`repro.core.columnar`, :mod:`repro.cyclesim.plan`,
   :mod:`repro.trace.ckernel` and :mod:`repro.workloads.ckernel`
-  enforce.  The ``plan-contract`` pass
-  checks those literals match the copies here and that the validators
+  enforce, imported from the running package: the ranges below are
+  built from them, never copied.  The ``plan-contract`` pass checks
+  that the linted tree's literals equal them and that the validators
   dominate the kernel calls, so the boxes and element ranges this
   module assumes are themselves machine-checked rather than trusted.
 
@@ -36,7 +36,11 @@ syntax.
 
 import hashlib
 
+from repro.core.columnar import PLAN_CONTRACT
+from repro.cyclesim.plan import CYCLE_PLAN_CONTRACT
 from repro.robustness.errors import InternalError
+from repro.trace.ckernel import ANNOTATE_CONTRACT
+from repro.workloads.ckernel import GENERATE_CONTRACT
 
 
 class Buf:
@@ -161,41 +165,6 @@ def _column_bufs(owner, columns, lengths, elems):
 
 # ---------------------------------------------------------------- MLPsim
 
-#: The literal ``repro.core.columnar.PLAN_CONTRACT`` must equal this.
-MLPSIM_PLAN_FACTS = {
-    "n_max": 1 << 26,
-    "columns": {
-        "ops": [0, 8],
-        "prod1": [0, ["n", 0]],
-        "prod2": [0, ["n", 0]],
-        "prod3": [0, ["n", 0]],
-        "memdep": [0, ["n", 0]],
-        "dmiss": [0, 1],
-        "imiss": [0, 1],
-        "mispred": [0, 1],
-        "pmiss": [0, 1],
-        "pfuseful": [0, 1],
-        "vp_ok": [0, 1],
-        "smiss": [0, 1],
-        "scalar_mask": [0, 1],
-    },
-    "config": {
-        "rob": [1, 1 << 24],
-        "iw": [1, 1 << 24],
-        "fetch_buffer": [0, 1 << 24],
-        "serializing": [0, 1],
-        "load_in_order": [0, 1],
-        "load_wait_staddr": [0, 1],
-        "branch_in_order": [0, 1],
-        "mshr_cap": [1, 1 << 30],
-        "sb_cap": [0, 1 << 30],
-        "slow_bp": [0, 1],
-        "slow_bp_threshold": [0, 1 << 20],
-        "runahead": [0, 1],
-        "max_runahead": [1, (1 << 26) + 1],
-    },
-}
-
 _MLPSIM_ELEMS = {
     "ops": "int8_t", "prod1": "int32_t", "prod2": "int32_t",
     "prod3": "int32_t", "memdep": "int32_t", "dmiss": "uint8_t",
@@ -268,11 +237,11 @@ _MLPSIM_CONFIG_FIELDS = {
         _bound_text(lo), _bound_text(hi), trusted=True,
         reason="validated by validate_plan_contract before the call",
     )
-    for name, (lo, hi) in MLPSIM_PLAN_FACTS["config"].items()
+    for name, (lo, hi) in PLAN_CONTRACT["config"].items()
 }
 
 _MLPSIM_BUFFERS = {
-    **_column_bufs("Trace", MLPSIM_PLAN_FACTS["columns"],
+    **_column_bufs("Trace", PLAN_CONTRACT["columns"],
                    {}, _MLPSIM_ELEMS),
     ("Trace", "imiss"): Buf("n", "uint8_t", "0", "1"),
     ("Trace", "res_data"): Buf("n + 1", "int32_t", "0", "(1 << 30)"),
@@ -301,7 +270,7 @@ _MLPSIM_ENTRY = {
     },
 }
 
-MLPSIM_CONTRACT = KernelContract(
+MLPSIM_KERNEL = KernelContract(
     path="src/repro/core/_mlpsim_kernel.c",
     entries={"mlpsim_batch": _MLPSIM_ENTRY},
     symbols={"n": (0, 1 << 26), "nconfigs": (0, 1 << 20)},
@@ -309,56 +278,13 @@ MLPSIM_CONTRACT = KernelContract(
     fields={**_MLPSIM_FIELDS, **_MLPSIM_CONFIG_FIELDS},
     python_path="src/repro/core/columnar.py",
     python_name="PLAN_CONTRACT",
-    python_facts=MLPSIM_PLAN_FACTS,
+    python_facts=PLAN_CONTRACT,
     driver_path="src/repro/core/ckernel.py",
     drivers=("run_plan",),
 )
 
 
 # --------------------------------------------------------------- cyclesim
-
-#: The literal ``repro.cyclesim.plan.CYCLE_PLAN_CONTRACT`` must equal
-#: this.  Producer columns keep the depgraph's -1 sentinel here
-#: (MLPsim's plan builder rewrites it to ``n``; cyclesim's does not).
-CYCLESIM_PLAN_FACTS = {
-    "n_max": 1 << 26,
-    "columns": {
-        "ops": [0, 8],
-        "prod1": [-1, ["n", -1]],
-        "prod2": [-1, ["n", -1]],
-        "prod3": [-1, ["n", -1]],
-        "memdep": [-1, ["n", -1]],
-        "addr_line": [0, 1 << 57],
-        "pc_line": [0, 1 << 57],
-        "dmiss": [0, 1],
-        "imiss": [0, 1],
-        "mispred": [0, 1],
-        "pmiss": [0, 1],
-        "pfuseful": [0, 1],
-    },
-    "config": {
-        "rob": [1, 1 << 20],
-        "issue_window": [1, 1 << 20],
-        "fetch_buffer": [1, 1 << 20],
-        "fetch_width": [1, 1 << 16],
-        "dispatch_width": [1, 1 << 16],
-        "issue_width": [1, 1 << 16],
-        "commit_width": [1, 1 << 16],
-        "frontend_depth": [0, 1 << 16],
-        "alu_latency": [0, 1 << 20],
-        "branch_latency": [0, 1 << 20],
-        "l1_latency": [0, 1 << 20],
-        "l2_latency": [0, 1 << 20],
-        "miss_penalty": [0, 1 << 20],
-        "redirect_penalty": [0, 1 << 20],
-        "load_in_order": [0, 1],
-        "load_wait_staddr": [0, 1],
-        "branch_in_order": [0, 1],
-        "serializing": [0, 1],
-        "perfect_l2": [0, 1],
-        "event_skip": [0, 1],
-    },
-}
 
 _CYCLESIM_ELEMS = {
     "ops": "int8_t", "prod1": "int32_t", "prod2": "int32_t",
@@ -416,11 +342,11 @@ _CYCLESIM_CONFIG_FIELDS = {
         _bound_text(lo), _bound_text(hi), trusted=True,
         reason="validated by validate_cycle_plan_contract before the call",
     )
-    for name, (lo, hi) in CYCLESIM_PLAN_FACTS["config"].items()
+    for name, (lo, hi) in CYCLE_PLAN_CONTRACT["config"].items()
 }
 
 _CYCLESIM_BUFFERS = {
-    **_column_bufs("Ctx", CYCLESIM_PLAN_FACTS["columns"],
+    **_column_bufs("Ctx", CYCLE_PLAN_CONTRACT["columns"],
                    {}, _CYCLESIM_ELEMS),
     ("Ctx", "ready"): Buf("n", "int64_t", "0", "NEVER"),
     ("Ctx", "complete"): Buf("n", "int64_t", "0", "NEVER"),
@@ -458,7 +384,7 @@ _CYCLESIM_ENTRY = {
     },
 }
 
-CYCLESIM_CONTRACT = KernelContract(
+CYCLESIM_KERNEL = KernelContract(
     path="src/repro/cyclesim/_cyclesim_kernel.c",
     entries={"cyclesim_batch": _CYCLESIM_ENTRY},
     symbols={
@@ -472,55 +398,13 @@ CYCLESIM_CONTRACT = KernelContract(
     fields={**_CYCLESIM_FIELDS, **_CYCLESIM_CONFIG_FIELDS},
     python_path="src/repro/cyclesim/plan.py",
     python_name="CYCLE_PLAN_CONTRACT",
-    python_facts=CYCLESIM_PLAN_FACTS,
+    python_facts=CYCLE_PLAN_CONTRACT,
     driver_path="src/repro/cyclesim/ckernel.py",
     drivers=("run_cycle_plan",),
 )
 
 
 # ------------------------------------------------------------- annotation
-
-#: The literal ``repro.trace.ckernel.ANNOTATE_CONTRACT`` must equal
-#: this.  Each column is ``[length symbol, lo, hi]``: the front pass
-#: reads the first group (one entry per instruction; ``addr`` only
-#: through its lines ``dline``), the back pass the stream (at most two
-#: entries per instruction) and the owner table.  Symbols not in the
-#: column ranges are the scratch-table sizes.
-ANNOTATE_FACTS = {
-    "symbols": {
-        "n": [0, 1 << 26],
-        "m": [0, 1 << 27],
-        "nlines": [0, 1 << 27],
-        "sets": [1, 1 << 16],
-        "assoc": [1, 16],
-        "gshare": [1, 1 << 24],
-        "btb_sets": [1, 1 << 16],
-    },
-    "columns": {
-        "ops": ["n", 0, 8],
-        "pc": ["n", 0, 1 << 62],
-        "addr": ["n", 0, 1 << 62],
-        "target": ["n", 0, 1 << 62],
-        "taken": ["n", 0, 1],
-        "cond": ["n", 0, 1],
-        "fetch_line": ["n", 0, 1 << 62],
-        "iline": ["n", 0, 1 << 62],
-        "dline": ["n", 0, 1 << 62],
-        "pf_fetch": ["n", 0, 1],
-        "pf_data": ["n", 0, 1],
-        "position": ["m", 0, ["n", -1]],
-        "kind": ["m", 0, 5],
-        "line": ["m", 0, 1 << 62],
-        "line_id": ["m", 0, ["nlines", -1]],
-        "owner": ["nlines", -1, ["n", -1]],
-    },
-    "geometry": {
-        "l1i_sets": [1, 1 << 16],
-        "l1i_assoc": [1, 16],
-        "l1d_sets": [1, 1 << 16],
-        "l1d_assoc": [1, 16],
-    },
-}
 
 _ANNOTATE_ELEMS = {
     "ops": "int8_t", "pc": "int64_t", "addr": "int64_t",
@@ -534,7 +418,7 @@ _ANNOTATE_ELEMS = {
 _ANNOTATE_COLUMNS = {
     name: Buf(length, _ANNOTATE_ELEMS[name], _bound_text(lo),
               _bound_text(hi))
-    for name, (length, lo, hi) in ANNOTATE_FACTS["columns"].items()
+    for name, (length, lo, hi) in ANNOTATE_CONTRACT["columns"].items()
 }
 
 #: The front pass writes at most one fetch-line entry and one data
@@ -569,7 +453,7 @@ _ANNOTATE_FIELDS = {
             reason="validated by validate_annotate_contract before the"
                    " call",
         )
-        for name, (lo, hi) in ANNOTATE_FACTS["geometry"].items()
+        for name, (lo, hi) in ANNOTATE_CONTRACT["geometry"].items()
     },
 }
 
@@ -577,7 +461,7 @@ _FRONT_COLUMNS = ("ops", "pc", "target", "taken", "cond", "fetch_line",
                   "iline", "dline", "pf_fetch", "pf_data")
 _BACK_COLUMNS = ("position", "kind", "line", "line_id", "owner")
 
-ANNOTATE_CONTRACT = KernelContract(
+ANNOTATE_KERNEL = KernelContract(
     path="src/repro/trace/_annotate_kernel.c",
     entries={
         "annotate_front": {
@@ -596,83 +480,18 @@ ANNOTATE_CONTRACT = KernelContract(
         },
     },
     symbols={name: tuple(box)
-             for name, box in ANNOTATE_FACTS["symbols"].items()},
+             for name, box in ANNOTATE_CONTRACT["symbols"].items()},
     buffers=_ANNOTATE_BUFFERS,
     fields=_ANNOTATE_FIELDS,
     python_path="src/repro/trace/ckernel.py",
     python_name="ANNOTATE_CONTRACT",
-    python_facts=ANNOTATE_FACTS,
+    python_facts=ANNOTATE_CONTRACT,
     driver_path="src/repro/trace/ckernel.py",
     drivers=("run_front_pass", "run_back_pass"),
 )
 
 
 # ------------------------------------------------------------- generation
-
-#: The literal ``repro.workloads.ckernel.GENERATE_CONTRACT`` must equal
-#: this.  Program tables are ``[length, lo, hi]``; ``params`` groups
-#: the ``Params`` scalars by range, and ``region`` bounds each field of
-#: every ``Region`` member.
-GENERATE_FACTS = {
-    "symbols": {
-        "n": [1, 1 << 26],
-        "nflat": [1, 1 << 26],
-        "nfuncs": [1, 1 << 20],
-        "pool": [1, 1 << 26],
-    },
-    "columns": {
-        "mt": [624, 0, (1 << 32) - 1],
-        "t_kind": ["nflat", 0, 4],
-        "t_a": ["nflat", -1, 63],
-        "t_b": ["nflat", -1, 63],
-        "t_c": ["nflat", -1, 63],
-        "t_arg": ["nflat", 0, 1 << 16],
-        "f_start": ["nfuncs", 0, ["nflat", 0]],
-        "f_end": ["nfuncs", 0, ["nflat", 0]],
-        "f_pc": ["nfuncs", 0, 1 << 40],
-        "zipf": ["nfuncs", 0, 1 << 53],
-    },
-    "params": [
-        [[0, 624], ["mt_index"]],
-        [[0, 2], ["script"]],
-        [[0, 1 << 40], [
-            "start_pc", "fresh_base", "txn_base", "descent_base",
-            "rows_base", "lock_base", "object_base", "alloc_base",
-            "burst_base", "lookup_base",
-        ]],
-        [[0, 1 << 16], [
-            "fresh_stride", "calls_lo", "descent_lo", "rows_lo",
-            "row_spacing", "log_words_lo", "fields_lo", "objects_lo",
-            "alloc_words_lo", "segments_lo", "extra_lo",
-        ]],
-        [[1, (1 << 32) - 1], [
-            "calls_span", "descent_span", "rows_span", "log_words_span",
-            "fields_span", "objects_span", "alloc_words_span",
-            "segments_span", "extra_span",
-        ]],
-        [[0, 1 << 53], [
-            "value_repeat", "chase_repeat", "predictable", "taken_side",
-            "strong", "strong_not", "weak", "weak_not", "second_descent",
-            "lock", "reuse", "data_bias", "second_field", "cold_object",
-            "alloc", "recent_object", "second_line", "object_bias",
-            "prefetch", "burst", "independent", "cold_lookup",
-            "recent_file",
-        ]],
-        [[0, 1 << 32], [
-            "descent_stride", "row_stride", "object_stride",
-            "segment_stride", "descriptor_stride",
-        ]],
-        [[1, ["pool", 0]], ["pool_a_cap", "pool_b_cap"]],
-    ],
-    "region": {
-        "base": [0, 1 << 40],
-        "slots": [1, (1 << 32) - 1],
-        "word": [1, 1 << 8],
-        "lines": [1, (1 << 32) - 1],
-        "line_bytes": [1, 1 << 8],
-        "cursor": [0, (1 << 32) - 2],
-    },
-}
 
 _GENERATE_ELEMS = {
     "mt": "uint32_t", "t_kind": "int8_t", "t_a": "int16_t",
@@ -686,7 +505,7 @@ _VALIDATED = "validated by validate_generate_contract before the call"
 _GENERATE_TABLES = {
     name: Buf("MT_N" if name == "mt" else length, _GENERATE_ELEMS[name],
               _bound_text(lo), _bound_text(hi))
-    for name, (length, lo, hi) in GENERATE_FACTS["columns"].items()
+    for name, (length, lo, hi) in GENERATE_CONTRACT["columns"].items()
 }
 
 #: The ten trace columns the kernel writes, by entry parameter name.
@@ -741,20 +560,20 @@ _GENERATE_FIELDS = {
     **{
         ("Params", name): Inv(_bound_text(lo), _bound_text(hi),
                               trusted=True, reason=_VALIDATED)
-        for (lo, hi), names in GENERATE_FACTS["params"]
+        for (lo, hi), names in GENERATE_CONTRACT["params"]
         for name in names
     },
     **{
         ("Region", name): Inv(_bound_text(lo), _bound_text(hi),
                               trusted=True, reason=_VALIDATED)
-        for name, (lo, hi) in GENERATE_FACTS["region"].items()
+        for name, (lo, hi) in GENERATE_CONTRACT["region"].items()
         if name != "cursor"
     },
     ("Region", "cursor"): Inv(
-        *map(_bound_text, GENERATE_FACTS["region"]["cursor"])),
+        *map(_bound_text, GENERATE_CONTRACT["region"]["cursor"])),
 }
 
-GENERATE_CONTRACT = KernelContract(
+GENERATE_KERNEL = KernelContract(
     path="src/repro/workloads/_generate_kernel.c",
     entries={
         "generate": {
@@ -765,12 +584,12 @@ GENERATE_CONTRACT = KernelContract(
         },
     },
     symbols={name: tuple(box)
-             for name, box in GENERATE_FACTS["symbols"].items()},
+             for name, box in GENERATE_CONTRACT["symbols"].items()},
     buffers=_GENERATE_BUFFERS,
     fields=_GENERATE_FIELDS,
     python_path="src/repro/workloads/ckernel.py",
     python_name="GENERATE_CONTRACT",
-    python_facts=GENERATE_FACTS,
+    python_facts=GENERATE_CONTRACT,
     driver_path="src/repro/workloads/ckernel.py",
     drivers=("run_program",),
 )
@@ -778,5 +597,5 @@ GENERATE_CONTRACT = KernelContract(
 
 def kernel_contracts():
     """All declared kernel contracts, in certification order."""
-    return (MLPSIM_CONTRACT, CYCLESIM_CONTRACT, ANNOTATE_CONTRACT,
-            GENERATE_CONTRACT)
+    return (MLPSIM_KERNEL, CYCLESIM_KERNEL, ANNOTATE_KERNEL,
+            GENERATE_KERNEL)

@@ -34,7 +34,6 @@ from collections import deque
 from repro.lint.certify import intervals as iv
 from repro.lint.certify.contracts import Buf, StructElem, Sym
 from repro.lint.clang_parity import cparse
-from repro.lint.clang_parity.cextract import extract_c
 
 #: Joins a loop head absorbs before its unstable endpoints widen.
 _WIDEN_DELAY = 4
@@ -173,9 +172,9 @@ class _ElemSpec:
 class _Env:
     """Contract + extraction resolved against one kernel source."""
 
-    def __init__(self, source, contract, extract=None):
+    def __init__(self, source, contract, extract):
         self.contract = contract
-        self.extract = extract if extract is not None else extract_c(source)
+        self.extract = extract
         self.unit = cparse.parse_c_unit(source, set(self.extract.structs))
         self.defines = {
             name: d.value for name, d in self.extract.defines.items()
@@ -2334,13 +2333,13 @@ class _Fn(_FnCore, _FnEval, _FnStores, _FnFlow):
 
 # --------------------------------------------------------------- driver
 
-def analyse_kernel(source, contract, extract=None):
+def analyse_kernel(source, contract, extract):
     """Run the certifier over one kernel source.
 
-    *extract* is an optional pre-parsed declaration extraction (the
-    project-level cache shares it with the parity passes).  Returns a
-    :class:`KernelReport`; never raises — analysis failures become
-    ``report.error`` / ``report.issues``.
+    *extract* holds the declarations of the kernel as compiled, its
+    rendered header first (:meth:`repro.lint.framework.Project.c_extract`).
+    Returns a :class:`KernelReport`; never raises — analysis failures
+    become ``report.error`` / ``report.issues``.
     """
     report = KernelReport(contract.path)
     try:

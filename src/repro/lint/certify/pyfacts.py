@@ -2,19 +2,19 @@
 
 The interval certification of the kernels (:mod:`.interp`) is carried
 out against declared facts — column value ranges, config field ranges,
-the region-length cap — copied into :mod:`.contracts`.  Those facts
-are only sound if the Python side actually establishes them, so this
-module closes the loop statically:
+the region-length cap — that :mod:`.contracts` builds from the
+contract literals of the running package.  Those facts are only sound
+if the linted tree declares the same literals and actually enforces
+them, so this module closes the loop statically:
 
 * :func:`extract_contract_literal` folds the ``PLAN_CONTRACT`` /
-  ``CYCLE_PLAN_CONTRACT`` / ``ANNOTATE_CONTRACT`` dict literal out of
-  the builder module's AST
-  (constant-folding ``1 << 26``-style bound expressions), so the copy
-  in :mod:`.contracts` can be compared against the literal the runtime
-  validator enforces;
+  ``CYCLE_PLAN_CONTRACT`` / ``ANNOTATE_CONTRACT`` /
+  ``GENERATE_CONTRACT`` dict literal out of the linted module's AST
+  (constant-folding ``1 << 26``-style bound expressions), so it can be
+  compared against the package's literal the proof was built from;
 * :func:`contract_findings` runs the full check for one
   :class:`~repro.lint.certify.contracts.KernelContract`: the literal
-  exists and equals the contract's facts, its fingerprint matches the
+  exists and equals the package's, its fingerprint matches the
   pin in :mod:`repro.lint.manifest` (contract drift without a
   ``repro lint --manifest-update`` regen is a finding), the runtime
   validator is defined next to the literal, and the validator call
@@ -187,10 +187,10 @@ def contract_findings(project, contract, pinned_fingerprint):
     if literal != contract.python_facts:
         drift = _first_drift(literal, contract.python_facts)
         yield (contract.python_path, lineno,
-               f"{contract.python_name} disagrees with the certified"
-               f" facts in repro.lint.certify.contracts ({drift}); the"
-               " kernel proof assumed the contracted ranges — update"
-               " both sides in one reviewed change")
+               f"{contract.python_name} disagrees with the running"
+               f" package's literal ({drift}); the kernel proof was"
+               " built from the package's ranges, so lint this tree"
+               " with its own package")
         return
     fingerprint = facts_fingerprint(literal)
     if fingerprint != pinned_fingerprint:

@@ -1,27 +1,17 @@
-"""Cross-language ABI parity extraction for reprolint.
+"""Compiler-free C and payload-schema extraction for reprolint.
 
-The batched engine duplicates one contract across two languages:
-``_mlpsim_kernel.c`` hard-codes opcode/inhibitor/status ``#define``
-tables, two ``typedef struct`` layouts and the ``mlpsim_batch``
-prototype, while ``ckernel.py``/``columnar.py``/``termination.py``
-mirror them as ctypes structures, ``argtypes`` wiring, enums and a
-versioned payload schema.  Nothing at runtime checks most of it — a
-reordered struct field reads garbage, silently.
+Each kernel compiles against a header :mod:`repro.cbuild` renders from
+the Python definitions, so no C copy of a Python fact exists to be
+compared.  This package holds the parsing the certifier and the
+``schema-version`` pass need, with no compiler dependency:
 
-This package recovers both sides so the ``kernel-abi``,
-``kernel-constants`` and ``schema-version`` passes can diff them on
-every lint run:
-
-* :mod:`repro.lint.clang_parity.cextract` — a small regex +
-  recursive-descent extractor over the C source (**no compiler
-  dependency**): ``#define`` constant tables with evaluated integer
-  values, ``typedef struct`` field lists with declared C types, and
-  exported (non-``static``) function signatures.
-* :mod:`repro.lint.clang_parity.pyextract` — AST-side extractors for
-  the Python counterparts: ``ctypes.Structure`` ``_fields_`` layouts,
-  ``argtypes``/``restype`` wiring, enum member values and definition
-  order, module-level integer constants, and the ``PLAN_COLUMNS``
-  payload schema with its fingerprint.
+* :mod:`repro.lint.clang_parity.cextract` — ``#define`` tables with
+  evaluated integer values and ``typedef struct`` field lists, read
+  from a kernel's rendered header and then its source;
+* :mod:`repro.lint.clang_parity.cparse` — the statement-level parse of
+  the function bodies the interval certifier interprets;
+* :mod:`repro.lint.clang_parity.pyextract` — the ``PLAN_COLUMNS``
+  payload schema and integer constants, read from Python ASTs.
 """
 
 from repro.lint.clang_parity.cextract import extract_c  # noqa: F401

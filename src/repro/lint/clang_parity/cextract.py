@@ -1,16 +1,15 @@
-"""Extract the ABI surface of a C source file without a compiler.
+"""Extract the declarations of a C source without a compiler.
 
-The kernel source is deliberately plain C89-with-stdint: object-like
-macros, brace-initialised ``typedef struct`` blocks and free functions.
-That restricted shape is what makes a dependency-free extractor honest:
-a regex pass recovers the ``#define`` table, and a small
-recursive-descent scan (token-free, driven by brace/paren matching)
-recovers struct field lists and exported function signatures.  The
-extractor is *strict about what it claims* — a ``#define`` whose value
-it cannot evaluate is recorded with ``value=None`` rather than guessed,
-and the parity passes treat "extractor matched nothing" as reportable,
-so a drift in the C style fails loudly instead of silently passing
-(the CI ``lint-parity`` smoke mutates a define to prove the wiring).
+The kernels are deliberately plain C with stdint: object-like macros,
+brace-initialised ``typedef struct`` blocks and free functions.  That
+restricted shape is what makes a dependency-free extractor honest: a
+regex pass recovers the ``#define`` table, and a brace-matching scan
+recovers struct field lists.  The certifier (:mod:`repro.lint.certify`)
+reads both, for a kernel's rendered header and for its source, to
+resolve the contract's buffer lengths and to type the struct fields it
+interprets.  The extractor is *strict about what it claims*: a
+``#define`` whose value it cannot evaluate is recorded with
+``value=None`` rather than guessed.
 
 Line numbers are tracked through comment stripping (comments are
 blanked, not removed), so findings can name the exact C line.
@@ -23,10 +22,6 @@ from repro.robustness.errors import InternalError
 
 _DEFINE_RE = re.compile(r"^\s*#\s*define\s+(\w+)((?:\s|\().*)?$")
 _IDENT = r"[A-Za-z_]\w*"
-_FUNC_HEAD_RE = re.compile(
-    r"^(?P<quals>(?:%s[\s]+|\*+[\s]*)*?)(?P<name>%s)\s*\($"
-    % (_IDENT, _IDENT)
-)
 
 #: Binary operators an integer ``#define`` expression may use; C and
 #: Python agree on all of them for the non-negative operands the
@@ -82,30 +77,12 @@ class CStruct:
         self.lineno = lineno
 
 
-class CFunction:
-    """An exported function definition: return type and parameters."""
-
-    __slots__ = ("name", "return_type", "params", "lineno")
-
-    def __init__(self, name, return_type, params, lineno):
-        self.name = name
-        self.return_type = return_type
-        self.params = params  # list of (ctype, name)
-        self.lineno = lineno
-
-
 class CExtract:
-    """The recovered ABI surface of one C translation unit."""
+    """The declarations of one C text: its defines and structs."""
 
-    def __init__(self, defines, structs, functions):
+    def __init__(self, defines, structs):
         self.defines = defines      # {name: CDefine}
         self.structs = structs      # {name: CStruct}
-        self.functions = functions  # {name: CFunction}
-
-    def define_value(self, name):
-        """Evaluated value of define *name*, or ``None``."""
-        define = self.defines.get(name)
-        return define.value if define is not None else None
 
 
 def _strip_comments(source):
@@ -186,9 +163,8 @@ def _eval_int(text, env):
     return fold(node)
 
 
-def _extract_defines(stripped):
+def _extract_defines(stripped, env):
     defines = {}
-    env = {}
     for lineno, line in enumerate(stripped.splitlines(), start=1):
         match = _DEFINE_RE.match(line)
         if not match:
@@ -318,78 +294,18 @@ def _extract_structs(stripped):
     return structs
 
 
-def _split_params(text):
-    """Split a parameter list on top-level commas."""
-    params, depth, current = [], 0, []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            params.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if "".join(current).strip():
-        params.append("".join(current))
-    return params
+def extract_c(source, prelude=None):
+    """Extract the :class:`CExtract` of C *source* text.
 
-
-def _parse_param(text):
-    text = text.strip()
-    if not text or text == "void":
-        return None
-    match = re.search(r"(%s)\s*$" % _IDENT, text)
-    if not match:
-        return (_normalise_type(text.split()), None)  # unnamed param
-    name = match.group(1)
-    ctype = _normalise_type(text[: match.start()].split())
-    if not ctype:
-        # A bare identifier is a type with no name (e.g. "int").
-        return (name, None)
-    return (ctype, name)
-
-
-def _extract_functions(stripped):
-    """Exported function *definitions*: ``ret name(params) {``."""
-    functions = {}
-    for match in re.finditer(
-        r"(?m)^(?P<head>[A-Za-z_][\w \t*]*?)\b(?P<name>%s)\s*\(" % _IDENT,
-        stripped,
-    ):
-        head = match.group("head")
-        if "static" in head.split() or "typedef" in head.split():
-            continue
-        open_paren = match.end() - 1
-        try:
-            close = _match_brace(stripped, open_paren)
-        except InternalError:
-            continue
-        after = stripped[close:]
-        if not re.match(r"\s*\{", after):
-            continue  # a declaration or macro use, not a definition
-        return_type = _normalise_type(head.split())
-        if not return_type:
-            continue
-        params = []
-        for param in _split_params(stripped[open_paren + 1: close - 1]):
-            parsed = _parse_param(param)
-            if parsed is not None:
-                params.append(parsed)
-        name = match.group("name")
-        functions[name] = CFunction(
-            name, return_type, params,
-            _lineno_at(stripped, match.start("name")),
-        )
-    return functions
-
-
-def extract_c(source):
-    """Extract the :class:`CExtract` surface of C *source* text."""
+    *prelude* is the extract of the text the compiler reads first (a
+    kernel's rendered header): its declarations come first in both
+    tables, and its defines are in scope for the source's.
+    """
     stripped = _strip_comments(source.replace("\r\n", "\n"))
-    return CExtract(
-        defines=_extract_defines(stripped),
-        structs=_extract_structs(stripped),
-        functions=_extract_functions(stripped),
-    )
+    defines = dict(prelude.defines) if prelude else {}
+    structs = dict(prelude.structs) if prelude else {}
+    env = {name: define.value for name, define in defines.items()
+           if define.value is not None}
+    defines.update(_extract_defines(stripped, env))
+    structs.update(_extract_structs(stripped))
+    return CExtract(defines, structs)

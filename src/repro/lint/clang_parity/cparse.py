@@ -1,11 +1,11 @@
 """Statement/expression AST for the restricted C subset of the kernels.
 
 :mod:`repro.lint.clang_parity.cextract` stops at declarations — enough
-for the ABI-parity passes, but the certifier (``repro.lint.certify``)
-needs to *execute* the kernels abstractly, which means parsing function
-bodies.  This module supplies that second stage: a tokenizer and a
-recursive-descent parser covering exactly the constructs the two
-shipped kernels use —
+to resolve buffer lengths and struct layouts, but the certifier
+(``repro.lint.certify``) needs to *execute* the kernels abstractly,
+which means parsing function bodies.  This module supplies that
+second stage: a tokenizer and a recursive-descent parser covering
+exactly the constructs the shipped kernels use —
 
 * declarations with initialisers (including C99 ``for``-init),
 * assignments (``=`` and the compound forms), ``++``/``--``,

@@ -106,9 +106,9 @@ class Project:
         #: AST, "c-extract" for kernel declarations, "c-unit" for the
         #: certifier's statement bodies); the lint test suite asserts
         #: every count stays at exactly 1, which is what makes the
-        #: shared caches below load-bearing rather than decorative.
+        #: shared module list and the certifier's memoised reports
+        #: load-bearing rather than decorative.
         self.parse_counts = {}
-        self._c_extracts = {}
         relpaths = set()
         for source_root in SOURCE_ROOTS:
             base = self.root / source_root
@@ -150,25 +150,21 @@ class Project:
             return None
         return path.read_text().replace("\r\n", "\n")
 
-    def c_extract(self, relpath):
-        """Declaration-level extraction of a C source, parsed once.
+    def c_extract(self, relpath, header):
+        """The declarations of the C source at *relpath* as the
+        compiler reads them: *header*, the kernel's rendered header,
+        then the source.  Returns ``None`` when the file is absent.
 
-        Every pass that needs the kernel's structs/defines/prototypes
-        goes through this cache (``kernel-abi``, ``kernel-constants``
-        and the certify layer all read the same files), so one lint
-        run parses each C source exactly once.  Returns ``None`` when
-        the file is absent.
+        The certifier (:mod:`repro.lint.certify`) calls this once per
+        kernel and run; the parse ledger holds it to that.
         """
-        if relpath not in self._c_extracts:
-            source = self.read_text(relpath)
-            if source is None:
-                self._c_extracts[relpath] = None
-            else:
-                from repro.lint.clang_parity.cextract import extract_c
+        source = self.read_text(relpath)
+        if source is None:
+            return None
+        from repro.lint.clang_parity.cextract import extract_c
 
-                self.count_parse(relpath, "c-extract")
-                self._c_extracts[relpath] = extract_c(source)
-        return self._c_extracts[relpath]
+        self.count_parse(relpath, "c-extract")
+        return extract_c(source, extract_c(header))
 
 
 class LintPass:

@@ -14,9 +14,7 @@ from repro.lint.passes import (  # noqa: F401  (imported for registration)
     exhibit_registry,
     frozen_oracle,
     journal_protocol,
-    kernel_abi,
     kernel_bounds,
-    kernel_constants,
     kernel_overflow,
     plan_contract,
     resource_paths,

@@ -7,15 +7,17 @@ Those facts are only sound if the Python side establishes them, so
 this pass closes the loop:
 
 * the ``PLAN_CONTRACT`` / ``CYCLE_PLAN_CONTRACT`` /
-  ``ANNOTATE_CONTRACT`` module-level literal exists, constant-folds, and is token-for-token equal to the facts
-  the certifier assumed (:mod:`repro.lint.certify.contracts`);
+  ``ANNOTATE_CONTRACT`` / ``GENERATE_CONTRACT`` module-level literal of
+  the linted tree exists, constant-folds, and equals the running
+  package's, which the certifier's facts are built from
+  (:mod:`repro.lint.certify.contracts`);
 * its SHA-256 fingerprint matches the pin in
   :mod:`repro.lint.manifest` — changing a contracted range without
   ``repro lint --manifest-update`` (a reviewed manifest regen) is a
   finding;
 * the runtime validator (``validate_plan_contract`` /
-  ``validate_cycle_plan_contract`` / ``validate_annotate_contract``)
-  is defined next to the literal;
+  ``validate_cycle_plan_contract`` / ``validate_annotate_contract`` /
+  ``validate_generate_contract``) is defined next to the literal;
 * the validator call *dominates* the ``_kernel(...)`` invocation in
   every ctypes driver of the kernel: an unconditional top-level
   statement of the driver function, lexically before the kernel call,

@@ -24,42 +24,19 @@
  * L2.  A way whose age is -1 is empty; the victim search, which takes
  * the smallest age, fills empty ways first.
  *
- * The opcode values are pinned to repro.isa.opclass.OpClass and the
- * stream kinds to repro.trace.annotate; repro/trace/ckernel.py checks
- * both before the kernel is ever called.
+ * Shared names: the OP_* opcodes, the stream kinds FETCH_MISS ...
+ * LOAD_HIT of repro.trace.annotate, BTB_WAYS and the Geometry struct
+ * come from the header repro.cbuild renders from the Python
+ * definitions (repro/trace/ckernel.py) and compiles ahead of this file.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-#define OP_LOAD 1
-#define OP_STORE 2
-#define OP_BRANCH 3
-#define OP_PREFETCH 4
-#define OP_CAS 5
-#define OP_LDSTUB 6
-
-/* Stream kinds: FETCH_MISS ... LOAD_HIT in annotate.py. */
-#define FETCH_MISS 0
-#define LOAD_MISS 1
-#define STORE_MISS 2
-#define PREFETCH_MISS 3
-#define FETCH_HIT 4
-#define LOAD_HIT 5
-
 /* Ways reserved per cache set: the largest associativity the
  * contract admits. */
 #define WAYS 16
-/* The BranchTargetBuffer associativity BranchPredictor builds. */
-#define BTB_WAYS 4
-
-typedef struct {
-    int64_t l1i_sets;
-    int64_t l1i_assoc;
-    int64_t l1d_sets;
-    int64_t l1d_assoc;
-} Geometry;
 
 typedef struct {
     int64_t *tags;   /* WAYS slots per set: the resident line        */

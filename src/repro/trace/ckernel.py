@@ -28,16 +28,22 @@ import os
 
 import numpy as np
 
-from repro.cbuild import KernelLoader, c_column, verify_opcodes
+from repro.cbuild import (
+    KernelLoader,
+    c_column,
+    contract_bound,
+    opcode_defines,
+    render_header,
+)
 from repro.isa.opclass import OpClass
 from repro.robustness.errors import InternalError
 
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_annotate_kernel.c")
 
-#: The input ranges the kernel certification assumes (the
-#: ``plan-contract`` lint pass holds this literal to
-#: ``repro.lint.certify.contracts.ANNOTATE_FACTS``).  Each column is
-#: ``[length symbol, lo, hi]``; a bound may be ``[symbol, offset]``.
+#: The input ranges the kernel certification assumes
+#: (:mod:`repro.lint.certify.contracts` builds its facts from this
+#: literal, and the ``plan-contract`` lint pass pins it).  Each column
+#: is ``[length symbol, lo, hi]``; a bound may be ``[symbol, offset]``.
 #: ``addr`` reaches the kernel only through its lines, ``dline``.
 ANNOTATE_CONTRACT = {
     "symbols": {
@@ -80,15 +86,13 @@ _FRONT_COLUMNS = ("ops", "pc", "target", "taken", "cond", "fetch_line",
                   "iline", "dline", "pf_fetch", "pf_data")
 _BACK_COLUMNS = ("position", "kind", "line", "line_id", "owner")
 
-#: The BTB associativity the kernel hard-codes (``BTB_WAYS``): the
-#: default of :class:`repro.branch.btb.BranchTargetBuffer`.
+#: The BTB associativity of the kernel (``BTB_WAYS``): the default of
+#: :class:`repro.branch.btb.BranchTargetBuffer`.
 _BTB_WAYS = 4
 
-#: Stream kinds the kernel hard-codes, as in :mod:`repro.trace.annotate`.
-_EXPECTED_KINDS = {
-    "FETCH_MISS": 0, "LOAD_MISS": 1, "STORE_MISS": 2,
-    "PREFETCH_MISS": 3, "FETCH_HIT": 4, "LOAD_HIT": 5,
-}
+#: The stream kinds of :mod:`repro.trace.annotate`, by name.
+_STREAM_KINDS = ("FETCH_MISS", "LOAD_MISS", "STORE_MISS", "PREFETCH_MISS",
+                 "FETCH_HIT", "LOAD_HIT")
 
 
 class _Geometry(ctypes.Structure):
@@ -103,18 +107,24 @@ class _Geometry(ctypes.Structure):
 _Entries = collections.namedtuple("_Entries", "front back")
 
 
-def _verify_constants():
-    """The C source hard-codes enum values; refuse to load on any skew."""
-    # The package re-exports the annotate() function over the module.
-    layers = importlib.import_module("repro.trace.annotate")
-    verify_opcodes("_annotate_kernel.c")
-    for name, value in _EXPECTED_KINDS.items():
-        if getattr(layers, name) != value:
-            raise InternalError(
-                f"annotate.{name} = {getattr(layers, name)} but the"
-                f" compiled kernel was written for {value}; rebuild"
-                " _annotate_kernel.c"
-            )
+def _layers():
+    """:mod:`repro.trace.annotate`, which imports this module (the
+    package re-exports the annotate() function over its name)."""
+    return importlib.import_module("repro.trace.annotate")
+
+
+def _header():
+    """``_annotate_kernel.c``'s header: the opcodes, the stream kinds,
+    ``BTB_WAYS`` and the geometry struct."""
+    layers = _layers()
+    return render_header(
+        {
+            **opcode_defines(),
+            **{name: getattr(layers, name) for name in _STREAM_KINDS},
+            "BTB_WAYS": _BTB_WAYS,
+        },
+        {"Geometry": _Geometry},
+    )
 
 
 def _bind(lib):
@@ -136,7 +146,7 @@ def _bind(lib):
     return _Entries(front, back)
 
 
-_loader = KernelLoader("annotation", _SOURCE_PATH, _bind, _verify_constants)
+_loader = KernelLoader("annotation", _SOURCE_PATH, _bind, _header)
 
 
 def kernel_available():
@@ -178,14 +188,6 @@ def _is_power_of_two(value):
     return value > 0 and not value & (value - 1)
 
 
-def _bound(form, symbols):
-    """Evaluate a contract bound (``int`` or ``[symbol, offset]``)."""
-    if isinstance(form, int):
-        return form
-    symbol, offset = form
-    return symbols[symbol] + offset
-
-
 def _violation(symbols, columns, geometry=None):
     """Why these kernel inputs lie outside :data:`ANNOTATE_CONTRACT`,
     or ``None``."""
@@ -200,7 +202,8 @@ def _violation(symbols, columns, geometry=None):
                     f" {length} = {symbols[length]}")
         if len(column):
             vmin, vmax = int(column.min()), int(column.max())
-            lo_v, hi_v = _bound(lo, symbols), _bound(hi, symbols)
+            lo_v = contract_bound(lo, symbols)
+            hi_v = contract_bound(hi, symbols)
             if vmin < lo_v or vmax > hi_v:
                 return (f"column {name!r} spans [{vmin}, {vmax}],"
                         f" outside [{lo_v}, {hi_v}]")
@@ -330,8 +333,8 @@ def run_front_pass(trace, config):
         raise InternalError("compiled annotation kernel ran out of memory")
     position = position[:count].copy()
     kind = kind[:count].copy()
-    fetch = (kind == _EXPECTED_KINDS["FETCH_MISS"]) | (
-        kind == _EXPECTED_KINDS["FETCH_HIT"])
+    layers = _layers()
+    fetch = (kind == layers.FETCH_MISS) | (kind == layers.FETCH_HIT)
     return (mispred, position, kind,
             np.where(fetch, pc[position], addr[position]))
 

@@ -44,34 +44,22 @@
  * transaction in flight runs to its end, as on the Python route
  * before it slices, but its later draws never reach a row.
  *
- * The opcode values are pinned to repro.isa.opclass.OpClass;
- * repro/workloads/ckernel.py checks them before the kernel is built.
+ * Shared names: the OP_* opcodes, the T_* template kinds, the
+ * SCRIPT_* numbers and the Region/Params structs come from the header
+ * repro.cbuild renders from the Python definitions
+ * (repro/workloads/ckernel.py) and compiles ahead of this file.  Params
+ * holds the scalars in GENERATE_CONTRACT order, then the regions; a
+ * script reads only its own fields.  Thresholds are ceil(p * 2^53), and
+ * a randint(lo, hi) is its lo and its span hi - lo + 1.  A Region is a
+ * synthesis.Region: random_addr draws one of `slots` aligned words,
+ * next_line walks `lines` lines from `cursor`.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-#define OP_ALU 0
-#define OP_LOAD 1
-#define OP_STORE 2
-#define OP_BRANCH 3
-#define OP_PREFETCH 4
-#define OP_CAS 5
-#define OP_MEMBAR 7
-#define OP_NOP 8
-
 #define REG_NONE (-1)
-
-/* Template op kinds, as ckernel.py encodes CodeFootprint templates. */
-#define T_ALU 0
-#define T_LOAD 1
-#define T_STORE 2
-#define T_BRANCH 3
-
-#define SCRIPT_DATABASE 0
-#define SCRIPT_SPECJBB 1
-#define SCRIPT_SPECWEB 2
 
 /* CPython's MT19937 (Modules/_randommodule.c). */
 #define MT_N 624
@@ -111,102 +99,6 @@
 #define WEB_BUF 8
 #define WEB_CHK 10
 #define WEB_DESC 12
-
-/* A synthesis.Region: random_addr draws one of `slots` aligned words,
- * next_line walks `lines` lines from `cursor`. */
-typedef struct {
-    int64_t base;
-    int64_t slots;
-    int64_t word;
-    int64_t lines;
-    int64_t line_bytes;
-    int64_t cursor;
-} Region;
-
-/* Every number the scripts read, in GENERATE_CONTRACT order (grouped
- * by range); a script reads only its own fields.  Thresholds are
- * ceil(p * 2^53), and a randint(lo, hi) is its lo and its span
- * hi - lo + 1. */
-typedef struct {
-    int64_t mt_index;
-    int64_t script;
-    /* addresses and PCs */
-    int64_t start_pc;
-    int64_t fresh_base;
-    int64_t txn_base;
-    int64_t descent_base;
-    int64_t rows_base;
-    int64_t lock_base;
-    int64_t object_base;
-    int64_t alloc_base;
-    int64_t burst_base;
-    int64_t lookup_base;
-    /* small counts and the low ends of randint ranges */
-    int64_t fresh_stride;
-    int64_t calls_lo;
-    int64_t descent_lo;
-    int64_t rows_lo;
-    int64_t row_spacing;
-    int64_t log_words_lo;
-    int64_t fields_lo;
-    int64_t objects_lo;
-    int64_t alloc_words_lo;
-    int64_t segments_lo;
-    int64_t extra_lo;
-    /* randint spans */
-    int64_t calls_span;
-    int64_t descent_span;
-    int64_t rows_span;
-    int64_t log_words_span;
-    int64_t fields_span;
-    int64_t objects_span;
-    int64_t alloc_words_span;
-    int64_t segments_span;
-    int64_t extra_span;
-    /* probability thresholds */
-    int64_t value_repeat;
-    int64_t chase_repeat;
-    int64_t predictable;
-    int64_t taken_side;
-    int64_t strong;
-    int64_t strong_not;
-    int64_t weak;
-    int64_t weak_not;
-    int64_t second_descent;
-    int64_t lock;
-    int64_t reuse;
-    int64_t data_bias;
-    int64_t second_field;
-    int64_t cold_object;
-    int64_t alloc;
-    int64_t recent_object;
-    int64_t second_line;
-    int64_t object_bias;
-    int64_t prefetch;
-    int64_t burst;
-    int64_t independent;
-    int64_t cold_lookup;
-    int64_t recent_file;
-    /* next_line strides */
-    int64_t descent_stride;
-    int64_t row_stride;
-    int64_t object_stride;
-    int64_t segment_stride;
-    int64_t descriptor_stride;
-    /* RecentPool capacities */
-    int64_t pool_a_cap;
-    int64_t pool_b_cap;
-    /* regions */
-    Region hot;
-    Region warm;
-    Region index;
-    Region rows;
-    Region log;
-    Region locks;
-    Region heap;
-    Region young;
-    Region files;
-} Params;
 
 /* A synthesis.RecentPool: a ring of the last `cap` lines. */
 typedef struct {

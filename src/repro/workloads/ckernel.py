@@ -25,20 +25,25 @@ import os
 
 import numpy as np
 
-from repro.cbuild import KernelLoader, verify_opcodes
+from repro.cbuild import (
+    KernelLoader,
+    contract_bound,
+    opcode_defines,
+    render_header,
+)
 from repro.robustness.errors import InternalError
 from repro.trace.trace import COLUMNS, Trace
 from repro.workloads import base, database, specjbb, specweb, synthesis
 
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_generate_kernel.c")
 
-#: The input ranges the kernel certification assumes (the
-#: ``plan-contract`` lint pass holds this literal to
-#: ``repro.lint.certify.contracts.GENERATE_FACTS``).  A program table is
-#: ``[length, lo, hi]``, its length a symbol or an int; each ``params``
-#: entry is ``[[lo, hi], field names]`` over :class:`_Params`, and
-#: ``region`` bounds every field of each of its :class:`_Region`
-#: members.  A probability crosses as the threshold ``ceil(p * 2**53)``
+#: The input ranges the kernel certification assumes
+#: (:mod:`repro.lint.certify.contracts` builds its facts from this
+#: literal, and the ``plan-contract`` lint pass pins it).  A program
+#: table is ``[length, lo, hi]``, its length a symbol or an int; each
+#: ``params`` entry is ``[[lo, hi], field names]`` over
+#: :class:`_Params`, and ``region`` bounds every field of each of its
+#: :class:`_Region` members.  A probability crosses as the threshold ``ceil(p * 2**53)``
 #: and a ``randint(lo, hi)`` as ``lo`` and its span ``hi - lo + 1``, so
 #: every ``_randbelow`` bound is below ``2**32``.
 GENERATE_CONTRACT = {
@@ -109,7 +114,7 @@ _TABLE_DTYPES = {
     "f_end": np.int64, "f_pc": np.int64, "zipf": np.int64,
 }
 
-#: Template kinds the kernel hard-codes (``T_*``); any other kind is a
+#: Template kinds the kernel reads (``T_*``); any other kind is a
 #: no-operation, as in :meth:`CodeFootprint.call`.
 _TEMPLATE_KINDS = {"alu": 0, "load": 1, "store": 2, "branch": 3}
 _T_NOP = 4
@@ -132,15 +137,24 @@ _PARAM_NAMES = tuple(
 
 
 class _Params(ctypes.Structure):
-    # _generate_kernel.c declares the scalars in contract order, then
-    # the regions.
+    # The scalars in contract order, then the regions.
     _fields_ = ([(name, ctypes.c_int64) for name in _PARAM_NAMES]
                 + [(name, _Region) for name in _REGIONS])
 
 
-def _verify_constants():
-    """The C source hard-codes opcode values; refuse to load on skew."""
-    verify_opcodes("_generate_kernel.c")
+def _header():
+    """``_generate_kernel.c``'s header: the opcodes, the template kinds,
+    a ``SCRIPT_*`` number per workload class and the two structs."""
+    return render_header(
+        {
+            **opcode_defines(),
+            **{f"T_{kind.upper()}": value
+               for kind, value in _TEMPLATE_KINDS.items()},
+            **{f"SCRIPT_{cls.__name__.removesuffix('Workload').upper()}":
+               script for cls, (script, *_) in _SCRIPTS.items()},
+        },
+        {"Region": _Region, "Params": _Params},
+    )
 
 
 def _bind(lib):
@@ -155,7 +169,7 @@ def _bind(lib):
     return entry
 
 
-_loader = KernelLoader("generation", _SOURCE_PATH, _bind, _verify_constants)
+_loader = KernelLoader("generation", _SOURCE_PATH, _bind, _header)
 
 
 def kernel_available():
@@ -401,14 +415,6 @@ def _program(workload, rng, length):
     return symbols, columns, params
 
 
-def _bound(form, symbols):
-    """Evaluate a contract bound (``int`` or ``[symbol, offset]``)."""
-    if isinstance(form, int):
-        return form
-    symbol, offset = form
-    return symbols[symbol] + offset
-
-
 def _violation(symbols, columns, params):
     """Why these kernel inputs lie outside :data:`GENERATE_CONTRACT`,
     or ``None``.  *params* maps each :class:`_Params` field to an int,
@@ -424,12 +430,14 @@ def _violation(symbols, columns, params):
             return f"table {name!r} has {len(column)} entries, not {want}"
         if len(column):
             vmin, vmax = int(column.min()), int(column.max())
-            lo_v, hi_v = _bound(lo, symbols), _bound(hi, symbols)
+            lo_v = contract_bound(lo, symbols)
+            hi_v = contract_bound(hi, symbols)
             if vmin < lo_v or vmax > hi_v:
                 return (f"table {name!r} spans [{vmin}, {vmax}],"
                         f" outside [{lo_v}, {hi_v}]")
     for (lo, hi), names in GENERATE_CONTRACT["params"]:
-        lo_v, hi_v = _bound(lo, symbols), _bound(hi, symbols)
+        lo_v = contract_bound(lo, symbols)
+        hi_v = contract_bound(hi, symbols)
         for name in names:
             value = params[name]
             if not isinstance(value, int) or not lo_v <= value <= hi_v:

@@ -1,9 +1,9 @@
 """Miniature plan builder whose contract matches the certified facts.
 
 ``PLAN_CONTRACT`` below is token-for-token the literal the real
-builder declares, so it equals ``MLPSIM_PLAN_FACTS`` in
-``repro.lint.certify.contracts`` and its fingerprint matches the
-manifest pin; ``validate_plan_contract`` exists and is called by the
+builder declares, so it equals the package's ``PLAN_CONTRACT`` (which
+``repro.lint.certify.contracts`` builds its facts from) and its
+fingerprint matches the manifest pin; ``validate_plan_contract`` exists and is called by the
 miniature driver (``ckernel.py``) before the kernel — the fixture is
 clean by construction.  ``PLAN_COLUMNS``/``plan_payload`` reproduce
 the real payload schema so the ``schema-version`` pass stays clean

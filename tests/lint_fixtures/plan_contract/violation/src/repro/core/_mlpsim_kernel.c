@@ -4,7 +4,6 @@
 #include <stdint.h>
 
 #define BATCH_MAGIC 7
-#define INH_COUNT 4
 
 int mlpsim_batch(int64_t n, const int8_t *ops)
 {

@@ -1,8 +1,8 @@
 """Miniature plan builder with one drifted contract range.
 
 ``PLAN_CONTRACT`` below widens the ``dmiss`` column to ``[0, 2]``
-while the certified facts in ``repro.lint.certify.contracts`` say
-``[0, 1]`` — the single-site drift the ``plan-contract`` pass must
+while the package's literal, which the certified facts are built
+from, says ``[0, 1]`` — the single-site drift the ``plan-contract`` pass must
 report as exactly one finding.  Everything else matches the clean
 fixture.
 """

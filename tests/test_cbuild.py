@@ -1,13 +1,20 @@
-"""The shared kernel loader (:mod:`repro.cbuild`), ``REPRO_KERNEL_DIR``
-and the slice runner the kernel drivers share."""
+"""The shared kernel loader (:mod:`repro.cbuild`): the rendered headers
+and the translation units they make, ``REPRO_KERNEL_DIR`` and the
+slice runner the kernel drivers share."""
 
+import ctypes
+import pathlib
+import subprocess
 import threading
+import types
 
 import pytest
 
 from repro import cbuild
 from repro.core import ckernel
 from repro.cyclesim import ckernel as cycle_ckernel
+from repro.lint.clang_parity import cparse
+from repro.lint.clang_parity.cextract import extract_c
 from repro.robustness.errors import SimulationError
 from repro.trace import ckernel as annotate_ckernel
 from repro.workloads import ckernel as generate_ckernel
@@ -15,9 +22,107 @@ from repro.workloads import ckernel as generate_ckernel
 #: The four kernel loaders: MLPsim, cyclesim, annotation and generation.
 KERNELS = (ckernel, cycle_ckernel, annotate_ckernel, generate_ckernel)
 
+#: Every C entry point, with the driver whose ``_bind`` wires it.
+ENTRY_POINTS = (
+    (ckernel, "mlpsim_batch"),
+    (cycle_ckernel, "cyclesim_batch"),
+    (annotate_ckernel, "annotate_front"),
+    (annotate_ckernel, "annotate_back"),
+    (generate_ckernel, "generate"),
+)
+
+#: The ctypes type each C scalar parameter or return type crosses as.
+_SCALARS = {"int64_t": ctypes.c_int64, "int": ctypes.c_int}
+
 needs_cc = pytest.mark.skipif(
     cbuild._compiler() is None, reason="no C compiler"
 )
+
+
+def _syntax_check(unit):
+    """``cc -Wall -Werror -fsyntax-only`` over *unit*: ``(ok, stderr)``."""
+    done = subprocess.run(
+        [cbuild._compiler(), "-Wall", "-Werror", "-fsyntax-only",
+         "-x", "c", "-"],
+        input=unit, capture_output=True, text=True,
+    )
+    return done.returncode == 0, done.stderr
+
+
+@needs_cc
+@pytest.mark.parametrize("module", KERNELS)
+def test_unit_compiles_and_a_second_copy_of_a_shared_name_fails(module):
+    """The unit cbuild compiles is warning-free, and a ``.c`` file that
+    defines a header name again no longer compiles: a macro
+    redefinition is a warning, which ``-Werror`` makes an error."""
+    loader = module._loader
+    unit = cbuild.translation_unit(loader.source_path, loader.header())
+    ok, errors = _syntax_check(unit)
+    assert ok, errors
+    source_start = f'#line 1 "{loader.source_path}"\n'
+    assert unit.count(source_start) == 1
+    ok, errors = _syntax_check(
+        unit.replace(source_start, source_start + "#define OP_LOAD 9\n"))
+    assert not ok
+    assert "OP_LOAD" in errors and "redefined" in errors
+
+
+def test_a_changed_header_changes_the_object_path(tmp_path, monkeypatch):
+    """The object is keyed on header and source together, so an edit
+    made only on the Python side never loads the object built before
+    it.  (The compiler is a stub that writes an empty object.)"""
+    monkeypatch.setenv("REPRO_KERNEL_DIR", str(tmp_path))
+    monkeypatch.setattr(cbuild, "_compiler", lambda: "cc")
+
+    def compile_stub(args, **kwargs):
+        pathlib.Path(args[args.index("-o") + 1]).touch()
+
+    monkeypatch.setattr(cbuild.subprocess, "run", compile_stub)
+    loader = annotate_ckernel._loader
+    header = loader.header()
+    built = cbuild._compile(loader.source_path, header)
+    assert cbuild._compile(loader.source_path, header) == built
+    edited = header.replace("#define BTB_WAYS 4", "#define BTB_WAYS 8")
+    assert edited != header
+    rebuilt = cbuild._compile(loader.source_path, edited)
+    assert rebuilt != built
+    assert sorted(p.name for p in tmp_path.glob("*.so")) == sorted(
+        pathlib.Path(path).name for path in (built, rebuilt))
+
+
+def _points_to(argtype, struct):
+    """Is *argtype* ``POINTER(S)`` for a ctypes structure ``S`` with the
+    fields of the C *struct*, in order?"""
+    target = getattr(argtype, "_type_", None)
+    return (struct is not None and isinstance(target, type)
+            and issubclass(target, ctypes.Structure)
+            and [name for name, _ in target._fields_]
+            == [field.name for field in struct.fields])
+
+
+@pytest.mark.parametrize("module, entry", ENTRY_POINTS,
+                         ids=[entry for _, entry in ENTRY_POINTS])
+def test_entry_point_wiring_matches_the_c_definition(module, entry):
+    """Each driver's ``argtypes``/``restype`` agree with the C
+    definition's parameters, read by cparse from the header plus the
+    source: the same count, a pointer for each pointer, ``c_int64`` for
+    each ``int64_t`` and ``c_int`` for each ``int``.  The driver binds a
+    stub library, so no compiler is needed."""
+    library = types.SimpleNamespace(**{
+        name: types.SimpleNamespace() for _, name in ENTRY_POINTS})
+    module._bind(library)
+    wired = getattr(library, entry)
+    source = pathlib.Path(module._loader.source_path).read_text()
+    structs = extract_c(source, extract_c(module._loader.header())).structs
+    function = cparse.parse_c_unit(source, set(structs)).functions[entry]
+    assert len(wired.argtypes) == len(function.params)
+    for argtype, (name, base, ptr) in zip(wired.argtypes, function.params):
+        if ptr:
+            assert (argtype is ctypes.c_void_p
+                    or _points_to(argtype, structs.get(base))), name
+        else:
+            assert argtype is _SCALARS[base], name
+    assert wired.restype is _SCALARS[function.return_type]
 
 
 def _reprobe(monkeypatch, module):
@@ -94,7 +199,7 @@ def test_concurrent_first_use_waits_for_the_build(monkeypatch):
     """A thread that calls a kernel while another thread is still
     building and binding it waits for that outcome instead of reading
     "unavailable"."""
-    monkeypatch.setattr(cbuild, "_compile", lambda path: path)
+    monkeypatch.setattr(cbuild, "_compile", lambda path, header: path)
     monkeypatch.setattr(cbuild.ctypes, "CDLL", lambda path: path)
     binding = threading.Event()
     release = threading.Event()
@@ -104,7 +209,7 @@ def test_concurrent_first_use_waits_for_the_build(monkeypatch):
         release.wait(timeout=30)
         return lib
 
-    loader = cbuild.KernelLoader("test", "kernel.c", bind, lambda: None)
+    loader = cbuild.KernelLoader("test", "kernel.c", bind, lambda: "")
     seen = []
 
     def first_use():

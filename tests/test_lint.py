@@ -40,9 +40,7 @@ PASS_FIXTURES = {
 
 #: Passes added by the parity/typestate layers; their fixture pairs are
 #: driven by test_lint_parity.py and test_lint_typestate.py instead.
-PARITY_PASSES = frozenset({
-    "kernel-abi", "kernel-constants", "schema-version",
-})
+PARITY_PASSES = frozenset({"schema-version"})
 TYPESTATE_PASSES = frozenset({
     "shm-lifetime", "journal-protocol", "signal-safety",
 })
@@ -54,7 +52,7 @@ CERTIFY_PASSES = frozenset({
 
 
 class TestRegistry:
-    def test_all_nineteen_passes_registered(self):
+    def test_all_seventeen_passes_registered(self):
         assert set(registered_passes()) == (
             set(PASS_FIXTURES) | PARITY_PASSES | TYPESTATE_PASSES
             | CERTIFY_PASSES
@@ -229,7 +227,7 @@ class TestFrameworkDetails:
     def test_every_file_parsed_exactly_once(self):
         """The shared AST/extract cache means no pass re-parses a file:
         every (file, parse-kind) ledger entry is exactly 1 even with
-        all nineteen passes running — including both C parse kinds
+        all seventeen passes running — including both C parse kinds
         (the declaration extract and the full statement-level unit)."""
         stats = {}
         run_lint(FIXTURES / "plan_contract" / "clean", stats=stats)

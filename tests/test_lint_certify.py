@@ -3,7 +3,8 @@
 Covers the three certify passes (``kernel-bounds``,
 ``kernel-overflow``, ``plan-contract``) over their fixture pairs, and
 the acceptance mutations run against copies of the *real* kernel and
-plan-builder sources: one off-by-one subscript bound, one
+plan-builder sources (and, for a struct field, against the header the
+package renders): one off-by-one subscript bound, one
 accumulator-width narrowing, one contract-range change without a
 manifest regeneration — each must yield exactly one finding carrying
 the witness interval the abstract interpreter computed.
@@ -141,12 +142,18 @@ class TestRealTreeMutations:
         assert "runahead_step" in findings[0].message
         assert "j <= n - 1" in findings[0].message
 
-    def test_narrowed_accumulator_width(self, tmp_path):
+    def test_narrowed_accumulator_width(self, tmp_path, monkeypatch):
         """Retyping one int64 result counter as int32 un-proves the
-        width of exactly its increment."""
-        root = _real_tree(tmp_path)
-        _edit(root, MLPSIM_KERNEL, "int64_t epochs;", "int32_t epochs;")
-        findings = run_lint(root, select=self.SELECT)
+        width of exactly its increment.  The struct lives in the header
+        the package renders, so the mutation is made there: the
+        certifier reads the header the kernel compiles against."""
+        from repro.core import ckernel
+
+        render = ckernel._loader.header
+        monkeypatch.setattr(ckernel._loader, "header", lambda: render()
+                            .replace("int64_t epochs;", "int32_t epochs;"))
+        assert "int32_t epochs;" in ckernel._loader.header()
+        findings = run_lint(_real_tree(tmp_path), select=self.SELECT)
         assert len(findings) == 1
         assert findings[0].pass_id == "kernel-overflow"
         assert findings[0].path == MLPSIM_KERNEL

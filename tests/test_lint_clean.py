@@ -1,14 +1,14 @@
 """The merged tree is reprolint-clean: every invariant holds right now.
 
-This is the enforcement tier: ``repro lint`` runs all nineteen passes
+This is the enforcement tier: ``repro lint`` runs all seventeen passes
 over the real repository (``src/repro``, ``tests`` and ``examples``)
 and must report nothing.  A failure here means a commit introduced a
 bare stdlib raise, a non-atomic result write, a nondeterminism hazard,
 an edit to the frozen oracle, a misspelled config field, a stale
 exhibit registry, a pool worker mutating shared state, a
 wall-clock-tainted RNG seed, a leakable write handle, unreachable
-code, an ABI/constant/schema drift between the Python engines and the
-C kernels, a typestate-protocol violation — or an unprovable kernel
+code, a plan payload schema change without a version bump, a
+typestate-protocol violation — or an unprovable kernel
 subscript/overflow or a plan-contract drift: the interval
 certification (``kernel-bounds``/``kernel-overflow``/``plan-contract``)
 is part of this tier, so the compiled kernels stay machine-checked

@@ -1,11 +1,9 @@
-"""Tests for the cross-language ABI parity layer of reprolint.
+"""Tests for the payload-schema layer of reprolint.
 
-Covers the three clang-parity passes (``kernel-abi``,
-``kernel-constants``, ``schema-version``) over their fixture pairs,
-the mutation scenarios the passes exist for (run against copies of the
-*real* kernel/binding/columnar sources), and the
-``repro lint --manifest-update`` regeneration flow with its
-dirty-tree interlock.
+Covers the ``schema-version`` pass over its fixture pair, the schema
+mutations the pass exists for (run against copies of the *real*
+columnar sources), and the ``repro lint --manifest-update``
+regeneration flow with its dirty-tree interlock.
 """
 
 import pathlib
@@ -35,22 +33,13 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: pass id -> (fixture directory, expected finding count in violation/)
 PARITY_FIXTURES = {
-    "kernel-abi": ("kernel_abi", 2),
-    "kernel-constants": ("kernel_constants", 3),
     "schema-version": ("schema_version", 1),
 }
 
-C_KERNEL = "src/repro/core/_mlpsim_kernel.c"
-CKERNEL = "src/repro/core/ckernel.py"
-
-#: Everything the three parity passes read, copied verbatim from the
-#: real tree so mutation tests exercise the production contract.
+#: Everything the manifest pins, copied verbatim from the real tree so
+#: mutation tests exercise the production contract.
 _PARITY_SOURCES = (
-    C_KERNEL,
-    CKERNEL,
-    "src/repro/isa/opclass.py",
-    "src/repro/core/termination.py",
-    "src/repro/core/mlpsim.py",
+    "src/repro/core/mlpsim.py",  # an unpinned file the dirty-tree test edits
     "src/repro/cyclesim/plan.py",  # CYCLE_PLAN_CONTRACT fingerprint pin
     "src/repro/trace/ckernel.py",  # ANNOTATE_CONTRACT fingerprint pin
     "src/repro/workloads/ckernel.py",  # GENERATE_CONTRACT fingerprint pin
@@ -75,27 +64,6 @@ class TestParityFixtures:
         assert len(findings) == expected
         assert all(f.pass_id == pass_id for f in findings)
 
-    def test_reordered_struct_names_both_lines(self):
-        findings = run_lint(
-            FIXTURES / "kernel_abi" / "violation", select=["kernel-abi"]
-        )
-        reorder = [f for f in findings if "field #0" in f.message]
-        assert len(reorder) == 1
-        # The finding names the Python field and the C line it disagrees
-        # with — the reviewer can jump to both sides of the contract.
-        assert "_mlpsim_kernel.c:" in reorder[0].message
-        assert reorder[0].path == CKERNEL
-
-    def test_constant_drift_names_both_sides(self):
-        findings = run_lint(
-            FIXTURES / "kernel_constants" / "violation",
-            select=["kernel-constants"],
-        )
-        messages = "\n".join(f.message for f in findings)
-        assert "OP_STORE" in messages
-        assert "INH_COUNT" in messages
-        assert "ST_DEFER" in messages
-
     def test_schema_change_without_bump_is_the_one_finding(self):
         findings = run_lint(
             FIXTURES / "schema_version" / "violation",
@@ -106,7 +74,7 @@ class TestParityFixtures:
 
 
 def _real_tree(tmp_path):
-    """A minimal tree of *real* sources the parity passes read."""
+    """A minimal tree of the *real* sources the manifest pins."""
     for relpath in _PARITY_SOURCES:
         dst = tmp_path / relpath
         dst.parent.mkdir(parents=True, exist_ok=True)
@@ -126,31 +94,10 @@ def _edit(tmp_path, relpath, old, new, count=1):
 class TestRealTreeMutations:
     """Acceptance: each single-site mutation yields exactly one finding."""
 
-    SELECT = ["kernel-abi", "kernel-constants", "schema-version"]
+    SELECT = ["schema-version"]
 
     def test_unmutated_copy_is_clean(self, tmp_path):
         assert run_lint(_real_tree(tmp_path), select=self.SELECT) == []
-
-    def test_mutated_define_value(self, tmp_path):
-        root = _real_tree(tmp_path)
-        _edit(root, C_KERNEL, "#define OP_LOAD 1", "#define OP_LOAD 9")
-        findings = run_lint(root, select=self.SELECT)
-        assert len(findings) == 1
-        assert findings[0].pass_id == "kernel-constants"
-        assert "OP_LOAD" in findings[0].message
-        assert "_mlpsim_kernel.c:" in findings[0].message
-
-    def test_reordered_ctypes_fields(self, tmp_path):
-        root = _real_tree(tmp_path)
-        _edit(
-            root, CKERNEL,
-            '("rob", ctypes.c_int64),\n        ("iw", ctypes.c_int64),',
-            '("iw", ctypes.c_int64),\n        ("rob", ctypes.c_int64),',
-        )
-        findings = run_lint(root, select=self.SELECT)
-        assert len(findings) == 1
-        assert findings[0].pass_id == "kernel-abi"
-        assert "field #0" in findings[0].message
 
     def test_dropped_payload_column_without_bump(self, tmp_path):
         root = _real_tree(tmp_path)
