@@ -9,9 +9,10 @@ single runs and the Table 3 grid through the supervised sweep backend
 — against its own frozen reference
 (`repro.cyclesim.simulator_reference`), (d) trace annotation on
 its compiled kernel against the Python loops, (e) both kernel
-drivers on one thread against every usable CPU, and (f) trace
-generation on its compiled kernel against the Python generators, then
-appends one record
+drivers on one thread against every usable CPU, (f) trace
+generation on its compiled kernel against the Python generators, and
+(g) renaming (the dependence graph) on the annotation kernel against
+the Python loop, then appends one record
 per invocation to ``benchmarks/results/BENCH_perf.json`` via the atomic
 writer so a performance trajectory accumulates across PRs.
 
@@ -81,36 +82,53 @@ def _best_of(fn, *args, reps=3, **kwargs):
     return best
 
 
-def _git_rev():
-    """The commit this record measures: env override, then git, else None.
-
-    ``GIT_COMMIT`` (set by CI) wins so containers measuring a detached
-    export still attribute records correctly; a plain checkout asks
-    ``git rev-parse``.  Fail-soft: provenance is metadata, and a
-    benchmark must never fail because the tree is not a git work tree.
-    No wall-clock timestamps — the rev *is* the point on the
-    trajectory, and it stays stable across re-runs of the same tree.
-    """
-    rev = os.environ.get("GIT_COMMIT", "").strip()
-    if rev:
-        return rev
+def _git(*args):
+    """Output of ``git *args`` in this checkout, or ``None``."""
     try:
         proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=pathlib.Path(__file__).parent,
             capture_output=True, text=True, check=True,
         )
     except (OSError, subprocess.CalledProcessError):
         return None
-    return proc.stdout.strip() or None
+    return proc.stdout
+
+
+def _provenance():
+    """What this record measures: ``{"git_rev": ...}``, plus ``dirty``
+    when git supplied the rev.
+
+    ``GIT_COMMIT`` (set by CI) wins so containers measuring a detached
+    export still attribute records correctly.  A plain checkout asks
+    ``git rev-parse``, and ``dirty`` says whether the measured tree had
+    uncommitted changes: such a record measures a change on top of
+    ``git_rev``, so a change can commit the records it measured.
+    Fail-soft: provenance is metadata, and a benchmark must never fail
+    because the tree is not a git work tree (``git_rev`` is then
+    ``None``).  No wall-clock timestamps — the rev *is* the point on
+    the trajectory, and it stays stable across re-runs of the same
+    tree.
+    """
+    rev = os.environ.get("GIT_COMMIT", "").strip()
+    if rev:
+        return {"git_rev": rev}
+    rev = (_git("rev-parse", "HEAD") or "").strip()
+    if not rev:
+        return {"git_rev": None}
+    # The records file itself changes with every record appended.
+    status = _git("status", "--porcelain", "--", ":(top)",
+                  ":(top,exclude)benchmarks/results")
+    return {"git_rev": rev, "dirty": bool(status and status.strip())}
 
 
 def _append_record(kind, record):
     """Append one measurement to BENCH_perf.json atomically.
 
     The file holds ``{"runs": [...]}``; each entry is one harness
-    invocation — stamped with the commit it measured and the record
-    schema version — so successive PRs accumulate a perf trajectory.
+    invocation — stamped with the commit it measured (see
+    :func:`_provenance`) and the record schema version — so successive
+    changes accumulate a perf trajectory.
     A corrupt or missing file starts a fresh history rather than
     failing the benchmark.
     """
@@ -125,7 +143,7 @@ def _append_record(kind, record):
     except (OSError, ValueError):
         pass
     record = dict(
-        record, kind=kind, bench_schema=BENCH_SCHEMA, git_rev=_git_rev(),
+        record, kind=kind, bench_schema=BENCH_SCHEMA, **_provenance(),
     )
     history["runs"].append(record)
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -390,12 +408,10 @@ def test_annotate_speedup(results_dir):
     assert speedup >= 5.0
 
 
-#: Generates the three paper traces in a fresh interpreter and prints
-#: the peak-RSS growth (KiB) that generation caused.  Linux's VmHWM
-#: starts afresh at exec; ru_maxrss would start at the parent's peak.
-_RSS_PROBE = """
+#: The probes' peak RSS (KiB).  Linux's VmHWM starts afresh at exec;
+#: ru_maxrss would start at the parent's peak.
+_PEAK = """
 import resource, sys
-from repro.workloads import PAPER_WORKLOADS, ckernel, generate_trace
 
 def peak():
     try:
@@ -406,11 +422,38 @@ def peak():
     except OSError:
         pass
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+"""
+
+#: Generates the three paper traces in a fresh interpreter and prints
+#: the peak-RSS growth (KiB) that generation caused.
+_RSS_PROBE = _PEAK + """
+from repro.workloads import PAPER_WORKLOADS, ckernel, generate_trace
 
 ckernel.kernel_available()
 before = peak()
 traces = [generate_trace(name, int(sys.argv[1]), seed=int(sys.argv[2]))
           for name in PAPER_WORKLOADS]
+print(peak() - before)
+"""
+
+#: Builds the dependence graphs of the three paper traces' measured
+#: regions in a fresh interpreter, on the renaming kernel or (argument
+#: "python") the Python loop, and prints the peak-RSS growth (KiB)
+#: that renaming caused.  Traces are prepared on the kernels either way.
+_DEPGRAPH_RSS_PROBE = _PEAK + """
+from repro.core.depgraph import build_depgraph
+from repro.core.mlpsim import resolve_region
+from repro.experiments.common import WORKLOAD_NAMES, get_annotated
+from repro.trace import ckernel
+
+regions = []
+for name in WORKLOAD_NAMES:
+    annotated = get_annotated(name, int(sys.argv[1]), seed=int(sys.argv[2]))
+    regions.append((annotated.trace, *resolve_region(annotated, None, None)))
+if sys.argv[3] == "python":
+    ckernel.kernel_available = lambda: False
+before = peak()
+graphs = [build_depgraph(*region) for region in regions]
 print(peak() - before)
 """
 
@@ -421,8 +464,13 @@ def _generation_rss_growth_mb(length, python_route):
     env = dict(os.environ)
     if python_route:
         env["REPRO_KERNEL_DIR"] = ""
+    return _probe_rss_growth_mb(_RSS_PROBE, env, length, PERF_SEED)
+
+
+def _probe_rss_growth_mb(probe, env, *args):
+    """Run *probe* in a fresh interpreter; its printed KiB, in MB."""
     proc = subprocess.run(
-        [sys.executable, "-c", _RSS_PROBE, str(length), str(PERF_SEED)],
+        [sys.executable, "-c", probe, *map(str, args)],
         env=env, capture_output=True, text=True, check=True,
     )
     return round(int(proc.stdout.split()[-1]) / 1024, 1)
@@ -485,6 +533,69 @@ def test_generate_speedup(results_dir, monkeypatch):
     })
     print(f"\ntrace generation (3 paper traces): {speedup:.2f}x vs the"
           " Python generators")
+    assert speedup >= 5.0
+
+
+def test_depgraph_speedup(results_dir):
+    """Renaming on the compiled kernel vs the Python loop.
+
+    The dependence graph of each fixed workload's measured region on
+    each route must be bit-identical, and the kernel must hold 5x even
+    on CI smoke traces (kind "depgraph").  Peak RSS growth is read in
+    fresh processes, one per route.
+    """
+    import numpy as np
+
+    from repro.core.depgraph import DepGraph, rename_region
+    from repro.core.mlpsim import resolve_region
+    from repro.trace import ckernel
+
+    if not ckernel.kernel_available():
+        pytest.skip(f"no compiled annotation kernel: {ckernel.kernel_error()}")
+
+    def on_kernel(trace, start, stop):
+        return DepGraph(start, stop, ckernel.run_rename(trace, start, stop))
+
+    def on_python(trace, start, stop):
+        return DepGraph(start, stop, rename_region(trace, start, stop))
+
+    per_workload = {}
+    total_python = 0.0
+    total_kernel = 0.0
+    workloads = _fixed_workloads()
+    for name, annotated in workloads:
+        region = (annotated.trace, *resolve_region(annotated, None, None))
+        got, want = on_kernel(*region), on_python(*region)
+        assert got.columns.dtype == want.columns.dtype == np.int32
+        assert got.columns.tobytes() == want.columns.tobytes(), name
+        t_python = _best_of(on_python, *region, reps=2)
+        t_kernel = _best_of(on_kernel, *region, reps=5)
+        per_workload[name] = {
+            "region": list(region[1:]),
+            "seconds": round(t_kernel, 6),
+            "python_seconds": round(t_python, 6),
+            "speedup": round(t_python / t_kernel, 3),
+        }
+        total_python += t_python
+        total_kernel += t_kernel
+    speedup = total_python / total_kernel
+    length = len(workloads[0][1].trace)
+    _append_record("depgraph", {
+        "trace_len": length,
+        "seed": PERF_SEED,
+        "cpu_count": os.cpu_count() or 1,
+        "workloads": per_workload,
+        "python_total_seconds": round(total_python, 6),
+        "kernel_total_seconds": round(total_kernel, 6),
+        "speedup_vs_python": round(speedup, 3),
+        "peak_rss_growth_mb": {
+            route: _probe_rss_growth_mb(_DEPGRAPH_RSS_PROBE, os.environ,
+                                        length, PERF_SEED, route)
+            for route in ("kernel", "python")
+        },
+    })
+    print(f"\ndependence graphs (3 measured regions): {speedup:.2f}x vs"
+          " the Python loop")
     assert speedup >= 5.0
 
 
@@ -783,6 +894,7 @@ def test_bench_history_is_readable(bench_history):
         assert "git_rev" in record  # may be None for schema-1 records
         if record["bench_schema"] >= BENCH_SCHEMA:
             assert record["git_rev"] is None or len(record["git_rev"]) >= 7
+        assert record.get("dirty") in (None, True, False)
 
 
 @pytest.fixture(scope="module", autouse=True)

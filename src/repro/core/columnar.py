@@ -310,23 +310,14 @@ def producer_columns(annotated, start, stop):
         trace._producer_columns_cache = cache
     columns = cache.get((start, stop))
     if columns is None:
-        graph = depgraph_for(annotated, start, stop)
-        n = stop - start
-        columns = tuple(
-            _sentineled(producers, n)
-            for producers in (graph.prod1, graph.prod2, graph.prod3,
-                              graph.memdep)
-        )
-        for column in columns:
-            column.flags.writeable = False
+        producers = depgraph_for(annotated, start, stop).columns
+        # -1 (no producer) becomes the gather sentinel n.
+        sentineled = np.where(producers >= 0, producers,
+                              np.int32(stop - start))
+        sentineled.flags.writeable = False
+        columns = tuple(sentineled)
         cache[(start, stop)] = columns
     return columns
-
-
-def _sentineled(producers, n):
-    """Producer list with ``-1`` replaced by the gather sentinel ``n``."""
-    arr = np.asarray(producers, dtype=np.int32)
-    return np.where(arr >= 0, arr, np.int32(n)).astype(np.int32)
 
 
 def plan_payload(plan):

@@ -11,10 +11,27 @@ re-run MLPsim dozens of times per trace).
 Producer indices are region-relative; ``-1`` means "no producer inside
 the region" (the value is architected state and therefore available from
 epoch 0).
+
+The renaming runs in C (:func:`repro.trace.ckernel.run_rename`) when
+the annotation kernel is built and the region lies inside its
+contract.  :func:`rename_region`, the Python loop, is its oracle and
+the route for everything else.
 """
+
+import numpy as np
 
 from repro.isa.opclass import OpClass
 from repro.isa.registers import NUM_REGS, REG_ZERO
+from repro.trace import ckernel
+
+#: The producer columns of a graph, in row order.
+PRODUCERS = ("prod1", "prod2", "prod3", "memdep")
+
+
+def _producer_list(row):
+    return property(lambda graph: graph.columns[row].tolist(),
+                    doc=f"``{PRODUCERS[row]}`` as a Python list, built on"
+                        " every access (not memoised).")
 
 
 class DepGraph:
@@ -22,25 +39,36 @@ class DepGraph:
 
     Attributes
     ----------
-    prod1, prod2:
-        Producer index of ``src1``/``src2`` (address sources for memory
-        operations), or -1.
-    prod3:
-        Producer index of the store-data source ``src3``, or -1.
-    memdep:
-        Index of the youngest older store-like instruction to the same
-        address (loads and atomics only), or -1.
+    columns:
+        Read-only ``(4, n)`` int32 array with one row per name in
+        :data:`PRODUCERS`:
+
+        * ``prod1``, ``prod2`` — producer index of ``src1``/``src2``
+          (address sources for memory operations), or -1;
+        * ``prod3`` — producer index of the store-data source ``src3``,
+          or -1;
+        * ``memdep`` — index of the youngest older store-like
+          instruction to the same address (loads and atomics only), or
+          -1.
+    prod1, prod2, prod3, memdep:
+        Each row as a Python list, for the oracles' interpreter loops.
+        A new list is built on every access, so a caller reads each
+        once per run.
     """
 
-    __slots__ = ("start", "stop", "prod1", "prod2", "prod3", "memdep")
+    __slots__ = ("start", "stop", "columns")
 
-    def __init__(self, start, stop, prod1, prod2, prod3, memdep):
+    prod1 = _producer_list(0)
+    prod2 = _producer_list(1)
+    prod3 = _producer_list(2)
+    memdep = _producer_list(3)
+
+    def __init__(self, start, stop, columns):
+        columns = np.asarray(columns, dtype=np.int32)
+        columns.flags.writeable = False
         self.start = start
         self.stop = stop
-        self.prod1 = prod1
-        self.prod2 = prod2
-        self.prod3 = prod3
-        self.memdep = memdep
+        self.columns = columns
 
     def __len__(self):
         return self.stop - self.start
@@ -48,6 +76,17 @@ class DepGraph:
 
 def build_depgraph(trace, start, stop):
     """Rename registers and memory over ``trace[start:stop)``."""
+    if (ckernel.kernel_available()
+            and ckernel.rename_violation(trace, start, stop) is None):
+        columns = ckernel.run_rename(trace, start, stop)
+    else:
+        columns = rename_region(trace, start, stop)
+    return DepGraph(start, stop, columns)
+
+
+def rename_region(trace, start, stop):
+    """The Python renaming loop: ``[prod1, prod2, prod3, memdep]`` of
+    ``trace[start:stop)`` as lists (see :class:`DepGraph`)."""
     ops = trace.op[start:stop].tolist()
     dsts = trace.dst[start:stop].tolist()
     src1s = trace.src1[start:stop].tolist()
@@ -92,7 +131,7 @@ def build_depgraph(trace, start, stop):
         if dst > REG_ZERO:
             last_writer[dst] = i
 
-    return DepGraph(start, stop, prod1, prod2, prod3, memdep)
+    return [prod1, prod2, prod3, memdep]
 
 
 def depgraph_for(annotated, start, stop):

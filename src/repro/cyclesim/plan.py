@@ -220,15 +220,12 @@ def build_cycle_plan(annotated, start, stop):
         annotated, MachineConfig(), start, stop
     )
 
-    graph = depgraph_for(annotated, start, stop)
+    prod1, prod2, prod3, memdep = depgraph_for(annotated, start, stop).columns
 
     return CyclePlan(
         start=start, stop=stop,
         ops=np.ascontiguousarray(trace.op[start:stop], dtype=np.int8),
-        prod1=np.ascontiguousarray(graph.prod1, dtype=np.int32),
-        prod2=np.ascontiguousarray(graph.prod2, dtype=np.int32),
-        prod3=np.ascontiguousarray(graph.prod3, dtype=np.int32),
-        memdep=np.ascontiguousarray(graph.memdep, dtype=np.int32),
+        prod1=prod1, prod2=prod2, prod3=prod3, memdep=memdep,
         addr_line=np.ascontiguousarray(
             np.asarray(trace.addr[start:stop], dtype=np.int64) >> LINE_SHIFT
         ),

@@ -20,15 +20,21 @@
   the manifest, and are enforced by validators that dominate the
   kernel calls, so the C proof's assumptions are themselves verified.
 
-:func:`certified_kernels` runs the whole C analysis once per lint
-invocation and memoises on the :class:`~repro.lint.framework.Project`;
+:func:`certified_kernels` runs the C analysis once per kernel and
+process, and memoises on the :class:`~repro.lint.framework.Project`;
 the ``kernel-bounds`` and ``kernel-overflow`` passes partition its
 obligations rather than re-running the fixpoint.
 """
 
+import hashlib
 import importlib
 
-from repro.lint.certify.contracts import kernel_contracts
+from repro.lint.certify.contracts import facts_fingerprint, kernel_contracts
+
+#: This process's kernel reports, keyed by :func:`_report_key`: a lint
+#: run re-analyses only a kernel whose inputs changed since an earlier
+#: run analysed it.
+_REPORTS = {}
 
 
 def kernel_header(contract):
@@ -41,6 +47,15 @@ def kernel_header(contract):
     return driver._loader.header()
 
 
+def _report_key(header, source, contract):
+    """Digest of everything one analysis reads."""
+    digest = hashlib.sha256()
+    for part in (header, source, facts_fingerprint(contract)):
+        digest.update(part.encode())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
 def certified_kernels(project):
     """Analyse every contracted kernel once per project.
 
@@ -48,7 +63,10 @@ def certified_kernels(project):
     running package renders, then the source under the project root.
     Returns ``{relpath: KernelReport}`` (see
     :class:`repro.lint.certify.interp.KernelReport`); memoised on the
-    project so the two C passes share one fixpoint run.
+    project so the two C passes share one fixpoint run, and across
+    projects on the header, source and contract (reports are read,
+    never modified), so linting an unchanged kernel again reuses its
+    report.
     """
     cache = getattr(project, "_certify_reports", None)
     if cache is None:
@@ -58,9 +76,14 @@ def certified_kernels(project):
             source = project.read_text(contract.path)
             if source is None:
                 continue
-            extract = project.c_extract(contract.path,
-                                        kernel_header(contract))
-            project.count_parse(contract.path, "c-unit")
-            cache[contract.path] = analyse_kernel(source, contract, extract)
+            header = kernel_header(contract)
+            key = _report_key(header, source, contract)
+            report = _REPORTS.get(key)
+            if report is None:
+                extract = project.c_extract(contract.path, header)
+                project.count_parse(contract.path, "c-unit")
+                report = analyse_kernel(source, contract, extract)
+                _REPORTS[key] = report
+            cache[contract.path] = report
         project._certify_reports = cache
     return cache

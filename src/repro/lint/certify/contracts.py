@@ -138,7 +138,9 @@ def _bound_text(form):
 
 
 def facts_fingerprint(*facts):
-    """Stable SHA-256 over the python-facts dicts, for the manifest."""
+    """Stable SHA-256 over the python-facts dicts, for the manifest, or
+    over whole :class:`KernelContract` objects (everything they
+    declare), for keying certifier reports."""
     digest = hashlib.sha256()
     for fact in facts:
         digest.update(repr(_canonical(fact)).encode())
@@ -150,6 +152,10 @@ def _canonical(value):
         return tuple(sorted((k, _canonical(v)) for k, v in value.items()))
     if isinstance(value, (list, tuple)):
         return tuple(_canonical(v) for v in value)
+    slots = getattr(type(value), "__slots__", None)
+    if slots is not None:  # a contract object: its class and fields
+        return (type(value).__name__,
+                *(_canonical(getattr(value, name)) for name in slots))
     return value
 
 
@@ -412,7 +418,9 @@ _ANNOTATE_ELEMS = {
     "fetch_line": "int64_t", "iline": "int64_t", "dline": "int64_t",
     "pf_fetch": "uint8_t", "pf_data": "uint8_t", "position": "int32_t",
     "kind": "int8_t", "line": "int64_t", "line_id": "int32_t",
-    "owner": "int32_t",
+    "owner": "int32_t", "dst": "int16_t", "src1": "int16_t",
+    "src2": "int16_t", "src3": "int16_t", "addr_id": "int32_t",
+    "last_writer": "int32_t", "last_store": "int32_t",
 }
 
 _ANNOTATE_COLUMNS = {
@@ -429,6 +437,9 @@ _STREAM_BUFFERS = {
 }
 
 _MASK = Buf("n", "uint8_t", "0", "1")
+
+#: A producer column: a region-relative index, or -1 for none.
+_PRODUCERS = Buf("n", "int32_t", "-1", "n - 1")
 
 _ANNOTATE_BUFFERS = {
     ("Cache", "tags"): Buf("WAYS * sets", "int64_t"),
@@ -460,6 +471,8 @@ _ANNOTATE_FIELDS = {
 _FRONT_COLUMNS = ("ops", "pc", "target", "taken", "cond", "fetch_line",
                   "iline", "dline", "pf_fetch", "pf_data")
 _BACK_COLUMNS = ("position", "kind", "line", "line_id", "owner")
+_RENAME_COLUMNS = ("ops", "dst", "src1", "src2", "src3", "addr_id",
+                   "last_writer", "last_store")
 
 ANNOTATE_KERNEL = KernelContract(
     path="src/repro/trace/_annotate_kernel.c",
@@ -478,6 +491,12 @@ ANNOTATE_KERNEL = KernelContract(
             **{name: _MASK for name in ("dmiss", "pmiss", "pfuseful",
                                         "imiss", "smiss")},
         },
+        "annotate_rename": {
+            **{name: Sym(name) for name in ("n", "naddrs")},
+            **{name: _ANNOTATE_COLUMNS[name] for name in _RENAME_COLUMNS},
+            **{name: _PRODUCERS for name in ("prod1", "prod2", "prod3",
+                                             "memdep")},
+        },
     },
     symbols={name: tuple(box)
              for name, box in ANNOTATE_CONTRACT["symbols"].items()},
@@ -487,7 +506,7 @@ ANNOTATE_KERNEL = KernelContract(
     python_name="ANNOTATE_CONTRACT",
     python_facts=ANNOTATE_CONTRACT,
     driver_path="src/repro/trace/ckernel.py",
-    drivers=("run_front_pass", "run_back_pass"),
+    drivers=("run_front_pass", "run_back_pass", "run_rename"),
 )
 
 

@@ -70,7 +70,7 @@ PLAN_CONTRACT_FINGERPRINTS = {
         "e62d25af0454fc9bcd749c8394f6347c34b0402899d6d4fbce2d8b7769bcd296"
     ),
     "ANNOTATE_CONTRACT": (
-        "95df31e348cbceb9b8893a40ffac990d00eef41000e74f197b89beba8265ddfd"
+        "ffbe9ddc058fb14e57b4c1873ef7082d8a51901637f5a93d4344706465f0e34d"
     ),
     "GENERATE_CONTRACT": (
         "a17b75aa43d1f15d57ab506bd15f5f076a45fd3ee633bb84aeddde04e5b717d3"

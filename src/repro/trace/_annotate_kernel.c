@@ -1,21 +1,27 @@
-/* Compiled annotation kernel: the two layers of repro.trace.annotate.
+/* Compiled annotation kernel: the two layers of repro.trace.annotate,
+ * and the renaming behind repro.core.depgraph.
  *
  * annotate_front() is a C translation of annotate._run_front_pass with
  * the default branch predictor: true-LRU L1I/L1D filtering plus gshare
  * and the 4-way BTB.  The front pass predicts every branch as
  * CONDITIONAL, so the return-address stack is never consulted.  It
  * writes the trace-length mispredict mask and the positions and kinds
- * of the trace-order access stream the L2 layer needs.  annotate_back() is the L2 replay of
- * annotate.back_pass: it sets the imiss/dmiss/smiss/pmiss/pfuseful
- * masks.  The Python loops stay the oracle and the fallback route;
- * tests/test_annotate_layers.py holds both routes bit-identical to the
- * frozen single-loop annotator.
+ * of the trace-order access stream the L2 layer needs.
+ * annotate_back() is the L2 replay of annotate.back_pass: it sets the
+ * imiss/dmiss/smiss/pmiss/pfuseful masks.  annotate_rename() is
+ * depgraph.rename_region: each instruction's register and memory
+ * producers over one trace region, written as four int32 columns.
+ * The Python loops stay the oracle and the fallback route;
+ * tests/test_annotate_layers.py holds both annotation routes
+ * bit-identical to the frozen single-loop annotator, and
+ * tests/test_depgraph_kernel.py holds the renaming to its loop.
  *
  * Hashing stays in NumPy.  The caller precomputes every cache line
  * (the shifts), the per-instruction flags (branch has a condition
- * source; fetch or data line is a line some PREFETCH touches) and
- * dense ids of the stream's L2 lines, so the back pass keeps its
- * prefetched-line owners in a flat table.
+ * source; fetch or data line is a line some PREFETCH touches), dense
+ * ids of the stream's L2 lines and dense ids of the memory operations'
+ * addresses, so the back pass keeps its prefetched-line owners, and
+ * the renaming its last store per address, in a flat table.
  *
  * LRU bookkeeping: the Python cache stamps each touch with a per-set
  * counter.  Any stamp that orders the touches of one cache does the
@@ -25,7 +31,8 @@
  * the smallest age, fills empty ways first.
  *
  * Shared names: the OP_* opcodes, the stream kinds FETCH_MISS ...
- * LOAD_HIT of repro.trace.annotate, BTB_WAYS and the Geometry struct
+ * LOAD_HIT of repro.trace.annotate, BTB_WAYS, the register file's
+ * NUM_REGS and REG_ZERO (repro.isa.registers) and the Geometry struct
  * come from the header repro.cbuild renders from the Python
  * definitions (repro/trace/ckernel.py) and compiles ahead of this file.
  */
@@ -294,4 +301,48 @@ int annotate_back(
     free(l2.tags);
     free(l2.ages);
     return ok ? 0 : 1;
+}
+
+/* The dependence graph of one trace region: a C translation of
+ * repro.core.depgraph.rename_region.  For each instruction, prod1-3
+ * get the youngest older writer of its src1-3 (REG_ZERO and no-register
+ * operands have none) and memdep the youngest older store-like
+ * instruction to its address (loads and atomics only); -1 means no
+ * producer inside the region.  Sources are read before the destination
+ * is written, and an atomic reads memory before it writes.
+ *
+ * addr_id[i] is the dense id of instruction i's address when it is a
+ * load, store, CAS or LDSTUB, and -1 otherwise.  last_writer
+ * (NUM_REGS entries) and last_store (naddrs entries) arrive filled
+ * with -1. */
+void annotate_rename(
+    int64_t n, int64_t naddrs,
+    const int8_t *ops, const int16_t *dst, const int16_t *src1,
+    const int16_t *src2, const int16_t *src3, const int32_t *addr_id,
+    int32_t *last_writer, int32_t *last_store,
+    int32_t *prod1, int32_t *prod2, int32_t *prod3, int32_t *memdep)
+{
+    for (int64_t i = 0; i < n; i++) {
+        int64_t s = src1[i];
+        prod1[i] = s > REG_ZERO ? last_writer[s] : -1;
+        s = src2[i];
+        prod2[i] = s > REG_ZERO ? last_writer[s] : -1;
+        s = src3[i];
+        prod3[i] = s > REG_ZERO ? last_writer[s] : -1;
+
+        int8_t op = ops[i];
+        int64_t id = addr_id[i];
+        int32_t dep = -1;
+        if (id >= 0) {
+            if (op == OP_LOAD || op == OP_CAS || op == OP_LDSTUB)
+                dep = last_store[id];
+            if (op == OP_STORE || op == OP_CAS || op == OP_LDSTUB)
+                last_store[id] = (int32_t)i;
+        }
+        memdep[i] = dep;
+
+        int64_t d = dst[i];
+        if (d > REG_ZERO)
+            last_writer[d] = (int32_t)i;
+    }
 }

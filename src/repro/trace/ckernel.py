@@ -1,24 +1,28 @@
 """Compiled annotation kernel: bind and drive ``_annotate_kernel.c``.
 
-Both layers of :mod:`repro.trace.annotate` have a C translation,
-built and loaded by :mod:`repro.cbuild` like the two simulator
-kernels:
+Both layers of :mod:`repro.trace.annotate`, and the renaming behind
+:mod:`repro.core.depgraph`, have a C translation, built and loaded by
+:mod:`repro.cbuild` like the two simulator kernels:
 
 * :func:`run_front_pass` — L1I/L1D filtering plus gshare and the BTB,
   for the memoised front pass with a fresh default predictor;
 * :func:`run_back_pass` — the L2 replay of the front pass's stream,
-  which sets the five off-chip masks.
+  which sets the five off-chip masks;
+* :func:`run_rename` — each instruction's register and memory
+  producers over one trace region, as four int32 columns.
 
 NumPy does the hashing before each call: every cache line, the
-prefetched-line flags and dense ids of the stream's L2 lines.  The
-last-value predictor stays in Python on both routes.
+prefetched-line flags, dense ids of the stream's L2 lines and dense
+ids of the memory operations' addresses.  The last-value predictor
+stays in Python on both routes.
 
-:func:`contract_violation` says whether a trace and config lie inside
-:data:`ANNOTATE_CONTRACT`, the input ranges the kernel's bounds and
-overflow proofs assume; :mod:`repro.trace.annotate` sends anything
-outside it, and every call on a host without the kernel, to the
-Python loops.  Everything is fail-soft: a missing compiler or an
-unwritable build directory only marks the kernel unavailable.
+:func:`contract_violation` and :func:`rename_violation` say whether
+the inputs lie inside :data:`ANNOTATE_CONTRACT`, the input ranges the
+kernel's bounds and overflow proofs assume; :mod:`repro.trace.annotate`
+and :mod:`repro.core.depgraph` send anything outside it, and every
+call on a host without the kernel, to the Python loops.  Everything
+is fail-soft: a missing compiler or an unwritable build directory
+only marks the kernel unavailable.
 """
 
 import collections
@@ -36,6 +40,7 @@ from repro.cbuild import (
     render_header,
 )
 from repro.isa.opclass import OpClass
+from repro.isa.registers import NUM_REGS, REG_ZERO
 from repro.robustness.errors import InternalError
 
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_annotate_kernel.c")
@@ -43,13 +48,16 @@ _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_annotate_kernel.c")
 #: The input ranges the kernel certification assumes
 #: (:mod:`repro.lint.certify.contracts` builds its facts from this
 #: literal, and the ``plan-contract`` lint pass pins it).  Each column
-#: is ``[length symbol, lo, hi]``; a bound may be ``[symbol, offset]``.
-#: ``addr`` reaches the kernel only through its lines, ``dline``.
+#: is ``[length symbol, lo, hi]``; a bound may be ``[symbol, offset]``,
+#: where a symbol may also be one of the :data:`_CONSTANTS` the header
+#: defines.  ``addr`` reaches the kernel only through its lines,
+#: ``dline``, and its dense ids, ``addr_id``.
 ANNOTATE_CONTRACT = {
     "symbols": {
         "n": [0, 1 << 26],
         "m": [0, 1 << 27],
         "nlines": [0, 1 << 27],
+        "naddrs": [0, 1 << 26],
         "sets": [1, 1 << 16],
         "assoc": [1, 16],
         "gshare": [1, 1 << 24],
@@ -72,6 +80,13 @@ ANNOTATE_CONTRACT = {
         "line": ["m", 0, 1 << 62],
         "line_id": ["m", 0, ["nlines", -1]],
         "owner": ["nlines", -1, ["n", -1]],
+        "dst": ["n", -1, ["NUM_REGS", -1]],
+        "src1": ["n", -1, ["NUM_REGS", -1]],
+        "src2": ["n", -1, ["NUM_REGS", -1]],
+        "src3": ["n", -1, ["NUM_REGS", -1]],
+        "addr_id": ["n", -1, ["naddrs", -1]],
+        "last_writer": ["NUM_REGS", -1, ["n", -1]],
+        "last_store": ["naddrs", -1, ["n", -1]],
     },
     "geometry": {
         "l1i_sets": [1, 1 << 16],
@@ -85,6 +100,17 @@ ANNOTATE_CONTRACT = {
 _FRONT_COLUMNS = ("ops", "pc", "target", "taken", "cond", "fetch_line",
                   "iline", "dline", "pf_fetch", "pf_data")
 _BACK_COLUMNS = ("position", "kind", "line", "line_id", "owner")
+_RENAME_COLUMNS = ("ops", "dst", "src1", "src2", "src3", "addr_id",
+                   "last_writer", "last_store")
+
+#: The register file, as the header defines it and as contract bounds
+#: may name it.
+_CONSTANTS = {"NUM_REGS": NUM_REGS, "REG_ZERO": REG_ZERO}
+
+#: The opcodes that access memory through their address: the loads,
+#: the stores and the two atomics, which do both.
+_MEMORY_OPS = tuple(int(op) for op in (OpClass.LOAD, OpClass.STORE,
+                                       OpClass.CAS, OpClass.LDSTUB))
 
 #: The BTB associativity of the kernel (``BTB_WAYS``): the default of
 #: :class:`repro.branch.btb.BranchTargetBuffer`.
@@ -104,7 +130,7 @@ class _Geometry(ctypes.Structure):
     ]
 
 
-_Entries = collections.namedtuple("_Entries", "front back")
+_Entries = collections.namedtuple("_Entries", "front back rename")
 
 
 def _layers():
@@ -115,13 +141,14 @@ def _layers():
 
 def _header():
     """``_annotate_kernel.c``'s header: the opcodes, the stream kinds,
-    ``BTB_WAYS`` and the geometry struct."""
+    ``BTB_WAYS``, the register file and the geometry struct."""
     layers = _layers()
     return render_header(
         {
             **opcode_defines(),
             **{name: getattr(layers, name) for name in _STREAM_KINDS},
             "BTB_WAYS": _BTB_WAYS,
+            **_CONSTANTS,
         },
         {"Geometry": _Geometry},
     )
@@ -143,7 +170,14 @@ def _bind(lib):
         + [ctypes.c_void_p] * len(_BACK_COLUMNS)
         + [ctypes.c_void_p] * 5                   # the five masks
     )
-    return _Entries(front, back)
+    rename = lib.annotate_rename
+    rename.restype = None
+    rename.argtypes = (
+        [ctypes.c_int64] * 2                      # n, naddrs
+        + [ctypes.c_void_p] * len(_RENAME_COLUMNS)
+        + [ctypes.c_void_p] * 4                   # the producer columns
+    )
+    return _Entries(front, back, rename)
 
 
 _loader = KernelLoader("annotation", _SOURCE_PATH, _bind, _header)
@@ -195,15 +229,16 @@ def _violation(symbols, columns, geometry=None):
         lo, hi = ANNOTATE_CONTRACT["symbols"][name]
         if not lo <= value <= hi:
             return f"size {name} = {value} outside [{lo}, {hi}]"
+    bounds = {**symbols, **_CONSTANTS}
     for name, column in columns.items():
         length, lo, hi = ANNOTATE_CONTRACT["columns"][name]
-        if len(column) != symbols[length]:
+        if len(column) != bounds[length]:
             return (f"column {name!r} has {len(column)} entries, not"
-                    f" {length} = {symbols[length]}")
+                    f" {length} = {bounds[length]}")
         if len(column):
             vmin, vmax = int(column.min()), int(column.max())
-            lo_v = contract_bound(lo, symbols)
-            hi_v = contract_bound(hi, symbols)
+            lo_v = contract_bound(lo, bounds)
+            hi_v = contract_bound(hi, bounds)
             if vmin < lo_v or vmax > hi_v:
                 return (f"column {name!r} spans [{vmin}, {vmax}],"
                         f" outside [{lo_v}, {hi_v}]")
@@ -385,3 +420,68 @@ def run_back_pass(trace, front, config):
     if status != 0:
         raise InternalError("compiled annotation kernel ran out of memory")
     return tuple(masks)
+
+
+def _rename_inputs(trace, start, stop):
+    """The opcode and register columns of ``trace[start:stop)``, as
+    the renaming kernel reads them."""
+    return {
+        "ops": c_column(trace.op[start:stop], np.int8),
+        **{name: c_column(getattr(trace, name)[start:stop], np.int16)
+           for name in ("dst", "src1", "src2", "src3")},
+    }
+
+
+def rename_violation(trace, start, stop):
+    """Why renaming ``trace[start:stop)`` lies outside the kernel
+    contract, or ``None`` when it may run in C.
+
+    A register outside ``[-1, NUM_REGS - 1]`` is outside, so the Python
+    route treats it as it always did.
+    """
+    return _violation({"n": stop - start},
+                      _rename_inputs(trace, start, stop))
+
+
+def run_rename(trace, start, stop):
+    """Rename registers and memory over ``trace[start:stop)``, in C.
+
+    Returns a ``(4, n)`` int32 array whose rows are the ``prod1``,
+    ``prod2``, ``prod3`` and ``memdep`` columns of
+    :class:`repro.core.depgraph.DepGraph`, bit-identical to the Python
+    loop :func:`repro.core.depgraph.rename_region`.
+
+    Raises
+    ------
+    repro.robustness.errors.InternalError
+        If the kernel is unavailable (callers must check
+        :func:`kernel_available` first) or the inputs lie outside the
+        contract.
+    """
+    _kernel = _loader.require().rename
+    n = stop - start
+    columns = _rename_inputs(trace, start, stop)
+    # Dense ids of the memory operations' addresses index a flat
+    # last-store table; every other instruction has id -1.
+    memory = np.zeros(n, dtype=bool)
+    for op in _MEMORY_OPS:
+        memory |= columns["ops"] == op
+    distinct, ids = np.unique(trace.addr[start:stop][memory],
+                              return_inverse=True)
+    addr_id = np.full(n, -1, dtype=np.int32)
+    addr_id[memory] = ids
+    columns["addr_id"] = addr_id
+    columns["last_writer"] = np.full(NUM_REGS, -1, dtype=np.int32)
+    columns["last_store"] = np.full(len(distinct), -1, dtype=np.int32)
+    symbols = {"n": n, "naddrs": len(distinct)}
+    producers = np.empty((4, n), dtype=np.int32)
+
+    # As in run_front_pass: the certified ranges hold on every path.
+    validate_annotate_contract(symbols, columns)
+
+    _kernel(
+        n, symbols["naddrs"],
+        *(columns[name].ctypes.data for name in _RENAME_COLUMNS),
+        *(row.ctypes.data for row in producers),
+    )
+    return producers

@@ -4,8 +4,11 @@ Traces can reach millions of instructions, so instructions are stored as
 parallel numpy arrays (structure-of-arrays) instead of per-instruction
 Python objects.  :meth:`Trace.instruction` materialises a single
 :class:`~repro.isa.instruction.Instruction` on demand for debugging and
-tests; the simulators read the columns directly (converted to Python
-lists, which are faster to index in tight interpreter loops).
+tests.  The compiled kernels read the columns (or int32/int64 columns
+derived from them, such as the dependence graph of
+:mod:`repro.core.depgraph`) directly; the Python oracles convert the
+columns they need to lists once per run, which are faster to index in
+their interpreter loops.
 """
 
 import numpy as np

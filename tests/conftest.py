@@ -84,6 +84,7 @@ def disable_kernels(monkeypatch):
     monkeypatch.setattr(cycle_ckernel, "run_cycle_plan", forbidden)
     monkeypatch.setattr(annotate_ckernel, "run_front_pass", forbidden)
     monkeypatch.setattr(annotate_ckernel, "run_back_pass", forbidden)
+    monkeypatch.setattr(annotate_ckernel, "run_rename", forbidden)
     monkeypatch.setattr(generate_ckernel, "run_program", forbidden)
     monkeypatch.setattr(shm, "publish_plan", forbidden)
 

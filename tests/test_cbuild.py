@@ -28,11 +28,13 @@ ENTRY_POINTS = (
     (cycle_ckernel, "cyclesim_batch"),
     (annotate_ckernel, "annotate_front"),
     (annotate_ckernel, "annotate_back"),
+    (annotate_ckernel, "annotate_rename"),
     (generate_ckernel, "generate"),
 )
 
-#: The ctypes type each C scalar parameter or return type crosses as.
-_SCALARS = {"int64_t": ctypes.c_int64, "int": ctypes.c_int}
+#: The ctypes type each C scalar parameter or return type crosses as
+#: (``None`` is ctypes' restype for ``void``).
+_SCALARS = {"int64_t": ctypes.c_int64, "int": ctypes.c_int, "void": None}
 
 needs_cc = pytest.mark.skipif(
     cbuild._compiler() is None, reason="no C compiler"

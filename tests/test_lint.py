@@ -224,11 +224,17 @@ class TestCli:
 
 
 class TestFrameworkDetails:
-    def test_every_file_parsed_exactly_once(self):
+    def test_every_file_parsed_exactly_once(self, monkeypatch):
         """The shared AST/extract cache means no pass re-parses a file:
         every (file, parse-kind) ledger entry is exactly 1 even with
         all seventeen passes running — including both C parse kinds
-        (the declaration extract and the full statement-level unit)."""
+        (the declaration extract and the full statement-level unit).
+        The certifier's process-wide reports start empty, so the C
+        kernel is parsed here rather than served from an earlier
+        test's analysis."""
+        from repro.lint import certify
+
+        monkeypatch.setattr(certify, "_REPORTS", {})
         stats = {}
         run_lint(FIXTURES / "plan_contract" / "clean", stats=stats)
         assert stats["parse_counts"], "parse ledger is empty"
