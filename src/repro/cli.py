@@ -411,8 +411,7 @@ def cmd_lint(args):
         state = "regenerated" if result["changed"] else "already current"
         print(f"manifest {state}:")
         print(f"  oracle sha256          {result['oracle_sha256']}")
-        print(f"  payload schema version {result['payload_schema_version']}")
-        print(f"  payload fingerprint    {result['payload_schema_sha256']}")
+        print(f"  cyclesim oracle sha256 {result['cyclesim_oracle_sha256']}")
         for name, sha in sorted(
             result["plan_contract_fingerprints"].items()
         ):
@@ -638,9 +637,9 @@ def build_parser():
                    help="print per-pass wall time and the shared-parse"
                    " ledger to stderr after the findings")
     p.add_argument("--manifest-update", action="store_true",
-                   help="regenerate the pinned oracle SHA and payload"
-                   " schema fingerprint in repro.lint.manifest (atomic;"
-                   " refuses on an unrelated-dirty git tree)")
+                   help="regenerate the pinned oracle SHAs and"
+                   " plan-contract fingerprints in repro.lint.manifest"
+                   " (atomic; refuses on an unrelated-dirty git tree)")
     p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser("ablation", help="run ablation studies")

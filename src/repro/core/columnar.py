@@ -34,9 +34,8 @@ Layout conventions
   in bulk.
 
 Bump :data:`COLUMNAR_SCHEMA_VERSION` whenever the set or meaning of the
-columns changes: the disk annotation cache keys its entries on it, and
-stale pre-refactor entries are quarantined instead of silently
-deserialized (see :mod:`repro.experiments.common`).
+columns changes: every payload carries it, and :func:`plan_from_payload`
+rejects a payload of another version instead of silently misreading it.
 """
 
 import dataclasses
@@ -50,8 +49,8 @@ from repro.isa.opclass import OpClass
 from repro.isa.registers import REG_ZERO
 from repro.robustness.errors import InternalError, TraceFormatError
 
-#: Version of the columnar plan layout.  Annotation cache entries are
-#: keyed on it so pre-columnar archives cannot be misread as current.
+#: Version of the columnar plan layout, carried in every payload's meta
+#: record and checked by :func:`plan_from_payload`.
 COLUMNAR_SCHEMA_VERSION = 2
 
 #: Columns a spilled plan payload must carry, with dtypes.
@@ -324,8 +323,8 @@ def plan_payload(plan):
     """Project *plan* to a flat ``{name: array}`` dict for spilling.
 
     The payload round-trips through :func:`plan_from_payload`; the
-    schema version travels with it so a stale archive is rejected
-    loudly instead of misread.
+    schema version travels with it so a payload of another layout is
+    rejected loudly instead of misread.
     """
     payload = {name: getattr(plan, name) for name, _ in PLAN_COLUMNS}
     payload["meta"] = np.asarray(

@@ -1,4 +1,4 @@
-"""Pinned content hashes and schema fingerprints for frozen contracts.
+"""Pinned content hashes and fingerprints for frozen contracts.
 
 ``repro.core.mlpsim_reference`` is the pre-optimization MLPsim engine,
 kept bit-identical as the oracle for the engine-equivalence suite
@@ -10,18 +10,12 @@ each file's SHA-256 against the value pinned here.  An edit to an
 oracle therefore requires an edit to this manifest in the same commit
 — an explicit, reviewable act rather than a quiet drive-by change.
 
-The columnar plan payload (PR 7) gets the same treatment: the
-``schema-version`` pass fingerprints the column set ``plan_payload``
-packs and compares it against the pin below, so changing the payload
-layout without bumping ``COLUMNAR_SCHEMA_VERSION`` (or bumping the
-version without regenerating this manifest) fails the build.
-
 The kernel certification (PR 10) pins the plan contracts the same
 way: the ``plan-contract`` pass fingerprints the ``PLAN_CONTRACT`` /
-``CYCLE_PLAN_CONTRACT`` / ``ANNOTATE_CONTRACT`` literals the runtime
-validators enforce and compares them against the pins below, so
-changing a contracted range without regenerating this manifest fails
-the build.
+``CYCLE_PLAN_CONTRACT`` / ``ANNOTATE_CONTRACT`` / ``GENERATE_CONTRACT``
+literals the runtime validators enforce and compares them against the
+pins below, so changing a contracted range without regenerating this
+manifest fails the build.
 
 Hashes are computed over text with ``\\r\\n`` normalised to ``\\n``, so
 checkouts with translated line endings still verify.  Regenerate this
@@ -43,20 +37,6 @@ CYCLESIM_ORACLE_PATH = "src/repro/cyclesim/simulator_reference.py"
 #: SHA-256 of the cyclesim oracle's (newline-normalised) content.
 CYCLESIM_ORACLE_SHA256 = (
     "725733cdb43602f3b61201e1c3172c8f0f63f3970e858519a4db5401b7b83e46"
-)
-
-#: Root-relative path of the columnar plan module.
-PAYLOAD_SCHEMA_PATH = "src/repro/core/columnar.py"
-
-#: The COLUMNAR_SCHEMA_VERSION the fingerprint below was pinned at.
-PAYLOAD_SCHEMA_VERSION = 2
-
-#: SHA-256 fingerprint of the plan_payload column set: one
-#: ``name:dtype`` line per PLAN_COLUMNS entry in order, then one
-#: ``+key`` line per extra payload record (see
-#: ``repro.lint.clang_parity.pyextract.schema_fingerprint``).
-PAYLOAD_SCHEMA_SHA256 = (
-    "80c5b32d539281e6c6ef8cdc1150cd827f2ca94a48b3068bb7ed99b2336575b6"
 )
 
 #: ``facts_fingerprint`` pins of the Python plan-contract literals the

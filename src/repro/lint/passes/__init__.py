@@ -18,7 +18,6 @@ from repro.lint.passes import (  # noqa: F401  (imported for registration)
     kernel_overflow,
     plan_contract,
     resource_paths,
-    schema_version,
     seed_provenance,
     shm_lifetime,
     signal_safety,

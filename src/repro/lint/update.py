@@ -1,27 +1,27 @@
 """Regenerate the pinned hashes in :mod:`repro.lint.manifest`.
 
 ``repro lint --manifest-update`` is the *only* sanctioned way to touch
-the manifest: it recomputes the frozen-oracle SHA-256 and the payload
-schema fingerprint from the current tree and rewrites the whole file
-in one atomic ``os.replace``, so the manifest can never be half-new.
+the manifest: it recomputes the two frozen-oracle SHA-256s and the
+plan-contract fingerprints from the current tree and rewrites the
+whole file in one atomic ``os.replace``, so the manifest can never be
+half-new.
 
 Two interlocks keep the update an explicit, reviewable act:
 
 * **dirty-tree refusal** — the update runs only when the working tree
   has no uncommitted changes *besides* the files whose pins are being
-  regenerated (the oracle, the columnar module and the manifest
-  itself).  The intended workflow — edit ``columnar.py``, bump
-  ``COLUMNAR_SCHEMA_VERSION``, regenerate, commit everything together
-  — stays a single reviewed change, while regenerating pins in the
-  middle of unrelated uncommitted churn (where the reviewer cannot
-  tell which edit the new fingerprint blesses) is refused;
-* **extraction refusal** — if ``PLAN_COLUMNS``,
-  ``COLUMNAR_SCHEMA_VERSION`` or a plan-contract literal
-  (``PLAN_CONTRACT`` / ``CYCLE_PLAN_CONTRACT`` /
-  ``ANNOTATE_CONTRACT``) cannot be statically extracted, the update
+  regenerated (the two oracles, the four modules that declare the
+  plan-contract literals, and the manifest itself).  The intended
+  workflow — edit a contract literal, regenerate, commit everything
+  together — stays a single reviewed change, while regenerating pins
+  in the middle of unrelated uncommitted churn (where the reviewer
+  cannot tell which edit the new fingerprint blesses) is refused;
+* **extraction refusal** — if a plan-contract literal
+  (``PLAN_CONTRACT`` / ``CYCLE_PLAN_CONTRACT`` / ``ANNOTATE_CONTRACT``
+  / ``GENERATE_CONTRACT``) cannot be statically extracted, the update
   fails rather than pinning a fingerprint of nothing.
 
-See the "bumping the schema" section of ``docs/STATIC_ANALYSIS.md``.
+See "The contract manifest" in ``docs/STATIC_ANALYSIS.md``.
 """
 
 import ast
@@ -31,13 +31,11 @@ import subprocess
 import tempfile
 
 from repro.lint import manifest
-from repro.lint.certify.contracts import kernel_contracts
-from repro.lint.clang_parity.pyextract import (
-    int_constant,
-    payload_extras,
-    plan_columns,
-    schema_fingerprint,
+from repro.lint.certify.contracts import (
+    facts_fingerprint,
+    kernel_contracts,
 )
+from repro.lint.certify.pyfacts import extract_contract_literal
 
 #: Root-relative path of the file this module rewrites.
 MANIFEST_PATH = "src/repro/lint/manifest.py"
@@ -55,12 +53,11 @@ _ALLOWED_DIRTY = frozenset({
     MANIFEST_PATH,
     manifest.ORACLE_PATH,
     manifest.CYCLESIM_ORACLE_PATH,
-    manifest.PAYLOAD_SCHEMA_PATH,
     *_CONTRACT_SOURCES.values(),
 })
 
 _TEMPLATE = '''\
-"""Pinned content hashes and schema fingerprints for frozen contracts.
+"""Pinned content hashes and fingerprints for frozen contracts.
 
 ``repro.core.mlpsim_reference`` is the pre-optimization MLPsim engine,
 kept bit-identical as the oracle for the engine-equivalence suite
@@ -72,18 +69,12 @@ each file's SHA-256 against the value pinned here.  An edit to an
 oracle therefore requires an edit to this manifest in the same commit
 — an explicit, reviewable act rather than a quiet drive-by change.
 
-The columnar plan payload (PR 7) gets the same treatment: the
-``schema-version`` pass fingerprints the column set ``plan_payload``
-packs and compares it against the pin below, so changing the payload
-layout without bumping ``COLUMNAR_SCHEMA_VERSION`` (or bumping the
-version without regenerating this manifest) fails the build.
-
 The kernel certification (PR 10) pins the plan contracts the same
 way: the ``plan-contract`` pass fingerprints the ``PLAN_CONTRACT`` /
-``CYCLE_PLAN_CONTRACT`` / ``ANNOTATE_CONTRACT`` literals the runtime
-validators enforce and compares them against the pins below, so
-changing a contracted range without regenerating this manifest fails
-the build.
+``CYCLE_PLAN_CONTRACT`` / ``ANNOTATE_CONTRACT`` / ``GENERATE_CONTRACT``
+literals the runtime validators enforce and compares them against the
+pins below, so changing a contracted range without regenerating this
+manifest fails the build.
 
 Hashes are computed over text with ``\\\\r\\\\n`` normalised to ``\\\\n``, so
 checkouts with translated line endings still verify.  Regenerate this
@@ -105,20 +96,6 @@ CYCLESIM_ORACLE_PATH = "{cyclesim_oracle_path}"
 #: SHA-256 of the cyclesim oracle's (newline-normalised) content.
 CYCLESIM_ORACLE_SHA256 = (
     "{cyclesim_oracle_sha256}"
-)
-
-#: Root-relative path of the columnar plan module.
-PAYLOAD_SCHEMA_PATH = "{payload_schema_path}"
-
-#: The COLUMNAR_SCHEMA_VERSION the fingerprint below was pinned at.
-PAYLOAD_SCHEMA_VERSION = {payload_schema_version}
-
-#: SHA-256 fingerprint of the plan_payload column set: one
-#: ``name:dtype`` line per PLAN_COLUMNS entry in order, then one
-#: ``+key`` line per extra payload record (see
-#: ``repro.lint.clang_parity.pyextract.schema_fingerprint``).
-PAYLOAD_SCHEMA_SHA256 = (
-    "{payload_schema_sha256}"
 )
 
 #: ``facts_fingerprint`` pins of the Python plan-contract literals the
@@ -174,8 +151,8 @@ def update_manifest(root="."):
     """Regenerate ``manifest.py``; returns a summary dict.
 
     Raises :class:`ManifestUpdateError` when the tree carries
-    uncommitted changes beyond the pinned files, or when the schema
-    constants cannot be extracted.
+    uncommitted changes beyond the pinned files, or when a
+    plan-contract literal cannot be extracted.
     """
     dirty = _unexpected_dirty_paths(root)
     if dirty:
@@ -184,7 +161,7 @@ def update_manifest(root="."):
             shown += f", ... ({len(dirty) - 5} more)"
         raise ManifestUpdateError(
             f"refusing to regenerate pins in a dirty tree: {shown}"
-            " — commit or stash everything except the schema change"
+            " — commit or stash everything except the pinned change"
             " first, so the new fingerprint blesses exactly one edit"
         )
 
@@ -194,28 +171,6 @@ def update_manifest(root="."):
     cyclesim_oracle_sha = hashlib.sha256(
         _read_normalised(root, manifest.CYCLESIM_ORACLE_PATH).encode()
     ).hexdigest()
-
-    columnar_source = _read_normalised(root, manifest.PAYLOAD_SCHEMA_PATH)
-    try:
-        tree = ast.parse(columnar_source)
-    except SyntaxError as exc:
-        raise ManifestUpdateError(
-            f"{manifest.PAYLOAD_SCHEMA_PATH} does not parse: {exc}"
-        ) from exc
-    columns = plan_columns(tree)
-    version = int_constant(tree, "COLUMNAR_SCHEMA_VERSION")
-    if columns is None or version is None:
-        missing = ("PLAN_COLUMNS" if columns is None
-                   else "COLUMNAR_SCHEMA_VERSION")
-        raise ManifestUpdateError(
-            f"cannot extract {missing} from"
-            f" {manifest.PAYLOAD_SCHEMA_PATH}; refusing to pin a"
-            " fingerprint of nothing"
-        )
-    fingerprint = schema_fingerprint(columns[0], payload_extras(tree))
-
-    from repro.lint.certify.contracts import facts_fingerprint
-    from repro.lint.certify.pyfacts import extract_contract_literal
 
     contract_pins = {}
     for literal_name, relpath in _CONTRACT_SOURCES.items():
@@ -240,9 +195,6 @@ def update_manifest(root="."):
         oracle_sha256=oracle_sha,
         cyclesim_oracle_path=manifest.CYCLESIM_ORACLE_PATH,
         cyclesim_oracle_sha256=cyclesim_oracle_sha,
-        payload_schema_path=manifest.PAYLOAD_SCHEMA_PATH,
-        payload_schema_version=version[0],
-        payload_schema_sha256=fingerprint,
         contract_pins="".join(
             f'    "{name}": (\n        "{pin}"\n    ),\n'
             for name, pin in contract_pins.items()
@@ -275,8 +227,6 @@ def update_manifest(root="."):
     return {
         "oracle_sha256": oracle_sha,
         "cyclesim_oracle_sha256": cyclesim_oracle_sha,
-        "payload_schema_version": version[0],
-        "payload_schema_sha256": fingerprint,
         "plan_contract_fingerprints": contract_pins,
         "changed": changed,
     }

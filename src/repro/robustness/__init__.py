@@ -48,7 +48,6 @@ from repro.robustness.errors import (
 from repro.robustness.faults import (
     FAULTS,
     ProcessFaultPlan,
-    corrupt_cache_entries,
     inject_fault,
     tear_journal,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "inject_fault",
     "ProcessFaultPlan",
     "tear_journal",
-    "corrupt_cache_entries",
     "SweepJournal",
     "config_key",
 ]

@@ -302,20 +302,3 @@ def tear_journal(path, drop_bytes=16):
     keep = max(1, len(raw) - int(drop_bytes))
     with atomic_write(path, "wb") as handle:
         handle.write(raw[:keep])
-
-
-def corrupt_cache_entries(directory, fault="truncate", kind=None):
-    """Apply *fault* to every disk-cache archive of *kind* in *directory*.
-
-    *kind* is as for :func:`repro.experiments.common.cache_archives`
-    (``"masks"``, ``"stale"``, or ``None`` for all).
-    Returns the paths corrupted.  The chaos suite uses this to prove
-    the annotation cache quarantines damage and regenerates instead of
-    crashing or silently reusing bad data.
-    """
-    from repro.experiments.common import cache_archives
-
-    corrupted = cache_archives(directory, kind)
-    for path in corrupted:
-        inject_fault(path, fault)
-    return corrupted

@@ -42,8 +42,7 @@ def _column_dtypes():
     return {name: np.dtype(dtype) for name, dtype in COLUMNS}
 
 
-def validate_archive_columns(payload, path=None, annotation_fields=(),
-                             trace_columns=True):
+def validate_archive_columns(payload, path=None, annotation_fields=()):
     """Check a raw archive *payload* (mapping of name to array).
 
     Parameters
@@ -55,11 +54,8 @@ def validate_archive_columns(payload, path=None, annotation_fields=(),
         File the payload came from, for diagnostics.
     annotation_fields:
         Extra ``ann_*`` mask names that must also be present (used by
-        the annotated-trace and masks loaders); an empty tuple checks a
-        plain trace archive.
-    trace_columns:
-        Whether the trace columns must be present; False checks a
-        masks-only archive.
+        the annotated-trace loader); an empty tuple checks a plain
+        trace archive.
 
     Raises
     ------
@@ -67,7 +63,7 @@ def validate_archive_columns(payload, path=None, annotation_fields=(),
         On a missing column, an unknown column, a wrong dtype, or
         unequal column lengths.
     """
-    expected = _column_dtypes() if trace_columns else {}
+    expected = _column_dtypes()
     for name in annotation_fields:
         expected[name] = (
             np.dtype(np.int8) if name == "ann_vp_outcome"

@@ -2,11 +2,10 @@
 
 Traces round-trip through numpy ``.npz`` archives: one array per column
 plus a small metadata record.  Annotated traces (trace + event masks)
-round-trip the same way, so the expensive cache/predictor pass can be
-done once and shared.  A masks-only archive (:func:`save_masks`) holds
-one annotation without its trace, so several annotations of one trace
-share a single trace archive.  All formats are versioned so stale
-cached files are rejected rather than silently misread.
+round-trip the same way, so an annotation can be handed to another
+process (the spawn-start spill of :mod:`repro.analysis.parallel`).
+Both formats are versioned so an archive written by another layout is
+rejected rather than silently misread.
 
 Robustness contract (see ``docs/ROBUSTNESS.md``):
 
@@ -113,26 +112,41 @@ def load_trace(path):
     return validate_trace(trace, path=path)
 
 
-def _masks_payload(annotated):
-    """The archive entries of an annotation's event masks."""
-    payload = {
+def save_annotated(annotated, path):
+    """Atomically write an :class:`AnnotatedTrace` to *path*.
+
+    The annotation's hierarchy/predictor configuration is not persisted
+    (only its results are); the loader restores a default
+    :class:`AnnotationConfig` as a placeholder.
+    """
+    payload = {name: getattr(annotated.trace, name) for name, _ in COLUMNS}
+    payload.update({
         f"ann_{field}": getattr(annotated, field)
         for field in ANNOTATION_FIELDS
-    }
+    })
     payload["ann_measure_start"] = np.asarray(
         [annotated.measure_start], dtype=np.int64
     )
     payload["__version__"] = np.asarray([FORMAT_VERSION], dtype=np.int64)
-    return payload
+    payload["__name__"] = np.asarray([annotated.trace.name], dtype=np.str_)
+    atomic_savez(path, **payload)
 
 
-def _read_masks_archive(path, kind, trace_columns):
-    """Read and check an archive holding event masks.
+def load_annotated(path):
+    """Read an annotated trace written by :func:`save_annotated`.
 
-    Returns the payload and its non-metadata columns, after the version
-    record, the measure-start record and the column set, dtypes and
-    lengths have been checked.
+    Raises
+    ------
+    TraceFormatError
+        Under the same strict-validation contract as
+        :func:`load_trace`, plus the measure-start record and
+        event-mask consistency: a mask that marks instructions which
+        cannot raise its event (e.g. a data miss on an ALU op) is
+        rejected rather than silently skewing MLP results.
     """
+    from repro.trace.annotate import AnnotatedTrace, AnnotationConfig
+
+    kind = "annotated-trace"
     payload = _read_archive(path, kind)
     _check_version(payload, path, kind)
     if "ann_measure_start" not in payload:
@@ -149,83 +163,14 @@ def _read_masks_archive(path, kind, trace_columns):
         columns,
         path=path,
         annotation_fields=tuple(f"ann_{f}" for f in ANNOTATION_FIELDS),
-        trace_columns=trace_columns,
-    )
-    return payload, columns
-
-
-def _attach_masks(trace, payload, columns, path, config=None):
-    """Build the :class:`AnnotatedTrace` of *trace* from checked masks."""
-    from repro.trace.annotate import AnnotatedTrace, AnnotationConfig
-
-    annotated = AnnotatedTrace(
-        trace=trace,
-        measure_start=int(payload["ann_measure_start"][0]),
-        config=config or AnnotationConfig(),
-        **{field: columns[f"ann_{field}"] for field in ANNOTATION_FIELDS},
-    )
-    return validate_annotated(annotated, path=path, check_events=True)
-
-
-def save_annotated(annotated, path):
-    """Atomically write an :class:`AnnotatedTrace` to *path*.
-
-    The annotation's hierarchy/predictor configuration is not persisted
-    (only its results are); the loader restores a default
-    :class:`AnnotationConfig` as a placeholder.
-    """
-    payload = {name: getattr(annotated.trace, name) for name, _ in COLUMNS}
-    payload.update(_masks_payload(annotated))
-    payload["__name__"] = np.asarray([annotated.trace.name], dtype=np.str_)
-    atomic_savez(path, **payload)
-
-
-def load_annotated(path):
-    """Read an annotated trace written by :func:`save_annotated`.
-
-    Raises
-    ------
-    TraceFormatError
-        Under the same strict-validation contract as
-        :func:`load_trace`, plus event-mask consistency: a mask that
-        marks instructions which cannot raise its event (e.g. a data
-        miss on an ALU op) is rejected rather than silently skewing
-        MLP results.
-    """
-    payload, columns = _read_masks_archive(
-        path, "annotated-trace", trace_columns=True
     )
     name = str(payload["__name__"][0]) if "__name__" in payload else "trace"
     trace = Trace({col: columns[col] for col, _ in COLUMNS}, name=name)
     validate_trace(trace, path=path)
-    return _attach_masks(trace, payload, columns, path)
-
-
-def save_masks(annotated, path):
-    """Atomically write only the event masks of *annotated* to *path*.
-
-    The trace is not stored: every annotation of one trace (one per L2
-    size) shares a single trace archive written by :func:`save_trace`.
-    """
-    atomic_savez(path, **_masks_payload(annotated))
-
-
-def load_masks(path, trace, config=None):
-    """Read masks written by :func:`save_masks` as an annotation of *trace*.
-
-    *config* is the :class:`AnnotationConfig` the masks were made under
-    (default: the paper's machine); it is not stored in the archive.
-
-    Raises
-    ------
-    TraceFormatError
-        If the archive is unreadable, has a different format version,
-        lacks its measure-start record, is missing a mask or holds an
-        unknown one, has a wrong mask dtype, masks of unequal length or
-        of another length than *trace*, or marks events inconsistent
-        with *trace* (as :func:`load_annotated` checks).
-    """
-    payload, columns = _read_masks_archive(
-        path, "annotation-masks", trace_columns=False
+    annotated = AnnotatedTrace(
+        trace=trace,
+        measure_start=int(payload["ann_measure_start"][0]),
+        config=AnnotationConfig(),
+        **{field: columns[f"ann_{field}"] for field in ANNOTATION_FIELDS},
     )
-    return _attach_masks(trace, payload, columns, path, config)
+    return validate_annotated(annotated, path=path, check_events=True)

@@ -5,32 +5,10 @@ builder declares, so it equals the package's ``PLAN_CONTRACT`` (which
 ``repro.lint.certify.contracts`` builds its facts from) and its
 fingerprint matches the manifest pin; ``validate_plan_contract`` exists and is called by the
 miniature driver (``ckernel.py``) before the kernel — the fixture is
-clean by construction.  ``PLAN_COLUMNS``/``plan_payload`` reproduce
-the real payload schema so the ``schema-version`` pass stays clean
-too.
+clean by construction.
 """
 
-import numpy as np
-
 from repro.robustness.errors import InternalError
-
-COLUMNAR_SCHEMA_VERSION = 2
-
-PLAN_COLUMNS = (
-    ("ops", np.int8),
-    ("prod1", np.int32),
-    ("prod2", np.int32),
-    ("prod3", np.int32),
-    ("memdep", np.int32),
-    ("dmiss", np.bool_),
-    ("imiss", np.bool_),
-    ("mispred", np.bool_),
-    ("pmiss", np.bool_),
-    ("pfuseful", np.bool_),
-    ("vp_ok", np.bool_),
-    ("smiss", np.bool_),
-    ("scalar_mask", np.bool_),
-)
 
 PLAN_CONTRACT = {
     "n_max": 1 << 26,
@@ -65,14 +43,6 @@ PLAN_CONTRACT = {
         "max_runahead": [1, (1 << 26) + 1],
     },
 }
-
-
-def plan_payload(plan):
-    payload = {name: getattr(plan, name) for name, _ in PLAN_COLUMNS}
-    payload["meta"] = np.asarray(
-        [COLUMNAR_SCHEMA_VERSION, plan.start, plan.stop], dtype=np.int64
-    )
-    return payload
 
 
 def validate_plan_contract(plan, configs):

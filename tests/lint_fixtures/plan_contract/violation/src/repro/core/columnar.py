@@ -7,27 +7,7 @@ report as exactly one finding.  Everything else matches the clean
 fixture.
 """
 
-import numpy as np
-
 from repro.robustness.errors import InternalError
-
-COLUMNAR_SCHEMA_VERSION = 2
-
-PLAN_COLUMNS = (
-    ("ops", np.int8),
-    ("prod1", np.int32),
-    ("prod2", np.int32),
-    ("prod3", np.int32),
-    ("memdep", np.int32),
-    ("dmiss", np.bool_),
-    ("imiss", np.bool_),
-    ("mispred", np.bool_),
-    ("pmiss", np.bool_),
-    ("pfuseful", np.bool_),
-    ("vp_ok", np.bool_),
-    ("smiss", np.bool_),
-    ("scalar_mask", np.bool_),
-)
 
 PLAN_CONTRACT = {
     "n_max": 1 << 26,
@@ -62,14 +42,6 @@ PLAN_CONTRACT = {
         "max_runahead": [1, (1 << 26) + 1],
     },
 }
-
-
-def plan_payload(plan):
-    payload = {name: getattr(plan, name) for name, _ in PLAN_COLUMNS}
-    payload["meta"] = np.asarray(
-        [COLUMNAR_SCHEMA_VERSION, plan.start, plan.stop], dtype=np.int64
-    )
-    return payload
 
 
 def validate_plan_contract(plan, configs):

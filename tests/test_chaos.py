@@ -1,13 +1,13 @@
 """Process-level chaos tests for supervised sweeps.
 
 Each test injects a deterministic process fault — a SIGKILLed pool
-worker, a hung config, a supervisor crash mid-journal-write, a
-corrupted disk-cache entry — and proves the supervised sweep still
-produces results *bit-identical* to a clean serial run.  That is the
-central robustness claim of ``repro.robustness.supervisor``: because
-MLPsim is a pure function of ``(annotated, machine)``, no amount of
-retrying, worker replacement, serial degradation or journal resume may
-change a single field of a single result.
+worker, a hung config, a supervisor crash mid-journal-write — and
+proves the supervised sweep still produces results *bit-identical* to
+a clean serial run.  That is the central robustness claim of
+``repro.robustness.supervisor``: because MLPsim is a pure function of
+``(annotated, machine)``, no amount of retrying, worker replacement,
+serial degradation or journal resume may change a single field of a
+single result.
 
 Journals are written under ``REPRO_CHAOS_JOURNAL_DIR`` when set (CI
 uploads that directory as an artifact on failure) and the pytest tmp
@@ -15,16 +15,14 @@ path otherwise.
 """
 
 import dataclasses
-import logging
 import os
 
-import numpy as np
 import pytest
 
 from repro.analysis.sweep import sweep
 from repro.core.config import MachineConfig
 from repro.robustness.errors import InjectedCrash
-from repro.robustness.faults import ProcessFaultPlan, corrupt_cache_entries
+from repro.robustness.faults import ProcessFaultPlan
 from repro.robustness.supervisor import SupervisorPolicy, supervised_sweep
 
 GRID_SPECS = ("16A", "64C", "64E", "128C")
@@ -200,49 +198,6 @@ class TestCrashResumeEquivalence:
         )
         assert resumed.resumed == 2 and resumed.executed == 2
         _assert_bit_identical(resumed, clean_serial)
-
-
-class TestCacheCorruption:
-    """The disk cache holds one masks archive per L2 size.  A damaged
-    archive must be moved to quarantine/ on its own, with a logged
-    warning, and the annotation regenerated mask for mask."""
-
-    MASKS = ("dmiss", "pmiss", "pfuseful", "imiss", "mispred",
-             "vp_outcome", "smiss")
-
-    def test_corrupt_masks_archive_is_quarantined_alone(
-            self, tmp_path, monkeypatch, caplog):
-        from repro.experiments import common
-
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
-        common.clear_caches()
-        first = common.get_annotated("specjbb2000", trace_len=8_000)
-        assert len(common.cache_archives(str(cache))) == 1
-
-        corrupted = corrupt_cache_entries(str(cache), fault="truncate",
-                                          kind="masks")
-        assert len(corrupted) == 1
-        common.clear_caches()  # force the disk-cache read path
-        with caplog.at_level(logging.WARNING, logger="repro.cache"):
-            again = common.get_annotated("specjbb2000", trace_len=8_000)
-        common.clear_caches()
-
-        quarantine = cache / common.QUARANTINE_DIRNAME
-        assert os.listdir(quarantine) == [os.path.basename(corrupted[0])]
-        warnings = [
-            record.getMessage() for record in caplog.records
-            if "corrupt annotation cache entry" in record.getMessage()
-        ]
-        assert len(warnings) == 1 and corrupted[0] in warnings[0]
-        # Regenerated, not crashed — identical to the original, and
-        # re-spilled as a clean archive at the old path.
-        assert again.trace == first.trace
-        for name in self.MASKS:
-            assert np.array_equal(getattr(again, name),
-                                  getattr(first, name)), name
-        assert again.measure_start == first.measure_start
-        assert os.path.exists(corrupted[0])
 
 
 #: The paper's 30-config window x policy grid: one event-mask group, so

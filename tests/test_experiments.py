@@ -11,18 +11,14 @@ import os
 
 import pytest
 
-from repro.core.columnar import COLUMNAR_SCHEMA_VERSION
 from repro.experiments import EXHIBITS, run_exhibit
 from repro.experiments.common import (
-    QUARANTINE_DIRNAME,
     Exhibit,
     WORKLOAD_NAMES,
-    cache_archives,
     clear_caches,
     default_trace_len,
     get_annotated,
 )
-from repro.robustness.atomic import atomic_write_text
 
 SMALL = 30000
 
@@ -55,28 +51,15 @@ class TestCommon:
         assert get_annotated("specjbb2000", SMALL,
                              l2_bytes=2 * 1024 * 1024) is a
 
-    def test_disk_cache_kinds_and_stale_scan(self, tmp_path, monkeypatch):
-        """Only masks archives are written; trace archives, of any
-        schema, are stale and quarantined with the rest."""
+    def test_annotations_stay_in_the_process(self, tmp_path, monkeypatch):
+        """A cache directory named in the environment, as the e2e
+        harness names one for every child, is left untouched."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        stale = ["annotated-c2-0a.npz", "masks-c1-0b.npz", "trace-c0-0c.npz",
-                 f"trace-c{COLUMNAR_SCHEMA_VERSION}-0d.npz"]
-        for name in stale + ["notes.txt"]:
-            atomic_write_text(tmp_path / name, "old")
-        assert cache_archives(str(tmp_path), "stale") == [
-            str(tmp_path / name) for name in sorted(stale)
-        ]
         clear_caches()
         for l2_bytes in (None, 512 * 1024):
             get_annotated("specweb99", 2_000, l2_bytes=l2_bytes)
-        assert sorted(os.listdir(tmp_path / QUARANTINE_DIRNAME)) == stale
-        counts = {kind: len(cache_archives(str(tmp_path), kind))
-                  for kind in ("masks", "stale")}
-        assert counts == {"masks": 2, "stale": 0}
-        assert len(cache_archives(str(tmp_path))) == 2
-        clear_caches(disk=True)
-        assert cache_archives(str(tmp_path)) == []
-        assert (tmp_path / "notes.txt").exists()
+        clear_caches()
+        assert os.listdir(tmp_path) == []
 
     def test_exhibit_formatting(self):
         ex = Exhibit(

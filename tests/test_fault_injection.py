@@ -25,10 +25,8 @@ from repro.trace.annotate import manual_annotation
 from repro.trace.builder import TraceBuilder
 from repro.trace.io import (
     load_annotated,
-    load_masks,
     load_trace,
     save_annotated,
-    save_masks,
     save_trace,
 )
 
@@ -63,16 +61,6 @@ def annotated_path(tmp_path):
     return path
 
 
-@pytest.fixture
-def masks_path(tmp_path):
-    annotated = manual_annotation(
-        _trace(), dmiss_at=[1], imiss_at=[4], mispred_at=[3], measure_start=1
-    )
-    path = tmp_path / "masks.npz"
-    save_masks(annotated, path)
-    return path
-
-
 #: (fault name, injector options, loader, expected field in the error).
 TRACE_FAULTS = [
     ("truncate", {}, None),
@@ -82,6 +70,14 @@ TRACE_FAULTS = [
     ("nan", {"column": "addr"}, "addr"),
     ("out_of_range_register", {"column": "src1"}, "src1"),
     ("version_skew", {}, "__version__"),
+]
+
+#: The trace faults, plus faults on the event-mask columns an annotated
+#: archive adds.
+ANNOTATED_FAULTS = TRACE_FAULTS + [
+    ("drop_column", {"column": "ann_smiss"}, "ann_smiss"),
+    ("wrong_dtype", {"column": "ann_dmiss"}, "ann_dmiss"),
+    ("nan", {"column": "ann_vp_outcome"}, "ann_vp_outcome"),
 ]
 
 
@@ -98,7 +94,7 @@ class TestTraceFaults:
         if field is not None:
             assert error.field == field
 
-    @pytest.mark.parametrize("fault,options,field", TRACE_FAULTS)
+    @pytest.mark.parametrize("fault,options,field", ANNOTATED_FAULTS)
     def test_corrupted_annotated_rejected(self, annotated_path, fault,
                                           options, field):
         faults.inject_fault(annotated_path, fault, **options)
@@ -132,39 +128,6 @@ class TestTraceFaults:
     def test_all_registered_faults_covered(self):
         tested = {name for name, _, _ in TRACE_FAULTS} | {"corrupt_mask"}
         assert tested == set(faults.FAULTS)
-
-
-#: Faults on a masks-only archive, which holds no trace columns.
-MASKS_FAULTS = [
-    ("truncate", {}, None),
-    ("drop_column", {"column": "ann_smiss"}, "ann_smiss"),
-    ("extra_column", {"column": "bogus"}, "bogus"),
-    ("wrong_dtype", {"column": "ann_dmiss"}, "ann_dmiss"),
-    ("nan", {"column": "ann_vp_outcome"}, "ann_vp_outcome"),
-    ("version_skew", {}, "__version__"),
-    ("corrupt_mask", {"field": "ann_dmiss"}, "dmiss"),
-]
-
-
-class TestMasksFaults:
-    def test_clean_masks_round_trip(self, masks_path):
-        loaded = load_masks(masks_path, _trace())
-        assert loaded.dmiss[1] and loaded.imiss[4] and loaded.mispred[3]
-        assert loaded.measure_start == 1
-
-    @pytest.mark.parametrize("fault,options,field", MASKS_FAULTS)
-    def test_corrupted_masks_rejected(self, masks_path, fault, options,
-                                      field):
-        faults.inject_fault(masks_path, fault, **options)
-        with pytest.raises(TraceFormatError) as excinfo:
-            load_masks(masks_path, _trace())
-        assert excinfo.value.path == str(masks_path)
-        if field is not None:
-            assert excinfo.value.field == field
-
-    def test_masks_of_another_trace_length_rejected(self, masks_path):
-        with pytest.raises(TraceFormatError, match="trace length 6"):
-            load_masks(masks_path, _trace().slice(0, 6))
 
 
 class TestAtomicSaves:

@@ -38,9 +38,8 @@ PASS_FIXTURES = {
 }
 
 
-#: Passes added by the parity/typestate layers; their fixture pairs are
-#: driven by test_lint_parity.py and test_lint_typestate.py instead.
-PARITY_PASSES = frozenset({"schema-version"})
+#: Passes added by the typestate layer; their fixture pairs are driven
+#: by test_lint_typestate.py instead.
 TYPESTATE_PASSES = frozenset({
     "shm-lifetime", "journal-protocol", "signal-safety",
 })
@@ -52,10 +51,9 @@ CERTIFY_PASSES = frozenset({
 
 
 class TestRegistry:
-    def test_all_seventeen_passes_registered(self):
+    def test_all_sixteen_passes_registered(self):
         assert set(registered_passes()) == (
-            set(PASS_FIXTURES) | PARITY_PASSES | TYPESTATE_PASSES
-            | CERTIFY_PASSES
+            set(PASS_FIXTURES) | TYPESTATE_PASSES | CERTIFY_PASSES
         )
 
     def test_unknown_select_rejected(self):
@@ -227,7 +225,7 @@ class TestFrameworkDetails:
     def test_every_file_parsed_exactly_once(self, monkeypatch):
         """The shared AST/extract cache means no pass re-parses a file:
         every (file, parse-kind) ledger entry is exactly 1 even with
-        all seventeen passes running — including both C parse kinds
+        all sixteen passes running — including both C parse kinds
         (the declaration extract and the full statement-level unit).
         The certifier's process-wide reports start empty, so the C
         kernel is parsed here rather than served from an earlier

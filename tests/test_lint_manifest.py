@@ -1,9 +1,10 @@
-"""Tests for the payload-schema layer of reprolint.
+"""Tests for ``repro lint --manifest-update``.
 
-Covers the ``schema-version`` pass over its fixture pair, the schema
-mutations the pass exists for (run against copies of the *real*
-columnar sources), and the ``repro lint --manifest-update``
-regeneration flow with its dirty-tree interlock.
+Covers the regeneration flow over a copy of the *real* pinned sources:
+idempotence on a clean tree, byte-identical regeneration of a stale
+manifest, the dirty-tree interlock (a pinned contract literal may be
+dirty, an unrelated file may not), the refusal to pin a literal that
+cannot be extracted, and the CLI report.
 """
 
 import pathlib
@@ -13,14 +14,12 @@ import subprocess
 import pytest
 
 from repro.cli import main
-from repro.lint import run_lint
 from repro.lint.manifest import (
     CYCLESIM_ORACLE_PATH,
     CYCLESIM_ORACLE_SHA256,
     ORACLE_PATH,
     ORACLE_SHA256,
-    PAYLOAD_SCHEMA_PATH,
-    PAYLOAD_SCHEMA_SHA256,
+    PLAN_CONTRACT_FINGERPRINTS,
 )
 from repro.lint.update import (
     MANIFEST_PATH,
@@ -28,54 +27,27 @@ from repro.lint.update import (
     update_manifest,
 )
 
-FIXTURES = pathlib.Path(__file__).parent / "lint_fixtures"
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-#: pass id -> (fixture directory, expected finding count in violation/)
-PARITY_FIXTURES = {
-    "schema-version": ("schema_version", 1),
-}
+#: The module declaring the contract literal the edit tests change.
+GENERATE_PATH = "src/repro/workloads/ckernel.py"
 
 #: Everything the manifest pins, copied verbatim from the real tree so
-#: mutation tests exercise the production contract.
-_PARITY_SOURCES = (
+#: the edit tests exercise the production contracts.
+_PINNED_SOURCES = (
     "src/repro/core/mlpsim.py",  # an unpinned file the dirty-tree test edits
     "src/repro/cyclesim/plan.py",  # CYCLE_PLAN_CONTRACT fingerprint pin
     "src/repro/trace/ckernel.py",  # ANNOTATE_CONTRACT fingerprint pin
-    "src/repro/workloads/ckernel.py",  # GENERATE_CONTRACT fingerprint pin
-    PAYLOAD_SCHEMA_PATH,
+    "src/repro/core/columnar.py",  # PLAN_CONTRACT fingerprint pin
+    GENERATE_PATH,  # GENERATE_CONTRACT fingerprint pin
     ORACLE_PATH,
     CYCLESIM_ORACLE_PATH,
 )
 
 
-class TestParityFixtures:
-    @pytest.mark.parametrize("pass_id", sorted(PARITY_FIXTURES))
-    def test_clean_fixture_has_no_findings(self, pass_id):
-        root = FIXTURES / PARITY_FIXTURES[pass_id][0] / "clean"
-        assert run_lint(root) == []
-
-    @pytest.mark.parametrize("pass_id", sorted(PARITY_FIXTURES))
-    def test_violation_fixture_is_flagged(self, pass_id):
-        fixture, expected = PARITY_FIXTURES[pass_id]
-        findings = run_lint(
-            FIXTURES / fixture / "violation", select=[pass_id]
-        )
-        assert len(findings) == expected
-        assert all(f.pass_id == pass_id for f in findings)
-
-    def test_schema_change_without_bump_is_the_one_finding(self):
-        findings = run_lint(
-            FIXTURES / "schema_version" / "violation",
-            select=["schema-version"],
-        )
-        assert len(findings) == 1
-        assert "COLUMNAR_SCHEMA_VERSION is still 2" in findings[0].message
-
-
 def _real_tree(tmp_path):
     """A minimal tree of the *real* sources the manifest pins."""
-    for relpath in _PARITY_SOURCES:
+    for relpath in _PINNED_SOURCES:
         dst = tmp_path / relpath
         dst.parent.mkdir(parents=True, exist_ok=True)
         shutil.copy(REPO_ROOT / relpath, dst)
@@ -89,32 +61,6 @@ def _edit(tmp_path, relpath, old, new, count=1):
     # Mutating a throwaway fixture copy — torn-write durability is
     # irrelevant, the tree dies with tmp_path.
     path.write_text(text.replace(old, new, count))  # reprolint: disable=atomic-writes
-
-
-class TestRealTreeMutations:
-    """Acceptance: each single-site mutation yields exactly one finding."""
-
-    SELECT = ["schema-version"]
-
-    def test_unmutated_copy_is_clean(self, tmp_path):
-        assert run_lint(_real_tree(tmp_path), select=self.SELECT) == []
-
-    def test_dropped_payload_column_without_bump(self, tmp_path):
-        root = _real_tree(tmp_path)
-        _edit(root, PAYLOAD_SCHEMA_PATH, '    ("vp_ok", np.bool_),\n', "")
-        findings = run_lint(root, select=self.SELECT)
-        assert len(findings) == 1
-        assert findings[0].pass_id == "schema-version"
-        assert "COLUMNAR_SCHEMA_VERSION is still 2" in findings[0].message
-
-    def test_version_bump_without_regeneration(self, tmp_path):
-        root = _real_tree(tmp_path)
-        _edit(root, PAYLOAD_SCHEMA_PATH,
-              "COLUMNAR_SCHEMA_VERSION = 2", "COLUMNAR_SCHEMA_VERSION = 3")
-        findings = run_lint(root, select=self.SELECT)
-        assert len(findings) == 1
-        assert findings[0].pass_id == "schema-version"
-        assert "manifest pins 2" in findings[0].message
 
 
 def _git(root, *args):
@@ -160,7 +106,8 @@ class TestManifestUpdate:
         assert result["changed"] is False
         assert result["oracle_sha256"] == ORACLE_SHA256
         assert result["cyclesim_oracle_sha256"] == CYCLESIM_ORACLE_SHA256
-        assert result["payload_schema_sha256"] == PAYLOAD_SCHEMA_SHA256
+        assert result["plan_contract_fingerprints"] == \
+            PLAN_CONTRACT_FINGERPRINTS
 
     def test_regenerates_a_stale_manifest_atomically(self, tmp_path):
         root = _git_tree(tmp_path)
@@ -173,7 +120,6 @@ class TestManifestUpdate:
         content = (root / MANIFEST_PATH).read_text()
         assert ORACLE_SHA256 in content
         assert CYCLESIM_ORACLE_SHA256 in content
-        assert PAYLOAD_SCHEMA_SHA256 in content
         # Byte-identical to the checked-in manifest: the template and
         # the real file cannot drift apart unnoticed.
         assert content == (REPO_ROOT / MANIFEST_PATH).read_text()
@@ -183,17 +129,21 @@ class TestManifestUpdate:
 
     def test_schema_edit_plus_manifest_is_allowed_dirty(self, tmp_path):
         root = _git_tree(tmp_path)
-        _edit(root, PAYLOAD_SCHEMA_PATH,
-              '    ("vp_ok", np.bool_),\n', "")
+        _edit(root, GENERATE_PATH,
+              '"nfuncs": [1, 1 << 20],', '"nfuncs": [1, 1 << 21],')
         result = update_manifest(root)
         assert result["changed"] is True
-        assert result["payload_schema_sha256"] != PAYLOAD_SCHEMA_SHA256
+        pins = result["plan_contract_fingerprints"]
+        assert pins["GENERATE_CONTRACT"] != \
+            PLAN_CONTRACT_FINGERPRINTS["GENERATE_CONTRACT"]
+        assert pins["PLAN_CONTRACT"] == \
+            PLAN_CONTRACT_FINGERPRINTS["PLAN_CONTRACT"]
 
     def test_refuses_when_columns_cannot_be_extracted(self, tmp_path):
         root = _git_tree(tmp_path)
-        _edit(root, PAYLOAD_SCHEMA_PATH, "PLAN_COLUMNS", "OTHER_COLUMNS",
-              count=1)
-        with pytest.raises(ManifestUpdateError, match="PLAN_COLUMNS"):
+        _edit(root, GENERATE_PATH,
+              "GENERATE_CONTRACT = {", "OTHER_CONTRACT = {")
+        with pytest.raises(ManifestUpdateError, match="GENERATE_CONTRACT"):
             update_manifest(root)
 
     def test_cli_flag_regenerates_and_reports(self, tmp_path, capsys):
@@ -204,8 +154,10 @@ class TestManifestUpdate:
         out = capsys.readouterr().out
         assert code == 0
         assert "regenerated" in out
-        assert ORACLE_SHA256 in out or ORACLE_SHA256 in \
-            (root / MANIFEST_PATH).read_text()
+        assert ORACLE_SHA256 in out
+        assert CYCLESIM_ORACLE_SHA256 in out
+        for pin in PLAN_CONTRACT_FINGERPRINTS.values():
+            assert pin in out
 
     def test_cli_flag_exits_two_on_dirty_tree(self, tmp_path, capsys):
         root = _git_tree(tmp_path)
