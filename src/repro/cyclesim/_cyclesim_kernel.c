@@ -5,7 +5,7 @@
  * tests/test_cyclesim_equivalence.py.  One cyclesim_batch() call runs
  * MANY pipeline configurations against one shared cycle plan: the
  * per-instruction tables are read-only and shared, the per-config
- * scratch (ready/complete/wake times, ROB, issue window, MSHR) is
+ * scratch (ready/wake times, ROB, issue window, MSHR) is
  * allocated once and reset between configs.
  *
  * Structural notes (where this departs from the reference's data
@@ -17,6 +17,9 @@
  *    event wheel is a flat array scanned by a head cursor; entries
  *    double as MSHR records, chained into a small hash on the line
  *    number for merge lookups.
+ *  - One time per instruction: the reference keeps result availability
+ *    and commit eligibility apart, but every issue sets both to the
+ *    same cycle, so ready[] serves for both.
  *  - Operand wake times memoise: a producer's ready time is written
  *    exactly once (at issue), so once every producer of an instruction
  *    has issued its wake time is final (wake[] < 0 means unknown).
@@ -87,8 +90,7 @@ typedef struct {
     const int64_t *addr_line, *pc_line;
     const uint8_t *dmiss, *imiss, *mispred, *pmiss, *pfuseful;
 
-    int64_t *ready;      /* result availability, NEVER until issue   */
-    int64_t *complete;   /* commit eligibility, NEVER until issue    */
+    int64_t *ready;      /* result and commit time, NEVER until issue */
     int64_t *wake;       /* memoised operand wake time, -1 unknown   */
     uint8_t *imiss_run;  /* per-run copy: fetch consumes each miss   */
 
@@ -214,7 +216,7 @@ static void run_one(Ctx *c, const CycleConfig *cfg)
     const int32_t *memdep = c->memdep;
     const uint8_t *dmiss = c->dmiss, *mispred = c->mispred;
     const uint8_t *pmiss = c->pmiss, *pfuseful = c->pfuseful;
-    int64_t *ready = c->ready, *complete = c->complete;
+    int64_t *ready = c->ready;
     CycleResult *out = c->out;
 
     const int load_in_order = (int)cfg->load_in_order;
@@ -239,10 +241,8 @@ static void run_one(Ctx *c, const CycleConfig *cfg)
     c->miss_penalty = cfg->miss_penalty;
 
     /* Reset per-config scratch. */
-    for (int64_t i = 0; i < n; i++) {
+    for (int64_t i = 0; i < n; i++)
         ready[i] = NEVER;
-        complete[i] = NEVER;
-    }
     memset(c->wake, 0xff, (size_t)n * sizeof(int64_t));  /* -1 */
     if (n)
         memcpy(c->imiss_run, c->imiss, (size_t)n);
@@ -297,7 +297,7 @@ static void run_one(Ctx *c, const CycleConfig *cfg)
             if (rob_count == 0)
                 break;
             int64_t head = c->rob_buf[rob_head];
-            if (complete[head] > now)
+            if (ready[head] > now)
                 break;
             rob_head++;
             if (rob_head == c->rob_alloc)
@@ -338,7 +338,7 @@ static void run_one(Ctx *c, const CycleConfig *cfg)
 
                 if (op == OP_LOAD || op == OP_CAS || op == OP_LDSTUB) {
                     int32_t m = memdep[i];
-                    if (m >= 0 && complete[m] > now)
+                    if (m >= 0 && ready[m] > now)
                         continue;  /* wait for the forwarding store */
                     if (load_in_order && c->memops_buf[0] != i)
                         continue;
@@ -371,26 +371,22 @@ static void run_one(Ctx *c, const CycleConfig *cfg)
                         done = now + l1_latency;
                     }
                     ready[i] = done;
-                    complete[i] = done;
                     if (serializing && op != OP_LOAD)
                         serializing_block_until = done;
                 } else if (op == OP_STORE) {
                     if (load_in_order && c->memops_buf[0] != i)
                         continue;
                     ready[i] = now + 1;
-                    complete[i] = now + 1;
                 } else if (op == OP_PREFETCH) {
                     if (pmiss[i] && !perfect_l2)
                         do_access(c, now, c->addr_line[i], pfuseful[i],
                                   KIND_PREFETCH);
                     ready[i] = now + 1;
-                    complete[i] = now + 1;
                 } else if (op == OP_BRANCH) {
                     if (branch_in_order && c->branches_buf[0] != i)
                         continue;
                     int64_t done = now + branch_latency;
                     ready[i] = done;
-                    complete[i] = done;
                     if (i == redirect_branch) {
                         fetch_stall_until = done + redirect_penalty;
                         redirect_branch = -1;
@@ -399,13 +395,11 @@ static void run_one(Ctx *c, const CycleConfig *cfg)
                     }
                 } else if (op == OP_MEMBAR) {
                     ready[i] = now + 1;
-                    complete[i] = now + 1;
                     if (serializing)
                         serializing_block_until = now + 1;
                 } else {  /* ALU / NOP */
                     int64_t done = now + alu_latency;
                     ready[i] = done;
-                    complete[i] = done;
                 }
 
                 issued_this_cycle++;
@@ -522,7 +516,7 @@ static void run_one(Ctx *c, const CycleConfig *cfg)
             cat = CAT_COMMIT;
         } else if (rob_count > 0) {
             int64_t head = c->rob_buf[rob_head];
-            if (complete[head] < NEVER) {
+            if (ready[head] < NEVER) {
                 int op = ops[head];
                 if (serializing && (op == OP_CAS || op == OP_LDSTUB ||
                                     op == OP_MEMBAR))
@@ -557,7 +551,7 @@ static void run_one(Ctx *c, const CycleConfig *cfg)
         if (c->ce_head < c->ce_tail)
             next_time = c->ent_done[c->ce_head];
         if (rob_count > 0) {
-            int64_t t = complete[c->rob_buf[rob_head]];
+            int64_t t = ready[c->rob_buf[rob_head]];
             if (t < next_time)
                 next_time = t;
         }
@@ -640,7 +634,6 @@ int cyclesim_batch(
 
     size_t ni = (size_t)(n > 0 ? n : 1);
     c.ready = malloc(ni * sizeof(int64_t));
-    c.complete = malloc(ni * sizeof(int64_t));
     c.wake = malloc(ni * sizeof(int64_t));
     c.imiss_run = malloc(ni);
     c.ent_done = malloc(2 * ni * sizeof(int64_t));
@@ -656,7 +649,7 @@ int cyclesim_batch(
     c.fq_idx = malloc((size_t)fq_max * sizeof(int64_t));
     c.fq_time = malloc((size_t)fq_max * sizeof(int64_t));
 
-    int ok = c.ready && c.complete && c.wake && c.imiss_run &&
+    int ok = c.ready && c.wake && c.imiss_run &&
              c.ent_done && c.ent_line && c.ent_useful && c.ent_next &&
              c.hash_head && c.urs_buf && c.rob_buf && c.iw_buf &&
              c.memops_buf && c.branches_buf && c.fq_idx && c.fq_time;
@@ -669,7 +662,6 @@ int cyclesim_batch(
     }
 
     free(c.ready);
-    free(c.complete);
     free(c.wake);
     free(c.imiss_run);
     free(c.ent_done);

@@ -44,6 +44,17 @@ def _size_label(size):
     return f"{size // (1024 * 1024)}MB"
 
 
+def _measure(name, trace_len, l2, machine):
+    """``(MLP, L2 load misses per 100)`` of one workload at one L2 size.
+
+    The annotation at a non-default size is not memoised; it dies when
+    this returns, so the next size annotates with no variant alive.
+    """
+    annotated = get_annotated(name, trace_len, l2_bytes=l2)
+    grid = sweep(annotated, [(machine.label, machine)], workload=name)
+    return grid.mlp(machine.label), annotated.l2_load_miss_rate_per_100()
+
+
 def run(trace_len=None, l2_sizes=L2_SIZES, machine=None):
     """Reproduce Figure 7; returns an :class:`Exhibit`."""
     machine = machine or MachineConfig()  # default 64C
@@ -53,10 +64,9 @@ def run(trace_len=None, l2_sizes=L2_SIZES, machine=None):
         mlps = []
         rates = []
         for l2 in l2_sizes:
-            annotated = get_annotated(name, trace_len, l2_bytes=l2)
-            grid = sweep(annotated, [(machine.label, machine)], workload=name)
-            mlps.append(grid.mlp(machine.label))
-            rates.append(annotated.l2_load_miss_rate_per_100())
+            mlp, rate = _measure(name, trace_len, l2, machine)
+            mlps.append(mlp)
+            rates.append(rate)
         rows.append([DISPLAY_NAMES[name], "MLP"] + mlps)
         rows.append([DISPLAY_NAMES[name], "miss/100"] + rates)
         direction = "falls" if mlps[-1] < mlps[0] else "rises"

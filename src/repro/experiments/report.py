@@ -51,9 +51,9 @@ def build_report(exhibit_names=None, include_ablations=False,
     sections = []
     timings = []
     for name in names:
-        started = time.time()
+        started = time.monotonic()
         exhibit = run_exhibit(name, trace_len=trace_len)
-        timings.append((name, time.time() - started))
+        timings.append((name, time.monotonic() - started))
         sections.append(_exhibit_markdown(exhibit))
         if progress is not None:
             progress(name)
@@ -61,9 +61,9 @@ def build_report(exhibit_names=None, include_ablations=False,
         from repro.experiments.ablations import ABLATIONS, run_ablation
 
         for name in ABLATIONS:
-            started = time.time()
+            started = time.monotonic()
             exhibit = run_ablation(name, trace_len=trace_len)
-            timings.append((f"ablation:{name}", time.time() - started))
+            timings.append((f"ablation:{name}", time.monotonic() - started))
             sections.append(_exhibit_markdown(exhibit))
             if progress is not None:
                 progress(name)

@@ -6,14 +6,22 @@ executes each exhibit in isolation, catches per-exhibit failures
 (including an optional per-exhibit wall-clock timeout), and reports a
 pass/fail summary at the end — mirroring how large simulation
 campaigns handle partial failure: one bad configuration must not sink
-the batch.
+the batch.  Each summary line also gives the process's peak RSS once
+that exhibit finished, so a long-trace run shows which exhibit set its
+memory high-water mark.
 """
 
 import contextlib
 import dataclasses
 import os
+import sys
 import time
 import traceback
+
+try:
+    import resource
+except ImportError:  # Windows has no resource module
+    resource = None
 
 from repro.experiments import EXHIBITS, run_exhibit
 from repro.robustness.errors import ExhibitTimeout
@@ -30,11 +38,27 @@ class ExhibitOutcome:
     exhibit: object = None
     error: str = None
     traceback: str = None
+    peak_rss_mb: float = None
 
     @property
     def status(self):
         """``"ok"`` or ``"FAILED"``, for the summary table."""
         return "ok" if self.ok else "FAILED"
+
+
+def peak_rss_mb():
+    """This process's peak RSS so far, in MB; None without ``resource``.
+
+    On Linux ``ru_maxrss`` also counts the image the process replaced
+    at exec, so a run started from a larger process (a ``subprocess``
+    of a big Python program, say) reads at least that program's peak.
+    """
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss counts bytes on macOS and KiB elsewhere.
+    scale = 1 if sys.platform == "darwin" else 1024
+    return peak * scale / (1024 * 1024)
 
 
 @contextlib.contextmanager
@@ -97,22 +121,23 @@ def run_exhibits(names=None, timeout=None, progress=None, jobs=None,
     outcomes = []
     try:
         for name in names:
-            started = time.time()
+            started = time.monotonic()
             try:
                 with _deadline(timeout, name):
                     exhibit = run_exhibit(name, **kwargs)
                 outcome = ExhibitOutcome(
-                    name=name, ok=True, seconds=time.time() - started,
+                    name=name, ok=True, seconds=time.monotonic() - started,
                     exhibit=exhibit,
                 )
             except KeyboardInterrupt:
                 raise
             except Exception as error:
                 outcome = ExhibitOutcome(
-                    name=name, ok=False, seconds=time.time() - started,
+                    name=name, ok=False, seconds=time.monotonic() - started,
                     error=f"{type(error).__name__}: {error}",
                     traceback=traceback.format_exc(),
                 )
+            outcome.peak_rss_mb = peak_rss_mb()
             outcomes.append(outcome)
             if progress is not None:
                 progress(outcome)
@@ -135,6 +160,8 @@ def format_summary(outcomes):
     for outcome in outcomes:
         line = f"  {outcome.name:<{width}}  {outcome.status:<6}" \
                f" {outcome.seconds:7.1f}s"
+        if outcome.peak_rss_mb is not None:
+            line += f"  peak RSS {outcome.peak_rss_mb:7.1f} MB"
         if outcome.error:
             line += f"  {outcome.error}"
         lines.append(line)

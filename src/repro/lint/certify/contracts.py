@@ -355,7 +355,6 @@ _CYCLESIM_BUFFERS = {
     **_column_bufs("Ctx", CYCLE_PLAN_CONTRACT["columns"],
                    {}, _CYCLESIM_ELEMS),
     ("Ctx", "ready"): Buf("n", "int64_t", "0", "NEVER"),
-    ("Ctx", "complete"): Buf("n", "int64_t", "0", "NEVER"),
     ("Ctx", "wake"): Buf("n", "int64_t", "-1", "NEVER"),
     ("Ctx", "imiss_run"): Buf("n", "uint8_t", "0", "1"),
     ("Ctx", "ent_done"): Buf("2 * n", "int64_t", "0", _TIME_HI),

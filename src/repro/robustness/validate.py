@@ -175,6 +175,13 @@ def validate_annotated(annotated, path=None, check_events=True):
         annotations deliberately place events freely, and the
         structural checks alone make simulation safe.
 
+    A pass is remembered on *annotated* when every mask is a read-only
+    array (as :func:`~repro.trace.annotate.annotate` and
+    :func:`~repro.trace.io.load_annotated` make them), and a later
+    ``check_events=False`` call on the same trace, masks and
+    ``measure_start`` returns at once.  Reassigning a mask, the trace
+    or ``measure_start`` makes the next call check again.
+
     Raises
     ------
     TraceFormatError
@@ -182,8 +189,22 @@ def validate_annotated(annotated, path=None, check_events=True):
     """
     from repro.trace.io import ANNOTATION_FIELDS
 
+    pinned = _pinned_state(annotated, ANNOTATION_FIELDS)
+    if not check_events and pinned is not None and _same_state(
+            getattr(annotated, "_validated_state", None), pinned):
+        return annotated
+    _check_structure(annotated, path, ANNOTATION_FIELDS)
+    if check_events:
+        _event_consistency(annotated, path)
+    if pinned is not None:
+        annotated._validated_state = pinned
+    return annotated
+
+
+def _check_structure(annotated, path, fields):
+    """The structural half of :func:`validate_annotated`."""
     n = len(annotated.trace)
-    for name in ANNOTATION_FIELDS:
+    for name in fields:
         mask = np.asarray(getattr(annotated, name))
         want = np.dtype(np.int8) if name == "vp_outcome" else np.dtype(np.bool_)
         if mask.dtype != want:
@@ -209,6 +230,27 @@ def validate_annotated(annotated, path=None, check_events=True):
             f"measure_start {measure_start} outside [0, {n}]",
             path=path, field="measure_start",
         )
-    if check_events:
-        _event_consistency(annotated, path)
-    return annotated
+
+
+def _pinned_state(annotated, fields):
+    """What a remembered pass of *annotated* depends on, or None.
+
+    None when some mask is writable: an in-place edit would keep its
+    identity, so its pass cannot be remembered.
+    """
+    masks = [getattr(annotated, name) for name in fields]
+    if not all(isinstance(mask, np.ndarray) and not mask.flags.writeable
+               for mask in masks):
+        return None
+    return annotated.measure_start, [annotated.trace] + masks
+
+
+def _same_state(remembered, pinned):
+    """Whether *remembered* names the same objects as *pinned*.
+
+    Compares identities: the remembered state holds its objects, so
+    none of them can be freed and its id reused by a newcomer.
+    """
+    if remembered is None or remembered[0] != pinned[0]:
+        return False
+    return all(a is b for a, b in zip(remembered[1], pinned[1]))

@@ -96,7 +96,12 @@ class AnnotationConfig:
 
 @dataclasses.dataclass
 class AnnotatedTrace:
-    """A trace plus per-instruction microarchitectural event marks."""
+    """A trace plus per-instruction microarchitectural event marks.
+
+    :func:`annotate` and :func:`repro.trace.io.load_annotated` return
+    read-only masks, as :class:`~repro.trace.trace.Trace` makes its
+    columns; :func:`manual_annotation` leaves its masks writable.
+    """
 
     trace: "repro.trace.trace.Trace"
     dmiss: np.ndarray
@@ -395,13 +400,16 @@ def back_pass(trace, front, config, value_predictor=None):
                              trace.value[misses].tolist())
     ]
 
+    mispred = front.mispred.copy()
+    for mask in (dmiss, pmiss, pfuseful, imiss, mispred, vp_outcome, smiss):
+        mask.setflags(write=False)
     return AnnotatedTrace(
         trace=trace,
         dmiss=dmiss,
         pmiss=pmiss,
         pfuseful=pfuseful,
         imiss=imiss,
-        mispred=front.mispred.copy(),
+        mispred=mispred,
         vp_outcome=vp_outcome,
         smiss=smiss,
         measure_start=int(n * config.warmup_fraction),

@@ -167,10 +167,13 @@ def load_annotated(path):
     name = str(payload["__name__"][0]) if "__name__" in payload else "trace"
     trace = Trace({col: columns[col] for col, _ in COLUMNS}, name=name)
     validate_trace(trace, path=path)
+    masks = {field: columns[f"ann_{field}"] for field in ANNOTATION_FIELDS}
+    for mask in masks.values():
+        mask.setflags(write=False)
     annotated = AnnotatedTrace(
         trace=trace,
         measure_start=int(payload["ann_measure_start"][0]),
         config=AnnotationConfig(),
-        **{field: columns[f"ann_{field}"] for field in ANNOTATION_FIELDS},
+        **masks,
     )
     return validate_annotated(annotated, path=path, check_events=True)

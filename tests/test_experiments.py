@@ -19,6 +19,7 @@ from repro.experiments.common import (
     default_trace_len,
     get_annotated,
 )
+from repro.memory.hierarchy import HierarchyConfig
 
 SMALL = 30000
 
@@ -50,6 +51,22 @@ class TestCommon:
         a = get_annotated("specjbb2000", SMALL)
         assert get_annotated("specjbb2000", SMALL,
                              l2_bytes=2 * 1024 * 1024) is a
+
+    def test_l2_variants_are_not_memoised(self):
+        a = get_annotated("specjbb2000", SMALL, l2_bytes=512 * 1024)
+        b = get_annotated("specjbb2000", SMALL, l2_bytes=512 * 1024)
+        assert a is not b
+        assert a.trace is b.trace
+
+    def test_figure7_leaves_only_default_annotations(self):
+        from repro.experiments import common, figure7
+
+        clear_caches()
+        figure7.run(trace_len=8_000)
+        default_l2 = HierarchyConfig().l2.size_bytes
+        assert len(common._annotation_cache) == len(WORKLOAD_NAMES)
+        for annotated in common._annotation_cache.values():
+            assert annotated.config.hierarchy.l2.size_bytes == default_l2
 
     def test_annotations_stay_in_the_process(self, tmp_path, monkeypatch):
         """A cache directory named in the environment, as the e2e

@@ -208,6 +208,58 @@ class TestFailSoftRunner:
         assert "2/3 passed" in summary
         assert "FAILED" in summary
 
+    def test_summary_lines_carry_peak_rss(self, fake_registry):
+        from repro.experiments.runner import format_summary, run_exhibits
+
+        outcomes = run_exhibits(["a", "bad", "c"])
+        peaks = [o.peak_rss_mb for o in outcomes]
+        assert all(peak > 0 for peak in peaks)
+        assert peaks == sorted(peaks)  # a high-water mark never falls
+        lines = format_summary(outcomes).splitlines()[1:]
+        assert len(lines) == len(outcomes)
+        for outcome, line in zip(outcomes, lines):
+            assert f"peak RSS {outcome.peak_rss_mb:7.1f} MB" in line
+        assert lines[1].endswith(outcomes[1].error)  # the error stays last
+
+    @pytest.mark.parametrize("platform, maxrss", [
+        ("linux", 3 * 1024 * 1024),        # KiB
+        ("darwin", 3 * 1024 * 1024 * 1024),  # bytes
+    ])
+    def test_peak_rss_units(self, monkeypatch, platform, maxrss):
+        import types
+
+        import repro.experiments.runner as runner_module
+
+        usage = types.SimpleNamespace(ru_maxrss=maxrss)
+        monkeypatch.setattr(runner_module, "resource", types.SimpleNamespace(
+            RUSAGE_SELF=0, getrusage=lambda who: usage))
+        monkeypatch.setattr(runner_module.sys, "platform", platform)
+        assert runner_module.peak_rss_mb() == 3 * 1024
+
+    def test_peak_rss_covers_vmhwm_on_linux(self):
+        """Read as MB, not KiB or bytes.  Only a lower bound holds:
+        ``ru_maxrss`` also counts the image this process replaced at
+        exec, so a test run launched from a larger process reads more."""
+        from repro.experiments.runner import peak_rss_mb
+
+        try:
+            with open("/proc/self/status") as status:
+                hwm = [line for line in status if line.startswith("VmHWM:")]
+        except OSError:
+            hwm = []
+        if not hwm:
+            pytest.skip("no /proc/self/status VmHWM on this platform")
+        vmhwm_mb = int(hwm[0].split()[1]) / 1024
+        assert peak_rss_mb() >= 0.95 * vmhwm_mb
+
+    def test_no_peak_rss_without_resource(self, fake_registry, monkeypatch):
+        import repro.experiments.runner as runner_module
+
+        monkeypatch.setattr(runner_module, "resource", None)
+        outcomes = runner_module.run_exhibits(["a", "c"])
+        assert [o.peak_rss_mb for o in outcomes] == [None, None]
+        assert "peak RSS" not in runner_module.format_summary(outcomes)
+
     def test_all_expands_to_registry(self, fake_registry):
         from repro.experiments.runner import run_exhibits
 

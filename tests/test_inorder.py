@@ -1,7 +1,10 @@
 """Semantics tests for the in-order machines (paper Section 3.3 / Table 5)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.config import MachineConfig
 from repro.core.inorder import (
     InOrderPolicy,
     simulate_inorder,
@@ -9,8 +12,10 @@ from repro.core.inorder import (
     simulate_stall_on_use,
 )
 from repro.core.termination import Inhibitor
-from repro.trace.annotate import manual_annotation
+from repro.trace.annotate import annotate, manual_annotation
 from repro.trace.builder import TraceBuilder
+from repro.workloads import generate_trace
+from tests.inorder_oracle import simulate_inorder_oracle
 
 
 def two_independent_misses():
@@ -164,3 +169,113 @@ class TestOrderings:
         )
         for simulator in (simulate_stall_on_miss, simulate_stall_on_use):
             assert simulator(ann).accesses == expected
+
+
+PERFECT_FRONT_END = MachineConfig(perfect_ifetch=True, perfect_branch=True)
+
+
+def assert_matches_oracle(annotated, **kwargs):
+    """The engine and the step-by-step oracle return equal results."""
+    for policy in InOrderPolicy:
+        for record_sets in (False, True):
+            got = simulate_inorder(annotated, policy,
+                                   record_sets=record_sets, **kwargs)
+            want = simulate_inorder_oracle(annotated, policy,
+                                           record_sets=record_sets, **kwargs)
+            assert got == want, (policy, record_sets, kwargs)
+
+
+class TestMatchesOracle:
+    """The quiet-stretch skip changes no result, ``epoch_records``
+    included."""
+
+    @pytest.fixture(scope="class", params=[1234, 7])
+    def workload_annotations(self, request):
+        return [annotate(generate_trace(name, 20_000, seed=request.param))
+                for name in ("database", "specjbb2000", "specweb99")]
+
+    @pytest.mark.parametrize("machine", [None, PERFECT_FRONT_END],
+                             ids=["default", "perfect-front-end"])
+    def test_workloads(self, workload_annotations, machine):
+        for annotated in workload_annotations:
+            assert_matches_oracle(annotated, machine=machine)
+
+    def test_explicit_regions(self, workload_annotations):
+        for annotated in workload_annotations:
+            n = len(annotated)
+            for start, stop in ((0, n), (0, n // 3), (n // 2, n // 2 + 777),
+                                (n - 5, n), (n // 4, n // 4)):
+                assert_matches_oracle(annotated, start=start, stop=stop)
+
+    def test_short_windows(self, workload_annotations):
+        """A short prefetch overlap and fetch buffer make stale
+        prefetch groups and lookahead cut-offs frequent."""
+        for annotated in workload_annotations:
+            assert_matches_oracle(annotated, overlap_window=7,
+                                  fetch_buffer=2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_manual_annotations(self, data):
+        annotated, kwargs = data.draw(random_inorder_case())
+        assert_matches_oracle(annotated, **kwargs)
+
+
+_OPS = ("alu", "nop", "load", "store", "branch", "prefetch", "membar",
+        "cas", "ldstub")
+
+
+@st.composite
+def random_inorder_case(draw):
+    """A short trace with events placed anywhere, plus simulator knobs.
+
+    Manual annotations may mark any instruction, so data misses also
+    land on non-loads and prefetches may be useless.
+    """
+    n = draw(st.integers(1, 60))
+    regs = st.integers(0, 8)
+    b = TraceBuilder("random-inorder")
+    pc = 0x1000
+    for _ in range(n):
+        kind = draw(st.sampled_from(_OPS))
+        dst, src, addr = draw(regs), draw(regs), 64 * draw(st.integers(0, 7))
+        if kind == "alu":
+            b.add_alu(pc, dst=dst, src1=src, src2=draw(regs))
+        elif kind == "nop":
+            b.add_nop(pc)
+        elif kind == "load":
+            b.add_load(pc, dst=dst, addr=addr, src1=src)
+        elif kind == "store":
+            b.add_store(pc, addr=addr, data_src=dst, src1=src)
+        elif kind == "branch":
+            b.add_branch(pc, taken=draw(st.booleans()), target=pc + 4,
+                         src1=src)
+        elif kind == "prefetch":
+            b.add_prefetch(pc, addr=addr, src1=src)
+        elif kind == "membar":
+            b.add_membar(pc)
+        elif kind == "cas":
+            b.add_cas(pc, dst=dst, addr=addr, src1=src, data_src=draw(regs))
+        else:
+            b.add_ldstub(pc, dst=dst, addr=addr, src1=src)
+        pc += 4
+    positions = st.lists(st.integers(0, n - 1), max_size=n)
+    pmiss_at = draw(positions)
+    annotated = manual_annotation(
+        b.build(),
+        dmiss_at=draw(positions),
+        imiss_at=draw(positions),
+        mispred_at=draw(positions),
+        pmiss_at=pmiss_at,
+        useless_prefetches=draw(st.lists(st.sampled_from(pmiss_at))
+                                if pmiss_at else st.just([])),
+    )
+    start = draw(st.integers(0, n))
+    kwargs = {
+        "start": start,
+        "stop": draw(st.integers(start, n)),
+        "machine": draw(st.sampled_from([None, PERFECT_FRONT_END])),
+        "overlap_window": draw(st.integers(0, 12)),
+        "fetch_buffer": draw(st.integers(0, 4)),
+    }
+    return annotated, kwargs

@@ -181,6 +181,99 @@ class TestValidateAnnotated:
         assert excinfo.value.field == "dmiss"
 
 
+class TestValidateOnce:
+    """A pass over read-only masks is remembered until a mask, the
+    trace or ``measure_start`` is reassigned."""
+
+    @pytest.fixture
+    def annotated(self):
+        from repro.trace.annotate import annotate
+        from repro.workloads import generate_trace
+
+        return annotate(generate_trace("specweb99", 2_000))
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        from repro.robustness import validate
+
+        seen = []
+
+        def counting(annotated, *args, real=validate._check_structure):
+            seen.append(annotated)
+            return real(annotated, *args)
+
+        monkeypatch.setattr(validate, "_check_structure", counting)
+        return seen
+
+    def test_annotate_returns_read_only_masks(self, annotated):
+        from repro.trace.io import ANNOTATION_FIELDS
+
+        for name in ANNOTATION_FIELDS:
+            assert not getattr(annotated, name).flags.writeable, name
+
+    def test_second_simulator_check_is_skipped(self, annotated, checks):
+        for _ in range(3):
+            assert validate_annotated(annotated, check_events=False) \
+                is annotated
+        assert len(checks) == 1
+
+    def test_event_checks_always_run(self, annotated, checks):
+        validate_annotated(annotated, check_events=False)
+        validate_annotated(annotated, check_events=True)
+        assert len(checks) == 2
+
+    def test_reassigned_mask_after_a_pass_still_raises(self, annotated):
+        validate_annotated(annotated, check_events=False)
+        annotated.dmiss = annotated.dmiss.astype(np.int8)
+        with pytest.raises(TraceFormatError, match="dtype") as excinfo:
+            validate_annotated(annotated, check_events=False)
+        assert excinfo.value.field == "dmiss"
+
+    def test_reassigned_read_only_mask_is_checked_again(self, annotated):
+        validate_annotated(annotated, check_events=False)
+        short = annotated.imiss[:-1]
+        assert not short.flags.writeable
+        annotated.imiss = short
+        with pytest.raises(TraceFormatError, match="length"):
+            validate_annotated(annotated, check_events=False)
+
+    def test_moved_measure_start_is_checked_again(self, annotated):
+        validate_annotated(annotated, check_events=False)
+        annotated.measure_start = len(annotated) + 1
+        with pytest.raises(TraceFormatError, match="measure_start"):
+            validate_annotated(annotated, check_events=False)
+
+    def test_writable_masks_are_checked_every_time(self, checks):
+        annotated = manual_annotation(_trace(), dmiss_at=[0])
+        validate_annotated(annotated, check_events=False)
+        annotated.vp_outcome[0] = 7  # an in-place edit keeps the identity
+        with pytest.raises(TraceFormatError, match="7"):
+            validate_annotated(annotated, check_events=False)
+        assert len(checks) == 2
+
+    def test_exhibit_all_checks_each_annotation_once(self, checks,
+                                                     monkeypatch):
+        from repro.experiments import common
+        from repro.experiments.runner import run_exhibits
+
+        made = []
+
+        def counting(*args, real=common.annotate, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(common, "annotate", counting)
+        common.clear_caches()
+        try:
+            outcomes = run_exhibits(["all"], trace_len=12_000)
+        finally:
+            common.clear_caches()
+        assert all(outcome.ok for outcome in outcomes)
+        # Three default annotations plus Figure 7's twelve variants.
+        assert len(made) == 15
+        assert len(checks) == len(made)
+
+
 class TestAtomicWrite:
     def test_success_replaces_and_cleans_up(self, tmp_path):
         path = tmp_path / "out.txt"
