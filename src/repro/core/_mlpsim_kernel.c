@@ -19,8 +19,9 @@
  *
  * Layout contract (see ColumnarPlan):
  *   - producer columns are region-relative int32 with sentinel n
- *     ("no producer"); result arrays have n+1 slots with slot n = 0,
- *     so availability reads never branch.
+ *     ("no producer"); the result array holds n+1 (data, valid) epoch
+ *     pairs with pair n = 0, so availability reads never branch and
+ *     one cache line serves both epochs of a producer.
  *   - event columns are uint8 (0/1) with the machine's perfect-*
  *     switches already applied by the plan builder.
  *
@@ -58,8 +59,10 @@ typedef struct {
     uint8_t *imiss; /* per-config copy: serviced lines are cleared */
     uint8_t *live_dmiss; /* runahead's per-config copies of dmiss and */
     uint8_t *live_pmiss; /* pmiss: serviced accesses are cleared */
-    int32_t *res_data;  /* n+1 slots, slot n == 0 */
-    int32_t *res_valid; /* n+1 slots, slot n == 0 */
+    /* One (data, valid) epoch pair per instruction, 2(n+1) slots: the
+     * data epoch of k at 2k, its valid epoch at 2k+1.  The pair at n is
+     * 0; the pair at k < n is reset when fetch reaches k. */
+    int32_t *res;
     int32_t *deferred;
     int32_t *new_deferred;
     /* Runahead's per-period sets, n+1 slots each: slot k belongs to a
@@ -123,11 +126,11 @@ static inline int execute_atomic(const Trace *t, const KernelConfig *c,
             s->trigger_idx = i;
         if (s->first_miss_idx < 0)
             s->first_miss_idx = i;
-        t->res_data[i] = s->epoch + 1;
-        t->res_valid[i] = s->epoch + 1;
+        t->res[2 * i] = s->epoch + 1;
+        t->res[2 * i + 1] = s->epoch + 1;
     } else {
-        t->res_data[i] = s->epoch;
-        t->res_valid[i] = ve > s->epoch ? ve : s->epoch;
+        t->res[2 * i] = s->epoch;
+        t->res[2 * i + 1] = ve > s->epoch ? ve : s->epoch;
     }
     if (c->serializing && t->dmiss[i]) {
         emit(s, INH_SERIALIZE);
@@ -145,29 +148,29 @@ static int execute(const Trace *t, const KernelConfig *c, Scan *s, int64_t i)
     int32_t de, ve, d, v;
 
     if (op == OP_ALU) {
-        de = t->res_data[t->prod1[i]];
-        ve = t->res_valid[t->prod1[i]];
-        d = t->res_data[t->prod2[i]];
+        de = t->res[2 * t->prod1[i]];
+        ve = t->res[2 * t->prod1[i] + 1];
+        d = t->res[2 * t->prod2[i]];
         if (d > de)
             de = d;
-        v = t->res_valid[t->prod2[i]];
+        v = t->res[2 * t->prod2[i] + 1];
         if (v > ve)
             ve = v;
         if (de > epoch)
             return ST_DEFER;
         s->progress = 1;
-        t->res_data[i] = epoch;
-        t->res_valid[i] = ve > epoch ? ve : epoch;
+        t->res[2 * i] = epoch;
+        t->res[2 * i + 1] = ve > epoch ? ve : epoch;
         return ST_DONE;
     }
 
     if (op == OP_BRANCH) {
-        de = t->res_data[t->prod1[i]];
-        ve = t->res_valid[t->prod1[i]];
-        d = t->res_data[t->prod2[i]];
+        de = t->res[2 * t->prod1[i]];
+        ve = t->res[2 * t->prod1[i] + 1];
+        d = t->res[2 * t->prod2[i]];
         if (d > de)
             de = d;
-        v = t->res_valid[t->prod2[i]];
+        v = t->res[2 * t->prod2[i] + 1];
         if (v > ve)
             ve = v;
         int can_issue =
@@ -189,18 +192,18 @@ static int execute(const Trace *t, const KernelConfig *c, Scan *s, int64_t i)
     }
 
     if (op == OP_LOAD) {
-        de = t->res_data[t->prod1[i]];
-        ve = t->res_valid[t->prod1[i]];
-        d = t->res_data[t->prod2[i]];
+        de = t->res[2 * t->prod1[i]];
+        ve = t->res[2 * t->prod1[i] + 1];
+        d = t->res[2 * t->prod2[i]];
         if (d > de)
             de = d;
-        v = t->res_valid[t->prod2[i]];
+        v = t->res[2 * t->prod2[i] + 1];
         if (v > ve)
             ve = v;
-        d = t->res_data[t->memdep[i]];
+        d = t->res[2 * t->memdep[i]];
         if (d > de)
             de = d;
-        v = t->res_valid[t->memdep[i]];
+        v = t->res[2 * t->memdep[i] + 1];
         if (v > ve)
             ve = v;
         if (de > epoch) {
@@ -231,30 +234,30 @@ static int execute(const Trace *t, const KernelConfig *c, Scan *s, int64_t i)
                 s->trigger_idx = i;
             if (s->first_miss_idx < 0)
                 s->first_miss_idx = i;
-            t->res_data[i] = t->vp_ok[i] ? epoch : epoch + 1;
-            t->res_valid[i] = epoch + 1;
+            t->res[2 * i] = t->vp_ok[i] ? epoch : epoch + 1;
+            t->res[2 * i + 1] = epoch + 1;
         } else {
-            t->res_data[i] = epoch;
-            t->res_valid[i] = ve > epoch ? ve : epoch;
+            t->res[2 * i] = epoch;
+            t->res[2 * i + 1] = ve > epoch ? ve : epoch;
         }
         return ST_DONE;
     }
 
     if (op == OP_STORE) {
-        int32_t ade = t->res_data[t->prod1[i]];
-        int32_t ave = t->res_valid[t->prod1[i]];
-        d = t->res_data[t->prod2[i]];
+        int32_t ade = t->res[2 * t->prod1[i]];
+        int32_t ave = t->res[2 * t->prod1[i] + 1];
+        d = t->res[2 * t->prod2[i]];
         if (d > ade)
             ade = d;
-        v = t->res_valid[t->prod2[i]];
+        v = t->res[2 * t->prod2[i] + 1];
         if (v > ave)
             ave = v;
         de = ade;
         ve = ave;
-        d = t->res_data[t->prod3[i]];
+        d = t->res[2 * t->prod3[i]];
         if (d > de)
             de = d;
-        v = t->res_valid[t->prod3[i]];
+        v = t->res[2 * t->prod3[i] + 1];
         if (v > ve)
             ve = v;
         if (de > epoch) {
@@ -278,14 +281,14 @@ static int execute(const Trace *t, const KernelConfig *c, Scan *s, int64_t i)
             s->inflight++;
         }
         s->progress = 1;
-        t->res_data[i] = epoch;
-        t->res_valid[i] = ve > epoch ? ve : epoch;
+        t->res[2 * i] = epoch;
+        t->res[2 * i + 1] = ve > epoch ? ve : epoch;
         return ST_DONE;
     }
 
     if (op == OP_PREFETCH) {
-        de = t->res_data[t->prod1[i]];
-        d = t->res_data[t->prod2[i]];
+        de = t->res[2 * t->prod1[i]];
+        d = t->res[2 * t->prod2[i]];
         if (d > de)
             de = d;
         if (de > epoch)
@@ -312,25 +315,25 @@ static int execute(const Trace *t, const KernelConfig *c, Scan *s, int64_t i)
     }
 
     /* Serializing instructions: CAS / LDSTUB / MEMBAR. */
-    de = t->res_data[t->prod1[i]];
-    ve = t->res_valid[t->prod1[i]];
-    d = t->res_data[t->prod2[i]];
+    de = t->res[2 * t->prod1[i]];
+    ve = t->res[2 * t->prod1[i] + 1];
+    d = t->res[2 * t->prod2[i]];
     if (d > de)
         de = d;
-    v = t->res_valid[t->prod2[i]];
+    v = t->res[2 * t->prod2[i] + 1];
     if (v > ve)
         ve = v;
-    d = t->res_data[t->prod3[i]];
+    d = t->res[2 * t->prod3[i]];
     if (d > de)
         de = d;
-    v = t->res_valid[t->prod3[i]];
+    v = t->res[2 * t->prod3[i] + 1];
     if (v > ve)
         ve = v;
     if (op != OP_MEMBAR) {
-        d = t->res_data[t->memdep[i]];
+        d = t->res[2 * t->memdep[i]];
         if (d > de)
             de = d;
-        v = t->res_valid[t->memdep[i]];
+        v = t->res[2 * t->memdep[i] + 1];
         if (v > ve)
             ve = v;
     }
@@ -342,8 +345,8 @@ static int execute(const Trace *t, const KernelConfig *c, Scan *s, int64_t i)
             if (op == OP_MEMBAR) {
                 /* The barrier commits with the drain at epoch end. */
                 s->progress = 1;
-                t->res_data[i] = epoch + 1;
-                t->res_valid[i] = epoch + 1;
+                t->res[2 * i] = epoch + 1;
+                t->res[2 * i + 1] = epoch + 1;
                 return ST_STOP_DONE;
             }
             s->blocked_memop = 1;
@@ -351,8 +354,8 @@ static int execute(const Trace *t, const KernelConfig *c, Scan *s, int64_t i)
         }
         s->progress = 1;
         if (op == OP_MEMBAR) {
-            t->res_data[i] = epoch;
-            t->res_valid[i] = epoch;
+            t->res[2 * i] = epoch;
+            t->res[2 * i + 1] = epoch;
             return ST_DONE;
         }
         return execute_atomic(t, c, s, i, ve);
@@ -362,8 +365,8 @@ static int execute(const Trace *t, const KernelConfig *c, Scan *s, int64_t i)
      * ordinary load+store pair, barriers like NOPs. */
     if (op == OP_MEMBAR) {
         s->progress = 1;
-        t->res_data[i] = epoch;
-        t->res_valid[i] = epoch;
+        t->res[2 * i] = epoch;
+        t->res[2 * i + 1] = epoch;
         return ST_DONE;
     }
     if (de > epoch) {
@@ -404,12 +407,13 @@ static void simulate_ooo(Trace *t, const KernelConfig *c, KernelResult *r,
     Scan s;
 
     memcpy(t->imiss, imiss_src, (size_t)n);
-    for (i = 0; i <= n; i++) {
-        t->res_data[i] = NOT_EXECUTED;
-        t->res_valid[i] = NOT_EXECUTED;
-    }
-    t->res_data[n] = 0; /* the gather sentinel: "always available" */
-    t->res_valid[n] = 0;
+    /* No per-config reset of the result pairs: every path that moves
+     * fetch past k writes k's pair, NOT_EXECUTED or its epoch, before
+     * anything reads it.  A read is of the sentinel or of a producer or
+     * memdep of a fetched instruction, which fetch has passed already,
+     * since it comes earlier in program order. */
+    t->res[2 * n] = 0; /* the gather sentinel: "always available" */
+    t->res[2 * n + 1] = 0;
 
     memset(r, 0, sizeof(*r));
     r->error_index = -1;
@@ -480,16 +484,21 @@ static void simulate_ooo(Trace *t, const KernelConfig *c, KernelResult *r,
                         || s.trigger_idx >= 0 || s.first_miss_idx >= 0
                         || s.blocked_memop || s.blocked_staddr
                         || s.blocked_branch)) {
-                i = fetch_pos;
-                if (!t->scalar_mask[i]) {
-                    t->res_data[i] = epoch;
-                    t->res_valid[i] = epoch;
+                if (!t->scalar_mask[fetch_pos]) {
+                    /* An on-chip run changes none of the state above. */
                     s.progress = 1;
-                    fetch_pos++;
+                    while (fetch_pos < n && !t->scalar_mask[fetch_pos]) {
+                        t->res[2 * fetch_pos] = epoch;
+                        t->res[2 * fetch_pos + 1] = epoch;
+                        fetch_pos++;
+                    }
                     continue;
                 }
+                i = fetch_pos;
                 if (t->imiss[i])
                     break; /* the interpreter loop below services it */
+                t->res[2 * i] = NOT_EXECUTED;
+                t->res[2 * i + 1] = NOT_EXECUTED;
                 int status = execute(t, c, &s, i);
                 fetch_pos++;
                 if (status == ST_DEFER) {
@@ -527,6 +536,8 @@ static void simulate_ooo(Trace *t, const KernelConfig *c, KernelResult *r,
                 }
 
                 i = fetch_pos;
+                t->res[2 * i] = NOT_EXECUTED;
+                t->res[2 * i + 1] = NOT_EXECUTED;
                 if (t->imiss[i]) {
                     if (s.inflight >= c->mshr_cap) {
                         emit(&s, INH_MSHR_LIMIT);
@@ -571,6 +582,8 @@ static void simulate_ooo(Trace *t, const KernelConfig *c, KernelResult *r,
             int64_t buffered = 0;
             while (fetch_pos < n && buffered < c->fetch_buffer) {
                 i = fetch_pos;
+                t->res[2 * i] = NOT_EXECUTED;
+                t->res[2 * i + 1] = NOT_EXECUTED;
                 if (t->imiss[i]) {
                     if (s.inflight >= c->mshr_cap)
                         break;
@@ -612,6 +625,8 @@ static void simulate_ooo(Trace *t, const KernelConfig *c, KernelResult *r,
             continue; /* store-only epoch: store MLP, not an MLP epoch */
         if (s.accesses == 0) {
             if (!s.progress) {
+                /* certify: assume fetch_pos <= n -- fetch_pos starts at
+                 * 0 and grows only under fetch_pos < n guards */
                 r->error_index =
                     deferred_len ? t->deferred[0] : fetch_pos;
                 return;
@@ -882,8 +897,7 @@ int mlpsim_batch(int64_t n,
     t.scalar_mask = scalar_mask;
 
     t.imiss = (uint8_t *)malloc((size_t)n ? (size_t)n : 1);
-    t.res_data = (int32_t *)malloc(sizeof(int32_t) * (size_t)(n + 1));
-    t.res_valid = (int32_t *)malloc(sizeof(int32_t) * (size_t)(n + 1));
+    t.res = (int32_t *)malloc(sizeof(int32_t) * (size_t)(2 * n + 2));
     t.deferred = (int32_t *)malloc(sizeof(int32_t) * (size_t)(n + 1));
     t.new_deferred = (int32_t *)malloc(sizeof(int32_t) * (size_t)(n + 1));
     t.live_dmiss = (uint8_t *)malloc((size_t)n ? (size_t)n : 1);
@@ -892,7 +906,7 @@ int mlpsim_batch(int64_t n,
     t.unvalidated = (int32_t *)malloc(sizeof(int32_t) * (size_t)(n + 1));
     t.dead_store = (int32_t *)malloc(sizeof(int32_t) * (size_t)(n + 1));
     t.pending_pf = (int32_t *)malloc(sizeof(int32_t) * (size_t)(n + 1));
-    if (t.imiss && t.res_data && t.res_valid && t.deferred
+    if (t.imiss && t.res && t.deferred
         && t.new_deferred && t.live_dmiss && t.live_pmiss && t.poisoned
         && t.unvalidated && t.dead_store && t.pending_pf) {
         for (k = 0; k < nconfigs; k++) {
@@ -905,8 +919,7 @@ int mlpsim_batch(int64_t n,
     }
 
     free(t.imiss);
-    free(t.res_data);
-    free(t.res_valid);
+    free(t.res);
     free(t.deferred);
     free(t.new_deferred);
     free(t.live_dmiss);

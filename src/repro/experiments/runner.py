@@ -46,15 +46,36 @@ class ExhibitOutcome:
         return "ok" if self.ok else "FAILED"
 
 
+#: Linux's status file for this process; its ``VmHWM`` line is the
+#: peak RSS of this process image alone.
+_STATUS_PATH = "/proc/self/status"
+
+
+def vmhwm_kib(status_text):
+    """The ``VmHWM`` figure of a ``/proc/<pid>/status`` text, in KiB, or
+    None when the text has no such line."""
+    for line in status_text.splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1])
+    return None
+
+
 def peak_rss_mb():
     """This process's peak RSS so far, in MB; None without ``resource``.
 
-    On Linux ``ru_maxrss`` also counts the image the process replaced
-    at exec, so a run started from a larger process (a ``subprocess``
-    of a big Python program, say) reads at least that program's peak.
+    Read from ``VmHWM`` where ``/proc`` has it.  Linux's ``ru_maxrss``
+    would also count the image the process replaced at exec, so it
+    serves only where ``/proc`` does not.
     """
     if resource is None:
         return None
+    try:
+        with open(_STATUS_PATH) as status:
+            kib = vmhwm_kib(status.read())
+    except OSError:
+        kib = None
+    if kib is not None:
+        return kib / 1024
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # ru_maxrss counts bytes on macOS and KiB elsewhere.
     scale = 1 if sys.platform == "darwin" else 1024

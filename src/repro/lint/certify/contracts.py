@@ -250,8 +250,7 @@ _MLPSIM_BUFFERS = {
     **_column_bufs("Trace", PLAN_CONTRACT["columns"],
                    {}, _MLPSIM_ELEMS),
     ("Trace", "imiss"): Buf("n", "uint8_t", "0", "1"),
-    ("Trace", "res_data"): Buf("n + 1", "int32_t", "0", "(1 << 30)"),
-    ("Trace", "res_valid"): Buf("n + 1", "int32_t", "0", "(1 << 30)"),
+    ("Trace", "res"): Buf("2 * n + 2", "int32_t", "0", "(1 << 30)"),
     ("Trace", "deferred"): Buf("n + 1", "int32_t", "0", "n - 1"),
     ("Trace", "new_deferred"): Buf("n + 1", "int32_t", "0", "n - 1"),
     ("Trace", "live_dmiss"): Buf("n", "uint8_t", "0", "1"),

@@ -1,7 +1,7 @@
 """The certifier's value domain: intervals with affine endpoints.
 
-A plain numeric interval cannot prove ``t->res_data[t->prod1[i]]`` in
-bounds — the buffer length is ``n + 1`` where ``n`` is only known
+A plain numeric interval cannot prove ``t->res[2 * t->prod1[i]]`` in
+bounds — the buffer length is ``2 * n + 2`` where ``n`` is only known
 symbolically.  The endpoints here are therefore *affine expressions*
 ``c0 + c1*s1 + c2*s2 + ...`` over the kernel's declared symbols, each
 symbol carrying a numeric range (its *box*).  Ordering queries reduce

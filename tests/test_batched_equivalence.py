@@ -262,6 +262,32 @@ class TestThreadedDriver:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_results_do_not_depend_on_batch_order(self, all_annotated,
+                                                  monkeypatch, threads):
+        """The configs of one kernel call share its scratch, and the
+        out-of-order scan resets a result slot only when fetch reaches
+        it.  Whatever ran before a config in its call, forward,
+        reversed or nothing, its result is the same."""
+        grid = _thread_grid() + [
+            (label, _machine(label, overrides))
+            for label, overrides in LIMIT_GRID
+            if "value_prediction" not in overrides  # another mask group
+        ]
+        monkeypatch.setattr(cbuild, "effective_cpus", lambda: threads)
+        for name, annotated in all_annotated.items():
+            plan = plan_for(annotated, grid[0][1])
+            forward = {label: _result_fields(result) for label, result
+                       in ckernel.run_plan(plan, grid, name).items()}
+            reverse = ckernel.run_plan(plan, grid[::-1], name)
+            for label, _ in grid:
+                assert _result_fields(reverse[label]) == forward[label], \
+                    (name, label)
+            for pair in grid[::4]:
+                alone = ckernel.run_plan(plan, [pair], name)
+                assert _result_fields(alone[pair[0]]) == forward[pair[0]], \
+                    (name, pair[0])
+
     @pytest.mark.parametrize("threads", (2, 3, 64))
     def test_failure_in_last_slice_raises_like_one_thread(
             self, specjbb_annotated, monkeypatch, threads):

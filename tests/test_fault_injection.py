@@ -225,7 +225,9 @@ class TestFailSoftRunner:
         ("linux", 3 * 1024 * 1024),        # KiB
         ("darwin", 3 * 1024 * 1024 * 1024),  # bytes
     ])
-    def test_peak_rss_units(self, monkeypatch, platform, maxrss):
+    def test_peak_rss_units(self, monkeypatch, tmp_path, platform, maxrss):
+        """Without ``/proc``, ``ru_maxrss`` is read in each platform's
+        unit."""
         import types
 
         import repro.experiments.runner as runner_module
@@ -234,23 +236,37 @@ class TestFailSoftRunner:
         monkeypatch.setattr(runner_module, "resource", types.SimpleNamespace(
             RUSAGE_SELF=0, getrusage=lambda who: usage))
         monkeypatch.setattr(runner_module.sys, "platform", platform)
+        monkeypatch.setattr(runner_module, "_STATUS_PATH",
+                            str(tmp_path / "no-proc" / "status"))
         assert runner_module.peak_rss_mb() == 3 * 1024
 
-    def test_peak_rss_covers_vmhwm_on_linux(self):
-        """Read as MB, not KiB or bytes.  Only a lower bound holds:
-        ``ru_maxrss`` also counts the image this process replaced at
-        exec, so a test run launched from a larger process reads more."""
-        from repro.experiments.runner import peak_rss_mb
+    def test_vmhwm_parsed_from_status_text(self):
+        from repro.experiments.runner import vmhwm_kib
 
-        try:
-            with open("/proc/self/status") as status:
-                hwm = [line for line in status if line.startswith("VmHWM:")]
-        except OSError:
-            hwm = []
-        if not hwm:
-            pytest.skip("no /proc/self/status VmHWM on this platform")
-        vmhwm_mb = int(hwm[0].split()[1]) / 1024
-        assert peak_rss_mb() >= 0.95 * vmhwm_mb
+        status = ("Name:\tpython3\nVmPeak:\t  412000 kB\n"
+                  "VmHWM:\t   13312 kB\nVmRSS:\t   12800 kB\n")
+        assert vmhwm_kib(status) == 13312
+        assert vmhwm_kib("Name:\tpython3\nVmRSS:\t 12800 kB\n") is None
+
+    def test_peak_rss_covers_vmhwm_on_linux(self):
+        """On Linux the peak is this process's own ``VmHWM``, in MB, not
+        ``ru_maxrss``, which also counts the image the process replaced
+        at exec."""
+        from repro.experiments.runner import peak_rss_mb, vmhwm_kib
+
+        def vmhwm_mb():
+            try:
+                with open("/proc/self/status") as status:
+                    kib = vmhwm_kib(status.read())
+            except OSError:
+                kib = None
+            if kib is None:
+                pytest.skip("no /proc/self/status VmHWM on this platform")
+            return kib / 1024
+
+        before = vmhwm_mb()
+        peak = peak_rss_mb()
+        assert before <= peak <= vmhwm_mb()  # a high-water mark only rises
 
     def test_no_peak_rss_without_resource(self, fake_registry, monkeypatch):
         import repro.experiments.runner as runner_module

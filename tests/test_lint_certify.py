@@ -142,6 +142,23 @@ class TestRealTreeMutations:
         assert "runahead_step" in findings[0].message
         assert "j <= n - 1" in findings[0].message
 
+    def test_on_chip_run_bound(self, tmp_path):
+        """The out-of-order scan writes an on-chip run without
+        re-testing its scan state, so the run loop's own bound is all
+        that keeps it inside the plan: widening it un-proves exactly
+        the subscript it guards."""
+        root = _real_tree(tmp_path)
+        _edit(root, MLPSIM_KERNEL,
+              "while (fetch_pos < n && !t->scalar_mask[fetch_pos])",
+              "while (fetch_pos <= n && !t->scalar_mask[fetch_pos])")
+        findings = run_lint(root, select=self.SELECT)
+        assert len(findings) == 1
+        assert findings[0].pass_id == "kernel-bounds"
+        assert findings[0].path == MLPSIM_KERNEL
+        assert findings[0].message == (
+            "subscript t->scalar_mask[fetch_pos]: index in [0, n],"
+            " Trace.scalar_mask length n")
+
     def test_narrowed_accumulator_width(self, tmp_path, monkeypatch):
         """Retyping one int64 result counter as int32 un-proves the
         width of exactly its increment.  The struct lives in the header
