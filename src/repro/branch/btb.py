@@ -7,11 +7,15 @@ misprediction even if its direction was predicted correctly.
 
 from repro.robustness.errors import ConfigError
 
+#: The default associativity, which the annotation kernel's BTB has too.
+BTB_WAYS = 4
+
 
 class BranchTargetBuffer:
-    """4-way set-associative BTB with LRU replacement."""
+    """Set-associative BTB (:data:`BTB_WAYS` ways by default) with LRU
+    replacement."""
 
-    def __init__(self, entries=16 * 1024, associativity=4):
+    def __init__(self, entries=16 * 1024, associativity=BTB_WAYS):
         if entries % associativity:
             raise ConfigError("BTB entries must divide evenly into ways")
         num_sets = entries // associativity

@@ -10,9 +10,16 @@ third-party build dependency.  This module is the one place that knows
 how:
 
 * every fact a kernel shares with Python (an opcode, an enum index, a
-  struct layout) reaches it through a header rendered here from the
-  Python definitions (:func:`render_header`), so no ``.c`` file keeps
-  a copy that could drift;
+  struct layout, an entry point's prototype) reaches it through a
+  header rendered here from the Python definitions
+  (:func:`render_header`), so no ``.c`` file keeps a copy that could
+  drift, and ``cc`` rejects a definition that disagrees with its
+  declared prototype;
+* each entry point is declared once, in its kernel's contract literal:
+  :class:`KernelLoader` sets its ``argtypes`` and ``restype`` from the
+  declaration and reaches it only through one contract check, and the
+  certifier (:mod:`repro.lint.certify.contracts`) builds its parameter
+  facts from the same declaration;
 * the object is keyed on the SHA-1 of the whole translation unit, the
   header and the source, so an edit on either side triggers a rebuild
   instead of loading a stale object;
@@ -39,6 +46,7 @@ reference, the Python annotation loops and the Python generators; see
 import contextlib
 import ctypes
 import hashlib
+import numbers
 import os
 import shutil
 import subprocess
@@ -50,8 +58,69 @@ import numpy as np
 from repro.isa.opclass import OpClass
 from repro.robustness.errors import InternalError
 
+#: The ctypes type of each C scalar a declared parameter or return
+#: value may have (``None`` is ctypes' ``void``).
+_SCALARS = {"int": ctypes.c_int, "int64_t": ctypes.c_int64, "void": None}
+
 #: C spellings of the ctypes scalar types a rendered struct may hold.
-_C_TYPES = {ctypes.c_int64: "int64_t"}
+_C_TYPES = {ctype: name for name, ctype in _SCALARS.items() if ctype}
+
+#: The NumPy dtype of each C element type a declared column may have.
+_ELEMENTS = {
+    name: np.dtype(name.removesuffix("_t"))
+    for name in ("int8_t", "uint8_t", "int16_t", "int32_t", "uint32_t",
+                 "int64_t")
+}
+
+
+class Param:
+    """One parameter of a declared entry point: a row of its contract
+    literal's ``params`` list.
+
+    *ctype* is its C type as the prototype spells it (``"int64_t"``,
+    ``"const int8_t *"``), and *element* the C type a pointer points to
+    (``None`` for a scalar).  A scalar is a size: its name is one of
+    the contract's ``symbols``, whose box bounds it.  A column (a
+    pointer to a C scalar) has a *length* and a value range *lo* ..
+    *hi*, bounds over the symbols (see :func:`contract_bound`), and
+    *out* is ``"out"`` when the kernel only writes it.  A pointer to a
+    struct has a *length* when it is an array, none when it is one
+    struct.
+    """
+
+    __slots__ = ("name", "ctype", "length", "lo", "hi", "out", "element")
+
+    def __init__(self, name, ctype, length=None, lo=None, hi=None,
+                 out=None):
+        self.name = name
+        self.ctype = ctype
+        self.length = length
+        self.lo = lo
+        self.hi = hi
+        self.out = out
+        self.element = (ctype.removeprefix("const ").rstrip(" *")
+                        if ctype.endswith("*") else None)
+
+
+def params(declaration):
+    """The :class:`Param` list of one declared entry point."""
+    return [Param(*row) for row in declaration["params"]]
+
+
+def column_dtypes(declaration):
+    """``{name: dtype}`` of the columns a declared entry point reads
+    (every column it does not only write), in order."""
+    return {param.name: _ELEMENTS[param.element]
+            for param in params(declaration)
+            if param.element in _ELEMENTS and not param.out}
+
+
+def crossing(array, dtype):
+    """*array* as it crosses into C for a column of *dtype*: a bool
+    array crosses as its zero-copy uint8 view, anything else as itself."""
+    if array.dtype == np.bool_ and dtype == np.uint8:
+        return array.view(np.uint8)
+    return array
 
 
 def opcode_defines():
@@ -60,11 +129,13 @@ def opcode_defines():
     return {f"OP_{op.name}": int(op) for op in OpClass}
 
 
-def render_header(defines, structs):
+def render_header(defines, structs, entries):
     """The C header a kernel compiles against: *defines* (``{name:
-    int}``) as ``#define`` lines, then each of *structs* (``{C name:
+    int}``) as ``#define`` lines, each of *structs* (``{C name:
     ctypes.Structure subclass}``, in declaration order) as a ``typedef
-    struct`` with the same fields in the same order.
+    struct`` with the same fields in the same order, then a prototype
+    for each of *entries* (a contract literal's ``entries``), so the
+    compiler rejects a definition that disagrees with its declaration.
 
     A pure function of its arguments: it builds and imports nothing.
 
@@ -81,6 +152,11 @@ def render_header(defines, structs):
         lines += [f"    {_c_declaration(field, ctype, names)};"
                   for field, ctype in struct._fields_]
         lines.append(f"}} {name};")
+    for name, declaration in entries.items():
+        lines += ["", f"{declaration['returns']} {name}("]
+        lines.append(",\n".join(
+            f"    {param.ctype}{'' if param.element else ' '}{param.name}"
+            for param in params(declaration)) + ");")
     return "\n".join(lines) + "\n"
 
 
@@ -96,8 +172,9 @@ def _c_declaration(name, ctype, structs):
 
 
 def contract_bound(form, symbols):
-    """Evaluate a kernel-contract bound, an ``int`` or a ``[symbol,
-    offset]`` pair, over *symbols* (``{name: int}``).
+    """Evaluate a kernel-contract bound over *symbols* (``{name:
+    int}``): an ``int``, a symbol's name, or ``[symbol, offset]`` or
+    ``[symbol, offset, scale]`` for ``scale * symbol + offset``.
 
     Raises
     ------
@@ -106,10 +183,10 @@ def contract_bound(form, symbols):
     """
     if isinstance(form, int):
         return form
-    symbol, offset = form
+    symbol, offset, *scale = [form, 0] if isinstance(form, str) else form
     if symbol not in symbols:
         raise InternalError(f"unknown contract bound symbol {symbol!r}")
-    return symbols[symbol] + offset
+    return symbols[symbol] * (scale[0] if scale else 1) + offset
 
 
 #: Set by :func:`pin_kernel_threads`: this process's kernel calls stay
@@ -234,14 +311,6 @@ def _join_all(helpers):
         raise pending
 
 
-def c_column(array, dtype):
-    """The column as a C-contiguous array of *dtype* without copying
-    when the layout already matches (bool columns reinterpret as u8)."""
-    if array.dtype == np.bool_ and dtype == np.uint8:
-        array = array.view(np.uint8)
-    return np.ascontiguousarray(array, dtype=dtype)
-
-
 def _build_dir():
     """The directory the compiled objects live in.
 
@@ -336,25 +405,69 @@ def _compile(source_path, header):
     return so_path
 
 
+class _Outside(Exception):
+    """Why arguments lie outside an entry point's declaration."""
+
+
 class KernelLoader:
     """One C kernel, built and bound on first use, probed once per process.
 
-    *header* returns the kernel's rendered header (see
-    :func:`render_header`), which the build compiles ahead of the
-    source; *bind* receives the loaded :class:`ctypes.CDLL` and returns
-    the wired entry point.  The probe is safe for concurrent first use:
-    a thread that arrives during another's build waits for its outcome.
+    *contract* is the kernel's contract literal: the boxes of its
+    ``symbols``, its ``entries`` (each entry point's return type and
+    :class:`Param` rows, in order) and the field ranges of its
+    ``structs``.  *defines* returns the header's ``#define``s and
+    *structs* maps each struct's C name to its ctypes class; the build
+    compiles :meth:`header` ahead of the source.  The probe is safe for
+    concurrent first use: a thread that arrives during another's build
+    waits for its outcome.
     """
 
-    def __init__(self, name, source_path, bind, header):
+    def __init__(self, name, source_path, contract, defines, structs):
         self.name = name
         self.source_path = source_path
-        self._bind = bind
-        self.header = header
+        self.contract = contract
+        self.defines = defines
+        self.structs = structs
+        self._params = {entry: params(declaration)
+                        for entry, declaration in contract["entries"].items()}
+        names = {struct: key for key, struct in structs.items()}
+        self._nested = {
+            key: [(field, names[ctype]) for field, ctype in struct._fields_
+                  if ctype in names]
+            for key, struct in structs.items()
+        }
+        self._define_values = None
         self._lock = threading.Lock()
         self.probed = False
-        self.function = None
+        self.functions = None
         self.failure = None
+
+    def header(self):
+        """The kernel's rendered header (see :func:`render_header`)."""
+        return render_header(self.defines(), self.structs,
+                             self.contract["entries"])
+
+    def bind(self, library):
+        """Wire each declared entry point of *library* (its ``argtypes``
+        and ``restype``); returns ``{entry: function}``."""
+        functions = {}
+        for entry, declaration in self.contract["entries"].items():
+            function = getattr(library, entry)
+            function.restype = _SCALARS[declaration["returns"]]
+            function.argtypes = [self._argtype(param)
+                                 for param in self._params[entry]]
+            functions[entry] = function
+        return functions
+
+    def _argtype(self, param):
+        """The ctypes type *param* crosses as: a scalar as itself, a
+        struct pointer as a pointer to its ctypes class, a column as an
+        address."""
+        if param.element is None:
+            return _SCALARS[param.ctype]
+        if param.element in self.structs:
+            return ctypes.POINTER(self.structs[param.element])
+        return ctypes.c_void_p
 
     def available(self):
         """Can the kernel be used in this process?  Probes (and builds)
@@ -363,14 +476,14 @@ class KernelLoader:
             with self._lock:
                 if not self.probed:
                     try:
-                        self.function = self._bind(ctypes.CDLL(
+                        self.functions = self.bind(ctypes.CDLL(
                             _compile(self.source_path, self.header())
                         ))
                     except Exception as error:  # fail-soft: callers fall back
-                        self.function = None
+                        self.functions = None
                         self.failure = error
                     self.probed = True  # published last, once settled
-        return self.function is not None
+        return self.functions is not None
 
     def error(self):
         """Why the kernel is unavailable (``None`` when it loaded fine)."""
@@ -378,7 +491,7 @@ class KernelLoader:
         return self.failure
 
     def require(self):
-        """The bound entry point.
+        """The bound entry points, ``{entry: function}``.
 
         Raises
         ------
@@ -390,4 +503,169 @@ class KernelLoader:
             raise InternalError(
                 f"compiled {self.name} kernel unavailable: {self.failure}"
             )
-        return self.function
+        return self.functions
+
+    def violation(self, entry, args):
+        """Why *args* lie outside *entry*'s declaration, or ``None``.
+
+        *args* maps parameter names to values and may name only some
+        parameters: each one named is checked, a scalar against its
+        symbol's box, a column's dtype, length and (unless the kernel
+        only writes it) values, a struct's type, length and declared
+        field ranges.  Lengths and bounds name the scalars in *args* or
+        the header's defines.
+        """
+        try:
+            self._arguments(entry, args)
+        except _Outside as outside:
+            return str(outside)
+        return None
+
+    def call(self, entry, args, slices=None):
+        """Call *entry* with *args*, a value for every parameter, once
+        they pass the contract check; returns its C return value.
+
+        With *slices*, the name of a scalar that sizes struct arrays,
+        the call is cut into one call per usable CPU
+        (:func:`run_slices`), each on a contiguous slice of those
+        arrays, and the list of return values comes back.  The check
+        runs once, on the whole batch.
+
+        Raises
+        ------
+        repro.robustness.errors.InternalError
+            If the kernel is unavailable or *args* lie outside the
+            declaration.
+        """
+        function = self.require()[entry]
+        try:
+            arguments = self._arguments(entry, args, complete=True)
+        except _Outside as outside:
+            raise InternalError(
+                f"{self.name} kernel input outside its contract: {outside}"
+            ) from None
+        # A column crosses as its address; `arguments` keeps each
+        # checked array alive until the call returns.
+        addresses = [argument.ctypes.data
+                     if isinstance(argument, np.ndarray) else argument
+                     for argument in arguments]
+        if slices is None:
+            return function(*addresses)
+        declared = self._params[entry]
+        count = [param.name for param in declared].index(slices)
+        arrays = [index for index, param in enumerate(declared)
+                  if param.length == slices]
+
+        def run_slice(lo, hi):
+            sliced = list(addresses)
+            sliced[count] = hi - lo
+            for index in arrays:
+                sliced[index] = ctypes.byref(args[declared[index].name][lo])
+            return function(*sliced)
+
+        return run_slices(run_slice, args[slices])
+
+    def _arguments(self, entry, args, complete=False):
+        """The C arguments of *entry* for *args*, in declared order (a
+        column as its checked array).
+
+        Raises
+        ------
+        _Outside
+            If an argument lies outside the declaration, or one is
+            missing when *complete*.
+        """
+        declared = self._params[entry]
+        if complete:
+            missing = [param.name for param in declared
+                       if param.name not in args]
+            if missing:
+                raise _Outside(f"no argument for {', '.join(missing)}")
+        if self._define_values is None:
+            self._define_values = self.defines()
+        symbols = dict(self._define_values)
+        for param in declared:
+            if param.element is None and param.name in args:
+                value = args[param.name]
+                lo, hi = self.contract["symbols"][param.name]
+                if not isinstance(value, numbers.Integral) or not (
+                        lo <= value <= hi):
+                    raise _Outside(f"size {param.name} = {value!r}"
+                                   f" outside [{lo}, {hi}]")
+                symbols[param.name] = int(value)
+        arguments = []
+        for param in declared:
+            if param.name not in args:
+                arguments.append(None)
+            elif param.element is None:
+                arguments.append(symbols[param.name])
+            elif param.element in self.structs:
+                arguments.append(self._struct_argument(
+                    param, args[param.name], symbols))
+            else:
+                arguments.append(_column_argument(
+                    param, args[param.name], symbols))
+        return arguments
+
+    def _struct_argument(self, param, value, symbols):
+        """*value* for the struct pointer *param*, once its type, length
+        and fields pass the checks."""
+        struct = self.structs[param.element]
+        if param.length is None:
+            if type(value) is not struct:
+                raise _Outside(f"{param.name} is not a {param.element}")
+            self._check_structs(param.element, [value], symbols)
+            return ctypes.byref(value)
+        length = contract_bound(param.length, symbols)
+        if not (isinstance(value, ctypes.Array) and value._type_ is struct
+                and len(value) == length):
+            raise _Outside(f"{param.name} is not {length}"
+                           f" {param.element} structs")
+        self._check_structs(param.element, value, symbols)
+        return value
+
+    def _check_structs(self, name, values, symbols):
+        """Check each struct of *values* (C type *name*), and each
+        struct inside them, against the contract's field ranges."""
+        ranges = [(contract_bound(lo, symbols), contract_bound(hi, symbols),
+                   fields)
+                  for (lo, hi), fields in self.contract["structs"].get(name,
+                                                                      ())]
+        for value in values:
+            for lo, hi, fields in ranges:
+                for field in fields:
+                    field_value = getattr(value, field)
+                    if not lo <= field_value <= hi:
+                        raise _Outside(f"{name}.{field} = {field_value}"
+                                       f" outside [{lo}, {hi}]")
+        for field, nested in self._nested[name]:
+            self._check_structs(nested, [getattr(value, field)
+                                         for value in values], symbols)
+
+
+def _column_argument(param, value, symbols):
+    """Column *value* as the contiguous array C reads, once it passes
+    *param*'s checks."""
+    dtype = _ELEMENTS[param.element]
+    if not isinstance(value, np.ndarray):
+        raise _Outside(f"column {param.name!r} is not an array")
+    array = crossing(value, dtype)
+    if array.dtype != dtype:
+        raise _Outside(f"column {param.name!r} has dtype {array.dtype},"
+                       f" not {dtype}")
+    if param.ctype.startswith("const "):
+        array = np.ascontiguousarray(array)
+    elif not (array.flags.c_contiguous and array.flags.writeable):
+        raise _Outside(f"column {param.name!r} is not one writable row")
+    length = contract_bound(param.length, symbols)
+    if array.shape != (length,):
+        raise _Outside(f"column {param.name!r} has shape {array.shape},"
+                       f" not ({length},)")
+    if not param.out and length:
+        vmin, vmax = int(array.min()), int(array.max())
+        lo = contract_bound(param.lo, symbols)
+        hi = contract_bound(param.hi, symbols)
+        if vmin < lo or vmax > hi:
+            raise _Outside(f"column {param.name!r} spans [{vmin}, {vmax}],"
+                           f" outside [{lo}, {hi}]")
+    return array

@@ -412,10 +412,6 @@ def cmd_lint(args):
         print(f"manifest {state}:")
         print(f"  oracle sha256          {result['oracle_sha256']}")
         print(f"  cyclesim oracle sha256 {result['cyclesim_oracle_sha256']}")
-        for name, sha in sorted(
-            result["plan_contract_fingerprints"].items()
-        ):
-            print(f"  {name:<22} {sha}")
         return 0
     select = None
     if args.select:
@@ -637,9 +633,9 @@ def build_parser():
                    help="print per-pass wall time and the shared-parse"
                    " ledger to stderr after the findings")
     p.add_argument("--manifest-update", action="store_true",
-                   help="regenerate the pinned oracle SHAs and"
-                   " plan-contract fingerprints in repro.lint.manifest"
-                   " (atomic; refuses on an unrelated-dirty git tree)")
+                   help="regenerate the pinned oracle SHAs in"
+                   " repro.lint.manifest (atomic; refuses on an"
+                   " unrelated-dirty git tree)")
     p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser("ablation", help="run ablation studies")

@@ -26,9 +26,13 @@
  *     switches already applied by the plan builder.
  *
  * Shared names: the OP_* opcodes, the INH_* inhibitor indices (with
- * INH_COUNT), NOT_EXECUTED and the KernelConfig/KernelResult structs
- * come from the header repro.cbuild renders from the Python
- * definitions (repro/core/ckernel.py) and compiles ahead of this file.
+ * INH_COUNT), NOT_EXECUTED, the KernelConfig/KernelResult structs and
+ * the prototype of mlpsim_batch come from the header repro.cbuild
+ * renders from the Python definitions (repro/core/ckernel.py) and
+ * compiles ahead of this file.  The prototype is rendered from the
+ * entry point's one declaration, in PLAN_CONTRACT
+ * (repro/core/columnar.py), so the compiler checks the definition
+ * below against it.
  */
 
 #include <stdint.h>

@@ -1,8 +1,9 @@
-"""Compiled MLPsim kernel: bind and drive ``_mlpsim_kernel.c``.
+"""Compiled MLPsim kernel: drive ``_mlpsim_kernel.c``.
 
 MLPsim's compiled engine is a C translation of the oracles' epoch
-scans, out-of-order and runahead (see ``_mlpsim_kernel.c``), built and
-loaded by :mod:`repro.cbuild`.  One :func:`run_plan` call simulates
+scans, out-of-order and runahead (see ``_mlpsim_kernel.c``), built,
+bound and checked by :mod:`repro.cbuild` from its one declaration,
+:data:`repro.core.columnar.PLAN_CONTRACT`.  One :func:`run_plan` call simulates
 **many machine configurations against one shared columnar plan**,
 which is what makes full-grid sweeps cheap: the trace columns are
 prepared once and the per-config cost collapses to a few milliseconds
@@ -21,20 +22,8 @@ every config to the oracles.
 import ctypes
 import os
 
-import numpy as np
-
-from repro.cbuild import (
-    KernelLoader,
-    c_column,
-    opcode_defines,
-    render_header,
-    run_slices,
-)
-from repro.core.columnar import (
-    PLAN_CONTRACT,
-    config_violation,
-    validate_plan_contract,
-)
+from repro.cbuild import KernelLoader, opcode_defines
+from repro.core.columnar import PLAN_COLUMNS, PLAN_CONTRACT
 from repro.core.mlpsim import NOT_EXECUTED
 from repro.core.results import MLPResult
 from repro.core.termination import Inhibitor, InhibitorCounts
@@ -47,7 +36,7 @@ _UNBOUNDED = 1 << 30
 #: A runahead period never scans past the end of the region, so a
 #: ``max_runahead`` beyond the longest certified region behaves exactly
 #: like this cap.
-_RUNAHEAD_CAP = PLAN_CONTRACT["n_max"] + 1
+_RUNAHEAD_CAP = PLAN_CONTRACT["symbols"]["n"][1] + 1
 
 
 class _KernelConfig(ctypes.Structure):
@@ -82,42 +71,22 @@ class _KernelResult(ctypes.Structure):
     ]
 
 
-def _header():
-    """``_mlpsim_kernel.c``'s header: the opcodes, an ``INH_*`` index
-    per :class:`Inhibitor` in definition order, ``NOT_EXECUTED`` and
-    the two structs."""
-    return render_header(
-        {
-            **opcode_defines(),
-            **{f"INH_{inhibitor.name}": index
-               for index, inhibitor in enumerate(Inhibitor)},
-            "INH_COUNT": len(Inhibitor),
-            "NOT_EXECUTED": NOT_EXECUTED,
-        },
-        {"KernelConfig": _KernelConfig, "KernelResult": _KernelResult},
-    )
+def _defines():
+    """``_mlpsim_kernel.c``'s defines: the opcodes, an ``INH_*`` index
+    per :class:`Inhibitor` in definition order and ``NOT_EXECUTED``."""
+    return {
+        **opcode_defines(),
+        **{f"INH_{inhibitor.name}": index
+           for index, inhibitor in enumerate(Inhibitor)},
+        "INH_COUNT": len(Inhibitor),
+        "NOT_EXECUTED": NOT_EXECUTED,
+    }
 
 
-def _bind(lib):
-    fn = lib.mlpsim_batch
-    fn.restype = ctypes.c_int
-    fn.argtypes = [
-        ctypes.c_int64,                       # n
-        ctypes.c_void_p,                      # ops
-        ctypes.c_void_p, ctypes.c_void_p,     # prod1, prod2
-        ctypes.c_void_p, ctypes.c_void_p,     # prod3, memdep
-        ctypes.c_void_p, ctypes.c_void_p,     # dmiss, imiss
-        ctypes.c_void_p, ctypes.c_void_p,     # mispred, pmiss
-        ctypes.c_void_p, ctypes.c_void_p,     # pfuseful, vp_ok
-        ctypes.c_void_p, ctypes.c_void_p,     # smiss, scalar_mask
-        ctypes.POINTER(_KernelConfig),
-        ctypes.c_int64,
-        ctypes.POINTER(_KernelResult),
-    ]
-    return fn
-
-
-_loader = KernelLoader("MLPsim", _SOURCE_PATH, _bind, _header)
+_loader = KernelLoader(
+    "MLPsim", _SOURCE_PATH, PLAN_CONTRACT, _defines,
+    {"KernelConfig": _KernelConfig, "KernelResult": _KernelResult},
+)
 
 
 def kernel_available():
@@ -167,7 +136,9 @@ def in_contract(machine):
     above 2**30); the kernel is not certified for it, so it runs on the
     oracles instead.
     """
-    return config_violation(_config_struct(machine)) is None
+    configs = (_KernelConfig * 1)(_config_struct(machine))
+    return _loader.violation(
+        "mlpsim_batch", {"configs": configs, "nconfigs": 1}) is None
 
 
 def run_plan(plan, machines, workload):
@@ -184,50 +155,25 @@ def run_plan(plan, machines, workload):
     ------
     repro.robustness.errors.InternalError
         If the kernel is unavailable (callers must check
-        :func:`kernel_available` first) or a config made no progress —
-        the same condition, same message, as the Python engines.
+        :func:`kernel_available` first), the plan or a config lies
+        outside :data:`~repro.core.columnar.PLAN_CONTRACT`, or a config
+        made no progress — the same condition, same message, as the
+        Python engines.
     """
-    _kernel = _loader.require()
     pairs = list(machines)
     n = len(plan)
-
-    ops = c_column(plan.ops, np.int8)
-    prod1 = c_column(plan.prod1, np.int32)
-    prod2 = c_column(plan.prod2, np.int32)
-    prod3 = c_column(plan.prod3, np.int32)
-    memdep = c_column(plan.memdep, np.int32)
-    dmiss = c_column(plan.dmiss, np.uint8)
-    imiss = c_column(plan.imiss, np.uint8)
-    mispred = c_column(plan.mispred, np.uint8)
-    pmiss = c_column(plan.pmiss, np.uint8)
-    pfuseful = c_column(plan.pfuseful, np.uint8)
-    vp_ok = c_column(plan.vp_ok, np.uint8)
-    smiss = c_column(plan.smiss, np.uint8)
-    scalar_mask = c_column(plan.scalar_mask, np.uint8)
-
     configs = (_KernelConfig * len(pairs))(
         *[_config_struct(machine) for _, machine in pairs]
     )
     results = (_KernelResult * len(pairs))()
-
-    # The kernel's bounds/overflow certification assumes exactly the
-    # PLAN_CONTRACT ranges; refuse to call it with anything outside
-    # them (the plan-contract lint pass proves this call dominates the
-    # kernel invocation).
-    validate_plan_contract(plan, configs)
-
-    def run_slice(lo, hi):
-        return _kernel(
-            n,
-            ops.ctypes.data, prod1.ctypes.data, prod2.ctypes.data,
-            prod3.ctypes.data, memdep.ctypes.data,
-            dmiss.ctypes.data, imiss.ctypes.data, mispred.ctypes.data,
-            pmiss.ctypes.data, pfuseful.ctypes.data, vp_ok.ctypes.data,
-            smiss.ctypes.data, scalar_mask.ctypes.data,
-            ctypes.byref(configs[lo]), hi - lo, ctypes.byref(results[lo]),
-        )
-
-    if any(run_slices(run_slice, len(pairs))):
+    statuses = _loader.call("mlpsim_batch", {
+        "n": n,
+        **{name: getattr(plan, name) for name in PLAN_COLUMNS},
+        "configs": configs,
+        "nconfigs": len(pairs),
+        "results": results,
+    }, slices="nconfigs")
+    if any(statuses):
         raise InternalError("compiled MLPsim kernel ran out of memory")
 
     out = {}

@@ -42,135 +42,68 @@ import dataclasses
 
 import numpy as np
 
-from repro.cbuild import contract_bound
+from repro.cbuild import column_dtypes, crossing
 from repro.core.depgraph import depgraph_for
 from repro.core.mlpsim import _event_arrays, resolve_region
 from repro.isa.opclass import OpClass
 from repro.isa.registers import REG_ZERO
-from repro.robustness.errors import InternalError, TraceFormatError
+from repro.robustness.errors import TraceFormatError
 
 #: Version of the columnar plan layout, carried in every payload's meta
 #: record and checked by :func:`plan_from_payload`.
 COLUMNAR_SCHEMA_VERSION = 2
 
-#: Columns a spilled plan payload must carry, with dtypes.
-PLAN_COLUMNS = (
-    ("ops", np.int8),
-    ("prod1", np.int32),
-    ("prod2", np.int32),
-    ("prod3", np.int32),
-    ("memdep", np.int32),
-    ("dmiss", np.bool_),
-    ("imiss", np.bool_),
-    ("mispred", np.bool_),
-    ("pmiss", np.bool_),
-    ("pfuseful", np.bool_),
-    ("vp_ok", np.bool_),
-    ("smiss", np.bool_),
-    ("scalar_mask", np.bool_),
-)
-
-
-#: Machine-checked value-range contract between the plan builder and
-#: the compiled kernel.  Every bound is an ``int`` or a
-#: ``[symbol, offset]`` pair over the region length ``n``; column
-#: entries bound the values inside each array the kernel receives,
-#: ``config`` entries bound the ``_KernelConfig`` fields.  The C
-#: bounds/overflow proof assumes these ranges
-#: (:mod:`repro.lint.certify.contracts` builds its facts from this
-#: literal), and the ``plan-contract`` lint pass requires it to be
-#: enforced by :func:`validate_plan_contract` before every kernel call
-#: and pinned in the manifest, so edits here without a manifest update
-#: fail the build.
+#: The MLPsim kernel's contract: its one entry point, ``mlpsim_batch``,
+#: declared once (see :class:`repro.cbuild.Param`), the boxes of its
+#: sizes and the ranges of the ``KernelConfig`` fields.  A bound is an
+#: ``int``, a symbol or ``[symbol, offset]``.  :mod:`repro.cbuild`
+#: renders the prototype into the header the kernel compiles against,
+#: checks every call against the declaration, and
+#: :mod:`repro.lint.certify.contracts` builds the C proof's facts from
+#: it.  The plan's columns are the entry point's columns.
 PLAN_CONTRACT = {
-    "n_max": 1 << 26,
-    "columns": {
-        "ops": [0, 8],
-        "prod1": [0, ["n", 0]],
-        "prod2": [0, ["n", 0]],
-        "prod3": [0, ["n", 0]],
-        "memdep": [0, ["n", 0]],
-        "dmiss": [0, 1],
-        "imiss": [0, 1],
-        "mispred": [0, 1],
-        "pmiss": [0, 1],
-        "pfuseful": [0, 1],
-        "vp_ok": [0, 1],
-        "smiss": [0, 1],
-        "scalar_mask": [0, 1],
+    "symbols": {"n": [0, 1 << 26], "nconfigs": [0, 1 << 20]},
+    "entries": {
+        "mlpsim_batch": {
+            "returns": "int",
+            "params": [
+                ["n", "int64_t"],
+                ["ops", "const int8_t *", "n", 0, 8],
+                ["prod1", "const int32_t *", "n", 0, "n"],
+                ["prod2", "const int32_t *", "n", 0, "n"],
+                ["prod3", "const int32_t *", "n", 0, "n"],
+                ["memdep", "const int32_t *", "n", 0, "n"],
+                ["dmiss", "const uint8_t *", "n", 0, 1],
+                ["imiss", "const uint8_t *", "n", 0, 1],
+                ["mispred", "const uint8_t *", "n", 0, 1],
+                ["pmiss", "const uint8_t *", "n", 0, 1],
+                ["pfuseful", "const uint8_t *", "n", 0, 1],
+                ["vp_ok", "const uint8_t *", "n", 0, 1],
+                ["smiss", "const uint8_t *", "n", 0, 1],
+                ["scalar_mask", "const uint8_t *", "n", 0, 1],
+                ["configs", "const KernelConfig *", "nconfigs"],
+                ["nconfigs", "int64_t"],
+                ["results", "KernelResult *", "nconfigs"],
+            ],
+        },
     },
-    "config": {
-        "rob": [1, 1 << 24],
-        "iw": [1, 1 << 24],
-        "fetch_buffer": [0, 1 << 24],
-        "serializing": [0, 1],
-        "load_in_order": [0, 1],
-        "load_wait_staddr": [0, 1],
-        "branch_in_order": [0, 1],
-        "mshr_cap": [1, 1 << 30],
-        "sb_cap": [0, 1 << 30],
-        "slow_bp": [0, 1],
-        "slow_bp_threshold": [0, 1 << 20],
-        "runahead": [0, 1],
-        "max_runahead": [1, (1 << 26) + 1],
+    "structs": {
+        "KernelConfig": [
+            [[1, 1 << 24], ["rob", "iw"]],
+            [[0, 1 << 24], ["fetch_buffer"]],
+            [[0, 1], ["serializing", "load_in_order", "load_wait_staddr",
+                      "branch_in_order", "slow_bp", "runahead"]],
+            [[1, 1 << 30], ["mshr_cap"]],
+            [[0, 1 << 30], ["sb_cap"]],
+            [[0, 1 << 20], ["slow_bp_threshold"]],
+            [[1, (1 << 26) + 1], ["max_runahead"]],
+        ],
     },
 }
 
-
-def validate_plan_contract(plan, configs):
-    """Enforce :data:`PLAN_CONTRACT` on what is about to cross into C.
-
-    Called by :func:`repro.core.ckernel.run_plan` immediately before
-    the kernel invocation — the C kernel's bounds/overflow proof
-    assumes exactly these ranges, so handing it anything outside them
-    would void the certification.
-
-    Raises
-    ------
-    repro.robustness.errors.InternalError
-        If the region is too long, a column holds a value outside its
-        contracted range, or a config field is out of range.
-    """
-    n = len(plan)
-    if n > PLAN_CONTRACT["n_max"]:
-        raise InternalError(
-            f"plan region has {n} instructions; the compiled kernel is"
-            f" certified for at most {PLAN_CONTRACT['n_max']}"
-        )
-    if n:
-        symbols = {"n": n}
-        for name, (lo, hi) in PLAN_CONTRACT["columns"].items():
-            column = getattr(plan, name)
-            vmin, vmax = int(column.min()), int(column.max())
-            lo_v = contract_bound(lo, symbols)
-            hi_v = contract_bound(hi, symbols)
-            if vmin < lo_v or vmax > hi_v:
-                raise InternalError(
-                    f"plan column {name!r} spans [{vmin}, {vmax}] but"
-                    f" the kernel contract requires [{lo_v}, {hi_v}]"
-                )
-    for config in configs:
-        violation = config_violation(config)
-        if violation is not None:
-            raise InternalError(violation)
-
-
-def config_violation(config):
-    """Why kernel *config* lies outside ``PLAN_CONTRACT["config"]``, or None.
-
-    The config ranges are constants, so no plan is needed:
-    :func:`repro.core.batched.batched_supported` uses this check to keep
-    such machines on the oracles, and
-    :func:`validate_plan_contract` to refuse them at the kernel call.
-    """
-    for field, (lo, hi) in PLAN_CONTRACT["config"].items():
-        value = int(getattr(config, field))
-        if value < lo or value > hi:
-            return (
-                f"kernel config field {field!r} = {value} outside"
-                f" the contracted range [{lo}, {hi}]"
-            )
-    return None
+#: The plan's columns with the dtypes the kernel reads them as (a bool
+#: column crosses as its uint8 view).
+PLAN_COLUMNS = column_dtypes(PLAN_CONTRACT["entries"]["mlpsim_batch"])
 
 
 def mask_key(machine):
@@ -212,7 +145,7 @@ class ColumnarPlan:
 
     def nbytes(self):
         """Total payload size of the numpy columns, in bytes."""
-        return sum(getattr(self, name).nbytes for name, _ in PLAN_COLUMNS)
+        return sum(getattr(self, name).nbytes for name in PLAN_COLUMNS)
 
 
 def _plan_cache(annotated):
@@ -326,7 +259,7 @@ def plan_payload(plan):
     schema version travels with it so a payload of another layout is
     rejected loudly instead of misread.
     """
-    payload = {name: getattr(plan, name) for name, _ in PLAN_COLUMNS}
+    payload = {name: getattr(plan, name) for name in PLAN_COLUMNS}
     payload["meta"] = np.asarray(
         [COLUMNAR_SCHEMA_VERSION, plan.start, plan.stop], dtype=np.int64
     )
@@ -368,17 +301,17 @@ def plan_from_payload(payload, path=None):
             path=path, field="meta",
         )
     columns = {}
-    for name, dtype in PLAN_COLUMNS:
+    for name, dtype in PLAN_COLUMNS.items():
         if name not in payload:
             raise TraceFormatError(
                 f"columnar plan payload is missing column {name!r}",
                 path=path, field=name,
             )
         array = np.asarray(payload[name])
-        if array.dtype != np.dtype(dtype) or array.shape != (n,):
+        if crossing(array, dtype).dtype != dtype or array.shape != (n,):
             raise TraceFormatError(
                 f"columnar plan column {name!r} has dtype {array.dtype}"
-                f" shape {array.shape}; expected {np.dtype(dtype)} ({n},)",
+                f" shape {array.shape}; expected {dtype} ({n},)",
                 path=path, field=name,
             )
         columns[name] = array

@@ -28,10 +28,13 @@
  *    the skipped span is charged to the stall category of the cycle.
  *
  * Shared names: the OP_* opcodes, the CAT_* stall-category indices
- * (STALL_CATEGORIES order, with N_CATEGORIES), the ST_* statuses and
- * the CycleConfig/CycleResult structs come from the header
- * repro.cbuild renders from the Python definitions
- * (repro/cyclesim/ckernel.py) and compiles ahead of this file.
+ * (STALL_CATEGORIES order, with N_CATEGORIES), the ST_* statuses, the
+ * CycleConfig/CycleResult structs and the prototype of cyclesim_batch
+ * come from the header repro.cbuild renders from the Python
+ * definitions (repro/cyclesim/ckernel.py) and compiles ahead of this
+ * file.  The prototype is rendered from the entry point's one
+ * declaration, in CYCLE_PLAN_CONTRACT (repro/cyclesim/plan.py), so
+ * the compiler checks the definition below against it.
  */
 
 #include <stdint.h>

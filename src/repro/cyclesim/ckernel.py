@@ -1,8 +1,10 @@
-"""Compiled cyclesim kernel: bind and drive ``_cyclesim_kernel.c``.
+"""Compiled cyclesim kernel: drive ``_cyclesim_kernel.c``.
 
 The cycle simulator's fast path is a C kernel held bit-identical to the
-frozen reference (:mod:`repro.cyclesim.simulator_reference`), built and
-loaded by :mod:`repro.cbuild` exactly like the MLPsim kernel.
+frozen reference (:mod:`repro.cyclesim.simulator_reference`), built,
+bound and checked by :mod:`repro.cbuild` from its one declaration,
+:data:`repro.cyclesim.plan.CYCLE_PLAN_CONTRACT`, exactly like the
+MLPsim kernel.
 
 One :func:`run_cycle_plan` call simulates **many pipeline
 configurations against one shared cycle plan**: the per-instruction
@@ -21,18 +23,10 @@ reference simulator instead.
 import ctypes
 import os
 
-import numpy as np
-
-from repro.cbuild import (
-    KernelLoader,
-    c_column,
-    opcode_defines,
-    render_header,
-    run_slices,
-)
+from repro.cbuild import KernelLoader, opcode_defines
 from repro.core.config import BranchPolicy, LoadPolicy, SerializePolicy
 from repro.cyclesim.metrics import STALL_CATEGORIES, CycleMetrics
-from repro.cyclesim.plan import validate_cycle_plan_contract
+from repro.cyclesim.plan import CYCLE_PLAN_COLUMNS, CYCLE_PLAN_CONTRACT
 from repro.robustness.errors import InternalError
 
 #: Per-config status codes of the C kernel (its ``ST_*`` names).
@@ -83,43 +77,24 @@ class _KernelResult(ctypes.Structure):
     ]
 
 
-def _header():
-    """``_cyclesim_kernel.c``'s header: the opcodes, a ``CAT_*`` index
-    per stall category in :data:`STALL_CATEGORIES` order, the status
-    codes and the two structs."""
-    return render_header(
-        {
-            **opcode_defines(),
-            **{f"CAT_{category.upper()}": index
-               for index, category in enumerate(STALL_CATEGORIES)},
-            "N_CATEGORIES": len(STALL_CATEGORIES),
-            "ST_OK": _ST_OK,
-            "ST_DEADLOCK": _ST_DEADLOCK,
-        },
-        {"CycleConfig": _KernelConfig, "CycleResult": _KernelResult},
-    )
+def _defines():
+    """``_cyclesim_kernel.c``'s defines: the opcodes, a ``CAT_*`` index
+    per stall category in :data:`STALL_CATEGORIES` order and the status
+    codes."""
+    return {
+        **opcode_defines(),
+        **{f"CAT_{category.upper()}": index
+           for index, category in enumerate(STALL_CATEGORIES)},
+        "N_CATEGORIES": len(STALL_CATEGORIES),
+        "ST_OK": _ST_OK,
+        "ST_DEADLOCK": _ST_DEADLOCK,
+    }
 
 
-def _bind(lib):
-    fn = lib.cyclesim_batch
-    fn.restype = ctypes.c_int
-    fn.argtypes = [
-        ctypes.c_int64,                       # n
-        ctypes.c_void_p,                      # ops
-        ctypes.c_void_p, ctypes.c_void_p,     # prod1, prod2
-        ctypes.c_void_p, ctypes.c_void_p,     # prod3, memdep
-        ctypes.c_void_p, ctypes.c_void_p,     # addr_line, pc_line
-        ctypes.c_void_p, ctypes.c_void_p,     # dmiss, imiss
-        ctypes.c_void_p, ctypes.c_void_p,     # mispred, pmiss
-        ctypes.c_void_p,                      # pfuseful
-        ctypes.POINTER(_KernelConfig),
-        ctypes.c_int64,
-        ctypes.POINTER(_KernelResult),
-    ]
-    return fn
-
-
-_loader = KernelLoader("cyclesim", _SOURCE_PATH, _bind, _header)
+_loader = KernelLoader(
+    "cyclesim", _SOURCE_PATH, CYCLE_PLAN_CONTRACT, _defines,
+    {"CycleConfig": _KernelConfig, "CycleResult": _KernelResult},
+)
 
 
 def kernel_available():
@@ -177,49 +152,25 @@ def run_cycle_plan(plan, pairs, workload):
     ------
     repro.robustness.errors.InternalError
         If the kernel is unavailable (callers must check
-        :func:`kernel_available` first) or a config deadlocked — the
-        same condition, same message, as the reference.
+        :func:`kernel_available` first), the plan or a config lies
+        outside :data:`~repro.cyclesim.plan.CYCLE_PLAN_CONTRACT`, or a
+        config deadlocked — the same condition, same message, as the
+        reference.
     """
-    _kernel = _loader.require()
     pairs = list(pairs)
     n = len(plan)
-
-    ops = c_column(plan.ops, np.int8)
-    prod1 = c_column(plan.prod1, np.int32)
-    prod2 = c_column(plan.prod2, np.int32)
-    prod3 = c_column(plan.prod3, np.int32)
-    memdep = c_column(plan.memdep, np.int32)
-    addr_line = c_column(plan.addr_line, np.int64)
-    pc_line = c_column(plan.pc_line, np.int64)
-    dmiss = c_column(plan.dmiss, np.uint8)
-    imiss = c_column(plan.imiss, np.uint8)
-    mispred = c_column(plan.mispred, np.uint8)
-    pmiss = c_column(plan.pmiss, np.uint8)
-    pfuseful = c_column(plan.pfuseful, np.uint8)
-
     configs = (_KernelConfig * len(pairs))(
         *[_config_struct(config) for _, config in pairs]
     )
     results = (_KernelResult * len(pairs))()
-
-    # The kernel's bounds/overflow certification assumes exactly the
-    # CYCLE_PLAN_CONTRACT ranges; refuse to call it with anything
-    # outside them (the plan-contract lint pass proves this call
-    # dominates the kernel invocation).
-    validate_cycle_plan_contract(plan, configs)
-
-    def run_slice(lo, hi):
-        return _kernel(
-            n,
-            ops.ctypes.data, prod1.ctypes.data, prod2.ctypes.data,
-            prod3.ctypes.data, memdep.ctypes.data,
-            addr_line.ctypes.data, pc_line.ctypes.data,
-            dmiss.ctypes.data, imiss.ctypes.data, mispred.ctypes.data,
-            pmiss.ctypes.data, pfuseful.ctypes.data,
-            ctypes.byref(configs[lo]), hi - lo, ctypes.byref(results[lo]),
-        )
-
-    if any(run_slices(run_slice, len(pairs))):
+    statuses = _loader.call("cyclesim_batch", {
+        "n": n,
+        **{name: getattr(plan, name) for name in CYCLE_PLAN_COLUMNS},
+        "configs": configs,
+        "n_configs": len(pairs),
+        "results": results,
+    }, slices="n_configs")
+    if any(statuses):
         raise InternalError("compiled cyclesim kernel ran out of memory")
 
     out = {}

@@ -20,10 +20,10 @@ import dataclasses
 
 import numpy as np
 
-from repro.cbuild import contract_bound
+from repro.cbuild import column_dtypes, crossing
 from repro.core.depgraph import depgraph_for
 from repro.core.mlpsim import _event_arrays, resolve_region
-from repro.robustness.errors import InternalError, TraceFormatError
+from repro.robustness.errors import TraceFormatError
 
 #: Version of the cycle-plan payload layout; bump on any change to the
 #: column set or meaning so a stale shared segment cannot be misread.
@@ -32,119 +32,63 @@ CYCLE_SCHEMA_VERSION = 1
 #: Cache-line shift shared with the simulator (64-byte lines).
 LINE_SHIFT = 6
 
-#: Columns a spilled cycle-plan payload must carry, with dtypes.
-CYCLE_PLAN_COLUMNS = (
-    ("ops", np.int8),
-    ("prod1", np.int32),
-    ("prod2", np.int32),
-    ("prod3", np.int32),
-    ("memdep", np.int32),
-    ("addr_line", np.int64),
-    ("pc_line", np.int64),
-    ("dmiss", np.bool_),
-    ("imiss", np.bool_),
-    ("mispred", np.bool_),
-    ("pmiss", np.bool_),
-    ("pfuseful", np.bool_),
-)
-
 #: Payload key distinguishing a cycle plan from a columnar MLPsim plan
 #: inside the shared-memory publication protocol.
 CYCLE_META_KEY = "cycle_meta"
 
-#: Machine-checked value-range contract between the cycle-plan builder
-#: and the compiled kernel.  Bounds are ``int`` or ``[symbol, offset]``
-#: over the region length ``n``; producer columns keep the depgraph's
-#: ``-1`` sentinel (unlike MLPsim plans, which rewrite it to ``n``).
-#: The C bounds/overflow proof assumes these ranges
-#: (:mod:`repro.lint.certify.contracts` builds its facts from this
-#: literal), and the ``plan-contract`` lint pass requires it to be
-#: enforced by :func:`validate_cycle_plan_contract` before every kernel
-#: call and pinned in the manifest, so edits here without a manifest
-#: update fail the build.
+#: The cyclesim kernel's contract: its one entry point,
+#: ``cyclesim_batch``, declared once (see :class:`repro.cbuild.Param`),
+#: the boxes of its sizes and the ranges of the ``CycleConfig`` fields.
+#: Producer columns keep the depgraph's ``-1`` sentinel (unlike MLPsim
+#: plans, which rewrite it to ``n``).  :mod:`repro.cbuild` renders the
+#: prototype and checks every call against the declaration, and
+#: :mod:`repro.lint.certify.contracts` builds the C proof's facts from
+#: it.  The plan's columns are the entry point's columns.
 CYCLE_PLAN_CONTRACT = {
-    "n_max": 1 << 26,
-    "columns": {
-        "ops": [0, 8],
-        "prod1": [-1, ["n", -1]],
-        "prod2": [-1, ["n", -1]],
-        "prod3": [-1, ["n", -1]],
-        "memdep": [-1, ["n", -1]],
-        "addr_line": [0, 1 << 57],
-        "pc_line": [0, 1 << 57],
-        "dmiss": [0, 1],
-        "imiss": [0, 1],
-        "mispred": [0, 1],
-        "pmiss": [0, 1],
-        "pfuseful": [0, 1],
+    "symbols": {"n": [0, 1 << 26], "n_configs": [0, 1 << 20]},
+    "entries": {
+        "cyclesim_batch": {
+            "returns": "int",
+            "params": [
+                ["n", "int64_t"],
+                ["ops", "const int8_t *", "n", 0, 8],
+                ["prod1", "const int32_t *", "n", -1, ["n", -1]],
+                ["prod2", "const int32_t *", "n", -1, ["n", -1]],
+                ["prod3", "const int32_t *", "n", -1, ["n", -1]],
+                ["memdep", "const int32_t *", "n", -1, ["n", -1]],
+                ["addr_line", "const int64_t *", "n", 0, 1 << 57],
+                ["pc_line", "const int64_t *", "n", 0, 1 << 57],
+                ["dmiss", "const uint8_t *", "n", 0, 1],
+                ["imiss", "const uint8_t *", "n", 0, 1],
+                ["mispred", "const uint8_t *", "n", 0, 1],
+                ["pmiss", "const uint8_t *", "n", 0, 1],
+                ["pfuseful", "const uint8_t *", "n", 0, 1],
+                ["configs", "const CycleConfig *", "n_configs"],
+                ["n_configs", "int64_t"],
+                ["results", "CycleResult *", "n_configs"],
+            ],
+        },
     },
-    "config": {
-        "rob": [1, 1 << 20],
-        "issue_window": [1, 1 << 20],
-        "fetch_buffer": [1, 1 << 20],
-        "fetch_width": [1, 1 << 16],
-        "dispatch_width": [1, 1 << 16],
-        "issue_width": [1, 1 << 16],
-        "commit_width": [1, 1 << 16],
-        "frontend_depth": [0, 1 << 16],
-        "alu_latency": [0, 1 << 20],
-        "branch_latency": [0, 1 << 20],
-        "l1_latency": [0, 1 << 20],
-        "l2_latency": [0, 1 << 20],
-        "miss_penalty": [0, 1 << 20],
-        "redirect_penalty": [0, 1 << 20],
-        "load_in_order": [0, 1],
-        "load_wait_staddr": [0, 1],
-        "branch_in_order": [0, 1],
-        "serializing": [0, 1],
-        "perfect_l2": [0, 1],
-        "event_skip": [0, 1],
+    "structs": {
+        "CycleConfig": [
+            [[1, 1 << 20], ["rob", "issue_window", "fetch_buffer"]],
+            [[1, 1 << 16], ["fetch_width", "dispatch_width", "issue_width",
+                            "commit_width"]],
+            [[0, 1 << 16], ["frontend_depth"]],
+            [[0, 1 << 20], ["alu_latency", "branch_latency", "l1_latency",
+                            "l2_latency", "miss_penalty",
+                            "redirect_penalty"]],
+            [[0, 1], ["load_in_order", "load_wait_staddr",
+                      "branch_in_order", "serializing", "perfect_l2",
+                      "event_skip"]],
+        ],
     },
 }
 
-
-def validate_cycle_plan_contract(plan, configs):
-    """Enforce :data:`CYCLE_PLAN_CONTRACT` before the C kernel runs.
-
-    Called by :func:`repro.cyclesim.ckernel.run_cycle_plan`
-    immediately before the kernel invocation — the C kernel's
-    bounds/overflow proof assumes exactly these ranges.
-
-    Raises
-    ------
-    repro.robustness.errors.InternalError
-        If the region is too long, a column holds a value outside its
-        contracted range, or a config field is out of range.
-    """
-    n = len(plan)
-    if n > CYCLE_PLAN_CONTRACT["n_max"]:
-        raise InternalError(
-            f"cycle plan region has {n} instructions; the compiled"
-            " kernel is certified for at most"
-            f" {CYCLE_PLAN_CONTRACT['n_max']}"
-        )
-    symbols = {"n": n}
-    if n:
-        for name, (lo, hi) in CYCLE_PLAN_CONTRACT["columns"].items():
-            column = getattr(plan, name)
-            vmin, vmax = int(column.min()), int(column.max())
-            lo_v = contract_bound(lo, symbols)
-            hi_v = contract_bound(hi, symbols)
-            if vmin < lo_v or vmax > hi_v:
-                raise InternalError(
-                    f"cycle plan column {name!r} spans [{vmin}, {vmax}]"
-                    f" but the kernel contract requires [{lo_v}, {hi_v}]"
-                )
-    for config in configs:
-        for field, (lo, hi) in CYCLE_PLAN_CONTRACT["config"].items():
-            value = int(getattr(config, field))
-            lo_v = contract_bound(lo, symbols)
-            hi_v = contract_bound(hi, symbols)
-            if value < lo_v or value > hi_v:
-                raise InternalError(
-                    f"cycle kernel config field {field!r} = {value}"
-                    f" outside the contracted range [{lo_v}, {hi_v}]"
-                )
+#: The plan's columns with the dtypes the kernel reads them as (a bool
+#: column crosses as its uint8 view).
+CYCLE_PLAN_COLUMNS = column_dtypes(
+    CYCLE_PLAN_CONTRACT["entries"]["cyclesim_batch"])
 
 
 @dataclasses.dataclass
@@ -178,7 +122,7 @@ class CyclePlan:
     def nbytes(self):
         """Total payload size of the numpy columns, in bytes."""
         return sum(
-            getattr(self, name).nbytes for name, _ in CYCLE_PLAN_COLUMNS
+            getattr(self, name).nbytes for name in CYCLE_PLAN_COLUMNS
         )
 
 
@@ -247,7 +191,7 @@ def cycle_plan_payload(plan):
     the :data:`CYCLE_META_KEY` record carries the schema version and
     region so a version-skewed or truncated publisher is rejected.
     """
-    payload = {name: getattr(plan, name) for name, _ in CYCLE_PLAN_COLUMNS}
+    payload = {name: getattr(plan, name) for name in CYCLE_PLAN_COLUMNS}
     payload[CYCLE_META_KEY] = np.asarray(
         [CYCLE_SCHEMA_VERSION, plan.start, plan.stop], dtype=np.int64
     )
@@ -289,17 +233,17 @@ def cycle_plan_from_payload(payload, path=None):
             path=path, field=CYCLE_META_KEY,
         )
     columns = {}
-    for name, dtype in CYCLE_PLAN_COLUMNS:
+    for name, dtype in CYCLE_PLAN_COLUMNS.items():
         if name not in payload:
             raise TraceFormatError(
                 f"cycle plan payload is missing column {name!r}",
                 path=path, field=name,
             )
         array = np.asarray(payload[name])
-        if array.dtype != np.dtype(dtype) or array.shape != (n,):
+        if crossing(array, dtype).dtype != dtype or array.shape != (n,):
             raise TraceFormatError(
                 f"cycle plan column {name!r} has dtype {array.dtype}"
-                f" shape {array.shape}; expected {np.dtype(dtype)} ({n},)",
+                f" shape {array.shape}; expected {dtype} ({n},)",
                 path=path, field=name,
             )
         columns[name] = array

@@ -1,7 +1,7 @@
 """Interval abstract interpretation over the kernels' C subset.
 
 ``repro.lint.certify`` is the analysis layer behind the
-``kernel-bounds``, ``kernel-overflow`` and ``plan-contract`` passes:
+``kernel-bounds`` and ``kernel-overflow`` passes:
 
 * :mod:`repro.lint.certify.intervals` — the value domain: per-variable
   ``[lo, hi]`` intervals whose endpoints are *affine expressions* over
@@ -9,16 +9,16 @@
   like ``idx <= n - 1`` is provable for every trace length at once;
 * :mod:`repro.lint.certify.contracts` — the declared facts: symbol
   ranges, buffer lengths and element ranges, struct-field invariants,
-  built over the contract literals the runtime validators enforce,
+  built over the contract literals that declare each entry point,
   imported from the running package;
 * :mod:`repro.lint.certify.interp` — the abstract interpreter: a
   worklist fixpoint over a statement-level C CFG (delayed widening at
   loop heads, a narrowing sweep, then one checking pass that turns
   every unproven subscript / signed wrap into an obligation);
 * :mod:`repro.lint.certify.pyfacts` — the Python side: checks the
-  linted tree's contract literals equal the package's, are pinned in
-  the manifest, and are enforced by validators that dominate the
-  kernel calls, so the C proof's assumptions are themselves verified.
+  linted tree's contract literals equal the package's, whose
+  declarations the proof assumes, the compiler checks the C
+  definitions against and every kernel call is checked against.
 
 :func:`certified_kernels` runs the C analysis once per kernel and
 process, and memoises on the :class:`~repro.lint.framework.Project`;

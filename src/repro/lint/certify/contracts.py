@@ -14,28 +14,30 @@ A kernel contract has four ingredients:
   rests on a counting argument, not on any single store) is assumed
   both ways and must carry a documented reason;
 * **python facts** — the ``PLAN_CONTRACT`` / ``CYCLE_PLAN_CONTRACT``
-  / ``ANNOTATE_CONTRACT`` / ``GENERATE_CONTRACT`` dict the runtime
-  validators in :mod:`repro.core.columnar`, :mod:`repro.cyclesim.plan`,
-  :mod:`repro.trace.ckernel` and :mod:`repro.workloads.ckernel`
-  enforce, imported from the running package: the ranges below are
-  built from them, never copied.  The ``plan-contract`` pass checks
-  that the linted tree's literals equal them and that the validators
-  dominate the kernel calls, so the boxes and element ranges this
-  module assumes are themselves machine-checked rather than trusted.
+  / ``ANNOTATE_CONTRACT`` / ``GENERATE_CONTRACT`` literal, imported
+  from the running package.  It declares each entry point once: its
+  parameters, in order, with their C types, lengths and ranges, the
+  boxes of its sizes and the ranges of the struct fields the caller
+  fills.  :mod:`repro.cbuild` renders the prototypes the compiler
+  checks the C definitions against and checks every call against the
+  same declaration, so the entry facts below are built from it, never
+  copied.  ``kernel-bounds`` reports a linted tree whose literal
+  differs from the package's.
 
 A kernel may have several entry functions (the annotation kernel has
-one per layer); each entry declares its own parameters, and each
-entry's Python driver must call the validator before the kernel.
+one per layer); each entry declares its own parameters.  The
+kernel-internal scratch buffers and field invariants, which no Python
+code mirrors, are declared here.
 
 Bounds that feed the C proof are plain strings parsed by the same C
 expression parser the interpreter uses; bounds inside the python-facts
-dicts are ``int`` or ``[symbol, offset]`` pairs so the runtime
-validators can evaluate them with ``ast.literal_eval``-compatible
-syntax.
+dicts are ``int``, a symbol, or ``[symbol, offset(, scale)]`` (see
+:func:`repro.cbuild.contract_bound`).
 """
 
 import hashlib
 
+from repro.cbuild import params
 from repro.core.columnar import PLAN_CONTRACT
 from repro.cyclesim.plan import CYCLE_PLAN_CONTRACT
 from repro.robustness.errors import InternalError
@@ -101,15 +103,14 @@ class Sym:
 class KernelContract:
     """Everything the certifier assumes about one C kernel: its entry
     functions, their symbol/buffer/field invariants, and where the
-    matching Python contract literal and runtime validator live."""
+    contract literal they are built from lives."""
 
     __slots__ = ("path", "entries", "symbols", "buffers", "fields",
                  "python_path", "python_name", "python_facts",
-                 "driver_path", "drivers")
+                 "driver_path")
 
     def __init__(self, path, entries, symbols, buffers, fields,
-                 python_path, python_name, python_facts, driver_path,
-                 drivers):
+                 python_path, python_name, python_facts, driver_path):
         self.path = path
         self.entries = entries          # entry -> {param: Sym|Buf|StructElem}
         self.symbols = symbols
@@ -118,33 +119,27 @@ class KernelContract:
         self.python_path = python_path
         self.python_name = python_name
         self.python_facts = python_facts
-        self.driver_path = driver_path    # module calling the kernel
-        self.drivers = drivers            # functions wrapping the calls
-
-    @property
-    def validator_name(self):
-        """Runtime validator the driver must call before the kernel."""
-        return "validate_" + self.python_name.lower()
+        self.driver_path = driver_path    # module whose loader builds it
 
 
 def _bound_text(form):
-    """Python-facts bound (int or [sym, offset]) as a C expression."""
+    """Python-facts bound (see :func:`repro.cbuild.contract_bound`) as
+    a C expression."""
     if isinstance(form, int):
         return str(form)
-    sym, offset = form
+    if isinstance(form, str):
+        return form
+    symbol, offset, *scale = form
+    text = f"{scale[0]} * {symbol}" if scale else symbol
     if offset == 0:
-        return sym
-    return f"{sym} + {offset}" if offset > 0 else f"{sym} - {-offset}"
+        return text
+    return f"{text} + {offset}" if offset > 0 else f"{text} - {-offset}"
 
 
-def facts_fingerprint(*facts):
-    """Stable SHA-256 over the python-facts dicts, for the manifest, or
-    over whole :class:`KernelContract` objects (everything they
-    declare), for keying certifier reports."""
-    digest = hashlib.sha256()
-    for fact in facts:
-        digest.update(repr(_canonical(fact)).encode())
-    return digest.hexdigest()
+def facts_fingerprint(contract):
+    """Stable SHA-256 over a whole :class:`KernelContract` (everything
+    it declares), for keying certifier reports."""
+    return hashlib.sha256(repr(_canonical(contract)).encode()).hexdigest()
 
 
 def _canonical(value):
@@ -159,25 +154,50 @@ def _canonical(value):
     return value
 
 
-def _column_bufs(owner, columns, lengths, elems):
-    out = {}
-    for name, (lo, hi) in columns.items():
-        out[(owner, name)] = Buf(
-            lengths.get(name, "n"), elems[name],
-            _bound_text(lo), _bound_text(hi),
+def _entry(contract, name):
+    """The parameter facts of the declared entry point *name*: a symbol
+    for each scalar, a buffer for each column and each array of
+    structs; one struct is typed by the C source alone."""
+    facts = {}
+    for param in params(contract["entries"][name]):
+        if param.element is None:
+            facts[param.name] = Sym(param.name)
+        elif param.lo is not None:
+            facts[param.name] = Buf(
+                _bound_text(param.length), param.element,
+                _bound_text(param.lo), _bound_text(param.hi))
+        elif param.length is not None:
+            facts[param.name] = StructElem(_bound_text(param.length),
+                                           param.element)
+    return facts
+
+
+def _columns(entry):
+    """The column buffers of an :func:`_entry`, by parameter name."""
+    return {name: fact for name, fact in entry.items()
+            if isinstance(fact, Buf)}
+
+
+def _checked_fields(contract, struct):
+    """Trusted invariants for the *struct* fields the call check bounds."""
+    return {
+        (struct, field): Inv(
+            _bound_text(lo), _bound_text(hi), trusted=True,
+            reason="checked against the contract before every call",
         )
-    return out
+        for (lo, hi), names in contract["structs"][struct]
+        for field in names
+    }
+
+
+def _symbols(contract):
+    """The contract's symbol boxes."""
+    return {name: tuple(box) for name, box in contract["symbols"].items()}
 
 
 # ---------------------------------------------------------------- MLPsim
 
-_MLPSIM_ELEMS = {
-    "ops": "int8_t", "prod1": "int32_t", "prod2": "int32_t",
-    "prod3": "int32_t", "memdep": "int32_t", "dmiss": "uint8_t",
-    "imiss": "uint8_t", "mispred": "uint8_t", "pmiss": "uint8_t",
-    "pfuseful": "uint8_t", "vp_ok": "uint8_t", "smiss": "uint8_t",
-    "scalar_mask": "uint8_t",
-}
+_MLPSIM_ENTRY = _entry(PLAN_CONTRACT, "mlpsim_batch")
 
 #: Epochs advance at least one instruction each (the progress rule the
 #: deadlock guard enforces), so epoch <= 2n + 2 < 2^28 at n <= 2^26.
@@ -238,17 +258,8 @@ _MLPSIM_FIELDS = {
     ("KernelResult", "error_index"): Inv("-1", "n"),
 }
 
-_MLPSIM_CONFIG_FIELDS = {
-    ("KernelConfig", name): Inv(
-        _bound_text(lo), _bound_text(hi), trusted=True,
-        reason="validated by validate_plan_contract before the call",
-    )
-    for name, (lo, hi) in PLAN_CONTRACT["config"].items()
-}
-
 _MLPSIM_BUFFERS = {
-    **_column_bufs("Trace", PLAN_CONTRACT["columns"],
-                   {}, _MLPSIM_ELEMS),
+    **{("Trace", name): buf for name, buf in _columns(_MLPSIM_ENTRY).items()},
     ("Trace", "imiss"): Buf("n", "uint8_t", "0", "1"),
     ("Trace", "res"): Buf("2 * n + 2", "int32_t", "0", "(1 << 30)"),
     ("Trace", "deferred"): Buf("n + 1", "int32_t", "0", "n - 1"),
@@ -264,39 +275,23 @@ _MLPSIM_BUFFERS = {
         reason="per-epoch counters: at most one increment per epoch"),
 }
 
-_MLPSIM_ENTRY = {
-    "n": Sym("n"),
-    "nconfigs": Sym("nconfigs"),
-    "configs": StructElem("nconfigs", "KernelConfig"),
-    "results": StructElem("nconfigs", "KernelResult"),
-    **{
-        name: _MLPSIM_BUFFERS[("Trace", name)]
-        for name in _MLPSIM_ELEMS
-    },
-}
-
 MLPSIM_KERNEL = KernelContract(
     path="src/repro/core/_mlpsim_kernel.c",
     entries={"mlpsim_batch": _MLPSIM_ENTRY},
-    symbols={"n": (0, 1 << 26), "nconfigs": (0, 1 << 20)},
+    symbols=_symbols(PLAN_CONTRACT),
     buffers=_MLPSIM_BUFFERS,
-    fields={**_MLPSIM_FIELDS, **_MLPSIM_CONFIG_FIELDS},
+    fields={**_MLPSIM_FIELDS,
+            **_checked_fields(PLAN_CONTRACT, "KernelConfig")},
     python_path="src/repro/core/columnar.py",
     python_name="PLAN_CONTRACT",
     python_facts=PLAN_CONTRACT,
     driver_path="src/repro/core/ckernel.py",
-    drivers=("run_plan",),
 )
 
 
 # --------------------------------------------------------------- cyclesim
 
-_CYCLESIM_ELEMS = {
-    "ops": "int8_t", "prod1": "int32_t", "prod2": "int32_t",
-    "prod3": "int32_t", "memdep": "int32_t", "addr_line": "int64_t",
-    "pc_line": "int64_t", "dmiss": "uint8_t", "imiss": "uint8_t",
-    "mispred": "uint8_t", "pmiss": "uint8_t", "pfuseful": "uint8_t",
-}
+_CYCLESIM_ENTRY = _entry(CYCLE_PLAN_CONTRACT, "cyclesim_batch")
 
 #: Simulated time: the deadlock guard caps useful time far below
 #: NEVER; completion times add one miss penalty on top.
@@ -342,17 +337,8 @@ _CYCLESIM_FIELDS = {
     ("CycleResult", "error_committed"): Inv("0", "n"),
 }
 
-_CYCLESIM_CONFIG_FIELDS = {
-    ("CycleConfig", name): Inv(
-        _bound_text(lo), _bound_text(hi), trusted=True,
-        reason="validated by validate_cycle_plan_contract before the call",
-    )
-    for name, (lo, hi) in CYCLE_PLAN_CONTRACT["config"].items()
-}
-
 _CYCLESIM_BUFFERS = {
-    **_column_bufs("Ctx", CYCLE_PLAN_CONTRACT["columns"],
-                   {}, _CYCLESIM_ELEMS),
+    **{("Ctx", name): buf for name, buf in _columns(_CYCLESIM_ENTRY).items()},
     ("Ctx", "ready"): Buf("n", "int64_t", "0", "NEVER"),
     ("Ctx", "wake"): Buf("n", "int64_t", "-1", "NEVER"),
     ("Ctx", "imiss_run"): Buf("n", "uint8_t", "0", "1"),
@@ -377,67 +363,31 @@ _CYCLESIM_BUFFERS = {
         reason="per-cycle stall counters: one increment per cycle"),
 }
 
-_CYCLESIM_ENTRY = {
-    "n": Sym("n"),
-    "n_configs": Sym("nconfigs"),
-    "configs": StructElem("nconfigs", "CycleConfig"),
-    "results": StructElem("nconfigs", "CycleResult"),
-    **{
-        name: _CYCLESIM_BUFFERS[("Ctx", name)]
-        for name in _CYCLESIM_ELEMS
-    },
-}
-
 CYCLESIM_KERNEL = KernelContract(
     path="src/repro/cyclesim/_cyclesim_kernel.c",
     entries={"cyclesim_batch": _CYCLESIM_ENTRY},
     symbols={
-        "n": (0, 1 << 26),
-        "nconfigs": (0, 1 << 20),
+        **_symbols(CYCLE_PLAN_CONTRACT),
         "rob_alloc": (1, 1 << 20),
         "iw_alloc": (1, 1 << 20),
         "fq_alloc": (1, 1 << 20),
     },
     buffers=_CYCLESIM_BUFFERS,
-    fields={**_CYCLESIM_FIELDS, **_CYCLESIM_CONFIG_FIELDS},
+    fields={**_CYCLESIM_FIELDS,
+            **_checked_fields(CYCLE_PLAN_CONTRACT, "CycleConfig")},
     python_path="src/repro/cyclesim/plan.py",
     python_name="CYCLE_PLAN_CONTRACT",
     python_facts=CYCLE_PLAN_CONTRACT,
     driver_path="src/repro/cyclesim/ckernel.py",
-    drivers=("run_cycle_plan",),
 )
 
 
 # ------------------------------------------------------------- annotation
 
-_ANNOTATE_ELEMS = {
-    "ops": "int8_t", "pc": "int64_t", "addr": "int64_t",
-    "target": "int64_t", "taken": "uint8_t", "cond": "uint8_t",
-    "fetch_line": "int64_t", "iline": "int64_t", "dline": "int64_t",
-    "pf_fetch": "uint8_t", "pf_data": "uint8_t", "position": "int32_t",
-    "kind": "int8_t", "line": "int64_t", "line_id": "int32_t",
-    "owner": "int32_t", "dst": "int16_t", "src1": "int16_t",
-    "src2": "int16_t", "src3": "int16_t", "addr_id": "int32_t",
-    "last_writer": "int32_t", "last_store": "int32_t",
+_ANNOTATE_ENTRIES = {
+    name: _entry(ANNOTATE_CONTRACT, name)
+    for name in ANNOTATE_CONTRACT["entries"]
 }
-
-_ANNOTATE_COLUMNS = {
-    name: Buf(length, _ANNOTATE_ELEMS[name], _bound_text(lo),
-              _bound_text(hi))
-    for name, (length, lo, hi) in ANNOTATE_CONTRACT["columns"].items()
-}
-
-#: The front pass writes at most one fetch-line entry and one data
-#: entry per instruction, so the stream buffers hold 2n.
-_STREAM_BUFFERS = {
-    "pos": Buf("2 * n", "int32_t", "0", "n - 1"),
-    "kind": Buf("2 * n", "int8_t", "0", "5"),
-}
-
-_MASK = Buf("n", "uint8_t", "0", "1")
-
-#: A producer column: a region-relative index, or -1 for none.
-_PRODUCERS = Buf("n", "int32_t", "-1", "n - 1")
 
 _ANNOTATE_BUFFERS = {
     ("Cache", "tags"): Buf("WAYS * sets", "int64_t"),
@@ -446,7 +396,10 @@ _ANNOTATE_BUFFERS = {
     ("Predictor", "btb_tag"): Buf("BTB_WAYS * btb_sets", "int64_t"),
     ("Predictor", "btb_target"): Buf("BTB_WAYS * btb_sets", "int64_t"),
     ("Predictor", "btb_age"): Buf("BTB_WAYS * btb_sets", "int64_t"),
-    **{("Stream", name): buf for name, buf in _STREAM_BUFFERS.items()},
+    # The front pass's stream, which it returns through out_pos and
+    # out_kind.
+    ("Stream", "pos"): _ANNOTATE_ENTRIES["annotate_front"]["out_pos"],
+    ("Stream", "kind"): _ANNOTATE_ENTRIES["annotate_front"]["out_kind"],
 }
 
 _ANNOTATE_FIELDS = {
@@ -456,100 +409,39 @@ _ANNOTATE_FIELDS = {
     ("Predictor", "b_mask"): Inv("0", "btb_sets - 1"),
     ("Predictor", "history"): Inv("0", "(1 << 24) - 1"),
     ("Stream", "m"): Inv("0", "2 * n"),
-    **{
-        ("Geometry", name): Inv(
-            _bound_text(lo), _bound_text(hi), trusted=True,
-            reason="validated by validate_annotate_contract before the"
-                   " call",
-        )
-        for name, (lo, hi) in ANNOTATE_CONTRACT["geometry"].items()
-    },
+    **_checked_fields(ANNOTATE_CONTRACT, "Geometry"),
 }
-
-_FRONT_COLUMNS = ("ops", "pc", "target", "taken", "cond", "fetch_line",
-                  "iline", "dline", "pf_fetch", "pf_data")
-_BACK_COLUMNS = ("position", "kind", "line", "line_id", "owner")
-_RENAME_COLUMNS = ("ops", "dst", "src1", "src2", "src3", "addr_id",
-                   "last_writer", "last_store")
 
 ANNOTATE_KERNEL = KernelContract(
     path="src/repro/trace/_annotate_kernel.c",
-    entries={
-        "annotate_front": {
-            **{name: Sym(name) for name in ("n", "sets", "gshare",
-                                            "btb_sets")},
-            **{name: _ANNOTATE_COLUMNS[name] for name in _FRONT_COLUMNS},
-            "mispred": _MASK,
-            **{f"out_{name}": buf for name, buf in _STREAM_BUFFERS.items()},
-        },
-        "annotate_back": {
-            **{name: Sym(name) for name in ("n", "m", "nlines", "sets",
-                                            "assoc")},
-            **{name: _ANNOTATE_COLUMNS[name] for name in _BACK_COLUMNS},
-            **{name: _MASK for name in ("dmiss", "pmiss", "pfuseful",
-                                        "imiss", "smiss")},
-        },
-        "annotate_rename": {
-            **{name: Sym(name) for name in ("n", "naddrs")},
-            **{name: _ANNOTATE_COLUMNS[name] for name in _RENAME_COLUMNS},
-            **{name: _PRODUCERS for name in ("prod1", "prod2", "prod3",
-                                             "memdep")},
-        },
-    },
-    symbols={name: tuple(box)
-             for name, box in ANNOTATE_CONTRACT["symbols"].items()},
+    entries=_ANNOTATE_ENTRIES,
+    symbols=_symbols(ANNOTATE_CONTRACT),
     buffers=_ANNOTATE_BUFFERS,
     fields=_ANNOTATE_FIELDS,
     python_path="src/repro/trace/ckernel.py",
     python_name="ANNOTATE_CONTRACT",
     python_facts=ANNOTATE_CONTRACT,
     driver_path="src/repro/trace/ckernel.py",
-    drivers=("run_front_pass", "run_back_pass", "run_rename"),
 )
 
 
 # ------------------------------------------------------------- generation
 
-_GENERATE_ELEMS = {
-    "mt": "uint32_t", "t_kind": "int8_t", "t_a": "int16_t",
-    "t_b": "int16_t", "t_c": "int16_t", "t_arg": "int32_t",
-    "f_start": "int64_t", "f_end": "int64_t", "f_pc": "int64_t",
-    "zipf": "int64_t",
-}
+_GENERATE_ENTRY = _entry(GENERATE_CONTRACT, "generate")
 
-_VALIDATED = "validated by validate_generate_contract before the call"
-
-_GENERATE_TABLES = {
-    name: Buf("MT_N" if name == "mt" else length, _GENERATE_ELEMS[name],
-              _bound_text(lo), _bound_text(hi))
-    for name, (length, lo, hi) in GENERATE_CONTRACT["columns"].items()
-}
-
-#: The ten trace columns the kernel writes, by entry parameter name.
-#: A PC is a motif block or function base (below 2^40) plus an offset;
-#: branch targets and addresses add at most one more such offset.
-_TRACE_BUFFERS = {
-    "op": Buf("n", "int8_t", "0", "8"),
-    "pc": Buf("n", "int64_t", "0", "(1 << 41)"),
-    "dst": Buf("n", "int16_t", "-1", "63"),
-    "src1": Buf("n", "int16_t", "-1", "63"),
-    "src2": Buf("n", "int16_t", "-1", "63"),
-    "src3": Buf("n", "int16_t", "-1", "63"),
-    "addr": Buf("n", "int64_t", "0", "(1 << 42)"),
-    "taken": Buf("n", "uint8_t", "0", "1"),
-    "target": Buf("n", "int64_t", "0", "(1 << 42)"),
-    "value": Buf("n", "int64_t", "0", "(1 << 52)"),
-}
-
+#: Each column's ``Gen`` field, which holds the parameter's pointer
+#: (the pc column is ``pcs``: ``Gen.pc`` is the running pc).
 _GENERATE_BUFFERS = {
-    **{("Gen", name): buf for name, buf in _GENERATE_TABLES.items()},
     **{("Gen", "pcs" if name == "pc" else name): buf
-       for name, buf in _TRACE_BUFFERS.items()},
+       for name, buf in _columns(_GENERATE_ENTRY).items()},
     ("Gen", "last"): Buf("nflat + MOTIF_SITES", "int64_t", "-1",
                          "(1 << 52)"),
     ("Gen", "bias"): Buf("nflat", "int64_t", "-1", "(1 << 53)"),
     ("Pool", "lines"): Buf("pool", "int64_t", "0", "(1 << 41)"),
 }
+
+_REGION_FIELDS = _checked_fields(GENERATE_CONTRACT, "Region")
+_CURSOR = _REGION_FIELDS[("Region", "cursor")]
 
 _GENERATE_FIELDS = {
     ("Gen", "mti"): Inv("0", "MT_N"),
@@ -574,41 +466,22 @@ _GENERATE_FIELDS = {
     ("Pool", "cap"): Inv("1", "pool"),
     ("Pool", "len"): Inv("0", "pool"),
     ("Pool", "cursor"): Inv("0", "pool - 1"),
-    **{
-        ("Params", name): Inv(_bound_text(lo), _bound_text(hi),
-                              trusted=True, reason=_VALIDATED)
-        for (lo, hi), names in GENERATE_CONTRACT["params"]
-        for name in names
-    },
-    **{
-        ("Region", name): Inv(_bound_text(lo), _bound_text(hi),
-                              trusted=True, reason=_VALIDATED)
-        for name, (lo, hi) in GENERATE_CONTRACT["region"].items()
-        if name != "cursor"
-    },
-    ("Region", "cursor"): Inv(
-        *map(_bound_text, GENERATE_CONTRACT["region"]["cursor"])),
+    **_checked_fields(GENERATE_CONTRACT, "Params"),
+    **_REGION_FIELDS,
+    # The kernel advances each region's cursor: checked at every store.
+    ("Region", "cursor"): Inv(_CURSOR.lo, _CURSOR.hi),
 }
 
 GENERATE_KERNEL = KernelContract(
     path="src/repro/workloads/_generate_kernel.c",
-    entries={
-        "generate": {
-            **{name: Sym(name) for name in ("n", "nflat", "nfuncs",
-                                            "pool")},
-            **_GENERATE_TABLES,
-            **_TRACE_BUFFERS,
-        },
-    },
-    symbols={name: tuple(box)
-             for name, box in GENERATE_CONTRACT["symbols"].items()},
+    entries={"generate": _GENERATE_ENTRY},
+    symbols=_symbols(GENERATE_CONTRACT),
     buffers=_GENERATE_BUFFERS,
     fields=_GENERATE_FIELDS,
     python_path="src/repro/workloads/ckernel.py",
     python_name="GENERATE_CONTRACT",
     python_facts=GENERATE_CONTRACT,
     driver_path="src/repro/workloads/ckernel.py",
-    drivers=("run_program",),
 )
 
 

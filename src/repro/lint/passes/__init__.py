@@ -16,7 +16,6 @@ from repro.lint.passes import (  # noqa: F401  (imported for registration)
     journal_protocol,
     kernel_bounds,
     kernel_overflow,
-    plan_contract,
     resource_paths,
     seed_provenance,
     shm_lifetime,

@@ -11,8 +11,11 @@ and the interval that failed, e.g.
 ``subscript ops[i]: index in [0, n], ops length n``.
 
 This pass also owns the certification's shared diagnostics: a kernel
-that fails to parse, and annotation hygiene (a ``certify: assume`` or
-a C suppression without a ``-- reason`` justification) — exactly one
+that fails to parse, annotation hygiene (a ``certify: assume`` or a C
+suppression without a ``-- reason`` justification), and a contract
+literal of the linted tree that differs from the running package's,
+whose declaration the proof was built from
+(:func:`repro.lint.certify.pyfacts.contract_findings`) — exactly one
 pass reports them, so a single defect stays a single finding.
 
 Suppression uses C block comments
@@ -22,6 +25,8 @@ mandatory — an unjustified suppression is itself a finding.
 """
 
 from repro.lint.certify import certified_kernels
+from repro.lint.certify.contracts import kernel_contracts
+from repro.lint.certify.pyfacts import contract_findings
 from repro.lint.framework import LintPass, register
 
 
@@ -30,10 +35,16 @@ class KernelBoundsPass(LintPass):
     id = "kernel-bounds"
     description = (
         "every array subscript in the C kernels must be provably in"
-        " bounds under the declared plan contract"
+        " bounds under the declared kernel contract"
     )
 
     def check_project(self, project):
+        for contract in kernel_contracts():
+            if project.read_text(contract.path) is None:
+                continue  # no kernel in this tree -> nothing certified
+            for relpath, lineno, message in contract_findings(project,
+                                                              contract):
+                yield self.finding(relpath, lineno, message)
         for relpath, report in sorted(certified_kernels(project).items()):
             if report.error is not None:
                 lineno, message = report.error

@@ -1,51 +1,30 @@
 """Regenerate the pinned hashes in :mod:`repro.lint.manifest`.
 
 ``repro lint --manifest-update`` is the *only* sanctioned way to touch
-the manifest: it recomputes the two frozen-oracle SHA-256s and the
-plan-contract fingerprints from the current tree and rewrites the
-whole file in one atomic ``os.replace``, so the manifest can never be
-half-new.
+the manifest: it recomputes the two frozen-oracle SHA-256s from the
+current tree and rewrites the whole file in one atomic
+``os.replace``, so the manifest can never be half-new.
 
-Two interlocks keep the update an explicit, reviewable act:
+The update runs only when the working tree has no uncommitted changes
+*besides* the files whose pins are being regenerated (the two oracles
+and the manifest itself).  The intended workflow — edit an oracle,
+regenerate, commit everything together — stays a single reviewed
+change, while regenerating pins in the middle of unrelated
+uncommitted churn (where the reviewer cannot tell which edit the new
+hash blesses) is refused.
 
-* **dirty-tree refusal** — the update runs only when the working tree
-  has no uncommitted changes *besides* the files whose pins are being
-  regenerated (the two oracles, the four modules that declare the
-  plan-contract literals, and the manifest itself).  The intended
-  workflow — edit a contract literal, regenerate, commit everything
-  together — stays a single reviewed change, while regenerating pins
-  in the middle of unrelated uncommitted churn (where the reviewer
-  cannot tell which edit the new fingerprint blesses) is refused;
-* **extraction refusal** — if a plan-contract literal
-  (``PLAN_CONTRACT`` / ``CYCLE_PLAN_CONTRACT`` / ``ANNOTATE_CONTRACT``
-  / ``GENERATE_CONTRACT``) cannot be statically extracted, the update
-  fails rather than pinning a fingerprint of nothing.
-
-See "The contract manifest" in ``docs/STATIC_ANALYSIS.md``.
+See "Regenerating the manifest" in ``docs/STATIC_ANALYSIS.md``.
 """
 
-import ast
 import hashlib
 import os
 import subprocess
 import tempfile
 
 from repro.lint import manifest
-from repro.lint.certify.contracts import (
-    facts_fingerprint,
-    kernel_contracts,
-)
-from repro.lint.certify.pyfacts import extract_contract_literal
 
 #: Root-relative path of the file this module rewrites.
 MANIFEST_PATH = "src/repro/lint/manifest.py"
-
-#: Root-relative paths of the modules whose plan-contract literals are
-#: fingerprinted, keyed by literal name.
-_CONTRACT_SOURCES = {
-    contract.python_name: contract.python_path
-    for contract in kernel_contracts()
-}
 
 #: Files allowed to carry uncommitted changes during an update: the
 #: ones whose pins are being regenerated, plus the manifest itself.
@@ -53,11 +32,10 @@ _ALLOWED_DIRTY = frozenset({
     MANIFEST_PATH,
     manifest.ORACLE_PATH,
     manifest.CYCLESIM_ORACLE_PATH,
-    *_CONTRACT_SOURCES.values(),
 })
 
 _TEMPLATE = '''\
-"""Pinned content hashes and fingerprints for frozen contracts.
+"""Pinned content hashes of the frozen oracles.
 
 ``repro.core.mlpsim_reference`` is the pre-optimization MLPsim engine,
 kept bit-identical as the oracle for the engine-equivalence suite
@@ -68,13 +46,6 @@ on them never changing, so the ``frozen-oracle`` lint pass verifies
 each file's SHA-256 against the value pinned here.  An edit to an
 oracle therefore requires an edit to this manifest in the same commit
 — an explicit, reviewable act rather than a quiet drive-by change.
-
-The kernel certification (PR 10) pins the plan contracts the same
-way: the ``plan-contract`` pass fingerprints the ``PLAN_CONTRACT`` /
-``CYCLE_PLAN_CONTRACT`` / ``ANNOTATE_CONTRACT`` / ``GENERATE_CONTRACT``
-literals the runtime validators enforce and compares them against the
-pins below, so changing a contracted range without regenerating this
-manifest fails the build.
 
 Hashes are computed over text with ``\\\\r\\\\n`` normalised to ``\\\\n``, so
 checkouts with translated line endings still verify.  Regenerate this
@@ -97,12 +68,6 @@ CYCLESIM_ORACLE_PATH = "{cyclesim_oracle_path}"
 CYCLESIM_ORACLE_SHA256 = (
     "{cyclesim_oracle_sha256}"
 )
-
-#: ``facts_fingerprint`` pins of the Python plan-contract literals the
-#: kernel certification assumes, keyed by literal name (see
-#: ``repro.lint.certify.contracts``).
-PLAN_CONTRACT_FINGERPRINTS = {{
-{contract_pins}}}
 '''
 
 
@@ -151,8 +116,8 @@ def update_manifest(root="."):
     """Regenerate ``manifest.py``; returns a summary dict.
 
     Raises :class:`ManifestUpdateError` when the tree carries
-    uncommitted changes beyond the pinned files, or when a
-    plan-contract literal cannot be extracted.
+    uncommitted changes beyond the pinned files, or an oracle cannot be
+    read.
     """
     dirty = _unexpected_dirty_paths(root)
     if dirty:
@@ -172,33 +137,11 @@ def update_manifest(root="."):
         _read_normalised(root, manifest.CYCLESIM_ORACLE_PATH).encode()
     ).hexdigest()
 
-    contract_pins = {}
-    for literal_name, relpath in _CONTRACT_SOURCES.items():
-        source = _read_normalised(root, relpath)
-        try:
-            contract_tree = ast.parse(source)
-        except SyntaxError as exc:
-            raise ManifestUpdateError(
-                f"{relpath} does not parse: {exc}"
-            ) from exc
-        facts, lineno = extract_contract_literal(contract_tree,
-                                                 literal_name)
-        if facts is None:
-            raise ManifestUpdateError(
-                f"cannot extract the {literal_name} literal from"
-                f" {relpath}; refusing to pin a fingerprint of nothing"
-            )
-        contract_pins[literal_name] = facts_fingerprint(facts)
-
     content = _TEMPLATE.format(
         oracle_path=manifest.ORACLE_PATH,
         oracle_sha256=oracle_sha,
         cyclesim_oracle_path=manifest.CYCLESIM_ORACLE_PATH,
         cyclesim_oracle_sha256=cyclesim_oracle_sha,
-        contract_pins="".join(
-            f'    "{name}": (\n        "{pin}"\n    ),\n'
-            for name, pin in contract_pins.items()
-        ),
     )
 
     target = os.path.join(root, MANIFEST_PATH)
@@ -227,6 +170,5 @@ def update_manifest(root="."):
     return {
         "oracle_sha256": oracle_sha,
         "cyclesim_oracle_sha256": cyclesim_oracle_sha,
-        "plan_contract_fingerprints": contract_pins,
         "changed": changed,
     }

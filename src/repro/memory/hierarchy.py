@@ -42,19 +42,6 @@ class HierarchyConfig:
         )
         return dataclasses.replace(self, l2=l2)
 
-    def cache_key(self):
-        """A hashable identity for annotation caching."""
-        return (
-            self.l1i.size_bytes,
-            self.l1i.associativity,
-            self.l1d.size_bytes,
-            self.l1d.associativity,
-            self.l2.size_bytes,
-            self.l2.associativity,
-            self.l2.line_bytes,
-            self.tlb_entries,
-        )
-
 
 class Hierarchy:
     """L1I/L1D/shared-L2 hierarchy with a shared TLB.

@@ -31,10 +31,14 @@
  * the smallest age, fills empty ways first.
  *
  * Shared names: the OP_* opcodes, the stream kinds FETCH_MISS ...
- * LOAD_HIT of repro.trace.annotate, BTB_WAYS, the register file's
- * NUM_REGS and REG_ZERO (repro.isa.registers) and the Geometry struct
- * come from the header repro.cbuild renders from the Python
- * definitions (repro/trace/ckernel.py) and compiles ahead of this file.
+ * LOAD_HIT of repro.trace.annotate, BTB_WAYS (repro.branch.btb), the
+ * register file's NUM_REGS and REG_ZERO (repro.isa.registers), the
+ * Geometry struct and the prototypes of the three entry points come
+ * from the header repro.cbuild renders from the Python definitions
+ * (repro/trace/ckernel.py) and compiles ahead of this file.  The
+ * prototypes are rendered from each entry point's one declaration, in
+ * ANNOTATE_CONTRACT, so the compiler checks the definitions below
+ * against them.
  */
 
 #include <stdint.h>
@@ -173,7 +177,7 @@ int64_t annotate_front(
     const uint8_t *pf_fetch, const uint8_t *pf_data,
     uint8_t *mispred, int32_t *out_pos, int8_t *out_kind)
 {
-    /* certify: assume geo->l1i_sets <= sets && geo->l1d_sets <= sets -- run_front_pass passes the larger L1 set count as sets, and validate_annotate_contract checks it */
+    /* certify: assume geo->l1i_sets <= sets && geo->l1d_sets <= sets -- run_front_pass passes the larger L1 set count as sets, and checks it before the call */
     Cache l1i;
     Cache l1d;
     Predictor bp;

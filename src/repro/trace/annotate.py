@@ -8,7 +8,7 @@ already classified by its microarchitecture-dependent events:
 * ``pfuseful`` — off-chip prefetch whose line was later consumed by a
   demand access (the paper counts only *useful* prefetches toward MLP);
 * ``imiss``  — instruction whose fetch left the chip;
-* ``mispred`` — mispredicted branch (gshare + BTB + RAS front end);
+* ``mispred`` — mispredicted branch (gshare + BTB front end);
 * ``vp_outcome`` — last-value-predictor outcome for each missing load
   (Table 6's Correct / Wrong / No-Predict split);
 * ``smiss`` — store whose write-allocate access left the chip.
@@ -25,9 +25,10 @@ value-predictor observations on missing loads and the prefetch
 bookkeeping depend on the L2's size:
 
 * :func:`front_pass` filters the trace through the L1s and runs the
-  gshare/BTB/RAS front end.  It emits ``mispred`` plus, in trace order,
-  every L1 miss and every L1-hit demand access to a line that some
-  prefetch touches.  It is memoised on the trace.
+  gshare/BTB front end (every branch is observed as conditional, so
+  the return-address stack is never consulted).  It emits ``mispred``
+  plus, in trace order, every L1 miss and every L1-hit demand access
+  to a line that some prefetch touches.  It is memoised on the trace.
 * :func:`back_pass` replays that short stream through the L2 and then
   runs the last-value predictor over the missing loads.
 
@@ -79,19 +80,7 @@ class AnnotationConfig:
     warmup_fraction: float = 0.33
     gshare_entries: int = 64 * 1024
     btb_entries: int = 16 * 1024
-    ras_depth: int = 16
     vp_entries: int = 16 * 1024
-
-    def cache_key(self):
-        """Hashable identity for annotation memoisation."""
-        return (
-            self.hierarchy.cache_key(),
-            self.warmup_fraction,
-            self.gshare_entries,
-            self.btb_entries,
-            self.ras_depth,
-            self.vp_entries,
-        )
 
 
 @dataclasses.dataclass
@@ -274,7 +263,7 @@ def front_pass(trace, config, branch_predictor=None):
         trace._front_pass_cache = cache
     hierarchy = config.hierarchy
     key = (hierarchy.l1i, hierarchy.l1d, hierarchy.l2.line_bytes,
-           config.gshare_entries, config.btb_entries, config.ras_depth)
+           config.gshare_entries, config.btb_entries)
     front = cache.get(key)
     if front is None:
         if _kernel_route(trace, config):
@@ -283,7 +272,6 @@ def front_pass(trace, config, branch_predictor=None):
             front = _run_front_pass(trace, config, BranchPredictor(
                 gshare_entries=config.gshare_entries,
                 btb_entries=config.btb_entries,
-                ras_depth=config.ras_depth,
             ))
         cache[key] = front
     return front

@@ -45,9 +45,12 @@
  * before it slices, but its later draws never reach a row.
  *
  * Shared names: the OP_* opcodes, the T_* template kinds, the
- * SCRIPT_* numbers and the Region/Params structs come from the header
- * repro.cbuild renders from the Python definitions
- * (repro/workloads/ckernel.py) and compiles ahead of this file.  Params
+ * SCRIPT_* numbers, the Region/Params structs and the prototype of
+ * generate come from the header repro.cbuild renders from the Python
+ * definitions (repro/workloads/ckernel.py) and compiles ahead of this
+ * file.  The prototype is rendered from the entry point's one
+ * declaration, in GENERATE_CONTRACT, so the compiler checks the
+ * definition below against it.  Params
  * holds the scalars in GENERATE_CONTRACT order, then the regions; a
  * script reads only its own fields.  Thresholds are ceil(p * 2^53), and
  * a randint(lo, hi) is its lo and its span hi - lo + 1.  A Region is a

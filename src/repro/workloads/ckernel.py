@@ -1,9 +1,10 @@
-"""Compiled trace generation: bind and drive ``_generate_kernel.c``.
+"""Compiled trace generation: drive ``_generate_kernel.c``.
 
 The transaction scripts of :class:`~repro.workloads.database.DatabaseWorkload`,
 :class:`~repro.workloads.specjbb.SpecJBBWorkload` and
 :class:`~repro.workloads.specweb.SpecWebWorkload` have a C translation,
-built and loaded by :mod:`repro.cbuild` like the simulator and
+built, bound and checked by :mod:`repro.cbuild` from its one
+declaration in :data:`GENERATE_CONTRACT`, like the simulator and
 annotation kernels.  :meth:`SyntheticWorkload.generate
 <repro.workloads.base.SyntheticWorkload.generate>` still runs
 ``setup(rng)`` in Python with the seeded :class:`random.Random`, then
@@ -25,27 +26,22 @@ import os
 
 import numpy as np
 
-from repro.cbuild import (
-    KernelLoader,
-    contract_bound,
-    opcode_defines,
-    render_header,
-)
+from repro.cbuild import KernelLoader, column_dtypes, opcode_defines
 from repro.robustness.errors import InternalError
 from repro.trace.trace import COLUMNS, Trace
 from repro.workloads import base, database, specjbb, specweb, synthesis
 
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_generate_kernel.c")
 
-#: The input ranges the kernel certification assumes
-#: (:mod:`repro.lint.certify.contracts` builds its facts from this
-#: literal, and the ``plan-contract`` lint pass pins it).  A program
-#: table is ``[length, lo, hi]``, its length a symbol or an int; each
-#: ``params`` entry is ``[[lo, hi], field names]`` over
-#: :class:`_Params`, and ``region`` bounds every field of each of its
-#: :class:`_Region` members.  A probability crosses as the threshold ``ceil(p * 2**53)``
-#: and a ``randint(lo, hi)`` as ``lo`` and its span ``hi - lo + 1``, so
-#: every ``_randbelow`` bound is below ``2**32``.
+#: The generation kernel's contract: its one entry point, ``generate``,
+#: declared once (see :class:`repro.cbuild.Param`), the boxes of its
+#: sizes and the ranges of the ``Params`` and ``Region`` fields; the
+#: ``Params`` scalars are laid out in this order.  :mod:`repro.cbuild`
+#: renders the prototype and checks every call against the
+#: declaration, and :mod:`repro.lint.certify.contracts` builds the C
+#: proof's facts from it.  A probability crosses as the threshold
+#: ``ceil(p * 2**53)`` and a ``randint(lo, hi)`` as ``lo`` and its span
+#: ``hi - lo + 1``, so every ``_randbelow`` bound is below ``2**32``.
 GENERATE_CONTRACT = {
     "symbols": {
         "n": [1, 1 << 26],
@@ -53,66 +49,86 @@ GENERATE_CONTRACT = {
         "nfuncs": [1, 1 << 20],
         "pool": [1, 1 << 26],
     },
-    "columns": {
-        "mt": [624, 0, (1 << 32) - 1],
-        "t_kind": ["nflat", 0, 4],
-        "t_a": ["nflat", -1, 63],
-        "t_b": ["nflat", -1, 63],
-        "t_c": ["nflat", -1, 63],
-        "t_arg": ["nflat", 0, 1 << 16],
-        "f_start": ["nfuncs", 0, ["nflat", 0]],
-        "f_end": ["nfuncs", 0, ["nflat", 0]],
-        "f_pc": ["nfuncs", 0, 1 << 40],
-        "zipf": ["nfuncs", 0, 1 << 53],
+    "entries": {
+        "generate": {
+            "returns": "int64_t",
+            "params": [
+                ["n", "int64_t"],
+                ["nflat", "int64_t"],
+                ["nfuncs", "int64_t"],
+                ["pool", "int64_t"],
+                ["p", "Params *"],
+                ["mt", "uint32_t *", 624, 0, (1 << 32) - 1],
+                ["t_kind", "const int8_t *", "nflat", 0, 4],
+                ["t_a", "const int16_t *", "nflat", -1, 63],
+                ["t_b", "const int16_t *", "nflat", -1, 63],
+                ["t_c", "const int16_t *", "nflat", -1, 63],
+                ["t_arg", "const int32_t *", "nflat", 0, 1 << 16],
+                ["f_start", "const int64_t *", "nfuncs", 0, "nflat"],
+                ["f_end", "const int64_t *", "nfuncs", 0, "nflat"],
+                ["f_pc", "const int64_t *", "nfuncs", 0, 1 << 40],
+                ["zipf", "const int64_t *", "nfuncs", 0, 1 << 53],
+                # A PC is a motif block or function base (below 2^40)
+                # plus an offset; branch targets and addresses add at
+                # most one more such offset.
+                ["op", "int8_t *", "n", 0, 8, "out"],
+                ["pc", "int64_t *", "n", 0, 1 << 41, "out"],
+                ["dst", "int16_t *", "n", -1, 63, "out"],
+                ["src1", "int16_t *", "n", -1, 63, "out"],
+                ["src2", "int16_t *", "n", -1, 63, "out"],
+                ["src3", "int16_t *", "n", -1, 63, "out"],
+                ["addr", "int64_t *", "n", 0, 1 << 42, "out"],
+                ["taken", "uint8_t *", "n", 0, 1, "out"],
+                ["target", "int64_t *", "n", 0, 1 << 42, "out"],
+                ["value", "int64_t *", "n", 0, 1 << 52, "out"],
+            ],
+        },
     },
-    "params": [
-        [[0, 624], ["mt_index"]],
-        [[0, 2], ["script"]],
-        [[0, 1 << 40], [
-            "start_pc", "fresh_base", "txn_base", "descent_base",
-            "rows_base", "lock_base", "object_base", "alloc_base",
-            "burst_base", "lookup_base",
-        ]],
-        [[0, 1 << 16], [
-            "fresh_stride", "calls_lo", "descent_lo", "rows_lo",
-            "row_spacing", "log_words_lo", "fields_lo", "objects_lo",
-            "alloc_words_lo", "segments_lo", "extra_lo",
-        ]],
-        [[1, (1 << 32) - 1], [
-            "calls_span", "descent_span", "rows_span", "log_words_span",
-            "fields_span", "objects_span", "alloc_words_span",
-            "segments_span", "extra_span",
-        ]],
-        [[0, 1 << 53], [
-            "value_repeat", "chase_repeat", "predictable", "taken_side",
-            "strong", "strong_not", "weak", "weak_not", "second_descent",
-            "lock", "reuse", "data_bias", "second_field", "cold_object",
-            "alloc", "recent_object", "second_line", "object_bias",
-            "prefetch", "burst", "independent", "cold_lookup",
-            "recent_file",
-        ]],
-        [[0, 1 << 32], [
-            "descent_stride", "row_stride", "object_stride",
-            "segment_stride", "descriptor_stride",
-        ]],
-        [[1, ["pool", 0]], ["pool_a_cap", "pool_b_cap"]],
-    ],
-    "region": {
-        "base": [0, 1 << 40],
-        "slots": [1, (1 << 32) - 1],
-        "word": [1, 1 << 8],
-        "lines": [1, (1 << 32) - 1],
-        "line_bytes": [1, 1 << 8],
-        "cursor": [0, (1 << 32) - 2],
+    "structs": {
+        "Params": [
+            [[0, 624], ["mt_index"]],
+            [[0, 2], ["script"]],
+            [[0, 1 << 40], [
+                "start_pc", "fresh_base", "txn_base", "descent_base",
+                "rows_base", "lock_base", "object_base", "alloc_base",
+                "burst_base", "lookup_base",
+            ]],
+            [[0, 1 << 16], [
+                "fresh_stride", "calls_lo", "descent_lo", "rows_lo",
+                "row_spacing", "log_words_lo", "fields_lo", "objects_lo",
+                "alloc_words_lo", "segments_lo", "extra_lo",
+            ]],
+            [[1, (1 << 32) - 1], [
+                "calls_span", "descent_span", "rows_span",
+                "log_words_span", "fields_span", "objects_span",
+                "alloc_words_span", "segments_span", "extra_span",
+            ]],
+            [[0, 1 << 53], [
+                "value_repeat", "chase_repeat", "predictable",
+                "taken_side", "strong", "strong_not", "weak", "weak_not",
+                "second_descent", "lock", "reuse", "data_bias",
+                "second_field", "cold_object", "alloc", "recent_object",
+                "second_line", "object_bias", "prefetch", "burst",
+                "independent", "cold_lookup", "recent_file",
+            ]],
+            [[0, 1 << 32], [
+                "descent_stride", "row_stride", "object_stride",
+                "segment_stride", "descriptor_stride",
+            ]],
+            [[1, ["pool", 0]], ["pool_a_cap", "pool_b_cap"]],
+        ],
+        "Region": [
+            [[0, 1 << 40], ["base"]],
+            [[1, (1 << 32) - 1], ["slots", "lines"]],
+            [[1, 1 << 8], ["word", "line_bytes"]],
+            [[0, (1 << 32) - 2], ["cursor"]],
+        ],
     },
 }
 
-#: The program tables' dtypes, in kernel argument order.
-_TABLE_DTYPES = {
-    "mt": np.uint32, "t_kind": np.int8, "t_a": np.int16, "t_b": np.int16,
-    "t_c": np.int16, "t_arg": np.int32, "f_start": np.int64,
-    "f_end": np.int64, "f_pc": np.int64, "zipf": np.int64,
-}
+#: The program tables (every column the kernel reads), with the dtypes
+#: the kernel reads them as.
+_TABLES = column_dtypes(GENERATE_CONTRACT["entries"]["generate"])
 
 #: Template kinds the kernel reads (``T_*``); any other kind is a
 #: no-operation, as in :meth:`CodeFootprint.call`.
@@ -132,7 +148,8 @@ class _Region(ctypes.Structure):
 
 
 _PARAM_NAMES = tuple(
-    name for _, names in GENERATE_CONTRACT["params"] for name in names
+    name for _, names in GENERATE_CONTRACT["structs"]["Params"]
+    for name in names
 )
 
 
@@ -142,34 +159,20 @@ class _Params(ctypes.Structure):
                 + [(name, _Region) for name in _REGIONS])
 
 
-def _header():
-    """``_generate_kernel.c``'s header: the opcodes, the template kinds,
-    a ``SCRIPT_*`` number per workload class and the two structs."""
-    return render_header(
-        {
-            **opcode_defines(),
-            **{f"T_{kind.upper()}": value
-               for kind, value in _TEMPLATE_KINDS.items()},
-            **{f"SCRIPT_{cls.__name__.removesuffix('Workload').upper()}":
-               script for cls, (script, *_) in _SCRIPTS.items()},
-        },
-        {"Region": _Region, "Params": _Params},
-    )
+def _defines():
+    """``_generate_kernel.c``'s defines: the opcodes, the template kinds
+    and a ``SCRIPT_*`` number per workload class."""
+    return {
+        **opcode_defines(),
+        **{f"T_{kind.upper()}": value
+           for kind, value in _TEMPLATE_KINDS.items()},
+        **{f"SCRIPT_{cls.__name__.removesuffix('Workload').upper()}":
+           script for cls, (script, *_) in _SCRIPTS.items()},
+    }
 
 
-def _bind(lib):
-    entry = lib.generate
-    entry.restype = ctypes.c_int64
-    entry.argtypes = (
-        [ctypes.c_int64] * 4                      # n, nflat, nfuncs, pool
-        + [ctypes.POINTER(_Params)]
-        + [ctypes.c_void_p] * len(_TABLE_DTYPES)
-        + [ctypes.c_void_p] * len(COLUMNS)
-    )
-    return entry
-
-
-_loader = KernelLoader("generation", _SOURCE_PATH, _bind, _header)
+_loader = KernelLoader("generation", _SOURCE_PATH, GENERATE_CONTRACT,
+                       _defines, {"Region": _Region, "Params": _Params})
 
 
 def kernel_available():
@@ -258,14 +261,11 @@ def _code_tables(code):
         starts.append(len(rows))
         rows.extend(encoded[key])
         ends.append(len(rows))
-    flat = np.array(rows, dtype=np.int64).reshape(-1, 5)
+    kinds, first, second, third, args = zip(*rows) if rows else [()] * 5
     return {
-        "t_kind": flat[:, 0], "t_a": flat[:, 1], "t_b": flat[:, 2],
-        "t_c": flat[:, 3], "t_arg": flat[:, 4],
-        "f_start": np.array(starts, dtype=np.int64),
-        "f_end": np.array(ends, dtype=np.int64),
-        "f_pc": np.array([f.base_pc for f in code.functions],
-                         dtype=np.int64),
+        "t_kind": kinds, "t_a": first, "t_b": second, "t_c": third,
+        "t_arg": args, "f_start": starts, "f_end": ends,
+        "f_pc": [f.base_pc for f in code.functions],
         "zipf": code._sampler.draw_thresholds(),
     }
 
@@ -296,7 +296,7 @@ def _common(workload, rng, script, pools):
     capacities = [_integer(pool.capacity) for pool in pools]
     params["pool_a_cap"] = capacities[0]
     params["pool_b_cap"] = capacities[-1]
-    return params, np.array(internal[:-1], dtype=np.int64), max(capacities)
+    return params, internal[:-1], max(capacities)
 
 
 def _database(w):
@@ -383,102 +383,52 @@ _SCRIPTS = {
 
 
 def _program(workload, rng, length):
-    """Everything the kernel call needs: ``(symbols, columns, params)``.
+    """The ``generate`` arguments for *length* instructions of
+    *workload*, all but the trace columns the kernel writes.
 
     Raises
     ------
     _OutsideContract
         If a parameter cannot cross as contract data (a non-integer
-        count, a non-numeric probability, a malformed range).
+        count, a non-numeric probability, a malformed range, a value
+        its C type cannot hold).
     """
     script, builder, pool_names, regions = _SCRIPTS[type(workload)]
     pools = [getattr(workload, name) for name in pool_names]
     try:
         common, words, pool = _common(workload, rng, script, pools)
         # Fields of the other scripts sit at their lower bounds.
-        params = {name: lo for (lo, _), names in GENERATE_CONTRACT["params"]
+        params = {name: lo
+                  for (lo, _), names in GENERATE_CONTRACT["structs"]["Params"]
                   for name in names}
         params.update(common)
         params.update(builder(workload))
-        columns = _code_tables(workload.code)
+        tables = {**_code_tables(workload.code), "mt": words}
+        tables = {name: np.asarray(tables[name], dtype=dtype)
+                  for name, dtype in _TABLES.items()}
+        struct = _Params(**params, **{
+            name: _region(getattr(workload, name) if name in regions
+                          else None)
+            for name in _REGIONS})
     except (TypeError, ValueError, OverflowError) as error:
         raise _OutsideContract(str(error)) from error
-    columns["mt"] = words
-    for name in _REGIONS:
-        params[name] = getattr(workload, name) if name in regions else None
-    symbols = {
+    for name, value in params.items():
+        if getattr(struct, name) != value:
+            raise _OutsideContract(f"param {name} = {value!r} is not int64")
+    return {
         "n": length,
-        "nflat": len(columns["t_kind"]),
-        "nfuncs": len(columns["f_pc"]),
+        "nflat": len(tables["t_kind"]),
+        "nfuncs": len(tables["f_pc"]),
         "pool": pool,
+        "p": struct,
+        **tables,
     }
-    return symbols, columns, params
 
 
-def _violation(symbols, columns, params):
-    """Why these kernel inputs lie outside :data:`GENERATE_CONTRACT`,
-    or ``None``.  *params* maps each :class:`_Params` field to an int,
-    and each region field to a :class:`_Region` or a
-    :class:`~repro.workloads.synthesis.Region`."""
-    for name, (lo, hi) in GENERATE_CONTRACT["symbols"].items():
-        if not lo <= symbols[name] <= hi:
-            return f"size {name} = {symbols[name]} outside [{lo}, {hi}]"
-    for name, (length, lo, hi) in GENERATE_CONTRACT["columns"].items():
-        column = columns[name]
-        want = length if isinstance(length, int) else symbols[length]
-        if len(column) != want:
-            return f"table {name!r} has {len(column)} entries, not {want}"
-        if len(column):
-            vmin, vmax = int(column.min()), int(column.max())
-            lo_v = contract_bound(lo, symbols)
-            hi_v = contract_bound(hi, symbols)
-            if vmin < lo_v or vmax > hi_v:
-                return (f"table {name!r} spans [{vmin}, {vmax}],"
-                        f" outside [{lo_v}, {hi_v}]")
-    for (lo, hi), names in GENERATE_CONTRACT["params"]:
-        lo_v = contract_bound(lo, symbols)
-        hi_v = contract_bound(hi, symbols)
-        for name in names:
-            value = params[name]
-            if not isinstance(value, int) or not lo_v <= value <= hi_v:
-                return f"param {name} = {value!r} outside [{lo_v}, {hi_v}]"
-    for name in _REGIONS:
-        region = params[name]
-        if not isinstance(region, _Region):
-            region = _region(region)
-        for field, (lo, hi) in GENERATE_CONTRACT["region"].items():
-            value = getattr(region, field)
-            if not lo <= value <= hi:
-                return (f"region {name}.{field} = {value}"
-                        f" outside [{lo}, {hi}]")
-    return None
-
-
-def validate_generate_contract(symbols, columns, params):
-    """Enforce :data:`GENERATE_CONTRACT` on what is about to cross into C.
-
-    Called by :func:`run_program` immediately before the kernel
-    invocation: the kernel's bounds/overflow proof assumes exactly
-    these ranges, so handing it anything outside them would void the
-    certification.
-
-    Raises
-    ------
-    repro.robustness.errors.InternalError
-        If a size, a program table or a parameter lies outside its
-        contracted range.
-    """
-    violation = _violation(symbols, columns, params)
-    if violation is not None:
-        raise InternalError(
-            f"generation kernel input outside its contract: {violation}"
-        )
-
-
-def run_program(symbols, columns, params, name):
+def run_program(program, name):
     """Generate the trace a :func:`_program` describes, in C.
 
-    Returns the :class:`~repro.trace.trace.Trace` of ``symbols["n"]``
+    Returns the :class:`~repro.trace.trace.Trace` of ``program["n"]``
     instructions named *name*.
 
     Raises
@@ -488,28 +438,9 @@ def run_program(symbols, columns, params, name):
         :func:`kernel_available` first), the inputs lie outside the
         contract, or the kernel's tables cannot be allocated.
     """
-    _kernel = _loader.require()
-    n = symbols["n"]
-    tables = {
-        key: np.ascontiguousarray(column, dtype=_TABLE_DTYPES[key])
-        for key, column in columns.items()
-    }
-    regions = {key: _region(params[key]) for key in _REGIONS}
-    scalars = {key: params[key] for key in _PARAM_NAMES}
-    struct = _Params(**scalars, **regions)
+    n = program["n"]
     trace = {key: np.empty(n, dtype=dtype) for key, dtype in COLUMNS}
-
-    # The kernel's bounds/overflow certification assumes exactly the
-    # GENERATE_CONTRACT ranges (the plan-contract lint pass proves this
-    # call dominates the kernel invocation).
-    validate_generate_contract(symbols, tables, {**scalars, **regions})
-
-    written = _kernel(
-        n, symbols["nflat"], symbols["nfuncs"], symbols["pool"],
-        ctypes.byref(struct),
-        *(tables[key].ctypes.data for key in _TABLE_DTYPES),
-        *(trace[key].ctypes.data for key, _ in COLUMNS),
-    )
+    written = _loader.call("generate", {**program, **trace})
     if written != n:
         raise InternalError("compiled generation kernel ran out of memory")
     return Trace(trace, name=name)
@@ -531,6 +462,6 @@ def generate(workload, rng, length):
         program = _program(workload, rng, length)
     except _OutsideContract:
         return None
-    if _violation(*program) is not None:
+    if _loader.violation("generate", program) is not None:
         return None
-    return run_program(*program, workload.name)
+    return run_program(program, workload.name)

@@ -75,7 +75,7 @@ def disable_kernels(monkeypatch):
     for module in (ckernel, cycle_ckernel, annotate_ckernel,
                    generate_ckernel):
         monkeypatch.setattr(module._loader, "probed", True)
-        monkeypatch.setattr(module._loader, "function", None)
+        monkeypatch.setattr(module._loader, "functions", None)
         monkeypatch.setattr(
             module._loader, "failure",
             InternalError("kernel disabled for test"),

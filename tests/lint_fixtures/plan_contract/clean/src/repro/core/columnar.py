@@ -2,53 +2,46 @@
 
 ``PLAN_CONTRACT`` below is token-for-token the literal the real
 builder declares, so it equals the package's ``PLAN_CONTRACT`` (which
-``repro.lint.certify.contracts`` builds its facts from) and its
-fingerprint matches the manifest pin; ``validate_plan_contract`` exists and is called by the
-miniature driver (``ckernel.py``) before the kernel — the fixture is
+``repro.lint.certify.contracts`` builds its facts from): the fixture is
 clean by construction.
 """
 
-from repro.robustness.errors import InternalError
-
 PLAN_CONTRACT = {
-    "n_max": 1 << 26,
-    "columns": {
-        "ops": [0, 8],
-        "prod1": [0, ["n", 0]],
-        "prod2": [0, ["n", 0]],
-        "prod3": [0, ["n", 0]],
-        "memdep": [0, ["n", 0]],
-        "dmiss": [0, 1],
-        "imiss": [0, 1],
-        "mispred": [0, 1],
-        "pmiss": [0, 1],
-        "pfuseful": [0, 1],
-        "vp_ok": [0, 1],
-        "smiss": [0, 1],
-        "scalar_mask": [0, 1],
+    "symbols": {"n": [0, 1 << 26], "nconfigs": [0, 1 << 20]},
+    "entries": {
+        "mlpsim_batch": {
+            "returns": "int",
+            "params": [
+                ["n", "int64_t"],
+                ["ops", "const int8_t *", "n", 0, 8],
+                ["prod1", "const int32_t *", "n", 0, "n"],
+                ["prod2", "const int32_t *", "n", 0, "n"],
+                ["prod3", "const int32_t *", "n", 0, "n"],
+                ["memdep", "const int32_t *", "n", 0, "n"],
+                ["dmiss", "const uint8_t *", "n", 0, 1],
+                ["imiss", "const uint8_t *", "n", 0, 1],
+                ["mispred", "const uint8_t *", "n", 0, 1],
+                ["pmiss", "const uint8_t *", "n", 0, 1],
+                ["pfuseful", "const uint8_t *", "n", 0, 1],
+                ["vp_ok", "const uint8_t *", "n", 0, 1],
+                ["smiss", "const uint8_t *", "n", 0, 1],
+                ["scalar_mask", "const uint8_t *", "n", 0, 1],
+                ["configs", "const KernelConfig *", "nconfigs"],
+                ["nconfigs", "int64_t"],
+                ["results", "KernelResult *", "nconfigs"],
+            ],
+        },
     },
-    "config": {
-        "rob": [1, 1 << 24],
-        "iw": [1, 1 << 24],
-        "fetch_buffer": [0, 1 << 24],
-        "serializing": [0, 1],
-        "load_in_order": [0, 1],
-        "load_wait_staddr": [0, 1],
-        "branch_in_order": [0, 1],
-        "mshr_cap": [1, 1 << 30],
-        "sb_cap": [0, 1 << 30],
-        "slow_bp": [0, 1],
-        "slow_bp_threshold": [0, 1 << 20],
-        "runahead": [0, 1],
-        "max_runahead": [1, (1 << 26) + 1],
+    "structs": {
+        "KernelConfig": [
+            [[1, 1 << 24], ["rob", "iw"]],
+            [[0, 1 << 24], ["fetch_buffer"]],
+            [[0, 1], ["serializing", "load_in_order", "load_wait_staddr",
+                      "branch_in_order", "slow_bp", "runahead"]],
+            [[1, 1 << 30], ["mshr_cap"]],
+            [[0, 1 << 30], ["sb_cap"]],
+            [[0, 1 << 20], ["slow_bp_threshold"]],
+            [[1, (1 << 26) + 1], ["max_runahead"]],
+        ],
     },
 }
-
-
-def validate_plan_contract(plan, configs):
-    n = len(plan)
-    if n > PLAN_CONTRACT["n_max"]:
-        raise InternalError(
-            f"plan region has {n} instructions; the kernel is certified"
-            f" for at most {PLAN_CONTRACT['n_max']}"
-        )

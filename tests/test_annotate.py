@@ -156,11 +156,3 @@ class TestRegionsAndHelpers:
         assert ann.dmiss[0] and ann.mispred[1]
         assert ann.vp_outcome[0] == 0
         assert ann.num_offchip() == 1
-
-    def test_annotation_config_cache_key(self):
-        a = AnnotationConfig()
-        b = AnnotationConfig(
-            hierarchy=HierarchyConfig().with_l2_size(1024 * 1024)
-        )
-        assert a.cache_key() != b.cache_key()
-        assert a.cache_key() == AnnotationConfig().cache_key()

@@ -92,7 +92,6 @@ def annotate_oracle(trace, config=None, value_predictor=None,
     branch_pred = branch_predictor or BranchPredictor(
         gshare_entries=config.gshare_entries,
         btb_entries=config.btb_entries,
-        ras_depth=config.ras_depth,
     )
     value_pred = value_predictor or LastValuePredictor(entries=config.vp_entries)
 
@@ -352,7 +351,6 @@ def shared_line_config(l2_bytes, l2_line, warmup):
         warmup_fraction=warmup,
         gshare_entries=256,
         btb_entries=64,
-        ras_depth=4,
         vp_entries=64,
     )
 

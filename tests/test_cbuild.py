@@ -1,13 +1,16 @@
 """The shared kernel loader (:mod:`repro.cbuild`): the rendered headers
-and the translation units they make, ``REPRO_KERNEL_DIR`` and the
-slice runner the kernel drivers share."""
+and the translation units they make, the one declaration of each entry
+point and the contract check every call passes, ``REPRO_KERNEL_DIR``
+and the slice runner the kernel drivers share."""
 
 import ctypes
 import pathlib
+import re
 import subprocess
 import threading
 import types
 
+import numpy as np
 import pytest
 
 from repro import cbuild
@@ -15,14 +18,14 @@ from repro.core import ckernel
 from repro.cyclesim import ckernel as cycle_ckernel
 from repro.lint.clang_parity import cparse
 from repro.lint.clang_parity.cextract import extract_c
-from repro.robustness.errors import SimulationError
+from repro.robustness.errors import InternalError, SimulationError
 from repro.trace import ckernel as annotate_ckernel
 from repro.workloads import ckernel as generate_ckernel
 
 #: The four kernel loaders: MLPsim, cyclesim, annotation and generation.
 KERNELS = (ckernel, cycle_ckernel, annotate_ckernel, generate_ckernel)
 
-#: Every C entry point, with the driver whose ``_bind`` wires it.
+#: Every C entry point, with the driver whose loader declares it.
 ENTRY_POINTS = (
     (ckernel, "mlpsim_batch"),
     (cycle_ckernel, "cyclesim_batch"),
@@ -69,6 +72,46 @@ def test_unit_compiles_and_a_second_copy_of_a_shared_name_fails(module):
     assert "OP_LOAD" in errors and "redefined" in errors
 
 
+def _spelled(ctype):
+    """C text with its whitespace normalised: ``"const int8_t *"``."""
+    return " ".join(ctype.replace("*", " * ").split())
+
+
+def _definition(source, entry):
+    """The match of *entry*'s definition; group 1 is its parameters."""
+    return re.search(rf"\b{entry}\(([^)]*)\)\s*{{", source)
+
+
+@needs_cc
+@pytest.mark.parametrize("module", KERNELS)
+def test_a_definition_that_disagrees_with_its_declaration_fails(
+        tmp_path, module):
+    """The header carries each entry point's prototype, rendered from
+    its declaration, so a ``.c`` definition whose pointer parameter
+    points to another type no longer compiles."""
+    loader = module._loader
+    entry, declaration = next(iter(loader.contract["entries"].items()))
+    param = next(param for param in cbuild.params(declaration)
+                 if param.element in cbuild._ELEMENTS)
+    source = pathlib.Path(loader.source_path).read_text()
+    definition = _definition(source, entry)
+    start, end = definition.span(1)
+    spelled = f"{param.ctype}{param.name}"
+    assert spelled in source[start:end]
+    other = "int32_t" if param.element == "int64_t" else "int64_t"
+    retyped = param.ctype.replace(param.element, other) + param.name
+    retyped_source = (source[:start]
+                      + source[start:end].replace(spelled, retyped)
+                      + source[end:])
+    copy = tmp_path / pathlib.Path(loader.source_path).name
+    # A throwaway copy: torn-write durability is irrelevant.
+    copy.write_text(retyped_source)  # reprolint: disable=atomic-writes
+    ok, errors = _syntax_check(
+        cbuild.translation_unit(str(copy), loader.header()))
+    assert not ok
+    assert "conflicting types" in errors, errors
+
+
 def test_a_changed_header_changes_the_object_path(tmp_path, monkeypatch):
     """The object is keyed on header and source together, so an edit
     made only on the Python side never loads the object built before
@@ -102,21 +145,37 @@ def _points_to(argtype, struct):
             == [field.name for field in struct.fields])
 
 
+def _definition_types(source, entry):
+    """Each parameter's C type as *entry*'s definition spells it, const
+    and pointer included."""
+    return [_spelled(param).rsplit(" ", 1)[0]
+            for param in _definition(source, entry).group(1).split(",")]
+
+
 @pytest.mark.parametrize("module, entry", ENTRY_POINTS,
                          ids=[entry for _, entry in ENTRY_POINTS])
 def test_entry_point_wiring_matches_the_c_definition(module, entry):
-    """Each driver's ``argtypes``/``restype`` agree with the C
-    definition's parameters, read by cparse from the header plus the
-    source: the same count, a pointer for each pointer, ``c_int64`` for
-    each ``int64_t`` and ``c_int`` for each ``int``.  The driver binds a
-    stub library, so no compiler is needed."""
+    """Each loader wires an entry point's ``argtypes``/``restype`` from
+    its one declaration, and the declaration agrees with the C
+    definition, read from the header plus the source: the same
+    parameters in order, each with the type the definition spells
+    (pointee and ``const`` included), a pointer for each pointer,
+    ``c_int64`` for each ``int64_t`` and ``c_int`` for each ``int``.
+    The loader binds a stub library, so no compiler is needed."""
+    loader = module._loader
     library = types.SimpleNamespace(**{
-        name: types.SimpleNamespace() for _, name in ENTRY_POINTS})
-    module._bind(library)
-    wired = getattr(library, entry)
-    source = pathlib.Path(module._loader.source_path).read_text()
-    structs = extract_c(source, extract_c(module._loader.header())).structs
+        name: types.SimpleNamespace() for name in loader.contract["entries"]})
+    wired = loader.bind(library)[entry]
+    declaration = loader.contract["entries"][entry]
+    declared = cbuild.params(declaration)
+    source = pathlib.Path(loader.source_path).read_text()
+    structs = extract_c(source, extract_c(loader.header())).structs
     function = cparse.parse_c_unit(source, set(structs)).functions[entry]
+    assert [param.name for param in declared] == [
+        name for name, _, _ in function.params]
+    assert [_spelled(param.ctype) for param in declared] == \
+        _definition_types(source, entry)
+    assert declaration["returns"] == function.return_type
     assert len(wired.argtypes) == len(function.params)
     for argtype, (name, base, ptr) in zip(wired.argtypes, function.params):
         if ptr:
@@ -127,10 +186,96 @@ def test_entry_point_wiring_matches_the_c_definition(module, entry):
     assert wired.restype is _SCALARS[function.return_type]
 
 
+class _StubFunction:
+    """A C entry point stand-in that records each call it gets."""
+
+    def __init__(self, calls, name):
+        self.calls = calls
+        self.name = name
+
+    def __call__(self, *args):
+        self.calls.append(self.name)
+        return 0
+
+
+def _lowest(loader, name, symbols):
+    """A *name* struct with every contracted field at its lower bound."""
+    struct = loader.structs[name]()
+    for (lo, _), fields in loader.contract["structs"].get(name, ()):
+        for field in fields:
+            setattr(struct, field, cbuild.contract_bound(lo, symbols))
+    names = {cls: key for key, cls in loader.structs.items()}
+    for field, ctype in type(struct)._fields_:
+        if ctype in names:
+            setattr(struct, field, _lowest(loader, names[ctype], symbols))
+    return struct
+
+
+def _inside(loader, entry):
+    """Arguments inside *entry*'s declaration: each size 3 where its box
+    allows, each column of its declared dtype at its lower bound, each
+    struct with its fields at theirs."""
+    declared = cbuild.params(loader.contract["entries"][entry])
+    args = {}
+    for param in declared:
+        if param.element is None:
+            lo, hi = loader.contract["symbols"][param.name]
+            args[param.name] = min(max(3, lo), hi)
+    symbols = {**loader.defines(), **args}
+    for param in declared:
+        if param.element in cbuild._ELEMENTS:
+            args[param.name] = np.full(
+                cbuild.contract_bound(param.length, symbols),
+                cbuild.contract_bound(param.lo, symbols),
+                dtype=cbuild._ELEMENTS[param.element])
+        elif param.element in loader.structs and param.length is None:
+            args[param.name] = _lowest(loader, param.element, symbols)
+        elif param.element in loader.structs:
+            count = cbuild.contract_bound(param.length, symbols)
+            args[param.name] = (loader.structs[param.element] * count)(
+                *[_lowest(loader, param.element, symbols)
+                  for _ in range(count)])
+    return args, symbols
+
+
+@pytest.mark.parametrize("module, entry", ENTRY_POINTS,
+                         ids=[entry for _, entry in ENTRY_POINTS])
+def test_out_of_contract_columns_never_reach_the_kernel(monkeypatch,
+                                                        module, entry):
+    """The loader reaches an entry point only through its contract
+    check: a column of the wrong dtype, of the wrong length or holding
+    a value out of range raises, and the stub library records no call;
+    arguments inside the declaration make exactly one call."""
+    loader = module._loader
+    calls = []
+    library = types.SimpleNamespace(**{
+        name: _StubFunction(calls, name)
+        for name in loader.contract["entries"]})
+    monkeypatch.setattr(loader, "functions", loader.bind(library))
+    monkeypatch.setattr(loader, "probed", True)
+    args, symbols = _inside(loader, entry)
+    loader.call(entry, args)
+    assert calls == [entry]
+    calls.clear()
+    param = next(
+        param for param in cbuild.params(loader.contract["entries"][entry])
+        if param.element in cbuild._ELEMENTS and not param.out
+        and cbuild.contract_bound(param.hi, symbols) + 1
+        <= np.iinfo(cbuild._ELEMENTS[param.element]).max)
+    column = args[param.name]
+    above = column.copy()
+    above[0] = cbuild.contract_bound(param.hi, symbols) + 1
+    other = np.int32 if column.dtype == np.int64 else np.int64
+    for bad in (column.astype(other), column[:-1], above):
+        with pytest.raises(InternalError, match="outside its contract"):
+            loader.call(entry, {**args, param.name: bad})
+    assert calls == []
+
+
 def _reprobe(monkeypatch, module):
     """Forget the cached probe so the next call builds afresh."""
     monkeypatch.setattr(module._loader, "probed", False)
-    monkeypatch.setattr(module._loader, "function", None)
+    monkeypatch.setattr(module._loader, "functions", None)
     monkeypatch.setattr(module._loader, "failure", None)
 
 
@@ -211,7 +356,9 @@ def test_concurrent_first_use_waits_for_the_build(monkeypatch):
         release.wait(timeout=30)
         return lib
 
-    loader = cbuild.KernelLoader("test", "kernel.c", bind, lambda: "")
+    loader = cbuild.KernelLoader("test", "kernel.c", {"entries": {}}, dict,
+                                 {})
+    monkeypatch.setattr(loader, "bind", bind)
     seen = []
 
     def first_use():

@@ -159,13 +159,14 @@ def _recording_kernel(monkeypatch):
     """Wrap the bound kernel; returns the ``(thread, configs)`` of each
     call."""
     calls = []
-    real = ckernel._loader.require()
+    real = ckernel._loader.require()["cyclesim_batch"]
 
     def recording(*args):
         calls.append((threading.get_ident(), args[-2]))
         return real(*args)
 
-    monkeypatch.setattr(ckernel._loader, "function", recording)
+    monkeypatch.setitem(ckernel._loader.functions, "cyclesim_batch",
+                        recording)
     return calls
 
 
@@ -259,7 +260,7 @@ def test_deadline_inside_a_threaded_batch(database_annotated, monkeypatch,
     class Expired(Exception):
         pass
 
-    real = ckernel._loader.require()
+    real = ckernel._loader.require()["cyclesim_batch"]
     calling = threading.get_ident()
 
     def slow_kernel(*args):
@@ -268,7 +269,8 @@ def test_deadline_inside_a_threaded_batch(database_annotated, monkeypatch,
             time.sleep(0.5)  # the deadline expires in here
         return status
 
-    monkeypatch.setattr(ckernel._loader, "function", slow_kernel)
+    monkeypatch.setitem(ckernel._loader.functions, "cyclesim_batch",
+                        slow_kernel)
     monkeypatch.setattr(cbuild, "effective_cpus", lambda: 2)
     plan, pairs = _table3_batch(database_annotated, 4)
     threads, mask = threading.active_count(), os.sched_getaffinity(0)

@@ -174,12 +174,11 @@ def test_run_program_validates_the_contract():
     workload = get_workload("database")
     rng = random.Random(workload.seed)
     workload.setup(rng)
-    symbols, columns, params = ckernel._program(workload, rng, 1_000)
-    assert ckernel._violation(symbols, columns, params) is None
+    program = ckernel._program(workload, rng, 1_000)
+    assert ckernel._loader.violation("generate", program) is None
+    params = ckernel._Params.from_buffer_copy(program["p"])
+    params.pool_a_cap = program["pool"] + 1
     with pytest.raises(InternalError, match="pool_a_cap"):
-        ckernel.run_program(symbols, columns,
-                            {**params, "pool_a_cap": symbols["pool"] + 1},
-                            "database")
+        ckernel.run_program({**program, "p": params}, "database")
     with pytest.raises(InternalError, match="size n"):
-        ckernel.run_program({**symbols, "n": 0}, columns, params,
-                            "database")
+        ckernel.run_program({**program, "n": 0}, "database")

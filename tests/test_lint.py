@@ -45,13 +45,11 @@ TYPESTATE_PASSES = frozenset({
 })
 #: Passes added by the kernel-certification layer; their fixture pairs
 #: are driven by test_lint_certify.py.
-CERTIFY_PASSES = frozenset({
-    "kernel-bounds", "kernel-overflow", "plan-contract",
-})
+CERTIFY_PASSES = frozenset({"kernel-bounds", "kernel-overflow"})
 
 
 class TestRegistry:
-    def test_all_sixteen_passes_registered(self):
+    def test_all_fifteen_passes_registered(self):
         assert set(registered_passes()) == (
             set(PASS_FIXTURES) | TYPESTATE_PASSES | CERTIFY_PASSES
         )
@@ -225,7 +223,7 @@ class TestFrameworkDetails:
     def test_every_file_parsed_exactly_once(self, monkeypatch):
         """The shared AST/extract cache means no pass re-parses a file:
         every (file, parse-kind) ledger entry is exactly 1 even with
-        all sixteen passes running — including both C parse kinds
+        all fifteen passes running — including both C parse kinds
         (the declaration extract and the full statement-level unit).
         The certifier's process-wide reports start empty, so the C
         kernel is parsed here rather than served from an earlier

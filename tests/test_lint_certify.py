@@ -1,13 +1,13 @@
 """Tests for the kernel-certification layer of reprolint.
 
-Covers the three certify passes (``kernel-bounds``,
-``kernel-overflow``, ``plan-contract``) over their fixture pairs, and
-the acceptance mutations run against copies of the *real* kernel and
-plan-builder sources (and, for a struct field, against the header the
-package renders): one off-by-one subscript bound, one
-accumulator-width narrowing, one contract-range change without a
-manifest regeneration — each must yield exactly one finding carrying
-the witness interval the abstract interpreter computed.
+Covers the two certify passes (``kernel-bounds``, ``kernel-overflow``)
+over their fixture pairs, with the ``PLAN_CONTRACT`` literal pair whose
+drift ``kernel-bounds`` reports, and the acceptance mutations run against
+copies of the *real* kernel and plan-builder sources (and, for a
+struct field, against the header the package renders): one off-by-one
+subscript bound, one accumulator-width narrowing, one contract-range
+change — each must yield exactly one finding carrying the witness
+interval the abstract interpreter computed, or the drifted entry.
 """
 
 import pathlib
@@ -20,11 +20,13 @@ from repro.lint import run_lint
 FIXTURES = pathlib.Path(__file__).parent / "lint_fixtures"
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-#: pass id -> (fixture directory, expected finding count in violation/)
+#: fixture id -> (fixture directory, the pass its violation/ trips,
+#: expected finding count in violation/); ``plan-contract`` is the
+#: pair whose ``PLAN_CONTRACT`` literal drifts.
 CERTIFY_FIXTURES = {
-    "kernel-bounds": ("kernel_bounds", 1),
-    "kernel-overflow": ("kernel_overflow", 1),
-    "plan-contract": ("plan_contract", 1),
+    "kernel-bounds": ("kernel_bounds", "kernel-bounds", 1),
+    "kernel-overflow": ("kernel_overflow", "kernel-overflow", 1),
+    "plan-contract": ("plan_contract", "kernel-bounds", 1),
 }
 
 MLPSIM_KERNEL = "src/repro/core/_mlpsim_kernel.c"
@@ -32,7 +34,7 @@ CYCLESIM_KERNEL = "src/repro/cyclesim/_cyclesim_kernel.c"
 COLUMNAR = "src/repro/core/columnar.py"
 CYCLE_PLAN = "src/repro/cyclesim/plan.py"
 
-#: Everything the three certify passes read, copied verbatim from the
+#: Everything the two certify passes read, copied verbatim from the
 #: real tree so mutation tests exercise the production contract.
 _CERTIFY_SOURCES = (
     MLPSIM_KERNEL,
@@ -45,14 +47,14 @@ _CERTIFY_SOURCES = (
 
 
 class TestCertifyFixtures:
-    @pytest.mark.parametrize("pass_id", sorted(CERTIFY_FIXTURES))
-    def test_clean_fixture_has_no_findings(self, pass_id):
-        root = FIXTURES / CERTIFY_FIXTURES[pass_id][0] / "clean"
+    @pytest.mark.parametrize("fixture_id", sorted(CERTIFY_FIXTURES))
+    def test_clean_fixture_has_no_findings(self, fixture_id):
+        root = FIXTURES / CERTIFY_FIXTURES[fixture_id][0] / "clean"
         assert run_lint(root) == []
 
-    @pytest.mark.parametrize("pass_id", sorted(CERTIFY_FIXTURES))
-    def test_violation_fixture_is_flagged(self, pass_id):
-        fixture, expected = CERTIFY_FIXTURES[pass_id]
+    @pytest.mark.parametrize("fixture_id", sorted(CERTIFY_FIXTURES))
+    def test_violation_fixture_is_flagged(self, fixture_id):
+        fixture, pass_id, expected = CERTIFY_FIXTURES[fixture_id]
         findings = run_lint(
             FIXTURES / fixture / "violation", select=[pass_id]
         )
@@ -83,11 +85,11 @@ class TestCertifyFixtures:
     def test_contract_drift_names_the_entry(self):
         (finding,) = run_lint(
             FIXTURES / "plan_contract" / "violation",
-            select=["plan-contract"],
+            select=["kernel-bounds"],
         )
         assert finding.path == COLUMNAR
-        assert "columns.dmiss" in finding.message
-        assert "[0, 2]" in finding.message
+        assert "entries.mlpsim_batch.params.dmiss" in finding.message
+        assert "'n', 0, 2]" in finding.message
 
 
 def _real_tree(tmp_path):
@@ -111,7 +113,7 @@ def _edit(tmp_path, relpath, old, new, count=1):
 class TestRealTreeMutations:
     """Acceptance: each single-site mutation yields exactly one finding."""
 
-    SELECT = ["kernel-bounds", "kernel-overflow", "plan-contract"]
+    SELECT = ["kernel-bounds", "kernel-overflow"]
 
     def test_unmutated_copy_is_clean(self, tmp_path):
         assert run_lint(_real_tree(tmp_path), select=self.SELECT) == []
@@ -178,34 +180,19 @@ class TestRealTreeMutations:
         assert "exceeds int32" in findings[0].message
 
     def test_contract_range_change_without_manifest_regen(self, tmp_path):
-        """Editing one PLAN_CONTRACT range is caught before the manifest
-        fingerprint even enters: the literal no longer equals the facts
-        the kernel proof assumed."""
+        """Editing one PLAN_CONTRACT range in the linted tree is one
+        finding: the literal no longer equals the declaration the
+        kernel proof was built from, and no manifest regeneration can
+        bless it."""
         root = _real_tree(tmp_path)
-        _edit(root, COLUMNAR, '"ops": [0, 8],', '"ops": [0, 9],')
+        _edit(root, COLUMNAR, '["ops", "const int8_t *", "n", 0, 8],',
+              '["ops", "const int8_t *", "n", 0, 9],')
         findings = run_lint(root, select=self.SELECT)
         assert len(findings) == 1
-        assert findings[0].pass_id == "plan-contract"
+        assert findings[0].pass_id == "kernel-bounds"
         assert findings[0].path == COLUMNAR
-        assert "columns.ops" in findings[0].message
-        assert "[0, 9]" in findings[0].message
-
-    def test_validator_no_longer_dominates(self, tmp_path):
-        """Moving the validator call behind a condition breaks the
-        dominance proof even though the call still exists."""
-        root = _real_tree(tmp_path)
-        _edit(
-            root, "src/repro/core/ckernel.py",
-            "    validate_plan_contract(plan, configs)",
-            "    if len(plan) > 1000:\n"
-            "        validate_plan_contract(plan, configs)",
-        )
-        findings = run_lint(root, select=self.SELECT)
-        assert len(findings) == 1
-        assert findings[0].pass_id == "plan-contract"
-        assert findings[0].path == "src/repro/core/ckernel.py"
-        assert "not" in findings[0].message
-        assert "dominated" in findings[0].message
+        assert "entries.mlpsim_batch.params.ops" in findings[0].message
+        assert "'n', 0, 9]" in findings[0].message
 
 
 def test_modulo_by_a_positive_variable_divisor():

@@ -1,6 +1,6 @@
 """The merged tree is reprolint-clean: every invariant holds right now.
 
-This is the enforcement tier: ``repro lint`` runs all sixteen passes
+This is the enforcement tier: ``repro lint`` runs all fifteen passes
 over the real repository (``src/repro``, ``tests`` and ``examples``)
 and must report nothing.  A failure here means a commit introduced a
 bare stdlib raise, a non-atomic result write, a nondeterminism hazard,
@@ -8,11 +8,11 @@ an edit to the frozen oracle, a misspelled config field, a stale
 exhibit registry, a pool worker mutating shared state, a
 wall-clock-tainted RNG seed, a leakable write handle, unreachable
 code, a typestate-protocol violation — or an unprovable kernel
-subscript/overflow or a plan-contract drift: the interval
-certification (``kernel-bounds``/``kernel-overflow``/``plan-contract``)
-is part of this tier, so the compiled kernels stay machine-checked
-against the ranges the Python validators enforce.  The assertion
-output carries the exact file, line and message.
+subscript/overflow: the interval certification
+(``kernel-bounds``/``kernel-overflow``) is part of this tier, so the
+compiled kernels stay machine-checked against the declarations every
+kernel call is checked against.  The assertion output carries the
+exact file, line and message.
 
 The tree is linted once, through the CLI; both tests read that run.
 """

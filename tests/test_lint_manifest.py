@@ -2,9 +2,9 @@
 
 Covers the regeneration flow over a copy of the *real* pinned sources:
 idempotence on a clean tree, byte-identical regeneration of a stale
-manifest, the dirty-tree interlock (a pinned contract literal may be
-dirty, an unrelated file may not), the refusal to pin a literal that
-cannot be extracted, and the CLI report.
+manifest, the dirty-tree interlock (a pinned oracle may be dirty, an
+unrelated file may not), the refusal to pin an oracle that cannot be
+read, and the CLI report.
 """
 
 import pathlib
@@ -19,7 +19,6 @@ from repro.lint.manifest import (
     CYCLESIM_ORACLE_SHA256,
     ORACLE_PATH,
     ORACLE_SHA256,
-    PLAN_CONTRACT_FINGERPRINTS,
 )
 from repro.lint.update import (
     MANIFEST_PATH,
@@ -29,17 +28,10 @@ from repro.lint.update import (
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-#: The module declaring the contract literal the edit tests change.
-GENERATE_PATH = "src/repro/workloads/ckernel.py"
-
 #: Everything the manifest pins, copied verbatim from the real tree so
-#: the edit tests exercise the production contracts.
+#: the edit tests exercise the production oracles.
 _PINNED_SOURCES = (
     "src/repro/core/mlpsim.py",  # an unpinned file the dirty-tree test edits
-    "src/repro/cyclesim/plan.py",  # CYCLE_PLAN_CONTRACT fingerprint pin
-    "src/repro/trace/ckernel.py",  # ANNOTATE_CONTRACT fingerprint pin
-    "src/repro/core/columnar.py",  # PLAN_CONTRACT fingerprint pin
-    GENERATE_PATH,  # GENERATE_CONTRACT fingerprint pin
     ORACLE_PATH,
     CYCLESIM_ORACLE_PATH,
 )
@@ -106,8 +98,6 @@ class TestManifestUpdate:
         assert result["changed"] is False
         assert result["oracle_sha256"] == ORACLE_SHA256
         assert result["cyclesim_oracle_sha256"] == CYCLESIM_ORACLE_SHA256
-        assert result["plan_contract_fingerprints"] == \
-            PLAN_CONTRACT_FINGERPRINTS
 
     def test_regenerates_a_stale_manifest_atomically(self, tmp_path):
         root = _git_tree(tmp_path)
@@ -127,23 +117,18 @@ class TestManifestUpdate:
         leftovers = list((root / MANIFEST_PATH).parent.glob(".manifest-*"))
         assert leftovers == []
 
-    def test_schema_edit_plus_manifest_is_allowed_dirty(self, tmp_path):
+    def test_oracle_edit_plus_manifest_is_allowed_dirty(self, tmp_path):
         root = _git_tree(tmp_path)
-        _edit(root, GENERATE_PATH,
-              '"nfuncs": [1, 1 << 20],', '"nfuncs": [1, 1 << 21],')
+        _edit(root, ORACLE_PATH, '"""', '"""Edited.  ')
         result = update_manifest(root)
         assert result["changed"] is True
-        pins = result["plan_contract_fingerprints"]
-        assert pins["GENERATE_CONTRACT"] != \
-            PLAN_CONTRACT_FINGERPRINTS["GENERATE_CONTRACT"]
-        assert pins["PLAN_CONTRACT"] == \
-            PLAN_CONTRACT_FINGERPRINTS["PLAN_CONTRACT"]
+        assert result["oracle_sha256"] != ORACLE_SHA256
+        assert result["cyclesim_oracle_sha256"] == CYCLESIM_ORACLE_SHA256
 
-    def test_refuses_when_columns_cannot_be_extracted(self, tmp_path):
+    def test_refuses_when_an_oracle_cannot_be_read(self, tmp_path):
         root = _git_tree(tmp_path)
-        _edit(root, GENERATE_PATH,
-              "GENERATE_CONTRACT = {", "OTHER_CONTRACT = {")
-        with pytest.raises(ManifestUpdateError, match="GENERATE_CONTRACT"):
+        (root / CYCLESIM_ORACLE_PATH).unlink()
+        with pytest.raises(ManifestUpdateError, match="cannot read"):
             update_manifest(root)
 
     def test_cli_flag_regenerates_and_reports(self, tmp_path, capsys):
@@ -156,8 +141,6 @@ class TestManifestUpdate:
         assert "regenerated" in out
         assert ORACLE_SHA256 in out
         assert CYCLESIM_ORACLE_SHA256 in out
-        for pin in PLAN_CONTRACT_FINGERPRINTS.values():
-            assert pin in out
 
     def test_cli_flag_exits_two_on_dirty_tree(self, tmp_path, capsys):
         root = _git_tree(tmp_path)

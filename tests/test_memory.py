@@ -297,7 +297,6 @@ class TestHierarchy:
         cfg = HierarchyConfig().with_l2_size(512 * 1024)
         assert cfg.l2.size_bytes == 512 * 1024
         assert cfg.l1d.size_bytes == 32 * 1024
-        assert cfg.cache_key() != HierarchyConfig().cache_key()
 
     def test_reset_stats(self):
         h = Hierarchy()

@@ -45,7 +45,7 @@ class TestPublishAttach:
             attached = shm.attach_plan(handle)
             try:
                 checks = []
-                for name, _ in PLAN_COLUMNS:
+                for name in PLAN_COLUMNS:
                     view = getattr(attached.plan, name)
                     checks.append((
                         name,
