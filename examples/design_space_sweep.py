@@ -10,9 +10,10 @@ and Overlap_CM — ranking the design options by performance per
 
 Run:  python examples/design_space_sweep.py [workload] [trace_length] [jobs]
 
-*jobs* (or the ``REPRO_JOBS`` environment variable) runs the
-configuration sweep on a process pool; results are identical to the
-serial run.  See docs/PERFORMANCE.md.
+*jobs* (or the ``REPRO_JOBS`` environment variable) sizes the process
+pool the sweep's scalar-route configs use (hosts without ``cc``);
+compiled-kernel batches run in-process on every usable CPU either way.
+Results are identical to the serial run.  See docs/PERFORMANCE.md.
 """
 
 import sys

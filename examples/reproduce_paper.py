@@ -33,8 +33,9 @@ def main(argv=None):
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for the configuration sweeps"
-        " (sets REPRO_JOBS; 0 = one per usable CPU, default serial)",
+        help="worker processes for the sweeps' scalar-route configs"
+        " (sets REPRO_JOBS; 0 = one per usable CPU, default serial);"
+        " compiled-kernel batches run in-process either way",
     )
     args = parser.parse_args(argv)
     if args.jobs is not None:

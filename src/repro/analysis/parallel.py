@@ -8,8 +8,9 @@ executor consults:
   environment variable into a worker count (``0`` means "one worker
   per usable CPU", the affinity-aware
   :func:`repro.cbuild.effective_cpus`);
-* :func:`serial_cutover` decides when an unsupervised ``jobs=N`` sweep
-  should not start a pool at all;
+* :func:`serial_cutover` decides when an unsupervised ``jobs=N``
+  sweep's scalar-route configs should not start a pool at all (its
+  kernel chunks never do);
 * :func:`share_annotated` hands the annotated trace to workers: on
   platforms with ``fork`` it is parked in a module global the children
   inherit copy-on-write; elsewhere it is spilled once to a temporary
@@ -124,15 +125,17 @@ def unshare_annotated(spill_path):
 
 
 def serial_cutover(n_jobs, n_pairs):
-    """Should an unsupervised ``jobs=N`` sweep skip the pool?
+    """Should an unsupervised ``jobs=N`` sweep run its *n_pairs*
+    scalar-route configs in-process rather than on a pool?
 
-    The cutover triggers when a pool cannot help at all: a single
-    effective CPU (process pools only add IPC to CPU-bound simulation)
-    or a grid smaller than two configs.  It keeps single-core scaling
-    at ~1.0.  It does not make ``jobs=N`` safe on small grids: with two
-    or more CPUs a grid whose configs cost milliseconds still pays pool
-    start-up, and ``jobs=1`` already runs each kernel batch on every
-    usable CPU (:func:`repro.cbuild.run_slices`).
+    Only scalar-route configs (the oracles: no ``cc``,
+    ``engine="scalar"``, or machines outside the kernel contract) are
+    ever offered to an unsupervised pool; kernel chunks always run
+    in-process, where :func:`repro.cbuild.run_slices` already spreads
+    each batch over every usable CPU.  The cutover fires when a pool
+    cannot help those configs at all: ``jobs <= 1``, a single effective
+    CPU (process pools only add IPC to CPU-bound simulation) or fewer
+    than two configs.
     """
     return n_jobs <= 1 or n_pairs <= 1 or effective_cpus() <= 1
 

@@ -8,9 +8,11 @@ modules index and render.
 
 Both run on the one sweep executor in :mod:`repro.robustness.supervisor`:
 the grid is cut into chunks that share a compiled-kernel plan (or run
-one config each on the scalar route), serially or, with ``jobs=N`` or
-``REPRO_JOBS``, on a worker pool; results are identical either way,
-label for label.  See ``docs/PERFORMANCE.md``.
+one config each on the scalar route).  Kernel chunks run in this
+process on every usable CPU; with ``jobs=N`` or ``REPRO_JOBS`` the
+scalar-route chunks, and every chunk of a supervised sweep, run on a
+worker pool.  Results are identical either way, label for label.  See
+``docs/PERFORMANCE.md``.
 
 Long or failure-prone campaigns should run under supervision
 (``supervise=...``): the sweep is then journalled, resumable after a
@@ -86,18 +88,19 @@ def sweep(annotated, machines, workload=None, progress=None, jobs=None,
     *progress*, if given, is called with each label as it completes,
     in grid order — the benchmark harness uses it for liveness output.
 
-    *jobs* selects the number of worker processes: ``None`` defers to
-    the ``REPRO_JOBS`` environment variable (defaulting to serial),
-    ``1`` runs serially, ``0`` means one worker per usable CPU.
-    Parallel runs produce results identical to serial ones and preserve
-    label order; if no worker pool can be created the sweep silently
-    runs serially.  An automatic serial cutover (see
-    :func:`repro.analysis.parallel.serial_cutover`) runs an unsupervised
-    ``jobs=N`` serially on a single-CPU machine or a one-config grid.
-    A serial sweep already runs each kernel batch on every usable CPU,
-    so on small grids ``jobs=1`` can beat a pool.  A failed config
-    raises :class:`~repro.robustness.errors.SimulationError` naming its
-    label.
+    *jobs* sizes the worker pool, which only supervised sweeps and
+    scalar-route configs use: ``None`` defers to the ``REPRO_JOBS``
+    environment variable (defaulting to serial), ``1`` runs serially,
+    ``0`` means one worker per usable CPU.  Unsupervised, every
+    compiled-kernel chunk runs in this process whatever *jobs* says,
+    since each kernel batch already runs on every usable CPU
+    (:func:`repro.cbuild.run_slices`); only the scalar-route configs
+    go to the pool, after the kernel chunks, unless the serial cutover
+    (:func:`repro.analysis.parallel.serial_cutover`) fires on their
+    count.  Pooled runs produce results identical to serial ones and
+    preserve label order; if no worker pool can be created the sweep
+    silently runs serially.  A failed config raises
+    :class:`~repro.robustness.errors.SimulationError` naming its label.
 
     *engine* picks the simulation backend: ``"auto"`` (default) runs
     each event-mask group of the grid, runahead machines included, as
@@ -138,14 +141,14 @@ def sweep_cyclesim(annotated, configs, workload=None, progress=None,
 
     The grid shares one :class:`~repro.cyclesim.plan.CyclePlan` — the
     cycle simulator's event masks never depend on the configuration —
-    so serial runs amortise the plan and the compiled kernel across the
-    grid in one :func:`repro.cyclesim.ckernel.run_cycle_plan` call, and
-    parallel runs publish the per-instruction tables once through
-    shared memory for workers to attach zero-copy.  *jobs*, the serial
-    cutover and *supervise* behave exactly as in :func:`sweep`;
-    cyclesim results round-trip the journal exactly (``kind:
-    "cyclesim"`` payloads).  Without the compiled kernel each config
-    runs on the frozen reference simulator.
+    so an in-process run amortises the plan and the compiled kernel
+    across the grid in one :func:`repro.cyclesim.ckernel.run_cycle_plan`
+    call, and a supervised pool publishes the per-instruction tables
+    once through shared memory for workers to attach zero-copy.
+    *jobs*, the serial cutover and *supervise* behave exactly as in
+    :func:`sweep`; cyclesim results round-trip the journal exactly
+    (``kind: "cyclesim"`` payloads).  Without the compiled kernel each
+    config runs on the frozen reference simulator.
     """
     return _run(annotated, configs, workload, progress, jobs, supervise,
                 "auto")

@@ -505,6 +505,28 @@ class KernelLoader:
             )
         return self.functions
 
+    def struct(self, name, **fields):
+        """The *name* struct (its C name) holding *fields*.
+
+        ctypes stores an integer its field cannot hold modulo the
+        field's width, silently, and every range check would then read
+        the wrapped value; a field that does not read back as given is
+        refused here instead.
+
+        Raises
+        ------
+        repro.robustness.errors.InternalError
+            If a value does not fit its field's C type.
+        """
+        value = self.structs[name](**fields)
+        for field, given in fields.items():
+            if getattr(value, field) != given:
+                raise InternalError(
+                    f"{self.name} kernel input outside its contract:"
+                    f" {name}.{field} = {given!r} does not fit its C type"
+                )
+        return value
+
     def violation(self, entry, args):
         """Why *args* lie outside *entry*'s declaration, or ``None``.
 

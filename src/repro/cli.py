@@ -589,9 +589,10 @@ def build_parser():
                    " an exhibit over budget is recorded as failed and"
                    " the batch continues")
     p.add_argument("-j", "--jobs", type=int, default=None,
-                   help="worker processes for configuration sweeps"
-                   " (sets REPRO_JOBS; 0 = one per usable CPU, default"
-                   " serial)")
+                   help="worker processes for sweeps' scalar-route"
+                   " configs (sets REPRO_JOBS; 0 = one per usable CPU,"
+                   " default serial); compiled-kernel batches run"
+                   " in-process on every usable CPU either way")
     p.set_defaults(func=cmd_exhibit)
 
     p = sub.add_parser("inspect", help="print the first epochs of a run")

@@ -24,6 +24,7 @@ import os
 
 from repro.cbuild import KernelLoader, opcode_defines
 from repro.core.columnar import PLAN_COLUMNS, PLAN_CONTRACT
+from repro.core.config import BranchPolicy, LoadPolicy, SerializePolicy
 from repro.core.mlpsim import NOT_EXECUTED
 from repro.core.results import MLPResult
 from repro.core.termination import Inhibitor, InhibitorCounts
@@ -104,14 +105,9 @@ def kernel_error():
 
 
 def _config_struct(machine):
-    from repro.core.config import (
-        BranchPolicy,
-        LoadPolicy,
-        SerializePolicy,
-    )
-
     issue = machine.issue
-    return _KernelConfig(
+    return _loader.struct(
+        "KernelConfig",
         rob=machine.rob,
         iw=machine.issue_window,
         fetch_buffer=machine.fetch_buffer,
@@ -133,10 +129,13 @@ def in_contract(machine):
     """Do *machine*'s kernel config fields lie inside the contracted ranges?
 
     A valid machine can exceed them (a ROB above 2**24, an MSHR file
-    above 2**30); the kernel is not certified for it, so it runs on the
-    oracles instead.
+    above 2**30, a field no ``int64`` can hold); the kernel is not
+    certified for it, so it runs on the oracles instead.
     """
-    configs = (_KernelConfig * 1)(_config_struct(machine))
+    try:
+        configs = (_KernelConfig * 1)(_config_struct(machine))
+    except InternalError:
+        return False
     return _loader.violation(
         "mlpsim_batch", {"configs": configs, "nconfigs": 1}) is None
 

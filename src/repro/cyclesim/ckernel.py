@@ -113,7 +113,8 @@ def kernel_error():
 
 def _config_struct(config):
     issue = config.issue
-    return _KernelConfig(
+    return _loader.struct(
+        "CycleConfig",
         rob=config.rob,
         issue_window=config.issue_window,
         fetch_buffer=config.fetch_buffer,

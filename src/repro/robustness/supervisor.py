@@ -11,13 +11,21 @@ one config each.  ``engine="scalar"``, machines outside the
 kernel's contracted ranges, test stand-in configs and hosts without
 ``cc`` take the scalar route.
 
-* **Serial** (``jobs=1``, the unsupervised serial cutover, or a pool
-  that degraded): each kernel route runs as one chunk — the same driver
-  calls as :func:`repro.core.batched.simulate_batch` and
+* **In-process**: each kernel route runs as one chunk — the same
+  driver calls as :func:`repro.core.batched.simulate_batch` and
   :func:`repro.cyclesim.ckernel.run_cycle_plan`, which split it into
   one kernel call per usable CPU on threads of this process — and each
-  scalar config as its own.
-* **Pool** (``jobs>1``): each kernel route's plan is published once
+  scalar config as its own.  An unsupervised sweep runs every kernel
+  chunk here whatever ``jobs`` says: the threaded batch already uses
+  the CPUs a pool would, without its start-up and IPC.  So does every
+  chunk of a ``jobs=1`` sweep, the scalar configs the serial cutover
+  keeps, and whatever a degraded pool leaves.
+* **Pool** (``jobs>1``): it runs every chunk of a supervised sweep, for
+  which it is the isolation boundary, and an unsupervised sweep's
+  scalar configs unless :func:`repro.analysis.parallel.serial_cutover`
+  fires on their count.  Those pooled chunks start only after the
+  in-process ones have finished, so no kernel helper thread is alive
+  when the pool forks.  Each kernel route's plan is published once
   through :mod:`repro.analysis.shm`
   (:func:`repro.analysis.parallel.batched_parallel_sweep`).  Until a
   route's per-config cost is known its grid points go out one per task;
@@ -295,7 +303,7 @@ class _Worker:
 
 
 def _assign_routes(annotated, tasks, engine):
-    """Give every task its route; returns the kernel routes in grid order.
+    """Give every task its route.
 
     A ``MachineConfig`` the MLPsim kernel accepts (built, config inside
     the contracted ranges, ``engine`` not ``"scalar"``), runahead or
@@ -332,7 +340,6 @@ def _assign_routes(annotated, tasks, engine):
                 else plan_for(annotated, machine)
             )
         task.route = routes[key]
-    return list(routes.values())
 
 
 def _run_chunk(annotated, plan, pairs, workload):
@@ -744,22 +751,33 @@ def _execute(annotated, tasks, state, jobs, engine):
     n_jobs = min(parallel.resolve_jobs(jobs), len(tasks))
     if not tasks:
         return False
-    routes = _assign_routes(annotated, tasks, engine)
-    if state.policy is None:
-        pooled = not parallel.serial_cutover(n_jobs, len(tasks))
+    _assign_routes(annotated, tasks, engine)
+    if state.policy is not None:
+        # The pool is supervision's isolation boundary.
+        pool = tasks if n_jobs > 1 else []
     else:
-        pooled = n_jobs > 1  # the pool is supervision's isolation boundary
-    leftover = tasks
-    if pooled:
-        leftover = parallel.batched_parallel_sweep(
-            [route.plan for route in routes],
-            lambda handles: _drain_pool(
-                annotated, tasks, state, n_jobs,
-                dict(zip(routes, handles)),
-            ),
-        )
+        # A kernel chunk already runs on every usable CPU in this
+        # process; only scalar configs can gain from worker processes.
+        pool = [task for task in tasks if task.route is None]
+        if pool and parallel.serial_cutover(n_jobs, len(pool)):
+            pool = []
+    # In-process chunks run first, so no kernel helper thread is alive
+    # when the pool forks.
+    pooled = set(pool)
+    _drain_serial(annotated, _serial_chunks(
+        [task for task in tasks if task not in pooled]), state)
+    if not pool:
+        return False
+    routes = list(dict.fromkeys(
+        task.route for task in pool if task.route is not None))
+    leftover = parallel.batched_parallel_sweep(
+        [route.plan for route in routes],
+        lambda handles: _drain_pool(
+            annotated, pool, state, n_jobs, dict(zip(routes, handles)),
+        ),
+    )
     _drain_serial(annotated, _serial_chunks(leftover), state)
-    return pooled and bool(leftover)
+    return bool(leftover)
 
 
 def sweep_results(annotated, pairs, workload, jobs=None, progress=None,

@@ -383,6 +383,20 @@ class TestEngineSelection:
         assert not batched_supported(MachineConfig.named("64C"),
                                      record_sets=True)
 
+    def test_unrepresentable_field_takes_the_oracle_route(
+            self, database_annotated):
+        """A field no ``int64`` can hold must not wrap into the
+        contract: a ROB of 2**64 + 64 would read 64 in the kernel's
+        struct, pass every range check and simulate another machine."""
+        machine = MachineConfig.named("64C", rob=2**64 + 64)
+        assert not batched_supported(machine)
+        assert _result_fields(simulate(database_annotated, machine)) == \
+            _result_fields(simulate_reference(database_annotated, machine))
+        if ckernel.kernel_available():
+            plan = plan_for(database_annotated, machine)
+            with pytest.raises(InternalError, match="does not fit"):
+                ckernel.run_plan(plan, [("big", machine)], "database")
+
     def test_sweep_engine_parity(self, specweb_annotated):
         """``sweep(engine=...)`` routes are label-for-label identical."""
         from repro.analysis.sweep import sweep

@@ -26,6 +26,7 @@ from repro.cyclesim.plan import cycle_plan_for
 from repro.cyclesim.simulator_reference import (
     run_cyclesim as run_cyclesim_reference,
 )
+from repro.robustness.errors import InternalError
 
 #: Instructions per equivalence run: long enough to exercise deep MSHR
 #: merging, redirects and serializing drains on every workload, short
@@ -132,6 +133,22 @@ def test_parallel_sweep_without_kernel(database_annotated, no_kernel,
         oracle = run_cyclesim_reference(database_annotated, config,
                                         workload="database")
         assert _fields(swept.results[label]) == _fields(oracle), label
+
+
+@pytest.mark.skipif(
+    not kernel_available(), reason="no C compiler for the cyclesim kernel"
+)
+def test_unrepresentable_field_is_refused(database_annotated):
+    """A field no ``int64`` can hold is refused like any out-of-range
+    one, not wrapped: a miss penalty of 2**64 + 200 would read 200."""
+    plan = cycle_plan_for(database_annotated)
+    for penalty in (2**40, 2**64 + 200):
+        config = CycleSimConfig.from_machine(
+            MachineConfig.named("64C"), miss_penalty=penalty)
+        with pytest.raises(InternalError, match="outside its contract"):
+            run_cycle_plan(plan, [("big", config)], "database")
+        with pytest.raises(InternalError, match="outside its contract"):
+            run_cyclesim(database_annotated, config)
 
 
 def test_labels_match_reference(database_annotated):

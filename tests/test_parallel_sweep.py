@@ -117,23 +117,28 @@ class TestWorkerFailure:
     def test_spawn_spill_path(self, specjbb_annotated, monkeypatch):
         """Forkless platforms spill the trace to a .npz the workers
         load; the results must still match serial (regression: the
-        spill used to call save_annotated with swapped arguments)."""
+        spill used to call save_annotated with swapped arguments).
+        Scalar-route configs are what an unsupervised pool runs."""
         import multiprocessing
 
         real_get_context = multiprocessing.get_context
+        asked = []
 
         def no_fork(method=None):
+            asked.append(method)
             if method == "fork":
                 # Mimics multiprocessing's own missing-start-method error.
                 raise ValueError("cannot find context for 'fork'")  # reprolint: disable=error-hierarchy
             return real_get_context(method)
 
+        monkeypatch.setattr(parallel, "effective_cpus", lambda: 2)
         monkeypatch.setattr(
             parallel.multiprocessing, "get_context", no_fork
         )
         grid = _grid()[:2]
         serial = sweep(specjbb_annotated, grid, jobs=1)
-        spawned = sweep(specjbb_annotated, grid, jobs=2)
+        spawned = sweep(specjbb_annotated, grid, jobs=2, engine="scalar")
+        assert asked == ["fork", "spawn"]
         for label in serial.labels():
             assert _result_fields(spawned.results[label]) == \
                 _result_fields(serial.results[label])
@@ -150,11 +155,90 @@ class TestWorkerFailure:
         monkeypatch.setattr(parallel, "effective_cpus", lambda: 4)
         monkeypatch.setattr(parallel, "share_annotated", no_context)
         serial = sweep(specjbb_annotated, _grid(), jobs=1)
-        fallback = sweep(specjbb_annotated, _grid(), jobs=4)
+        fallback = sweep(specjbb_annotated, _grid(), jobs=4,
+                         engine="scalar")
         assert len(asked) == 1  # the jobs=4 sweep tried for a pool
         for label in serial.labels():
             assert _result_fields(fallback.results[label]) == \
                 _result_fields(serial.results[label])
+
+
+def _forbid(monkeypatch, module, name):
+    """Make ``module.name`` fail the test if anything calls it."""
+    def forbidden(*args, **kwargs):
+        pytest.fail(f"{module.__name__}.{name} was called")
+
+    monkeypatch.setattr(module, name, forbidden)
+
+
+class TestUnsupervisedRouting:
+    """An unsupervised sweep runs its kernel chunks in-process whatever
+    ``jobs`` says; only scalar-route configs may go to the pool."""
+
+    def test_kernel_grid_stays_in_process(self, specjbb_annotated,
+                                          monkeypatch):
+        import repro.analysis.shm as shm
+        from repro.core import ckernel
+
+        if not ckernel.kernel_available():
+            pytest.skip(f"no compiled kernel: {ckernel.kernel_error()}")
+        monkeypatch.setattr(parallel, "effective_cpus", lambda: 2)
+        serial = sweep(specjbb_annotated, _grid(), jobs=1)
+        _forbid(monkeypatch, parallel, "share_annotated")
+        _forbid(monkeypatch, shm, "publish_plan")
+        seen = []
+        pooled = sweep(specjbb_annotated, _grid(), jobs=2,
+                       progress=seen.append)
+        assert seen == list(GRID_SPECS)
+        assert pooled.labels() == serial.labels()
+        for label in serial.labels():
+            assert _result_fields(pooled.results[label]) == \
+                _result_fields(serial.results[label]), label
+
+    def test_mixed_grid_pools_only_scalar_configs(self, specjbb_annotated,
+                                                  monkeypatch):
+        """Machines outside the kernel contract take the scalar route;
+        they alone reach the pool, which forks only once the in-process
+        kernel chunks (and their helper threads) are done."""
+        import threading
+
+        import repro.analysis.shm as shm
+        import repro.robustness.supervisor as supervisor
+        from repro.core.batched import batched_supported
+        from repro.core.mlpsim import simulate_oracle
+
+        grid = _grid()
+        grid.insert(1, ("64C-rob2^25",
+                        MachineConfig.named("64C", rob=1 << 25)))
+        grid.append(("128C-rob2^25",
+                     MachineConfig.named("128C", rob=1 << 25)))
+        scalar = [label for label, machine in grid
+                  if not batched_supported(machine)]
+        assert len(scalar) >= 2
+        monkeypatch.setattr(parallel, "effective_cpus", lambda: 2)
+        _forbid(monkeypatch, shm, "publish_plan")
+        threads = set(threading.enumerate())
+        pools = []
+        real_drain_pool = supervisor._drain_pool
+
+        def recording_drain_pool(annotated, tasks, state, *args):
+            pools.append((
+                [task.label for task in tasks],
+                all(task.finished for task in state.tasks
+                    if task.route is not None),
+                set(threading.enumerate()) <= threads,
+            ))
+            return real_drain_pool(annotated, tasks, state, *args)
+
+        monkeypatch.setattr(supervisor, "_drain_pool", recording_drain_pool)
+        seen = []
+        swept = sweep(specjbb_annotated, grid, jobs=2, progress=seen.append)
+        assert pools == [(scalar, True, True)]
+        assert seen == [label for label, _ in grid]
+        for label, machine in grid:
+            assert _result_fields(swept.results[label]) == \
+                _result_fields(simulate_oracle(specjbb_annotated,
+                                               machine)), label
 
 
 class TestSupervisedCyclesimPool:

@@ -23,7 +23,7 @@ import repro.robustness.supervisor as supervisor
 from repro.analysis.sweep import sweep
 from repro.core.columnar import PLAN_COLUMNS, plan_for
 from repro.core.config import MachineConfig
-from repro.robustness.errors import SimulationError, TraceFormatError
+from repro.robustness.errors import TraceFormatError
 
 
 def _grid():
@@ -135,19 +135,19 @@ class TestWorkerDeath:
 
 #: Twenty pooled kernel sweeps of the paper's 30-config grid, run in a
 #: fresh interpreter so its resource tracker's stderr is observable.
+#: Supervised, because an unsupervised sweep runs kernel chunks
+#: in-process and publishes nothing.
 _TRACKER_SCRIPT = """
-import repro.analysis.parallel as parallel
 from repro.analysis.sweep import sweep
 from repro.core.config import MachineConfig
 from repro.trace.annotate import annotate
 from repro.workloads import generate_trace
 
-parallel.effective_cpus = lambda: 2
 annotated = annotate(generate_trace("specjbb2000", 20000))
 grid = [(f"{w}{p}", MachineConfig.named(f"{w}{p}"))
         for w in (16, 32, 64, 128, 256, 512) for p in "ABCDE"]
 for _ in range(20):
-    sweep(annotated, grid, jobs=2)
+    assert sweep(annotated, grid, jobs=2, supervise=True).complete
 """
 
 
@@ -189,26 +189,37 @@ def _published_handles(monkeypatch):
     return handles
 
 
+#: The pytest process; a pool worker is any other.
+_PARENT_PID = os.getpid()
+
+
 def _failing_chunk(annotated, plan, pairs, workload):
     raise RuntimeError("worker exploded")  # reprolint: disable=error-hierarchy
 
 
 def _suicidal_chunk(annotated, plan, pairs, workload):
+    if os.getpid() == _PARENT_PID:
+        # A chunk run in-process must fail the test, not kill pytest.
+        raise RuntimeError("chunk ran in the parent")  # reprolint: disable=error-hierarchy
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _pooled_sweep(annotated, monkeypatch):
-    """A ``jobs=2`` sweep that takes the pool even on a one-CPU host."""
-    monkeypatch.setattr(parallel, "effective_cpus", lambda: 2)
-    return sweep(annotated, _grid(), workload="specjbb2000", jobs=2)
+def _pooled_sweep(annotated):
+    """A supervised ``jobs=2`` kernel sweep: it always takes the pool,
+    its isolation boundary, and publishes one plan per mask group.  A
+    failed config is quarantined at once."""
+    return sweep(annotated, _grid(), workload="specjbb2000", jobs=2,
+                 supervise={"policy": supervisor.SupervisorPolicy(
+                     max_retries=0, backoff_base=0.0)})
 
 
 class TestSweepLifecycle:
     def test_success_path_unlinks_everything(self, specjbb_annotated,
                                              monkeypatch):
         handles = _published_handles(monkeypatch)
-        results = _pooled_sweep(specjbb_annotated, monkeypatch).results
-        assert len(results) == len(_grid())
+        swept = _pooled_sweep(specjbb_annotated)
+        assert swept.complete
+        assert len(swept.results) == len(_grid())
         assert len(handles) == 2, "one plan per event-mask group"
         assert all(not shm.plan_is_published(h) for h in handles)
 
@@ -216,9 +227,10 @@ class TestSweepLifecycle:
                                              monkeypatch):
         handles = _published_handles(monkeypatch)
         monkeypatch.setattr(supervisor, "_run_chunk", _failing_chunk)
-        with pytest.raises(SimulationError) as excinfo:
-            _pooled_sweep(specjbb_annotated, monkeypatch)
-        assert "worker exploded" in str(excinfo.value)
+        swept = _pooled_sweep(specjbb_annotated)
+        assert not swept.results
+        assert len(swept.quarantined) == len(_grid())
+        assert "worker exploded" in swept.quarantine_report()
         assert handles
         assert all(not shm.plan_is_published(h) for h in handles)
 
@@ -226,8 +238,13 @@ class TestSweepLifecycle:
             self, specjbb_annotated, monkeypatch):
         handles = _published_handles(monkeypatch)
         monkeypatch.setattr(supervisor, "_run_chunk", _suicidal_chunk)
-        with pytest.raises(SimulationError):
-            _pooled_sweep(specjbb_annotated, monkeypatch)
+        swept = _pooled_sweep(specjbb_annotated)
+        assert not swept.results
+        assert len(swept.quarantined) == len(_grid())
+        assert all("worker process died" in q.error
+                   for q in swept.quarantined)
+        assert swept.worker_replacements == len(_grid())
+        assert not swept.degraded_to_serial
         assert handles
         assert all(not shm.plan_is_published(h) for h in handles)
 
