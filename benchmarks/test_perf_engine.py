@@ -70,6 +70,13 @@ def _machines():
     return [(spec, MachineConfig.named(spec)) for spec in SWEEP_SPECS]
 
 
+def _in_process(annotated, grid, workload):
+    """``{label: result}`` of *grid*, swept in this process."""
+    from repro.analysis.sweep import sweep
+
+    return sweep(annotated, grid, workload=workload, jobs=1).results
+
+
 def _best_of(fn, *args, reps=3, **kwargs):
     """Minimum wall time of *reps* calls (first call warms the memos)."""
     best = None
@@ -200,7 +207,6 @@ def test_batched_grid_speedup(results_dir):
     """
     import dataclasses
 
-    from repro.core.batched import simulate_batch
     from repro.core.ckernel import kernel_available, kernel_error
     from repro.core.config import MachineConfig
     from repro.core.mlpsim_reference import simulate_reference
@@ -210,7 +216,7 @@ def test_batched_grid_speedup(results_dir):
     total_scalar = 0.0
     total_batched = 0.0
     for name, annotated in _fixed_workloads():
-        batch = simulate_batch(annotated, grid, workload=name)  # warm
+        batch = _in_process(annotated, grid, name)  # warm
         for label, machine in grid:
             scalar_result = simulate_reference(annotated, machine,
                                                workload=name)
@@ -225,8 +231,7 @@ def test_batched_grid_speedup(results_dir):
                 simulate_reference(annotated, machine, workload=name)
 
         t_scalar = _best_of(scalar_grid, reps=2)
-        t_batched = _best_of(simulate_batch, annotated, grid,
-                             workload=name, reps=3)
+        t_batched = _best_of(_in_process, annotated, grid, name, reps=3)
         per_workload[name] = {
             "seconds": round(t_batched, 6),
             "scalar_seconds": round(t_scalar, 6),
@@ -266,14 +271,13 @@ def test_runahead_grid_speedup(results_dir):
     """Runahead machines on the compiled kernel vs the runahead oracle.
 
     Figure 10's five RAE configs plus Figure 9's RAE+VP and a shorter
-    runahead distance, one ``simulate_batch`` per workload against
+    runahead distance, one in-process ``sweep`` per workload against
     per-config :func:`repro.core.runahead.simulate_runahead` replays
     (kind "runahead_grid").  Results must be bit-identical, and the
     kernel must hold 5x even on CI smoke traces.
     """
     import dataclasses
 
-    from repro.core.batched import simulate_batch
     from repro.core.ckernel import kernel_available, kernel_error
     from repro.core.config import MachineConfig
     from repro.core.limits import limit_configs
@@ -289,7 +293,7 @@ def test_runahead_grid_speedup(results_dir):
     total_scalar = 0.0
     total_kernel = 0.0
     for name, annotated in _fixed_workloads():
-        batch = simulate_batch(annotated, grid, workload=name)  # warm
+        batch = _in_process(annotated, grid, name)  # warm
         for label, machine in grid:
             oracle = simulate_runahead(annotated, machine, workload=name)
             want = dataclasses.asdict(oracle)
@@ -303,8 +307,7 @@ def test_runahead_grid_speedup(results_dir):
                 simulate_runahead(annotated, machine, workload=name)
 
         t_scalar = _best_of(scalar_grid, reps=2)
-        t_kernel = _best_of(simulate_batch, annotated, grid,
-                            workload=name, reps=3)
+        t_kernel = _best_of(_in_process, annotated, grid, name, reps=3)
         per_workload[name] = {
             "seconds": round(t_kernel, 6),
             "scalar_seconds": round(t_scalar, 6),

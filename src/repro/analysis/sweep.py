@@ -105,12 +105,12 @@ def sweep(annotated, machines, workload=None, progress=None, jobs=None,
     *engine* picks the simulation backend: ``"auto"`` (default) runs
     each event-mask group of the grid, runahead machines included, as
     compiled-kernel calls over one columnar plan
-    (:mod:`repro.core.batched`) — bit-identical to the oracles and well
-    over an order of magnitude faster on full grids — and only machines
-    outside the kernel's contracted ranges on the oracles
-    (:func:`repro.core.mlpsim.simulate_oracle`); ``"batched"`` does the
-    same (it is the explicit spelling); ``"scalar"`` runs every config
-    on the oracles, one instruction at a time.  Without the compiled
+    (:func:`repro.core.ckernel.run_plan`) — bit-identical to the
+    oracles and well over an order of magnitude faster on full grids —
+    and only machines outside the kernel's contracted ranges on the
+    oracles (:func:`repro.core.mlpsim.simulate_oracle`); ``"batched"``
+    does the same (it is the explicit spelling); ``"scalar"`` runs every
+    config on the oracles, one instruction at a time.  Without the compiled
     kernel every engine runs the oracles.
 
     *supervise* routes the sweep through the crash-safe supervisor

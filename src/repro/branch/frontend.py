@@ -1,88 +1,38 @@
 """The composed front-end branch predictor.
 
-Combines gshare (direction), BTB (target) and RAS (returns) into the
-single question the epoch model asks of every dynamic branch: *was it
+Combines gshare (direction) and the BTB (target) into the single
+question the epoch model asks of every dynamic branch: *was it
 mispredicted?*  A branch mispredicts when its predicted direction is
 wrong, or when it is taken and the predicted target is absent or stale.
+Returns are predicted like any other branch: no return-address stack is
+modelled (DESIGN.md §7).
 """
-
-import dataclasses
-import enum
 
 from repro.branch.btb import BranchTargetBuffer
 from repro.branch.gshare import GshareGPredictor
-from repro.branch.ras import ReturnAddressStack
-
-
-class BranchKind(enum.IntEnum):
-    """How the front end should predict a branch's target."""
-
-    CONDITIONAL = 0
-    CALL = 1
-    RETURN = 2
-
-
-@dataclasses.dataclass
-class PredictorStats:
-    """Running accuracy counters."""
-
-    branches: int = 0
-    mispredictions: int = 0
-    direction_mispredictions: int = 0
-    target_mispredictions: int = 0
-
-    @property
-    def accuracy(self):
-        if not self.branches:
-            return 1.0
-        return 1.0 - self.mispredictions / self.branches
 
 
 class BranchPredictor:
-    """gshare + BTB + RAS front end (paper Section 5.1 geometry)."""
+    """gshare + BTB front end (paper Section 5.1 geometry)."""
 
-    def __init__(
-        self,
-        gshare_entries=64 * 1024,
-        btb_entries=16 * 1024,
-        ras_depth=16,
-    ):
+    def __init__(self, gshare_entries=64 * 1024, btb_entries=16 * 1024):
         self.direction = GshareGPredictor(entries=gshare_entries)
         self.btb = BranchTargetBuffer(entries=btb_entries)
-        self.ras = ReturnAddressStack(depth=ras_depth)
-        self.stats = PredictorStats()
 
-    def observe(self, pc, taken, target, kind=BranchKind.CONDITIONAL):
+    def observe(self, pc, taken, target):
         """Predict, train on the actual outcome, and return mispredicted?
 
         Parameters mirror the trace columns: *taken* and *target* are the
         branch's architectural outcome.
         """
-        self.stats.branches += 1
-
-        if kind == BranchKind.RETURN:
-            predicted_taken = True
-            predicted_target = self.ras.pop()
-        else:
-            predicted_taken = self.direction.predict(pc)
-            predicted_target = self.btb.lookup(pc)
-
-        direction_wrong = predicted_taken != taken
-        target_wrong = taken and not direction_wrong and predicted_target != target
-        mispredicted = direction_wrong or target_wrong
-
-        if direction_wrong:
-            self.stats.direction_mispredictions += 1
-        if target_wrong:
-            self.stats.target_mispredictions += 1
-        if mispredicted:
-            self.stats.mispredictions += 1
+        predicted_taken = self.direction.predict(pc)
+        predicted_target = self.btb.lookup(pc)
+        mispredicted = predicted_taken != taken or (
+            taken and predicted_target != target)
 
         # Train.
         self.direction.update(pc, taken)
         if taken:
             self.btb.update(pc, target)
-        if kind == BranchKind.CALL:
-            self.ras.push(pc + 4)
 
         return mispredicted

@@ -163,7 +163,7 @@ def cmd_calibrate(args):
 
 def cmd_simulate(args):
     """``repro simulate``: MLPsim / in-order machines over a trace."""
-    from repro.core.batched import simulate_batch
+    from repro.analysis.sweep import sweep
     from repro.core.inorder import (
         simulate_stall_on_miss,
         simulate_stall_on_use,
@@ -176,8 +176,10 @@ def cmd_simulate(args):
     if args.in_order in ("stall-on-use", "both"):
         results.append(simulate_stall_on_use(annotated))
     specs = args.machine or (["64C"] if not args.in_order else [])
-    machines = [_parse_machine(spec) for spec in specs]
-    results += simulate_batch(annotated, list(enumerate(machines))).values()
+    # Numbered labels: a spec may be given twice, and an error names them.
+    grid = [(f"#{index} {spec}", _parse_machine(spec))
+            for index, spec in enumerate(specs, 1)]
+    results += sweep(annotated, grid, jobs=1).results.values()
     for result in results:
         print(result.summary())
         if args.inhibitors:

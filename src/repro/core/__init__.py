@@ -31,7 +31,6 @@ from repro.core.inorder import (
     simulate_stall_on_miss,
     simulate_stall_on_use,
 )
-from repro.core.batched import batched_supported, simulate_batch
 from repro.core.columnar import COLUMNAR_SCHEMA_VERSION, ColumnarPlan, plan_for
 from repro.core.limits import limit_configs, perfect_variant
 from repro.core.smt import (
@@ -57,8 +56,6 @@ __all__ = [
     "simulate_inorder",
     "simulate_stall_on_miss",
     "simulate_stall_on_use",
-    "batched_supported",
-    "simulate_batch",
     "COLUMNAR_SCHEMA_VERSION",
     "ColumnarPlan",
     "plan_for",

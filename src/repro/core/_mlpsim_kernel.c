@@ -13,8 +13,8 @@
  * here must keep that property.
  *
  * Compiled on demand by repro.cbuild with the system C compiler; when
- * no compiler is available repro.core.mlpsim.simulate and
- * repro.core.batched run the oracles instead.  No libc beyond
+ * no compiler is available repro.core.mlpsim.simulate and the sweep
+ * executor run the oracles instead.  No libc beyond
  * malloc/free/memcpy/memset.
  *
  * Layout contract (see ColumnarPlan):

@@ -15,8 +15,8 @@ its slice's call.
 Everything here is fail-soft: a missing compiler, an unwritable build
 directory or a failed compilation simply mark the kernel unavailable
 (:func:`kernel_available` returns ``False``), and
-:func:`repro.core.mlpsim.simulate` and :mod:`repro.core.batched` send
-every config to the oracles.
+:func:`repro.core.mlpsim.simulate` and the sweep executor
+(:mod:`repro.robustness.supervisor`) send every config to the oracles.
 """
 
 import ctypes
@@ -138,6 +138,16 @@ def in_contract(machine):
         return False
     return _loader.violation(
         "mlpsim_batch", {"configs": configs, "nconfigs": 1}) is None
+
+
+def batched_supported(machine, record_sets=False):
+    """Will *machine* run on the compiled kernel (vs the oracles)?
+
+    True when the kernel is available, the run does not record epoch
+    sets, and the machine's kernel config lies inside the contracted
+    ranges (:func:`in_contract`).
+    """
+    return not record_sets and kernel_available() and in_contract(machine)
 
 
 def run_plan(plan, machines, workload):

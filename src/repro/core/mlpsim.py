@@ -43,7 +43,7 @@ way :func:`repro.cyclesim.simulator.run_cyclesim` does:
 
 * the compiled kernel (:mod:`repro.core.ckernel`), over the run's
   columnar plan, whenever it is built and covers the machine
-  (:func:`repro.core.batched.batched_supported`);
+  (:func:`repro.core.ckernel.batched_supported`);
 * otherwise the oracles (:func:`simulate_oracle`): the frozen
   :mod:`repro.core.mlpsim_reference` for out-of-order machines and
   :mod:`repro.core.runahead` for runahead ones.  They are the route for
@@ -107,11 +107,11 @@ def simulate(annotated, machine, start=None, stop=None, workload=None,
     otherwise; both return the same result.
     """
     # Imported here: columnar imports this module.
-    from repro.core import batched, ckernel, columnar
+    from repro.core import ckernel, columnar
     from repro.robustness.validate import validate_annotated
 
     validate_annotated(annotated, check_events=False)
-    if not batched.batched_supported(machine, record_sets):
+    if not ckernel.batched_supported(machine, record_sets):
         return simulate_oracle(
             annotated, machine, start=start, stop=stop,
             workload=workload, record_sets=record_sets,

@@ -17,7 +17,8 @@ own thread.
 Everything is fail-soft: a missing compiler or unwritable build
 directory marks the kernel unavailable (:func:`kernel_available`
 returns ``False``) and :mod:`repro.cyclesim.simulator` runs the
-reference simulator instead.
+reference simulator instead.  So does a config outside the kernel's
+contracted ranges (:func:`in_contract`).
 """
 
 import ctypes
@@ -136,6 +137,21 @@ def _config_struct(config):
         perfect_l2=config.perfect_l2,
         event_skip=config.event_skip,
     )
+
+
+def in_contract(config):
+    """Do *config*'s kernel fields lie inside the contracted ranges?
+
+    A valid config can exceed them (a ROB above 2**20, a field no
+    ``int64`` can hold); the kernel is not certified for it, so it runs
+    on the frozen reference instead.
+    """
+    try:
+        configs = (_KernelConfig * 1)(_config_struct(config))
+    except InternalError:
+        return False
+    return _loader.violation(
+        "cyclesim_batch", {"configs": configs, "n_configs": 1}) is None
 
 
 def run_cycle_plan(plan, pairs, workload):

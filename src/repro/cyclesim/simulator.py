@@ -17,7 +17,8 @@ Two implementations exist, held bit-identical by
   demand from ``_cyclesim_kernel.c``, which runs a whole config grid
   against one precomputed :class:`repro.cyclesim.plan.CyclePlan`;
 * the frozen reference itself, which :func:`run_cyclesim` falls back to
-  on hosts where the kernel cannot be built.
+  on hosts where the kernel cannot be built and for configs outside the
+  kernel's contracted ranges (:func:`repro.cyclesim.ckernel.in_contract`).
 """
 
 from repro.cyclesim import simulator_reference
@@ -42,13 +43,14 @@ def run_cyclesim(annotated, config=None, start=None, stop=None,
                  workload=None):
     """Simulate *annotated* under *config*; return :class:`CycleMetrics`.
 
-    Uses the compiled kernel when it is available and the frozen
-    reference simulator otherwise; both give bit-identical results.
+    Uses the compiled kernel when it is available and covers *config*,
+    and the frozen reference simulator otherwise; both give
+    bit-identical results.
     """
     from repro.cyclesim import ckernel
 
     config = config or CycleSimConfig()
-    if not ckernel.kernel_available():
+    if not (ckernel.kernel_available() and ckernel.in_contract(config)):
         return simulator_reference.run_cyclesim(
             annotated, config, start=start, stop=stop, workload=workload
         )

@@ -1,6 +1,6 @@
 """The on-chip cache hierarchy of the modeled machine.
 
-Composes L1I + L1D + shared L2 (+ TLB) and classifies every reference by
+Composes L1I + L1D + shared L2 and classifies every reference by
 the furthest level it had to reach.  A reference that misses the L2 is an
 *off-chip access* — the unit of MLP.  The prefetcher study drives this
 composed hierarchy.  The annotation pipeline (:mod:`repro.trace.annotate`)
@@ -13,7 +13,6 @@ import dataclasses
 import enum
 
 from repro.memory.cache import Cache, CacheConfig
-from repro.memory.tlb import TLB
 
 
 class AccessLevel(enum.IntEnum):
@@ -31,7 +30,6 @@ class HierarchyConfig:
     l1i: CacheConfig = CacheConfig(size_bytes=32 * 1024, associativity=4)
     l1d: CacheConfig = CacheConfig(size_bytes=32 * 1024, associativity=4)
     l2: CacheConfig = CacheConfig(size_bytes=2 * 1024 * 1024, associativity=4)
-    tlb_entries: int = 2048
 
     def with_l2_size(self, size_bytes):
         """Return a copy with the L2 capacity replaced (Figure 7 sweeps)."""
@@ -44,7 +42,7 @@ class HierarchyConfig:
 
 
 class Hierarchy:
-    """L1I/L1D/shared-L2 hierarchy with a shared TLB.
+    """L1I/L1D/shared-L2 hierarchy.
 
     The L2 is shared between instruction and data streams, which is what
     makes the database workload's large instruction footprint steal L2
@@ -57,7 +55,6 @@ class Hierarchy:
         self.l1i = Cache(self.config.l1i, name="L1I")
         self.l1d = Cache(self.config.l1d, name="L1D")
         self.l2 = Cache(self.config.l2, name="L2")
-        self.tlb = TLB(entries=self.config.tlb_entries)
         self.offchip_accesses = 0
 
     def access_instruction(self, pc):
@@ -77,7 +74,6 @@ class Hierarchy:
         identically because writeback traffic is out of scope.
         """
         del is_write  # write-allocate: writes behave like reads for MLP
-        self.tlb.access(addr)
         if self.l1d.access(addr):
             return AccessLevel.L1
         if self.l2.access(addr):
@@ -99,5 +95,4 @@ class Hierarchy:
         self.l1i.reset_stats()
         self.l1d.reset_stats()
         self.l2.reset_stats()
-        self.tlb.reset_stats()
         self.offchip_accesses = 0

@@ -11,9 +11,9 @@ one config each.  ``engine="scalar"``, machines outside the
 kernel's contracted ranges, test stand-in configs and hosts without
 ``cc`` take the scalar route.
 
-* **In-process**: each kernel route runs as one chunk — the same
-  driver calls as :func:`repro.core.batched.simulate_batch` and
-  :func:`repro.cyclesim.ckernel.run_cycle_plan`, which split it into
+* **In-process**: each kernel route runs as one chunk — one driver
+  call, :func:`repro.core.ckernel.run_plan` or
+  :func:`repro.cyclesim.ckernel.run_cycle_plan`, which splits it into
   one kernel call per usable CPU on threads of this process — and each
   scalar config as its own.  An unsupervised sweep runs every kernel
   chunk here whatever ``jobs`` says: the threaded batch already uses
@@ -307,12 +307,13 @@ def _assign_routes(annotated, tasks, engine):
 
     A ``MachineConfig`` the MLPsim kernel accepts (built, config inside
     the contracted ranges, ``engine`` not ``"scalar"``), runahead or
-    not, shares its mask group's columnar plan;
-    a ``CycleSimConfig`` shares the cycle plan when the cyclesim kernel
-    is built.  Everything else stays on the scalar route.  The trace is
-    validated once, before the first plan is built from it.
+    not, shares its mask group's columnar plan; a ``CycleSimConfig``
+    the cyclesim kernel accepts (built, config inside the contracted
+    ranges) shares the cycle plan.  Everything else stays on the scalar
+    route.  The trace is validated once, before the first plan is built
+    from it.
     """
-    from repro.core.batched import batched_supported
+    from repro.core.ckernel import batched_supported
     from repro.core.columnar import mask_key, plan_for
     from repro.core.config import MachineConfig
     from repro.cyclesim import ckernel as cycle_ckernel
@@ -324,7 +325,8 @@ def _assign_routes(annotated, tasks, engine):
     for task in tasks:
         machine = task.machine
         if isinstance(machine, CycleSimConfig):
-            if not cycle_ckernel.kernel_available():
+            if not (cycle_ckernel.kernel_available()
+                    and cycle_ckernel.in_contract(machine)):
                 continue
             key = "cyclesim"
         elif (isinstance(machine, MachineConfig) and engine != "scalar"

@@ -1,12 +1,12 @@
 /* Compiled annotation kernel: the two layers of repro.trace.annotate,
  * and the renaming behind repro.core.depgraph.
  *
- * annotate_front() is a C translation of annotate._run_front_pass with
- * the default branch predictor: true-LRU L1I/L1D filtering plus gshare
- * and the 4-way BTB.  The front pass predicts every branch as
- * CONDITIONAL, so the return-address stack is never consulted.  It
- * writes the trace-length mispredict mask and the positions and kinds
- * of the trace-order access stream the L2 layer needs.
+ * annotate_front() is a C translation of annotate._run_front_pass:
+ * true-LRU L1I/L1D filtering plus gshare and the 4-way BTB, which
+ * predict returns like any other branch (no return-address stack is
+ * modelled).  It writes the trace-length mispredict mask and the
+ * positions and kinds of the trace-order access stream the L2 layer
+ * needs.
  * annotate_back() is the L2 replay of annotate.back_pass: it sets the
  * imiss/dmiss/smiss/pmiss/pfuseful masks.  annotate_rename() is
  * depgraph.rename_region: each instruction's register and memory
@@ -31,10 +31,12 @@
  * the smallest age, fills empty ways first.
  *
  * Shared names: the OP_* opcodes, the stream kinds FETCH_MISS ...
- * LOAD_HIT of repro.trace.annotate, BTB_WAYS (repro.branch.btb), the
- * register file's NUM_REGS and REG_ZERO (repro.isa.registers), the
- * Geometry struct and the prototypes of the three entry points come
- * from the header repro.cbuild renders from the Python definitions
+ * LOAD_HIT of repro.trace.annotate, BTB_WAYS (repro.branch.btb), WAYS
+ * (the ways reserved per cache set: the largest associativity
+ * ANNOTATE_CONTRACT admits), the register file's NUM_REGS and
+ * REG_ZERO (repro.isa.registers), the Geometry struct and the
+ * prototypes of the three entry points come from the header
+ * repro.cbuild renders from the Python definitions
  * (repro/trace/ckernel.py) and compiles ahead of this file.  The
  * prototypes are rendered from each entry point's one declaration, in
  * ANNOTATE_CONTRACT, so the compiler checks the definitions below
@@ -44,10 +46,6 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-/* Ways reserved per cache set: the largest associativity the
- * contract admits. */
-#define WAYS 16
 
 typedef struct {
     int64_t *tags;   /* WAYS slots per set: the resident line        */

@@ -25,8 +25,8 @@ value-predictor observations on missing loads and the prefetch
 bookkeeping depend on the L2's size:
 
 * :func:`front_pass` filters the trace through the L1s and runs the
-  gshare/BTB front end (every branch is observed as conditional, so
-  the return-address stack is never consulted).  It emits ``mispred``
+  gshare/BTB front end (returns are predicted like any other branch;
+  no return-address stack is modelled).  It emits ``mispred``
   plus, in trace order, every L1 miss and every L1-hit demand access
   to a line that some prefetch touches.  It is memoised on the trace.
 * :func:`back_pass` replays that short stream through the L2 and then
@@ -37,10 +37,9 @@ once per trace, not once per size.
 
 Both layers run in C (:mod:`repro.trace.ckernel`) when the compiled
 kernel is available and the trace lies inside its contract.  The
-Python loops below are the oracle and the fallback route: for an
-injected branch predictor, for traces outside the contract, and on
-hosts without a C compiler.  The last-value predictor runs in Python
-on both routes.
+Python loops below are the oracle and the fallback route: for traces
+outside the contract and on hosts without a C compiler.  The last-value
+predictor runs in Python on both routes.
 
 The pipeline mirrors the paper's methodology of warming the caches on a
 prefix of the trace (Section 4.2): annotations are produced for the whole
@@ -186,7 +185,7 @@ def manual_annotation(trace, dmiss_at=(), imiss_at=(), mispred_at=(),
     )
 
 
-def annotate(trace, config=None, value_predictor=None, branch_predictor=None):
+def annotate(trace, config=None):
     """Run the memory hierarchy and predictors over *trace*.
 
     Runs the two layers in order: :func:`front_pass` (memoised on
@@ -200,9 +199,6 @@ def annotate(trace, config=None, value_predictor=None, branch_predictor=None):
     config:
         :class:`AnnotationConfig`; defaults to the paper's Section 5.1
         machine.
-    value_predictor / branch_predictor:
-        Injectable predictor instances (tests use these); fresh ones are
-        built from *config* when omitted.
 
     Returns
     -------
@@ -218,8 +214,7 @@ def annotate(trace, config=None, value_predictor=None, branch_predictor=None):
 
     validate_trace(trace)
     config = config or AnnotationConfig()
-    front = front_pass(trace, config, branch_predictor)
-    return back_pass(trace, front, config, value_predictor)
+    return back_pass(trace, front_pass(trace, config), config)
 
 
 #: Kinds of the front pass's access stream.  The first four are L1
@@ -244,19 +239,15 @@ class FrontPass:
     addr: np.ndarray
 
 
-def front_pass(trace, config, branch_predictor=None):
+def front_pass(trace, config):
     """Return the (memoised) L2-independent layer of annotating *trace*.
 
     The hierarchy has no back-invalidation, so no L2 changes what the
     L1s hold, and the branch predictor never sees the caches.  The pass
     is cached on *trace*, like the dependence graph, keyed by what it
     depends on: the L1 geometries, the L2 line size (which defines fetch
-    lines and prefetched lines) and the branch predictor sizes.  An
-    injected *branch_predictor* carries state that key cannot name, so
-    it gets a fresh pass that is not memoised, on the Python route.
+    lines and prefetched lines) and the branch predictor sizes.
     """
-    if branch_predictor is not None:
-        return _run_front_pass(trace, config, branch_predictor)
     cache = getattr(trace, "_front_pass_cache", None)
     if cache is None:
         cache = {}
@@ -269,10 +260,7 @@ def front_pass(trace, config, branch_predictor=None):
         if _kernel_route(trace, config):
             front = FrontPass(*ckernel.run_front_pass(trace, config))
         else:
-            front = _run_front_pass(trace, config, BranchPredictor(
-                gshare_entries=config.gshare_entries,
-                btb_entries=config.btb_entries,
-            ))
+            front = _run_front_pass(trace, config)
         cache[key] = front
     return front
 
@@ -283,12 +271,15 @@ def _kernel_route(trace, config):
             and ckernel.contract_violation(trace, config) is None)
 
 
-def _run_front_pass(trace, config, branch_pred):
+def _run_front_pass(trace, config):
     """Filter *trace* through the L1s and predict its branches."""
     hierarchy = config.hierarchy
     fetch = Cache(hierarchy.l1i, name="L1I").access
     touch = Cache(hierarchy.l1d, name="L1D").access
-    observe_branch = branch_pred.observe
+    observe_branch = BranchPredictor(
+        gshare_entries=config.gshare_entries,
+        btb_entries=config.btb_entries,
+    ).observe
     line_shift = hierarchy.l2.line_shift
 
     # Bind columns to fast local lists.
@@ -363,7 +354,7 @@ def _run_front_pass(trace, config, branch_pred):
     )
 
 
-def back_pass(trace, front, config, value_predictor=None):
+def back_pass(trace, front, config):
     """Replay *front*'s access stream through the L2; return the annotation.
 
     Sets the off-chip masks and prefetch usefulness, then runs the
@@ -378,9 +369,7 @@ def back_pass(trace, front, config, value_predictor=None):
     dmiss, pmiss, pfuseful, imiss, smiss = replayed
 
     vp_outcome = np.full(n, _VP_NA, dtype=np.int8)
-    observe_value = (
-        value_predictor or LastValuePredictor(entries=config.vp_entries)
-    ).observe
+    observe_value = LastValuePredictor(entries=config.vp_entries).observe
     misses = np.flatnonzero(dmiss)
     vp_outcome[misses] = [
         VP_OUTCOME_CODES[observe_value(pc, value)]

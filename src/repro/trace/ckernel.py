@@ -6,7 +6,7 @@ checked by :mod:`repro.cbuild` from their declarations in
 :data:`ANNOTATE_CONTRACT`, like the two simulator kernels:
 
 * :func:`run_front_pass` — L1I/L1D filtering plus gshare and the BTB,
-  for the memoised front pass with a fresh default predictor;
+  for the memoised front pass;
 * :func:`run_back_pass` — the L2 replay of the front pass's stream,
   which sets the five off-chip masks;
 * :func:`run_rename` — each instruction's register and memory
@@ -160,12 +160,14 @@ def _layers():
 
 def _defines():
     """``_annotate_kernel.c``'s defines: the opcodes, the stream kinds,
-    ``BTB_WAYS`` and the register file."""
+    ``BTB_WAYS``, ``WAYS`` (the ways reserved per cache set: the largest
+    associativity the contract admits) and the register file."""
     layers = _layers()
     return {
         **opcode_defines(),
         **{name: getattr(layers, name) for name in _STREAM_KINDS},
         "BTB_WAYS": BTB_WAYS,
+        "WAYS": ANNOTATE_CONTRACT["symbols"]["assoc"][1],
         "NUM_REGS": NUM_REGS,
         "REG_ZERO": REG_ZERO,
     }
@@ -258,8 +260,7 @@ def run_front_pass(trace, config):
     """The front pass of annotating *trace*, in C.
 
     Returns ``(mispred, position, kind, addr)``, bit-identical to
-    :func:`repro.trace.annotate._run_front_pass` with a fresh default
-    branch predictor.
+    :func:`repro.trace.annotate._run_front_pass`.
 
     Raises
     ------

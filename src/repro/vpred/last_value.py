@@ -11,40 +11,10 @@ argues this "drastically reduces the size of the value predictor"), its
 training stream is the miss stream, not every load.
 """
 
-import dataclasses
 from repro.robustness.errors import ConfigError
 
-
-@dataclasses.dataclass
-class ValuePredictorStats:
-    """Outcome counters in the shape of the paper's Table 6."""
-
-    correct: int = 0
-    wrong: int = 0
-    no_predict: int = 0
-
-    @property
-    def lookups(self):
-        return self.correct + self.wrong + self.no_predict
-
-    def rates(self):
-        """Return (correct, wrong, no_predict) as fractions of lookups."""
-        total = self.lookups
-        if not total:
-            return (0.0, 0.0, 1.0)
-        return (
-            self.correct / total,
-            self.wrong / total,
-            self.no_predict / total,
-        )
-
-    def format(self):
-        """One-line correct/wrong/no-predict rendering."""
-        correct, wrong, nopred = self.rates()
-        return (
-            f"correct {correct:5.1%}  wrong {wrong:5.1%}"
-            f"  no-predict {nopred:5.1%}  ({self.lookups} missing loads)"
-        )
+#: The confidence a stored value needs before it is predicted.
+CONFIDENCE_THRESHOLD = 2
 
 
 class _Entry:
@@ -61,18 +31,16 @@ class LastValuePredictor:
 
     Confidence policy: a matching value increments confidence (saturating
     at 3); a mismatch resets it to 0 and replaces the stored value.
-    Predictions are issued when confidence >= *threshold* (default 2).
+    Predictions are issued when confidence >= :data:`CONFIDENCE_THRESHOLD`.
     Tag conflicts evict (direct-mapped).
     """
 
-    def __init__(self, entries=16 * 1024, threshold=2):
+    def __init__(self, entries=16 * 1024):
         if entries & (entries - 1):
             raise ConfigError("value predictor size must be a power of two")
         self.entries = entries
-        self.threshold = threshold
         self._mask = entries - 1
         self._table = [None] * entries
-        self.stats = ValuePredictorStats()
 
     def _slot(self, pc):
         word = pc >> 2
@@ -84,7 +52,7 @@ class LastValuePredictor:
         entry = self._table[index]
         if entry is None or entry.tag != tag:
             return None
-        if entry.confidence < self.threshold:
+        if entry.confidence < CONFIDENCE_THRESHOLD:
             return None
         return entry.value
 
@@ -105,18 +73,15 @@ class LastValuePredictor:
     def observe(self, pc, value):
         """Predict-then-train for one missing load; return the outcome.
 
-        Returns one of ``"correct"``, ``"wrong"`` or ``"no_predict"`` and
-        updates :attr:`stats` accordingly.
+        Returns one of ``"correct"``, ``"wrong"`` or ``"no_predict"``,
+        the paper's Table 6 split.
         """
         prediction = self.predict(pc)
         if prediction is None:
             outcome = "no_predict"
-            self.stats.no_predict += 1
         elif prediction == value:
             outcome = "correct"
-            self.stats.correct += 1
         else:
             outcome = "wrong"
-            self.stats.wrong += 1
         self.train(pc, value)
         return outcome

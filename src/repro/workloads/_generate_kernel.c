@@ -31,8 +31,8 @@
  * the program tables: constructor parameters, region geometry, pool
  * capacities, Zipf thresholds, the function templates and the
  * module-level motif constants.  This file hard-codes only control
- * flow, register numbers, PC offsets and the byte offsets of a field
- * inside a row or object.
+ * flow, the register numbers the Python motifs also write as literals,
+ * PC offsets and the byte offsets of a field inside a row or object.
  *
  * Sites.  Every value and branch site is a static PC, so each has a
  * dense id: a template op's index in the flattened program, then the
@@ -45,7 +45,9 @@
  * before it slices, but its later draws never reach a row.
  *
  * Shared names: the OP_* opcodes, the T_* template kinds, the
- * SCRIPT_* numbers, the Region/Params structs and the prototype of
+ * SCRIPT_* numbers, REG_NONE (repro.isa.registers), the motif
+ * registers DB_CTR ... WEB_DESC (the _CTR, _CHASE ... constants of the
+ * workload modules), the Region/Params structs and the prototype of
  * generate come from the header repro.cbuild renders from the Python
  * definitions (repro/workloads/ckernel.py) and compiles ahead of this
  * file.  The prototype is rendered from the entry point's one
@@ -61,8 +63,6 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-#define REG_NONE (-1)
 
 /* CPython's MT19937 (Modules/_randommodule.c). */
 #define MT_N 624
@@ -83,25 +83,6 @@
 #define SITE_WEB_LOOKUP 3
 #define SITE_WEB_DESCRIPTOR 4
 #define MOTIF_SITES 5
-
-/* Registers of the motif scripts (the _CHASE ... constants). */
-#define DB_CTR 5
-#define DB_CHASE 8
-#define DB_ROWBASE 9
-#define DB_FIELD0 10
-#define DB_FIELD1 11
-#define DB_CMP 12
-#define DB_LOCK 14
-#define DB_LOGV 15
-#define JBB_CTR 5
-#define JBB_OBJ 8
-#define JBB_FIELD 10
-#define JBB_LOCK 14
-#define JBB_ALLOC 15
-#define WEB_CTR 5
-#define WEB_BUF 8
-#define WEB_CHK 10
-#define WEB_DESC 12
 
 /* A synthesis.RecentPool: a ring of the last `cap` lines. */
 typedef struct {

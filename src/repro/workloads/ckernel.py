@@ -27,6 +27,7 @@ import os
 import numpy as np
 
 from repro.cbuild import KernelLoader, column_dtypes, opcode_defines
+from repro.isa.registers import REG_NONE
 from repro.robustness.errors import InternalError
 from repro.trace.trace import COLUMNS, Trace
 from repro.workloads import base, database, specjbb, specweb, synthesis
@@ -159,15 +160,30 @@ class _Params(ctypes.Structure):
                 + [(name, _Region) for name in _REGIONS])
 
 
+#: The motif scripts' register conventions, by define prefix: the
+#: module and the names of its ``_CHASE`` ... constants.
+_REGISTERS = {
+    "DB": (database, ("CTR", "CHASE", "ROWBASE", "FIELD0", "FIELD1", "CMP",
+                      "LOCK", "LOGV")),
+    "JBB": (specjbb, ("CTR", "OBJ", "FIELD", "LOCK", "ALLOC")),
+    "WEB": (specweb, ("CTR", "BUF", "CHK", "DESC")),
+}
+
+
 def _defines():
-    """``_generate_kernel.c``'s defines: the opcodes, the template kinds
-    and a ``SCRIPT_*`` number per workload class."""
+    """``_generate_kernel.c``'s defines: the opcodes, the template kinds,
+    a ``SCRIPT_*`` number per workload class, ``REG_NONE`` and each
+    script's registers (``DB_CHASE`` is ``database._CHASE``)."""
     return {
         **opcode_defines(),
         **{f"T_{kind.upper()}": value
            for kind, value in _TEMPLATE_KINDS.items()},
         **{f"SCRIPT_{cls.__name__.removesuffix('Workload').upper()}":
            script for cls, (script, *_) in _SCRIPTS.items()},
+        "REG_NONE": REG_NONE,
+        **{f"{prefix}_{name}": getattr(module, f"_{name}")
+           for prefix, (module, names) in _REGISTERS.items()
+           for name in names},
     }
 
 

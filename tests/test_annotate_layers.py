@@ -1,13 +1,14 @@
 """The layered annotation passes against the single loop they replaced.
 
 :func:`annotate_oracle` below is the pre-layering ``annotate``, frozen
-verbatim: one loop over the trace that drives the whole hierarchy
-(L1I/L1D, TLB, L2) and both predictors per instruction.  The layered
+but for its predictor-injection parameters, which left the API: one
+loop over the trace that drives the whole hierarchy (L1I/L1D, L2) and
+both predictors per instruction.  The layered
 :func:`repro.trace.annotate.annotate` (a memoised front pass plus an L2
 back pass) must reproduce all seven masks and ``measure_start`` bit for
 bit: on every workload at several seeds and L2 sizes, on random traces
 whose prefetches, code fetches and data accesses share lines, and with
-injected predictors.
+small predictor tables set through :class:`AnnotationConfig`.
 
 Every check runs on both routes: the compiled kernel
 (:mod:`repro.trace.ckernel`, when it builds) and the Python loops with
@@ -59,8 +60,7 @@ SEEDS = (1234, 7)
 L2_BYTES = (None,) + tuple(L2_SIZES) + (64 * 1024,)
 
 
-def annotate_oracle(trace, config=None, value_predictor=None,
-                    branch_predictor=None):
+def annotate_oracle(trace, config=None):
     """Run the memory hierarchy and predictors over *trace*.
 
     Parameters
@@ -70,9 +70,6 @@ def annotate_oracle(trace, config=None, value_predictor=None,
     config:
         :class:`AnnotationConfig`; defaults to the paper's Section 5.1
         machine.
-    value_predictor / branch_predictor:
-        Injectable predictor instances (tests use these); fresh ones are
-        built from *config* when omitted.
 
     Returns
     -------
@@ -89,11 +86,11 @@ def annotate_oracle(trace, config=None, value_predictor=None,
     validate_trace(trace)
     config = config or AnnotationConfig()
     hierarchy = Hierarchy(config.hierarchy)
-    branch_pred = branch_predictor or BranchPredictor(
+    branch_pred = BranchPredictor(
         gshare_entries=config.gshare_entries,
         btb_entries=config.btb_entries,
     )
-    value_pred = value_predictor or LastValuePredictor(entries=config.vp_entries)
+    value_pred = LastValuePredictor(entries=config.vp_entries)
 
     n = len(trace)
     dmiss = np.zeros(n, dtype=bool)
@@ -269,38 +266,6 @@ def test_five_l2_sizes_run_the_front_pass_once(monkeypatch):
                 assert_same_annotation(annotate(trace, config),
                                        annotate_oracle(trace, config))
             assert len(runs) == 3, route
-
-
-def test_injected_predictors_match_the_oracle():
-    trace = generate_trace("database", 20_000, seed=7)
-    config = l2_config(256 * 1024)
-
-    def predictors():
-        return (LastValuePredictor(entries=64, threshold=1),
-                BranchPredictor(gshare_entries=256, btb_entries=32,
-                                ras_depth=4))
-
-    oracle_value, oracle_branch = predictors()
-    oracle = annotate_oracle(trace, config, value_predictor=oracle_value,
-                             branch_predictor=oracle_branch)
-    for route in routes():
-        routed = fresh(trace)
-        value_pred, branch_pred = predictors()
-        with on_route(route):
-            layered = annotate(routed, config, value_predictor=value_pred,
-                               branch_predictor=branch_pred)
-            assert_same_annotation(layered, oracle)
-            assert branch_pred.stats == oracle_branch.stats
-            assert value_pred.stats == oracle_value.stats
-            # The default predictors give different masks, so the
-            # injected ones really ran; and an injected front pass is
-            # never memoised.
-            default = annotate(routed, config)
-            assert not np.array_equal(layered.mispred, default.mispred)
-            again = front_pass(routed, config,
-                               BranchPredictor(gshare_entries=256))
-            assert again is not front_pass(routed, config, BranchPredictor())
-            assert len(routed._front_pass_cache) == 1
 
 
 SMALL_L1 = CacheConfig(size_bytes=2 * 1024, associativity=2)

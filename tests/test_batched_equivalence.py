@@ -1,9 +1,9 @@
 """The compiled MLPsim kernel vs. the frozen reference interpreter.
 
-The batched engine (:mod:`repro.core.batched`) replaces N oracle
-replays of a sweep with one compiled-kernel pass per event-mask group
-over a shared columnar plan, and :func:`repro.core.mlpsim.simulate`
-runs a single config through the same kernel.  Both are only
+A sweep (:func:`repro.analysis.sweep.sweep`) replaces N oracle replays
+with one compiled-kernel pass per event-mask group over a shared
+columnar plan, and :func:`repro.core.mlpsim.simulate` runs a single
+config through the same kernel.  Both are only
 admissible if every result is **bit-identical** to
 ``mlpsim_reference.simulate_reference``, the frozen oracle, across the
 paper's whole grid axis: window sizes x issue policies A-E x perfect-*
@@ -23,8 +23,9 @@ import pytest
 
 import repro.cbuild as cbuild
 import repro.core.ckernel as ckernel
+from repro.analysis.sweep import sweep
 from repro.cli import _parse_machine
-from repro.core.batched import batched_supported, simulate_batch
+from repro.core.ckernel import batched_supported
 from repro.core.columnar import plan_for
 from repro.core.config import MachineConfig
 from repro.core.mlpsim import simulate
@@ -75,13 +76,16 @@ def _machine(label, overrides=None):
     return MachineConfig.named(base, **(overrides or {}))
 
 
+def _in_process(annotated, grid, workload):
+    """``{label: MLPResult}`` of *grid*, swept in this process."""
+    return sweep(annotated, grid, workload=workload, jobs=1).results
+
+
 class TestFullGridKernel:
     def test_window_policy_grid_bit_identical(self, specjbb_annotated):
         """All 30 window x policy configs, one batch vs. the oracle."""
         grid = [(label, _machine(label)) for label in FULL_GRID]
-        batch = simulate_batch(
-            specjbb_annotated, grid, workload="specjbb2000"
-        )
+        batch = _in_process(specjbb_annotated, grid, "specjbb2000")
         assert list(batch) == [label for label, _ in grid]
         for label, machine in grid:
             oracle = simulate_reference(
@@ -93,8 +97,7 @@ class TestFullGridKernel:
     def test_perfect_switches_bit_identical(self, database_annotated):
         grid = [(label, _machine("64C", overrides))
                 for label, overrides in PERFECT_GRID]
-        batch = simulate_batch(database_annotated, grid,
-                               workload="database")
+        batch = _in_process(database_annotated, grid, "database")
         for label, machine in grid:
             oracle = simulate_reference(database_annotated, machine,
                                         workload="database")
@@ -104,8 +107,7 @@ class TestFullGridKernel:
     def test_structure_limits_bit_identical(self, specweb_annotated):
         grid = [(label, _machine(label, overrides))
                 for label, overrides in LIMIT_GRID]
-        batch = simulate_batch(specweb_annotated, grid,
-                               workload="specweb99")
+        batch = _in_process(specweb_annotated, grid, "specweb99")
         for label, machine in grid:
             oracle = simulate_reference(specweb_annotated, machine,
                                         workload="specweb99")
@@ -316,8 +318,7 @@ class TestNoKernelFallback:
         assert not ckernel.kernel_available()
         labels = [f"{w}{p}" for w in (16, 64, 256) for p in "ABCDE"]
         grid = [(label, _machine(label)) for label in labels]
-        batch = simulate_batch(specjbb_annotated, grid,
-                               workload="specjbb2000")
+        batch = _in_process(specjbb_annotated, grid, "specjbb2000")
         for label, machine in grid:
             oracle = simulate_reference(specjbb_annotated, machine,
                                         workload="specjbb2000")
@@ -343,11 +344,9 @@ class TestNoKernelFallback:
         if not ckernel.kernel_available():
             pytest.skip(f"no compiled kernel: {ckernel.kernel_error()}")
         grid = [(label, _machine(label)) for label in ("32A", "64C", "128E")]
-        with_kernel = simulate_batch(database_annotated, grid,
-                                     workload="database")
+        with_kernel = _in_process(database_annotated, grid, "database")
         request.getfixturevalue("no_kernel")
-        without = simulate_batch(database_annotated, grid,
-                                 workload="database")
+        without = _in_process(database_annotated, grid, "database")
         for label, _ in grid:
             assert _result_fields(with_kernel[label]) == \
                 _result_fields(without[label]), label
@@ -356,7 +355,6 @@ class TestNoKernelFallback:
                                            no_kernel, monkeypatch):
         """``sweep(jobs=2)`` takes the scalar route, never the plan path."""
         import repro.analysis.parallel as parallel
-        from repro.analysis.sweep import sweep
 
         monkeypatch.setattr(parallel, "effective_cpus", lambda: 2)
         grid = [(label, _machine(label))
@@ -399,8 +397,6 @@ class TestEngineSelection:
 
     def test_sweep_engine_parity(self, specweb_annotated):
         """``sweep(engine=...)`` routes are label-for-label identical."""
-        from repro.analysis.sweep import sweep
-
         grid = [(label, _machine(label)) for label in ("64A", "64C", "64E")]
         scalar = sweep(specweb_annotated, grid, engine="scalar")
         batched = sweep(specweb_annotated, grid, engine="batched")
@@ -411,7 +407,6 @@ class TestEngineSelection:
             assert _result_fields(auto.results[label]) == want, label
 
     def test_unknown_engine_rejected(self, specweb_annotated):
-        from repro.analysis.sweep import sweep
         from repro.robustness.errors import ConfigError
 
         with pytest.raises(ConfigError):

@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.branch.btb import BranchTargetBuffer
-from repro.branch.frontend import BranchKind, BranchPredictor
+from repro.branch.frontend import BranchPredictor
 from repro.branch.gshare import GshareGPredictor
-from repro.branch.perfect import PerfectBranchPredictor
-from repro.branch.ras import ReturnAddressStack
 
 
 class TestGshare:
@@ -90,35 +88,6 @@ class TestBTB:
             BranchTargetBuffer(entries=10, associativity=4)
 
 
-class TestRAS:
-    def test_push_pop(self):
-        ras = ReturnAddressStack(depth=4)
-        ras.push(0x104)
-        ras.push(0x204)
-        assert ras.pop() == 0x204
-        assert ras.pop() == 0x104
-        assert ras.pop() is None
-
-    def test_overflow_wraps(self):
-        ras = ReturnAddressStack(depth=2)
-        for addr in (1, 2, 3):
-            ras.push(addr)
-        assert ras.pop() == 3
-        assert ras.pop() == 2
-        assert ras.pop() is None  # 1 was overwritten
-
-    def test_peek(self):
-        ras = ReturnAddressStack(depth=2)
-        assert ras.peek() is None
-        ras.push(9)
-        assert ras.peek() == 9
-        assert len(ras) == 1
-
-    def test_depth_validation(self):
-        with pytest.raises(ValueError):
-            ReturnAddressStack(depth=0)
-
-
 class TestFrontend:
     def test_biased_branch_becomes_predictable(self):
         fe = BranchPredictor(gshare_entries=4096, btb_entries=64)
@@ -134,8 +103,10 @@ class TestFrontend:
         pc = 0x100
         for _ in range(20):
             fe.observe(pc, taken=True, target=0x300)
+        # The direction is right (gshare predicts taken), so only the
+        # stale target mispredicts.
+        assert fe.direction.predict(pc)
         assert fe.observe(pc, taken=True, target=0x999)
-        assert fe.stats.target_mispredictions >= 1
 
     def test_not_taken_needs_no_target(self):
         fe = BranchPredictor(gshare_entries=4096, btb_entries=64)
@@ -144,31 +115,15 @@ class TestFrontend:
             fe.observe(pc, taken=False, target=0)
         assert not fe.observe(pc, taken=False, target=0)
 
-    def test_return_uses_ras(self):
-        fe = BranchPredictor(gshare_entries=4096, btb_entries=64)
-        call_pc, return_pc = 0x100, 0x500
-        fe.observe(call_pc, taken=True, target=0x500 - 0x100, kind=BranchKind.CALL)
-        # The return target is the call's fall-through.
-        mispredicted = fe.observe(
-            return_pc, taken=True, target=call_pc + 4, kind=BranchKind.RETURN
-        )
-        assert not mispredicted
-
     def test_stats_accumulate(self):
+        """observe() answers with a bool per branch: cold taken branches
+        mispredict (gshare starts weakly not-taken, the BTB empty) and
+        cold not-taken ones do not."""
         fe = BranchPredictor(gshare_entries=256, btb_entries=64)
-        for i in range(10):
-            fe.observe(0x100 + 8 * i, taken=bool(i % 2), target=0x40)
-        assert fe.stats.branches == 10
-        assert 0.0 <= fe.stats.accuracy <= 1.0
-
-
-class TestPerfect:
-    def test_never_mispredicts(self):
-        p = PerfectBranchPredictor()
-        for i in range(20):
-            assert not p.observe(0x100, taken=bool(i % 3), target=i)
-        assert p.stats.branches == 20
-        assert p.stats.accuracy == 1.0
+        outcomes = [fe.observe(0x100 + 8 * i, taken=bool(i % 2), target=0x40)
+                    for i in range(10)]
+        assert all(isinstance(outcome, bool) for outcome in outcomes)
+        assert outcomes == [bool(i % 2) for i in range(10)]
 
 
 @settings(max_examples=25, deadline=None)

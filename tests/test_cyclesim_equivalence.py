@@ -135,20 +135,62 @@ def test_parallel_sweep_without_kernel(database_annotated, no_kernel,
         assert _fields(swept.results[label]) == _fields(oracle), label
 
 
+def _outcome(run, annotated, config):
+    """A run's metrics, or the message of the error it raised."""
+    try:
+        return _fields(run(annotated, config))
+    except InternalError as error:
+        return str(error)
+
+
 @pytest.mark.skipif(
     not kernel_available(), reason="no C compiler for the cyclesim kernel"
 )
 def test_unrepresentable_field_is_refused(database_annotated):
     """A field no ``int64`` can hold is refused like any out-of-range
-    one, not wrapped: a miss penalty of 2**64 + 200 would read 200."""
+    one, not wrapped: a miss penalty of 2**64 + 200 would read 200.
+    The kernel driver refuses both penalties; ``run_cyclesim`` sends
+    them to the reference, which runs the first and reports the second,
+    past its own horizon, as a deadlock."""
     plan = cycle_plan_for(database_annotated)
     for penalty in (2**40, 2**64 + 200):
         config = CycleSimConfig.from_machine(
             MachineConfig.named("64C"), miss_penalty=penalty)
+        assert not ckernel.in_contract(config)
         with pytest.raises(InternalError, match="outside its contract"):
             run_cycle_plan(plan, [("big", config)], "database")
-        with pytest.raises(InternalError, match="outside its contract"):
-            run_cyclesim(database_annotated, config)
+        assert _outcome(run_cyclesim, database_annotated, config) == \
+            _outcome(run_cyclesim_reference, database_annotated, config)
+
+
+def test_out_of_contract_config_runs_on_the_reference(database_annotated,
+                                                      monkeypatch):
+    """A valid config outside the kernel's contracted ranges (a ROB
+    above 2**20) runs on the reference through both entry points,
+    ``run_cyclesim`` and the sweep executor, instead of failing the
+    kernel's contract check; the in-contract config beside it in the
+    grid stays on the kernel route when the kernel is built."""
+    from repro.analysis.sweep import sweep_cyclesim
+
+    on_kernel = []
+    real = ckernel.run_cycle_plan
+
+    def recording(plan, pairs, workload):
+        on_kernel.extend(label for label, _ in pairs)
+        return real(plan, pairs, workload)
+
+    monkeypatch.setattr(ckernel, "run_cycle_plan", recording)
+    big = CycleSimConfig(rob=2**21)
+    assert not ckernel.in_contract(big)
+    assert ckernel.in_contract(CycleSimConfig())
+    want = _fields(run_cyclesim_reference(database_annotated, big))
+    assert _fields(run_cyclesim(database_annotated, big)) == want
+    pairs = [("64C", CycleSimConfig()), ("rob2^21", big)]
+    swept = sweep_cyclesim(database_annotated, pairs, jobs=1)
+    assert _fields(swept.results["rob2^21"]) == want
+    assert _fields(swept.results["64C"]) == _fields(
+        run_cyclesim_reference(database_annotated, CycleSimConfig()))
+    assert on_kernel == (["64C"] if kernel_available() else [])
 
 
 def test_labels_match_reference(database_annotated):

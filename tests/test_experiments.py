@@ -245,13 +245,7 @@ class TestMLPsimRoutes:
     call; without it, the oracles print the same text."""
 
     def test_exhibits_never_reach_the_scalar_engines(self, monkeypatch):
-        from repro.core import (
-            batched,
-            ckernel,
-            mlpsim,
-            mlpsim_reference,
-            runahead,
-        )
+        from repro.core import ckernel, mlpsim, mlpsim_reference, runahead
 
         if not ckernel.kernel_available():
             pytest.skip(f"no compiled kernel: {ckernel.kernel_error()}")
@@ -266,7 +260,6 @@ class TestMLPsimRoutes:
         # import time is caught as well.
         monkeypatch.setattr(mlpsim, "simulate", forbidden)
         monkeypatch.setattr(mlpsim, "simulate_oracle", forbidden)
-        monkeypatch.setattr(batched, "simulate_oracle", forbidden)
         monkeypatch.setattr(mlpsim_reference, "simulate_reference",
                             forbidden)
         monkeypatch.setattr(runahead, "simulate_runahead", forbidden)

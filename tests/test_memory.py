@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.hierarchy import AccessLevel, Hierarchy, HierarchyConfig
-from repro.memory.mshr import MSHRFile
-from repro.memory.tlb import TLB
 
 
 def tiny_cache(size=1024, assoc=2, line=64):
@@ -198,72 +196,12 @@ def test_fully_associative_set_is_true_lru(addresses):
         assert c.probe(line)
 
 
-class TestTLB:
-    def test_hit_after_miss(self):
-        tlb = TLB(entries=4, page_bytes=8192)
-        assert not tlb.access(0x10000)
-        assert tlb.access(0x10010)  # same page
-        assert tlb.misses == 1 and tlb.hits == 1
-
-    def test_lru_capacity(self):
-        tlb = TLB(entries=2, page_bytes=8192)
-        tlb.access(0 * 8192)
-        tlb.access(1 * 8192)
-        tlb.access(0 * 8192)  # refresh page 0
-        tlb.access(2 * 8192)  # evicts page 1
-        assert tlb.access(0 * 8192)
-        assert not tlb.access(1 * 8192)
-
-    def test_page_size_power_of_two(self):
-        with pytest.raises(ValueError):
-            TLB(page_bytes=5000)
-
-    def test_miss_ratio(self):
-        tlb = TLB()
-        assert tlb.miss_ratio == 0.0
-        tlb.access(0)
-        assert tlb.miss_ratio == 1.0
-
-
-class TestMSHR:
-    def test_allocate_and_merge(self):
-        m = MSHRFile()
-        done = m.allocate(0x1000, 500)
-        assert done == 500
-        # Same line merges onto the existing completion.
-        assert m.allocate(0x1010, 900) == 500
-        assert m.outstanding() == 1
-        assert m.merges == 1
-
-    def test_retire(self):
-        m = MSHRFile()
-        m.allocate(0x1000, 100)
-        m.allocate(0x2000, 200)
-        assert m.retire_complete(150) == [0x1000 >> 6]
-        assert m.outstanding() == 1
-        assert m.next_completion() == 200
-
-    def test_capacity(self):
-        m = MSHRFile(capacity=1)
-        m.allocate(0, 10)
-        assert m.is_full()
-        with pytest.raises(RuntimeError):
-            m.allocate(0x1000, 20)
-
-    def test_lookup(self):
-        m = MSHRFile()
-        assert m.lookup(0x40) is None
-        m.allocate(0x40, 77)
-        assert m.lookup(0x7F) == 77  # same line
-
-
 class TestHierarchy:
     def test_default_matches_paper(self):
         h = Hierarchy()
         assert h.config.l1i.size_bytes == 32 * 1024
         assert h.config.l1d.size_bytes == 32 * 1024
         assert h.config.l2.size_bytes == 2 * 1024 * 1024
-        assert h.config.tlb_entries == 2048
 
     def test_miss_goes_offchip_once(self):
         h = Hierarchy()

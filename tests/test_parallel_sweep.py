@@ -204,7 +204,7 @@ class TestUnsupervisedRouting:
 
         import repro.analysis.shm as shm
         import repro.robustness.supervisor as supervisor
-        from repro.core.batched import batched_supported
+        from repro.core.ckernel import batched_supported
         from repro.core.mlpsim import simulate_oracle
 
         grid = _grid()

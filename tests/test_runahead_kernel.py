@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import repro.analysis.parallel as parallel
 from repro.analysis.sweep import sweep
 from repro.core import ckernel
-from repro.core.batched import batched_supported, simulate_batch
+from repro.core.ckernel import batched_supported
 from repro.core.columnar import plan_for, plan_payload
 from repro.core.config import MachineConfig
 from repro.core.depgraph import depgraph_for
@@ -87,7 +87,7 @@ class TestRunaheadEquivalence:
                     "specweb_annotated"])
     def test_grid_matches_oracle(self, fixture, request):
         annotated = request.getfixturevalue(fixture)
-        batch = simulate_batch(annotated, RUNAHEAD_GRID)
+        batch = sweep(annotated, RUNAHEAD_GRID, jobs=1).results
         for label, machine in RUNAHEAD_GRID:
             oracle = simulate_runahead(annotated, machine)
             assert _result_fields(batch[label]) == \
@@ -153,6 +153,8 @@ class TestMixedGrids:
     ]
 
     def test_simulate_batch(self, database_annotated, monkeypatch):
+        """The whole grid, one mask group, is one kernel call of an
+        in-process sweep."""
         calls = []
         real = ckernel.run_plan
 
@@ -161,7 +163,7 @@ class TestMixedGrids:
             return real(plan, pairs, workload)
 
         monkeypatch.setattr(ckernel, "run_plan", counting)
-        results = simulate_batch(database_annotated, self.GRID)
+        results = sweep(database_annotated, self.GRID, jobs=1).results
         assert calls == [len(self.GRID)]
         _assert_matches_oracle(database_annotated, results, self.GRID)
 
@@ -202,8 +204,11 @@ class TestContractEnvelope:
             self.GRID)
 
     def test_simulate_batch(self, annotated):
+        """The grid as one in-process batch: the oracles run what the
+        kernel does not cover."""
         _assert_matches_oracle(
-            annotated, simulate_batch(annotated, self.GRID), self.GRID)
+            annotated, sweep(annotated, self.GRID, jobs=1).results,
+            self.GRID)
 
 
 class TestSharedProducerColumns:
