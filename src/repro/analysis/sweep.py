@@ -136,8 +136,10 @@ def sweep_cyclesim(annotated, configs, workload=None, progress=None,
     The cyclesim twin of :func:`sweep`: *configs* is an iterable of
     ``(label, CycleSimConfig)`` pairs (or an ordered mapping), and the
     result is a :class:`SweepResult` whose ``results`` map labels to
-    :class:`~repro.cyclesim.metrics.CycleMetrics`.  This is how the
-    Table 1/3/4 exhibits fan their 27-config-per-workload grids out.
+    :class:`~repro.cyclesim.metrics.CycleMetrics`.  The Table 1/3/4
+    and Figure 11 exhibits reach it through
+    :func:`repro.experiments.common.get_cyclesim`, which sends each
+    distinct config once.
 
     The grid shares one :class:`~repro.cyclesim.plan.CyclePlan` — the
     cycle simulator's event masks never depend on the configuration —

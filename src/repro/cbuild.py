@@ -52,6 +52,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+import weakref
 
 import numpy as np
 
@@ -437,6 +438,8 @@ class KernelLoader:
             for key, struct in structs.items()
         }
         self._define_values = None
+        self._field_ranges = {}
+        self._remembered = {}
         self._lock = threading.Lock()
         self.probed = False
         self.functions = None
@@ -549,9 +552,13 @@ class KernelLoader:
 
         With *slices*, the name of a scalar that sizes struct arrays,
         the call is cut into one call per usable CPU
-        (:func:`run_slices`), each on a contiguous slice of those
-        arrays, and the list of return values comes back.  The check
-        runs once, on the whole batch.
+        (:func:`run_slices`), and the list of return values comes back.
+        The slices interleave: with *k* of them, each gets every *k*-th
+        struct, so a batch ordered by cost (a grid sorted by window
+        size) still splits its cost evenly.  The struct arrays are
+        permuted into that order for the calls and the ones the kernel
+        writes are scattered back.  The check runs once, on the whole
+        batch.
 
         Raises
         ------
@@ -574,18 +581,32 @@ class KernelLoader:
         if slices is None:
             return function(*addresses)
         declared = self._params[entry]
-        count = [param.name for param in declared].index(slices)
-        arrays = [index for index, param in enumerate(declared)
-                  if param.length == slices]
+        count = args[slices]
+        threads = min(count, 1 if _pinned else effective_cpus())
+        batch = {param.name: args[param.name] for param in declared
+                 if param.length == slices}
+        order = _interleaved(count, threads)
+        if threads > 1:
+            batch = {name: type(array)(*[array[k] for k in order])
+                     for name, array in batch.items()}
+        position = [param.name for param in declared].index(slices)
 
         def run_slice(lo, hi):
             sliced = list(addresses)
-            sliced[count] = hi - lo
-            for index in arrays:
-                sliced[index] = ctypes.byref(args[declared[index].name][lo])
+            sliced[position] = hi - lo
+            for index, param in enumerate(declared):
+                if param.name in batch:
+                    sliced[index] = ctypes.byref(batch[param.name][lo])
             return function(*sliced)
 
-        return run_slices(run_slice, args[slices])
+        values = run_slices(run_slice, count)
+        if threads > 1:
+            for param in declared:
+                if param.name in batch and not param.ctype.startswith(
+                        "const "):
+                    for slot, k in enumerate(order):
+                        args[param.name][k] = batch[param.name][slot]
+        return values
 
     def _arguments(self, entry, args, complete=False):
         """The C arguments of *entry* for *args*, in declared order (a
@@ -626,7 +647,7 @@ class KernelLoader:
                     param, args[param.name], symbols))
             else:
                 arguments.append(_column_argument(
-                    param, args[param.name], symbols))
+                    param, args[param.name], symbols, self._remembered))
         return arguments
 
     def _struct_argument(self, param, value, symbols):
@@ -649,25 +670,60 @@ class KernelLoader:
     def _check_structs(self, name, values, symbols):
         """Check each struct of *values* (C type *name*), and each
         struct inside them, against the contract's field ranges."""
-        ranges = [(contract_bound(lo, symbols), contract_bound(hi, symbols),
-                   fields)
-                  for (lo, hi), fields in self.contract["structs"].get(name,
-                                                                      ())]
+        ranges = self._ranges(name, symbols)
         for value in values:
-            for lo, hi, fields in ranges:
-                for field in fields:
-                    field_value = getattr(value, field)
-                    if not lo <= field_value <= hi:
-                        raise _Outside(f"{name}.{field} = {field_value}"
-                                       f" outside [{lo}, {hi}]")
+            for field, lo, hi in ranges:
+                field_value = getattr(value, field)
+                if not lo <= field_value <= hi:
+                    raise _Outside(f"{name}.{field} = {field_value}"
+                                   f" outside [{lo}, {hi}]")
         for field, nested in self._nested[name]:
             self._check_structs(nested, [getattr(value, field)
                                          for value in values], symbols)
 
+    def _ranges(self, name, symbols):
+        """``[(field, lo, hi)]`` of the *name* struct's contracted
+        fields.  Bounds that name no symbol are resolved once per
+        loader; the rest on each call, over *symbols*."""
+        ranges = self._field_ranges.get(name)
+        if ranges is None:
+            groups = self.contract["structs"].get(name, ())
+            ranges = [(field, contract_bound(lo, symbols),
+                       contract_bound(hi, symbols))
+                      for (lo, hi), fields in groups for field in fields]
+            if all(isinstance(bound, int)
+                   for bounds, _ in groups for bound in bounds):
+                self._field_ranges[name] = ranges
+        return ranges
 
-def _column_argument(param, value, symbols):
+
+def _interleaved(count, slices):
+    """The order that gives each of *slices* contiguous slices of a
+    batch of *count* (cut as :func:`run_slices` cuts it) every
+    *slices*-th item: the indices ``i, i + slices, ...`` of slice ``i``,
+    slice after slice.  The larger groups go to the larger slices."""
+    if slices <= 1:
+        return list(range(count))
+    groups = [list(range(first, count, slices)) for first in range(slices)]
+    sizes = [count * (i + 1) // slices - count * i // slices
+             for i in range(slices)]
+    large = iter(group for group in groups if len(group) > count // slices)
+    small = iter(group for group in groups if len(group) == count // slices)
+    order = []
+    for size in sizes:
+        order += next(large if size > count // slices else small)
+    return order
+
+
+def _column_argument(param, value, symbols, remembered):
     """Column *value* as the contiguous array C reads, once it passes
-    *param*'s checks."""
+    *param*'s checks.
+
+    The value range of a read-only column is scanned once: *remembered*
+    keeps its ``(min, max)``, keyed on its identity, for as long as it
+    lives.  A writable column is scanned on every call, since it may
+    change in place between them.
+    """
     dtype = _ELEMENTS[param.element]
     if not isinstance(value, np.ndarray):
         raise _Outside(f"column {param.name!r} is not an array")
@@ -684,10 +740,31 @@ def _column_argument(param, value, symbols):
         raise _Outside(f"column {param.name!r} has shape {array.shape},"
                        f" not ({length},)")
     if not param.out and length:
-        vmin, vmax = int(array.min()), int(array.max())
+        vmin, vmax = _column_extremes(value, array, remembered)
         lo = contract_bound(param.lo, symbols)
         hi = contract_bound(param.hi, symbols)
         if vmin < lo or vmax > hi:
             raise _Outside(f"column {param.name!r} spans [{vmin}, {vmax}],"
                            f" outside [{lo}, {hi}]")
     return array
+
+
+def _column_extremes(value, array, remembered):
+    """``(min, max)`` of *array*, the crossing of column *value*: from
+    *remembered* when *value* is read-only and was scanned before."""
+    if value.flags.writeable:
+        return _extremes(array)
+    key = id(value)
+    known = remembered.get(key)
+    if known is not None and known[0]() is value:
+        return known[1]
+    found = _extremes(array)
+    # The entry leaves with the column, before its id can be reused.
+    remembered[key] = (weakref.ref(value, lambda _, key=key:
+                                   remembered.pop(key, None)), found)
+    return found
+
+
+def _extremes(array):
+    """``(min, max)`` of a non-empty *array*, as Python ints."""
+    return int(array.min()), int(array.max())

@@ -20,6 +20,7 @@ directory or a failed compilation simply mark the kernel unavailable
 """
 
 import ctypes
+import functools
 import os
 
 from repro.cbuild import KernelLoader, opcode_defines
@@ -104,7 +105,11 @@ def kernel_error():
     return _loader.error()
 
 
+@functools.lru_cache(maxsize=4096)
 def _config_struct(machine):
+    """*machine*'s ``KernelConfig``, built once and shared by the route
+    check (:func:`in_contract`) and the driver (:func:`run_plan`);
+    neither writes it."""
     issue = machine.issue
     return _loader.struct(
         "KernelConfig",
@@ -125,19 +130,21 @@ def _config_struct(machine):
     )
 
 
+@functools.lru_cache(maxsize=4096)
 def in_contract(machine):
     """Do *machine*'s kernel config fields lie inside the contracted ranges?
 
     A valid machine can exceed them (a ROB above 2**24, an MSHR file
     above 2**30, a field no ``int64`` can hold); the kernel is not
-    certified for it, so it runs on the oracles instead.
+    certified for it, so it runs on the oracles instead.  The verdict is
+    remembered per machine.
     """
     try:
-        configs = (_KernelConfig * 1)(_config_struct(machine))
+        struct = _config_struct(machine)
     except InternalError:
         return False
-    return _loader.violation(
-        "mlpsim_batch", {"configs": configs, "nconfigs": 1}) is None
+    return _loader.violation("mlpsim_batch", {
+        "configs": (_KernelConfig * 1)(struct), "nconfigs": 1}) is None
 
 
 def batched_supported(machine, record_sets=False):
@@ -167,7 +174,7 @@ def run_plan(plan, machines, workload):
         :func:`kernel_available` first), the plan or a config lies
         outside :data:`~repro.core.columnar.PLAN_CONTRACT`, or a config
         made no progress — the same condition, same message, as the
-        Python engines.
+        Python engines, with ``field`` set to that config's label.
     """
     pairs = list(machines)
     n = len(plan)
@@ -190,11 +197,9 @@ def run_plan(plan, machines, workload):
         if raw.error_index >= 0:
             raise InternalError(
                 "MLPsim made no progress in an epoch at instruction"
-                f" {raw.error_index + plan.start}"
+                f" {raw.error_index + plan.start}",
+                field=label,
             )
-        counts = InhibitorCounts.from_dict(
-            dict(zip(Inhibitor, raw.inhibitors))
-        )
         out[label] = MLPResult(
             workload=workload,
             machine_label=machine.label,
@@ -206,7 +211,7 @@ def run_plan(plan, machines, workload):
             prefetch_accesses=raw.prefetch_accesses,
             store_accesses=raw.store_accesses,
             store_epochs=raw.store_epochs,
-            inhibitors=counts,
+            inhibitors=InhibitorCounts.from_counts(raw.inhibitors),
             epoch_records=None,
         )
     return out

@@ -121,7 +121,9 @@ class ColumnarPlan:
     """Structure-of-arrays input of the batched engine for one region.
 
     All columns have length ``n = stop - start``; producer columns use
-    the sentinel ``n`` for "no producer in region".
+    the sentinel ``n`` for "no producer in region".  They are read-only
+    from construction on, so the kernel's call check scans each one
+    once (see :class:`repro.cbuild.KernelLoader`).
     """
 
     start: int
@@ -139,6 +141,10 @@ class ColumnarPlan:
     vp_ok: np.ndarray
     smiss: np.ndarray
     scalar_mask: np.ndarray
+
+    def __post_init__(self):
+        for name in PLAN_COLUMNS:
+            getattr(self, name).flags.writeable = False
 
     def __len__(self):
         return self.stop - self.start

@@ -118,7 +118,8 @@ def simulate(annotated, machine, start=None, stop=None, workload=None,
         )
     plan = columnar.plan_for(annotated, machine, start, stop)
     name = workload or annotated.trace.name
-    return ckernel.run_plan(plan, [("_", machine)], name)["_"]
+    # Unlabelled, so a failure reads exactly as the oracle's does.
+    return ckernel.run_plan(plan, [(None, machine)], name)[None]
 
 
 def simulate_oracle(annotated, machine, start=None, stop=None,

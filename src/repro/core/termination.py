@@ -62,6 +62,10 @@ FIGURE5_ORDER = (
 )
 
 
+#: Every inhibitor, in definition order.
+_INHIBITORS = tuple(Inhibitor)
+
+
 class InhibitorCounts:
     """Per-epoch inhibitor tally."""
 
@@ -117,6 +121,14 @@ class InhibitorCounts:
         for inhibitor in Inhibitor:
             count = counts.get(inhibitor, counts.get(inhibitor.value, 0))
             tally._counts[inhibitor] = int(count)
+        return tally
+
+    @classmethod
+    def from_counts(cls, counts):
+        """A tally of *counts*, one per inhibitor in :class:`Inhibitor`
+        order (the compiled kernel's ``INH_*`` order)."""
+        tally = cls()
+        tally._counts = dict(zip(_INHIBITORS, counts))
         return tally
 
     def __eq__(self, other):

@@ -22,7 +22,12 @@
  *    same cycle, so ready[] serves for both.
  *  - Operand wake times memoise: a producer's ready time is written
  *    exactly once (at issue), so once every producer of an instruction
- *    has issued its wake time is final (wake[] < 0 means unknown).
+ *    has issued its wake time is final.  Until then wake[] names the
+ *    producer found unissued, and only that one is re-read until it
+ *    issues.
+ *  - No lists for the in-order policies: the issue scan walks the
+ *    window oldest first, so it knows whether an older memop or
+ *    branch is still waiting, and it compacts the window as it goes.
  *  - When a cycle retires/issues/moves nothing, the clock jumps to the
  *    next event (completion, wakeup, fetch restart, drain release) and
  *    the skipped span is charged to the stall category of the cycle.
@@ -54,7 +59,9 @@
 
 /* The outstanding-access tracker, bit-for-bit the Python
  * OutstandingTracker: integral/nonzero only advance over spans where
- * the count is positive, and last_time only moves forward. */
+ * the count is positive, and last_time only moves forward.  The count
+ * is constant between two changes, so advancing at each change (and
+ * once at the end) sums the same spans as advancing every cycle. */
 typedef struct {
     int64_t count;
     int64_t last_time;
@@ -94,7 +101,8 @@ typedef struct {
     const uint8_t *dmiss, *imiss, *mispred, *pmiss, *pfuseful;
 
     int64_t *ready;      /* result and commit time, NEVER until issue */
-    int64_t *wake;       /* memoised operand wake time, -1 unknown   */
+    int64_t *wake;       /* operand wake time once final, -1 unknown,
+                            -2 - p while waiting on unissued p      */
     uint8_t *imiss_run;  /* per-run copy: fetch consumes each miss   */
 
     /* MSHR entries double as completion-wheel slots (FIFO order).   */
@@ -107,9 +115,7 @@ typedef struct {
 
     int64_t *rob_buf;    /* ring buffer                              */
     int64_t rob_alloc;
-    int64_t *iw_buf;     /* program-order array, compacted at issue  */
-    int64_t *memops_buf;
-    int64_t *branches_buf;
+    int64_t *iw_buf;     /* program order, compacted by the issue scan */
     int64_t *urs_buf;    /* unresolved stores: pure FIFO, no wrap    */
     int64_t *fq_idx;     /* fetch queue ring                         */
     int64_t *fq_time;
@@ -178,37 +184,38 @@ static int64_t wake_of(Ctx *c, int64_t i)
     int64_t w = c->wake[i];
     if (w >= 0)
         return w;
+    if (w <= -2 && c->ready[-2 - w] == NEVER)
+        return NEVER;  /* the producer it last found unissued still is */
     w = 0;
     int32_t p = c->prod1[i];
-    if (p >= 0 && c->ready[p] > w)
-        w = c->ready[p];
+    if (p >= 0) {
+        if (c->ready[p] == NEVER) {
+            c->wake[i] = -2 - p;
+            return NEVER;
+        }
+        if (c->ready[p] > w)
+            w = c->ready[p];
+    }
     p = c->prod2[i];
-    if (p >= 0 && c->ready[p] > w)
-        w = c->ready[p];
+    if (p >= 0) {
+        if (c->ready[p] == NEVER) {
+            c->wake[i] = -2 - p;
+            return NEVER;
+        }
+        if (c->ready[p] > w)
+            w = c->ready[p];
+    }
     p = c->prod3[i];
-    if (p >= 0 && c->ready[p] > w)
-        w = c->ready[p];
-    if (w < NEVER)
-        c->wake[i] = w;  /* every producer issued: final */
+    if (p >= 0) {
+        if (c->ready[p] == NEVER) {
+            c->wake[i] = -2 - p;
+            return NEVER;
+        }
+        if (c->ready[p] > w)
+            w = c->ready[p];
+    }
+    c->wake[i] = w;  /* every producer issued: final */
     return w;
-}
-
-/* Remove *value* from an order-preserving array list (always present). */
-/* certify: requires *count >= 1 && *count <= iw_alloc */
-/* certify: requires value >= 0 && value <= n - 1 */
-/* certify: buffer buf length iw_alloc content 0 .. n - 1 */
-static void list_remove(int64_t *buf, int64_t *count, int64_t value)
-{
-    int64_t k = 0;
-    /* certify: assume k <= *count - 1 -- value is always present among
-       the first *count live entries (callers only remove instructions
-       they inserted at dispatch), so the scan stops before the end */
-    while (buf[k] != value)
-        k++;
-    (*count)--;
-    /* certify: assume k <= *count -- the removed slot sits at or before
-       the new count (k was below the old count, checked above) */
-    memmove(buf + k, buf + k + 1, (size_t)(*count - k) * sizeof(int64_t));  /* reprolint: disable=kernel-bounds -- shifts the (*count - k) in-bounds tail left by one slot; the interval domain cannot relate the source pointer buf + k + 1 to the declared buffer base, and 0 <= k <= *count is established by the assumes above */
 }
 
 static void run_one(Ctx *c, const CycleConfig *cfg)
@@ -257,7 +264,6 @@ static void run_one(Ctx *c, const CycleConfig *cfg)
 
     int64_t rob_head = 0, rob_count = 0;  /* ring over rob_buf */
     int64_t iw_count = 0;
-    int64_t memops_count = 0, branches_count = 0;
     int64_t urs_head = 0, urs_tail = 0;
     int64_t fq_head = 0, fq_count = 0;
 
@@ -272,7 +278,7 @@ static void run_one(Ctx *c, const CycleConfig *cfg)
     int64_t committed = 0;
 
     while (committed < n) {
-        /* certify: assume now >= 0 && now <= (1 << 52) && rob_count >= 0 && rob_count <= rob_alloc && rob_head >= 0 && rob_head <= rob_alloc - 1 && iw_count >= 0 && iw_count <= iw_alloc && fq_count >= 0 && fq_count <= fq_alloc && fq_head >= 0 && fq_head <= fq_alloc - 1 && memops_count >= 0 && memops_count <= iw_alloc && branches_count >= 0 && branches_count <= iw_alloc && urs_head >= 0 && urs_head <= urs_tail && urs_tail >= 0 && urs_tail <= n -- cycle-loop invariants: every queue insertion below is guarded by its capacity check, ring heads wrap on increment, at most one unresolved store per instruction, and simulated time only jumps to already-scheduled events (each at most miss_penalty ahead; total work is bounded by 3n events) */
+        /* certify: assume now >= 0 && now <= (1 << 52) && rob_count >= 0 && rob_count <= rob_alloc && rob_head >= 0 && rob_head <= rob_alloc - 1 && iw_count >= 0 && iw_count <= iw_alloc && fq_count >= 0 && fq_count <= fq_alloc && fq_head >= 0 && fq_head <= fq_alloc - 1 && urs_head >= 0 && urs_head <= urs_tail && urs_tail >= 0 && urs_tail <= n -- cycle-loop invariants: every queue insertion below is guarded by its capacity check, ring heads wrap on increment, at most one unresolved store per instruction, and simulated time only jumps to already-scheduled events (each at most miss_penalty ahead; total work is bounded by 3n events) */
         /* Retire completed off-chip accesses. */
         while (c->ce_head < c->ce_tail && c->ent_done[c->ce_head] <= now) {
             int64_t e = c->ce_head++;
@@ -320,32 +326,37 @@ static void run_one(Ctx *c, const CycleConfig *cfg)
         }
 
         /* ---- issue ----------------------------------------------- */
+        /* One oldest-first pass over the window: an entry that issues
+         * leaves a gap, which the entries behind it close as the scan
+         * reaches them.  The window holds every dispatched, unissued
+         * instruction in program order, so the in-order policies need
+         * no lists of their own: the entry scanned is the oldest
+         * unissued memop (branch) exactly when no older memop (branch)
+         * stayed behind earlier in the pass. */
         if (iw_count > 0 && now >= serializing_block_until) {
             int64_t issued_this_cycle = 0;
-            int any_issued = 0;
-            for (int64_t pos = 0; pos < iw_count; pos++) {
-                if (issued_this_cycle >= issue_width)
-                    break;
+            int memop_waits = 0, branch_waits = 0;
+            int64_t pos = 0, kept = 0;
+            while (pos < iw_count && issued_this_cycle < issue_width) {
                 int64_t i = c->iw_buf[pos];
+                pos++;
                 int op = ops[i];
-                int is_serial = (op == OP_CAS || op == OP_LDSTUB ||
-                                 op == OP_MEMBAR);
+                int64_t done = -1;  /* stays -1 while i waits */
 
-                if (serializing && is_serial) {
-                    /* Drain: only the ROB head may issue. */
-                    if (rob_count == 0 || c->rob_buf[rob_head] != i)
-                        continue;
-                }
-                if (wake_of(c, i) > now)
-                    continue;
-
-                if (op == OP_LOAD || op == OP_CAS || op == OP_LDSTUB) {
+                if (serializing &&
+                    (op == OP_CAS || op == OP_LDSTUB || op == OP_MEMBAR) &&
+                    (rob_count == 0 || c->rob_buf[rob_head] != i)) {
+                    /* drain: only the ROB head may issue */
+                } else if (wake_of(c, i) > now) {
+                    /* an operand is not ready */
+                } else if (op == OP_LOAD || op == OP_CAS || op == OP_LDSTUB) {
                     int32_t m = memdep[i];
-                    if (m >= 0 && ready[m] > now)
-                        continue;  /* wait for the forwarding store */
-                    if (load_in_order && c->memops_buf[0] != i)
-                        continue;
-                    if (load_wait_staddr) {
+                    int waits = (m >= 0 && ready[m] > now) ||  /* its store */
+                                (load_in_order && memop_waits);
+                    if (!waits && load_wait_staddr) {
+                        /* A resolved store stays resolved, so popping
+                           the resolved ones here reads the same head
+                           whenever it happens. */
                         while (urs_head < urs_tail) {
                             int64_t s = c->urs_buf[urs_head];
                             int64_t addr_when = 0;
@@ -355,79 +366,75 @@ static void run_one(Ctx *c, const CycleConfig *cfg)
                             p = c->prod2[s];
                             if (p >= 0 && ready[p] > addr_when)
                                 addr_when = ready[p];
-                            if (addr_when <= now)
-                                urs_head++;
-                            else
+                            if (addr_when > now)
                                 break;
+                            urs_head++;
                         }
-                        if (urs_head < urs_tail && c->urs_buf[urs_head] < i)
-                            continue;
+                        waits = urs_head < urs_tail && c->urs_buf[urs_head] < i;
                     }
-                    int64_t done;
-                    if (dmiss[i]) {
-                        if (perfect_l2)
+                    if (!waits) {
+                        if (!dmiss[i])
+                            done = now + l1_latency;
+                        else if (perfect_l2)
                             done = now + l2_latency;
                         else
                             done = do_access(c, now, c->addr_line[i], 1,
                                              KIND_DMISS);
-                    } else {
-                        done = now + l1_latency;
+                        if (serializing && op != OP_LOAD)
+                            serializing_block_until = done;
                     }
-                    ready[i] = done;
-                    if (serializing && op != OP_LOAD)
-                        serializing_block_until = done;
                 } else if (op == OP_STORE) {
-                    if (load_in_order && c->memops_buf[0] != i)
-                        continue;
-                    ready[i] = now + 1;
+                    if (!(load_in_order && memop_waits))
+                        done = now + 1;
                 } else if (op == OP_PREFETCH) {
                     if (pmiss[i] && !perfect_l2)
                         do_access(c, now, c->addr_line[i], pfuseful[i],
                                   KIND_PREFETCH);
-                    ready[i] = now + 1;
+                    done = now + 1;
                 } else if (op == OP_BRANCH) {
-                    if (branch_in_order && c->branches_buf[0] != i)
-                        continue;
-                    int64_t done = now + branch_latency;
-                    ready[i] = done;
-                    if (i == redirect_branch) {
-                        fetch_stall_until = done + redirect_penalty;
-                        redirect_branch = -1;
-                        waiting_redirect = 0;
-                        wait_reason_is_branch = 1;
+                    if (!(branch_in_order && branch_waits)) {
+                        done = now + branch_latency;
+                        if (i == redirect_branch) {
+                            fetch_stall_until = done + redirect_penalty;
+                            redirect_branch = -1;
+                            waiting_redirect = 0;
+                            wait_reason_is_branch = 1;
+                        }
                     }
                 } else if (op == OP_MEMBAR) {
-                    ready[i] = now + 1;
+                    done = now + 1;
                     if (serializing)
                         serializing_block_until = now + 1;
                 } else {  /* ALU / NOP */
-                    int64_t done = now + alu_latency;
-                    ready[i] = done;
+                    done = now + alu_latency;
                 }
 
+                if (done < 0) {  /* i stays, and holds back its peers */
+                    if (op == OP_LOAD || op == OP_STORE || op == OP_PREFETCH ||
+                        op == OP_CAS || op == OP_LDSTUB)
+                        memop_waits = 1;
+                    else if (op == OP_BRANCH)
+                        branch_waits = 1;
+                    /* certify: assume kept <= pos - 1 -- kept counts the
+                       entries this pass kept, at most one per scanned
+                       slot, and pos has already moved past i */
+                    c->iw_buf[kept++] = i;
+                    continue;
+                }
+                ready[i] = done;
                 issued_this_cycle++;
-                any_issued = 1;
-                c->iw_buf[pos] = -1;  /* compacted below */
-                if (op == OP_LOAD || op == OP_STORE || op == OP_PREFETCH ||
-                    op == OP_CAS || op == OP_LDSTUB)
-                    /* certify: assume memops_count >= 1 && memops_count <= iw_alloc -- the op being removed was inserted into memops_buf at dispatch, and the list never outgrows the issue window */
-                    list_remove(c->memops_buf, &memops_count, i);
-                if (op == OP_BRANCH)
-                    /* certify: assume branches_count >= 1 && branches_count <= iw_alloc -- the branch being removed was inserted at dispatch, and the list never outgrows the issue window */
-                    list_remove(c->branches_buf, &branches_count, i);
                 if (serializing && (op == OP_CAS || op == OP_LDSTUB))
                     break;  /* drain: nothing younger issues this cycle */
             }
-            if (any_issued) {
-                int64_t w = 0;
-                for (int64_t pos = 0; pos < iw_count; pos++) {
-                    int64_t v = c->iw_buf[pos];
-                    if (v >= 0)
-                        /* certify: assume w <= pos -- w counts the kept
-                           entries, at most one per scanned slot */
-                        c->iw_buf[w++] = v;
+            if (kept < pos) {  /* entries issued: the rest close the gap */
+                while (pos < iw_count) {
+                    /* certify: assume kept <= pos - 1 -- the gap is
+                       pos - kept >= 1 slots wide, and both advance
+                       together */
+                    c->iw_buf[kept++] = c->iw_buf[pos];
+                    pos++;
                 }
-                iw_count = w;
+                iw_count = kept;
                 /* certify: assume issued_this_cycle <= (1 << 16) -- bounded by the issue_width guard, which the widened loop exit loses */
                 activity += issued_this_cycle;
             }
@@ -454,24 +461,11 @@ static void run_one(Ctx *c, const CycleConfig *cfg)
             c->rob_buf[tail] = i;
             rob_count++;
             c->iw_buf[iw_count++] = i;
-            if (op == OP_LOAD || op == OP_STORE || op == OP_PREFETCH ||
-                op == OP_CAS || op == OP_LDSTUB) {
-                /* certify: assume memops_count >= 0 && memops_count <= iw_alloc - 1 -- every
-                   listed memop also occupies an issue-window slot
-                   (inserted together just above, removed together at
-                   issue), so the list stays below the allocation */
-                c->memops_buf[memops_count++] = i;
-                if (op == OP_STORE && load_wait_staddr)
-                    /* certify: assume urs_tail <= n - 1 -- stores enter
-                       the unresolved-store FIFO once each, so at most n
-                       entries are ever appended */
-                    c->urs_buf[urs_tail++] = i;
-            }
-            if (op == OP_BRANCH)
-                /* certify: assume branches_count >= 0 && branches_count <= iw_alloc - 1 --
-                   every listed branch also occupies an issue-window
-                   slot, so the list stays below the allocation */
-                c->branches_buf[branches_count++] = i;
+            if (op == OP_STORE && load_wait_staddr)
+                /* certify: assume urs_tail <= n - 1 -- stores enter the
+                   unresolved-store FIFO once each, so at most n
+                   entries are ever appended */
+                c->urs_buf[urs_tail++] = i;
             dispatched++;
         }
         /* certify: assume dispatched <= (1 << 16) -- bounded by the dispatch_width guard, which the widened loop exit loses */
@@ -543,7 +537,6 @@ static void run_one(Ctx *c, const CycleConfig *cfg)
         }
 
         /* ---- advance time ---------------------------------------- */
-        trk_advance(&c->trk, now);
         if (activity || !event_skip) {
             out->stalls[cat]++;
             now++;
@@ -647,15 +640,13 @@ int cyclesim_batch(
     c.urs_buf = malloc(ni * sizeof(int64_t));
     c.rob_buf = malloc((size_t)rob_max * sizeof(int64_t));
     c.iw_buf = malloc((size_t)iw_max * sizeof(int64_t));
-    c.memops_buf = malloc((size_t)iw_max * sizeof(int64_t));
-    c.branches_buf = malloc((size_t)iw_max * sizeof(int64_t));
     c.fq_idx = malloc((size_t)fq_max * sizeof(int64_t));
     c.fq_time = malloc((size_t)fq_max * sizeof(int64_t));
 
     int ok = c.ready && c.wake && c.imiss_run &&
              c.ent_done && c.ent_line && c.ent_useful && c.ent_next &&
              c.hash_head && c.urs_buf && c.rob_buf && c.iw_buf &&
-             c.memops_buf && c.branches_buf && c.fq_idx && c.fq_time;
+             c.fq_idx && c.fq_time;
     if (ok) {
         for (int64_t k = 0; k < n_configs; k++) {
             memset(&results[k], 0, sizeof(CycleResult));
@@ -675,8 +666,6 @@ int cyclesim_batch(
     free(c.urs_buf);
     free(c.rob_buf);
     free(c.iw_buf);
-    free(c.memops_buf);
-    free(c.branches_buf);
     free(c.fq_idx);
     free(c.fq_time);
     return ok ? 0 : 1;

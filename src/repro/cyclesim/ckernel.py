@@ -22,6 +22,7 @@ contracted ranges (:func:`in_contract`).
 """
 
 import ctypes
+import functools
 import os
 
 from repro.cbuild import KernelLoader, opcode_defines
@@ -112,7 +113,11 @@ def kernel_error():
     return _loader.error()
 
 
+@functools.lru_cache(maxsize=4096)
 def _config_struct(config):
+    """*config*'s ``CycleConfig``, built once and shared by the route
+    check (:func:`in_contract`) and the driver (:func:`run_cycle_plan`);
+    neither writes it."""
     issue = config.issue
     return _loader.struct(
         "CycleConfig",
@@ -139,19 +144,21 @@ def _config_struct(config):
     )
 
 
+@functools.lru_cache(maxsize=4096)
 def in_contract(config):
     """Do *config*'s kernel fields lie inside the contracted ranges?
 
     A valid config can exceed them (a ROB above 2**20, a field no
     ``int64`` can hold); the kernel is not certified for it, so it runs
-    on the frozen reference instead.
+    on the frozen reference instead.  The verdict is remembered per
+    config.
     """
     try:
-        configs = (_KernelConfig * 1)(_config_struct(config))
+        struct = _config_struct(config)
     except InternalError:
         return False
-    return _loader.violation(
-        "cyclesim_batch", {"configs": configs, "n_configs": 1}) is None
+    return _loader.violation("cyclesim_batch", {
+        "configs": (_KernelConfig * 1)(struct), "n_configs": 1}) is None
 
 
 def run_cycle_plan(plan, pairs, workload):
@@ -172,7 +179,7 @@ def run_cycle_plan(plan, pairs, workload):
         :func:`kernel_available` first), the plan or a config lies
         outside :data:`~repro.cyclesim.plan.CYCLE_PLAN_CONTRACT`, or a
         config deadlocked — the same condition, same message, as the
-        reference.
+        reference, with ``field`` set to that config's label.
     """
     pairs = list(pairs)
     n = len(plan)
@@ -195,7 +202,8 @@ def run_cycle_plan(plan, pairs, workload):
         if raw.status == _ST_DEADLOCK:
             raise InternalError(
                 f"cycle simulator deadlocked at cycle {raw.error_cycle}"
-                f" (committed {raw.error_committed}/{n})"
+                f" (committed {raw.error_committed}/{n})",
+                field=label,
             )
         metrics = CycleMetrics(
             workload=workload,

@@ -98,7 +98,9 @@ class CyclePlan:
     All columns have length ``n = stop - start``.  Producer columns keep
     the dependence graph's ``-1`` sentinel for "no producer in region";
     ``addr_line``/``pc_line`` are the byte addresses already shifted to
-    cache-line numbers, so the inner loop never touches the trace.
+    cache-line numbers, so the inner loop never touches the trace.  The
+    columns are read-only from construction on, so the kernel's call
+    check scans each one once (see :class:`repro.cbuild.KernelLoader`).
     """
 
     start: int
@@ -115,6 +117,10 @@ class CyclePlan:
     mispred: np.ndarray
     pmiss: np.ndarray
     pfuseful: np.ndarray
+
+    def __post_init__(self):
+        for name in CYCLE_PLAN_COLUMNS:
+            getattr(self, name).flags.writeable = False
 
     def __len__(self):
         return self.stop - self.start

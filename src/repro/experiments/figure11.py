@@ -12,7 +12,7 @@ prediction by ~174%/103%/21%.
 
 import dataclasses
 
-from repro.analysis.sweep import sweep, sweep_cyclesim
+from repro.analysis.sweep import sweep
 from repro.core.config import MachineConfig
 from repro.cyclesim import CycleSimConfig
 from repro.experiments.common import (
@@ -20,6 +20,7 @@ from repro.experiments.common import (
     Exhibit,
     WORKLOAD_NAMES,
     get_annotated,
+    get_cyclesim,
 )
 from repro.perf.cpi_model import derive_overlap_cm, estimate_cpi
 
@@ -53,15 +54,14 @@ def run(trace_len=None, miss_penalty=MISS_PENALTY):
     for name in WORKLOAD_NAMES:
         annotated = get_annotated(name, trace_len)
 
-        # Anchor measurements on the 64D baseline, real and perfect L2,
-        # in one sweep-backend call.
+        # Anchor measurements on the 64D baseline, real and perfect L2.
         anchor = MachineConfig.named("64D")
-        anchors = sweep_cyclesim(annotated, [
+        anchors = get_cyclesim(annotated, [
             ("real", CycleSimConfig.from_machine(
                 anchor, miss_penalty=miss_penalty)),
             ("perfect", CycleSimConfig.from_machine(
                 anchor, miss_penalty=miss_penalty, perfect_l2=True)),
-        ], workload=name).results
+        ], name)
         real, perfect = anchors["real"], anchors["perfect"]
         result = sweep(annotated, grid)
         base = result.results["64D"]

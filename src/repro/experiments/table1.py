@@ -10,7 +10,6 @@ Overlap_CM is small everywhere (conventional out-of-order hides little
 memory time under compute), and MLP sits in the 1.1-1.4 range.
 """
 
-from repro.analysis.sweep import sweep_cyclesim
 from repro.core.config import MachineConfig
 from repro.cyclesim import CycleSimConfig
 from repro.experiments.common import (
@@ -18,6 +17,7 @@ from repro.experiments.common import (
     Exhibit,
     WORKLOAD_NAMES,
     get_annotated,
+    get_cyclesim,
 )
 from repro.perf.cpi_model import cpi_breakdown
 
@@ -28,8 +28,9 @@ def run(trace_len=None, latencies=(200, 1000), machine=None):
     rows = []
     for name in WORKLOAD_NAMES:
         annotated = get_annotated(name, trace_len)
-        # One sweep-backend call per workload covers every
-        # (latency, perfect-L2) cell of the table.
+        # Every (latency, perfect-L2) cell of the table in one memoised
+        # call per workload; the perfect-L2 cells of both latencies are
+        # one run.
         pairs = []
         for latency in latencies:
             pairs.append((
@@ -42,7 +43,7 @@ def run(trace_len=None, latencies=(200, 1000), machine=None):
                     machine, miss_penalty=latency, perfect_l2=True
                 ),
             ))
-        grid = sweep_cyclesim(annotated, pairs, workload=name).results
+        grid = get_cyclesim(annotated, pairs, name)
         for latency in latencies:
             real = grid[f"p{latency}"]
             perfect = grid[f"p{latency}/perfL2"]

@@ -8,7 +8,7 @@ the paper's evidence that the epoch model and its window-termination
 rules are complete.
 """
 
-from repro.analysis.sweep import sweep, sweep_cyclesim
+from repro.analysis.sweep import sweep
 from repro.core.config import MachineConfig
 from repro.cyclesim import CycleSimConfig
 from repro.experiments.common import (
@@ -16,6 +16,7 @@ from repro.experiments.common import (
     Exhibit,
     WORKLOAD_NAMES,
     get_annotated,
+    get_cyclesim,
 )
 
 
@@ -26,9 +27,9 @@ def run(trace_len=None, sizes=(32, 64, 128), configs="ABC",
     worst_gap = 0.0
     for name in WORKLOAD_NAMES:
         annotated = get_annotated(name, trace_len)
-        # The whole 27-config cyclesim grid goes through the sweep
-        # backend in one call: one shared cycle plan, kernel-batched
-        # serially or fanned out across workers under REPRO_JOBS.
+        # The whole 27-config cyclesim grid in one memoised call: the
+        # configs no earlier exhibit ran share one cycle plan and one
+        # kernel batch.
         pairs = [
             (
                 f"{size}{letter}/p{latency}",
@@ -41,7 +42,7 @@ def run(trace_len=None, sizes=(32, 64, 128), configs="ABC",
             for letter in configs
             for latency in latencies
         ]
-        grid = sweep_cyclesim(annotated, pairs, workload=name).results
+        grid = get_cyclesim(annotated, pairs, name)
         mlpsim_grid = sweep(
             annotated,
             [

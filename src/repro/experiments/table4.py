@@ -9,7 +9,7 @@ cycle simulator does not implement).  The paper's claim to reproduce:
 all estimates land within 2% of the measured CPI.
 """
 
-from repro.analysis.sweep import sweep, sweep_cyclesim
+from repro.analysis.sweep import sweep
 from repro.core.config import MachineConfig
 from repro.cyclesim import CycleSimConfig
 from repro.experiments.common import (
@@ -17,6 +17,7 @@ from repro.experiments.common import (
     Exhibit,
     WORKLOAD_NAMES,
     get_annotated,
+    get_cyclesim,
 )
 from repro.perf.cpi_model import derive_overlap_cm, estimate_cpi
 
@@ -27,8 +28,8 @@ def run(trace_len=None, size=64, configs="ABC", miss_penalty=1000):
     worst_error = 0.0
     for name in WORKLOAD_NAMES:
         annotated = get_annotated(name, trace_len)
-        # Real and perfect-L2 runs for every config letter, through the
-        # sweep backend in one call per workload.
+        # Real and perfect-L2 runs for every config letter in one
+        # memoised call per workload (the real runs are Table 3's).
         pairs = []
         for letter in configs:
             machine = MachineConfig.named(f"{size}{letter}")
@@ -44,7 +45,7 @@ def run(trace_len=None, size=64, configs="ABC", miss_penalty=1000):
                     machine, miss_penalty=miss_penalty, perfect_l2=True
                 ),
             ))
-        grid = sweep_cyclesim(annotated, pairs, workload=name).results
+        grid = get_cyclesim(annotated, pairs, name)
         mlpsim_grid = sweep(
             annotated,
             [(letter, MachineConfig.named(f"{size}{letter}"))

@@ -340,7 +340,8 @@ _CYCLESIM_FIELDS = {
 _CYCLESIM_BUFFERS = {
     **{("Ctx", name): buf for name, buf in _columns(_CYCLESIM_ENTRY).items()},
     ("Ctx", "ready"): Buf("n", "int64_t", "0", "NEVER"),
-    ("Ctx", "wake"): Buf("n", "int64_t", "-1", "NEVER"),
+    # -1 unknown, -2 - p while waiting on unissued producer p.
+    ("Ctx", "wake"): Buf("n", "int64_t", "-n - 1", "NEVER"),
     ("Ctx", "imiss_run"): Buf("n", "uint8_t", "0", "1"),
     ("Ctx", "ent_done"): Buf("2 * n", "int64_t", "0", _TIME_HI),
     ("Ctx", "ent_line"): Buf("2 * n", "int64_t", "0", "(1 << 57)"),
@@ -348,13 +349,7 @@ _CYCLESIM_BUFFERS = {
     ("Ctx", "ent_next"): Buf("2 * n", "int32_t", "-1", "2 * n - 1"),
     ("Ctx", "hash_head"): Buf("HASH_SIZE", "int32_t", "-1", "2 * n - 1"),
     ("Ctx", "rob_buf"): Buf("rob_alloc", "int64_t", "0", "n - 1"),
-    ("Ctx", "iw_buf"): Buf(
-        "iw_alloc", "int64_t", "0", "n - 1", trusted=True,
-        reason="slots cleared to -1 during issue are compacted out"
-               " before any later scan; live entries are instruction"
-               " indices"),
-    ("Ctx", "memops_buf"): Buf("iw_alloc", "int64_t", "0", "n - 1"),
-    ("Ctx", "branches_buf"): Buf("iw_alloc", "int64_t", "0", "n - 1"),
+    ("Ctx", "iw_buf"): Buf("iw_alloc", "int64_t", "0", "n - 1"),
     ("Ctx", "urs_buf"): Buf("n", "int64_t", "0", "n - 1"),
     ("Ctx", "fq_idx"): Buf("fq_alloc", "int64_t", "0", "n - 1"),
     ("Ctx", "fq_time"): Buf("fq_alloc", "int64_t", "0", _TIME_HI),

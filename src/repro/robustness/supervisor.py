@@ -481,19 +481,25 @@ class _SweepState:
             task.finished = True
         self._report()
 
-    def fail(self, chunk, error, elapsed):
+    def fail(self, chunk, error, elapsed, label=None):
         """Charge every config of *chunk* one failed attempt.
 
         Returns the configs that may retry, each as its own
-        single-config chunk.  Unsupervised sweeps raise instead.
+        single-config chunk.  Unsupervised sweeps raise instead, naming
+        the failed config: *label*, when the error named one of the
+        chunk's configs, else every config of the chunk.
         """
         if self.policy is None:
-            labels = ", ".join(task.label for task in chunk)
+            labels = [task.label for task in chunk]
+            failed = labels
+            if label in labels:  # drop the wrapped error's copy of it
+                failed = [label]
+                error = error.replace(f"field {label!r}: ", "", 1)
             raise SimulationError(
-                f"sweep config(s) [{labels}] failed (attempt"
+                f"sweep config(s) [{', '.join(failed)}] failed (attempt"
                 f" {chunk[0].attempts}, after"
                 f" {time.monotonic() - self.started:.1f}s): {error}",
-                field=chunk[0].label,
+                field=failed[0],
             )
         retries = []
         for task in chunk:
@@ -581,7 +587,7 @@ def _drain_serial(annotated, chunks, state):
         except Exception as exc:
             retries = state.fail(
                 chunk, f"{type(exc).__name__}: {exc}",
-                time.monotonic() - started,
+                time.monotonic() - started, getattr(exc, "field", None),
             )
             waiting.extendleft(reversed(retries))
         else:

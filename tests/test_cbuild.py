@@ -187,15 +187,31 @@ def test_entry_point_wiring_matches_the_c_definition(module, entry):
 
 
 class _StubFunction:
-    """A C entry point stand-in that records each call it gets."""
+    """A C entry point stand-in that records each call it gets, and
+    hands its arguments to *record* if given."""
 
-    def __init__(self, calls, name):
+    def __init__(self, calls, name, record=None):
         self.calls = calls
         self.name = name
+        self.record = record
 
     def __call__(self, *args):
         self.calls.append(self.name)
+        if self.record is not None:
+            self.record(*args)
         return 0
+
+
+def _stubbed(monkeypatch, loader, record=None):
+    """Bind *loader* to stand-in entry points; returns the list each
+    call appends its entry's name to."""
+    calls = []
+    library = types.SimpleNamespace(**{
+        name: _StubFunction(calls, name, record)
+        for name in loader.contract["entries"]})
+    monkeypatch.setattr(loader, "functions", loader.bind(library))
+    monkeypatch.setattr(loader, "probed", True)
+    return calls
 
 
 def _lowest(loader, name, symbols):
@@ -247,12 +263,7 @@ def test_out_of_contract_columns_never_reach_the_kernel(monkeypatch,
     a value out of range raises, and the stub library records no call;
     arguments inside the declaration make exactly one call."""
     loader = module._loader
-    calls = []
-    library = types.SimpleNamespace(**{
-        name: _StubFunction(calls, name)
-        for name in loader.contract["entries"]})
-    monkeypatch.setattr(loader, "functions", loader.bind(library))
-    monkeypatch.setattr(loader, "probed", True)
+    calls = _stubbed(monkeypatch, loader)
     args, symbols = _inside(loader, entry)
     loader.call(entry, args)
     assert calls == [entry]
@@ -270,6 +281,98 @@ def test_out_of_contract_columns_never_reach_the_kernel(monkeypatch,
         with pytest.raises(InternalError, match="outside its contract"):
             loader.call(entry, {**args, param.name: bad})
     assert calls == []
+
+
+def test_a_read_only_column_is_scanned_once(monkeypatch):
+    """The call check scans a read-only column's values on its first
+    call only, a writable column's on every call, and still refuses a
+    read-only column outside its range on every call."""
+    loader = cycle_ckernel._loader
+    calls = _stubbed(monkeypatch, loader)
+    monkeypatch.setattr(loader, "_remembered", {})
+    scanned = []
+    real = cbuild._extremes
+
+    def counting(array):
+        scanned.append(array.size)
+        return real(array)
+
+    monkeypatch.setattr(cbuild, "_extremes", counting)
+    args, symbols = _inside(loader, "cyclesim_batch")
+    columns = list(cycle_ckernel.CYCLE_PLAN_COLUMNS)
+    for name in columns:
+        args[name] = args[name].copy()
+        args[name].flags.writeable = False
+    for _ in range(3):
+        loader.call("cyclesim_batch", args)
+    assert len(scanned) == len(columns)
+    assert len(calls) == 3
+
+    scanned.clear()
+    writable = {**args, "ops": args["ops"].copy()}
+    for _ in range(3):
+        loader.call("cyclesim_batch", writable)
+    assert len(scanned) == 3
+
+    ops = next(param for param in cbuild.params(
+        loader.contract["entries"]["cyclesim_batch"]) if param.name == "ops")
+    above = args["ops"].copy()
+    above[0] = cbuild.contract_bound(ops.hi, symbols) + 1
+    above.flags.writeable = False
+    calls.clear()
+    for _ in range(2):
+        with pytest.raises(InternalError, match="outside its contract"):
+            loader.call("cyclesim_batch", {**args, "ops": above})
+    assert calls == []
+
+
+@pytest.mark.parametrize("cpus, count", [(1, 5), (2, 27), (3, 7), (4, 6),
+                                         (8, 5)])
+def test_slices_interleave_the_batch(monkeypatch, cpus, count):
+    """A sliced call gives each thread every k-th struct of the batch,
+    k the number of slices, and scatters what the kernel wrote back to
+    each struct's own slot."""
+    loader = cycle_ckernel._loader
+    declared = [param.name for param in
+                cbuild.params(loader.contract["entries"]["cyclesim_batch"])]
+    at = {name: declared.index(name)
+          for name in ("configs", "n_configs", "results")}
+    seen = []
+
+    def record(*args):
+        size = args[at["n_configs"]]
+        configs = ctypes.cast(args[at["configs"]],
+                              ctypes.POINTER(cycle_ckernel._KernelConfig))
+        results = ctypes.cast(args[at["results"]],
+                              ctypes.POINTER(cycle_ckernel._KernelResult))
+        seen.append([configs[k].rob for k in range(size)])
+        for k in range(size):
+            results[k].cycles = configs[k].rob
+
+    _stubbed(monkeypatch, loader, record)
+    monkeypatch.setattr(cbuild, "effective_cpus", lambda: cpus)
+    args, _ = _inside(loader, "cyclesim_batch")
+    args["n_configs"] = count
+    args["configs"] = (cycle_ckernel._KernelConfig * count)(
+        *[loader.struct("CycleConfig", **{**_fields(args["configs"][0]),
+                                          "rob": index + 1})
+          for index in range(count)])
+    args["results"] = (cycle_ckernel._KernelResult * count)()
+    loader.call("cyclesim_batch", args, slices="n_configs")
+    slices = min(cpus, count)
+    assert len(seen) == slices
+    assert sorted(rob for call in seen for rob in call) == \
+        list(range(1, count + 1))
+    for call in seen:
+        assert len({(rob - 1) % slices for rob in call}) == 1, seen
+        assert call == sorted(call)
+    assert [result.cycles for result in args["results"]] == \
+        list(range(1, count + 1))
+
+
+def _fields(struct):
+    """``{field: value}`` of a ctypes struct of scalars."""
+    return {name: getattr(struct, name) for name, _ in struct._fields_}
 
 
 def _reprobe(monkeypatch, module):

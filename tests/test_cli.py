@@ -63,6 +63,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "32C" in out and "MLP=" in out
 
+    def test_simulate_names_the_config_that_failed(self, capsys):
+        """In a grid that runs as one kernel batch, the error names the
+        config that made no progress, not the batch's first config."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "database", "-n", "20000", "-m", "64C",
+                  "-m", "64C:store_buffer=0"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: field '#2 64C:store_buffer=0'"), err
+        assert "#1 64C" not in err and "made no progress" in err
+
     def test_simulate_in_order_and_flags(self, capsys):
         code = main(
             [

@@ -18,6 +18,7 @@ from repro.experiments.common import (
     clear_caches,
     default_trace_len,
     get_annotated,
+    get_cyclesim,
 )
 from repro.memory.hierarchy import HierarchyConfig
 
@@ -275,3 +276,64 @@ class TestMLPsimRoutes:
         for name in MLPSIM_EXHIBITS:
             text = run_exhibit(name, trace_len=ROUTE_LEN).format()
             assert text == with_kernel[name], name
+
+
+class TestCyclesimMemo:
+    """Tables 1, 3 and 4 and Figure 11 share cyclesim configs; each
+    distinct one runs once per annotation."""
+
+    def test_each_distinct_config_runs_once(self, monkeypatch):
+        import dataclasses
+
+        from repro.analysis.sweep import sweep_cyclesim
+        from repro.cyclesim import ckernel
+
+        if not ckernel.kernel_available():
+            pytest.skip(f"no compiled kernel: {ckernel.kernel_error()}")
+        clear_caches()
+        sent = []
+        real = ckernel.run_cycle_plan
+
+        def counting(plan, pairs, workload):
+            pairs = list(pairs)
+            sent.extend((workload, config) for _, config in pairs)
+            return real(plan, pairs, workload)
+
+        monkeypatch.setattr(ckernel, "run_cycle_plan", counting)
+        for name in ("table1", "table3", "table4", "figure11"):
+            run_exhibit(name, trace_len=ROUTE_LEN)
+        # 117 requested; Table 4's real runs are Table 3's, Table 1's
+        # 64C runs are Table 3's and Table 4's, and a perfect-L2 run
+        # does not depend on the miss penalty.
+        assert len(sent) == 96
+        assert len(set(sent)) == len(sent)
+
+        for workload in WORKLOAD_NAMES:
+            annotated = get_annotated(workload, ROUTE_LEN)
+            pairs = [(f"config {index}", config)
+                     for index, (name, config) in enumerate(sent)
+                     if name == workload]
+            before = len(sent)
+            memoised = get_cyclesim(annotated, pairs, workload)
+            assert len(sent) == before  # every one memoised
+            fresh = sweep_cyclesim(annotated, pairs, workload=workload)
+            for label, _ in pairs:
+                assert dataclasses.asdict(memoised[label]) == \
+                    dataclasses.asdict(fresh.results[label]), label
+        clear_caches()
+
+    def test_perfect_l2_is_keyed_without_the_miss_penalty(self):
+        from repro.core.config import MachineConfig
+        from repro.cyclesim import CycleSimConfig
+
+        annotated = get_annotated("specweb99", ROUTE_LEN)
+        pairs = [
+            (f"p{penalty}{suffix}", CycleSimConfig.from_machine(
+                MachineConfig.named("64C"), miss_penalty=penalty,
+                perfect_l2=bool(suffix)))
+            for penalty in (200, 1000) for suffix in ("", "/perfL2")
+        ]
+        results = get_cyclesim(annotated, pairs, "specweb99")
+        assert list(results) == [label for label, _ in pairs]
+        assert results["p200/perfL2"] is results["p1000/perfL2"]
+        assert results["p200"].cycles < results["p1000"].cycles
