@@ -1,7 +1,7 @@
-"""Zero-copy publication of columnar plans to sweep workers.
+"""Zero-copy publication of kernel plans to sweep workers.
 
 A parallel batched sweep hands every worker the same
-:class:`~repro.core.columnar.ColumnarPlan`.  Pickling the plan per task
+:class:`~repro.cbuild.Plan`.  Pickling the plan per task
 would copy megabytes of trace columns for every chunk of configs, so
 this module publishes the plan's flat payload **once** and lets workers
 attach to it without copying:
@@ -36,14 +36,13 @@ import tempfile
 
 import numpy as np
 
-from repro.core.columnar import plan_from_payload, plan_payload
-from repro.cyclesim.plan import (
-    CYCLE_META_KEY,
-    CyclePlan,
-    cycle_plan_from_payload,
-    cycle_plan_payload,
-)
+from repro.cbuild import Plan
+from repro.core.columnar import PLAN_CONTRACT
+from repro.cyclesim.plan import CYCLE_PLAN_CONTRACT
 from repro.robustness.errors import TraceFormatError
+
+#: The contracts declaring the entry points a published plan may feed.
+_CONTRACTS = (PLAN_CONTRACT, CYCLE_PLAN_CONTRACT)
 
 #: Column alignment inside the packed buffer.  Cache-line sized, and a
 #: multiple of every column dtype's itemsize.
@@ -179,16 +178,11 @@ def publish_plan(plan):
     :func:`unpublish_plan` it exactly once, whatever happens to the
     workers in between.
 
-    Both plan families share this channel: a columnar MLPsim plan and a
-    :class:`~repro.cyclesim.plan.CyclePlan` pack to the same flat
-    ``{name: array}`` shape, and attachment discriminates on the
-    cycle-plan meta record.
+    Both simulators' plans share this channel and its one payload
+    codec (:meth:`~repro.cbuild.Plan.payload`), whose meta records name
+    the entry point the plan feeds.
     """
-    if isinstance(plan, CyclePlan):
-        payload = cycle_plan_payload(plan)
-    else:
-        payload = plan_payload(plan)
-    layout, size, columns = _pack(payload)
+    layout, size, columns = _pack(plan.payload())
     try:
         return _publish_shm(layout, size, columns)
     except (ImportError, OSError, ValueError):
@@ -199,9 +193,9 @@ def attach_plan(handle):
     """Attach to a published plan; returns an :class:`AttachedPlan`.
 
     The reconstructed plan's columns are views into the shared buffer
-    (no copy); schema validation happens through
-    :func:`~repro.core.columnar.plan_from_payload`, so a version-skewed
-    publisher is rejected loudly.
+    (no copy); :meth:`~repro.cbuild.Plan.from_payload` checks them
+    against the declaration of the entry point the payload names, so a
+    version-skewed publisher is rejected loudly.
 
     Raises
     ------
@@ -234,11 +228,8 @@ def attach_plan(handle):
             f"unknown plan handle kind {handle.kind!r}",
             path=handle.name, field="kind",
         )
-    payload = _unpack(buffer, handle)
-    if CYCLE_META_KEY in payload:
-        plan = cycle_plan_from_payload(payload, path=handle.name)
-    else:
-        plan = plan_from_payload(payload, path=handle.name)
+    plan = Plan.from_payload(_unpack(buffer, handle), _CONTRACTS,
+                             path=handle.name)
     return AttachedPlan(plan, segment if handle.kind == "shm" else None)
 
 

@@ -141,7 +141,7 @@ def sweep_cyclesim(annotated, configs, workload=None, progress=None,
     :func:`repro.experiments.common.get_cyclesim`, which sends each
     distinct config once.
 
-    The grid shares one :class:`~repro.cyclesim.plan.CyclePlan` — the
+    The grid shares one cycle plan (:mod:`repro.cyclesim.plan`) — the
     cycle simulator's event masks never depend on the configuration —
     so an in-process run amortises the plan and the compiled kernel
     across the grid in one :func:`repro.cyclesim.ckernel.run_cycle_plan`

@@ -30,7 +30,13 @@ how:
 * each kernel is probed once per process, and a failure is cached and
   reported by :meth:`KernelLoader.error` rather than raised.
 
-It also holds the process's one CPU count, :func:`effective_cpus`,
+It also holds the one plan type both simulators read their trace
+columns through, :class:`Plan`: exactly the columns an entry point
+declares, with one memo on the annotated trace
+(:func:`memoised_plan`) and one payload codec for the shared-memory
+channel (:mod:`repro.analysis.shm`).
+
+And it holds the process's one CPU count, :func:`effective_cpus`,
 which the simulator drivers use to cut a multi-config batch into one
 slice per usable CPU (:func:`run_slices`): a ctypes call releases the
 GIL, so the slices' kernel calls run at the same time.  Pool workers
@@ -57,7 +63,7 @@ import weakref
 import numpy as np
 
 from repro.isa.opclass import OpClass
-from repro.robustness.errors import InternalError
+from repro.robustness.errors import InternalError, TraceFormatError
 
 #: The ctypes type of each C scalar a declared parameter or return
 #: value may have (``None`` is ctypes' ``void``).
@@ -122,6 +128,148 @@ def crossing(array, dtype):
     if array.dtype == np.bool_ and dtype == np.uint8:
         return array.view(np.uint8)
     return array
+
+
+def contract_fields(contract, struct):
+    """The ctypes ``_fields_`` of *struct* as *contract* declares it:
+    every field of its ``structs`` groups, in order, as an ``int64``,
+    so each field has a contracted range."""
+    return [(field, ctypes.c_int64)
+            for _, fields in contract["structs"][struct] for field in fields]
+
+
+#: Version of the plan payload layout, carried in every payload's meta
+#: record and checked by :meth:`Plan.from_payload`.  Bump it whenever a
+#: plan's columns change set or meaning, so a payload of another layout
+#: is rejected instead of misread.
+PLAN_SCHEMA_VERSION = 3
+
+
+class Plan:
+    """The columns one kernel entry point reads, over one trace region.
+
+    *entry* names the entry point among *contract*'s ``entries``, and
+    *columns* maps each column it reads (:func:`column_dtypes`) to its
+    array over ``[start, stop)``: exactly those columns, each of its
+    declared dtype (a bool array feeds a uint8 column) and of length
+    ``stop - start``.  They are read-only from construction on, so the
+    kernel's call check scans each one once (see :class:`KernelLoader`).
+    Each column is also an attribute: ``plan.ops``.
+
+    Raises
+    ------
+    repro.robustness.errors.TraceFormatError
+        If a column is missing, undeclared, or of another dtype or
+        length (*path* names where the columns came from).
+    """
+
+    def __init__(self, contract, entry, start, stop, columns, path=None):
+        declared = column_dtypes(contract["entries"][entry])
+        for name in columns:
+            if name not in declared:
+                raise TraceFormatError(
+                    f"{entry} plan has undeclared column {name!r}",
+                    path=path, field=name)
+        n = stop - start
+        checked = {}
+        for name, dtype in declared.items():
+            if name not in columns:
+                raise TraceFormatError(
+                    f"{entry} plan is missing column {name!r}",
+                    path=path, field=name)
+            array = np.asarray(columns[name])
+            if crossing(array, dtype).dtype != dtype or array.shape != (n,):
+                raise TraceFormatError(
+                    f"{entry} plan column {name!r} has dtype {array.dtype}"
+                    f" shape {array.shape}; expected {dtype} ({n},)",
+                    path=path, field=name)
+            array.flags.writeable = False
+            checked[name] = array
+        self.entry = entry
+        self.start = start
+        self.stop = stop
+        self.columns = checked
+        vars(self).update(checked)
+
+    def __len__(self):
+        return self.stop - self.start
+
+    def payload(self):
+        """The plan as a flat ``{name: array}`` dict: its columns, the
+        ``meta`` record (:data:`PLAN_SCHEMA_VERSION`, start, stop) and
+        the ``entry`` record, the entry point's name.  It round-trips
+        through :meth:`from_payload`."""
+        return {
+            **self.columns,
+            "meta": np.asarray([PLAN_SCHEMA_VERSION, self.start, self.stop],
+                               dtype=np.int64),
+            "entry": np.asarray([self.entry]),
+        }
+
+    @classmethod
+    def from_payload(cls, payload, contracts, path=None):
+        """Rebuild a plan from :meth:`payload` output, for the entry
+        point its ``entry`` record names, which one of *contracts*
+        declares.  The columns stay the payload's arrays (no copy).
+
+        Raises
+        ------
+        repro.robustness.errors.TraceFormatError
+            If a record is missing or malformed, the payload was written
+            under another :data:`PLAN_SCHEMA_VERSION`, its entry point
+            is unknown, or a column is missing, undeclared, or of
+            another dtype or length; ``field`` names the record or
+            column.
+        """
+        for record in ("meta", "entry"):
+            if record not in payload:
+                raise TraceFormatError(
+                    f"not a plan payload (no {record} record)",
+                    path=path, field=record)
+        meta = np.asarray(payload["meta"])
+        if meta.shape != (3,) or meta.dtype != np.int64:
+            raise TraceFormatError(
+                f"plan meta record has dtype {meta.dtype} shape"
+                f" {meta.shape}; expected int64 (3,)",
+                path=path, field="meta")
+        version, start, stop = (int(value) for value in meta)
+        if version != PLAN_SCHEMA_VERSION:
+            raise TraceFormatError(
+                f"plan schema version mismatch: payload has {version},"
+                f" library expects {PLAN_SCHEMA_VERSION}",
+                path=path, field="meta")
+        if start < 0 or stop < start:
+            raise TraceFormatError(
+                f"plan meta names an invalid region [{start}, {stop})",
+                path=path, field="meta")
+        names = np.asarray(payload["entry"])
+        entry = str(names[0]) if names.shape == (1,) else None
+        contract = next((contract for contract in contracts
+                         if entry in contract["entries"]), None)
+        if contract is None:
+            raise TraceFormatError(
+                f"plan payload names no known entry point: {names!r}",
+                path=path, field="entry")
+        columns = {name: array for name, array in payload.items()
+                   if name not in ("meta", "entry")}
+        return cls(contract, entry, start, stop, columns, path=path)
+
+
+def memoised_plan(annotated, key, build):
+    """The plan memoised on *annotated* under *key*, from ``build()``
+    on first use.
+
+    Every plan of an annotated trace lives in this one memo and dies
+    with it; a key starts with the name of the entry point the plan
+    feeds.
+    """
+    memo = getattr(annotated, "_plans", None)
+    if memo is None:
+        memo = annotated._plans = {}
+    plan = memo.get(key)
+    if plan is None:
+        plan = memo[key] = build()
+    return plan
 
 
 def opcode_defines():

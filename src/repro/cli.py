@@ -301,17 +301,12 @@ def cmd_exhibit(args):
     out; a pass/fail summary prints at the end, and the exit code is
     nonzero iff any exhibit failed.
     """
-    import os
-
     from repro.analysis.parallel import resolve_jobs
     from repro.experiments.runner import format_summary, run_exhibits
 
     # Validate worker counts up front: a bad --jobs or REPRO_JOBS must
     # exit 2 with a one-line message, not fail every exhibit in turn.
     resolve_jobs(args.jobs)
-
-    if args.length is not None:
-        os.environ["REPRO_TRACE_LEN"] = str(args.length)
 
     def show(outcome):
         if outcome.ok:
@@ -321,7 +316,8 @@ def cmd_exhibit(args):
         print()
 
     outcomes = run_exhibits(
-        args.names, timeout=args.timeout, progress=show, jobs=args.jobs
+        args.names, timeout=args.timeout, progress=show, jobs=args.jobs,
+        trace_len=args.length,
     )
     print(format_summary(outcomes))
     return 0 if all(o.ok for o in outcomes) else 1
@@ -329,15 +325,11 @@ def cmd_exhibit(args):
 
 def cmd_ablation(args):
     """``repro ablation``: run the ablation studies."""
-    import os
-
     from repro.experiments.ablations import ABLATIONS, run_ablation
 
-    if args.length is not None:
-        os.environ["REPRO_TRACE_LEN"] = str(args.length)
     names = args.names or list(ABLATIONS)
     for name in names:
-        print(run_ablation(name).format())
+        print(run_ablation(name, trace_len=args.length).format())
         print()
     return 0
 
@@ -470,16 +462,13 @@ def cmd_lint(args):
 
 def cmd_report(args):
     """``repro report``: write the full machine-generated markdown report."""
-    import os
-
     from repro.experiments.report import write_report
 
-    if args.length is not None:
-        os.environ["REPRO_TRACE_LEN"] = str(args.length)
     write_report(
         args.output,
         exhibit_names=args.names or None,
         include_ablations=args.ablations,
+        trace_len=args.length,
         progress=lambda name: print(f"  done: {name}"),
     )
     print(f"wrote {args.output}")
@@ -584,8 +573,7 @@ def build_parser():
     p = sub.add_parser("exhibit", help="regenerate paper tables/figures")
     p.add_argument("names", nargs="*",
                    help="exhibit names ('all' or empty: every exhibit)")
-    p.add_argument("-n", "--length", type=int,
-                   help="trace length (sets REPRO_TRACE_LEN)")
+    p.add_argument("-n", "--length", type=int, help="trace length")
     p.add_argument("--timeout", type=float, default=None,
                    help="per-exhibit wall-clock budget in seconds;"
                    " an exhibit over budget is recorded as failed and"
@@ -614,8 +602,7 @@ def build_parser():
     p.add_argument("-o", "--output", default="REPORT.md")
     p.add_argument("--ablations", action="store_true",
                    help="include the ablation studies")
-    p.add_argument("-n", "--length", type=int,
-                   help="trace length (sets REPRO_TRACE_LEN)")
+    p.add_argument("-n", "--length", type=int, help="trace length")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("lint", help="statically check repository invariants")
@@ -643,8 +630,7 @@ def build_parser():
 
     p = sub.add_parser("ablation", help="run ablation studies")
     p.add_argument("names", nargs="*", help="ablation names (default: all)")
-    p.add_argument("-n", "--length", type=int,
-                   help="trace length (sets REPRO_TRACE_LEN)")
+    p.add_argument("-n", "--length", type=int, help="trace length")
     p.set_defaults(func=cmd_ablation)
 
     return parser

@@ -31,8 +31,8 @@ from repro.core.inorder import (
     simulate_stall_on_miss,
     simulate_stall_on_use,
 )
-from repro.core.columnar import COLUMNAR_SCHEMA_VERSION, ColumnarPlan, plan_for
-from repro.core.limits import limit_configs, perfect_variant
+from repro.core.columnar import plan_for
+from repro.core.limits import limit_configs
 from repro.core.smt import (
     SMTResult,
     ThreadProfile,
@@ -56,11 +56,8 @@ __all__ = [
     "simulate_inorder",
     "simulate_stall_on_miss",
     "simulate_stall_on_use",
-    "COLUMNAR_SCHEMA_VERSION",
-    "ColumnarPlan",
     "plan_for",
     "limit_configs",
-    "perfect_variant",
     "SMTResult",
     "ThreadProfile",
     "profile_from_result",

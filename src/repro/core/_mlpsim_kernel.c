@@ -17,7 +17,7 @@
  * executor run the oracles instead.  No libc beyond
  * malloc/free/memcpy/memset.
  *
- * Layout contract (see ColumnarPlan):
+ * Layout contract (see repro.core.columnar):
  *   - producer columns are region-relative int32 with sentinel n
  *     ("no producer"); the result array holds n+1 (data, valid) epoch
  *     pairs with pair n = 0, so availability reads never branch and

@@ -23,8 +23,8 @@ import ctypes
 import functools
 import os
 
-from repro.cbuild import KernelLoader, opcode_defines
-from repro.core.columnar import PLAN_COLUMNS, PLAN_CONTRACT
+from repro.cbuild import KernelLoader, contract_fields, opcode_defines
+from repro.core.columnar import PLAN_CONTRACT
 from repro.core.config import BranchPolicy, LoadPolicy, SerializePolicy
 from repro.core.mlpsim import NOT_EXECUTED
 from repro.core.results import MLPResult
@@ -42,21 +42,7 @@ _RUNAHEAD_CAP = PLAN_CONTRACT["symbols"]["n"][1] + 1
 
 
 class _KernelConfig(ctypes.Structure):
-    _fields_ = [
-        ("rob", ctypes.c_int64),
-        ("iw", ctypes.c_int64),
-        ("fetch_buffer", ctypes.c_int64),
-        ("serializing", ctypes.c_int64),
-        ("load_in_order", ctypes.c_int64),
-        ("load_wait_staddr", ctypes.c_int64),
-        ("branch_in_order", ctypes.c_int64),
-        ("mshr_cap", ctypes.c_int64),
-        ("sb_cap", ctypes.c_int64),
-        ("slow_bp", ctypes.c_int64),
-        ("slow_bp_threshold", ctypes.c_int64),
-        ("runahead", ctypes.c_int64),
-        ("max_runahead", ctypes.c_int64),
-    ]
+    _fields_ = contract_fields(PLAN_CONTRACT, "KernelConfig")
 
 
 class _KernelResult(ctypes.Structure):
@@ -158,7 +144,8 @@ def batched_supported(machine, record_sets=False):
 
 
 def run_plan(plan, machines, workload):
-    """Simulate every ``(label, machine)`` pair against *plan* in C.
+    """Simulate every ``(label, machine)`` pair against *plan*, an
+    ``mlpsim_batch`` :class:`~repro.cbuild.Plan`, in C.
 
     The batch runs as one kernel call per slice of configs, one slice
     per usable CPU, at the same time: the slices share the columns
@@ -184,7 +171,7 @@ def run_plan(plan, machines, workload):
     results = (_KernelResult * len(pairs))()
     statuses = _loader.call("mlpsim_batch", {
         "n": n,
-        **{name: getattr(plan, name) for name in PLAN_COLUMNS},
+        **plan.columns,
         "configs": configs,
         "nconfigs": len(pairs),
         "results": results,

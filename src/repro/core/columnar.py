@@ -1,21 +1,22 @@
-"""Columnar simulation plans: the trace recast as NumPy structure-of-arrays.
+"""MLPsim plans: the trace recast as NumPy structure-of-arrays.
 
 The oracles (:mod:`repro.core.mlpsim_reference`,
 :mod:`repro.core.runahead`) interpret one instruction at a time from
 flat Python lists.  The compiled batch kernel
 (:mod:`repro.core.ckernel`) instead reads the trace, its dependence
 graph and its event masks as aligned int8/int32/bool columns with
-gather-friendly sentinels, straight from C.  That layout is a
-:class:`ColumnarPlan`.
+gather-friendly sentinels, straight from C: a :class:`repro.cbuild.Plan`
+for its ``mlpsim_batch`` entry point, holding exactly the columns
+:data:`PLAN_CONTRACT` declares.
 
 A plan is built once per ``(region, mask-key)`` and shared by **every
 machine configuration** whose perfect-* and value-prediction switches
 produce the same event masks — the config grid of a sweep typically
 collapses to a handful of mask groups, so the per-trace preparation cost
 is amortised across the whole grid.  Plans are memoised on the annotated
-trace object (like the dependence graph) and their raw columns can be
-spilled to / restored from flat array payloads for zero-copy hand-off
-to sweep worker processes (see :mod:`repro.analysis.shm`).
+trace object (like the dependence graph), and spill to flat array
+payloads for zero-copy hand-off to sweep worker processes (see
+:mod:`repro.analysis.shm`).
 
 Layout conventions
 ------------------
@@ -33,25 +34,17 @@ Layout conventions
   a destination); everything between two scalar positions is resolved
   in bulk.
 
-Bump :data:`COLUMNAR_SCHEMA_VERSION` whenever the set or meaning of the
-columns changes: every payload carries it, and :func:`plan_from_payload`
-rejects a payload of another version instead of silently misreading it.
+Bump :data:`repro.cbuild.PLAN_SCHEMA_VERSION` whenever the set or
+meaning of the columns changes.
 """
-
-import dataclasses
 
 import numpy as np
 
-from repro.cbuild import column_dtypes, crossing
+from repro.cbuild import Plan, memoised_plan
 from repro.core.depgraph import depgraph_for
 from repro.core.mlpsim import _event_arrays, resolve_region
 from repro.isa.opclass import OpClass
 from repro.isa.registers import REG_ZERO
-from repro.robustness.errors import TraceFormatError
-
-#: Version of the columnar plan layout, carried in every payload's meta
-#: record and checked by :func:`plan_from_payload`.
-COLUMNAR_SCHEMA_VERSION = 2
 
 #: The MLPsim kernel's contract: its one entry point, ``mlpsim_batch``,
 #: declared once (see :class:`repro.cbuild.Param`), the boxes of its
@@ -101,10 +94,6 @@ PLAN_CONTRACT = {
     },
 }
 
-#: The plan's columns with the dtypes the kernel reads them as (a bool
-#: column crosses as its uint8 view).
-PLAN_COLUMNS = column_dtypes(PLAN_CONTRACT["entries"]["mlpsim_batch"])
-
 
 def mask_key(machine):
     """The event-mask identity of *machine*: configs sharing it share a plan."""
@@ -116,71 +105,21 @@ def mask_key(machine):
     )
 
 
-@dataclasses.dataclass
-class ColumnarPlan:
-    """Structure-of-arrays input of the batched engine for one region.
-
-    All columns have length ``n = stop - start``; producer columns use
-    the sentinel ``n`` for "no producer in region".  They are read-only
-    from construction on, so the kernel's call check scans each one
-    once (see :class:`repro.cbuild.KernelLoader`).
-    """
-
-    start: int
-    stop: int
-    ops: np.ndarray
-    prod1: np.ndarray
-    prod2: np.ndarray
-    prod3: np.ndarray
-    memdep: np.ndarray
-    dmiss: np.ndarray
-    imiss: np.ndarray
-    mispred: np.ndarray
-    pmiss: np.ndarray
-    pfuseful: np.ndarray
-    vp_ok: np.ndarray
-    smiss: np.ndarray
-    scalar_mask: np.ndarray
-
-    def __post_init__(self):
-        for name in PLAN_COLUMNS:
-            getattr(self, name).flags.writeable = False
-
-    def __len__(self):
-        return self.stop - self.start
-
-    def nbytes(self):
-        """Total payload size of the numpy columns, in bytes."""
-        return sum(getattr(self, name).nbytes for name in PLAN_COLUMNS)
-
-
-def _plan_cache(annotated):
-    cache = getattr(annotated, "_columnar_plan_cache", None)
-    if cache is None:
-        cache = {}
-        annotated._columnar_plan_cache = cache
-    return cache
-
-
 def plan_for(annotated, machine, start=None, stop=None):
-    """Return the (memoised) :class:`ColumnarPlan` for *machine*'s mask group.
+    """Return the (memoised) MLPsim plan for *machine*'s mask group.
 
     Configurations that share perfect-* and value-prediction switches
     share one plan object; a grid sweep therefore builds at most one
     plan per mask group per region.
     """
     start, stop = resolve_region(annotated, start, stop)
-    key = (start, stop) + mask_key(machine)
-    cache = _plan_cache(annotated)
-    plan = cache.get(key)
-    if plan is None:
-        plan = build_plan(annotated, machine, start, stop)
-        cache[key] = plan
-    return plan
+    return memoised_plan(
+        annotated, ("mlpsim_batch", start, stop) + mask_key(machine),
+        lambda: build_plan(annotated, machine, start, stop))
 
 
 def build_plan(annotated, machine, start, stop):
-    """Build the columnar plan for ``annotated[start:stop)`` under *machine*.
+    """Build the MLPsim plan for ``annotated[start:stop)`` under *machine*.
 
     Only the mask key of *machine* matters; window sizes, issue policy
     and structure limits are applied by the engine at run time, which is
@@ -223,14 +162,13 @@ def build_plan(annotated, machine, start, stop):
         | (resultless_ops & dst_named)
     )
 
-    return ColumnarPlan(
-        start=start, stop=stop,
-        ops=ops,
-        prod1=prod1, prod2=prod2, prod3=prod3, memdep=memdep,
-        dmiss=dmiss, imiss=imiss, mispred=mispred,
-        pmiss=pmiss, pfuseful=pfuseful, vp_ok=vp_ok, smiss=smiss,
-        scalar_mask=scalar_mask,
-    )
+    return Plan(PLAN_CONTRACT, "mlpsim_batch", start, stop, {
+        "ops": ops,
+        "prod1": prod1, "prod2": prod2, "prod3": prod3, "memdep": memdep,
+        "dmiss": dmiss, "imiss": imiss, "mispred": mispred,
+        "pmiss": pmiss, "pfuseful": pfuseful, "vp_ok": vp_ok, "smiss": smiss,
+        "scalar_mask": scalar_mask,
+    })
 
 
 def producer_columns(annotated, start, stop):
@@ -256,69 +194,3 @@ def producer_columns(annotated, start, stop):
         columns = tuple(sentineled)
         cache[(start, stop)] = columns
     return columns
-
-
-def plan_payload(plan):
-    """Project *plan* to a flat ``{name: array}`` dict for spilling.
-
-    The payload round-trips through :func:`plan_from_payload`; the
-    schema version travels with it so a payload of another layout is
-    rejected loudly instead of misread.
-    """
-    payload = {name: getattr(plan, name) for name in PLAN_COLUMNS}
-    payload["meta"] = np.asarray(
-        [COLUMNAR_SCHEMA_VERSION, plan.start, plan.stop], dtype=np.int64
-    )
-    return payload
-
-
-def plan_from_payload(payload, path=None):
-    """Rebuild a :class:`ColumnarPlan` from :func:`plan_payload` output.
-
-    Raises
-    ------
-    repro.robustness.errors.TraceFormatError
-        If the payload misses columns, carries a wrong dtype, or was
-        written under a different :data:`COLUMNAR_SCHEMA_VERSION`.
-    """
-    if "meta" not in payload:
-        raise TraceFormatError(
-            "not a columnar plan payload (no meta record)",
-            path=path, field="meta",
-        )
-    meta = np.asarray(payload["meta"])
-    if meta.shape != (3,):
-        raise TraceFormatError(
-            f"columnar plan meta record has shape {meta.shape}; expected (3,)",
-            path=path, field="meta",
-        )
-    version = int(meta[0])
-    if version != COLUMNAR_SCHEMA_VERSION:
-        raise TraceFormatError(
-            f"columnar schema version mismatch: payload has {version},"
-            f" library expects {COLUMNAR_SCHEMA_VERSION}",
-            path=path, field="meta",
-        )
-    start, stop = int(meta[1]), int(meta[2])
-    n = stop - start
-    if n < 0 or start < 0:
-        raise TraceFormatError(
-            f"columnar plan meta names an invalid region [{start}, {stop})",
-            path=path, field="meta",
-        )
-    columns = {}
-    for name, dtype in PLAN_COLUMNS.items():
-        if name not in payload:
-            raise TraceFormatError(
-                f"columnar plan payload is missing column {name!r}",
-                path=path, field=name,
-            )
-        array = np.asarray(payload[name])
-        if crossing(array, dtype).dtype != dtype or array.shape != (n,):
-            raise TraceFormatError(
-                f"columnar plan column {name!r} has dtype {array.dtype}"
-                f" shape {array.shape}; expected {dtype} ({n},)",
-                path=path, field=name,
-            )
-        columns[name] = array
-    return ColumnarPlan(start=start, stop=stop, **columns)

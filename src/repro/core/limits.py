@@ -22,17 +22,6 @@ LIMIT_VARIANTS = (
 )
 
 
-def perfect_variant(machine, perfect_ifetch=False, perfect_branch=False,
-                    perfect_value=False):
-    """Return *machine* with the given perfect-frontend switches set."""
-    return dataclasses.replace(
-        machine,
-        perfect_ifetch=perfect_ifetch or machine.perfect_ifetch,
-        perfect_branch=perfect_branch or machine.perfect_branch,
-        perfect_value=perfect_value or machine.perfect_value,
-    )
-
-
 def limit_configs(runahead=True):
     """Return the Figure 10 configuration grid as ``(label, machine)``.
 

@@ -25,10 +25,10 @@ import ctypes
 import functools
 import os
 
-from repro.cbuild import KernelLoader, opcode_defines
+from repro.cbuild import KernelLoader, contract_fields, opcode_defines
 from repro.core.config import BranchPolicy, LoadPolicy, SerializePolicy
 from repro.cyclesim.metrics import STALL_CATEGORIES, CycleMetrics
-from repro.cyclesim.plan import CYCLE_PLAN_COLUMNS, CYCLE_PLAN_CONTRACT
+from repro.cyclesim.plan import CYCLE_PLAN_CONTRACT
 from repro.robustness.errors import InternalError
 
 #: Per-config status codes of the C kernel (its ``ST_*`` names).
@@ -39,28 +39,7 @@ _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_cyclesim_kernel.c")
 
 
 class _KernelConfig(ctypes.Structure):
-    _fields_ = [
-        ("rob", ctypes.c_int64),
-        ("issue_window", ctypes.c_int64),
-        ("fetch_buffer", ctypes.c_int64),
-        ("fetch_width", ctypes.c_int64),
-        ("dispatch_width", ctypes.c_int64),
-        ("issue_width", ctypes.c_int64),
-        ("commit_width", ctypes.c_int64),
-        ("frontend_depth", ctypes.c_int64),
-        ("alu_latency", ctypes.c_int64),
-        ("branch_latency", ctypes.c_int64),
-        ("l1_latency", ctypes.c_int64),
-        ("l2_latency", ctypes.c_int64),
-        ("miss_penalty", ctypes.c_int64),
-        ("redirect_penalty", ctypes.c_int64),
-        ("load_in_order", ctypes.c_int64),
-        ("load_wait_staddr", ctypes.c_int64),
-        ("branch_in_order", ctypes.c_int64),
-        ("serializing", ctypes.c_int64),
-        ("perfect_l2", ctypes.c_int64),
-        ("event_skip", ctypes.c_int64),
-    ]
+    _fields_ = contract_fields(CYCLE_PLAN_CONTRACT, "CycleConfig")
 
 
 class _KernelResult(ctypes.Structure):
@@ -162,7 +141,8 @@ def in_contract(config):
 
 
 def run_cycle_plan(plan, pairs, workload):
-    """Simulate every ``(label, config)`` pair against *plan* in C.
+    """Simulate every ``(label, config)`` pair against *plan*, a
+    ``cyclesim_batch`` :class:`~repro.cbuild.Plan`, in C.
 
     The batch runs as one kernel call per slice of configs, one slice
     per usable CPU, at the same time: the slices share the columns
@@ -189,7 +169,7 @@ def run_cycle_plan(plan, pairs, workload):
     results = (_KernelResult * len(pairs))()
     statuses = _loader.call("cyclesim_batch", {
         "n": n,
-        **{name: getattr(plan, name) for name in CYCLE_PLAN_COLUMNS},
+        **plan.columns,
         "configs": configs,
         "n_configs": len(pairs),
         "results": results,

@@ -5,6 +5,11 @@ import dataclasses
 from repro.core.config import IssueConfig, MachineConfig
 from repro.robustness.errors import ConfigError
 
+#: The fields that count cycles.
+_CYCLE_FIELDS = ("frontend_depth", "alu_latency", "branch_latency",
+                 "l1_latency", "l2_latency", "miss_penalty",
+                 "redirect_penalty")
+
 
 @dataclasses.dataclass(frozen=True)
 class CycleSimConfig:
@@ -45,6 +50,17 @@ class CycleSimConfig:
     the skipping logic or to trace cycle-by-cycle behaviour."""
 
     def __post_init__(self):
+        # The frozen reference (which imports this module) keeps time
+        # below its horizon, the value that stands for "never": a
+        # latency that reaches it cannot be simulated.
+        from repro.cyclesim.simulator_reference import _NEVER
+
+        for name in _CYCLE_FIELDS:
+            value = getattr(self, name)
+            if value >= _NEVER:
+                raise ConfigError(
+                    f"{value} cycles is not below the cycle simulator's"
+                    f" horizon of {_NEVER}", field=name)
         if self.rob < self.issue_window:
             raise ConfigError("the ROB cannot be smaller than the issue window")
         if self.miss_penalty <= self.l2_latency:

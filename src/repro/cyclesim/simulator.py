@@ -15,7 +15,7 @@ Two implementations exist, held bit-identical by
 
 * the compiled C kernel (:mod:`repro.cyclesim.ckernel`), built on
   demand from ``_cyclesim_kernel.c``, which runs a whole config grid
-  against one precomputed :class:`repro.cyclesim.plan.CyclePlan`;
+  against one precomputed cycle plan (:mod:`repro.cyclesim.plan`);
 * the frozen reference itself, which :func:`run_cyclesim` falls back to
   on hosts where the kernel cannot be built and for configs outside the
   kernel's contracted ranges (:func:`repro.cyclesim.ckernel.in_contract`).

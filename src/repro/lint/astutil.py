@@ -28,11 +28,6 @@ def call_name(call):
     return None
 
 
-def keyword_names(call):
-    """Explicit keyword argument names of a call (ignores ``**kwargs``)."""
-    return [kw for kw in call.keywords if kw.arg is not None]
-
-
 def str_constant(node):
     """The value of a string-constant node, else ``None``."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):

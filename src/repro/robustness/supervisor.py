@@ -347,9 +347,9 @@ def _assign_routes(annotated, tasks, engine):
 def _run_chunk(annotated, plan, pairs, workload):
     """Simulate one chunk of ``(label, config)`` *pairs*.
 
-    With a kernel *plan* the chunk is one kernel-driver call; with
-    ``None`` it is one config on the scalar route.  Returns
-    ``{label: result}``.
+    With a kernel *plan* the chunk is one call of the driver of the
+    entry point the plan feeds; with ``None`` it is one config on the
+    scalar route.  Returns ``{label: result}``.
     """
     if plan is None:
         from repro.core.mlpsim import simulate_oracle
@@ -360,9 +360,7 @@ def _run_chunk(annotated, plan, pairs, workload):
         if isinstance(config, CycleSimConfig):
             return {label: run_cyclesim(annotated, config, workload=workload)}
         return {label: simulate_oracle(annotated, config, workload=workload)}
-    from repro.cyclesim.plan import CyclePlan
-
-    if isinstance(plan, CyclePlan):
+    if plan.entry == "cyclesim_batch":
         from repro.cyclesim.ckernel import run_cycle_plan
 
         return run_cycle_plan(plan, pairs, workload)

@@ -33,7 +33,7 @@ import os
 import numpy as np
 
 from repro.branch.btb import BTB_WAYS
-from repro.cbuild import KernelLoader, opcode_defines
+from repro.cbuild import KernelLoader, contract_fields, opcode_defines, params
 from repro.isa.opclass import OpClass
 from repro.isa.registers import NUM_REGS, REG_ZERO
 from repro.robustness.errors import InternalError
@@ -139,17 +139,14 @@ _MEMORY_OPS = tuple(int(op) for op in (OpClass.LOAD, OpClass.STORE,
 _STREAM_KINDS = ("FETCH_MISS", "LOAD_MISS", "STORE_MISS", "PREFETCH_MISS",
                  "FETCH_HIT", "LOAD_HIT")
 
-#: The masks :func:`run_back_pass` returns, in the kernel's order.
-_MASKS = ("dmiss", "pmiss", "pfuseful", "imiss", "smiss")
+#: The masks :func:`run_back_pass` returns: the out-parameters of
+#: ``annotate_back``, in their declared order.
+_MASKS = tuple(param.name for param in params(
+    ANNOTATE_CONTRACT["entries"]["annotate_back"]) if param.out)
 
 
 class _Geometry(ctypes.Structure):
-    _fields_ = [
-        ("l1i_sets", ctypes.c_int64),
-        ("l1i_assoc", ctypes.c_int64),
-        ("l1d_sets", ctypes.c_int64),
-        ("l1d_assoc", ctypes.c_int64),
-    ]
+    _fields_ = contract_fields(ANNOTATE_CONTRACT, "Geometry")
 
 
 def _layers():

@@ -26,7 +26,12 @@ import os
 
 import numpy as np
 
-from repro.cbuild import KernelLoader, column_dtypes, opcode_defines
+from repro.cbuild import (
+    KernelLoader,
+    column_dtypes,
+    contract_fields,
+    opcode_defines,
+)
 from repro.isa.registers import REG_NONE
 from repro.robustness.errors import InternalError
 from repro.trace.trace import COLUMNS, Trace
@@ -144,19 +149,12 @@ _DRAWS = 1 << 53
 
 
 class _Region(ctypes.Structure):
-    _fields_ = [(name, ctypes.c_int64) for name in (
-        "base", "slots", "word", "lines", "line_bytes", "cursor")]
-
-
-_PARAM_NAMES = tuple(
-    name for _, names in GENERATE_CONTRACT["structs"]["Params"]
-    for name in names
-)
+    _fields_ = contract_fields(GENERATE_CONTRACT, "Region")
 
 
 class _Params(ctypes.Structure):
     # The scalars in contract order, then the regions.
-    _fields_ = ([(name, ctypes.c_int64) for name in _PARAM_NAMES]
+    _fields_ = (contract_fields(GENERATE_CONTRACT, "Params")
                 + [(name, _Region) for name in _REGIONS])
 
 

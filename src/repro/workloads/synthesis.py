@@ -63,10 +63,6 @@ class Region:
         slots = self.size // align
         return self.base + rng.randrange(slots) * align
 
-    def random_line(self, rng):
-        """The base address of a uniformly random line."""
-        return self.base + rng.randrange(self.num_lines) * self.line_bytes
-
     def next_line(self, stride_lines=1):
         """Sequential line allocation with wraparound.
 

@@ -299,7 +299,8 @@ def test_a_read_only_column_is_scanned_once(monkeypatch):
 
     monkeypatch.setattr(cbuild, "_extremes", counting)
     args, symbols = _inside(loader, "cyclesim_batch")
-    columns = list(cycle_ckernel.CYCLE_PLAN_COLUMNS)
+    columns = list(cbuild.column_dtypes(
+        loader.contract["entries"]["cyclesim_batch"]))
     for name in columns:
         args[name] = args[name].copy()
         args[name].flags.writeable = False

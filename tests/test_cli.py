@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import _parse_machine, build_parser, main
@@ -120,6 +122,23 @@ class TestCommands:
     def test_ablation(self, capsys):
         assert main(["ablation", "runahead_distance", "-n", "12000"]) == 0
         assert "runahead" in capsys.readouterr().out.lower()
+
+    @pytest.mark.parametrize("command", [
+        ["exhibit", "table5"],
+        ["ablation", "store_buffer"],
+        ["report", "table5", "-o", "{tmp}/report.md"],
+    ], ids=lambda command: command[0])
+    def test_length_leaves_the_environment_alone(self, monkeypatch,
+                                                 tmp_path, command):
+        """``-n`` reaches the runs as ``trace_len``; the process
+        environment keeps its ``REPRO_TRACE_LEN`` (here: none)."""
+        monkeypatch.delenv("REPRO_TRACE_LEN", raising=False)
+        argv = [arg.format(tmp=tmp_path) for arg in command]
+        assert main([*argv, "-n", "5000"]) == 0
+        assert "REPRO_TRACE_LEN" not in os.environ
+        if command[0] == "report":
+            report = (tmp_path / "report.md").read_text()
+            assert "trace length: 5000 instructions" in report
 
     def test_bad_machine_spec_exits(self):
         with pytest.raises(SystemExit):

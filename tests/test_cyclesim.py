@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import MachineConfig
 from repro.core.mlpsim import simulate
 from repro.cyclesim import CycleSimConfig, CycleSimulator, run_cyclesim
+from repro.robustness.errors import ConfigError
 from repro.trace.annotate import manual_annotation
 from repro.trace.builder import TraceBuilder
 
@@ -147,6 +148,21 @@ class TestPolicies:
             CycleSimConfig(miss_penalty=5)  # below L2 latency
         with pytest.raises(ValueError):
             CycleSimConfig(issue_window=64, rob=32)
+
+    @pytest.mark.parametrize("field", [
+        "frontend_depth", "alu_latency", "branch_latency", "l1_latency",
+        "l2_latency", "miss_penalty", "redirect_penalty",
+    ])
+    def test_cycle_counts_past_the_horizon_are_refused(self, field):
+        """A cycle count at or past the frozen reference's horizon
+        (2**60, its "never") is refused by name, not simulated into a
+        deadlock report."""
+        from repro.cyclesim.simulator_reference import _NEVER
+
+        for value in (_NEVER, 2**64 + 200):
+            with pytest.raises(ConfigError) as raised:
+                CycleSimConfig(**{field: value})
+            assert raised.value.field == field
 
 
 class TestEventSkipping:

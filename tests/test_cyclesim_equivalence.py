@@ -26,7 +26,7 @@ from repro.cyclesim.plan import cycle_plan_for
 from repro.cyclesim.simulator_reference import (
     run_cyclesim as run_cyclesim_reference,
 )
-from repro.robustness.errors import InternalError
+from repro.robustness.errors import ConfigError, InternalError
 
 #: Instructions per equivalence run: long enough to exercise deep MSHR
 #: merging, redirects and serializing drains on every workload, short
@@ -149,18 +149,20 @@ def _outcome(run, annotated, config):
 def test_unrepresentable_field_is_refused(database_annotated):
     """A field no ``int64`` can hold is refused like any out-of-range
     one, not wrapped: a miss penalty of 2**64 + 200 would read 200.
-    The kernel driver refuses both penalties; ``run_cyclesim`` sends
-    them to the reference, which runs the first and reports the second,
-    past its own horizon, as a deadlock."""
+    The kernel driver refuses a penalty of 2**40, which ``run_cyclesim``
+    sends to the reference; the config itself refuses 2**64 + 200,
+    past the reference's own horizon."""
     plan = cycle_plan_for(database_annotated)
-    for penalty in (2**40, 2**64 + 200):
-        config = CycleSimConfig.from_machine(
-            MachineConfig.named("64C"), miss_penalty=penalty)
-        assert not ckernel.in_contract(config)
-        with pytest.raises(InternalError, match="outside its contract"):
-            run_cycle_plan(plan, [("big", config)], "database")
-        assert _outcome(run_cyclesim, database_annotated, config) == \
-            _outcome(run_cyclesim_reference, database_annotated, config)
+    config = CycleSimConfig.from_machine(
+        MachineConfig.named("64C"), miss_penalty=2**40)
+    assert not ckernel.in_contract(config)
+    with pytest.raises(InternalError, match="outside its contract"):
+        run_cycle_plan(plan, [("big", config)], "database")
+    assert _outcome(run_cyclesim, database_annotated, config) == \
+        _outcome(run_cyclesim_reference, database_annotated, config)
+    with pytest.raises(ConfigError, match="miss_penalty"):
+        CycleSimConfig.from_machine(
+            MachineConfig.named("64C"), miss_penalty=2**64 + 200)
 
 
 def test_out_of_contract_config_runs_on_the_reference(database_annotated,

@@ -250,7 +250,6 @@ class TestSupervisedCyclesimPool:
         from repro.analysis.sweep import sweep_cyclesim
         from repro.cyclesim import CycleSimConfig
         from repro.cyclesim import ckernel as cycle_ckernel
-        from repro.cyclesim.plan import CyclePlan
         from repro.cyclesim.simulator_reference import run_cyclesim
         from repro.trace.annotate import annotate
         from repro.workloads import generate_trace
@@ -274,7 +273,7 @@ class TestSupervisedCyclesimPool:
         swept = sweep_cyclesim(annotated, pairs, workload="database",
                                jobs=2, supervise={"seed": 7})
         assert swept.complete
-        assert len(published) == 1 and isinstance(published[0], CyclePlan)
+        assert len(published) == 1 and published[0].entry == "cyclesim_batch"
         assert swept.labels() == [label for label, _ in pairs]
         for label, config in pairs:
             oracle = run_cyclesim(annotated, config, workload="database")

@@ -22,7 +22,7 @@ import repro.analysis.parallel as parallel
 from repro.analysis.sweep import sweep
 from repro.core import ckernel
 from repro.core.ckernel import batched_supported
-from repro.core.columnar import plan_for, plan_payload
+from repro.core.columnar import plan_for
 from repro.core.config import MachineConfig
 from repro.core.depgraph import depgraph_for
 from repro.core.limits import limit_configs
@@ -234,7 +234,7 @@ class TestSharedProducerColumns:
                 for plan in plans[1:]:
                     assert getattr(plan, name) is column, name
             graph = depgraph_for(default, plans[0].start, plans[0].stop)
-            payload = plan_payload(plans[0])
+            payload = plans[0].payload()
             for name in ("prod1", "prod2", "prod3", "memdep"):
                 producers = np.asarray(getattr(graph, name))
                 want = np.where(producers >= 0, producers, len(plans[0]))

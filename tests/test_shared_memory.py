@@ -26,7 +26,7 @@ import repro.analysis.shm as shm
 import repro.robustness.supervisor as supervisor
 from repro.analysis.sweep import sweep
 from repro.core import ckernel
-from repro.core.columnar import PLAN_COLUMNS, plan_for
+from repro.core.columnar import plan_for
 from repro.core.config import MachineConfig
 from repro.robustness.errors import TraceFormatError
 
@@ -50,7 +50,7 @@ class TestPublishAttach:
             attached = shm.attach_plan(handle)
             try:
                 checks = []
-                for name in PLAN_COLUMNS:
+                for name in plan.columns:
                     view = getattr(attached.plan, name)
                     checks.append((
                         name,
