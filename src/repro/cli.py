@@ -453,7 +453,7 @@ def cmd_lint(args):
             )
         print(
             f"stats: files parsed once: {stats['files_parsed']}"
-            f" (py + C extract/unit, shared across passes)",
+            f" (py + C unit, shared across passes)",
             file=sys.stderr,
         )
     errors = [f for f in findings if f.severity is Severity.ERROR]

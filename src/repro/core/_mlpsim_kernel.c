@@ -45,9 +45,10 @@
 #define ST_STOP_DONE 2
 #define ST_STOP_DEFER 3
 
-/* Shared trace columns plus the per-config scratch buffers. */
+/* Shared trace columns plus the per-config scratch buffers.  A column
+ * member holds the mlpsim_batch parameter of its name. */
 typedef struct {
-    int64_t n;
+    int64_t n; /* certify: range n .. n */
     const int8_t *ops;
     const int32_t *prod1;
     const int32_t *prod2;
@@ -61,41 +62,46 @@ typedef struct {
     const uint8_t *smiss;
     const uint8_t *scalar_mask; /* "interesting" positions: see plan */
     uint8_t *imiss; /* per-config copy: serviced lines are cleared */
-    uint8_t *live_dmiss; /* runahead's per-config copies of dmiss and */
-    uint8_t *live_pmiss; /* pmiss: serviced accesses are cleared */
+    /* Runahead's per-config copies of dmiss and pmiss: serviced
+     * accesses are cleared. */
+    /* certify: buffer length n content 0 .. 1 */
+    uint8_t *live_dmiss, *live_pmiss;
     /* One (data, valid) epoch pair per instruction, 2(n+1) slots: the
      * data epoch of k at 2k, its valid epoch at 2k+1.  The pair at n is
      * 0; the pair at k < n is reset when fetch reaches k. */
+    /* certify: buffer length 2 * n + 2 content 0 .. (1 << 30) */
     int32_t *res;
-    int32_t *deferred;
-    int32_t *new_deferred;
+    /* certify: buffer length n + 1 content 0 .. n - 1 */
+    int32_t *deferred, *new_deferred;
     /* Runahead's per-period sets, n+1 slots each: slot k belongs to a
      * set while it holds the current period's stamp.  Slot n, the "no
      * producer" sentinel, is never stamped. */
-    int32_t *poisoned;
-    int32_t *unvalidated;
-    int32_t *dead_store;
-    int32_t *pending_pf; /* useful prefetches awaiting an epoch */
+    /* certify: buffer length n + 1 content 0 .. n */
+    int32_t *poisoned, *unvalidated, *dead_store;
+    /* Useful prefetches awaiting an epoch. */
+    /* certify: buffer length n + 1 content 0 .. n - 1 */
+    int32_t *pending_pf;
 } Trace;
 
 /* Per-epoch scan state (the oracle's per-epoch locals). */
 typedef struct {
+    /* certify: trusted range 1 .. (1 << 28) -- every epoch retires or
+       defers at least one instruction, so epoch <= 2n + 2 < 2^28 */
     int32_t epoch;
-    int64_t accesses;
-    int64_t e_dmiss;
-    int64_t e_imiss;
-    int64_t e_pmiss;
-    int64_t e_smiss;
-    int64_t inflight;
-    int64_t trigger_idx;    /* -1 = none */
-    int64_t first_miss_idx; /* -1 = none */
-    int blocked_memop;
-    int blocked_staddr;
-    int blocked_branch;
-    int progress;
+    /* certify: trusted range 0 .. (1 << 30) -- counts instructions
+       scanned in one epoch plus the prefetches joining it, <= 2n + 1 */
+    int64_t accesses, e_dmiss, e_imiss, e_pmiss, e_smiss, inflight;
+    /* -1 = none */
+    int64_t trigger_idx, first_miss_idx; /* certify: range -1 .. n - 1 */
+    /* certify: range 0 .. 1 */
+    int blocked_memop, blocked_staddr, blocked_branch, progress;
+    /* certify: trusted range 0 .. (1 << 30) -- counts instructions
+       scanned in one epoch plus the prefetches joining it, <= 2n + 1 */
     int64_t ev_count;
-    int ev_first;
-    int ev_last;
+    int ev_first, ev_last; /* certify: range -1 .. INH_COUNT - 1 */
+    /* certify: trusted range 0 .. n -- each instruction index enters
+       new_deferred at most once per epoch, so the pending count never
+       exceeds n */
     int64_t nd_len;
 } Scan;
 
@@ -380,6 +386,17 @@ static int execute(const Trace *t, const KernelConfig *c, Scan *s, int64_t i)
     s->progress = 1;
     return execute_atomic(t, c, s, i, ve);
 }
+
+/* The run totals of a config, in the header's KernelResult. */
+/* certify: trusted range KernelResult.epochs KernelResult.accesses
+   KernelResult.dmiss_accesses KernelResult.imiss_accesses
+   KernelResult.prefetch_accesses KernelResult.store_accesses
+   KernelResult.store_epochs 0 .. (1 << 54) -- bounded by epochs *
+   per-epoch accesses <= 2^54 */
+/* certify: trusted buffer KernelResult.inhibitors length INH_COUNT
+   content 0 .. (1 << 54) -- per-epoch counters: at most one increment
+   per epoch */
+/* certify: range KernelResult.error_index -1 .. n */
 
 /* Charge one epoch to the run totals: its accesses, and the epoch to
  * one inhibitor. */

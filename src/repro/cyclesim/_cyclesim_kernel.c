@@ -33,8 +33,9 @@
  *    the skipped span is charged to the stall category of the cycle.
  *
  * Shared names: the OP_* opcodes, the CAT_* stall-category indices
- * (STALL_CATEGORIES order, with N_CATEGORIES), the ST_* statuses, the
- * CycleConfig/CycleResult structs and the prototype of cyclesim_batch
+ * (STALL_CATEGORIES order, with N_CATEGORIES), the ST_* statuses,
+ * NEVER (the frozen reference's _NEVER), the CycleConfig/CycleResult
+ * structs and the prototype of cyclesim_batch
  * come from the header repro.cbuild renders from the Python
  * definitions (repro/cyclesim/ckernel.py) and compiles ahead of this
  * file.  The prototype is rendered from the entry point's one
@@ -45,9 +46,6 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-/* Matches _NEVER in the Python simulator. */
-#define NEVER (1LL << 60)
 
 /* Access kinds, matching the Python access() closure. */
 #define KIND_DMISS 0
@@ -63,9 +61,15 @@
  * is constant between two changes, so advancing at each change (and
  * once at the end) sums the same spans as advancing every cycle. */
 typedef struct {
+    /* certify: trusted range 0 .. 2 * n -- the outstanding accesses,
+       of the at most 2n a run starts */
     int64_t count;
-    int64_t last_time;
+    int64_t last_time; /* certify: range 0 .. (1 << 53) */
+    /* certify: trusted range 0 .. (1 << 60) -- a monotone per-run
+       total, at most the accesses times miss_penalty */
     int64_t nonzero;
+    /* certify: trusted range 0 .. (1 << 62) -- a monotone per-run
+       total, at most 2n accesses outstanding for miss_penalty each */
     int64_t integral;
 } Tracker;
 
@@ -92,39 +96,77 @@ static void trk_add(Tracker *t, int64_t now, int64_t delta)
 }
 
 /* Everything one configuration run touches, bundled so access() stays
- * a readable function instead of a 15-argument call. */
+ * a readable function instead of a 15-argument call.  A column member
+ * holds the cyclesim_batch parameter of its name.  Simulated times
+ * stay below 2^53: the deadlock guard caps useful time far below
+ * NEVER, and a completion adds one miss penalty on top. */
 typedef struct {
-    int64_t n;
+    int64_t n; /* certify: range n .. n */
     const int8_t *ops;
     const int32_t *prod1, *prod2, *prod3, *memdep;
     const int64_t *addr_line, *pc_line;
     const uint8_t *dmiss, *imiss, *mispred, *pmiss, *pfuseful;
 
-    int64_t *ready;      /* result and commit time, NEVER until issue */
-    int64_t *wake;       /* operand wake time once final, -1 unknown,
-                            -2 - p while waiting on unissued p      */
-    uint8_t *imiss_run;  /* per-run copy: fetch consumes each miss   */
+    /* Result and commit time, NEVER until issue. */
+    int64_t *ready; /* certify: buffer length n content 0 .. NEVER */
+    /* Operand wake time once final, -1 unknown, -2 - p while waiting
+     * on unissued p. */
+    int64_t *wake; /* certify: buffer length n content -n - 1 .. NEVER */
+    /* Per-run copy: fetch consumes each miss. */
+    uint8_t *imiss_run; /* certify: buffer length n content 0 .. 1 */
 
-    /* MSHR entries double as completion-wheel slots (FIFO order).   */
+    /* MSHR entries double as completion-wheel slots (FIFO order). */
+    /* certify: buffer length 2 * n content 0 .. (1 << 53) */
     int64_t *ent_done;
+    /* certify: buffer length 2 * n content 0 .. (1 << 57) */
     int64_t *ent_line;
-    uint8_t *ent_useful;
-    int32_t *ent_next;   /* hash chain                               */
+    uint8_t *ent_useful; /* certify: buffer length 2 * n content 0 .. 1 */
+    /* Hash chains. */
+    /* certify: buffer length 2 * n content -1 .. 2 * n - 1 */
+    int32_t *ent_next;
+    /* certify: buffer length HASH_SIZE content -1 .. 2 * n - 1 */
     int32_t *hash_head;
-    int64_t ce_head, ce_tail;
+    int64_t ce_head; /* certify: range 0 .. 2 * n */
+    /* certify: trusted range 0 .. 2 * n -- at most two wheel entries
+       per instruction: one pc line at fetch (gated by imiss_run), one
+       data line at issue (each instruction issues once) */
+    int64_t ce_tail;
 
-    int64_t *rob_buf;    /* ring buffer                              */
-    int64_t rob_alloc;
-    int64_t *iw_buf;     /* program order, compacted by the issue scan */
-    int64_t *urs_buf;    /* unresolved stores: pure FIFO, no wrap    */
-    int64_t *fq_idx;     /* fetch queue ring                         */
+    /* Ring buffer. */
+    /* certify: buffer length rob_alloc content 0 .. n - 1 */
+    int64_t *rob_buf;
+    int64_t rob_alloc; /* certify: range rob_alloc .. rob_alloc */
+    /* Program order, compacted by the issue scan. */
+    /* certify: buffer length iw_alloc content 0 .. n - 1 */
+    int64_t *iw_buf;
+    /* Unresolved stores: pure FIFO, no wrap. */
+    int64_t *urs_buf; /* certify: buffer length n content 0 .. n - 1 */
+    /* Fetch queue ring. */
+    /* certify: buffer length fq_alloc content 0 .. n - 1 */
+    int64_t *fq_idx;
+    /* certify: buffer length fq_alloc content 0 .. (1 << 53) */
     int64_t *fq_time;
-    int64_t fq_alloc;
+    int64_t fq_alloc; /* certify: range fq_alloc .. fq_alloc */
 
     Tracker trk;
     CycleResult *out;
-    int64_t miss_penalty;
+    int64_t miss_penalty; /* certify: range 0 .. (1 << 20) */
 } Ctx;
+
+/* The results of a config, in the header's CycleResult. */
+/* certify: range CycleResult.cycles 0 .. (1 << 53) */
+/* certify: trusted range CycleResult.offchip_accesses
+   CycleResult.dmiss_accesses CycleResult.imiss_accesses
+   CycleResult.prefetch_accesses 0 .. (1 << 60) -- monotone per-run
+   totals, at most 2n accesses */
+/* certify: range CycleResult.nonzero_cycles 0 .. (1 << 60) */
+/* certify: range CycleResult.outstanding_integral 0 .. (1 << 62) */
+/* certify: trusted buffer CycleResult.stalls length N_CATEGORIES
+   content 0 .. (1 << 62) -- per-cycle stall counters: one increment
+   per cycle */
+/* certify: range CycleResult.status 0 .. 1 */
+/* certify: range CycleResult.error_cycle 0 .. NEVER */
+/* certify: range CycleResult.error_committed 0 .. n */
 
 /* certify: returns 0 .. HASH_SIZE - 1 */
 static uint64_t hash_line(int64_t line)
@@ -624,6 +666,11 @@ int cyclesim_batch(
         if (configs[k].fetch_buffer > fq_max)
             fq_max = configs[k].fetch_buffer;
     }
+    /* The scratch sizes the proof is parametric over: the largest
+     * config of the batch, inside the contract's ranges. */
+    /* certify: symbol rob_alloc 1 .. (1 << 20) -- the largest rob */
+    /* certify: symbol iw_alloc 1 .. (1 << 20) -- the largest issue_window */
+    /* certify: symbol fq_alloc 1 .. (1 << 20) -- the largest fetch_buffer */
     /* certify: assume rob_max == rob_alloc && iw_max == iw_alloc && fq_max == fq_alloc -- the proof's allocation symbols are defined as exactly these maxima */
     c.rob_alloc = rob_max;
     c.fq_alloc = fq_max;

@@ -60,8 +60,11 @@ class _KernelResult(ctypes.Structure):
 
 def _defines():
     """``_cyclesim_kernel.c``'s defines: the opcodes, a ``CAT_*`` index
-    per stall category in :data:`STALL_CATEGORIES` order and the status
-    codes."""
+    per stall category in :data:`STALL_CATEGORIES` order, the status
+    codes and ``NEVER``, the frozen reference's horizon (which imports
+    this package, so it is read here, not at import)."""
+    from repro.cyclesim.simulator_reference import _NEVER
+
     return {
         **opcode_defines(),
         **{f"CAT_{category.upper()}": index
@@ -69,6 +72,7 @@ def _defines():
         "N_CATEGORIES": len(STALL_CATEGORIES),
         "ST_OK": _ST_OK,
         "ST_DEADLOCK": _ST_DEADLOCK,
+        "NEVER": _NEVER,
     }
 
 

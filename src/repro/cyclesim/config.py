@@ -50,11 +50,21 @@ class CycleSimConfig:
     the skipping logic or to trace cycle-by-cycle behaviour."""
 
     def __post_init__(self):
+        # No machine has a width or a structure below 1 or a negative
+        # cycle count: the lower bounds of the kernel's config ranges.
         # The frozen reference (which imports this module) keeps time
         # below its horizon, the value that stands for "never": a
         # latency that reaches it cannot be simulated.
+        from repro.cyclesim.plan import CYCLE_PLAN_CONTRACT
         from repro.cyclesim.simulator_reference import _NEVER
 
+        for (lo, _), names in CYCLE_PLAN_CONTRACT["structs"]["CycleConfig"]:
+            for name in names:
+                value = getattr(self, name, lo)
+                if value < lo:
+                    raise ConfigError(
+                        f"{name} must be at least {lo}, not {value}",
+                        field=name)
         for name in _CYCLE_FIELDS:
             value = getattr(self, name)
             if value >= _NEVER:

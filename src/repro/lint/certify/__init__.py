@@ -7,10 +7,14 @@
   ``[lo, hi]`` intervals whose endpoints are *affine expressions* over
   the kernel's symbolic sizes (``n``, ``rob_alloc``, ...), so a bound
   like ``idx <= n - 1`` is provable for every trace length at once;
-* :mod:`repro.lint.certify.contracts` — the declared facts: symbol
-  ranges, buffer lengths and element ranges, struct-field invariants,
-  built over the contract literals that declare each entry point,
-  imported from the running package;
+* :mod:`repro.lint.certify.cparse` — the C front end: one parse of a
+  kernel as compiled (its rendered header, then its source), with the
+  defines, structs, function bodies and the ``certify:`` facts the
+  source declares;
+* :mod:`repro.lint.certify.contracts` — the facts built from the
+  contract literals that declare each entry point, imported from the
+  running package: symbol boxes, entry parameters, checked field
+  ranges;
 * :mod:`repro.lint.certify.interp` — the abstract interpreter: a
   worklist fixpoint over a statement-level C CFG (delayed widening at
   loop heads, a narrowing sweep, then one checking pass that turns
@@ -29,7 +33,7 @@ obligations rather than re-running the fixpoint.
 import hashlib
 import importlib
 
-from repro.lint.certify.contracts import facts_fingerprint, kernel_contracts
+from repro.lint.certify.contracts import kernel_contracts
 
 #: This process's kernel reports, keyed by :func:`_report_key`: a lint
 #: run re-analyses only a kernel whose inputs changed since an earlier
@@ -50,7 +54,7 @@ def kernel_header(contract):
 def _report_key(header, source, contract):
     """Digest of everything one analysis reads."""
     digest = hashlib.sha256()
-    for part in (header, source, facts_fingerprint(contract)):
+    for part in (header, source, repr(contract.python_facts)):
         digest.update(part.encode())
         digest.update(b"\0")
     return digest.hexdigest()
@@ -80,9 +84,8 @@ def certified_kernels(project):
             key = _report_key(header, source, contract)
             report = _REPORTS.get(key)
             if report is None:
-                extract = project.c_extract(contract.path, header)
                 project.count_parse(contract.path, "c-unit")
-                report = analyse_kernel(source, contract, extract)
+                report = analyse_kernel(header, source, contract)
                 _REPORTS[key] = report
             cache[contract.path] = report
         project._certify_reports = cache

@@ -1,30 +1,38 @@
-"""Statement/expression AST for the restricted C subset of the kernels.
+"""The C front end of the certifier: one parse of a kernel as compiled.
 
-:mod:`repro.lint.clang_parity.cextract` stops at declarations — enough
-to resolve buffer lengths and struct layouts, but the certifier
-(``repro.lint.certify``) needs to *execute* the kernels abstractly,
-which means parsing function bodies.  This module supplies that
-second stage: a tokenizer and a recursive-descent parser covering
-exactly the constructs the shipped kernels use —
+A kernel compiles as one translation unit: the header
+:mod:`repro.cbuild` renders from the Python definitions, then the
+``.c`` file.  :func:`parse_c_unit` reads both in that order with one
+tokenizer and one recursive-descent grammar covering exactly the
+constructs the shipped kernels use:
 
-* declarations with initialisers (including C99 ``for``-init),
-* assignments (``=`` and the compound forms), ``++``/``--``,
-* ``if``/``else``, ``while``, ``for``, ``break``/``continue``/``return``,
-* the full C operator set at correct precedence (ternary, ``&&``/``||``,
-  bit ops, shifts, casts, ``sizeof``, address-of, dereference),
-* array subscripts, ``->``/``.`` field access and function calls.
+* object-like integer ``#define``s (``#include`` lines are skipped),
+  each body parsed as an expression and folded by :func:`const_fold`,
+  with the defines read before it in scope;
+* ``typedef struct { ... } Name;`` blocks, whose members are read with
+  the declaration grammar of locals;
+* function definitions (prototypes are skipped): declarations with
+  initialisers (including C99 ``for``-init), assignments (``=`` and
+  the compound forms), ``++``/``--``, ``if``/``else``, ``while``,
+  ``for``, ``break``/``continue``/``return``, the full C operator set
+  at correct precedence (ternary, ``&&``/``||``, bit ops, shifts,
+  casts, ``sizeof``, address-of, dereference), array subscripts,
+  ``->``/``.`` field access and function calls.
 
 Anything outside the subset (``switch``, ``goto``, ``do``, strings,
-function pointers) raises :class:`CParseError` — the certifier reports
-that as a finding rather than guessing at semantics.
+function pointers, other directives) raises :class:`CParseError` — the
+certifier reports that as a finding rather than guessing at semantics.
 
 The parser also collects the two comment-borne side channels the
-certifier consumes:
+certifier consumes from the source:
 
-* ``certify:`` annotations (``assume``/``requires``/``returns``/
-  ``buffer``) — trusted facts, each carrying a mandatory
-  ``-- reason`` (except ``returns``, which is *checked* at every
-  return statement rather than trusted);
+* ``certify:`` annotations: a function's ``requires``/``returns``/
+  ``buffer`` facts, a statement's ``assume``, a symbol box
+  (``symbol``) and the struct-member facts (``range``, ``buffer``,
+  ``column``), which attach to the member they trail or sit above, or
+  name theirs as ``Struct.member``.  A trusted fact (``assume``,
+  ``symbol``, anything marked ``trusted``) carries a ``-- reason``;
+  the others are proved;
 * C-side ``reprolint: disable=<pass> -- why`` suppressions, which the
   certify passes apply themselves (the Python-side suppression scanner
   only reads ``#`` comments).
@@ -32,8 +40,6 @@ certifier consumes:
 
 import bisect
 import re
-
-from repro.lint.clang_parity.cextract import _strip_comments
 
 
 class CParseError(Exception):
@@ -56,7 +62,7 @@ BASE_TYPES = frozenset({
 
 _KEYWORDS = frozenset({
     "if", "else", "while", "for", "return", "break", "continue",
-    "sizeof", "const", "static", "struct",
+    "sizeof", "const", "static", "struct", "typedef", "inline",
 })
 
 _UNSUPPORTED = frozenset({"switch", "goto", "do", "case", "default"})
@@ -97,10 +103,10 @@ class _LineMap:
         return bisect.bisect_right(self.starts, offset)
 
 
-def _tokenize(text, start, end, linemap):
+def _tokenize(text, linemap):
     tokens = []
-    pos = start
-    while pos < end:
+    pos = 0
+    while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
         if match is None:
             if text[pos].isspace():
@@ -118,6 +124,68 @@ def _tokenize(text, start, end, linemap):
             tokens.append(_Token("op", match.group(), lineno))
         pos = match.end()
     return tokens
+
+
+def _strip_comments(source):
+    """Blank out ``/* */`` and ``//`` comments, keeping every offset
+    (and so every line number) of the text around them."""
+    out = []
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "/" and source.startswith("/*", i):
+            end = source.find("*/", i + 2)
+            end = n if end < 0 else end + 2
+            out.append(re.sub(r"[^\n]", " ", source[i:end]))
+            i = end
+        elif ch == "/" and source.startswith("//", i):
+            end = source.find("\n", i)
+            end = n if end < 0 else end
+            out.append(" " * (end - i))
+            i = end
+        elif ch in "\"'":
+            # String/char literals: skip verbatim so a "/*" inside one
+            # does not start a comment.
+            end = i + 1
+            while end < n and source[end] != ch:
+                end += 2 if source[end] == "\\" else 1
+            end = min(end + 1, n)
+            out.append(source[i:end])
+            i = end
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+_DIRECTIVE_RE = re.compile(r"(?m)^[ \t]*#[ \t]*(\w*)(.*)$")
+_MACRO_RE = re.compile(r"\s+([A-Za-z_]\w*)(\(?)(.*)")
+
+
+def _read_directives(stripped, defines):
+    """Fold each object-like ``#define`` of *stripped* into *defines*
+    and blank every directive line, so only declarations are left to
+    tokenize."""
+
+    def directive(match):
+        lineno = stripped.count("\n", 0, match.start()) + 1
+        if match.group(1) == "define":
+            macro = _MACRO_RE.match(match.group(2))
+            if macro is None or macro.group(2):
+                raise CParseError("unsupported macro", lineno)
+            name, body = macro.group(1), macro.group(3)
+            value = const_fold(parse_expression_text(body, lineno=lineno),
+                               defines)
+            if value is None:
+                raise CParseError(
+                    f"#define {name} is not an integer constant", lineno)
+            defines[name] = value
+        elif match.group(1) != "include":
+            raise CParseError(
+                f"unsupported directive #{match.group(1)}", lineno)
+        return " " * len(match.group())
+
+    return _DIRECTIVE_RE.sub(directive, stripped)
 
 
 # ------------------------------------------------------------ AST nodes
@@ -375,6 +443,45 @@ class CContinue(CStmt):
         self.assumes = []
 
 
+class CField:
+    """One struct member: its base type (``const`` dropped), pointer
+    depth and array length (an expression, or ``None``)."""
+
+    __slots__ = ("name", "base", "ptr", "array_len", "lineno")
+
+    def __init__(self, name, base, ptr, array_len, lineno):
+        self.name = name
+        self.base = base
+        self.ptr = ptr
+        self.array_len = array_len
+        self.lineno = lineno
+
+
+class CStruct:
+    """A ``typedef struct { ... } Name;`` with its members in order;
+    ``decls`` holds each member declaration as ``(first line, last
+    line, members)``."""
+
+    __slots__ = ("name", "fields", "decls")
+
+    def __init__(self, name, fields, decls):
+        self.name = name
+        self.fields = fields
+        self.decls = decls
+
+    def field(self, name):
+        """The member called *name*, or ``None``."""
+        for field in self.fields:
+            if field.name == name:
+                return field
+        return None
+
+
+def _plain(words):
+    """A type's words without ``const``."""
+    return " ".join(word for word in words if word != "const")
+
+
 # --------------------------------------------------------------- parser
 
 class _Parser:
@@ -423,13 +530,74 @@ class _Parser:
             or tok.text in ("const", "struct")
         )
 
-    # -- statements
+    # -- top level: typedef'd structs and function definitions
 
-    def parse_statements_until_end(self):
-        stmts = []
+    def parse_top_level(self):
+        """``(structs, functions)`` of the whole token stream, by name;
+        prototypes are skipped."""
+        structs, functions = {}, {}
         while self.peek() is not None:
-            stmts.append(self.parse_statement())
-        return stmts
+            if self.at("typedef"):
+                struct = self._parse_struct()
+                structs[struct.name] = struct
+            else:
+                fn = self._parse_function()
+                if fn is not None:
+                    functions[fn.name] = fn
+        return structs, functions
+
+    def _parse_struct(self):
+        self.expect("typedef")
+        self.expect("struct")
+        self.expect("{")
+        fields, decls = [], []
+        while not self.at("}"):
+            decl = self._parse_declaration()
+            last = self.expect(";")
+            members = [CField(d.name, _plain(decl.base_type.split()), d.ptr,
+                              d.array_len, d.lineno) for d in decl.decls]
+            fields += members
+            decls.append((decl.lineno, last.lineno, members))
+        self.expect("}")
+        name = self.next()
+        if name.kind != "id":
+            raise CParseError(f"expected a struct name, got {name.text!r}",
+                              name.lineno)
+        self.expect(";")
+        self.typenames.add(name.text)
+        return CStruct(name.text, fields, decls)
+
+    def _parse_function(self):
+        first = self.peek()
+        while self.accept("static") or self.accept("inline"):
+            pass
+        words = self._type_words()
+        ptr = 0
+        while self.accept("*"):
+            ptr += 1
+        name = self.next()
+        if name.kind != "id":
+            raise CParseError(f"expected a function name, got {name.text!r}",
+                              name.lineno)
+        self.expect("(")
+        params = []
+        if self.at("void") and getattr(self.peek(1), "text", "") == ")":
+            self.next()
+        while not self.at(")"):
+            if params:
+                self.expect(",")
+            param_words = self._type_words()
+            decl = self._parse_declarator()
+            params.append((decl.name, _plain(param_words), decl.ptr))
+        self.expect(")")
+        if self.accept(";"):
+            return None
+        if not self.at("{"):
+            raise CParseError("expected a function body", name.lineno)
+        return CFunctionDef(name.text, _plain(words) + "*" * ptr, params,
+                            self.parse_body(), first.lineno)
+
+    # -- statements
 
     def parse_body(self):
         """One statement or a braced block, as a statement list."""
@@ -532,14 +700,19 @@ class _Parser:
         # shadow type names in the kernels).
         return True
 
-    def _parse_declaration(self):
+    def _type_words(self):
         first = self.peek()
         words = []
         while self._is_type_token(self.peek()):
             words.append(self.next().text)
         if not words:
-            raise CParseError("expected a type", first.lineno)
-        base_type = " ".join(words)
+            raise CParseError("expected a type",
+                              first.lineno if first else 0)
+        return words
+
+    def _parse_declaration(self):
+        first = self.peek()
+        base_type = " ".join(self._type_words())
         decls = [self._parse_declarator()]
         while self.accept(","):
             decls.append(self._parse_declarator())
@@ -639,9 +812,7 @@ class _Parser:
         return self._is_type_token(self.peek(1))
 
     def _parse_typename(self):
-        words = []
-        while self._is_type_token(self.peek()):
-            words.append(self.next().text)
+        words = self._type_words()
         while self.accept("*"):
             words.append("*")
         return " ".join(words)
@@ -741,7 +912,7 @@ class _Parser:
 def parse_expression_text(text, typenames=frozenset(), lineno=0):
     """Parse one standalone expression (annotation conditions)."""
     linemap = _LineMap(text)
-    tokens = _tokenize(text, 0, len(text), linemap)
+    tokens = _tokenize(text, linemap)
     if not tokens:
         raise CParseError("empty expression", lineno)
     parser = _Parser(tokens, typenames)
@@ -754,36 +925,102 @@ def parse_expression_text(text, typenames=frozenset(), lineno=0):
     return expr
 
 
+def strip_casts(expr):
+    """*expr* without its outer casts."""
+    while isinstance(expr, CCast):
+        expr = expr.operand
+    return expr
+
+
+_FOLD_OPS = {
+    "+": lambda a, b: a + b, "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b, "<<": lambda a, b: a << b,
+    ">>": lambda a, b: a >> b, "&": lambda a, b: a & b,
+    "|": lambda a, b: a | b, "^": lambda a, b: a ^ b,
+}
+
+
+def const_fold(expr, defines, type_bytes=None):
+    """Integer value of a compile-time-constant expression over
+    *defines* (``{name: int}``), or ``None``.  ``sizeof(type)`` folds
+    through *type_bytes* when given."""
+    expr = strip_casts(expr)
+    if isinstance(expr, CNum):
+        return expr.value
+    if isinstance(expr, CName):
+        return defines.get(expr.name)
+    if isinstance(expr, CSizeof):
+        if isinstance(expr.arg, str) and type_bytes is not None:
+            return type_bytes(expr.arg)
+        return None
+    if isinstance(expr, CUnary):
+        inner = const_fold(expr.operand, defines, type_bytes)
+        if inner is None:
+            return None
+        if expr.op == "-":
+            return -inner
+        if expr.op == "~":
+            return ~inner
+        if expr.op == "!":
+            return int(inner == 0)
+        return None
+    if isinstance(expr, CBinary):
+        left = const_fold(expr.left, defines, type_bytes)
+        right = const_fold(expr.right, defines, type_bytes)
+        if left is None or right is None:
+            return None
+        fn = _FOLD_OPS.get(expr.op)
+        return fn(left, right) if fn else None
+    return None
+
+
 # ------------------------------------------------- functions with bodies
 
 class CFunctionDef:
     """One parsed function: signature plus statement-level body."""
 
     __slots__ = ("name", "return_type", "params", "body", "lineno",
-                 "static", "requires", "returns", "param_buffers")
+                 "requires", "returns", "param_buffers")
 
-    def __init__(self, name, return_type, params, body, lineno, static):
+    def __init__(self, name, return_type, params, body, lineno):
         self.name = name
         self.return_type = return_type
         self.params = params          # list of (name, base_type, ptr)
         self.body = body              # list of CStmt
         self.lineno = lineno
-        self.static = static
         self.requires = []            # CAnnotation, kind == "requires"
         self.returns = None           # CAnnotation, kind == "returns"
         self.param_buffers = []       # CAnnotation, kind == "buffer"
 
 
 class CAnnotation:
-    """One ``certify:`` comment, split but not yet evaluated."""
+    """One ``certify:`` comment, split but not yet evaluated.
 
-    __slots__ = ("kind", "lineno", "text", "reason")
+    ``targets`` holds the ``(struct, member)`` pairs a member fact
+    names; ``attach`` is the line an unnamed one attaches to: its own
+    when it trails code, else the line after the comment.
+    """
 
-    def __init__(self, kind, lineno, text, reason):
+    __slots__ = ("kind", "lineno", "text", "reason", "trusted", "targets",
+                 "attach")
+
+    def __init__(self, kind, lineno, text, reason, trusted, targets,
+                 attach):
         self.kind = kind
         self.lineno = lineno
         self.text = text
         self.reason = reason
+        self.trusted = trusted
+        self.targets = targets
+        self.attach = attach
+
+    @property
+    def member_fact(self):
+        """Is this a fact about struct members (not a parameter's
+        ``buffer``)?"""
+        return self.kind in ("range", "column") or (
+            self.kind == "buffer"
+            and (bool(self.targets) or self.text.startswith("length ")))
 
 
 class CSuppression:
@@ -798,15 +1035,24 @@ class CSuppression:
 
 
 class CUnit:
-    """A deep-parsed C translation unit."""
+    """A parsed kernel: its functions, structs and defines (the
+    header's first), the source's annotations and suppressions, the
+    member facts by ``(struct, member)`` and the annotations that
+    attach to no member (``issues``, ``(lineno, message)`` pairs)."""
 
-    __slots__ = ("functions", "annotations", "suppressions", "typenames")
+    __slots__ = ("functions", "structs", "defines", "annotations",
+                 "suppressions", "typenames", "facts", "issues")
 
-    def __init__(self, functions, annotations, suppressions, typenames):
+    def __init__(self, functions, structs, defines, annotations,
+                 suppressions, typenames):
         self.functions = functions        # name -> CFunctionDef
+        self.structs = structs            # name -> CStruct
+        self.defines = defines            # name -> int
         self.annotations = annotations    # list of CAnnotation
         self.suppressions = suppressions  # lineno -> CSuppression
         self.typenames = typenames
+        self.facts = {}                   # (struct, member) -> [CAnnotation]
+        self.issues = []
 
     def suppressed(self, lineno, pass_id):
         """True if *pass_id* is disabled at *lineno* by a C comment."""
@@ -815,12 +1061,6 @@ class CUnit:
             return False
         return pass_id in entry.pass_ids or "all" in entry.pass_ids
 
-
-_FUNC_DEF_RE = re.compile(
-    r"(?m)^(?P<head>(?:static\s+)?(?:const\s+)?[A-Za-z_]\w*"
-    r"(?:\s+[A-Za-z_]\w*)*[\s*]+)"
-    r"(?P<name>[A-Za-z_]\w*)\s*\("
-)
 
 _CERTIFY_RE = re.compile(
     r"/\*\s*certify:\s*(?P<body>[^*]*(?:\*(?!/)[^*]*)*)\*/"
@@ -831,7 +1071,10 @@ _C_SUPPRESS_RE = re.compile(
     r"(?:\s*--\s*(?P<why>[^*]*(?:\*(?!/)[^*]*)*?))?\s*\*/"
 )
 
-_ANNOTATION_KINDS = frozenset({"assume", "requires", "returns", "buffer"})
+_ANNOTATION_KINDS = frozenset({"assume", "requires", "returns", "buffer",
+                               "range", "column", "symbol"})
+
+_MEMBER_RE = re.compile(r"[A-Za-z_]\w*\.[A-Za-z_]\w*$")
 
 
 def _scan_annotations(source, linemap):
@@ -839,17 +1082,29 @@ def _scan_annotations(source, linemap):
     for match in _CERTIFY_RE.finditer(source):
         lineno = linemap.lineno(match.start())
         body = " ".join(match.group("body").split())
-        if " -- " in body:
-            text, reason = body.split(" -- ", 1)
-        else:
-            text, reason = body, None
-        parts = text.split(None, 1)
-        kind = parts[0] if parts else ""
-        if kind not in _ANNOTATION_KINDS or len(parts) < 2:
+        text, _, reason = body.partition(" -- ")
+        words = text.split()
+        marked = words[:1] == ["trusted"]
+        if marked:
+            words = words[1:]
+        kind, words = (words[0], words[1:]) if words else ("", [])
+        if (kind not in _ANNOTATION_KINDS or not words
+                or (marked and kind not in ("range", "buffer"))):
             raise CParseError(
                 f"malformed certify annotation: {body!r}", lineno
             )
-        annotations.append(CAnnotation(kind, lineno, parts[1], reason))
+        targets = []
+        while kind in ("range", "buffer") and _MEMBER_RE.match(words[0]):
+            targets.append(tuple(words.pop(0).split(".")))
+            if not words:
+                raise CParseError(
+                    f"malformed certify annotation: {body!r}", lineno)
+        line_start = linemap.starts[lineno - 1]
+        trailing = source[line_start:match.start()].strip()
+        attach = lineno if trailing else linemap.lineno(match.end()) + 1
+        annotations.append(CAnnotation(
+            kind, lineno, " ".join(words), reason or None,
+            marked or kind in ("assume", "symbol"), targets, attach))
     return annotations
 
 
@@ -872,8 +1127,10 @@ def _scan_suppressions(source, linemap):
 
 
 def _attach_annotations(functions, annotations):
-    """Statement ``assume``s attach by line; the rest attach to the
-    next function defined at or below the annotation."""
+    """Statement ``assume``s attach by line; a function's ``requires``,
+    ``returns`` and parameter ``buffer``s attach to the next function
+    defined at or below the annotation.  Member facts and symbols are
+    the unit's (:func:`_attach_facts`)."""
     ordered = sorted(functions.values(), key=lambda fn: fn.lineno)
 
     def function_at(lineno):
@@ -890,6 +1147,8 @@ def _attach_annotations(functions, annotations):
         return best
 
     for ann in annotations:
+        if ann.kind == "symbol" or ann.member_fact:
+            continue
         if ann.kind == "assume":
             fn = enclosing(ann.lineno)
             target = None
@@ -925,6 +1184,46 @@ def _attach_annotations(functions, annotations):
                 fn.returns = ann
 
 
+def _attach_facts(unit, source_structs):
+    """File each member fact under the members it names, or under the
+    members of the source struct declaration it trails (any of its
+    lines) or sits above (its first line).  A fact that finds no
+    member, and a member with two facts, is an issue."""
+    at_line = {}
+    for struct in source_structs.values():
+        for first, last, members in struct.decls:
+            for line in range(first, last + 1):
+                at_line[line] = (first, struct.name, members)
+    for ann in unit.annotations:
+        if not ann.member_fact:
+            continue
+        if ann.targets:
+            pairs = ann.targets
+            for struct, member in pairs:
+                decl = unit.structs.get(struct)
+                if decl is None or decl.field(member) is None:
+                    unit.issues.append((
+                        ann.lineno, f"certify {ann.kind} names"
+                        f" {struct}.{member}, which does not exist"))
+                    pairs = ()
+        else:
+            first, struct, members = at_line.get(ann.attach, (0, "", ()))
+            if ann.attach != ann.lineno and first != ann.attach:
+                members = ()
+            pairs = [(struct, field.name) for field in members]
+            if not pairs:
+                unit.issues.append((
+                    ann.lineno, f"certify {ann.kind} annotation attaches"
+                    " to no struct member"))
+        for pair in pairs:
+            unit.facts.setdefault(pair, []).append(ann)
+    for (struct, member), anns in unit.facts.items():
+        if len(anns) > 1:
+            unit.issues.append((
+                anns[1].lineno,
+                f"{struct}.{member} has more than one certify fact"))
+
+
 def _walk_statements(stmts):
     for stmt in stmts:
         yield stmt
@@ -939,96 +1238,28 @@ def _walk_statements(stmts):
             yield from _walk_statements(stmt.body)
 
 
-def _match_close(text, open_pos, open_char, close_char, linemap):
-    depth = 0
-    for i in range(open_pos, len(text)):
-        if text[i] == open_char:
-            depth += 1
-        elif text[i] == close_char:
-            depth -= 1
-            if depth == 0:
-                return i
-    raise CParseError(f"unbalanced {open_char!r}",
-                      linemap.lineno(open_pos))
-
-
-def _split_params_text(text):
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    tail = "".join(current).strip()
-    if tail:
-        parts.append(tail)
-    return parts
-
-
-def _parse_param_sig(text, lineno):
-    words = text.replace("*", " * ").split()
-    ptr = words.count("*")
-    words = [w for w in words if w != "*"]
-    if not words:
-        raise CParseError(f"cannot parse parameter {text!r}", lineno)
-    if len(words) == 1:  # unnamed (``void``)
-        return None
-    name = words[-1]
-    base = " ".join(w for w in words[:-1] if w != "const")
-    return (name, base, ptr)
-
-
-def parse_c_unit(source, typenames):
-    """Deep-parse *source*: every function body, annotations and
-    C-side suppressions.  Raises :class:`CParseError` on anything
-    outside the supported subset."""
-    stripped = _strip_comments(source)
+def _parse_text(text, defines, typenames):
+    """``(structs, functions, linemap)`` of one C text; its defines go
+    into *defines* and its struct names into *typenames*."""
+    stripped = _read_directives(_strip_comments(text), defines)
     linemap = _LineMap(stripped)
+    tokens = _tokenize(stripped, linemap)
+    structs, functions = _Parser(tokens, typenames).parse_top_level()
+    return structs, functions, linemap
+
+
+def parse_c_unit(header, source):
+    """Parse a kernel as the compiler reads it: *header*, the header
+    :mod:`repro.cbuild` renders for it, then *source*.  Raises
+    :class:`CParseError` on anything outside the supported subset."""
+    defines, typenames = {}, set()
+    structs, _, _ = _parse_text(header, defines, typenames)
+    source_structs, functions, linemap = _parse_text(source, defines,
+                                                     typenames)
     annotations = _scan_annotations(source, linemap)
-    suppressions = _scan_suppressions(source, linemap)
-    typenames = frozenset(typenames)
-
-    functions = {}
-    for match in _FUNC_DEF_RE.finditer(stripped):
-        head = match.group("head").split()
-        name = match.group("name")
-        if head and head[0] in ("typedef", "if", "while", "for", "return"):
-            continue
-        static = "static" in head
-        return_type = " ".join(
-            w for w in head if w not in ("static", "const")
-        ).replace(" *", "*").strip()
-        open_paren = match.end() - 1
-        close_paren = _match_close(stripped, open_paren, "(", ")", linemap)
-        after = close_paren + 1
-        while after < len(stripped) and stripped[after].isspace():
-            after += 1
-        if after >= len(stripped) or stripped[after] != "{":
-            continue  # a prototype, not a definition
-        body_close = _match_close(stripped, after, "{", "}", linemap)
-        lineno = linemap.lineno(match.start())
-
-        params = []
-        params_text = stripped[open_paren + 1:close_paren]
-        if params_text.strip() and params_text.strip() != "void":
-            for part in _split_params_text(params_text):
-                sig = _parse_param_sig(part, lineno)
-                if sig is not None:
-                    params.append(sig)
-
-        tokens = _tokenize(stripped, after + 1, body_close, linemap)
-        parser = _Parser(tokens, typenames)
-        body = parser.parse_statements_until_end()
-        functions[name] = CFunctionDef(
-            name, return_type, params, body, lineno, static
-        )
-
+    unit = CUnit(functions, {**structs, **source_structs}, defines,
+                 annotations, _scan_suppressions(source, linemap),
+                 frozenset(typenames))
     _attach_annotations(functions, annotations)
-    return CUnit(functions, annotations, suppressions, typenames)
+    _attach_facts(unit, source_structs)
+    return unit

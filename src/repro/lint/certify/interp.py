@@ -31,9 +31,9 @@ checked); everything else, including ``requires`` at call sites and
 
 from collections import deque
 
+from repro.lint.certify import cparse
 from repro.lint.certify import intervals as iv
 from repro.lint.certify.contracts import Buf, StructElem, Sym
-from repro.lint.clang_parity import cparse
 
 #: Joins a loop head absorbs before its unstable endpoints widen.
 _WIDEN_DELAY = 4
@@ -170,38 +170,42 @@ class _ElemSpec:
 
 
 class _Env:
-    """Contract + extraction resolved against one kernel source."""
+    """One kernel as compiled, with every fact its proof rests on: the
+    symbol boxes, the entry parameters and checked config fields of
+    its contract, and the facts its source declares."""
 
-    def __init__(self, source, contract, extract):
+    def __init__(self, header, source, contract):
         self.contract = contract
-        self.extract = extract
-        self.unit = cparse.parse_c_unit(source, set(self.extract.structs))
-        self.defines = {
-            name: d.value for name, d in self.extract.defines.items()
-            if d.value is not None
-        }
+        self.unit = cparse.parse_c_unit(header, source)
+        self.structs = self.unit.structs
+        self.defines = self.unit.defines
+        self.ann_cache = {}
+        self.ann_errors = list(self.unit.issues)   # (lineno, message)
+        self._returns_cache = {}
         self.box = dict(contract.symbols)
-        self.buffers = {}
-        for (owner, field), spec in contract.buffers.items():
-            self.buffers[(owner, field)] = self._resolve_buf(
-                f"{owner}.{field}", spec)
-        self.fields = {}
-        for (owner, field), inv in contract.fields.items():
-            self.fields[(owner, field)] = (
-                self._interval_of(inv.lo, inv.hi), inv.trusted)
+        for ann in self.unit.annotations:
+            if ann.kind == "symbol":
+                self._declare_symbol(ann)
         self.entries = {
             entry: self._resolve_params(params)
             for entry, params in contract.entries.items()
         }
+        self.fields = {
+            key: (self._interval_of(lo, hi), True)
+            for key, (lo, hi) in contract.fields.items()
+        }
+        self.buffers = {}
+        columns = self._columns()
+        for struct in self.structs.values():
+            for field in struct.fields:
+                anns = self.unit.facts.get((struct.name, field.name))
+                self._member_fact(struct.name, field, anns, columns)
         # Function-level ``certify: buffer`` annotations.
         self.ann_buffers = {}
         for fn in self.unit.functions.values():
             for ann in fn.param_buffers:
-                name, spec = self._parse_buffer_annotation(ann)
+                name, spec = self._parse_buffer_annotation(ann, fn)
                 self.ann_buffers[(fn.name, name)] = spec
-        self.ann_cache = {}
-        self.ann_errors = []       # (lineno, message)
-        self._returns_cache = {}
 
     def _resolve_params(self, params):
         resolved = {}
@@ -209,11 +213,75 @@ class _Env:
             if isinstance(spec, Sym):
                 resolved[name] = spec
             elif isinstance(spec, Buf):
-                resolved[name] = self._resolve_buf(name, spec)
+                resolved[name] = self._buf(name, spec.elem, spec.length,
+                                           spec.lo, spec.hi)
             elif isinstance(spec, StructElem):
                 resolved[name] = _ElemSpec(
                     self._affine_text(spec.length), spec.struct)
         return resolved
+
+    # -- the source's own facts
+
+    def _declare_symbol(self, ann):
+        # ``symbol <name> <lo> .. <hi>``: a constant box.
+        name, _, bounds = ann.text.partition(" ")
+        box = tuple(self.const_fold(cparse.parse_expression_text(
+            text, lineno=ann.lineno)) for text in bounds.split(".."))
+        if len(box) != 2 or None in box or name in self.box:
+            raise CertifyError(f"bad symbol annotation: {ann.text!r}",
+                               ann.lineno)
+        self.box[name] = box
+
+    def _columns(self):
+        """The column parameters of every entry, by name."""
+        return {name: spec for params in self.contract.entries.values()
+                for name, spec in params.items() if isinstance(spec, Buf)}
+
+    def _member_fact(self, struct, field, anns, columns):
+        """Resolve the fact of one member: its annotation, else the
+        column of its name for a pointer member."""
+        key = (struct, field.name)
+        name = f"{struct}.{field.name}"
+        if not anns:
+            if field.ptr and field.name in columns:
+                self.buffers[key] = self._column(name, field,
+                                                 columns[field.name])
+            return
+        ann = anns[0]
+        if (ann.kind == "range") != (field.ptr == 0
+                                     and field.array_len is None):
+            self.ann_errors.append((ann.lineno, f"certify {ann.kind} on"
+                                    f" {name}, which it cannot bound"))
+        elif ann.kind == "range":
+            lo_text, _, hi_text = ann.text.partition("..")
+            interval = self._interval_of(lo_text, hi_text, ann)
+            checked = self.fields.get(key)
+            if checked and not iv.contains(interval, checked[0], self.box):
+                self.ann_errors.append((
+                    ann.lineno, f"certify range of {name} does not hold"
+                    f" the contract's {checked[0]!r}"))
+            self.fields[key] = (interval, ann.trusted)
+        elif ann.kind == "column":
+            if ann.text not in columns:
+                self.ann_errors.append((ann.lineno, f"certify column"
+                                        f" {ann.text!r} names no column"))
+            else:
+                self.buffers[key] = self._column(name, field,
+                                                 columns[ann.text])
+        else:
+            # ``buffer length <n> [content <lo> .. <hi>]``
+            length, _, content = ann.text.partition(" content ")
+            lo_text, _, hi_text = content.partition("..")
+            if not length.startswith("length ") or (content and not hi_text):
+                raise CertifyError(
+                    f"malformed buffer annotation: {ann.text!r}", ann.lineno)
+            self.buffers[key] = self._buf(
+                name, field.base, length[len("length "):], lo_text or None,
+                hi_text or None, ann.trusted, ann)
+
+    def _column(self, name, field, column):
+        return self._buf(name, field.base, column.length, column.lo,
+                         column.hi)
 
     def parse_annotation(self, ann):
         """Parsed condition of an assume/requires; None on bad text."""
@@ -256,32 +324,33 @@ class _Env:
         width = _WIDTHS.get(base)
         if width is not None:
             return width[0] // 8
-        decl = self.extract.structs.get(base)
+        decl = self.structs.get(base)
         if decl is None:
             return None
         total = 0
         for field in decl.fields:
-            fbytes = self.type_bytes(field.ctype) or 8
+            fbytes = 8 if field.ptr else (self.type_bytes(field.base) or 8)
             count = 1
             if field.array_len is not None:
-                count = self._fold_len(field.array_len) or 1
+                count = self.const_fold(field.array_len) or 1
             total += fbytes * count
         return total
 
-    def _fold_len(self, text):
-        try:
-            return int(str(text), 0)
-        except (TypeError, ValueError):
-            return self.defines.get(str(text).strip())
+    def const_fold(self, expr):
+        """Integer value of a compile-time constant, or None."""
+        return cparse.const_fold(expr, self.defines, self.type_bytes)
 
     # -- bound/expression folding over symbols and defines
 
-    def _affine_text(self, text):
-        expr = cparse.parse_expression_text(text, self.unit.typenames)
+    def _affine_text(self, text, ann=None):
+        expr = cparse.parse_expression_text(text, self.unit.typenames,
+                                            ann.lineno if ann else 0)
         bound = self.affine_fold(expr)
         if bound is None:
-            raise CertifyError(f"contract bound {text!r} is not affine"
-                               " over the declared symbols")
+            what = f"certify {ann.kind}" if ann else "contract"
+            raise CertifyError(f"{what} bound {text.strip()!r} is not affine"
+                               " over the declared symbols",
+                               ann.lineno if ann else 0)
         return bound
 
     def affine_fold(self, expr):
@@ -318,24 +387,28 @@ class _Env:
             return None
         return None
 
-    def _interval_of(self, lo_text, hi_text):
-        return iv.Interval(self._affine_text(lo_text),
-                           self._affine_text(hi_text))
+    def _interval_of(self, lo_text, hi_text, ann=None):
+        return iv.Interval(self._affine_text(lo_text, ann),
+                           self._affine_text(hi_text, ann))
 
-    def _resolve_buf(self, name, spec):
-        elem = _WIDTHS.get(spec.elem)
+    def _buf(self, name, base, length, lo=None, hi=None, trusted=False,
+             ann=None):
+        """A buffer of *length* elements of the C type *base*, valued
+        in ``[lo, hi]`` (its type's range when *lo* is None)."""
+        elem = _WIDTHS.get(base)
         if elem is None:
             raise CertifyError(f"buffer {name}: unknown element type"
-                               f" {spec.elem!r}")
-        if spec.lo is None:
+                               f" {base!r}", ann.lineno if ann else 0)
+        if lo is None:
             content = iv.width_interval(*elem)
         else:
-            content = self._interval_of(spec.lo, spec.hi)
-        return _BufSpec(name, self._affine_text(spec.length),
-                        content, elem, trusted=spec.trusted)
+            content = self._interval_of(lo, hi, ann)
+        return _BufSpec(name, self._affine_text(length, ann), content,
+                        elem, trusted=trusted)
 
-    def _parse_buffer_annotation(self, ann):
-        # ``buffer <param> length <expr> content <lo> .. <hi>``
+    def _parse_buffer_annotation(self, ann, fn):
+        # ``buffer <param> length <expr> content <lo> .. <hi>``: the
+        # element type is the pointer parameter's.
         try:
             rest = ann.text
             name, rest = rest.split(None, 1)
@@ -346,22 +419,16 @@ class _Env:
             raise CertifyError(
                 f"malformed buffer annotation: {ann.text!r}", ann.lineno
             ) from None
-        length = self._affine_text(length_text.strip())
-        content = iv.Interval(self._affine_text(lo_text.strip()),
-                              self._affine_text(hi_text.strip()))
-        return name, _BufSpec(f"{name} (annotated)", length, content,
-                              (64, True))
+        base = next((base for param, base, ptr in fn.params
+                     if param == name and ptr), None)
+        return name, self._buf(f"{name} (annotated)", base, length_text,
+                               lo_text, hi_text, ann=ann)
 
     # -- struct lookups
 
     def struct_field(self, struct, field):
-        decl = self.extract.structs.get(struct)
-        if decl is None:
-            return None
-        for f in decl.fields:
-            if f.name == field:
-                return f
-        return None
+        decl = self.structs.get(struct)
+        return None if decl is None else decl.field(field)
 
     def field_invariant(self, struct, field):
         return self.fields.get((struct, field))
@@ -758,51 +825,9 @@ def _split_ctype(text):
     return t.replace("*", " ").strip(), ptr
 
 
-def _strip_casts(expr):
-    while isinstance(expr, cparse.CCast):
-        expr = expr.operand
-    return expr
-
-
-def _const_fold(expr, env):
-    """Integer value of a compile-time-constant expression, or None."""
-    expr = _strip_casts(expr)
-    if isinstance(expr, cparse.CNum):
-        return expr.value
-    if isinstance(expr, cparse.CName):
-        return env.defines.get(expr.name)
-    if isinstance(expr, cparse.CSizeof):
-        if isinstance(expr.arg, str):
-            return env.type_bytes(expr.arg)
-        return None
-    if isinstance(expr, cparse.CUnary):
-        inner = _const_fold(expr.operand, env)
-        if inner is None:
-            return None
-        if expr.op == "-":
-            return -inner
-        if expr.op == "~":
-            return ~inner
-        if expr.op == "!":
-            return int(inner == 0)
-        return None
-    if isinstance(expr, cparse.CBinary):
-        left = _const_fold(expr.left, env)
-        right = _const_fold(expr.right, env)
-        if left is None or right is None:
-            return None
-        ops = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
-               "*": lambda a, b: a * b, "<<": lambda a, b: a << b,
-               ">>": lambda a, b: a >> b, "&": lambda a, b: a & b,
-               "|": lambda a, b: a | b, "^": lambda a, b: a ^ b}
-        fn = ops.get(expr.op)
-        return fn(left, right) if fn else None
-    return None
-
-
 def _split_ptr_arith(expr):
     """``(base, offset_or_None)`` for ``buf`` / ``buf + k``."""
-    expr = _strip_casts(expr)
+    expr = cparse.strip_casts(expr)
     if isinstance(expr, cparse.CBinary) and expr.op == "+":
         return expr.left, expr.right
     return expr, None
@@ -975,7 +1000,7 @@ class _FnCore:
             self.checking = saved
 
     def _form(self, expr, state):
-        expr = _strip_casts(expr)
+        expr = cparse.strip_casts(expr)
         if isinstance(expr, cparse.CNum):
             return ({}, iv.const_interval(expr.value))
         if isinstance(expr, cparse.CSizeof):
@@ -1000,7 +1025,7 @@ class _FnCore:
         if isinstance(expr, cparse.CBinary) and expr.op == "*":
             for side, other in ((expr.left, expr.right),
                                 (expr.right, expr.left)):
-                k = _const_fold(side, self.env)
+                k = self.env.const_fold(side)
                 if k is not None:
                     inner = self._form(other, state)
                     return None if inner is None else _form_scale(inner, k)
@@ -1096,7 +1121,7 @@ class _FnEval:
     def _sizeof(self, expr):
         if isinstance(expr.arg, str):
             return self.env.type_bytes(expr.arg)
-        arg = _strip_casts(expr.arg)
+        arg = cparse.strip_casts(expr.arg)
         if isinstance(arg, cparse.CUnary) and arg.op == "*":
             arg = arg.operand
         if isinstance(arg, cparse.CName):
@@ -1112,7 +1137,7 @@ class _FnEval:
         vt = self.var_types.get(name)
         if vt is not None:
             base, ptr = vt
-            structs = self.env.extract.structs
+            structs = self.env.structs
             if ptr > 0 or base in structs:
                 return self._pointer_value(name, base, ptr, state)
             ct = self.env.width_of(base) or (64, True)
@@ -1135,7 +1160,7 @@ class _FnEval:
             ref = self.local_bufs.get(name)
         if ref is None:
             ref = self.env.ann_buffers.get((self.fn.name, name))
-        if ref is None and base in self.env.extract.structs:
+        if ref is None and base in self.env.structs:
             ref = _StructPtr(base)
         return _Value(ct=None, ref=ref, key=name)
 
@@ -1143,7 +1168,7 @@ class _FnEval:
         """``(struct, key_prefix_or_None)`` for a struct-typed lvalue."""
         if isinstance(expr, cparse.CName):
             vt = self.var_types.get(expr.name)
-            if (vt and vt[0] in self.env.extract.structs
+            if (vt and vt[0] in self.env.structs
                     and vt[1] <= 1):
                 return (vt[0], expr.name)
             return None
@@ -1172,8 +1197,8 @@ class _FnEval:
                 expr.lineno)
         sep = "->" if expr.arrow else "."
         key = f"{prefix}{sep}{expr.field}" if prefix else None
-        fbase, fptr = _split_ctype(fdecl.ctype)
-        structs = self.env.extract.structs
+        fbase, fptr = fdecl.base, fdecl.ptr
+        structs = self.env.structs
         if fbase in structs:
             return _Value(ct=None, ref=_StructPtr(fbase), key=key)
         if fptr > 0 or fdecl.array_len is not None:
@@ -1358,7 +1383,7 @@ class _FnEval:
     def _eval_cast(self, expr, state):
         value = self.eval(expr.operand, state)
         base, ptr = _split_ctype(expr.ctype)
-        if ptr > 0 or base in self.env.extract.structs:
+        if ptr > 0 or base in self.env.structs:
             return _Value(value.interval, None, ref=value.ref,
                           key=value.key)
         ct = self.env.width_of(base)
@@ -1402,15 +1427,15 @@ class _FnEval:
         """``E ? E : K`` / ``E > 0 ? E : K`` with ``K >= 0`` const and
         ``E >= 0``: the result is at least ``E`` — recover the affine
         lower bound the branch join had to drop."""
-        k = _const_fold(expr.other, self.env)
+        k = self.env.const_fold(expr.other)
         if k is None or k < 0:
             return res
-        core = _strip_casts(expr.cond)
+        core = cparse.strip_casts(expr.cond)
         if (isinstance(core, cparse.CBinary) and core.op in (">", "!=")
-                and _const_fold(core.right, self.env) == 0):
+                and self.env.const_fold(core.right) == 0):
             core = core.left
-        core = _strip_casts(core)
-        then_core = _strip_casts(expr.then)
+        core = cparse.strip_casts(core)
+        then_core = cparse.strip_casts(expr.then)
         if unparse(core) != unparse(then_core):
             return res
         base = self._pure_eval(then_core, state)
@@ -1475,7 +1500,7 @@ class _FnStores:
 
     def _eval_assign(self, expr, state):
         target = expr.target
-        rhs = _strip_casts(expr.value)
+        rhs = cparse.strip_casts(expr.value)
         if (expr.op == "=" and isinstance(rhs, cparse.CCall)
                 and rhs.name == "malloc"):
             return self._malloc(target, rhs, state, expr.lineno)
@@ -1531,8 +1556,8 @@ class _FnStores:
                             f"an incompatible buffer")
                 return value
             fdecl = self.env.struct_field(struct, target.field)
-            fbase, fptr = _split_ctype(fdecl.ctype) if fdecl else ("", 0)
-            if fptr > 0 and fbase in self.env.extract.structs:
+            fbase, fptr = (fdecl.base, fdecl.ptr) if fdecl else ("", 0)
+            if fptr > 0 and fbase in self.env.structs:
                 ok = (isinstance(value.ref, _StructPtr)
                       and value.ref.struct == fbase)
                 self.oblige("bounds", lineno, ok,
@@ -1600,7 +1625,7 @@ class _FnStores:
             if pptr == 0 and value.ct is not None:
                 sub[pname] = value.interval
             elif pptr >= 1:
-                stripped = _strip_casts(ast_arg)
+                stripped = cparse.strip_casts(ast_arg)
                 if (isinstance(stripped, cparse.CUnary)
                         and stripped.op == "&"):
                     inner = self._pure_eval(stripped.operand, state)
@@ -1636,7 +1661,7 @@ class _FnStores:
                         f"requires {ann.text!r}")
 
     def _mini_iv(self, expr, sub):
-        expr_s = _strip_casts(expr)
+        expr_s = cparse.strip_casts(expr)
         if isinstance(expr_s, cparse.CNum):
             return iv.const_interval(expr_s.value)
         if isinstance(expr_s, cparse.CName):
@@ -1705,11 +1730,11 @@ class _FnStores:
     def _mem_call(self, expr, state):
         name = expr.name
         lineno = expr.lineno
-        dst = _strip_casts(expr.args[0])
+        dst = cparse.strip_casts(expr.args[0])
         if name == "memset":
             target = self._struct_target(dst, state)
             if target is not None:
-                fill = _const_fold(expr.args[1], self.env)
+                fill = self.env.const_fold(expr.args[1])
                 if fill == 0:
                     self._zero_struct(target, state)
                     return _Value(ct=None)
@@ -1724,7 +1749,7 @@ class _FnStores:
         self._check_mem_extent(name, spec, offset, expr.args[-1],
                                state, lineno)
         if name == "memset":
-            fill = _const_fold(expr.args[1], self.env)
+            fill = self.env.const_fold(expr.args[1])
             if fill == 0:
                 content = iv.const_interval(0)
             elif fill in (0xFF, -1):
@@ -1738,7 +1763,7 @@ class _FnStores:
                         f"{content!r}, contract {spec.content!r}")
         else:
             src_base, src_off = _split_ptr_arith(
-                _strip_casts(expr.args[1]))
+                cparse.strip_casts(expr.args[1]))
             sv = self.eval(src_base, state)
             sspec = sv.ref if isinstance(sv.ref, _BufSpec) else None
             if sspec is None:
@@ -1802,19 +1827,19 @@ class _FnStores:
 
     def _zero_struct(self, target, state):
         struct, prefix, sep = target
-        sdef = self.env.extract.structs.get(struct)
+        sdef = self.env.structs.get(struct)
         if sdef is None:
             return
         for field in sdef.fields:
-            base, ptr = _split_ctype(field.ctype)
-            if ptr > 0 or field.array_len is not None:
+            base = field.base
+            if field.ptr > 0 or field.array_len is not None:
                 continue
-            if base in self.env.extract.structs:
+            if base in self.env.structs:
                 sub = (f"{prefix}{sep}{field.name}"
                        if prefix is not None else None)
                 self._zero_struct((base, sub, "."), state)
                 continue
-            ct = self.env.width_of(field.ctype)
+            ct = self.env.width_of(base)
             if ct is None or prefix is None:
                 continue
             key = f"{prefix}{sep}{field.name}"
@@ -1837,8 +1862,8 @@ class _FnStores:
                 continue
             if decl.init is None:
                 continue
-            init = _strip_casts(decl.init)
-            if decl.ptr > 0 or base in self.env.extract.structs:
+            init = cparse.strip_casts(decl.init)
+            if decl.ptr > 0 or base in self.env.structs:
                 if (isinstance(init, cparse.CCall)
                         and init.name == "malloc"):
                     self.eval(init.args[0], state)
@@ -1870,7 +1895,7 @@ class _FnFlow:
     def refine_into(self, state, cond, sense):
         """Refine *state* assuming ``cond`` is truthy (*sense* True) or
         falsy.  Returns False when the branch is proven unreachable."""
-        cond = _strip_casts(cond)
+        cond = cparse.strip_casts(cond)
         if isinstance(cond, cparse.CNum):
             return bool(cond.value) == sense
         if isinstance(cond, cparse.CUnary) and cond.op == "!":
@@ -2333,27 +2358,27 @@ class _Fn(_FnCore, _FnEval, _FnStores, _FnFlow):
 
 # --------------------------------------------------------------- driver
 
-def analyse_kernel(source, contract, extract):
-    """Run the certifier over one kernel source.
+def analyse_kernel(header, source, contract):
+    """Run the certifier over one kernel as compiled: *header*, the
+    header the running package renders for it, then *source*.
 
-    *extract* holds the declarations of the kernel as compiled, its
-    rendered header first (:meth:`repro.lint.framework.Project.c_extract`).
     Returns a :class:`KernelReport`; never raises — analysis failures
     become ``report.error`` / ``report.issues``.
     """
     report = KernelReport(contract.path)
     try:
-        env = _Env(source, contract, extract)
+        env = _Env(header, source, contract)
     except (cparse.CParseError, CertifyError) as exc:
         report.error = (getattr(exc, "lineno", 0), str(exc))
         return report
     report.unit = env.unit
     # Annotation hygiene: every trust declaration documents a reason.
     for ann in env.unit.annotations:
-        if ann.kind == "assume" and not ann.reason:
+        if ann.trusted and not ann.reason:
+            trusted = "trusted " if ann.kind in ("range", "buffer") else ""
             report.issues.append(
-                (ann.lineno,
-                 "certify assume without a '-- reason' justification"))
+                (ann.lineno, f"certify {trusted}{ann.kind} without a"
+                             " '-- reason' justification"))
     for sup in env.unit.suppressions.values():
         if not sup.reason:
             report.issues.append(

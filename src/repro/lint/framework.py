@@ -103,8 +103,8 @@ class Project:
         #: ``(relpath, kind)`` -> number of times that file's AST was
         #: built this run.  ``kind`` distinguishes the parsers that
         #: legitimately each run once over a file ("py" for the Python
-        #: AST, "c-extract" for kernel declarations, "c-unit" for the
-        #: certifier's statement bodies); the lint test suite asserts
+        #: AST, "c-unit" for the certifier's parse of a kernel as
+        #: compiled); the lint test suite asserts
         #: every count stays at exactly 1, which is what makes the
         #: shared module list and the certifier's memoised reports
         #: load-bearing rather than decorative.
@@ -149,22 +149,6 @@ class Project:
         if not path.is_file():
             return None
         return path.read_text().replace("\r\n", "\n")
-
-    def c_extract(self, relpath, header):
-        """The declarations of the C source at *relpath* as the
-        compiler reads them: *header*, the kernel's rendered header,
-        then the source.  Returns ``None`` when the file is absent.
-
-        The certifier (:mod:`repro.lint.certify`) calls this once per
-        kernel and run; the parse ledger holds it to that.
-        """
-        source = self.read_text(relpath)
-        if source is None:
-            return None
-        from repro.lint.clang_parity.cextract import extract_c
-
-        self.count_parse(relpath, "c-extract")
-        return extract_c(source, extract_c(header))
 
 
 class LintPass:

@@ -11,8 +11,8 @@ oracle therefore requires an edit to this manifest in the same commit
 — an explicit, reviewable act rather than a quiet drive-by change.
 
 Hashes are computed over text with ``\\r\\n`` normalised to ``\\n``, so
-checkouts with translated line endings still verify.  Regenerate this
-file with ``repro lint --manifest-update`` (see
+checkouts with translated line endings still verify.  Regenerate the
+two hashes with ``repro lint --manifest-update`` (see
 ``docs/STATIC_ANALYSIS.md``), never by hand.
 """
 

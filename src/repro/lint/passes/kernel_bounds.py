@@ -11,10 +11,11 @@ and the interval that failed, e.g.
 ``subscript ops[i]: index in [0, n], ops length n``.
 
 This pass also owns the certification's shared diagnostics: a kernel
-that fails to parse, annotation hygiene (a ``certify: assume`` or a C
-suppression without a ``-- reason`` justification), and a contract
-literal of the linted tree that differs from the running package's,
-whose declaration the proof was built from
+that fails to parse, annotation hygiene (a trusted ``certify:``
+annotation or a C suppression without a ``-- reason`` justification,
+a member fact that attaches to no member or names one that does not
+exist), and a contract literal of the linted tree that differs from
+the running package's, whose declaration the proof was built from
 (:func:`repro.lint.certify.pyfacts.contract_findings`) — exactly one
 pass reports them, so a single defect stays a single finding.
 

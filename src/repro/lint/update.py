@@ -1,8 +1,9 @@
 """Regenerate the pinned hashes in :mod:`repro.lint.manifest`.
 
 ``repro lint --manifest-update`` is the *only* sanctioned way to touch
-the manifest: it recomputes the two frozen-oracle SHA-256s from the
-current tree and rewrites the whole file in one atomic
+the pins: it recomputes the two frozen-oracle SHA-256s from the
+current tree and rewrites those two string literals in the manifest's
+own text, leaving every other byte as it is, in one atomic
 ``os.replace``, so the manifest can never be half-new.
 
 The update runs only when the working tree has no uncommitted changes
@@ -18,6 +19,7 @@ See "Regenerating the manifest" in ``docs/STATIC_ANALYSIS.md``.
 
 import hashlib
 import os
+import re
 import subprocess
 import tempfile
 
@@ -34,41 +36,8 @@ _ALLOWED_DIRTY = frozenset({
     manifest.CYCLESIM_ORACLE_PATH,
 })
 
-_TEMPLATE = '''\
-"""Pinned content hashes of the frozen oracles.
-
-``repro.core.mlpsim_reference`` is the pre-optimization MLPsim engine,
-kept bit-identical as the oracle for the engine-equivalence suite
-(PR 2), and ``repro.cyclesim.simulator_reference`` is the
-pre-optimization cycle-accurate pipeline simulator frozen the same way
-for the cyclesim-equivalence suite.  Their usefulness rests entirely
-on them never changing, so the ``frozen-oracle`` lint pass verifies
-each file's SHA-256 against the value pinned here.  An edit to an
-oracle therefore requires an edit to this manifest in the same commit
-— an explicit, reviewable act rather than a quiet drive-by change.
-
-Hashes are computed over text with ``\\\\r\\\\n`` normalised to ``\\\\n``, so
-checkouts with translated line endings still verify.  Regenerate this
-file with ``repro lint --manifest-update`` (see
-``docs/STATIC_ANALYSIS.md``), never by hand.
-"""
-
-#: Root-relative path of the frozen reference engine.
-ORACLE_PATH = "{oracle_path}"
-
-#: SHA-256 of the oracle's (newline-normalised) content.
-ORACLE_SHA256 = (
-    "{oracle_sha256}"
-)
-
-#: Root-relative path of the frozen cycle-simulator reference.
-CYCLESIM_ORACLE_PATH = "{cyclesim_oracle_path}"
-
-#: SHA-256 of the cyclesim oracle's (newline-normalised) content.
-CYCLESIM_ORACLE_SHA256 = (
-    "{cyclesim_oracle_sha256}"
-)
-'''
+#: The two pinned literals, by name: ``NAME = (\n    "<sha>"\n)``.
+_PINS = ("ORACLE_SHA256", "CYCLESIM_ORACLE_SHA256")
 
 
 class ManifestUpdateError(Exception):
@@ -113,11 +82,11 @@ def _unexpected_dirty_paths(root):
 
 
 def update_manifest(root="."):
-    """Regenerate ``manifest.py``; returns a summary dict.
+    """Rewrite the two pins of ``manifest.py``; returns a summary dict.
 
     Raises :class:`ManifestUpdateError` when the tree carries
-    uncommitted changes beyond the pinned files, or an oracle cannot be
-    read.
+    uncommitted changes beyond the pinned files, or the manifest, a
+    pin literal in it or an oracle cannot be read.
     """
     dirty = _unexpected_dirty_paths(root)
     if dirty:
@@ -137,27 +106,30 @@ def update_manifest(root="."):
         _read_normalised(root, manifest.CYCLESIM_ORACLE_PATH).encode()
     ).hexdigest()
 
-    content = _TEMPLATE.format(
-        oracle_path=manifest.ORACLE_PATH,
-        oracle_sha256=oracle_sha,
-        cyclesim_oracle_path=manifest.CYCLESIM_ORACLE_PATH,
-        cyclesim_oracle_sha256=cyclesim_oracle_sha,
-    )
-
     target = os.path.join(root, MANIFEST_PATH)
-    changed = True
     try:
-        with open(target, encoding="utf-8") as handle:
-            changed = handle.read() != content
-    except OSError:
-        pass
+        with open(target, encoding="utf-8", newline="") as handle:
+            current = handle.read()
+    except OSError as exc:
+        raise ManifestUpdateError(
+            f"cannot read {MANIFEST_PATH}: {exc}"
+        ) from exc
+    content = current
+    for name, sha in zip(_PINS, (oracle_sha, cyclesim_oracle_sha)):
+        content, count = re.subn(
+            rf'(?m)^({name} = \(\s*")[^"]*"', rf'\g<1>{sha}"', content)
+        if count != 1:
+            raise ManifestUpdateError(
+                f"{MANIFEST_PATH} has no single {name} literal to rewrite")
+    changed = content != current
     if changed:
         # One atomic replace: the manifest is never observable half-new.
         fd, temp_path = tempfile.mkstemp(
             dir=os.path.dirname(target), prefix=".manifest-", suffix=".py"
         )
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            with os.fdopen(fd, "w", encoding="utf-8",
+                           newline="") as handle:
                 handle.write(content)
             os.replace(temp_path, target)
         except BaseException:

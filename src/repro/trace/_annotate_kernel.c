@@ -47,27 +47,33 @@
 #include <stdlib.h>
 #include <string.h>
 
+/* WAYS slots per set: each slot's resident line, and the stamp of its
+ * last touch (-1 if empty). */
 typedef struct {
-    int64_t *tags;   /* WAYS slots per set: the resident line        */
-    int64_t *ages;   /* stamp of the slot's last touch, -1 if empty  */
-    int64_t mask;    /* set count - 1                                */
-    int64_t assoc;
+    int64_t *tags, *ages; /* certify: buffer length WAYS * sets */
+    int64_t mask; /* certify: range 0 .. sets - 1 */
+    int64_t assoc; /* certify: range 1 .. WAYS */
 } Cache;
 
 typedef struct {
-    uint8_t *counters;   /* gshare 2-bit counters                    */
-    int64_t *btb_tag;    /* BTB_WAYS slots per set: pc >> 2          */
-    int64_t *btb_target;
-    int64_t *btb_age;    /* stamp of the slot's last touch, -1 empty */
-    int64_t g_mask;
-    int64_t b_mask;
-    int64_t history;     /* global branch history                    */
+    /* gshare 2-bit counters */
+    uint8_t *counters; /* certify: buffer length gshare content 0 .. 3 */
+    /* BTB_WAYS slots per set: pc >> 2, the target, and the stamp of the
+     * slot's last touch (-1 if empty). */
+    /* certify: buffer length BTB_WAYS * btb_sets */
+    int64_t *btb_tag, *btb_target, *btb_age;
+    int64_t g_mask; /* certify: range 0 .. gshare - 1 */
+    int64_t b_mask; /* certify: range 0 .. btb_sets - 1 */
+    /* global branch history */
+    int64_t history; /* certify: range 0 .. (1 << 24) - 1 */
 } Predictor;
 
+/* The front pass's stream, which it returns through out_pos and
+ * out_kind. */
 typedef struct {
-    int32_t *pos;
-    int8_t *kind;
-    int64_t m;
+    int32_t *pos; /* certify: column out_pos */
+    int8_t *kind; /* certify: column out_kind */
+    int64_t m; /* certify: range 0 .. 2 * n */
 } Stream;
 
 /* Cache.access: return 1 on a hit; allocate the line on a miss. */

@@ -86,31 +86,43 @@
 
 /* A synthesis.RecentPool: a ring of the last `cap` lines. */
 typedef struct {
-    int64_t *lines;
-    int64_t cap;
-    int64_t len;
-    int64_t cursor;
+    int64_t *lines; /* certify: buffer length pool content 0 .. (1 << 41) */
+    int64_t cap; /* certify: range 1 .. pool */
+    int64_t len; /* certify: range 0 .. pool */
+    int64_t cursor; /* certify: range 0 .. pool - 1 */
 } Pool;
 
 /* One synthesis.ValueSites stream: its sites' last values live in
  * Gen.last, keyed by site id. */
 typedef struct {
-    int64_t repeat;
+    int64_t repeat; /* certify: range 0 .. (1 << 53) */
+    /* certify: trusted range 0 .. (1 << 52) -- grows by fresh_stride
+       (at most 2^16) per fresh value, one per load emitted: fewer than
+       2^35 loads, since the contract caps the rows and every count a
+       transaction draws */
     int64_t fresh;
 } Values;
 
+/* A column member holds the generate parameter of its name. */
 typedef struct {
-    uint32_t *mt;          /* MT19937 words                          */
-    int64_t mti;           /* next word; MT_N: regenerate first       */
-    int64_t pc;            /* the Emitter's PC                        */
-    int64_t row;           /* rows written                            */
-    int64_t length;        /* rows wanted                             */
-    int64_t nflat;
-    int64_t nfuncs;
-    int64_t fresh_stride;
+    uint32_t *mt; /* MT19937 words */
+    /* next word; MT_N: regenerate first */
+    int64_t mti; /* certify: range 0 .. MT_N */
+    /* The Emitter's PC. */
+    /* certify: trusted range 0 .. (1 << 41) -- every PC is a motif
+       block or function base (below 2^40) plus an offset below 2^30: a
+       template op's offset is below 4 * nflat, and a motif adds at
+       most 4 * (row_spacing + 16) */
+    int64_t pc;
+    /* rows written, and rows wanted */
+    int64_t row; /* certify: range 0 .. n */
+    int64_t length; /* certify: range n .. n */
+    int64_t nflat; /* certify: range nflat .. nflat */
+    int64_t nfuncs; /* certify: range nfuncs .. nfuncs */
+    int64_t fresh_stride; /* certify: range 0 .. (1 << 16) */
     /* the trace columns */
     int8_t *op;
-    int64_t *pcs;
+    int64_t *pcs; /* certify: column pc */
     int16_t *dst;
     int16_t *src1;
     int16_t *src2;
@@ -129,9 +141,11 @@ typedef struct {
     const int64_t *f_end;
     const int64_t *f_pc;
     const int64_t *zipf;
-    /* site models */
-    int64_t *last;         /* last value per value site, -1: none     */
-    int64_t *bias;         /* bias threshold per branch site, -1: none */
+    /* site models: the last value per value site and the bias
+     * threshold per branch site, -1: none */
+    /* certify: buffer length nflat + MOTIF_SITES content -1 .. (1 << 52) */
+    int64_t *last;
+    int64_t *bias; /* certify: buffer length nflat content -1 .. (1 << 53) */
     Values values;
     Values chase;
     Pool pool_a;
@@ -210,7 +224,9 @@ static int64_t random_addr(Gen *g, const Region *r)
     return r->base + randbelow(g, r->slots) * r->word;
 }
 
-/* Region.next_line. */
+/* Region.next_line.  It advances the header's Region.cursor, so the
+ * cursor's contract range is checked at every store. */
+/* certify: range Region.cursor 0 .. (1 << 32) - 2 */
 /* certify: requires stride >= 0 && stride <= (1 << 32) */
 /* certify: returns 0 .. (1 << 41) */
 static int64_t next_line(Region *r, int64_t stride)

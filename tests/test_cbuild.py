@@ -16,8 +16,7 @@ import pytest
 from repro import cbuild
 from repro.core import ckernel
 from repro.cyclesim import ckernel as cycle_ckernel
-from repro.lint.clang_parity import cparse
-from repro.lint.clang_parity.cextract import extract_c
+from repro.lint.certify import cparse
 from repro.robustness.errors import InternalError, SimulationError
 from repro.trace import ckernel as annotate_ckernel
 from repro.workloads import ckernel as generate_ckernel
@@ -169,8 +168,9 @@ def test_entry_point_wiring_matches_the_c_definition(module, entry):
     declaration = loader.contract["entries"][entry]
     declared = cbuild.params(declaration)
     source = pathlib.Path(loader.source_path).read_text()
-    structs = extract_c(source, extract_c(loader.header())).structs
-    function = cparse.parse_c_unit(source, set(structs)).functions[entry]
+    unit = cparse.parse_c_unit(loader.header(), source)
+    structs = unit.structs
+    function = unit.functions[entry]
     assert [param.name for param in declared] == [
         name for name, _, _ in function.params]
     assert [_spelled(param.ctype) for param in declared] == \

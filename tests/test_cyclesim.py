@@ -155,11 +155,23 @@ class TestPolicies:
     ])
     def test_cycle_counts_past_the_horizon_are_refused(self, field):
         """A cycle count at or past the frozen reference's horizon
-        (2**60, its "never") is refused by name, not simulated into a
-        deadlock report."""
+        (2**60, its "never"), or below 0, is refused by name, not
+        simulated into a deadlock report or a shorter run."""
         from repro.cyclesim.simulator_reference import _NEVER
 
-        for value in (_NEVER, 2**64 + 200):
+        for value in (_NEVER, 2**64 + 200, -1, -50):
+            with pytest.raises(ConfigError) as raised:
+                CycleSimConfig(**{field: value})
+            assert raised.value.field == field
+
+    @pytest.mark.parametrize("field", [
+        "fetch_width", "dispatch_width", "issue_width", "commit_width",
+        "rob", "issue_window", "fetch_buffer",
+    ])
+    def test_widths_and_sizes_below_one_are_refused(self, field):
+        """A width or a structure size below 1 is refused by name as a
+        config error, not reported as a deadlocked simulation."""
+        for value in (0, -1):
             with pytest.raises(ConfigError) as raised:
                 CycleSimConfig(**{field: value})
             assert raised.value.field == field

@@ -221,10 +221,10 @@ class TestCli:
 
 class TestFrameworkDetails:
     def test_every_file_parsed_exactly_once(self, monkeypatch):
-        """The shared AST/extract cache means no pass re-parses a file:
-        every (file, parse-kind) ledger entry is exactly 1 even with
-        all fifteen passes running — including both C parse kinds
-        (the declaration extract and the full statement-level unit).
+        """The shared AST cache means no pass re-parses a file: every
+        (file, parse-kind) ledger entry is exactly 1 even with all
+        fifteen passes running — including the one C parse of a kernel
+        as compiled (its rendered header, then its source).
         The certifier's process-wide reports start empty, so the C
         kernel is parsed here rather than served from an earlier
         test's analysis."""
@@ -240,7 +240,7 @@ class TestFrameworkDetails:
         }
         assert repeated == {}
         kinds = {kind for _, kind in stats["parse_counts"]}
-        assert kinds == {"py", "c-extract", "c-unit"}
+        assert kinds == {"py", "c-unit"}
         assert stats["files_parsed"] == len(
             {relpath for relpath, _ in stats["parse_counts"]}
         )

@@ -8,14 +8,29 @@ struct field, against the header the package renders): one off-by-one
 subscript bound, one accumulator-width narrowing, one contract-range
 change — each must yield exactly one finding carrying the witness
 interval the abstract interpreter computed, or the drifted entry.
+
+The C front end reads each kernel as compiled, and the facts a kernel
+declares in its own source cannot outlive their member: a fact that
+attaches to no member, one naming a member that does not exist and a
+trusted fact without a reason are one finding each, and a deleted
+member fact un-proves the accesses it covered.
 """
 
+import ctypes
 import pathlib
 import shutil
 
 import pytest
 
+from repro import cbuild
+from repro.core import ckernel
+from repro.core.termination import Inhibitor
+from repro.cyclesim import ckernel as cycle_ckernel
+from repro.cyclesim.simulator_reference import _NEVER
 from repro.lint import run_lint
+from repro.lint.certify import cparse
+from repro.trace import ckernel as annotate_ckernel
+from repro.workloads import ckernel as generate_ckernel
 
 FIXTURES = pathlib.Path(__file__).parent / "lint_fixtures"
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -210,3 +225,138 @@ def test_modulo_by_a_positive_variable_divisor():
     assert repr(iv.mod(signed, iv.const_interval(8), box)) == "[-7, 7]"
     maybe_zero = iv.Interval(iv.Affine(0), iv.Affine(8))
     assert iv.mod(dividend, maybe_zero, box) is iv.TOP
+
+
+#: The four kernel drivers, each with defines and source structs its
+#: unit must show: ``{define: value}`` and ``{struct: [(member, C base
+#: type, pointer depth), ...]}``.
+_UNITS = {
+    "mlpsim": (ckernel, {"INH_COUNT": len(Inhibitor), "ST_STOP_DEFER": 3},
+               {"Scan": [("epoch", "int32_t", 0), ("accesses", "int64_t", 0),
+                         ("e_dmiss", "int64_t", 0)]}),
+    "cyclesim": (cycle_ckernel, {"NEVER": _NEVER, "HASH_SIZE": 1 << 15},
+                 {"Tracker": [("count", "int64_t", 0),
+                              ("last_time", "int64_t", 0),
+                              ("nonzero", "int64_t", 0),
+                              ("integral", "int64_t", 0)],
+                  "Ctx": [("n", "int64_t", 0), ("ops", "int8_t", 1),
+                          ("prod1", "int32_t", 1), ("prod2", "int32_t", 1),
+                          ("prod3", "int32_t", 1),
+                          ("memdep", "int32_t", 1)]}),
+    "annotation": (annotate_ckernel, {"WAYS": 16},
+                   {"Stream": [("pos", "int32_t", 1), ("kind", "int8_t", 1),
+                               ("m", "int64_t", 0)]}),
+    "generation": (generate_ckernel, {"MATRIX_A": 0x9908b0df, "MT_N": 624},
+                   {"Pool": [("lines", "int64_t", 1), ("cap", "int64_t", 0),
+                             ("len", "int64_t", 0),
+                             ("cursor", "int64_t", 0)]}),
+}
+
+
+def _ctypes_members(struct, names):
+    """``(member, C base type, pointer depth, array length)`` of each
+    field of a ctypes *struct*; *names* spells the nested structs."""
+    members = []
+    for field, ctype in struct._fields_:
+        length = None
+        if issubclass(ctype, ctypes.Array):
+            ctype, length = ctype._type_, ctype._length_
+        members.append((field, names.get(ctype) or cbuild._C_TYPES[ctype],
+                        0, length))
+    return members
+
+
+@pytest.mark.parametrize("name", sorted(_UNITS))
+def test_front_end_reads_the_unit_as_compiled(name):
+    """One parse of a kernel, header first, holds every define the
+    header renders with its Python value and the source's own, and
+    every struct's members in declaration order with their C types:
+    a rendered struct's are its ctypes fields."""
+    module, defines, source_structs = _UNITS[name]
+    loader = module._loader
+    unit = cparse.parse_c_unit(
+        loader.header(), pathlib.Path(loader.source_path).read_text())
+    rendered = loader.defines()
+    assert {key: unit.defines[key] for key in rendered} == rendered
+    assert {key: unit.defines[key] for key in defines} == defines
+    names = {struct: name for name, struct in loader.structs.items()}
+    for struct_name, struct in loader.structs.items():
+        assert [(f.name, f.base, f.ptr, f.array_len and cparse.const_fold(
+            f.array_len, unit.defines))
+            for f in unit.structs[struct_name].fields] == \
+            _ctypes_members(struct, names)
+    for struct_name, members in source_structs.items():
+        fields = unit.structs[struct_name].fields
+        assert [(f.name, f.base, f.ptr)
+                for f in fields[:len(members)]] == members
+
+
+class TestKernelFacts:
+    """A fact a kernel declares in its source is checked against the
+    members it names: none can outlive its field."""
+
+    SELECT = ["kernel-bounds", "kernel-overflow"]
+
+    def test_a_fact_that_attaches_to_no_member(self, tmp_path):
+        root = _real_tree(tmp_path)
+        _edit(root, MLPSIM_KERNEL, "static void record_epoch(",
+              "/* certify: range 0 .. 1 */\nstatic void record_epoch(")
+        findings = run_lint(root, select=self.SELECT)
+        assert [(f.pass_id, f.path, f.message) for f in findings] == [
+            ("kernel-bounds", MLPSIM_KERNEL,
+             "certify range annotation attaches to no struct member")]
+
+    @pytest.mark.parametrize("member", [
+        "Scan.no_such_field", "Trace.no_such_field",
+        "KernelResult.no_such_field", "NoSuchStruct.epoch",
+    ])
+    def test_a_fact_naming_a_missing_member(self, tmp_path, member):
+        root = _real_tree(tmp_path)
+        _edit(root, MLPSIM_KERNEL, "static void record_epoch(",
+              f"/* certify: range {member} 0 .. 1 */\n"
+              "static void record_epoch(")
+        findings = run_lint(root, select=self.SELECT)
+        assert [(f.pass_id, f.path, f.message) for f in findings] == [
+            ("kernel-bounds", MLPSIM_KERNEL,
+             f"certify range names {member}, which does not exist")]
+
+    def test_a_trusted_fact_without_a_reason(self, tmp_path):
+        root = _real_tree(tmp_path)
+        _edit(root, MLPSIM_KERNEL,
+              "/* certify: trusted range 0 .. n -- each instruction index"
+              " enters\n       new_deferred at most once per epoch, so the"
+              " pending count never\n       exceeds n */",
+              "/* certify: trusted range 0 .. n */")
+        findings = run_lint(root, select=self.SELECT)
+        assert [(f.pass_id, f.message) for f in findings] == [
+            ("kernel-bounds",
+             "certify trusted range without a '-- reason' justification")]
+
+    def test_a_parameter_buffer_holds_its_declared_elements(self, tmp_path):
+        """A parameter's ``certify: buffer`` counts elements of the
+        parameter's own C type: reading 2n bytes from the n-byte
+        ``imiss_src`` is one finding."""
+        root = _real_tree(tmp_path)
+        _edit(root, MLPSIM_KERNEL, "memcpy(t->imiss, imiss_src, (size_t)n);",
+              "memcpy(t->res, imiss_src, (size_t)(2 * n));")
+        findings = run_lint(root, select=self.SELECT)
+        assert [(f.pass_id, f.message) for f in findings] == [
+            ("kernel-bounds", "memcpy on imiss_src (annotated): writes up"
+             " to 2*n bytes, buffer holds n")]
+
+    def test_deleting_a_member_buffer_fact(self, tmp_path):
+        """Without its buffer fact a scratch member is no buffer the
+        proof knows: its allocation and every subscript of it are
+        findings."""
+        root = _real_tree(tmp_path)
+        _edit(root, MLPSIM_KERNEL,
+              "    /* certify: buffer length n + 1 content 0 .. n - 1 */\n"
+              "    int32_t *pending_pf;", "    int32_t *pending_pf;")
+        messages = {f.message for f in run_lint(root, select=self.SELECT)
+                    if "pending_pf" in f.message}
+        assert messages == {
+            "malloc into t.pending_pf: no buffer contract",
+            "subscript t->pending_pf[k]: no buffer contract for the base",
+            "subscript t->pending_pf[pending_len++]: no buffer contract"
+            " for the base",
+        }

@@ -2,9 +2,10 @@
 
 Covers the regeneration flow over a copy of the *real* pinned sources:
 idempotence on a clean tree, byte-identical regeneration of a stale
-manifest, the dirty-tree interlock (a pinned oracle may be dirty, an
-unrelated file may not), the refusal to pin an oracle that cannot be
-read, and the CLI report.
+manifest, an edit outside the two hashes surviving an update, the
+dirty-tree interlock (a pinned oracle may be dirty, an unrelated file
+may not), the refusal to pin an oracle that cannot be read, and the
+CLI report.
 """
 
 import pathlib
@@ -76,6 +77,14 @@ def _git_tree(tmp_path):
     return root
 
 
+def _stale_manifest(root):
+    """Put stale hashes into the copied manifest's two pins (an
+    allowed dirty path: regenerating it is the whole point of the
+    command)."""
+    for sha in (ORACLE_SHA256, CYCLESIM_ORACLE_SHA256):
+        _edit(root, MANIFEST_PATH, sha, "0" * 64)
+
+
 class TestManifestUpdate:
     def test_refuses_outside_a_git_tree(self, tmp_path):
         _real_tree(tmp_path)
@@ -101,21 +110,39 @@ class TestManifestUpdate:
 
     def test_regenerates_a_stale_manifest_atomically(self, tmp_path):
         root = _git_tree(tmp_path)
-        # A dirty manifest is an *allowed* dirty path: regenerating it
-        # is the whole point of the command (throwaway tree, plain
-        # write is fine).
-        (root / MANIFEST_PATH).write_text("# stale placeholder\n")  # reprolint: disable=atomic-writes
+        _stale_manifest(root)
         result = update_manifest(root)
         assert result["changed"] is True
         content = (root / MANIFEST_PATH).read_text()
         assert ORACLE_SHA256 in content
         assert CYCLESIM_ORACLE_SHA256 in content
-        # Byte-identical to the checked-in manifest: the template and
-        # the real file cannot drift apart unnoticed.
+        # Byte-identical to the checked-in manifest: only the two
+        # hashes were rewritten.
         assert content == (REPO_ROOT / MANIFEST_PATH).read_text()
         # No temp-file droppings from the atomic replace.
         leftovers = list((root / MANIFEST_PATH).parent.glob(".manifest-*"))
         assert leftovers == []
+
+    def test_an_edit_outside_the_hashes_survives_an_update(self, tmp_path):
+        """The update rewrites the two hash literals in the manifest's
+        own text: an edit anywhere else is kept, with stale hashes and
+        with current ones."""
+        root = _git_tree(tmp_path)
+        _edit(root, MANIFEST_PATH, "Pinned content hashes",
+              "Pinned content digests")
+        edited = (root / MANIFEST_PATH).read_text()
+        assert update_manifest(root)["changed"] is False
+        assert (root / MANIFEST_PATH).read_text() == edited
+        _stale_manifest(root)
+        assert update_manifest(root)["changed"] is True
+        assert (root / MANIFEST_PATH).read_text() == edited
+
+    def test_refuses_a_manifest_without_its_pins(self, tmp_path):
+        root = _git_tree(tmp_path)
+        _edit(root, MANIFEST_PATH, "CYCLESIM_ORACLE_SHA256 = (",
+              "CYCLESIM_SHA256 = (")
+        with pytest.raises(ManifestUpdateError, match="CYCLESIM_ORACLE"):
+            update_manifest(root)
 
     def test_oracle_edit_plus_manifest_is_allowed_dirty(self, tmp_path):
         root = _git_tree(tmp_path)
@@ -133,8 +160,7 @@ class TestManifestUpdate:
 
     def test_cli_flag_regenerates_and_reports(self, tmp_path, capsys):
         root = _git_tree(tmp_path)
-        # Throwaway tree; durability is moot.
-        (root / MANIFEST_PATH).write_text("# stale placeholder\n")  # reprolint: disable=atomic-writes
+        _stale_manifest(root)
         code = main(["lint", "--manifest-update", "--root", str(root)])
         out = capsys.readouterr().out
         assert code == 0
