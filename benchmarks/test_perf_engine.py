@@ -346,11 +346,12 @@ def test_annotate_speedup(results_dir):
 
     import numpy as np
 
-    from repro.branch.frontend import BranchPredictor
+    from repro.experiments.common import WORKLOAD_NAMES, default_trace_len
     from repro.experiments.figure7 import L2_SIZES
     from repro.memory.hierarchy import HierarchyConfig
     from repro.trace import ckernel
     from repro.trace.annotate import AnnotationConfig
+    from repro.workloads import generate_trace
 
     # The package re-exports the annotate() function over the module.
     layers = importlib.import_module("repro.trace.annotate")
@@ -367,18 +368,21 @@ def test_annotate_speedup(results_dir):
                        for config in configs]
 
     def python_layers(trace):
-        front = layers._run_front_pass(trace, configs[0], BranchPredictor())
+        front = layers._run_front_pass(trace, configs[0])
         return front, [layers._replay_l2(len(trace), front, config)
                        for config in configs]
 
     per_workload = {}
     total_python = 0.0
     total_kernel = 0.0
-    for name, annotated in _fixed_workloads():
-        trace = annotated.trace
+    length = default_trace_len()
+    for name in WORKLOAD_NAMES:
+        # Generated afresh: a memoised trace has dropped the columns
+        # only the front pass reads.
+        trace = generate_trace(name, length, seed=PERF_SEED)
         (got_front, got_masks), (want_front, want_masks) = (
             kernel_layers(trace), python_layers(trace))
-        for field in ("mispred", "position", "kind", "addr"):
+        for field in ("mispred", "position", "kind", "addr", "value"):
             got, want = getattr(got_front, field), getattr(want_front, field)
             assert got.dtype == want.dtype, (name, field)
             assert np.array_equal(got, want), (name, field)
@@ -397,7 +401,7 @@ def test_annotate_speedup(results_dir):
         total_kernel += t_kernel
     speedup = total_python / total_kernel
     _append_record("annotate", {
-        "trace_len": len(_fixed_workloads()[0][1].trace),
+        "trace_len": length,
         "back_passes": len(configs),
         "seed": PERF_SEED,
         "cpu_count": os.cpu_count() or 1,

@@ -142,7 +142,7 @@ def contract_fields(contract, struct):
 #: record and checked by :meth:`Plan.from_payload`.  Bump it whenever a
 #: plan's columns change set or meaning, so a payload of another layout
 #: is rejected instead of misread.
-PLAN_SCHEMA_VERSION = 3
+PLAN_SCHEMA_VERSION = 4
 
 
 class Plan:

@@ -22,10 +22,12 @@ Layout conventions
 ------------------
 
 * Producer columns (``prod1``, ``prod2``, ``prod3``, ``memdep``) are
-  region-relative ``int32`` indices with the *sentinel* ``n`` (one past
-  the region) instead of ``-1`` for "no producer": the kernel allocates
-  result arrays of length ``n + 1`` whose last slot holds epoch 0
-  ("always available"), so availability gathers need no mask.
+  the dependence graph's rows (:attr:`repro.core.depgraph.DepGraph.rows`),
+  shared by every plan of the region, not copied: region-relative
+  ``int32`` indices with the *sentinel* ``n`` (one past the region) for
+  "no producer".  The kernel allocates result arrays of length
+  ``n + 1`` whose last slot holds epoch 0 ("always available"), so
+  availability gathers need no mask.
 * Event columns are ``bool`` with the machine's perfect-* switches
   already applied, exactly as :func:`repro.core.mlpsim._event_arrays`
   computes them.
@@ -139,7 +141,7 @@ def build_plan(annotated, machine, start, stop):
     smiss = np.ascontiguousarray(np.asarray(annotated.smiss[start:stop]))
     ops = np.ascontiguousarray(trace.op[start:stop])
 
-    prod1, prod2, prod3, memdep = producer_columns(annotated, start, stop)
+    prod1, prod2, prod3, memdep = depgraph_for(annotated, start, stop).rows
 
     is_branch = ops == int(OpClass.BRANCH)
     serialize_ops = (
@@ -170,27 +172,3 @@ def build_plan(annotated, machine, start, stop):
         "scalar_mask": scalar_mask,
     })
 
-
-def producer_columns(annotated, start, stop):
-    """The region's ``(prod1, prod2, prod3, memdep)`` plan columns.
-
-    Like the dependence graph they are built from, they depend only on
-    the trace, so they are memoised on ``annotated.trace`` by region:
-    every mask group's plan and every annotation of one trace (Figure
-    7's L2 sizes) share one read-only copy.
-    """
-    trace = annotated.trace
-    cache = getattr(trace, "_producer_columns_cache", None)
-    if cache is None:
-        cache = {}
-        trace._producer_columns_cache = cache
-    columns = cache.get((start, stop))
-    if columns is None:
-        producers = depgraph_for(annotated, start, stop).columns
-        # -1 (no producer) becomes the gather sentinel n.
-        sentineled = np.where(producers >= 0, producers,
-                              np.int32(stop - start))
-        sentineled.flags.writeable = False
-        columns = tuple(sentineled)
-        cache[(start, stop)] = columns
-    return columns

@@ -8,9 +8,11 @@ not depend on the machine configuration — so they are computed once per
 trace region and shared by every simulation over it (parameter sweeps
 re-run MLPsim dozens of times per trace).
 
-Producer indices are region-relative; ``-1`` means "no producer inside
-the region" (the value is architected state and therefore available from
-epoch 0).
+Producer indices are region-relative; the region length ``n`` means "no
+producer inside the region" (the value is architected state and
+therefore available from epoch 0).  That is the sentinel both simulator
+kernels gather through, so their plans take the graph's rows as they
+are; the oracles' lists spell it ``-1``.
 
 The renaming runs in C (:func:`repro.trace.ckernel.run_rename`) when
 the annotation kernel is built and the region lies inside its
@@ -29,9 +31,13 @@ PRODUCERS = ("prod1", "prod2", "prod3", "memdep")
 
 
 def _producer_list(row):
-    return property(lambda graph: graph.columns[row].tolist(),
-                    doc=f"``{PRODUCERS[row]}`` as a Python list, built on"
-                        " every access (not memoised).")
+    def listed(graph):
+        column = graph.columns[row]
+        return np.where(column == len(graph), -1, column).tolist()
+
+    return property(listed, doc=f"``{PRODUCERS[row]}`` as a Python list with"
+                                " -1 for no producer, built on every access"
+                                " (not memoised).")
 
 
 class DepGraph:
@@ -41,22 +47,30 @@ class DepGraph:
     ----------
     columns:
         Read-only ``(4, n)`` int32 array with one row per name in
-        :data:`PRODUCERS`:
+        :data:`PRODUCERS`, ``n`` where there is no producer in the
+        region:
 
         * ``prod1``, ``prod2`` — producer index of ``src1``/``src2``
-          (address sources for memory operations), or -1;
+          (address sources for memory operations), or n;
         * ``prod3`` — producer index of the store-data source ``src3``,
-          or -1;
+          or n;
         * ``memdep`` — index of the youngest older store-like
           instruction to the same address (loads and atomics only), or
-          -1.
+          n.
+    rows:
+        The four rows of ``columns`` as views, made once, so every plan
+        over the region holds the same four array objects as its
+        producer columns.  The kernels' call check remembers a
+        read-only column's ``(min, max)`` by identity
+        (:class:`repro.cbuild.KernelLoader`), so it scans each row once
+        per region, not once per plan.
     prod1, prod2, prod3, memdep:
-        Each row as a Python list, for the oracles' interpreter loops.
-        A new list is built on every access, so a caller reads each
-        once per run.
+        Each row as a Python list with ``-1`` for no producer, for the
+        oracles' interpreter loops.  A new list is built on every
+        access, so a caller reads each once per run.
     """
 
-    __slots__ = ("start", "stop", "columns")
+    __slots__ = ("start", "stop", "columns", "rows")
 
     prod1 = _producer_list(0)
     prod2 = _producer_list(1)
@@ -69,6 +83,7 @@ class DepGraph:
         self.start = start
         self.stop = stop
         self.columns = columns
+        self.rows = tuple(columns)
 
     def __len__(self):
         return self.stop - self.start
@@ -86,7 +101,8 @@ def build_depgraph(trace, start, stop):
 
 def rename_region(trace, start, stop):
     """The Python renaming loop: ``[prod1, prod2, prod3, memdep]`` of
-    ``trace[start:stop)`` as lists (see :class:`DepGraph`)."""
+    ``trace[start:stop)`` as lists, ``n`` for no producer (see
+    :class:`DepGraph`)."""
     ops = trace.op[start:stop].tolist()
     dsts = trace.dst[start:stop].tolist()
     src1s = trace.src1[start:stop].tolist()
@@ -100,12 +116,12 @@ def rename_region(trace, start, stop):
     CAS = int(OpClass.CAS)
     LDSTUB = int(OpClass.LDSTUB)
 
-    prod1 = [-1] * n
-    prod2 = [-1] * n
-    prod3 = [-1] * n
-    memdep = [-1] * n
+    prod1 = [n] * n
+    prod2 = [n] * n
+    prod3 = [n] * n
+    memdep = [n] * n
 
-    last_writer = [-1] * NUM_REGS
+    last_writer = [n] * NUM_REGS
     last_store = {}  # address -> instruction index
 
     for i in range(n):

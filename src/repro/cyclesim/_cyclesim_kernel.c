@@ -5,8 +5,15 @@
  * tests/test_cyclesim_equivalence.py.  One cyclesim_batch() call runs
  * MANY pipeline configurations against one shared cycle plan: the
  * per-instruction tables are read-only and shared, the per-config
- * scratch (ready/wake times, ROB, issue window, MSHR) is
- * allocated once and reset between configs.
+ * scratch (ready/wake times, ROB, issue window, MSHR) is allocated
+ * once per call, and no config pays an O(n) reset: an instruction's
+ * ready/wake slots are set when fetch first reaches it, fetch takes
+ * each I-miss of the shared imiss column once without a copy, and the
+ * MSHR hash is emptied of what a run leaves in flight.
+ *
+ * Layout (see repro.cyclesim.plan): producer columns are
+ * region-relative int32 with sentinel n for "no producer", and addr/pc
+ * are byte addresses, shifted to cache lines here by LINE_SHIFT.
  *
  * Structural notes (where this departs from the reference's data
  * structures without changing any observable):
@@ -34,8 +41,9 @@
  *
  * Shared names: the OP_* opcodes, the CAT_* stall-category indices
  * (STALL_CATEGORIES order, with N_CATEGORIES), the ST_* statuses,
- * NEVER (the frozen reference's _NEVER), the CycleConfig/CycleResult
- * structs and the prototype of cyclesim_batch
+ * NEVER and LINE_SHIFT (the frozen reference's _NEVER and
+ * _LINE_SHIFT), the CycleConfig/CycleResult structs and the prototype
+ * of cyclesim_batch
  * come from the header repro.cbuild renders from the Python
  * definitions (repro/cyclesim/ckernel.py) and compiles ahead of this
  * file.  The prototype is rendered from the entry point's one
@@ -104,16 +112,15 @@ typedef struct {
     int64_t n; /* certify: range n .. n */
     const int8_t *ops;
     const int32_t *prod1, *prod2, *prod3, *memdep;
-    const int64_t *addr_line, *pc_line;
+    const int64_t *addr, *pc;
     const uint8_t *dmiss, *imiss, *mispred, *pmiss, *pfuseful;
 
-    /* Result and commit time, NEVER until issue. */
+    /* Result and commit time, NEVER until issue; set when fetch first
+     * reaches the instruction. */
     int64_t *ready; /* certify: buffer length n content 0 .. NEVER */
     /* Operand wake time once final, -1 unknown, -2 - p while waiting
-     * on unissued p. */
+     * on unissued p; set with ready[]. */
     int64_t *wake; /* certify: buffer length n content -n - 1 .. NEVER */
-    /* Per-run copy: fetch consumes each miss. */
-    uint8_t *imiss_run; /* certify: buffer length n content 0 .. 1 */
 
     /* MSHR entries double as completion-wheel slots (FIFO order). */
     /* certify: buffer length 2 * n content 0 .. (1 << 53) */
@@ -128,8 +135,8 @@ typedef struct {
     int32_t *hash_head;
     int64_t ce_head; /* certify: range 0 .. 2 * n */
     /* certify: trusted range 0 .. 2 * n -- at most two wheel entries
-       per instruction: one pc line at fetch (gated by imiss_run), one
-       data line at issue (each instruction issues once) */
+       per instruction: one pc line at fetch (each I-miss is taken
+       once), one data line at issue (each instruction issues once) */
     int64_t ce_tail;
 
     /* Ring buffer. */
@@ -197,8 +204,8 @@ static int64_t do_access(Ctx *c, int64_t now, int64_t line, int useful,
     }
     int64_t done = now + c->miss_penalty;
     /* certify: assume c->ce_tail <= 2 * n - 1 -- at most two wheel
-       entries per instruction (one pc line at fetch, gated by
-       imiss_run; one data line at issue, and each instruction issues
+       entries per instruction (one pc line at fetch, which takes each
+       I-miss once; one data line at issue, and each instruction issues
        once), so the tail never reaches 2n */
     e = (int32_t)c->ce_tail++;
     c->ent_done[e] = done;
@@ -230,7 +237,7 @@ static int64_t wake_of(Ctx *c, int64_t i)
         return NEVER;  /* the producer it last found unissued still is */
     w = 0;
     int32_t p = c->prod1[i];
-    if (p >= 0) {
+    if (p < c->n) {
         if (c->ready[p] == NEVER) {
             c->wake[i] = -2 - p;
             return NEVER;
@@ -239,7 +246,7 @@ static int64_t wake_of(Ctx *c, int64_t i)
             w = c->ready[p];
     }
     p = c->prod2[i];
-    if (p >= 0) {
+    if (p < c->n) {
         if (c->ready[p] == NEVER) {
             c->wake[i] = -2 - p;
             return NEVER;
@@ -248,7 +255,7 @@ static int64_t wake_of(Ctx *c, int64_t i)
             w = c->ready[p];
     }
     p = c->prod3[i];
-    if (p >= 0) {
+    if (p < c->n) {
         if (c->ready[p] == NEVER) {
             c->wake[i] = -2 - p;
             return NEVER;
@@ -292,14 +299,8 @@ static void run_one(Ctx *c, const CycleConfig *cfg)
     const int64_t iw_size = cfg->issue_window;
     c->miss_penalty = cfg->miss_penalty;
 
-    /* Reset per-config scratch. */
-    for (int64_t i = 0; i < n; i++)
-        ready[i] = NEVER;
-    memset(c->wake, 0xff, (size_t)n * sizeof(int64_t));  /* -1 */
-    if (n)
-        memcpy(c->imiss_run, c->imiss, (size_t)n);
-    for (int64_t b = 0; b < HASH_SIZE; b++)
-        c->hash_head[b] = -1;
+    /* Reset per-config scratch: O(1) here; ready[] and wake[] are set
+     * as fetch reaches each instruction, and the hash arrives empty. */
     c->ce_head = c->ce_tail = 0;
     c->trk.count = c->trk.last_time = 0;
     c->trk.nonzero = c->trk.integral = 0;
@@ -310,6 +311,7 @@ static void run_one(Ctx *c, const CycleConfig *cfg)
     int64_t fq_head = 0, fq_count = 0;
 
     int64_t fetch_ptr = 0;
+    int64_t imiss_taken = -1;  /* fetch has taken the I-miss here */
     int64_t fetch_stall_until = 0;
     int waiting_redirect = 0;
     int64_t redirect_branch = -1;
@@ -393,7 +395,7 @@ static void run_one(Ctx *c, const CycleConfig *cfg)
                     /* an operand is not ready */
                 } else if (op == OP_LOAD || op == OP_CAS || op == OP_LDSTUB) {
                     int32_t m = memdep[i];
-                    int waits = (m >= 0 && ready[m] > now) ||  /* its store */
+                    int waits = (m < n && ready[m] > now) ||  /* its store */
                                 (load_in_order && memop_waits);
                     if (!waits && load_wait_staddr) {
                         /* A resolved store stays resolved, so popping
@@ -403,10 +405,10 @@ static void run_one(Ctx *c, const CycleConfig *cfg)
                             int64_t s = c->urs_buf[urs_head];
                             int64_t addr_when = 0;
                             int32_t p = c->prod1[s];
-                            if (p >= 0 && ready[p] > addr_when)
+                            if (p < n && ready[p] > addr_when)
                                 addr_when = ready[p];
                             p = c->prod2[s];
-                            if (p >= 0 && ready[p] > addr_when)
+                            if (p < n && ready[p] > addr_when)
                                 addr_when = ready[p];
                             if (addr_when > now)
                                 break;
@@ -420,7 +422,8 @@ static void run_one(Ctx *c, const CycleConfig *cfg)
                         else if (perfect_l2)
                             done = now + l2_latency;
                         else
-                            done = do_access(c, now, c->addr_line[i], 1,
+                            done = do_access(c, now,
+                                             c->addr[i] >> LINE_SHIFT, 1,
                                              KIND_DMISS);
                         if (serializing && op != OP_LOAD)
                             serializing_block_until = done;
@@ -430,8 +433,8 @@ static void run_one(Ctx *c, const CycleConfig *cfg)
                         done = now + 1;
                 } else if (op == OP_PREFETCH) {
                     if (pmiss[i] && !perfect_l2)
-                        do_access(c, now, c->addr_line[i], pfuseful[i],
-                                  KIND_PREFETCH);
+                        do_access(c, now, c->addr[i] >> LINE_SHIFT,
+                                  pfuseful[i], KIND_PREFETCH);
                     done = now + 1;
                 } else if (op == OP_BRANCH) {
                     if (!(branch_in_order && branch_waits)) {
@@ -519,13 +522,15 @@ static void run_one(Ctx *c, const CycleConfig *cfg)
             while (fetch_ptr < n && fetched < fetch_width &&
                    fq_count < fetch_buffer) {
                 int64_t i = fetch_ptr;
-                if (c->imiss_run[i]) {
-                    c->imiss_run[i] = 0;
+                if (c->imiss[i] && i != imiss_taken) {
+                    /* fetch_ptr never moves back, so once taken the
+                       miss stays behind it */
+                    imiss_taken = i;
                     int64_t done;
                     if (perfect_l2)
                         done = now + l2_latency;
                     else
-                        done = do_access(c, now, c->pc_line[i], 1,
+                        done = do_access(c, now, c->pc[i] >> LINE_SHIFT, 1,
                                          KIND_IMISS);
                     fetch_stall_until = done;
                     wait_reason_is_branch = 0;
@@ -536,6 +541,8 @@ static void run_one(Ctx *c, const CycleConfig *cfg)
                     slot -= c->fq_alloc;
                 c->fq_idx[slot] = i;
                 c->fq_time[slot] = now + frontend_depth;
+                ready[i] = NEVER;  /* first reached: not yet issued */
+                c->wake[i] = -1;
                 fq_count++;
                 fetch_ptr++;
                 fetched++;
@@ -635,7 +642,7 @@ int cyclesim_batch(
     const int8_t *ops,
     const int32_t *prod1, const int32_t *prod2, const int32_t *prod3,
     const int32_t *memdep,
-    const int64_t *addr_line, const int64_t *pc_line,
+    const int64_t *addr, const int64_t *pc,
     const uint8_t *dmiss, const uint8_t *imiss, const uint8_t *mispred,
     const uint8_t *pmiss, const uint8_t *pfuseful,
     const CycleConfig *configs, int64_t n_configs,
@@ -649,8 +656,8 @@ int cyclesim_batch(
     c.prod2 = prod2;
     c.prod3 = prod3;
     c.memdep = memdep;
-    c.addr_line = addr_line;
-    c.pc_line = pc_line;
+    c.addr = addr;
+    c.pc = pc;
     c.dmiss = dmiss;
     c.imiss = imiss;
     c.mispred = mispred;
@@ -678,7 +685,6 @@ int cyclesim_batch(
     size_t ni = (size_t)(n > 0 ? n : 1);
     c.ready = malloc(ni * sizeof(int64_t));
     c.wake = malloc(ni * sizeof(int64_t));
-    c.imiss_run = malloc(ni);
     c.ent_done = malloc(2 * ni * sizeof(int64_t));
     c.ent_line = malloc(2 * ni * sizeof(int64_t));
     c.ent_useful = malloc(2 * ni);
@@ -690,21 +696,26 @@ int cyclesim_batch(
     c.fq_idx = malloc((size_t)fq_max * sizeof(int64_t));
     c.fq_time = malloc((size_t)fq_max * sizeof(int64_t));
 
-    int ok = c.ready && c.wake && c.imiss_run &&
+    int ok = c.ready && c.wake &&
              c.ent_done && c.ent_line && c.ent_useful && c.ent_next &&
              c.hash_head && c.urs_buf && c.rob_buf && c.iw_buf &&
              c.fq_idx && c.fq_time;
     if (ok) {
+        for (int64_t b = 0; b < HASH_SIZE; b++)
+            c.hash_head[b] = -1;
         for (int64_t k = 0; k < n_configs; k++) {
             memset(&results[k], 0, sizeof(CycleResult));
             c.out = &results[k];
             run_one(&c, &configs[k]);
+            /* Empty the hash for the next run: the entries still
+               linked are exactly the wheel's [ce_head, ce_tail). */
+            for (int64_t e = c.ce_head; e < c.ce_tail; e++)
+                c.hash_head[hash_line(c.ent_line[e])] = -1;
         }
     }
 
     free(c.ready);
     free(c.wake);
-    free(c.imiss_run);
     free(c.ent_done);
     free(c.ent_line);
     free(c.ent_useful);

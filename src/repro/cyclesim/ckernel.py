@@ -61,9 +61,10 @@ class _KernelResult(ctypes.Structure):
 def _defines():
     """``_cyclesim_kernel.c``'s defines: the opcodes, a ``CAT_*`` index
     per stall category in :data:`STALL_CATEGORIES` order, the status
-    codes and ``NEVER``, the frozen reference's horizon (which imports
-    this package, so it is read here, not at import)."""
-    from repro.cyclesim.simulator_reference import _NEVER
+    codes, and the frozen reference's horizon ``NEVER`` and cache-line
+    shift ``LINE_SHIFT`` (it imports this package, so they are read
+    here, not at import)."""
+    from repro.cyclesim.simulator_reference import _LINE_SHIFT, _NEVER
 
     return {
         **opcode_defines(),
@@ -73,6 +74,7 @@ def _defines():
         "ST_OK": _ST_OK,
         "ST_DEADLOCK": _ST_DEADLOCK,
         "NEVER": _NEVER,
+        "LINE_SHIFT": _LINE_SHIFT,
     }
 
 

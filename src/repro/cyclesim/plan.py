@@ -1,7 +1,7 @@
 """Flat per-region input tables of the cycle simulator.
 
 The cycle simulator's hot loop reads per-instruction facts — opcode,
-producers, event flags, cache-line numbers — that are properties of the
+producers, event flags, addresses — that are properties of the
 *trace region alone*: unlike MLPsim plans there is no per-machine mask
 group, because the cyclesim grid never flips perfect-* switches (the
 ``perfect_l2`` knob is applied at access time, not in the masks).  One
@@ -13,6 +13,11 @@ decode/opclass, dependence and event tables are built once, the per
 
 Like an MLPsim plan, a cycle plan shares the plan memo on the annotated
 trace and the payload codec :mod:`repro.analysis.shm` publishes with.
+It copies no per-instruction fact it can share: its producer columns
+are the dependence graph's rows (sentinel ``n``, like an MLPsim plan's)
+and its ``addr`` and ``pc`` columns are views of the trace's, which the
+kernel shifts to cache lines itself (``LINE_SHIFT``, rendered into its
+header from the frozen reference's ``_LINE_SHIFT``).
 """
 
 import numpy as np
@@ -21,14 +26,12 @@ from repro.cbuild import Plan, memoised_plan
 from repro.core.depgraph import depgraph_for
 from repro.core.mlpsim import _event_arrays, resolve_region
 
-#: Cache-line shift shared with the simulator (64-byte lines).
-LINE_SHIFT = 6
-
 #: The cyclesim kernel's contract: its one entry point,
 #: ``cyclesim_batch``, declared once (see :class:`repro.cbuild.Param`),
 #: the boxes of its sizes and the ranges of the ``CycleConfig`` fields.
-#: Producer columns keep the depgraph's ``-1`` sentinel (unlike MLPsim
-#: plans, which rewrite it to ``n``).  :mod:`repro.cbuild` renders the
+#: Producer columns hold the dependence graph's sentinel ``n`` for "no
+#: producer", and ``addr``/``pc`` are byte addresses, whose cache lines
+#: (``>> LINE_SHIFT``) stay below 2^57.  :mod:`repro.cbuild` renders the
 #: prototype and checks every call against the declaration, and
 #: :mod:`repro.lint.certify.contracts` builds the C proof's facts from
 #: it.  The plan's columns are the entry point's columns.
@@ -40,12 +43,12 @@ CYCLE_PLAN_CONTRACT = {
             "params": [
                 ["n", "int64_t"],
                 ["ops", "const int8_t *", "n", 0, 8],
-                ["prod1", "const int32_t *", "n", -1, ["n", -1]],
-                ["prod2", "const int32_t *", "n", -1, ["n", -1]],
-                ["prod3", "const int32_t *", "n", -1, ["n", -1]],
-                ["memdep", "const int32_t *", "n", -1, ["n", -1]],
-                ["addr_line", "const int64_t *", "n", 0, 1 << 57],
-                ["pc_line", "const int64_t *", "n", 0, 1 << 57],
+                ["prod1", "const int32_t *", "n", 0, "n"],
+                ["prod2", "const int32_t *", "n", 0, "n"],
+                ["prod3", "const int32_t *", "n", 0, "n"],
+                ["memdep", "const int32_t *", "n", 0, "n"],
+                ["addr", "const int64_t *", "n", 0, (1 << 63) - 1],
+                ["pc", "const int64_t *", "n", 0, (1 << 63) - 1],
                 ["dmiss", "const uint8_t *", "n", 0, 1],
                 ["imiss", "const uint8_t *", "n", 0, 1],
                 ["mispred", "const uint8_t *", "n", 0, 1],
@@ -89,10 +92,9 @@ def cycle_plan_for(annotated, start=None, stop=None):
 def build_cycle_plan(annotated, start, stop):
     """Build the flat cycle-simulator tables for ``annotated[start:stop)``.
 
-    Producer columns keep the dependence graph's ``-1`` sentinel for "no
-    producer in region"; ``addr_line``/``pc_line`` are the byte
-    addresses already shifted to cache-line numbers, so the inner loop
-    never touches the trace.
+    The producer columns are the dependence graph's rows, ``n`` for "no
+    producer in region", and ``addr``/``pc`` are views of the trace's
+    columns: neither is copied.
     """
     trace = annotated.trace
 
@@ -106,17 +108,13 @@ def build_cycle_plan(annotated, start, stop):
         annotated, MachineConfig(), start, stop
     )
 
-    prod1, prod2, prod3, memdep = depgraph_for(annotated, start, stop).columns
+    prod1, prod2, prod3, memdep = depgraph_for(annotated, start, stop).rows
 
     return Plan(CYCLE_PLAN_CONTRACT, "cyclesim_batch", start, stop, {
         "ops": np.ascontiguousarray(trace.op[start:stop], dtype=np.int8),
         "prod1": prod1, "prod2": prod2, "prod3": prod3, "memdep": memdep,
-        "addr_line": np.ascontiguousarray(
-            np.asarray(trace.addr[start:stop], dtype=np.int64) >> LINE_SHIFT
-        ),
-        "pc_line": np.ascontiguousarray(
-            np.asarray(trace.pc[start:stop], dtype=np.int64) >> LINE_SHIFT
-        ),
+        "addr": trace.addr[start:stop],
+        "pc": trace.pc[start:stop],
         "dmiss": np.ascontiguousarray(dmiss),
         "imiss": np.ascontiguousarray(imiss),
         "mispred": np.ascontiguousarray(mispred),

@@ -6,8 +6,12 @@ for the life of the process, shared between exhibits.  An annotation
 at any other L2 size (only Figure 7 asks for one) is built on the
 memoised trace for its caller and kept nowhere, so an ``exhibit all``
 holds at most the variant in use on top of the three default
-annotations.  Nothing outlives the process: each run generates and
-annotates its own traces (both in compiled kernels, see
+annotations.  Once its default annotation exists, a memoised trace
+drops the columns only annotation's front pass reads
+(:data:`~repro.trace.annotate.FRONT_PASS_COLUMNS`): every later
+annotation of it at another L2 size reuses the memoised front pass.
+Nothing outlives the process: each run generates and annotates its
+own traces (both in compiled kernels, see
 :mod:`repro.workloads.ckernel` and :mod:`repro.trace.ckernel`), so an
 edit to a generator or to the annotator shows in the next run.
 
@@ -27,7 +31,7 @@ from repro.analysis.sweep import sweep_cyclesim
 from repro.analysis.tables import format_table
 from repro.memory.hierarchy import HierarchyConfig
 from repro.robustness.errors import ConfigError
-from repro.trace.annotate import AnnotationConfig, annotate
+from repro.trace.annotate import FRONT_PASS_COLUMNS, AnnotationConfig, annotate
 from repro.workloads import generate_trace
 
 #: Workloads in the paper's presentation order.
@@ -55,9 +59,12 @@ def get_annotated(name, trace_len=None, l2_bytes=None, seed=DEFAULT_SEED):
     """Return the annotated trace of one workload.
 
     The default-L2 annotation (``l2_bytes`` None or equal to the
-    default L2 capacity) is memoised per (workload, length, seed).  Any
-    other ``l2_bytes`` annotates the memoised trace afresh on every
-    call and is not kept: the caller owns it, and dropping it frees it.
+    default L2 capacity) is memoised per (workload, length, seed), and
+    its trace then drops :data:`~repro.trace.annotate.FRONT_PASS_COLUMNS`
+    (reading one raises a ``TraceFormatError``).  Any other
+    ``l2_bytes`` annotates the memoised trace afresh on every call, on
+    its memoised front pass, and is not kept: the caller owns it, and
+    dropping it frees it.
 
     Raises
     ------
@@ -84,6 +91,7 @@ def get_annotated(name, trace_len=None, l2_bytes=None, seed=DEFAULT_SEED):
     if cached is None:
         cached = annotate(trace, AnnotationConfig(hierarchy=hierarchy))
         _annotation_cache[key] = cached
+        trace.drop_columns(FRONT_PASS_COLUMNS)
     return cached
 
 

@@ -42,7 +42,8 @@ def _column_dtypes():
     return {name: np.dtype(dtype) for name, dtype in COLUMNS}
 
 
-def validate_archive_columns(payload, path=None, annotation_fields=()):
+def validate_archive_columns(payload, path=None, annotation_fields=(),
+                             dropped=()):
     """Check a raw archive *payload* (mapping of name to array).
 
     Parameters
@@ -56,6 +57,9 @@ def validate_archive_columns(payload, path=None, annotation_fields=()):
         Extra ``ann_*`` mask names that must also be present (used by
         the annotated-trace loader); an empty tuple checks a plain
         trace archive.
+    dropped:
+        Trace columns the archive records as dropped, which must then
+        be absent.
 
     Raises
     ------
@@ -64,6 +68,8 @@ def validate_archive_columns(payload, path=None, annotation_fields=()):
         unequal column lengths.
     """
     expected = _column_dtypes()
+    for name in dropped:
+        expected.pop(name, None)
     for name in annotation_fields:
         expected[name] = (
             np.dtype(np.int8) if name == "ann_vp_outcome"

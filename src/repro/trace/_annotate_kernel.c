@@ -315,14 +315,15 @@ int annotate_back(
  * repro.core.depgraph.rename_region.  For each instruction, prod1-3
  * get the youngest older writer of its src1-3 (REG_ZERO and no-register
  * operands have none) and memdep the youngest older store-like
- * instruction to its address (loads and atomics only); -1 means no
- * producer inside the region.  Sources are read before the destination
- * is written, and an atomic reads memory before it writes.
+ * instruction to its address (loads and atomics only); n means no
+ * producer inside the region, the sentinel both simulator kernels
+ * gather through.  Sources are read before the destination is written,
+ * and an atomic reads memory before it writes.
  *
  * addr_id[i] is the dense id of instruction i's address when it is a
  * load, store, CAS or LDSTUB, and -1 otherwise.  last_writer
  * (NUM_REGS entries) and last_store (naddrs entries) arrive filled
- * with -1. */
+ * with n. */
 void annotate_rename(
     int64_t n, int64_t naddrs,
     const int8_t *ops, const int16_t *dst, const int16_t *src1,
@@ -330,17 +331,18 @@ void annotate_rename(
     int32_t *last_writer, int32_t *last_store,
     int32_t *prod1, int32_t *prod2, int32_t *prod3, int32_t *memdep)
 {
+    const int32_t none = (int32_t)n;
     for (int64_t i = 0; i < n; i++) {
         int64_t s = src1[i];
-        prod1[i] = s > REG_ZERO ? last_writer[s] : -1;
+        prod1[i] = s > REG_ZERO ? last_writer[s] : none;
         s = src2[i];
-        prod2[i] = s > REG_ZERO ? last_writer[s] : -1;
+        prod2[i] = s > REG_ZERO ? last_writer[s] : none;
         s = src3[i];
-        prod3[i] = s > REG_ZERO ? last_writer[s] : -1;
+        prod3[i] = s > REG_ZERO ? last_writer[s] : none;
 
         int8_t op = ops[i];
         int64_t id = addr_id[i];
-        int32_t dep = -1;
+        int32_t dep = none;
         if (id >= 0) {
             if (op == OP_LOAD || op == OP_CAS || op == OP_LDSTUB)
                 dep = last_store[id];

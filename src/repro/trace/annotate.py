@@ -28,12 +28,17 @@ bookkeeping depend on the L2's size:
   gshare/BTB front end (returns are predicted like any other branch;
   no return-address stack is modelled).  It emits ``mispred``
   plus, in trace order, every L1 miss and every L1-hit demand access
-  to a line that some prefetch touches.  It is memoised on the trace.
+  to a line that some prefetch touches, with the value each missing
+  load reads.  It is memoised on the trace.
 * :func:`back_pass` replays that short stream through the L2 and then
-  runs the last-value predictor over the missing loads.
+  runs the last-value predictor over the missing loads.  It reads the
+  trace's length and ``pc`` and nothing else of the trace.
 
 Figure 7 annotates each trace at five L2 sizes; the front pass runs
-once per trace, not once per size.
+once per trace, not once per size.  Only the front pass reads the
+trace's :data:`FRONT_PASS_COLUMNS`, so once it is memoised a caller
+that keeps the trace may drop them
+(:meth:`repro.trace.trace.Trace.drop_columns`).
 
 Both layers run in C (:mod:`repro.trace.ckernel`) when the compiled
 kernel is available and the trace lies inside its contract.  The
@@ -222,6 +227,11 @@ def annotate(trace, config=None):
 #: of demand accesses, which can only consume a prefetched line.
 FETCH_MISS, LOAD_MISS, STORE_MISS, PREFETCH_MISS, FETCH_HIT, LOAD_HIT = range(6)
 
+#: The trace columns only the front pass reads: the branch targets and
+#: the loaded values (it hands the back pass the values of its missing
+#: loads).
+FRONT_PASS_COLUMNS = ("target", "value")
+
 
 @dataclasses.dataclass(frozen=True)
 class FrontPass:
@@ -230,13 +240,17 @@ class FrontPass:
     ``mispred`` is the trace-length branch mask.  ``position`` (int32),
     ``kind`` (int8, one of the stream kinds above) and ``addr`` (int64:
     the fetch PC or data address) list, in trace order, every access
-    the L2 layer needs.
+    the L2 layer needs.  ``value`` (int64) holds the value each
+    ``LOAD_MISS`` entry loads, one per such entry in stream order: the
+    back pass's last-value predictor reads nothing else of the trace's
+    values.
     """
 
     mispred: np.ndarray
     position: np.ndarray
     kind: np.ndarray
     addr: np.ndarray
+    value: np.ndarray
 
 
 def front_pass(trace, config):
@@ -257,18 +271,13 @@ def front_pass(trace, config):
            config.gshare_entries, config.btb_entries)
     front = cache.get(key)
     if front is None:
-        if _kernel_route(trace, config):
+        if (ckernel.kernel_available()
+                and ckernel.contract_violation(trace, config) is None):
             front = FrontPass(*ckernel.run_front_pass(trace, config))
         else:
             front = _run_front_pass(trace, config)
         cache[key] = front
     return front
-
-
-def _kernel_route(trace, config):
-    """Can the compiled kernel annotate *trace* under *config*?"""
-    return (ckernel.kernel_available()
-            and ckernel.contract_violation(trace, config) is None)
 
 
 def _run_front_pass(trace, config):
@@ -346,12 +355,21 @@ def _run_front_pass(trace, config):
             # the branch predictor.
 
     position, kind, addr = zip(*stream) if stream else ((), (), ())
+    position = np.asarray(position, dtype=np.int32)
+    kind = np.asarray(kind, dtype=np.int8)
     return FrontPass(
         mispred=mispred,
-        position=np.asarray(position, dtype=np.int32),
-        kind=np.asarray(kind, dtype=np.int8),
+        position=position,
+        kind=kind,
         addr=np.asarray(addr, dtype=np.int64),
+        value=load_miss_values(trace, position, kind),
     )
+
+
+def load_miss_values(trace, position, kind):
+    """The values the ``LOAD_MISS`` entries of a front-pass stream load,
+    in stream order (:attr:`FrontPass.value`)."""
+    return trace.value[position[kind == LOAD_MISS]]
 
 
 def back_pass(trace, front, config):
@@ -360,9 +378,12 @@ def back_pass(trace, front, config):
     Sets the off-chip masks and prefetch usefulness, then runs the
     last-value predictor over the missing loads in trace order (the
     order a single pass over the whole hierarchy would observe them in).
+    The route and the loaded values come from *front*, so of the trace
+    this reads only its length and ``pc``.
     """
     n = len(trace)
-    if _kernel_route(trace, config):
+    if (ckernel.kernel_available()
+            and ckernel.back_violation(n, front, config) is None):
         replayed = ckernel.run_back_pass(trace, front, config)
     else:
         replayed = _replay_l2(n, front, config)
@@ -370,11 +391,15 @@ def back_pass(trace, front, config):
 
     vp_outcome = np.full(n, _VP_NA, dtype=np.int8)
     observe_value = LastValuePredictor(entries=config.vp_entries).observe
-    misses = np.flatnonzero(dmiss)
+    # Only a LOAD_MISS entry can miss the L2 as a load: its instruction
+    # is one of the missing loads, in trace order.
+    loads = front.position[front.kind == LOAD_MISS]
+    missed = dmiss[loads]
+    misses = loads[missed]
     vp_outcome[misses] = [
         VP_OUTCOME_CODES[observe_value(pc, value)]
         for pc, value in zip(trace.pc[misses].tolist(),
-                             trace.value[misses].tolist())
+                             front.value[missed].tolist())
     ]
 
     mispred = front.mispred.copy()

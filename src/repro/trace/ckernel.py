@@ -17,11 +17,12 @@ prefetched-line flags, dense ids of the stream's L2 lines and dense
 ids of the memory operations' addresses.  The last-value predictor
 stays in Python on both routes.
 
-:func:`contract_violation` and :func:`rename_violation` say whether
-the inputs lie inside :data:`ANNOTATE_CONTRACT`, the input ranges the
-kernel's bounds and overflow proofs assume; :mod:`repro.trace.annotate`
-and :mod:`repro.core.depgraph` send anything outside it, and every
-call on a host without the kernel, to the Python loops.  Everything
+:func:`contract_violation`, :func:`back_violation` and
+:func:`rename_violation` say whether the inputs lie inside
+:data:`ANNOTATE_CONTRACT`, the input ranges the kernel's bounds and
+overflow proofs assume; :mod:`repro.trace.annotate` and
+:mod:`repro.core.depgraph` send anything outside it, and every call on
+a host without the kernel, to the Python loops.  Everything
 is fail-soft: a missing compiler or an unwritable build directory
 only marks the kernel unavailable.
 """
@@ -113,12 +114,12 @@ ANNOTATE_CONTRACT = {
                 ["src2", "const int16_t *", "n", -1, ["NUM_REGS", -1]],
                 ["src3", "const int16_t *", "n", -1, ["NUM_REGS", -1]],
                 ["addr_id", "const int32_t *", "n", -1, ["naddrs", -1]],
-                ["last_writer", "int32_t *", "NUM_REGS", -1, ["n", -1]],
-                ["last_store", "int32_t *", "naddrs", -1, ["n", -1]],
-                ["prod1", "int32_t *", "n", -1, ["n", -1], "out"],
-                ["prod2", "int32_t *", "n", -1, ["n", -1], "out"],
-                ["prod3", "int32_t *", "n", -1, ["n", -1], "out"],
-                ["memdep", "int32_t *", "n", -1, ["n", -1], "out"],
+                ["last_writer", "int32_t *", "NUM_REGS", 0, "n"],
+                ["last_store", "int32_t *", "naddrs", 0, "n"],
+                ["prod1", "int32_t *", "n", 0, "n", "out"],
+                ["prod2", "int32_t *", "n", 0, "n", "out"],
+                ["prod3", "int32_t *", "n", 0, "n", "out"],
+                ["memdep", "int32_t *", "n", 0, "n", "out"],
             ],
         },
     },
@@ -214,8 +215,8 @@ def _is_power_of_two(value):
 
 
 def contract_violation(trace, config):
-    """Why annotating *trace* under *config* lies outside the kernel
-    contract, or ``None`` when both passes may run in C.
+    """Why the front pass of *trace* under *config* lies outside the
+    kernel contract, or ``None`` when it may run in C.
 
     Predictor tables the Python classes reject (a gshare or BTB set
     count that is not a power of two) are outside too, so the Python
@@ -229,18 +230,31 @@ def contract_violation(trace, config):
     if not _is_power_of_two(config.gshare_entries):
         return f"{config.gshare_entries} gshare entries"
     geometry = _geometry(config)
+    # Every line the pass reads is a pc or an address shifted right, so
+    # addresses inside the line range keep all of them inside it.
+    return _loader.violation("annotate_front", {
+        **_front_symbols(trace, config, geometry), "geo": geometry,
+        "pc": trace.pc, "target": trace.target, "dline": trace.addr,
+    })
+
+
+def back_violation(n, front, config):
+    """Why replaying *front*'s stream, the front pass of a trace of
+    *n* instructions, through *config*'s L2 lies outside the kernel
+    contract, or ``None`` when it may run in C.
+
+    Of the trace it reads the length only: a trace longer than the
+    ``n`` box runs its front pass in Python and must replay there too.
+    The rest is the stream (its positions, kinds and addresses; each
+    line the replay reads is an address shifted right) and the L2
+    geometry.
+    """
     l2 = config.hierarchy.l2
-    # Every line either pass reads is a pc or an address shifted right,
-    # so addresses inside the line range keep all of them inside it.
-    return (
-        _loader.violation("annotate_front", {
-            **_front_symbols(trace, config, geometry), "geo": geometry,
-            "pc": trace.pc, "target": trace.target, "dline": trace.addr,
-        })
-        or _loader.violation("annotate_back", {
-            "sets": l2.num_sets, "assoc": l2.associativity,
-        })
-    )
+    return _loader.violation("annotate_back", {
+        "n": n, "m": len(front.addr), "sets": l2.num_sets,
+        "assoc": l2.associativity, "position": front.position,
+        "kind": front.kind, "line": front.addr,
+    })
 
 
 def _member(values, distinct):
@@ -256,7 +270,8 @@ def _member(values, distinct):
 def run_front_pass(trace, config):
     """The front pass of annotating *trace*, in C.
 
-    Returns ``(mispred, position, kind, addr)``, bit-identical to
+    Returns ``(mispred, position, kind, addr, value)``, the fields of
+    :class:`repro.trace.annotate.FrontPass`, bit-identical to
     :func:`repro.trace.annotate._run_front_pass`.
 
     Raises
@@ -312,7 +327,8 @@ def run_front_pass(trace, config):
     layers = _layers()
     fetch = (kind == layers.FETCH_MISS) | (kind == layers.FETCH_HIT)
     return (mispred, position, kind,
-            np.where(fetch, pc[position], addr[position]))
+            np.where(fetch, pc[position], addr[position]),
+            layers.load_miss_values(trace, position, kind))
 
 
 def run_back_pass(trace, front, config):
@@ -377,8 +393,9 @@ def run_rename(trace, start, stop):
 
     Returns a ``(4, n)`` int32 array whose rows are the ``prod1``,
     ``prod2``, ``prod3`` and ``memdep`` columns of
-    :class:`repro.core.depgraph.DepGraph`, bit-identical to the Python
-    loop :func:`repro.core.depgraph.rename_region`.
+    :class:`repro.core.depgraph.DepGraph` (``n`` for no producer),
+    bit-identical to the Python loop
+    :func:`repro.core.depgraph.rename_region`.
 
     Raises
     ------
@@ -404,8 +421,8 @@ def run_rename(trace, start, stop):
         "naddrs": len(distinct),
         **columns,
         "addr_id": addr_id,
-        "last_writer": np.full(NUM_REGS, -1, dtype=np.int32),
-        "last_store": np.full(len(distinct), -1, dtype=np.int32),
+        "last_writer": np.full(NUM_REGS, n, dtype=np.int32),
+        "last_store": np.full(len(distinct), n, dtype=np.int32),
         **dict(zip(("prod1", "prod2", "prod3", "memdep"), producers)),
     })
     return producers

@@ -5,7 +5,11 @@ plus a small metadata record.  Annotated traces (trace + event masks)
 round-trip the same way, so an annotation can be handed to another
 process (the spawn-start spill of :mod:`repro.analysis.parallel`).
 Both formats are versioned so an archive written by another layout is
-rejected rather than silently misread.
+rejected rather than silently misread.  An annotated archive holds the
+columns its trace holds: one whose trace dropped the columns only
+annotation reads (:meth:`~repro.trace.trace.Trace.drop_columns`)
+names them in a ``__dropped__`` record, and loads as a trace without
+them.
 
 Robustness contract (see ``docs/ROBUSTNESS.md``):
 
@@ -41,7 +45,8 @@ ANNOTATION_FIELDS = (
 )
 
 #: Archive keys that carry metadata rather than column data.
-_METADATA_KEYS = ("__version__", "__name__", "ann_measure_start")
+_METADATA_KEYS = ("__version__", "__name__", "__dropped__",
+                  "ann_measure_start")
 
 
 def save_trace(trace, path):
@@ -117,9 +122,15 @@ def save_annotated(annotated, path):
 
     The annotation's hierarchy/predictor configuration is not persisted
     (only its results are); the loader restores a default
-    :class:`AnnotationConfig` as a placeholder.
+    :class:`AnnotationConfig` as a placeholder.  Columns the trace has
+    dropped are not written; the ``__dropped__`` record names them.
     """
-    payload = {name: getattr(annotated.trace, name) for name, _ in COLUMNS}
+    trace = annotated.trace
+    dropped = trace.dropped_columns()
+    payload = {name: getattr(trace, name) for name, _ in COLUMNS
+               if name not in dropped}
+    if dropped:
+        payload["__dropped__"] = np.asarray(dropped, dtype=np.str_)
     payload.update({
         f"ann_{field}": getattr(annotated, field)
         for field in ANNOTATION_FIELDS
@@ -142,9 +153,16 @@ def load_annotated(path):
         :func:`load_trace`, plus the measure-start record and
         event-mask consistency: a mask that marks instructions which
         cannot raise its event (e.g. a data miss on an ALU op) is
-        rejected rather than silently skewing MLP results.
+        rejected rather than silently skewing MLP results.  Only the
+        columns annotation alone reads
+        (:data:`~repro.trace.annotate.FRONT_PASS_COLUMNS`) may be
+        named dropped; the loaded trace raises on a read of one.
     """
-    from repro.trace.annotate import AnnotatedTrace, AnnotationConfig
+    from repro.trace.annotate import (
+        FRONT_PASS_COLUMNS,
+        AnnotatedTrace,
+        AnnotationConfig,
+    )
 
     kind = "annotated-trace"
     payload = _read_archive(path, kind)
@@ -153,6 +171,14 @@ def load_annotated(path):
         raise TraceFormatError(
             f"not a repro {kind} archive (no measure-start record)",
             path=path, field="ann_measure_start",
+        )
+    dropped = tuple(str(col)
+                    for col in np.ravel(payload.get("__dropped__", ())))
+    if not set(dropped) <= set(FRONT_PASS_COLUMNS):
+        raise TraceFormatError(
+            f"archive drops columns {sorted(dropped)}; only"
+            f" {list(FRONT_PASS_COLUMNS)} may be dropped",
+            path=path, field="__dropped__",
         )
     columns = {
         key: value
@@ -163,9 +189,11 @@ def load_annotated(path):
         columns,
         path=path,
         annotation_fields=tuple(f"ann_{f}" for f in ANNOTATION_FIELDS),
+        dropped=dropped,
     )
     name = str(payload["__name__"][0]) if "__name__" in payload else "trace"
-    trace = Trace({col: columns[col] for col, _ in COLUMNS}, name=name)
+    trace = Trace({col: columns[col] for col, _ in COLUMNS
+                   if col not in dropped}, name=name, dropped=dropped)
     validate_trace(trace, path=path)
     masks = {field: columns[f"ann_{field}"] for field in ANNOTATION_FIELDS}
     for mask in masks.values():

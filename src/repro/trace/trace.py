@@ -9,6 +9,11 @@ derived from them, such as the dependence graph of
 :mod:`repro.core.depgraph`) directly; the Python oracles convert the
 columns they need to lists once per run, which are faster to index in
 their interpreter loops.
+
+A trace that stays alive after annotation may give up the columns only
+annotation's front pass reads (:meth:`Trace.drop_columns`); reading a
+dropped column raises instead of returning data the trace no longer
+has.
 """
 
 import numpy as np
@@ -43,24 +48,32 @@ class Trace:
         identical length.  See :data:`COLUMNS` for the schema.
     name:
         Optional workload name carried for reporting.
+    dropped:
+        Names of columns the trace is built without, as if
+        :meth:`drop_columns` had freed them: how
+        :func:`repro.trace.io.load_annotated` restores the trace of an
+        annotation that had dropped them.  *columns* holds the others.
     """
 
-    def __init__(self, columns, name="trace"):
+    def __init__(self, columns, name="trace", dropped=()):
         from repro.robustness.errors import TraceFormatError
 
-        missing = set(_COLUMN_NAMES) - set(columns)
+        held = [c for c in _COLUMN_NAMES if c not in dropped]
+        missing = set(held) - set(columns)
         if missing:
             raise TraceFormatError(
                 f"trace is missing columns: {sorted(missing)}",
                 field=sorted(missing)[0],
             )
-        lengths = {len(columns[c]) for c in _COLUMN_NAMES}
+        lengths = {len(columns[c]) for c in held}
         if len(lengths) > 1:
             raise TraceFormatError(
                 f"trace columns have unequal lengths: {lengths}"
             )
         self.name = name
         for col_name, dtype in COLUMNS:
+            if col_name in dropped:
+                continue
             try:
                 array = np.asarray(columns[col_name], dtype=dtype)
             except (ValueError, TypeError) as error:
@@ -74,6 +87,25 @@ class Trace:
 
     def __len__(self):
         return len(self.op)
+
+    def drop_columns(self, names):
+        """Free the columns *names*, for good.
+
+        Every later read of one (the attribute itself, :meth:`columns`,
+        :meth:`instruction`, :meth:`slice`, comparing traces or
+        :func:`~repro.trace.io.save_trace`) raises
+        :class:`~repro.robustness.errors.TraceFormatError` naming the
+        column; :func:`~repro.trace.io.save_annotated` records which
+        columns are gone instead.  Memos built on the trace keep
+        working only while they need none of them.
+        """
+        for name in names:
+            self.__dict__.pop(name, None)
+
+    def dropped_columns(self):
+        """The names of the columns the trace no longer holds, in
+        :data:`COLUMNS` order."""
+        return tuple(c for c in _COLUMN_NAMES if c not in self.__dict__)
 
     def __eq__(self, other):
         if not isinstance(other, Trace):
@@ -155,3 +187,30 @@ class Trace:
         """Return a dict mapping :class:`OpClass` to dynamic count."""
         values, counts = np.unique(np.asarray(self.op), return_counts=True)
         return {OpClass(int(v)): int(c) for v, c in zip(values, counts)}
+
+
+class _DroppedColumn:
+    """The class-side stand-in for one trace column.
+
+    A column lives in its trace's instance dict, which attribute lookup
+    reads first, so this is reached only once :meth:`Trace.drop_columns`
+    has removed the column there: it raises instead of answering.
+    """
+
+    def __init__(self, name):
+        self.name = name
+
+    def __get__(self, trace, owner=None):
+        if trace is None:
+            return self
+        from repro.robustness.errors import TraceFormatError
+
+        raise TraceFormatError(
+            f"trace {trace.name!r} no longer holds column {self.name!r}:"
+            " it was dropped after annotation",
+            field=self.name,
+        )
+
+
+for _name in _COLUMN_NAMES:
+    setattr(Trace, _name, _DroppedColumn(_name))

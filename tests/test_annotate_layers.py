@@ -410,3 +410,25 @@ def test_out_of_contract_traces_take_the_python_route(monkeypatch):
     for trace in traces:
         assert_same_annotation(annotate(trace, config),
                                annotate_oracle(trace, config))
+
+
+def test_trace_past_the_length_box_replays_in_python(monkeypatch):
+    """A trace longer than the contract's ``n`` box runs both passes in
+    Python: the back pass's route check reads the trace's length, not
+    only the front pass's stream.  The box is lowered here so that a
+    short trace lies past it."""
+    trace = generate_trace("database", 4_000, seed=7)
+    config = AnnotationConfig()
+    box = ckernel.ANNOTATE_CONTRACT["symbols"]["n"]
+    monkeypatch.setitem(ckernel.ANNOTATE_CONTRACT["symbols"], "n",
+                        [0, len(trace) - 1])
+    outside = f"size n = {len(trace)} outside"
+    assert outside in ckernel.contract_violation(trace, config)
+    monkeypatch.setattr(ckernel, "run_front_pass", forbidden)
+    monkeypatch.setattr(ckernel, "run_back_pass", forbidden)
+    assert_same_annotation(annotate(trace, config),
+                           annotate_oracle(trace, config))
+    front = front_pass(trace, config)
+    assert outside in ckernel.back_violation(len(trace), front, config)
+    monkeypatch.setitem(ckernel.ANNOTATE_CONTRACT["symbols"], "n", box)
+    assert ckernel.back_violation(len(trace), front, config) is None

@@ -337,3 +337,91 @@ class TestCyclesimMemo:
         assert list(results) == [label for label, _ in pairs]
         assert results["p200/perfL2"] is results["p1000/perfL2"]
         assert results["p200"].cycles < results["p1000"].cycles
+
+
+class TestMemoLayout:
+    """An ``exhibit all`` memo keeps each per-instruction fact once: the
+    plans share the dependence graph's rows and the trace's addresses,
+    and the memoised trace drops the columns only the front pass reads,
+    without changing any annotation made from it."""
+
+    WORKLOAD = "database"
+    VARIANT_L2 = 512 * 1024
+
+    @pytest.fixture(params=["kernel", "python"])
+    def route(self, request):
+        from repro.trace import ckernel
+
+        if request.param == "kernel" and not ckernel.kernel_available():
+            pytest.skip(f"no compiled kernel: {ckernel.kernel_error()}")
+        if request.param == "python":
+            request.getfixturevalue("no_kernel")
+        clear_caches()
+        yield request.param
+        clear_caches()
+
+    def test_plans_share_the_graph_and_the_trace(self, route):
+        import numpy as np
+
+        from repro.core.columnar import plan_for
+        from repro.core.config import MachineConfig
+        from repro.core.depgraph import PRODUCERS, depgraph_for
+        from repro.cyclesim.plan import cycle_plan_for
+
+        annotated = get_annotated(self.WORKLOAD, ROUTE_LEN)
+        mlpsim_plan = plan_for(annotated, MachineConfig())
+        cycle_plan = cycle_plan_for(annotated)
+        assert (mlpsim_plan.start, mlpsim_plan.stop) == \
+            (cycle_plan.start, cycle_plan.stop)
+        graph = depgraph_for(annotated, cycle_plan.start, cycle_plan.stop)
+        for name in PRODUCERS:
+            for plan in (mlpsim_plan, cycle_plan):
+                assert np.shares_memory(getattr(plan, name),
+                                        graph.columns), (plan.entry, name)
+        trace = annotated.trace
+        assert np.shares_memory(cycle_plan.addr, trace.addr)
+        assert np.shares_memory(cycle_plan.pc, trace.pc)
+
+    def test_memoised_trace_refuses_dropped_columns(self, route, tmp_path):
+        from repro.robustness.errors import TraceFormatError
+        from repro.trace.io import save_trace
+
+        trace = get_annotated(self.WORKLOAD, ROUTE_LEN).trace
+        reads = {
+            "target": lambda: trace.target,
+            "value": lambda: trace.value,
+            "instruction": lambda: trace.instruction(0),
+            "columns": trace.columns,
+            "slice": lambda: trace.slice(0, 10),
+            "save_trace": lambda: save_trace(trace, tmp_path / "t.npz"),
+        }
+        for read, call in reads.items():
+            with pytest.raises(TraceFormatError) as caught:
+                call()
+            assert caught.value.field in ("target", "value"), read
+            assert caught.value.field in str(caught.value), read
+        assert not list(tmp_path.iterdir())
+
+    def test_reannotations_equal_fresh_annotations(self, route):
+        import numpy as np
+
+        from repro.experiments.common import DEFAULT_SEED
+        from repro.trace.annotate import AnnotationConfig, annotate
+        from repro.workloads import generate_trace
+
+        memoised = get_annotated(self.WORKLOAD, ROUTE_LEN)
+        variant = get_annotated(self.WORKLOAD, ROUTE_LEN,
+                                l2_bytes=self.VARIANT_L2)
+        ablation = annotate(memoised.trace)
+        fresh = generate_trace(self.WORKLOAD, ROUTE_LEN, seed=DEFAULT_SEED)
+        want_variant = annotate(fresh, AnnotationConfig(
+            hierarchy=HierarchyConfig().with_l2_size(self.VARIANT_L2)))
+        want_default = annotate(fresh)
+        assert (want_default.vp_outcome >= 0).any()  # predictions made
+        for got, want in ((variant, want_variant), (ablation, want_default),
+                          (memoised, want_default)):
+            for mask in ("dmiss", "pmiss", "pfuseful", "imiss", "mispred",
+                         "vp_outcome", "smiss"):
+                assert np.array_equal(getattr(got, mask),
+                                      getattr(want, mask)), mask
+            assert got.measure_start == want.measure_start

@@ -119,6 +119,27 @@ class TestWorkerFailure:
         load; the results must still match serial (regression: the
         spill used to call save_annotated with swapped arguments).
         Scalar-route configs are what an unsupervised pool runs."""
+        self._assert_spawned_pool_matches_serial(specjbb_annotated,
+                                                 monkeypatch)
+
+    def test_spawn_spill_path_of_a_memoised_annotation(self, monkeypatch):
+        """An ``exhibit all`` memo's trace has dropped ``target`` and
+        ``value``; it spills all the same, so a forkless pool still
+        runs its sweeps rather than falling back to serial."""
+        from repro.experiments.common import clear_caches, get_annotated
+
+        clear_caches()
+        try:
+            annotated = get_annotated("specjbb2000", 8000)
+            assert annotated.trace.dropped_columns()
+            self._assert_spawned_pool_matches_serial(annotated, monkeypatch)
+        finally:
+            clear_caches()
+
+    @staticmethod
+    def _assert_spawned_pool_matches_serial(annotated, monkeypatch):
+        """Without ``fork``, a scalar-route sweep of *annotated* takes
+        the spawn context and matches the serial sweep."""
         import multiprocessing
 
         real_get_context = multiprocessing.get_context
@@ -136,8 +157,8 @@ class TestWorkerFailure:
             parallel.multiprocessing, "get_context", no_fork
         )
         grid = _grid()[:2]
-        serial = sweep(specjbb_annotated, grid, jobs=1)
-        spawned = sweep(specjbb_annotated, grid, jobs=2, engine="scalar")
+        serial = sweep(annotated, grid, jobs=1)
+        spawned = sweep(annotated, grid, jobs=2, engine="scalar")
         assert asked == ["fork", "spawn"]
         for label in serial.labels():
             assert _result_fields(spawned.results[label]) == \

@@ -14,15 +14,21 @@ from hypothesis import strategies as st
 
 from repro.isa.opclass import OpClass
 from repro.isa.registers import NUM_REGS, REG_NONE
-from repro.trace.annotate import AnnotatedTrace, AnnotationConfig
+from repro.robustness.errors import TraceFormatError
+from repro.trace.annotate import (
+    FRONT_PASS_COLUMNS,
+    AnnotatedTrace,
+    AnnotationConfig,
+)
 from repro.trace.io import (
+    ANNOTATION_FIELDS,
     FORMAT_VERSION,
     load_annotated,
     load_trace,
     save_annotated,
     save_trace,
 )
-from repro.trace.trace import Trace
+from repro.trace.trace import COLUMNS, Trace
 
 _OPS = sorted(int(o) for o in OpClass)
 
@@ -137,6 +143,49 @@ class TestAnnotatedRoundTrip:
         loaded = load_annotated(path)
         assert loaded.num_offchip() == annotated.num_offchip()
         assert loaded.miss_rate_per_100() == annotated.miss_rate_per_100()
+
+
+class TestDroppedColumns:
+    """An annotation whose trace dropped the columns only annotation
+    reads (as an ``exhibit all`` memo's has) round-trips without them,
+    and an archive may drop no other column."""
+
+    def _annotated(self, dropped=FRONT_PASS_COLUMNS):
+        from repro.trace.annotate import annotate
+        from repro.workloads import generate_trace
+
+        annotated = annotate(generate_trace("database", 3000, seed=5))
+        annotated.trace.drop_columns(dropped)
+        return annotated
+
+    def test_round_trip_keeps_them_dropped(self, tmp_path):
+        annotated = self._annotated()
+        path = tmp_path / "annotated.npz"
+        save_annotated(annotated, path)
+        loaded = load_annotated(path)
+        assert loaded.trace.dropped_columns() == FRONT_PASS_COLUMNS
+        for name, _ in COLUMNS:
+            if name in FRONT_PASS_COLUMNS:
+                with pytest.raises(TraceFormatError, match=name):
+                    getattr(loaded.trace, name)
+            else:
+                assert np.array_equal(getattr(loaded.trace, name),
+                                      getattr(annotated.trace, name)), name
+        for field in ANNOTATION_FIELDS:
+            assert np.array_equal(getattr(loaded, field),
+                                  getattr(annotated, field)), field
+        assert loaded.measure_start == annotated.measure_start
+        # A plain trace load wants every column.
+        with pytest.raises(TraceFormatError, match="missing") as caught:
+            load_trace(path)
+        assert caught.value.field in FRONT_PASS_COLUMNS
+
+    def test_only_annotation_columns_may_be_dropped(self, tmp_path):
+        path = tmp_path / "annotated.npz"
+        save_annotated(self._annotated(("pc",)), path)
+        with pytest.raises(TraceFormatError, match="only") as caught:
+            load_annotated(path)
+        assert caught.value.field == "__dropped__"
 
 
 class TestVersionSkew:
